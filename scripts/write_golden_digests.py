@@ -1,0 +1,77 @@
+#!/usr/bin/env python3
+"""Rewrite tests/golden_digests.json, the report digests that
+tests/test_golden.py checks.
+
+    python scripts/write_golden_digests.py
+
+Each digest is the sha256 of one run's `RunReport.to_row()` at seed 1, for
+every bundled scenario plus a tie-stress scenario built here. Run this only
+for a change that is meant to alter simulated output, and say so with the
+change: the file is the gate that a refactor or speed-up kept every report
+byte for byte.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from steersim import Engine, Scenario  # noqa: E402
+from steersim.workload import AppRule  # noqa: E402
+
+GOLDEN_PATH = ROOT / "tests" / "golden_digests.json"
+SEED = 1
+
+
+def tie_stress() -> Scenario:
+    """Streams that start together with no handshake gap and no burst
+    spacing, so SYN, SYN-ACK, ACK and data of many flows share fire times
+    with each other and with runtime events."""
+    s = Scenario(name="tie_stress", duration_us=4_000.0)
+    t = s.traffic
+    t.streams = 12
+    t.data_packets_per_stream = 40
+    t.per_stream_pps = 200_000.0
+    t.burst = 4
+    t.burst_spacing_ns = 0
+    t.jitter_ns = 0
+    t.handshake_gap_us = 0.0
+    t.start_spread_us = 0.0
+    s.host.syscall_cadence_us = 5.0
+    s.apps = (AppRule((5001, 6001), (0, 1)),)
+    s.scheduler.mode = "peak_performance"
+    s.scheduler.tick_us = 100.0
+    s.scheduler.forced_migration_period_us = 200.0
+    return s.validate()
+
+
+def scenarios() -> dict:
+    """Every scenario the digests cover, by name."""
+    out = {p.stem: Scenario.load(p) for p in sorted((ROOT / "scenarios").glob("*.json"))}
+    out["tie_stress"] = tie_stress()
+    return out
+
+
+def row_digest(row: dict) -> str:
+    """sha256 over the whole row; json renders floats exactly (repr)."""
+    blob = json.dumps(row, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def digest(scenario: Scenario) -> str:
+    return row_digest(Engine(scenario, SEED).run().report.to_row())
+
+
+def main():
+    golden = {name: digest(s) for name, s in scenarios().items()}
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(golden, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(golden)} digests to {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()
