@@ -1,6 +1,7 @@
 """Flow identity and simulated frames."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 PROTO_TCP = 6
 PROTO_UDP = 17
@@ -16,20 +17,18 @@ RX = "rx"
 TX = "tx"
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Transport 5-tuple, always expressed in the receive direction."""
+class FlowKey(NamedTuple):
+    """Transport 5-tuple, always expressed in the receive direction.
+
+    A tuple, so hashing and equality run in C on every table and socket
+    lookup.
+    """
 
     src_addr: str
     dst_addr: str
     protocol: int
     src_port: int
     dst_port: int
-
-    def reversed(self) -> "FlowKey":
-        return FlowKey(
-            self.dst_addr, self.src_addr, self.protocol, self.dst_port, self.src_port
-        )
 
 
 def reverse_key(key: FlowKey) -> FlowKey:
@@ -38,7 +37,7 @@ def reverse_key(key: FlowKey) -> FlowKey:
     Swaps addresses and ports, keeps the protocol; applying it twice is the
     identity.
     """
-    return key.reversed()
+    return FlowKey(key.dst_addr, key.src_addr, key.protocol, key.dst_port, key.src_port)
 
 
 @dataclass

@@ -154,6 +154,9 @@ class FlowTable:
         self._fallback_core = fallback_core
         self._buckets: dict[int, list[FlowEntry]] = {}
         self._entries: dict[FlowKey, FlowEntry] = {}
+        # The same entries under their transmit-direction keys, so a transmit
+        # descriptor finds its entry without reversing the key.
+        self._by_tx_key: dict[FlowKey, FlowEntry] = {}
         self._tracker: dict[FlowKey, tuple[str, int]] = {}
         self.stats = FlowTableStats()
 
@@ -208,6 +211,7 @@ class FlowTable:
         )
         bucket.append(entry)
         self._entries[key] = entry
+        self._by_tx_key[reverse_key(key)] = entry
         self.stats.admitted += 1
         self.stats.peak_entries = max(self.stats.peak_entries, len(self._entries))
         return entry
@@ -258,7 +262,7 @@ class FlowTable:
         flow left first, and extending it would let held packets wait longer
         than one timer period.
         """
-        entry = self._entries.get(reverse_key(desc.key))
+        entry = self._by_tx_key.get(desc.key)
         if entry is None:
             return TxOutcome.NO_ENTRY
         entry.last_activity = now
@@ -302,6 +306,7 @@ class FlowTable:
         ]
         for key in evicted:
             entry = self._entries.pop(key)
+            del self._by_tx_key[reverse_key(key)]
             self._buckets[entry.bucket].remove(entry)
         self.stats.evictions += len(evicted)
 

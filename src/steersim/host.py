@@ -140,11 +140,13 @@ class Host:
         self.proc_lanes = [_ProcLane(sim, core) for core in cores]
         self.migrations: list = []  # (t, pid, from_core, to_core)
         self.stats = HostStats()
+        self._free = None  # _free_procs() until the next add_flow
 
     # -- wiring -----------------------------------------------------------------
 
     def add_flow(self, key, process: AppProcess):
         self.processes[process.pid] = process
+        self._free = None
         sock = SocketModel(key=key, pid=process.pid)
         self.sockets[key] = sock
         self.socket_by_pid[process.pid] = sock
@@ -163,7 +165,7 @@ class Host:
 
     def _softirq_step(self, queue_id: int):
         now = self.sim.now()
-        core = self.cores[self.nic.core_of_queue(queue_id)]
+        core = self.cores[queue_id]
         while True:
             packet = self.nic.drain(queue_id, now)
             if packet is None:
@@ -294,9 +296,13 @@ class Host:
             self._enforce_cpuset(now)
         return self.migrations[before:]
 
-    def _free_procs(self):
-        return [p for p in sorted(self.processes.values(), key=lambda p: p.pid)
-                if not p.pinned]
+    def _free_procs(self) -> list:
+        """Processes the scheduler may move, lowest pid first. Pids and
+        pinning are fixed once flows are wired, so the list is built once."""
+        if self._free is None:
+            self._free = [p for p in sorted(self.processes.values(), key=lambda p: p.pid)
+                          if not p.pinned]
+        return self._free
 
     def _balance_peak(self, now: int):
         # Move Free processes from the longest run queue to the shortest

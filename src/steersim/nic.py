@@ -117,17 +117,9 @@ class Nic:
         self.hold_delays: list[int] = []  # flush time minus arrival, per held packet
         self._pipeline_free = 0  # serial lookup pipeline, latency accounting only
 
-    def core_of_queue(self, queue_id: int) -> int:
-        return queue_id
-
-    def queue_of_core(self, core_id: int) -> int:
-        return core_id
-
     def fallback_queue(self, key: FlowKey) -> int:
+        """The RSS hash's queue for a flow, which is also its core."""
         return self.engine.queue_for(key)
-
-    def fallback_core(self, key: FlowKey) -> int:
-        return self.core_of_queue(self.fallback_queue(key))
 
     # -- receive path ----------------------------------------------------------
 
@@ -140,7 +132,7 @@ class Nic:
             if decision is SteerDecision.HELD:
                 return RxOutcome(Placement.HELD_BY_TABLE)
             if decision is SteerDecision.DIRECT:
-                queue = self.queue_of_core(core)
+                queue = core
             else:
                 queue = self.fallback_queue(packet.key)
             if self.config.latency_accounting:
@@ -184,8 +176,7 @@ class Nic:
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""
         now = self.sim.now()
-        core, packets = self.table.on_timer_expire(key, now)
-        queue = self.queue_of_core(core)
+        queue, packets = self.table.on_timer_expire(key, now)
         for packet in packets:
             self.hold_delays.append(now - packet.held_at)
             packet.held_at = None

@@ -106,7 +106,7 @@ class Engine:
                     pressure_threshold=ft.pressure_threshold,
                 ),
                 schedule_timer=self._schedule_hold_timer,
-                fallback_core=lambda key: self.nic.fallback_core(key),
+                fallback_core=lambda key: self.nic.fallback_queue(key),
             )
         self.nic = Nic(
             nic_config, self.rss, self.table, self.sim,
@@ -123,6 +123,7 @@ class Engine:
 
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
+        self._tx_keys: dict[FlowKey, FlowKey] = {}  # receive key -> transmit key
 
     # -- wiring callbacks --------------------------------------------------------
 
@@ -137,11 +138,14 @@ class Engine:
         self.sim.schedule(deadline, fire)
 
     def _emit_ack(self, key: FlowKey, core_id: int, now: int):
-        packet = Packet(reverse_key(key), ACK, TX, -1, 64, now)
-        desc = TransmitDescriptor(packet.key, core_id)
-        self.nic.tx(packet, desc, now)
+        tx_key = self._tx_keys[key]
+        self.nic.tx(Packet(tx_key, ACK, TX, -1, 64, now), TransmitDescriptor(tx_key, core_id), now)
 
     # -- workload scheduling -------------------------------------------------------
+
+    def _add_flow(self, key: FlowKey, proc: AppProcess):
+        self.host.add_flow(key, proc)
+        self._tx_keys[key] = reverse_key(key)
 
     def _schedule_streams(self):
         scenario = self.scenario
@@ -157,14 +161,9 @@ class Engine:
                 allowed_cores=tuple(rule.cores),
                 cadence_ns=cadence_ns,
             )
-            self.host.add_flow(plan.key, proc)
-            syn, synack, ack = make_handshake_packets(plan)
-            self.sim.schedule(plan.syn_at, lambda p=syn: self.nic.rx(p, self.sim.now()))
-            self.sim.schedule(plan.synack_at, lambda p=synack: self._tx_synack(p))
-            self.sim.schedule(plan.ack_at, lambda p=ack: self.nic.rx(p, self.sim.now()))
-            for seq, at in enumerate(plan.data_times):
-                pkt = Packet(plan.key, DATA, RX, seq, scenario.traffic.packet_bytes, at)
-                self.sim.schedule(at, lambda p=pkt: self.nic.rx(p, self.sim.now()))
+            self._add_flow(plan.key, proc)
+            arrivals = _StreamArrivals(self, plan)
+            arrivals.push_next()
             self.generated_data += len(plan.data_times)
             # The app begins issuing receive calls once its stream is up.
             self.host.start_process(proc.pid, plan.ack_at + 1)
@@ -173,7 +172,7 @@ class Engine:
         # The kernel answers the SYN from whichever core the handshake was
         # processed on; before any steering entry exists that is the hash
         # fallback core.
-        core = self.nic.fallback_core(reverse_key(packet.key))
+        core = self.nic.fallback_queue(reverse_key(packet.key))
         self.nic.tx(packet, TransmitDescriptor(packet.key, core), self.sim.now())
 
     def _schedule_worst_case(self):
@@ -193,9 +192,9 @@ class Engine:
         # interrupt context and the schedule is exact. The filler flow is
         # never admitted and rides the hash fallback onto the same queue.
         proc = AppProcess(pid=0, core=0, allowed_cores=(0,), cadence_ns=None)
-        self.host.add_flow(victim_key, proc)
+        self._add_flow(victim_key, proc)
         filler_proc = AppProcess(pid=1, core=0, allowed_cores=(0,), cadence_ns=None)
-        self.host.add_flow(filler_key, filler_proc)
+        self._add_flow(filler_key, filler_proc)
 
         gap = int(scenario.traffic.handshake_gap_us * US)
         plan = StreamPlan(0, victim_key, victim_key.dst_port, 0, gap, 2 * gap, [])
@@ -386,6 +385,48 @@ class Engine:
             host_stats=stats,
             migrations=self.host.migrations,
         )
+
+
+class _StreamArrivals:
+    """One stream's arrivals at the NIC, fed to the simulator one at a time.
+
+    The stream's event ids are reserved up front in the order that scheduling
+    every arrival at once would give them: SYN, SYN-ACK, ACK, then data in
+    sequence order. Only the next arrival sits on the heap, under its
+    reserved id, and a data packet is built when it arrives. Arrival times
+    never decrease within a stream (Scenario.validate rejects inputs that
+    would), so every push lands at or after now and dispatch order is the
+    same as with everything scheduled up front.
+    """
+
+    __slots__ = ("engine", "key", "size", "handshake", "times", "first_id", "next")
+
+    def __init__(self, engine: Engine, plan: StreamPlan):
+        self.engine = engine
+        self.key = plan.key
+        self.size = engine.scenario.traffic.packet_bytes
+        self.handshake = make_handshake_packets(plan)
+        self.times = (plan.syn_at, plan.synack_at, plan.ack_at, *plan.data_times)
+        self.first_id = engine.sim.reserve(len(self.times))
+        self.next = 0
+
+    def push_next(self):
+        k = self.next
+        if k < len(self.times):
+            self.engine.sim.schedule_reserved(self.times[k], self.first_id + k, self._arrive)
+
+    def _arrive(self):
+        k = self.next
+        self.next = k + 1
+        self.push_next()
+        engine = self.engine
+        now = self.times[k]
+        if k >= 3:
+            engine.nic.rx(Packet(self.key, DATA, RX, k - 3, self.size, now), now)
+        elif k == 1:
+            engine._tx_synack(self.handshake[1])
+        else:
+            engine.nic.rx(self.handshake[k], now)
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

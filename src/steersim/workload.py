@@ -9,7 +9,7 @@ back. Stream generation is pure given a seeded rng, so runs replay exactly.
 import json
 from dataclasses import asdict, dataclass, field
 
-from .flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, RX, TX
+from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, RX, TX, reverse_key
 from .simkernel import US
 
 SCENARIO_VERSION = 1
@@ -117,6 +117,16 @@ class Scenario:
             raise ScenarioError("t_timer must be non-negative")
         if self.flow_table.max_list_size <= 0:
             raise ScenarioError("max_list_size must be positive")
+        # Each stream's arrival times must not decrease: the engine keeps
+        # only a stream's next arrival on the event heap.
+        if self.traffic.burst_spacing_ns < 0:
+            raise ScenarioError("traffic.burst_spacing_ns must be non-negative")
+        if self.traffic.handshake_gap_us < 0:
+            raise ScenarioError("traffic.handshake_gap_us must be non-negative")
+        if self.traffic.jitter_ns < 0:
+            raise ScenarioError("traffic.jitter_ns must be non-negative")
+        if self.host.service_rate_pps <= 0:
+            raise ScenarioError("host.service_rate_pps must be positive")
         if self.nic.mode not in ("rss", "flowsteer"):
             raise ScenarioError(f"unknown NIC mode {self.nic.mode!r}")
         if self.scheduler.mode not in (
@@ -276,8 +286,9 @@ def spawn_streams(scenario: Scenario, rng) -> list:
         t = data_start
         while len(times) < traffic.data_packets_per_stream and t < duration:
             jitter = rng.randrange(0, traffic.jitter_ns + 1) if traffic.jitter_ns else 0
-            # Bursts never overlap: per-flow arrival times stay strictly
-            # increasing so source order equals sequence order.
+            # Bursts never overlap: per-flow arrival times never decrease
+            # (equal times dispatch in sequence order), so source order
+            # equals sequence order.
             burst_t = t + jitter
             if times:
                 burst_t = max(burst_t, times[-1] + traffic.burst_spacing_ns)
@@ -294,13 +305,9 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     return plans
 
 
-def make_data_packet(key: FlowKey, seq: int, size: int, at: int) -> Packet:
-    return Packet(key, DATA, RX, seq, size, at)
-
-
 def make_handshake_packets(plan: StreamPlan, size: int = 64):
     syn = Packet(plan.key, SYN, RX, -1, size, plan.syn_at)
-    synack = Packet(plan.key.reversed(), SYNACK, TX, -1, size, plan.synack_at)
+    synack = Packet(reverse_key(plan.key), SYNACK, TX, -1, size, plan.synack_at)
     ack = Packet(plan.key, ACK, RX, -1, size, plan.ack_at)
     return syn, synack, ack
 

@@ -89,6 +89,40 @@ def test_dispatch_is_time_then_insertion_ordered(times):
     assert fired == sorted(fired)
 
 
+def test_reserved_id_pushed_late_beats_earlier_runtime_event():
+    sim = Simulator()
+    order = []
+    first = sim.reserve(1)
+    sim.schedule(100, lambda: order.append("runtime"))
+    sim.schedule(50, lambda: sim.schedule_reserved(100, first, lambda: order.append("reserved")))
+    sim.run_until(100)
+    assert order == ["reserved", "runtime"]
+
+
+def test_reserved_push_into_past_rejected():
+    sim = Simulator()
+    first = sim.reserve(2)
+    sim.run_until(50)
+    with pytest.raises(SchedulingError):
+        sim.schedule_reserved(40, first, lambda: None)
+    sim.schedule_reserved(50, first + 1, lambda: None)
+    assert sim.run_until(50) == 1
+
+
+def test_reserve_zero_and_negative():
+    sim = Simulator()
+    assert sim.reserve(3) == 0
+    # reserve(0) sets nothing aside: it names the id the next event gets.
+    nxt = sim.reserve(0)
+    assert nxt == 3
+    with pytest.raises(ValueError):
+        sim.schedule_reserved(10, nxt, lambda: None)
+    assert sim.schedule(10, lambda: None) == nxt
+    with pytest.raises(ValueError):
+        sim.reserve(-1)
+    assert sim.reserve(0) == 4
+
+
 def test_rng_reproducibility():
     a = [make_rng(99).random() for _ in range(5)]
     b = [make_rng(99).random() for _ in range(5)]

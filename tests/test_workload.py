@@ -94,6 +94,18 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             s.validate()
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("traffic", "burst_spacing_ns", -1),
+        ("traffic", "handshake_gap_us", -0.5),
+        ("traffic", "jitter_ns", -10),
+        ("host", "service_rate_pps", 0.0),
+    ])
+    def test_validation_names_field_that_breaks_arrival_order(self, section, field, value):
+        d = scenario(4).to_dict()
+        d[section][field] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+            Scenario.from_dict(d)
+
     def test_validation_rejects_bad_core_topology(self):
         s = scenario(4)
         s.host.processors = ((0, 1), (3, 4))
