@@ -8,6 +8,7 @@ scenario (override axes excluded from the identity hash).
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -107,13 +108,10 @@ def cmd_run(args) -> int:
 
 def _load_aggregate(run_dir: Path) -> tuple[dict, dict]:
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    metrics = {}
-    lines = (run_dir / "aggregate.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    for line in lines[1:]:
-        values = line.split(",")
-        row = dict(zip(header, values))
-        metrics[row["metric"]] = float(row["mean"])
+    with open(run_dir / "aggregate.csv", newline="") as fh:
+        metrics = {row["metric"]: float(row["mean"]) for row in csv.DictReader(fh)}
+    if not metrics:
+        raise ValueError(f"{run_dir / 'aggregate.csv'} holds no metrics")
     return manifest, metrics
 
 
@@ -121,7 +119,7 @@ def cmd_compare(args) -> int:
     try:
         manifest_a, metrics_a = _load_aggregate(Path(args.dir_a))
         manifest_b, metrics_b = _load_aggregate(Path(args.dir_b))
-    except (OSError, json.JSONDecodeError, KeyError, IndexError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: unreadable run directory: {exc}", file=sys.stderr)
         return 2
     if manifest_a["scenario_hash"] != manifest_b["scenario_hash"]:

@@ -27,6 +27,7 @@ STATE_COMPUTING = "computing"
 STATE_DRAINING = "draining"
 STATE_SLEEPING = "sleeping"
 STATE_IDLE = "idle"  # never calls receive; everything stays in interrupt context
+RUNNABLE = (STATE_COMPUTING, STATE_DRAINING)
 
 
 @dataclass
@@ -37,7 +38,7 @@ class Core:
     irq_free: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryRecord:
     seq: int
     t: int
@@ -99,6 +100,7 @@ class _ProcLane:
         self.core = core
         self.queue = deque()
         self.busy = False
+        self._resume = self._dispatch  # one bound method for every reschedule
 
     def submit(self, work):
         self.queue.append(work)
@@ -110,7 +112,7 @@ class _ProcLane:
         while True:
             now = self.sim.now()
             if self.core.irq_free > now:
-                self.sim.schedule(self.core.irq_free, self._dispatch)
+                self.sim.schedule(self.core.irq_free, self._resume)
                 return
             if not self.queue:
                 self.busy = False
@@ -118,7 +120,7 @@ class _ProcLane:
             work = self.queue.popleft()
             charge = work(now)
             if charge:
-                self.sim.schedule(now + charge, self._dispatch)
+                self.sim.schedule(now + charge, self._resume)
                 return
 
 
@@ -138,19 +140,55 @@ class Host:
         self.processes: dict[int, AppProcess] = {}
         self.handler_active = [False] * len(cores)
         self.proc_lanes = [_ProcLane(sim, core) for core in cores]
-        self.migrations: list = []  # (t, pid, from_core, to_core)
+        self.migrations = 0  # migrations performed so far
         self.stats = HostStats()
-        self._free = None  # _free_procs() until the next add_flow
+        # Event callables built once instead of once per event.
+        self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(len(cores))]
+        self._syscall_work: dict = {}  # pid -> lane work entering receive
+        self._drain_work: dict = {}  # pid -> lane work draining the backlog
+        self._submit_syscall_at: dict = {}  # pid -> event issuing the next call
+        self._wired = None  # _wiring() until the next add_flow
 
     # -- wiring -----------------------------------------------------------------
 
     def add_flow(self, key, process: AppProcess):
-        self.processes[process.pid] = process
-        self._free = None
-        sock = SocketModel(key=key, pid=process.pid)
+        pid = process.pid
+        self.processes[pid] = process
+        self._wired = None
+        sock = SocketModel(key=key, pid=pid)
         self.sockets[key] = sock
-        self.socket_by_pid[process.pid] = sock
+        self.socket_by_pid[pid] = sock
+        self._syscall_work[pid] = lambda now: self._syscall_enter(pid, now)
+        self._drain_work[pid] = lambda now: self._drain_step(pid, now)
+        self._submit_syscall_at[pid] = lambda: self._submit_syscall(pid)
         return sock
+
+    def _wiring(self) -> tuple:
+        """Scheduler views of the wired processes, built once per wiring:
+        pids and pinning are fixed once flows are added.
+
+        Returns (order, rotation). `order` is every process in pid order
+        with its Free flag; `rotation` holds one (process, next-core map,
+        fallback core) per Free process with two or more allowed cores, for
+        force_alternate."""
+        if self._wired is None:
+            procs = sorted(self.processes.values(), key=lambda p: p.pid)
+            order = [(p, not p.pinned) for p in procs]
+            next_maps = {}
+            rotation = []
+            for proc, free in order:
+                allowed = proc.allowed_cores
+                if not free or len(allowed) < 2:
+                    continue
+                nxt = next_maps.get(allowed)
+                if nxt is None:
+                    nxt = next_maps[allowed] = {}
+                    for i, core in enumerate(allowed):
+                        nxt.setdefault(core, allowed[(i + 1) % len(allowed)])
+                # A core outside the allowed set rotates to the first one.
+                rotation.append((proc, nxt, allowed[0]))
+            self._wired = (order, rotation)
+        return self._wired
 
     # -- interrupt context --------------------------------------------------------
 
@@ -167,7 +205,7 @@ class Host:
         now = self.sim.now()
         core = self.cores[queue_id]
         while True:
-            packet = self.nic.drain(queue_id, now)
+            packet = self.nic.drain(queue_id)
             if packet is None:
                 self.handler_active[queue_id] = False
                 return
@@ -189,7 +227,7 @@ class Host:
             if sock is not None:
                 self._deliver(packet, sock, core.core_id, CTX_INTERRUPT, now)
             core.irq_free = now + core.service_ns
-            self.sim.schedule(core.irq_free, lambda q=queue_id: self._softirq_step(q))
+            self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
 
     # -- process context ------------------------------------------------------------
@@ -199,11 +237,11 @@ class Host:
         if proc.cadence_ns is None:
             proc.state = STATE_IDLE
             return
-        self.sim.schedule(first_call_at, lambda: self._submit_syscall(pid))
+        self.sim.schedule(first_call_at, self._submit_syscall_at[pid])
 
     def _submit_syscall(self, pid: int):
         proc = self.processes[pid]
-        self.proc_lanes[proc.core].submit(lambda now, pid=pid: self._syscall_enter(pid, now))
+        self.proc_lanes[proc.core].submit(self._syscall_work[pid])
 
     def _syscall_enter(self, pid: int, now: int) -> int:
         proc = self.processes[pid]
@@ -212,9 +250,7 @@ class Host:
         if sock.backlog:
             sock.owned_by_user = True
             proc.state = STATE_DRAINING
-            self.proc_lanes[proc.core].submit(
-                lambda now, pid=pid: self._drain_step(pid, now)
-            )
+            self.proc_lanes[proc.core].submit(self._drain_work[pid])
         else:
             # Block in the receive call until data arrives.
             sock.sleeping = True
@@ -229,9 +265,7 @@ class Host:
         sock.owned_by_user = True
         proc = self.processes[sock.pid]
         proc.state = STATE_DRAINING
-        self.proc_lanes[proc.core].submit(
-            lambda now, pid=sock.pid: self._drain_step(pid, now)
-        )
+        self.proc_lanes[proc.core].submit(self._drain_work[sock.pid])
 
     def _drain_step(self, pid: int, now: int) -> int:
         proc = self.processes[pid]
@@ -239,9 +273,7 @@ class Host:
         if sock.backlog:
             packet = sock.backlog.popleft()
             self._deliver(packet, sock, proc.core, CTX_PROCESS, now)
-            self.proc_lanes[proc.core].submit(
-                lambda now, pid=pid: self._drain_step(pid, now)
-            )
+            self.proc_lanes[proc.core].submit(self._drain_work[pid])
             return self.cores[proc.core].service_ns
         # Backlog empty: the call returns, releasing the socket. Anything
         # delivered since the last ACK is acknowledged from this core now,
@@ -252,7 +284,7 @@ class Host:
         sock.owned_by_user = False
         proc.state = STATE_COMPUTING
         if proc.cadence_ns is not None:
-            self.sim.schedule(now + proc.cadence_ns, lambda: self._submit_syscall(pid))
+            self.sim.schedule(now + proc.cadence_ns, self._submit_syscall_at[pid])
         return 0
 
     # -- delivery ----------------------------------------------------------------
@@ -277,96 +309,91 @@ class Host:
     def runnable_counts(self) -> list[int]:
         counts = [0] * len(self.cores)
         for proc in self.processes.values():
-            if proc.state in (STATE_COMPUTING, STATE_DRAINING):
+            if proc.state in RUNNABLE:
                 counts[proc.core] += 1
         return counts
 
-    def _migrate(self, proc: AppProcess, to_core: int, now: int):
-        self.migrations.append((now, proc.pid, proc.core, to_core))
-        proc.core = to_core
-
     def scheduler_tick(self, now: int) -> list:
-        """One balancing pass; returns the migrations performed."""
-        before = len(self.migrations)
+        """One balancing pass; returns its (t, pid, from, to) migrations."""
+        moves = []
         if self.scheduler_mode == MODE_PEAK_PERFORMANCE:
-            self._balance_peak(now)
+            self._balance_peak(now, moves)
         elif self.scheduler_mode == MODE_POWER_SAVING:
-            self._converge_power(now)
+            self._converge_power(now, moves)
         elif self.scheduler_mode == MODE_CPUSET:
-            self._enforce_cpuset(now)
-        return self.migrations[before:]
+            self._enforce_cpuset(now, moves)
+        self.migrations += len(moves)
+        return moves
 
-    def _free_procs(self) -> list:
-        """Processes the scheduler may move, lowest pid first. Pids and
-        pinning are fixed once flows are wired, so the list is built once."""
-        if self._free is None:
-            self._free = [p for p in sorted(self.processes.values(), key=lambda p: p.pid)
-                          if not p.pinned]
-        return self._free
-
-    def _balance_peak(self, now: int):
+    def _balance_peak(self, now: int, moves: list):
         # Move Free processes from the longest run queue to the shortest
         # until balanced; lowest pid moves first.
-        counts = self.runnable_counts()
-        movable = {c: deque() for c in range(len(self.cores))}
-        for proc in self._free_procs():
-            if proc.state in (STATE_COMPUTING, STATE_DRAINING):
-                movable[proc.core].append(proc)
+        order, _ = self._wiring()
+        counts = [0] * len(self.cores)
+        movable = [[] for _ in self.cores]
+        for proc, free in order:
+            if proc.state in RUNNABLE:
+                counts[proc.core] += 1
+                if free:
+                    movable[proc.core].append(proc)
+        cores = range(len(counts))
         while True:
-            busiest = max(range(len(counts)), key=lambda c: (counts[c], -c))
-            idlest = min(range(len(counts)), key=lambda c: (counts[c], c))
+            busiest = max(cores, key=lambda c: (counts[c], -c))
+            idlest = min(cores, key=lambda c: (counts[c], c))
             if counts[busiest] - counts[idlest] <= 1:
                 return
-            moved = None
-            for proc in movable[busiest]:
+            queue = movable[busiest]
+            for i, proc in enumerate(queue):
                 if idlest in proc.allowed_cores:
-                    moved = proc
                     break
-            if moved is None:
+            else:
                 return
-            movable[busiest].remove(moved)
-            movable[idlest].append(moved)
+            del queue[i]
+            movable[idlest].append(proc)
             counts[busiest] -= 1
             counts[idlest] += 1
-            self._migrate(moved, idlest, now)
+            _migrate(proc, idlest, now, moves)
 
-    def _converge_power(self, now: int):
+    def _converge_power(self, now: int, moves: list):
+        order, _ = self._wiring()
         target_cores = [c.core_id for c in self.cores if c.processor_id == 0]
         counts = self.runnable_counts()
-        for proc in self._free_procs():
-            if self.cores[proc.core].processor_id == 0:
+        for proc, free in order:
+            if not free or self.cores[proc.core].processor_id == 0:
                 continue
             options = [c for c in proc.allowed_cores if c in target_cores]
             if not options:
                 continue
             dest = min(options, key=lambda c: (counts[c], c))
             counts[dest] += 1
-            self._migrate(proc, dest, now)
+            _migrate(proc, dest, now, moves)
 
-    def _enforce_cpuset(self, now: int):
+    def _enforce_cpuset(self, now: int, moves: list):
+        order, _ = self._wiring()
         counts = self.runnable_counts()
-        for proc in sorted(self.processes.values(), key=lambda p: p.pid):
+        for proc, _ in order:
             if proc.core not in proc.allowed_cores:
                 dest = min(proc.allowed_cores, key=lambda c: (counts[c], c))
                 counts[dest] += 1
-                self._migrate(proc, dest, now)
+                _migrate(proc, dest, now, moves)
 
     def force_alternate(self, now: int):
         """Deterministically rotate every Free process to the next core in
         its allowed set. Models aggressive migration pressure so transition
         behaviour is exercised reproducibly."""
-        for proc in self._free_procs():
-            if len(proc.allowed_cores) < 2:
-                continue
-            if proc.core in proc.allowed_cores:
-                idx = proc.allowed_cores.index(proc.core)
-            else:
-                idx = -1
-            self._migrate(proc, proc.allowed_cores[(idx + 1) % len(proc.allowed_cores)], now)
+        _, rotation = self._wiring()
+        for proc, nxt, first in rotation:
+            proc.core = nxt.get(proc.core, first)
+        self.migrations += len(rotation)
 
 
-def contention_proxy(delivered, migrations=None, lock_conflicts: int = 0,
-                     processor_of=None, warm_up_end=None) -> dict:
+def _migrate(proc: AppProcess, to_core: int, now: int, moves: list):
+    moves.append((now, proc.pid, proc.core, to_core))
+    proc.core = to_core
+
+
+def contention_proxy(delivered, lock_conflicts: int = 0, processor_of=None,
+                     warm_up_end=None) -> dict:
     """Simulator-observable stand-ins for cross-core contention.
 
     `delivered` maps flow key -> list of DeliveryRecord. cross_core counts
@@ -396,5 +423,4 @@ def contention_proxy(delivered, migrations=None, lock_conflicts: int = 0,
         "cross_processor_packets": cross_processor,
         "alternations": alternations,
         "lock_conflict_events": lock_conflicts,
-        "migrations": len(migrations or ()),
     }

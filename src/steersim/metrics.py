@@ -4,6 +4,8 @@ All functions are pure over immutable run logs. The CSV schema is versioned:
 bump CSV_SCHEMA_VERSION when columns change meaning.
 """
 
+import csv
+import io
 import math
 import statistics
 from dataclasses import dataclass, field
@@ -236,13 +238,17 @@ def format_value(value) -> str:
 
 
 def rows_to_csv(rows) -> str:
+    """CSV text with a header taken from the first row. Values holding a
+    comma, quote or newline are quoted; others are written as they are."""
     if not rows:
         return ""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     header = list(rows[0])
-    lines = [",".join(header)]
+    writer.writerow(header)
     for row in rows:
-        lines.append(",".join(format_value(row[col]) for col in header))
-    return "\n".join(lines) + "\n"
+        writer.writerow([format_value(row[col]) for col in header])
+    return out.getvalue()
 
 
 def aggregate_rows(rows) -> list:

@@ -7,7 +7,6 @@ empty-to-non-empty edge, and the host then drains until empty.
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .flowtable import FlowTable, SteerDecision, TxOutcome, search_time
 from .flows import FlowKey, Packet
@@ -15,19 +14,6 @@ from .rss import RssEngine
 
 MODE_RSS = "rss"
 MODE_FLOWSTEER = "flowsteer"
-
-
-class Placement(Enum):
-    QUEUED = "queued"
-    HELD_BY_TABLE = "held"
-    DROPPED = "dropped"
-
-
-@dataclass
-class RxOutcome:
-    placement: Placement
-    queue: int | None = None
-    depth: int | None = None
 
 
 @dataclass(frozen=True)
@@ -123,41 +109,40 @@ class Nic:
 
     # -- receive path ----------------------------------------------------------
 
-    def rx(self, packet: Packet, now: int) -> RxOutcome:
+    def rx(self, packet: Packet, now: int):
+        """Place an arriving packet: held by the table, or pushed onto its
+        queue's ring (tail-dropped when full). Ring counters, `dropped` and
+        the table's held lists record where it went."""
         if self.table is not None and self.config.mode == MODE_FLOWSTEER:
             self.table.on_rx_connection_tracking(packet, now)
             decision, core, position = self.table.steer(
                 packet, now, want_position=self.config.latency_accounting
             )
             if decision is SteerDecision.HELD:
-                return RxOutcome(Placement.HELD_BY_TABLE)
+                return
             if decision is SteerDecision.DIRECT:
                 queue = core
             else:
                 queue = self.fallback_queue(packet.key)
             if self.config.latency_accounting:
-                return self._enqueue_after_lookup(queue, packet, now, position)
+                self._enqueue_after_lookup(queue, packet, now, position)
+                return
         else:
             queue = self.fallback_queue(packet.key)
-        return self._enqueue(queue, packet)
+        self._enqueue(queue, packet)
 
-    def _enqueue_after_lookup(self, queue: int, packet: Packet, now: int,
-                              position: int) -> RxOutcome:
+    def _enqueue_after_lookup(self, queue: int, packet: Packet, now: int, position: int):
         # The lookup pipeline is serial: a packet cannot overtake the one
         # ahead of it even if its own chain walk is shorter.
         done = max(now, self._pipeline_free) + search_time(position)
         self._pipeline_free = done
         self.sim.schedule(done, lambda: self._enqueue(queue, packet))
-        return RxOutcome(Placement.QUEUED, queue, None)
 
-    def _enqueue(self, queue: int, packet: Packet, via_flush: bool = False) -> RxOutcome:
+    def _enqueue(self, queue: int, packet: Packet, via_flush: bool = False):
         ring = self.rings[queue]
-        if not ring.push(packet, via_flush=via_flush):
-            return RxOutcome(Placement.DROPPED, queue, ring.depth())
-        if ring.depth() == 1:
+        if ring.push(packet, via_flush=via_flush) and ring.depth() == 1:
             ring.interrupts += 1
             self._interrupt_cb(queue)
-        return RxOutcome(Placement.QUEUED, queue, ring.depth())
 
     # -- transmit path ----------------------------------------------------------
 
@@ -182,5 +167,5 @@ class Nic:
             packet.held_at = None
             self._enqueue(queue, packet, via_flush=True)
 
-    def drain(self, queue_id: int, now: int) -> Packet | None:
+    def drain(self, queue_id: int) -> Packet | None:
         return self.rings[queue_id].pop()

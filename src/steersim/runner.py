@@ -40,10 +40,7 @@ class RunResult:
     delivered: dict = field(default_factory=dict)  # key -> [DeliveryRecord]
     warm_up_end: dict = field(default_factory=dict)
     hold_delays: list = field(default_factory=list)
-    table_stats: object = None
     queue_stats: dict = field(default_factory=dict)
-    host_stats: object = None
-    migrations: list = field(default_factory=list)
 
 
 def build_rss_engine(scenario: Scenario) -> RssEngine:
@@ -121,6 +118,8 @@ class Engine:
             emit_ack=self._emit_ack,
         )
 
+        # One ring-edge interrupt event per queue, built once.
+        self._ring_edge = [lambda q=q: self.host.on_interrupt(q) for q in range(num_cores)]
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
         self._tx_keys: dict[FlowKey, FlowKey] = {}  # receive key -> transmit key
@@ -128,7 +127,7 @@ class Engine:
     # -- wiring callbacks --------------------------------------------------------
 
     def _on_ring_edge(self, queue_id: int):
-        self.sim.schedule(self.sim.now(), lambda: self.host.on_interrupt(queue_id))
+        self.sim.schedule(self.sim.now(), self._ring_edge[queue_id])
 
     def _schedule_hold_timer(self, deadline: int, key: FlowKey):
         def fire():
@@ -293,7 +292,6 @@ class Engine:
         flow_aff, data_aff = affinity_scores(delivered, warm_up)
         proxies = contention_proxy(
             delivered,
-            migrations=self.host.migrations,
             lock_conflicts=self.host.stats.lock_conflicts,
             processor_of=lambda c: self._processor_of[c],
             warm_up_end=warm_up,
@@ -365,7 +363,7 @@ class Engine:
             table_memory_peak_bytes=memory_peak,
             drops=drops,
             interrupts=interrupts,
-            migrations=len(self.host.migrations),
+            migrations=self.host.migrations,
             acks_sent=self.nic.acks_sent,
             flow_affinity=flow_aff,
             data_affinity=data_aff,
@@ -380,10 +378,7 @@ class Engine:
             delivered=delivered,
             warm_up_end=warm_up,
             hold_delays=hold_delays,
-            table_stats=self.table.stats if self.table else None,
             queue_stats=queue_stats,
-            host_stats=stats,
-            migrations=self.host.migrations,
         )
 
 

@@ -127,15 +127,25 @@ class Scenario:
             raise ScenarioError("traffic.jitter_ns must be non-negative")
         if self.host.service_rate_pps <= 0:
             raise ScenarioError("host.service_rate_pps must be positive")
+        if self.host.ack_every < 1:
+            raise ScenarioError("host.ack_every must be at least 1")
         if self.nic.mode not in ("rss", "flowsteer"):
             raise ScenarioError(f"unknown NIC mode {self.nic.mode!r}")
         if self.scheduler.mode not in (
             "pinned", "peak_performance", "power_saving", "cpuset"
         ):
             raise ScenarioError(f"unknown scheduler mode {self.scheduler.mode!r}")
+        # A tick of zero would silently switch balancing off.
+        if self.scheduler.mode != "pinned" and self.scheduler.tick_us <= 0:
+            raise ScenarioError(
+                f"scheduler.tick_us must be positive under {self.scheduler.mode!r}"
+            )
         cores = [c for group in self.host.processors for c in group]
         if sorted(cores) != list(range(len(cores))):
             raise ScenarioError("processor groups must cover cores 0..n-1")
+        if len(cores) > 256:
+            # The transmit descriptor carries the core id in one byte.
+            raise ScenarioError(f"host.processors lists {len(cores)} cores; at most 256 fit")
         for rule in self.apps:
             for core in rule.cores:
                 if core not in cores:

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -60,6 +61,23 @@ class TestRun:
         for name in ("runs.csv", "aggregate.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_scenario_name_with_comma_round_trips(self, tmp_path):
+        s = presets.pinned_same(4)
+        s.name = 'pinned, "quoted"'
+        s.traffic.data_packets_per_stream = 5
+        path = tmp_path / "comma.json"
+        s.save(path)
+        out = tmp_path / "out"
+        assert run_cli("run", path, "--repeat", 2, "--out", out, "--quiet") == 0
+        with open(out / "runs.csv", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = list(reader)
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        assert [dict(zip(header, row))["scenario"] for row in rows] == [s.name] * 2
+        assert run_cli("compare", out, out) == 0
+
     def test_env_var_default_out(self, small_scenario, tmp_path, monkeypatch):
         monkeypatch.setenv("STEERSIM_OUT", str(tmp_path / "envout"))
         assert run_cli("run", small_scenario, "--quiet") == 0
@@ -83,6 +101,12 @@ class TestCompare:
         assert run_cli("compare", out, out) == 0
         printed = capsys.readouterr().out
         assert "b_is=higher" not in printed and "b_is=lower" not in printed
+
+    def test_empty_aggregate_is_unreadable(self, small_scenario, tmp_path):
+        out = tmp_path / "one"
+        run_cli("run", small_scenario, "--out", out, "--quiet")
+        (out / "aggregate.csv").write_text("")
+        assert run_cli("compare", out, out) == 2
 
     def test_mismatched_scenarios_error(self, tmp_path):
         a = presets.pinned_same(8)

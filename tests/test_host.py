@@ -213,6 +213,7 @@ class TestScheduler:
         assert len(moves) == 1
         t, pid, src, dst = moves[0]
         assert (pid, src, dst) == (0, 0, 1)  # lowest pid moves first
+        assert h.host.migrations == 1
 
     def test_power_saving_converges_to_processor_zero(self):
         h = Harness(scheduler=MODE_POWER_SAVING)
@@ -232,11 +233,13 @@ class TestScheduler:
     def test_force_alternate_rotates(self):
         h = Harness()
         h.flow(key(sport=1), pid=0, core=0, allowed=(0, 2))
+        h.flow(key(sport=2), pid=1, core=0, allowed=(1, 2, 3))  # outside its set
+        h.flow(key(sport=3), pid=2, core=3)  # pinned: never moves
         h.host.force_alternate(0)
-        assert h.host.processes[0].core == 2
+        assert [p.core for p in h.host.processes.values()] == [2, 1, 3]
         h.host.force_alternate(1)
-        assert h.host.processes[0].core == 0
-        assert len(h.host.migrations) == 2
+        assert [p.core for p in h.host.processes.values()] == [0, 2, 3]
+        assert h.host.migrations == 4
 
 
 class TestContentionProxy:

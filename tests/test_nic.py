@@ -7,7 +7,6 @@ from steersim.nic import (
     MODE_RSS,
     Nic,
     NicConfig,
-    Placement,
     RingBuffer,
     TransmitDescriptor,
 )
@@ -102,8 +101,9 @@ class TestRx:
         h = Harness(fallback=1)
         k = key()
         h.admit(k, core=1)
-        out = h.nic.rx(rx_pkt(k, seq=5), h.sim.now())
-        assert out.placement is Placement.QUEUED and out.queue == 1
+        h.nic.rx(rx_pkt(k, seq=5), h.sim.now())
+        assert [ring.depth() for ring in h.nic.rings] == [0, 1, 0, 0]
+        assert h.table.get(k).held == []
 
     def test_transition_holds(self):
         h = Harness(fallback=0, t_timer_ns=10_000)
@@ -113,19 +113,20 @@ class TestRx:
             Packet(reverse_key(k), ACK, TX, -1, 64, 0),
             TransmitDescriptor(reverse_key(k), 2), 0,
         )
-        out = h.nic.rx(rx_pkt(k, seq=0), 0)
-        assert out.placement is Placement.HELD_BY_TABLE
-        assert h.nic.rings[2].depth() == 0
+        h.nic.rx(rx_pkt(k, seq=0), 0)
+        assert [p.seq for p in h.table.get(k).held] == [0]
+        assert [ring.depth() for ring in h.nic.rings] == [0, 0, 0, 0]
 
     def test_ring_overflow_drops(self):
         h = Harness(ring_capacity=2, fallback=0)
         k = key()
         h.admit(k)
-        outs = [h.nic.rx(rx_pkt(k, seq=s), 0) for s in range(3)]
-        assert [o.placement for o in outs] == [
-            Placement.QUEUED, Placement.QUEUED, Placement.DROPPED,
-        ]
-        assert h.nic.rings[0].dropped == 1
+        depths = []
+        for s in range(3):
+            h.nic.rx(rx_pkt(k, seq=s), 0)
+            depths.append((h.nic.rings[0].depth(), h.nic.rings[0].dropped))
+        assert depths == [(1, 0), (2, 0), (2, 1)]
+        assert [h.nic.drain(0).seq for _ in range(2)] == [0, 1]
 
     def test_interrupt_only_on_empty_edge(self):
         h = Harness(fallback=0)
@@ -140,8 +141,10 @@ class TestRx:
         h = Harness(mode=MODE_RSS)
         k = key()
         expected = h.nic.engine.queue_for(k)
-        out = h.nic.rx(rx_pkt(k, seq=0), 0)
-        assert out.queue == expected
+        h.nic.rx(rx_pkt(k, seq=0), 0)
+        assert [ring.depth() for ring in h.nic.rings] == [
+            int(q == expected) for q in range(4)
+        ]
 
 
 class TestTx:
@@ -183,9 +186,9 @@ class TestDrainAndFlush:
         h.admit(k)
         for seq in range(3):
             h.nic.rx(rx_pkt(k, seq=seq), 0)
-        got = [h.nic.drain(0, 0).seq for _ in range(3)]
+        got = [h.nic.drain(0).seq for _ in range(3)]
         assert got == [0, 1, 2]
-        assert h.nic.drain(0, 0) is None
+        assert h.nic.drain(0) is None
 
     def test_flush_lands_before_later_direct_arrivals(self):
         # Held packets push to the new ring at flush time; a direct arrival
@@ -198,12 +201,14 @@ class TestDrainAndFlush:
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
         for seq in (5, 6, 7):
-            assert h.nic.rx(rx_pkt(k, seq=seq), h.sim.now()).placement \
-                is Placement.HELD_BY_TABLE
+            h.nic.rx(rx_pkt(k, seq=seq), h.sim.now())
+        assert [p.seq for p in h.table.get(k).held] == [5, 6, 7]
+        assert h.nic.rings[1].depth() == 0
         h.sim.run_until(5_000)  # timer fires, flush to queue 1
-        out = h.nic.rx(rx_pkt(k, seq=8), h.sim.now())
-        assert out.placement is Placement.QUEUED and out.queue == 1
-        seqs = [h.nic.drain(1, h.sim.now()).seq for _ in range(4)]
+        assert h.table.get(k).held == []
+        h.nic.rx(rx_pkt(k, seq=8), h.sim.now())
+        assert [ring.depth() for ring in h.nic.rings] == [0, 4, 0, 0]
+        seqs = [h.nic.drain(1).seq for _ in range(4)]
         assert seqs == [5, 6, 7, 8]
 
     def test_hold_delays_recorded(self):

@@ -106,6 +106,31 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("scheduler", "tick_us", 0.0),
+        ("scheduler", "tick_us", -250.0),
+        ("host", "ack_every", 0),
+    ])
+    def test_validation_names_field_that_would_load_silently(self, section, field, value):
+        d = scenario(4).to_dict()
+        d["scheduler"]["mode"] = "peak_performance"
+        d[section][field] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+            Scenario.from_dict(d)
+
+    def test_pinned_scheduler_ignores_tick(self):
+        d = scenario(4).to_dict()
+        d["scheduler"]["tick_us"] = 0.0
+        assert Scenario.from_dict(d).scheduler.mode == "pinned"
+
+    def test_validation_rejects_more_cores_than_a_descriptor_byte_holds(self):
+        s = scenario(4)
+        s.host.processors = (tuple(range(130)), tuple(range(130, 260)))
+        with pytest.raises(ScenarioError, match="host.processors"):
+            s.validate()
+        s.host.processors = (tuple(range(128)), tuple(range(128, 256)))
+        s.validate()
+
     def test_validation_rejects_bad_core_topology(self):
         s = scenario(4)
         s.host.processors = ((0, 1), (3, 4))
