@@ -67,17 +67,21 @@ def cmd_run(args) -> int:
 
     seeds = [scenario.seed + i for i in range(args.repeat)]
     rows = []
-    for seed in seeds:
-        result = run_scenario(scenario, seed=seed)
-        rows.append(result.report.to_row())
-        if not args.quiet:
-            r = result.report
-            print(
-                f"seed {seed}: delivered={r.delivered_data}"
-                f" reordering={format_value(r.reordering_ratio)}"
-                f" admitted={format_value(r.admitted_fraction)}"
-                f" data_affinity={format_value(r.data_affinity)}"
-            )
+    try:
+        for seed in seeds:
+            result = run_scenario(scenario, seed=seed)
+            rows.append(result.report.to_row())
+            if not args.quiet:
+                r = result.report
+                print(
+                    f"seed {seed}: delivered={r.delivered_data}"
+                    f" reordering={format_value(r.reordering_ratio)}"
+                    f" admitted={format_value(r.admitted_fraction)}"
+                    f" data_affinity={format_value(r.data_affinity)}"
+                )
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     aggregates = aggregate_rows(rows)
     (out_dir / "runs.csv").write_text(rows_to_csv(rows))

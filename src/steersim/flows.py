@@ -40,7 +40,7 @@ def reverse_key(key: FlowKey) -> FlowKey:
     return FlowKey(key.dst_addr, key.src_addr, key.protocol, key.dst_port, key.src_port)
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """One simulated frame.
 

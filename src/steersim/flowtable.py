@@ -102,22 +102,17 @@ def _fold_addr(addr: str) -> int:
     return folded
 
 
-def bucket_index(key: FlowKey, num_buckets: int, fields=("ports", "addrs")) -> int:
+def bucket_index(key: FlowKey, num_buckets: int) -> int:
     """Deterministic bucket for a flow key.
 
-    Default input is the port pair XOR-folded with the addresses, so when
-    every flow shares one address pair the ports alone spread the table.
+    The input is the port pair XOR-folded with the addresses, so when every
+    flow shares one address pair the ports alone spread the table.
     """
     if num_buckets < 1:
         raise ValueError("need at least one bucket")
-    v = 0
-    if "ports" in fields:
-        v ^= (key.src_port << 16) | key.dst_port
-    if "addrs" in fields:
-        v ^= _fold_addr(key.src_addr)
-        v ^= ((_fold_addr(key.dst_addr) << 16) | (_fold_addr(key.dst_addr) >> 16)) & 0xFFFFFFFF
-    if "protocol" in fields:
-        v ^= key.protocol << 24
+    v = (key.src_port << 16) | key.dst_port
+    v ^= _fold_addr(key.src_addr)
+    v ^= ((_fold_addr(key.dst_addr) << 16) | (_fold_addr(key.dst_addr) >> 16)) & 0xFFFFFFFF
     return _fmix32(v) % num_buckets
 
 
@@ -165,9 +160,6 @@ class FlowTable:
 
     def get(self, key: FlowKey) -> FlowEntry | None:
         return self._entries.get(key)
-
-    def occupancy(self) -> int:
-        return len(self._entries)
 
     # -- connection tracking -------------------------------------------------
 

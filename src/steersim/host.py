@@ -144,6 +144,7 @@ class Host:
         self.stats = HostStats()
         # Event callables built once instead of once per event.
         self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(len(cores))]
+        self._ring_pop = [ring.pop for ring in nic.rings]  # per queue, for the softirq drain
         self._syscall_work: dict = {}  # pid -> lane work entering receive
         self._drain_work: dict = {}  # pid -> lane work draining the backlog
         self._submit_syscall_at: dict = {}  # pid -> event issuing the next call
@@ -204,8 +205,9 @@ class Host:
     def _softirq_step(self, queue_id: int):
         now = self.sim.now()
         core = self.cores[queue_id]
+        pop = self._ring_pop[queue_id]
         while True:
-            packet = self.nic.drain(queue_id)
+            packet = pop()
             if packet is None:
                 self.handler_active[queue_id] = False
                 return

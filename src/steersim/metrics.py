@@ -8,7 +8,7 @@ import csv
 import io
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .flows import DATA
 
@@ -98,40 +98,6 @@ def affinity_scores(delivered: dict, warm_up_end: dict) -> tuple:
     return flow_affinity, data_affinity
 
 
-@dataclass
-class HeldDelayHistogram:
-    bin_edges: list
-    counts: list
-    max_delay: int = 0
-    mean_delay: float = 0.0
-    total: int = 0
-
-
-def held_delay_histogram(delays, t_timer_ns: int, bins: int = 20) -> HeldDelayHistogram:
-    """Distribution of (flush time - arrival time) over held packets.
-
-    Every delay is bounded by the hold timer, so the top edge is t_timer.
-    """
-    delays = list(delays)
-    if t_timer_ns <= 0 or bins < 1:
-        edges = [0, max(delays, default=0) + 1]
-        counts = [len(delays)]
-    else:
-        width = t_timer_ns / bins
-        edges = [int(i * width) for i in range(bins + 1)]
-        counts = [0] * bins
-        for d in delays:
-            idx = min(int(d / width), bins - 1)
-            counts[idx] += 1
-    return HeldDelayHistogram(
-        bin_edges=edges,
-        counts=counts,
-        max_delay=max(delays, default=0),
-        mean_delay=sum(delays) / len(delays) if delays else 0.0,
-        total=len(delays),
-    )
-
-
 # ---- run report -------------------------------------------------------------
 
 
@@ -187,46 +153,18 @@ class RunReport:
                 raise ValueError(f"{name}={value} outside [0, 1]")
 
     def to_row(self) -> dict:
-        row = {
-            "schema": CSV_SCHEMA_VERSION,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "mode": self.mode,
-            "duration_us": self.duration_us,
-            "generated_data": self.generated_data,
-            "delivered_data": self.delivered_data,
-            "delivered_interrupt": self.delivered_interrupt,
-            "delivered_process": self.delivered_process,
-            "process_context_fraction": self.process_context_fraction,
-            "reordering_ratio": self.reordering_ratio,
-            "handshakes": self.handshakes,
-            "admitted": self.admitted,
-            "rejected_bucket_full": self.rejected_bucket_full,
-            "rejected_table_full": self.rejected_table_full,
-            "admitted_fraction": self.admitted_fraction,
-            "evictions": self.evictions,
-            "peak_entries": self.peak_entries,
-            "transitions": self.transitions,
-            "held_packets": self.held_packets,
-            "peak_held_bytes": self.peak_held_bytes,
-            "held_delay_max_ns": self.held_delay_max_ns,
-            "held_delay_mean_ns": self.held_delay_mean_ns,
-            "table_memory_peak_bytes": self.table_memory_peak_bytes,
-            "drops": self.drops,
-            "interrupts": self.interrupts,
-            "migrations": self.migrations,
-            "acks_sent": self.acks_sent,
-            "flow_affinity": self.flow_affinity,
-            "data_affinity": self.data_affinity,
-            "cross_core_packets": self.cross_core_packets,
-            "cross_processor_packets": self.cross_processor_packets,
-            "alternations": self.alternations,
-            "lock_conflict_events": self.lock_conflict_events,
-        }
+        row = {"schema": CSV_SCHEMA_VERSION}
+        for name in _SCALAR_COLUMNS:
+            row[name] = getattr(self, name)
         for q in sorted(self.queue_stats):
             for stat, value in self.queue_stats[q].items():
                 row[f"q{q}_{stat}"] = value
         return row
+
+
+# Every RunReport field in declaration order, apart from the per-queue dict
+# that to_row flattens into q<i>_<stat> columns.
+_SCALAR_COLUMNS = tuple(f.name for f in fields(RunReport) if f.name != "queue_stats")
 
 
 def format_value(value) -> str:

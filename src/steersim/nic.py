@@ -41,19 +41,23 @@ class RingBuffer:
     max_depth: int = 0
     interrupts: int = 0
 
-    def push(self, packet: Packet, via_flush: bool = False) -> bool:
+    def push(self, packet: Packet, via_flush: bool = False) -> int:
+        """Append at the tail. Returns the depth after the push, or 0 when
+        the ring is full and the packet is tail-dropped."""
         if via_flush:
             self.offered_flush += 1
         else:
             self.offered_direct += 1
-        if len(self._slots) >= self.capacity:
+        slots = self._slots
+        if len(slots) >= self.capacity:
             self.dropped += 1
-            return False
-        self._slots.append(packet)
+            return 0
+        slots.append(packet)
         self.enqueued += 1
-        if len(self._slots) > self.max_depth:
-            self.max_depth = len(self._slots)
-        return True
+        depth = len(slots)
+        if depth > self.max_depth:
+            self.max_depth = depth
+        return depth
 
     def pop(self) -> Packet | None:
         if not self._slots:
@@ -140,7 +144,7 @@ class Nic:
 
     def _enqueue(self, queue: int, packet: Packet, via_flush: bool = False):
         ring = self.rings[queue]
-        if ring.push(packet, via_flush=via_flush) and ring.depth() == 1:
+        if ring.push(packet, via_flush) == 1:
             ring.interrupts += 1
             self._interrupt_cb(queue)
 
@@ -157,6 +161,14 @@ class Nic:
         self.table.note_tx_packet(packet, now)
         outcome = self.table.observe_tx(desc, now)
         return outcome
+
+    def tx_ack(self, desc: TransmitDescriptor, now: int):
+        """Observe an outgoing data ACK from its descriptor alone. Same
+        effect as `tx` with an ACK packet, whose handshake monitoring only
+        looks for SYN-ACKs, so no packet is built."""
+        self.acks_sent += 1
+        if self.table is not None and self.config.mode == MODE_FLOWSTEER:
+            self.table.observe_tx(desc, now)
 
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""

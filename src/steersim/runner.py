@@ -6,6 +6,7 @@ SYN-ACKs and data ACKs are generated here and carry the processing core id
 in their transmit descriptors.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .flowtable import FlowTable, FlowTableConfig, memory_estimate
@@ -15,7 +16,6 @@ from .metrics import (
     RunReport,
     affinity_scores,
     admitted_fraction,
-    held_delay_histogram,
     reordering_ratio,
 )
 from .nic import MODE_FLOWSTEER, Nic, NicConfig, TransmitDescriptor
@@ -122,7 +122,8 @@ class Engine:
         self._ring_edge = [lambda q=q: self.host.on_interrupt(q) for q in range(num_cores)]
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
-        self._tx_keys: dict[FlowKey, FlowKey] = {}  # receive key -> transmit key
+        # Receive key -> ACK transmit descriptor per core, built on first use.
+        self._ack_descs: dict[FlowKey, list] = {}
 
     # -- wiring callbacks --------------------------------------------------------
 
@@ -137,20 +138,33 @@ class Engine:
         self.sim.schedule(deadline, fire)
 
     def _emit_ack(self, key: FlowKey, core_id: int, now: int):
-        tx_key = self._tx_keys[key]
-        self.nic.tx(Packet(tx_key, ACK, TX, -1, 64, now), TransmitDescriptor(tx_key, core_id), now)
+        descs = self._ack_descs[key]
+        desc = descs[core_id]
+        if desc is None:  # descriptors are frozen, so one per flow and core serves every ACK
+            desc = descs[core_id] = TransmitDescriptor(reverse_key(key), core_id)
+        self.nic.tx_ack(desc, now)
 
     # -- workload scheduling -------------------------------------------------------
 
     def _add_flow(self, key: FlowKey, proc: AppProcess):
         self.host.add_flow(key, proc)
-        self._tx_keys[key] = reverse_key(key)
+        self._ack_descs[key] = [None] * len(self.cores)
 
     def _schedule_streams(self):
+        """Wire every stream's app and hand all arrivals to the simulator.
+
+        Each stream reserves its arrival ids in the order that scheduling
+        every arrival at setup would give them: SYN, SYN-ACK, ACK, then data
+        in sequence order; its app's first receive call takes the next id.
+        The arrivals go to `Simulator.schedule_arrivals` as one block per
+        stream, and a data packet is built only when it arrives.
+        """
         scenario = self.scenario
+        sim = self.sim
         plans = spawn_streams(scenario, self.rng)
         cadence = scenario.host.syscall_cadence_us
         cadence_ns = None if cadence is None else int(cadence * US)
+        firsts = []  # each stream's first arrival id, ascending
         for plan in plans:
             rule = scenario.app_rule_for_port(plan.port)
             initial = rule.cores[plan.index % len(rule.cores)]
@@ -161,11 +175,36 @@ class Engine:
                 cadence_ns=cadence_ns,
             )
             self._add_flow(plan.key, proc)
-            arrivals = _StreamArrivals(self, plan)
-            arrivals.push_next()
+            firsts.append(sim.reserve(3 + len(plan.data_times)))
             self.generated_data += len(plan.data_times)
             # The app begins issuing receive calls once its stream is up.
             self.host.start_process(proc.pid, plan.ack_at + 1)
+        arrive = self._arrival_action(plans, firsts)
+        sim.schedule_arrivals(_arrival_blocks(plans, firsts), arrive)
+
+    def _arrival_action(self, plans: list, firsts: list):
+        """The action for every stream arrival: find the stream whose block
+        holds the id, then build and receive its data packet, or replay its
+        SYN, SYN-ACK or ACK."""
+        keys = [plan.key for plan in plans]
+        handshakes = [make_handshake_packets(plan) for plan in plans]
+        size = self.scenario.traffic.packet_bytes
+        rx = self.nic.rx
+        now = self.sim.now
+        tx_synack = self._tx_synack
+
+        def arrive(event_id: int):
+            i = bisect_right(firsts, event_id) - 1
+            k = event_id - firsts[i]
+            t = now()
+            if k >= 3:
+                rx(Packet(keys[i], DATA, RX, k - 3, size, t), t)
+            elif k == 1:
+                tx_synack(handshakes[i][1])
+            else:
+                rx(handshakes[i][k], t)
+
+        return arrive
 
     def _tx_synack(self, packet: Packet):
         # The kernel answers the SYN from whichever core the handshake was
@@ -302,8 +341,6 @@ class Engine:
             1 for recs in delivered.values() for r in recs if r.kind == DATA
         )
         hold_delays = self.nic.hold_delays
-        t_timer_ns = int(self.scenario.flow_table.t_timer_us * US)
-        histogram = held_delay_histogram(hold_delays, t_timer_ns)
 
         queue_stats = {}
         drops = 0
@@ -358,8 +395,8 @@ class Engine:
             transitions=transitions,
             held_packets=held_total,
             peak_held_bytes=peak_held,
-            held_delay_max_ns=histogram.max_delay,
-            held_delay_mean_ns=histogram.mean_delay,
+            held_delay_max_ns=max(hold_delays, default=0),
+            held_delay_mean_ns=sum(hold_delays) / len(hold_delays) if hold_delays else 0.0,
             table_memory_peak_bytes=memory_peak,
             drops=drops,
             interrupts=interrupts,
@@ -382,46 +419,14 @@ class Engine:
         )
 
 
-class _StreamArrivals:
-    """One stream's arrivals at the NIC, fed to the simulator one at a time.
-
-    The stream's event ids are reserved up front in the order that scheduling
-    every arrival at once would give them: SYN, SYN-ACK, ACK, then data in
-    sequence order. Only the next arrival sits on the heap, under its
-    reserved id, and a data packet is built when it arrives. Arrival times
-    never decrease within a stream (Scenario.validate rejects inputs that
-    would), so every push lands at or after now and dispatch order is the
-    same as with everything scheduled up front.
-    """
-
-    __slots__ = ("engine", "key", "size", "handshake", "times", "first_id", "next")
-
-    def __init__(self, engine: Engine, plan: StreamPlan):
-        self.engine = engine
-        self.key = plan.key
-        self.size = engine.scenario.traffic.packet_bytes
-        self.handshake = make_handshake_packets(plan)
-        self.times = (plan.syn_at, plan.synack_at, plan.ack_at, *plan.data_times)
-        self.first_id = engine.sim.reserve(len(self.times))
-        self.next = 0
-
-    def push_next(self):
-        k = self.next
-        if k < len(self.times):
-            self.engine.sim.schedule_reserved(self.times[k], self.first_id + k, self._arrive)
-
-    def _arrive(self):
-        k = self.next
-        self.next = k + 1
-        self.push_next()
-        engine = self.engine
-        now = self.times[k]
-        if k >= 3:
-            engine.nic.rx(Packet(self.key, DATA, RX, k - 3, self.size, now), now)
-        elif k == 1:
-            engine._tx_synack(self.handshake[1])
-        else:
-            engine.nic.rx(self.handshake[k], now)
+def _arrival_blocks(plans: list, firsts: list):
+    """Yield each stream's (first id, arrival times) block. Each plan's
+    data_times list is dropped as its block is yielded, so its memory is
+    free again while the simulator packs the next blocks."""
+    for plan, first in zip(plans, firsts):
+        times = (plan.syn_at, plan.synack_at, plan.ack_at, *plan.data_times)
+        plan.data_times = None
+        yield first, times
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -5,23 +5,31 @@ carries an integer id, and events dispatch in (fire_time, id) order, so a
 run with a fixed seed replays identically event for event.
 
 Ids are handed out in one increasing sequence. `schedule` takes the next id
-when it is called. `reserve(n)` sets aside the next n ids at once, and
-`schedule_reserved` later pushes an event under one of them. A reserved
-event therefore ties as if it had been scheduled when its id was reserved:
-at an equal fire time it beats every event scheduled after the reservation,
-however late it is pushed. The runner uses this to keep only each stream's
-next arrival on the heap while dispatching in the order that scheduling
-every arrival up front would give.
+when it is called; `reserve(n)` sets aside the next n ids at once. Events
+come from two sources. Runtime events sit on a binary heap. Arrivals, whose
+times are all known at setup, are handed over once by `schedule_arrivals`
+under reserved ids and kept as one presorted sequence. `run_until` merges
+the two by (fire_time, id), so an arrival never touches the heap yet ties
+as if it had been scheduled when its id was reserved: at an equal fire time
+it beats every event scheduled after the reservation and loses to every
+event scheduled before it.
 """
 
 import heapq
 import random
+from array import array
+from bisect import bisect_right
+from itertools import repeat
+from operator import lshift, or_
 
 # Unit multipliers for converting configuration values into nanoseconds.
 NS = 1
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
+
+# Fire time and id of the arrival after the last one: later than any event.
+_NEVER = 1 << 256
 
 
 class SchedulingError(ValueError):
@@ -31,7 +39,8 @@ class SchedulingError(ValueError):
 class Simulator:
     """Single-threaded event queue over integer nanosecond virtual time.
 
-    An event is an opaque zero-argument callable; total dispatch order is
+    A runtime event is an opaque zero-argument callable; arrivals share one
+    action that takes the arrival's event id. Total dispatch order is
     (fire_time, event id). A run owns all of its state: separate runs are
     independent and may execute in parallel processes.
     """
@@ -41,6 +50,13 @@ class Simulator:
         self._next_id = 0
         self._now = 0
         self.fired_total = 0
+        self._reserved_starts = []  # reserved id ranges [start, end), ascending
+        self._reserved_ends = []
+        # Arrivals: (fire_time << _shift | id), ascending; _arrival_pos is the next.
+        self._arrivals = None
+        self._shift = 0
+        self._arrival_pos = 0
+        self._arrival_action = None
 
     def now(self) -> int:
         return self._now
@@ -62,47 +78,118 @@ class Simulator:
     def reserve(self, n: int) -> int:
         """Set aside the next `n` event ids and return the first of them.
 
-        The ids are first, first + 1, ..., first + n - 1; each may be passed
-        to `schedule_reserved` once. `reserve(0)` sets nothing aside and
-        returns the id the next event will get. A negative `n` raises
-        ValueError.
+        The ids are first, first + 1, ..., first + n - 1, for
+        `schedule_arrivals`. `reserve(0)` sets nothing aside and returns the
+        id the next event will get. A negative `n` raises ValueError.
         """
         if n < 0:
             raise ValueError(f"cannot reserve {n} event ids")
         first = self._next_id
-        self._next_id = first + n
+        if n:
+            self._next_id = first + n
+            self._reserved_starts.append(first)
+            self._reserved_ends.append(first + n)
         return first
 
-    def schedule_reserved(self, fire_time: int, event_id: int, action):
-        """Queue `action` at `fire_time` under an id from `reserve`."""
-        if fire_time < self._now:
+    def schedule_arrivals(self, blocks, action):
+        """Hand over every arrival of the run at once; callable once.
+
+        Each block is (first_id, times): arrival k of the block fires at
+        times[k] under id first_id + k, and `action(first_id + k)` runs
+        then. Ids must come from `reserve`, and no two blocks may share one.
+        Times need not be sorted. `blocks` may be a generator; each block's
+        times are read once, so the caller can drop them as soon as the next
+        block is asked for. Raises ValueError for ids never reserved or
+        shared by two blocks, and for a second call; SchedulingError for a
+        time before now().
+        """
+        if self._arrivals is not None:
+            raise ValueError("arrivals were already scheduled")
+        shift = self._next_id.bit_length()
+        starts, ends = self._reserved_starts, self._reserved_ends
+        spans = []
+        packed = []
+        for first, times in blocks:
+            end = first + len(times)
+            if end == first:
+                continue
+            i = bisect_right(starts, first) - 1
+            if i < 0 or end > ends[i]:
+                raise ValueError(f"event ids {first}..{end - 1} were never reserved")
+            spans.append((first, end))
+            packed.extend(map(or_, map(lshift, times, repeat(shift)), range(first, end)))
+        spans.sort()
+        for (_, prev_end), (first, end) in zip(spans, spans[1:]):
+            if first < prev_end:
+                raise ValueError(f"event ids {first}..{min(end, prev_end) - 1} are in two blocks")
+        packed.sort()
+        if packed and packed[0] >> shift < self._now:
             raise SchedulingError(
-                f"event scheduled at {fire_time} ns, before now ({self._now} ns)"
+                f"arrival at {packed[0] >> shift} ns, before now ({self._now} ns)"
             )
-        if not 0 <= event_id < self._next_id:
-            raise ValueError(f"event id {event_id} was never reserved")
-        heapq.heappush(self._heap, (fire_time, event_id, action))
+        try:
+            arrivals = array("q", packed)
+        except OverflowError:  # a fire time too late for 64 bits: keep the ints
+            arrivals = packed
+        self._arrivals = arrivals
+        self._shift = shift
+        self._arrival_pos = 0
+        self._arrival_action = action
 
     def run_until(self, t_end: int) -> int:
-        """Fire every event with fire_time <= t_end, in order.
+        """Fire every event and arrival with fire_time <= t_end, in order.
 
         Events fired may schedule further events inside the window; those fire
         in the same call. On return now() == t_end.
         """
         if t_end < self._now:
             raise SchedulingError(f"run_until({t_end}) is before now ({self._now})")
-        fired = 0
         heap = self._heap
-        while heap and heap[0][0] <= t_end:
-            fire_time, _, action = heapq.heappop(heap)
-            self._now = fire_time
-            action()
-            fired += 1
+        pop = heapq.heappop
+        arrivals = self._arrivals or ()
+        n = len(arrivals)
+        pos = self._arrival_pos
+        shift = self._shift
+        mask = (1 << shift) - 1
+        arrive = self._arrival_action
+        if pos < n:
+            packed = arrivals[pos]
+            a_time, a_id = packed >> shift, packed & mask
+        else:
+            a_time = a_id = _NEVER
+        fired = 0
+        try:
+            while True:
+                if heap:
+                    fire_time, event_id, action = heap[0]
+                    if fire_time < a_time or (fire_time == a_time and event_id < a_id):
+                        if fire_time > t_end:
+                            break
+                        pop(heap)
+                        self._now = fire_time
+                        action()
+                        fired += 1
+                        continue
+                if a_time > t_end:
+                    break
+                self._now = a_time
+                pos += 1
+                arrive(a_id)
+                fired += 1
+                if pos < n:
+                    packed = arrivals[pos]
+                    a_time, a_id = packed >> shift, packed & mask
+                else:
+                    a_time = a_id = _NEVER
+        finally:
+            self._arrival_pos = pos
+            self.fired_total += fired
         self._now = t_end
-        self.fired_total += fired
         return fired
 
     def pending(self) -> int:
+        """Events waiting on the heap. Arrivals from `schedule_arrivals` are
+        not counted: they never enter the heap."""
         return len(self._heap)
 
 

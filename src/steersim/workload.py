@@ -117,14 +117,25 @@ class Scenario:
             raise ScenarioError("t_timer must be non-negative")
         if self.flow_table.max_list_size <= 0:
             raise ScenarioError("max_list_size must be positive")
-        # Each stream's arrival times must not decrease: the engine keeps
-        # only a stream's next arrival on the event heap.
+        # Negative gaps or spacing would reorder a stream's own packets.
         if self.traffic.burst_spacing_ns < 0:
             raise ScenarioError("traffic.burst_spacing_ns must be non-negative")
         if self.traffic.handshake_gap_us < 0:
             raise ScenarioError("traffic.handshake_gap_us must be non-negative")
         if self.traffic.jitter_ns < 0:
             raise ScenarioError("traffic.jitter_ns must be non-negative")
+        # assign_ports would fail mid-setup on these.
+        if self.traffic.ephemeral_ports == "random":
+            if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
+                raise ScenarioError(
+                    f"traffic.streams is {self.traffic.streams}; random ports give at most "
+                    f"{EPHEMERAL_END - EPHEMERAL_START} distinct ones"
+                )
+        elif self.traffic.ephemeral_start + self.traffic.streams > EPHEMERAL_END:
+            raise ScenarioError(
+                f"traffic.ephemeral_start {self.traffic.ephemeral_start} leaves no room for "
+                f"{self.traffic.streams} sequential ports below {EPHEMERAL_END}"
+            )
         if self.host.service_rate_pps <= 0:
             raise ScenarioError("host.service_rate_pps must be positive")
         if self.host.ack_every < 1:

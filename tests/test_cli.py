@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from steersim import presets
+from steersim import cli, presets
 from steersim.cli import main, scenario_hash
+from steersim.workload import ScenarioError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -101,6 +102,25 @@ class TestCompare:
         assert run_cli("compare", out, out) == 0
         printed = capsys.readouterr().out
         assert "b_is=higher" not in printed and "b_is=lower" not in printed
+
+    def test_exhausted_ports_exit_2_with_message(self, tmp_path, capsys):
+        s = presets.pinned_same(20)
+        s.traffic.ephemeral_start = 65530
+        path = tmp_path / "ports.json"
+        s.save(path)
+        assert run_cli("run", path, "--out", tmp_path / "out", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: traffic.ephemeral_start")
+        assert "Traceback" not in err
+
+    def test_scenario_error_during_setup_exits_2(self, small_scenario, tmp_path, capsys,
+                                                 monkeypatch):
+        def fail(scenario, seed=None):
+            raise ScenarioError("no app placement rule for port 7")
+
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        assert run_cli("run", small_scenario, "--out", tmp_path / "out", "--quiet") == 2
+        assert capsys.readouterr().err == "error: no app placement rule for port 7\n"
 
     def test_empty_aggregate_is_unreadable(self, small_scenario, tmp_path):
         out = tmp_path / "one"

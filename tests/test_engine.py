@@ -98,6 +98,13 @@ class TestHoldBounds:
             if result.hold_delays:
                 assert max(result.hold_delays) <= 100 * US
 
+    def test_report_summarises_hold_delays(self):
+        result = small_migrate(seed=1)
+        delays = result.hold_delays
+        assert delays
+        assert result.report.held_delay_max_ns == max(delays)
+        assert result.report.held_delay_mean_ns == sum(delays) / len(delays)
+
     def test_held_bytes_bounded_by_line_rate_times_timer(self):
         result = run_scenario(presets.memory10g(), seed=1)
         assert result.report.held_packets > 0

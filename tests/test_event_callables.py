@@ -4,7 +4,8 @@ The benchmark's traced pass names each event's span after the `__module__`
 of the action handed to `Simulator.schedule`, and counts a span outside the
 steersim layers as a fault. A `functools.partial` reports `functools`, so
 event callables must be plain functions, lambdas or bound methods defined in
-steersim.
+steersim. The arrival action handed to `Simulator.schedule_arrivals` is held
+to the same rule.
 """
 
 from collections import Counter
@@ -40,18 +41,18 @@ SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scheduled_actions_come_from_steersim(name, monkeypatch):
     modules = Counter()
-    schedule, schedule_reserved = Simulator.schedule, Simulator.schedule_reserved
+    schedule, schedule_arrivals = Simulator.schedule, Simulator.schedule_arrivals
 
     def schedule_recorded(sim, fire_time, action):
         modules[getattr(action, "__module__", None)] += 1
         return schedule(sim, fire_time, action)
 
-    def schedule_reserved_recorded(sim, fire_time, event_id, action):
+    def schedule_arrivals_recorded(sim, blocks, action):
         modules[getattr(action, "__module__", None)] += 1
-        return schedule_reserved(sim, fire_time, event_id, action)
+        return schedule_arrivals(sim, blocks, action)
 
     monkeypatch.setattr(Simulator, "schedule", schedule_recorded)
-    monkeypatch.setattr(Simulator, "schedule_reserved", schedule_reserved_recorded)
+    monkeypatch.setattr(Simulator, "schedule_arrivals", schedule_arrivals_recorded)
     Engine(SCENARIOS[name](), seed=1).run()
 
     assert modules["steersim.host"] > 0  # softirq and lane events were seen

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -12,7 +13,6 @@ from steersim.metrics import (
     affinity_scores,
     aggregate_rows,
     format_value,
-    held_delay_histogram,
     occupancy_oracle,
     reordering_ratio,
     rows_to_csv,
@@ -103,23 +103,6 @@ class TestAffinityScores:
         assert flow_aff == 1.0 and data_aff == 1.0
 
 
-class TestHeldDelayHistogram:
-    def test_no_holds_empty(self):
-        h = held_delay_histogram([], 100_000)
-        assert h.total == 0 and h.max_delay == 0
-
-    def test_mass_equals_count_and_bound(self):
-        delays = [100, 5_000, 99_999, 50_000]
-        h = held_delay_histogram(delays, 100_000)
-        assert sum(h.counts) == len(delays)
-        assert h.max_delay == 99_999 <= 100_000
-        assert h.bin_edges[-1] == 100_000
-
-    def test_zero_timer_degenerate(self):
-        h = held_delay_histogram([0, 0], 0)
-        assert h.total == 2 and h.max_delay == 0
-
-
 class TestReportAndCsv:
     def test_ratios_validated(self):
         with pytest.raises(ValueError):
@@ -133,6 +116,14 @@ class TestReportAndCsv:
         assert rows_to_csv(rows) == rows_to_csv(rows)
         header = rows_to_csv(rows).splitlines()[0]
         assert header.startswith("schema,scenario,seed,mode")
+
+    def test_row_columns_follow_field_order(self):
+        report = RunReport(scenario="a", seed=3, queue_stats={1: {"queued": 5}, 0: {"queued": 2}})
+        names = [f.name for f in dataclasses.fields(RunReport) if f.name != "queue_stats"]
+        assert len(names) == 33  # with schema, the 34 scalar columns of CSV schema 1
+        row = report.to_row()
+        assert list(row) == ["schema", *names, "q0_queued", "q1_queued"]
+        assert row["seed"] == 3 and row["q1_queued"] == 5
 
     def test_aggregate_mean_and_stddev(self):
         rows = [

@@ -89,38 +89,155 @@ def test_dispatch_is_time_then_insertion_ordered(times):
     assert fired == sorted(fired)
 
 
-def test_reserved_id_pushed_late_beats_earlier_runtime_event():
+def test_reserved_arrival_beats_later_scheduled_runtime_event():
     sim = Simulator()
     order = []
     first = sim.reserve(1)
     sim.schedule(100, lambda: order.append("runtime"))
-    sim.schedule(50, lambda: sim.schedule_reserved(100, first, lambda: order.append("reserved")))
+    sim.schedule_arrivals([(first, [100])], lambda event_id: order.append(event_id))
     sim.run_until(100)
-    assert order == ["reserved", "runtime"]
+    assert order == [first, "runtime"]
 
 
-def test_reserved_push_into_past_rejected():
+def test_equal_time_tie_follows_reservation_order():
+    # An arrival reserved before a runtime event's id wins the tie; one
+    # reserved after it loses.
+    sim = Simulator()
+    order = []
+    early = sim.reserve(1)
+    runtime = sim.schedule(100, lambda: order.append("runtime"))
+    late = sim.reserve(1)
+    assert early < runtime < late
+    sim.schedule_arrivals([(late, [100]), (early, [100])], order.append)
+    assert sim.run_until(100) == 3
+    assert order == [early, "runtime", late]
+    assert sim.fired_total == 3
+
+
+def test_arrivals_resume_across_windows():
+    sim = Simulator()
+    order = []
+    first = sim.reserve(4)
+    sim.schedule(15, lambda: order.append("runtime"))
+    sim.schedule_arrivals([(first, [10, 20, 20, 35])], order.append)
+    assert sim.pending() == 1  # arrivals never enter the heap
+    assert sim.run_until(10) == 1
+    assert order == [first]
+    assert sim.run_until(20) == 3  # an arrival exactly at t_end fires
+    assert order == [first, "runtime", first + 1, first + 2]
+    assert sim.now() == 20
+    assert sim.run_until(30) == 0
+    assert sim.run_until(35) == 1
+    assert order[-1] == first + 3
+    assert sim.run_until(1_000) == 0
+    assert sim.fired_total == 5
+
+
+def test_arrival_action_schedules_event_at_the_same_instant():
+    # The new event takes an id after every reserved one, so it fires at the
+    # same instant but after the arrivals that share that instant.
+    sim = Simulator()
+    order = []
+    first = sim.reserve(2)
+
+    def arrive(event_id):
+        order.append(event_id)
+        if event_id == first:
+            sim.schedule(sim.now(), lambda: order.append(("runtime", sim.now())))
+
+    sim.schedule_arrivals([(first, [50, 50])], arrive)
+    assert sim.run_until(50) == 3
+    assert order == [first, first + 1, ("runtime", 50)]
+
+
+def test_arrival_times_need_not_be_sorted():
+    sim = Simulator()
+    fired = []
+    first = sim.reserve(3)
+    sim.schedule_arrivals([(first, [30, 10, 20])], lambda event_id: fired.append((sim.now(), event_id)))
+    sim.run_until(30)
+    assert fired == [(10, first + 1), (20, first + 2), (30, first)]
+
+
+def test_arrival_too_late_for_64_bit_packing_still_fires():
+    sim = Simulator()
+    fired = []
+    first = sim.reserve(2)
+    late = 1 << 62
+    sim.schedule_arrivals([(first, [late, 5])], fired.append)
+    assert sim.run_until(late) == 2
+    assert fired == [first + 1, first]
+
+
+def test_arrival_before_now_rejected():
     sim = Simulator()
     first = sim.reserve(2)
     sim.run_until(50)
     with pytest.raises(SchedulingError):
-        sim.schedule_reserved(40, first, lambda: None)
-    sim.schedule_reserved(50, first + 1, lambda: None)
-    assert sim.run_until(50) == 1
+        sim.schedule_arrivals([(first, [40, 50])], lambda event_id: None)
+    sim.schedule_arrivals([(first, [50, 50])], lambda event_id: None)
+    assert sim.run_until(50) == 2
 
 
-def test_reserve_zero_and_negative():
+def test_unreserved_arrival_ids_rejected():
     sim = Simulator()
     assert sim.reserve(3) == 0
     # reserve(0) sets nothing aside: it names the id the next event gets.
     nxt = sim.reserve(0)
     assert nxt == 3
-    with pytest.raises(ValueError):
-        sim.schedule_reserved(10, nxt, lambda: None)
+    with pytest.raises(ValueError, match="never reserved"):
+        sim.schedule_arrivals([(nxt, [10])], lambda event_id: None)
     assert sim.schedule(10, lambda: None) == nxt
+    # An id taken by schedule was not reserved either.
+    with pytest.raises(ValueError, match="never reserved"):
+        sim.schedule_arrivals([(nxt, [10])], lambda event_id: None)
+    # A block running past its reservation.
+    with pytest.raises(ValueError, match="never reserved"):
+        sim.schedule_arrivals([(1, [10, 10, 10])], lambda event_id: None)
     with pytest.raises(ValueError):
         sim.reserve(-1)
     assert sim.reserve(0) == 4
+
+
+def test_overlapping_arrival_blocks_rejected():
+    sim = Simulator()
+    first = sim.reserve(4)
+    with pytest.raises(ValueError, match="two blocks"):
+        sim.schedule_arrivals([(first + 2, [5, 6]), (first, [1, 2, 3])], lambda event_id: None)
+
+
+def test_second_schedule_arrivals_rejected():
+    sim = Simulator()
+    first = sim.reserve(2)
+    sim.schedule_arrivals([(first, [10])], lambda event_id: None)
+    with pytest.raises(ValueError, match="already"):
+        sim.schedule_arrivals([(first + 1, [20])], lambda event_id: None)
+
+
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)), max_size=60),
+    st.integers(min_value=0, max_value=200),
+)
+@settings(max_examples=150)
+def test_merge_matches_one_heap_of_everything(plan, t_end):
+    # Each entry is either a runtime event or a one-arrival reservation;
+    # dispatch must follow (fire_time, id) across both sources.
+    sim = Simulator()
+    fired = []
+    blocks = []
+    expected = []
+    for is_arrival, t in plan:
+        if is_arrival:
+            event_id = sim.reserve(1)
+            blocks.append((event_id, [t]))
+        else:
+            event_id = sim.schedule(t, lambda t=t, n=len(expected): fired.append(("event", n)))
+        expected.append((t, event_id, "arrival" if is_arrival else "event", len(expected)))
+    arrival_tag = {event_id: n for n, (_, event_id, kind, _) in enumerate(expected) if kind == "arrival"}
+    sim.schedule_arrivals(blocks, lambda event_id: fired.append(("arrival", arrival_tag[event_id])))
+    sim.run_until(t_end)
+    sim.run_until(200)
+    assert fired == [(kind, n) for _, _, kind, n in sorted(expected)]
 
 
 def test_rng_reproducibility():

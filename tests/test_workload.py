@@ -118,6 +118,19 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("field, traffic_kwargs", [
+        ("traffic.ephemeral_start", {"streams": 10, "ephemeral_start": 65530}),
+        ("traffic.streams", {"streams": 32769, "ephemeral_ports": "random"}),
+    ])
+    def test_validation_names_field_that_exhausts_the_ports(self, field, traffic_kwargs):
+        d = scenario(**traffic_kwargs).to_dict()
+        with pytest.raises(ScenarioError, match=field):
+            Scenario.from_dict(d)
+
+    def test_ports_that_just_fit_validate(self):
+        scenario(10, ephemeral_start=65526).validate()
+        scenario(32768, ephemeral_ports="random").validate()
+
     def test_pinned_scheduler_ignores_tick(self):
         d = scenario(4).to_dict()
         d["scheduler"]["tick_us"] = 0.0
