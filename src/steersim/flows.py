@@ -12,9 +12,7 @@ SYNACK = "SYNACK"
 ACK = "ACK"
 DATA = "DATA"
 FIN = "FIN"
-
-RX = "rx"
-TX = "tx"
+KINDS = (SYN, SYNACK, ACK, DATA, FIN)
 
 
 class FlowKey(NamedTuple):
@@ -45,15 +43,12 @@ class Packet:
     """One simulated frame.
 
     `seq` is a gapless per-flow sequence number for DATA packets and -1 for
-    control packets. `sent_at` is the scheduled arrival (rx) or transmit (tx)
-    timestamp; `held_at` is set while the frame sits in a steering table's
-    transition list.
+    control packets. `held_at` is set while the frame sits in a steering
+    table's transition list.
     """
 
     key: FlowKey
     kind: str
-    direction: str
     seq: int
     size: int
-    sent_at: int
     held_at: int | None = None

@@ -10,13 +10,21 @@ around), which keeps the ring-drain rate at the full per-core service rate
 and makes the hold-timer bound effective.
 """
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from operator import ne
 
-from .flows import DATA
+from .flows import DATA, KINDS
 
 CTX_INTERRUPT = "interrupt"
 CTX_PROCESS = "process"
+
+# DeliveryLog keeps context and kind as one-byte codes: indices into these.
+CONTEXTS = (CTX_INTERRUPT, CTX_PROCESS)
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+_INTERRUPT = CONTEXTS.index(CTX_INTERRUPT)
+_PROCESS = CONTEXTS.index(CTX_PROCESS)
 
 MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
@@ -48,6 +56,51 @@ class DeliveryRecord:
     kind: str
 
 
+class DeliveryLog:
+    """One flow's deliveries in arrival order, one column per field.
+
+    `seq` and `t` are `array('q')`. The one-byte fields are `bytearray`s:
+    `core` and `app_core` (`Scenario.validate` caps a host at 256 cores),
+    and `context` and `kind` as codes into `CONTEXTS` and `flows.KINDS`.
+    `bytearray.append` takes a third of the time of `array('B').append`,
+    which parses its argument through a format string. Metrics scan the
+    columns. Indexing or iterating builds a `DeliveryRecord` per record on
+    demand, for tests and debugging.
+    """
+
+    __slots__ = ("seq", "t", "core", "context", "app_core", "kind")
+
+    def __init__(self):
+        self.seq = array("q")
+        self.t = array("q")
+        self.core = bytearray()
+        self.context = bytearray()
+        self.app_core = bytearray()
+        self.kind = bytearray()
+
+    def append(self, seq: int, t: int, core: int, context: str, app_core: int, kind: str):
+        """Append one record, fields in DeliveryRecord order. The host's
+        delivery path writes the columns directly instead."""
+        self.seq.append(seq)
+        self.t.append(t)
+        self.core.append(core)
+        self.context.append(CONTEXTS.index(context))
+        self.app_core.append(app_core)
+        self.kind.append(KIND_CODE[kind])
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, i: int) -> DeliveryRecord:
+        return DeliveryRecord(self.seq[i], self.t[i], self.core[i], CONTEXTS[self.context[i]],
+                              self.app_core[i], KINDS[self.kind[i]])
+
+    def __iter__(self):
+        return map(DeliveryRecord, self.seq, self.t, self.core,
+                   map(CONTEXTS.__getitem__, self.context), self.app_core,
+                   map(KINDS.__getitem__, self.kind))
+
+
 @dataclass
 class SocketModel:
     """Per-flow receive socket. A packet found with the socket owned, the
@@ -60,7 +113,7 @@ class SocketModel:
     owned_by_user: bool = False
     sleeping: bool = False
     backlog: deque = field(default_factory=deque)
-    delivered: list = field(default_factory=list)
+    delivered: DeliveryLog = field(default_factory=DeliveryLog)
     delivered_since_ack: int = 0
 
 
@@ -227,7 +280,7 @@ class Host:
                     self._wake(sock)
                 continue
             if sock is not None:
-                self._deliver(packet, sock, core.core_id, CTX_INTERRUPT, now)
+                self._deliver(packet, sock, core.core_id, _INTERRUPT, now)
             core.irq_free = now + core.service_ns
             self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
@@ -274,7 +327,7 @@ class Host:
         sock = self.socket_by_pid[pid]
         if sock.backlog:
             packet = sock.backlog.popleft()
-            self._deliver(packet, sock, proc.core, CTX_PROCESS, now)
+            self._deliver(packet, sock, proc.core, _PROCESS, now)
             self.proc_lanes[proc.core].submit(self._drain_work[pid])
             return self.cores[proc.core].service_ns
         # Backlog empty: the call returns, releasing the socket. Anything
@@ -291,16 +344,21 @@ class Host:
 
     # -- delivery ----------------------------------------------------------------
 
-    def _deliver(self, packet, sock, core_id: int, context: str, now: int):
-        proc = self.processes[sock.pid]
-        sock.delivered.append(
-            DeliveryRecord(packet.seq, now, core_id, context, proc.core, packet.kind)
-        )
-        if context == CTX_INTERRUPT:
+    def _deliver(self, packet, sock, core_id: int, context: int, now: int):
+        """Log one delivery; `context` is a code into CONTEXTS."""
+        kind = packet.kind
+        log = sock.delivered
+        log.seq.append(packet.seq)
+        log.t.append(now)
+        log.core.append(core_id)
+        log.context.append(context)
+        log.app_core.append(self.processes[sock.pid].core)
+        log.kind.append(KIND_CODE[kind])
+        if context == _INTERRUPT:
             self.stats.delivered_interrupt += 1
         else:
             self.stats.delivered_process += 1
-        if packet.kind == DATA:
+        if kind == DATA:
             sock.delivered_since_ack += 1
             if sock.delivered_since_ack >= self.ack_every and self.emit_ack is not None:
                 sock.delivered_since_ack = 0
@@ -398,7 +456,7 @@ def contention_proxy(delivered, lock_conflicts: int = 0, processor_of=None,
                      warm_up_end=None) -> dict:
     """Simulator-observable stand-ins for cross-core contention.
 
-    `delivered` maps flow key -> list of DeliveryRecord. cross_core counts
+    `delivered` maps flow key -> DeliveryLog. cross_core counts
     packets processed on a different core than the app occupied at that
     moment; alternations counts consecutive same-flow deliveries on
     different cores. lock_conflicts is recorded online by the engine (an
@@ -408,18 +466,15 @@ def contention_proxy(delivered, lock_conflicts: int = 0, processor_of=None,
     cross = 0
     cross_processor = 0
     alternations = 0
-    for key, records in delivered.items():
+    for key, log in delivered.items():
         cutoff = warm_up_end.get(key, -1) if warm_up_end else -1
-        prev_core = None
-        for rec in records:
-            if rec.t > cutoff and rec.core != rec.app_core:
+        cores = log.core
+        for t, core, app_core in zip(log.t, cores, log.app_core):
+            if t > cutoff and core != app_core:
                 cross += 1
-                if processor_of is not None and \
-                        processor_of(rec.core) != processor_of(rec.app_core):
+                if processor_of is not None and processor_of(core) != processor_of(app_core):
                     cross_processor += 1
-            if prev_core is not None and rec.core != prev_core:
-                alternations += 1
-            prev_core = rec.core
+        alternations += sum(map(ne, cores, cores[1:]))
     return {
         "cross_core_packets": cross,
         "cross_processor_packets": cross_processor,

@@ -1,7 +1,8 @@
 """Post-run metric computation and CSV/report emission.
 
-All functions are pure over immutable run logs. The CSV schema is versioned:
-bump CSV_SCHEMA_VERSION when columns change meaning.
+All functions are pure over immutable run logs: `delivered` maps each flow
+key to its `host.DeliveryLog`, whose columns they scan. The CSV schema is
+versioned: bump CSV_SCHEMA_VERSION when columns change meaning.
 """
 
 import csv
@@ -11,8 +12,11 @@ import statistics
 from dataclasses import dataclass, field, fields
 
 from .flows import DATA
+from .host import KIND_CODE
 
 CSV_SCHEMA_VERSION = 1
+
+_DATA = KIND_CODE[DATA]
 
 
 def reordering_ratio(delivered: dict) -> float:
@@ -20,16 +24,16 @@ def reordering_ratio(delivered: dict) -> float:
     running maximum already delivered for that flow."""
     total = 0
     inversions = 0
-    for records in delivered.values():
+    for log in delivered.values():
         high = -1
-        for rec in records:
-            if rec.kind != DATA:
+        for seq, kind in zip(log.seq, log.kind):
+            if kind != _DATA:
                 continue
             total += 1
-            if rec.seq < high:
+            if seq < high:
                 inversions += 1
             else:
-                high = rec.seq
+                high = seq
     return inversions / total if total else 0.0
 
 
@@ -76,21 +80,20 @@ def affinity_scores(delivered: dict, warm_up_end: dict) -> tuple:
     per_flow_scores = []
     on_app_core = 0
     total = 0
-    for key, records in delivered.items():
+    for key, log in delivered.items():
         cutoff = warm_up_end.get(key, -1)
-        cores = []
-        for rec in records:
-            if rec.kind != DATA or rec.t <= cutoff:
+        counts = {}
+        scored = 0
+        for t, core, app_core, kind in zip(log.t, log.core, log.app_core, log.kind):
+            if kind != _DATA or t <= cutoff:
                 continue
-            cores.append(rec.core)
-            total += 1
-            if rec.core == rec.app_core:
+            counts[core] = counts.get(core, 0) + 1
+            scored += 1
+            if core == app_core:
                 on_app_core += 1
-        if cores:
-            counts = {}
-            for c in cores:
-                counts[c] = counts.get(c, 0) + 1
-            per_flow_scores.append(max(counts.values()) / len(cores))
+        if scored:
+            total += scored
+            per_flow_scores.append(max(counts.values()) / scored)
     flow_affinity = (
         sum(per_flow_scores) / len(per_flow_scores) if per_flow_scores else 1.0
     )

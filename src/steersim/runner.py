@@ -6,12 +6,13 @@ SYN-ACKs and data ACKs are generated here and carry the processing core id
 in their transmit descriptors.
 """
 
+import gc
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .flowtable import FlowTable, FlowTableConfig, memory_estimate
-from .flows import ACK, DATA, PROTO_TCP, RX, TX, FlowKey, Packet, reverse_key
-from .host import AppProcess, Core, Host, contention_proxy
+from .flows import ACK, DATA, PROTO_TCP, FlowKey, Packet, reverse_key
+from .host import KIND_CODE, AppProcess, Core, Host, contention_proxy
 from .metrics import (
     RunReport,
     affinity_scores,
@@ -37,7 +38,7 @@ AGE_SWEEP_INTERVAL_NS = 10 * MS
 @dataclass
 class RunResult:
     report: RunReport
-    delivered: dict = field(default_factory=dict)  # key -> [DeliveryRecord]
+    delivered: dict = field(default_factory=dict)  # key -> DeliveryLog
     warm_up_end: dict = field(default_factory=dict)
     hold_delays: list = field(default_factory=list)
     queue_stats: dict = field(default_factory=dict)
@@ -198,7 +199,7 @@ class Engine:
             k = event_id - firsts[i]
             t = now()
             if k >= 3:
-                rx(Packet(keys[i], DATA, RX, k - 3, size, t), t)
+                rx(Packet(keys[i], DATA, k - 3, size), t)
             elif k == 1:
                 tx_synack(handshakes[i][1])
             else:
@@ -237,26 +238,28 @@ class Engine:
         gap = int(scenario.traffic.handshake_gap_us * US)
         plan = StreamPlan(0, victim_key, victim_key.dst_port, 0, gap, 2 * gap, [])
         syn, synack, ack = make_handshake_packets(plan)
-        self.sim.schedule(plan.syn_at, lambda: self.nic.rx(syn, self.sim.now()))
+        self._schedule_rx(plan.syn_at, syn)
         self.sim.schedule(plan.synack_at, lambda: self._tx_synack(synack))
-        self.sim.schedule(plan.ack_at, lambda: self.nic.rx(ack, self.sim.now()))
+        self._schedule_rx(plan.ack_at, ack)
 
         size = scenario.traffic.packet_bytes
         filler_seq = 0
         for ev in events:
             if ev.role == "filler":
-                pkt = Packet(filler_key, DATA, RX, filler_seq, size, ev.at)
+                self._schedule_rx(ev.at, Packet(filler_key, DATA, filler_seq, size))
                 filler_seq += 1
-                self.sim.schedule(ev.at, lambda p=pkt: self.nic.rx(p, self.sim.now()))
                 self.generated_data += 1
             elif ev.role == "victim_data":
-                pkt = Packet(victim_key, DATA, RX, ev.seq, size, ev.at)
-                self.sim.schedule(ev.at, lambda p=pkt: self.nic.rx(p, self.sim.now()))
+                self._schedule_rx(ev.at, Packet(victim_key, DATA, ev.seq, size))
                 self.generated_data += 1
             elif ev.role == "migrate":
-                packet = Packet(reverse_key(victim_key), ACK, TX, -1, 64, ev.at)
+                packet = Packet(reverse_key(victim_key), ACK, -1, 64)
                 desc = TransmitDescriptor(packet.key, new_core)
                 self.sim.schedule(ev.at, lambda p=packet, d=desc: self.nic.tx(p, d, self.sim.now()))
+
+    def _schedule_rx(self, at: int, packet: Packet):
+        """Schedule one scripted packet to reach the NIC at `at`."""
+        self.sim.schedule(at, lambda: self.nic.rx(packet, self.sim.now()))
 
     def _find_key_for_queue(self, queue: int, dst_port: int, skip=()) -> FlowKey:
         """Search the ephemeral range for a source port whose hash fallback
@@ -301,12 +304,25 @@ class Engine:
     # -- run ---------------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Schedule the workload, run to the horizon and collect the report.
+
+        Cyclic garbage collection is paused for the event loop only, as
+        `timeit` does, and restored as the caller had it, also when the
+        loop raises. The loop creates no reference cycles, so collection
+        would free nothing; the objects a run keeps would only be rescanned
+        over and over."""
         if self.scenario.kind == "worst_case":
             self._schedule_worst_case()
         else:
             self._schedule_streams()
         self._schedule_periodics()
-        self.sim.run_until(self.duration_ns)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self.sim.run_until(self.duration_ns)
+        finally:
+            if enabled:
+                gc.enable()
         return self._collect()
 
     # -- reporting ----------------------------------------------------------------
@@ -320,7 +336,7 @@ class Engine:
             if key in self.flush_times:
                 out[key] = self.flush_times[key]
             elif sock.delivered:
-                out[key] = sock.delivered[0].t
+                out[key] = sock.delivered.t[0]
             else:
                 out[key] = -1
         return out
@@ -337,9 +353,8 @@ class Engine:
         )
         stats = self.host.stats
         delivered_total = stats.delivered_interrupt + stats.delivered_process
-        delivered_data = sum(
-            1 for recs in delivered.values() for r in recs if r.kind == DATA
-        )
+        data_code = KIND_CODE[DATA]
+        delivered_data = sum(log.kind.count(data_code) for log in delivered.values())
         hold_delays = self.nic.hold_delays
 
         queue_stats = {}

@@ -9,7 +9,7 @@ back. Stream generation is pure given a seeded rng, so runs replay exactly.
 import json
 from dataclasses import asdict, dataclass, field
 
-from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, RX, TX, reverse_key
+from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
 from .simkernel import US
 
 SCENARIO_VERSION = 1
@@ -124,6 +124,13 @@ class Scenario:
             raise ScenarioError("traffic.handshake_gap_us must be non-negative")
         if self.traffic.jitter_ns < 0:
             raise ScenarioError("traffic.jitter_ns must be non-negative")
+        # Any other value would run silently as the default choice.
+        if self.traffic.ephemeral_ports not in ("sequential", "random"):
+            raise ScenarioError(
+                f"unknown traffic.ephemeral_ports {self.traffic.ephemeral_ports!r}"
+            )
+        if self.rss.style not in ("direct", "indirection"):
+            raise ScenarioError(f"unknown rss.style {self.rss.style!r}")
         # assign_ports would fail mid-setup on these.
         if self.traffic.ephemeral_ports == "random":
             if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
@@ -327,9 +334,9 @@ def spawn_streams(scenario: Scenario, rng) -> list:
 
 
 def make_handshake_packets(plan: StreamPlan, size: int = 64):
-    syn = Packet(plan.key, SYN, RX, -1, size, plan.syn_at)
-    synack = Packet(reverse_key(plan.key), SYNACK, TX, -1, size, plan.synack_at)
-    ack = Packet(plan.key, ACK, RX, -1, size, plan.ack_at)
+    syn = Packet(plan.key, SYN, -1, size)
+    synack = Packet(reverse_key(plan.key), SYNACK, -1, size)
+    ack = Packet(plan.key, ACK, -1, size)
     return syn, synack, ack
 
 

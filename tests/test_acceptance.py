@@ -202,7 +202,7 @@ def test_criterion_7_affinity_benefit(paired_affinity_runs):
 
 def test_criterion_8_property_suite(inorder_batch):
     from steersim.flowtable import FlowTable, FlowTableConfig
-    from steersim.flows import Packet, RX, reverse_key
+    from steersim.flows import Packet, reverse_key
     from steersim.nic import TransmitDescriptor
 
     # Toeplitz agreement with the independent bit-level oracle.
@@ -227,15 +227,15 @@ def test_criterion_8_property_suite(inorder_batch):
         FlowTableConfig(), schedule_timer=lambda d, k: None, fallback_core=lambda k: 0
     )
     k = FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, 40000, 5001)
-    from steersim.flows import ACK, SYN, SYNACK, TX
+    from steersim.flows import ACK, SYN, SYNACK
 
-    table.on_rx_connection_tracking(Packet(k, SYN, RX, -1, 64, 0), 0)
-    table.note_tx_packet(Packet(reverse_key(k), SYNACK, TX, -1, 64, 0), 0)
-    table.on_rx_connection_tracking(Packet(k, ACK, RX, -1, 64, 0), 0)
+    table.on_rx_connection_tracking(Packet(k, SYN, -1, 64), 0)
+    table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), 0)
+    table.on_rx_connection_tracking(Packet(k, ACK, -1, 64), 0)
     table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
     seqs = [rng.randrange(1000) for _ in range(64)]
     for i, seq in enumerate(seqs):
-        table.steer(Packet(k, DATA, RX, seq, 100, i), i)
+        table.steer(Packet(k, DATA, seq, 100), i)
     _, flushed = table.on_timer_expire(k, table.get(k).timer_deadline)
     fifo_ok = [p.seq for p in flushed] == seqs
 

@@ -1,12 +1,15 @@
 """Whole-run integration behaviour of the wired simulation."""
 
+import gc
+from array import array
 
 import pytest
 
 from steersim import presets
-from steersim.flows import DATA
-from steersim.runner import run_scenario
-from steersim.simkernel import US
+from steersim.flows import DATA, FIN, SYN
+from steersim.host import CTX_INTERRUPT, CTX_PROCESS, DeliveryLog, DeliveryRecord
+from steersim.runner import Engine, run_scenario
+from steersim.simkernel import US, Simulator
 
 
 def small_migrate(t_timer_us=100.0, seed=1):
@@ -197,3 +200,86 @@ class TestScenarioShape:
         result = run_scenario(s, seed=1)
         assert result.report.rejected_table_full > 0
         assert result.report.delivered_data == result.report.generated_data
+
+
+@pytest.fixture
+def gc_state():
+    """Restore the collector's on/off state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGarbageCollectionPause:
+    def test_paused_for_the_loop_and_enabled_after(self, gc_state, monkeypatch):
+        seen = []
+        run_until = Simulator.run_until
+
+        def spy(sim, t_end):
+            seen.append(gc.isenabled())
+            return run_until(sim, t_end)
+
+        monkeypatch.setattr(Simulator, "run_until", spy)
+        gc.enable()
+        run_scenario(presets.migrate_same(8), seed=1)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_caller_that_disabled_it_finds_it_disabled(self, gc_state):
+        gc.disable()
+        run_scenario(presets.migrate_same(8), seed=1)
+        assert not gc.isenabled()
+
+    def test_restored_when_the_loop_raises(self, gc_state, monkeypatch):
+        def failing_loop(sim, t_end):
+            raise RuntimeError("loop failed")
+
+        monkeypatch.setattr(Simulator, "run_until", failing_loop)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="loop failed"):
+            Engine(presets.migrate_same(8), seed=1).run()
+        assert gc.isenabled()
+
+
+def _records_alive() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is DeliveryRecord)
+
+
+class TestColumnarDeliveryLog:
+    WIDE = ("seq", "t")
+    BYTES = ("core", "context", "app_core", "kind")
+
+    def test_a_run_keeps_no_record_objects(self):
+        result = run_scenario(presets.migrate_same(40), seed=3)
+        assert sum(len(log) for log in result.delivered.values()) > 1000
+        assert _records_alive() == 0
+
+    def test_every_column_is_compact(self):
+        result = run_scenario(presets.migrate_same(40), seed=3)
+        for log in result.delivered.values():
+            assert isinstance(log, DeliveryLog)
+            for name in self.WIDE:
+                column = getattr(log, name)
+                assert isinstance(column, array) and column.typecode == "q"
+                assert len(column) == len(log)
+            for name in self.BYTES:
+                column = getattr(log, name)
+                assert isinstance(column, bytearray) and len(column) == len(log)
+
+    def test_iteration_gives_back_the_appended_records(self):
+        records = [
+            DeliveryRecord(-1, 0, 0, CTX_INTERRUPT, 0, SYN),
+            DeliveryRecord(7, 2**40, 255, CTX_PROCESS, 3, DATA),
+            DeliveryRecord(-1, 2**40 + 5, 1, CTX_INTERRUPT, 255, FIN),
+        ]
+        log = DeliveryLog()
+        for r in records:
+            log.append(r.seq, r.t, r.core, r.context, r.app_core, r.kind)
+        assert len(log) == 3
+        assert list(log) == records
+        assert [log[i] for i in range(3)] == records
+        assert log[-1].context == CTX_INTERRUPT and log[1].kind == DATA

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, PROTO_UDP, RX, TX, FlowKey, Packet, reverse_key
+from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, PROTO_UDP, FlowKey, Packet, reverse_key
 from steersim.flowtable import (
     FlowTable,
     FlowTableConfig,
@@ -23,8 +23,8 @@ def key(sport=40000, dport=5001, src="10.0.0.1", dst="10.0.0.2", proto=PROTO_TCP
     return FlowKey(src, dst, proto, sport, dport)
 
 
-def rx_pkt(k, kind=DATA, seq=0, size=1500, at=0):
-    return Packet(k, kind, RX, seq, size, at)
+def rx_pkt(k, kind=DATA, seq=0, size=1500):
+    return Packet(k, kind, seq, size)
 
 
 class Timers:
@@ -45,7 +45,7 @@ def make_table(fallback=0, **cfg):
 
 def admit(table, k, now=0):
     table.on_rx_connection_tracking(rx_pkt(k, SYN), now)
-    table.note_tx_packet(Packet(reverse_key(k), SYNACK, TX, -1, 64, now), now)
+    table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), now)
     entry = table.on_rx_connection_tracking(rx_pkt(k, ACK), now)
     return entry
 
@@ -206,7 +206,7 @@ class TestSteer:
         admit(table, k)
         table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
         for seq in (5, 6, 7):
-            decision, _, _ = table.steer(rx_pkt(k, seq=seq, at=seq), seq)
+            decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
             assert decision is SteerDecision.HELD
         entry = table.get(k)
         assert [p.seq for p in entry.held] == [5, 6, 7]
@@ -294,7 +294,7 @@ class TestAging:
         table.on_rx_connection_tracking(rx_pkt(k, SYN), 0)
         table.age(2000)
         # Handshake must restart from SYN after expiry.
-        table.note_tx_packet(Packet(reverse_key(k), SYNACK, TX, -1, 64, 2100), 2100)
+        table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), 2100)
         assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 2200) is None
 
     def test_rejected_flow_can_retry_after_eviction_frees_the_chain(self):
@@ -351,7 +351,7 @@ class TestInvariants:
         admit(table, k)
         table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
         for i, seq in enumerate(seqs):
-            table.steer(rx_pkt(k, seq=seq, at=i), i)
+            table.steer(rx_pkt(k, seq=seq), i)
         _, flushed = table.on_timer_expire(k, table.get(k).timer_deadline)
         assert [p.seq for p in flushed] == seqs
 

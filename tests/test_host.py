@@ -1,4 +1,4 @@
-from steersim.flows import DATA, PROTO_TCP, RX, FlowKey, Packet
+from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet
 from steersim.host import (
     CTX_INTERRUPT,
     CTX_PROCESS,
@@ -9,7 +9,7 @@ from steersim.host import (
     STATE_SLEEPING,
     AppProcess,
     Core,
-    DeliveryRecord,
+    DeliveryLog,
     Host,
     contention_proxy,
 )
@@ -24,8 +24,8 @@ def key(sport=40000, dport=5001):
     return FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, sport, dport)
 
 
-def rx_pkt(k, seq=0, at=0, kind=DATA):
-    return Packet(k, kind, RX, seq, 1500, at)
+def rx_pkt(k, seq=0, kind=DATA):
+    return Packet(k, kind, seq, 1500)
 
 
 class Harness:
@@ -65,7 +65,7 @@ class Harness:
 
     def inject(self, k, seq, at, queue):
         self.sim.schedule(
-            at, lambda: self.nic._enqueue(queue, rx_pkt(k, seq=seq, at=at))
+            at, lambda: self.nic._enqueue(queue, rx_pkt(k, seq=seq))
         )
 
 
@@ -244,19 +244,20 @@ class TestScheduler:
 
 class TestContentionProxy:
     def test_single_core_system_all_zero(self):
-        recs = [DeliveryRecord(s, s * 10, 0, CTX_INTERRUPT, 0, DATA) for s in range(5)]
-        out = contention_proxy({key(): recs})
+        log = DeliveryLog()
+        for s in range(5):
+            log.append(s, s * 10, 0, CTX_INTERRUPT, 0, DATA)
+        out = contention_proxy({key(): log})
         assert out["cross_core_packets"] == 0
         assert out["alternations"] == 0
         assert out["lock_conflict_events"] == 0
 
     def test_cross_core_and_alternations(self):
-        recs = [
-            DeliveryRecord(0, 0, 0, CTX_INTERRUPT, 1, DATA),
-            DeliveryRecord(1, 10, 1, CTX_PROCESS, 1, DATA),
-            DeliveryRecord(2, 20, 0, CTX_INTERRUPT, 1, DATA),
-        ]
-        out = contention_proxy({key(): recs}, processor_of=lambda c: c // 2)
+        log = DeliveryLog()
+        log.append(0, 0, 0, CTX_INTERRUPT, 1, DATA)
+        log.append(1, 10, 1, CTX_PROCESS, 1, DATA)
+        log.append(2, 20, 0, CTX_INTERRUPT, 1, DATA)
+        out = contention_proxy({key(): log}, processor_of=lambda c: c // 2)
         assert out["cross_core_packets"] == 2
         assert out["alternations"] == 2
         assert out["cross_processor_packets"] == 0

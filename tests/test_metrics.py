@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steersim.flows import DATA, PROTO_TCP, FlowKey
-from steersim.host import CTX_INTERRUPT, DeliveryRecord
+from steersim.host import CTX_INTERRUPT, DeliveryLog
 from steersim.metrics import (
     RunReport,
     affinity_scores,
@@ -24,23 +24,31 @@ def key(sport=1):
 
 
 def rec(seq, t=0, core=0, app_core=0, kind=DATA):
-    return DeliveryRecord(seq, t, core, CTX_INTERRUPT, app_core, kind)
+    return seq, t, core, CTX_INTERRUPT, app_core, kind
+
+
+def flow_log(*records):
+    """A DeliveryLog holding the given rec() tuples in order."""
+    log = DeliveryLog()
+    for r in records:
+        log.append(*r)
+    return log
 
 
 class TestReorderingRatio:
     def test_in_order_log_is_zero(self):
-        log = {key(): [rec(s) for s in range(10)]}
+        log = {key(): flow_log(*(rec(s) for s in range(10)))}
         assert reordering_ratio(log) == 0.0
 
     def test_one_inversion_in_ten(self):
         seqs = [0, 1, 2, 3, 5, 4, 6, 7, 8, 9]
-        log = {key(): [rec(s) for s in seqs]}
+        log = {key(): flow_log(*(rec(s) for s in seqs))}
         assert reordering_ratio(log) == 0.1
 
     def test_per_flow_not_cross_flow(self):
         log = {
-            key(1): [rec(5), rec(6)],
-            key(2): [rec(0), rec(1)],  # lower seqs on another flow: fine
+            key(1): flow_log(rec(5), rec(6)),
+            key(2): flow_log(rec(0), rec(1)),  # lower seqs on another flow: fine
         }
         assert reordering_ratio(log) == 0.0
 
@@ -86,19 +94,19 @@ class TestOccupancyOracle:
 
 class TestAffinityScores:
     def test_every_flow_on_one_core(self):
-        log = {key(i): [rec(s, t=s + 1, core=2, app_core=2) for s in range(4)]
+        log = {key(i): flow_log(*(rec(s, t=s + 1, core=2, app_core=2) for s in range(4)))
                for i in range(3)}
         flow_aff, data_aff = affinity_scores(log, {k: 0 for k in log})
         assert flow_aff == 1.0 and data_aff == 1.0
 
     def test_alternating_cores_gives_half(self):
-        recs = [rec(s, t=s + 1, core=s % 2, app_core=0) for s in range(10)]
+        recs = flow_log(*(rec(s, t=s + 1, core=s % 2, app_core=0) for s in range(10)))
         flow_aff, data_aff = affinity_scores({key(): recs}, {key(): 0})
         assert flow_aff == 0.5
         assert data_aff == 0.5
 
     def test_warm_up_cutoff_excludes_early_records(self):
-        recs = [rec(0, t=5, core=1, app_core=0), rec(1, t=50, core=0, app_core=0)]
+        recs = flow_log(rec(0, t=5, core=1, app_core=0), rec(1, t=50, core=0, app_core=0))
         flow_aff, data_aff = affinity_scores({key(): recs}, {key(): 10})
         assert flow_aff == 1.0 and data_aff == 1.0
 

@@ -1,6 +1,6 @@
 import pytest
 
-from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, RX, TX, FlowKey, Packet, reverse_key
+from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
 from steersim.flowtable import FlowTable, FlowTableConfig, TxOutcome
 from steersim.nic import (
     MODE_FLOWSTEER,
@@ -18,8 +18,8 @@ def key(sport=40000, dport=5001):
     return FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, sport, dport)
 
 
-def rx_pkt(k, kind=DATA, seq=0, at=0, size=1500):
-    return Packet(k, kind, RX, seq, size, at)
+def rx_pkt(k, kind=DATA, seq=0, size=1500):
+    return Packet(k, kind, seq, size)
 
 
 class Harness:
@@ -50,13 +50,13 @@ class Harness:
     def admit(self, k, core=None, now=0):
         self.nic.rx(rx_pkt(k, SYN), now)
         self.nic.tx(
-            Packet(reverse_key(k), SYNACK, TX, -1, 64, now),
+            Packet(reverse_key(k), SYNACK, -1, 64),
             TransmitDescriptor(reverse_key(k), 0), now,
         )
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
             self.nic.tx(
-                Packet(reverse_key(k), ACK, TX, -1, 64, now),
+                Packet(reverse_key(k), ACK, -1, 64),
                 TransmitDescriptor(reverse_key(k), core), now,
             )
             deadline = self.table.get(k).timer_deadline
@@ -110,7 +110,7 @@ class TestRx:
         k = key()
         h.admit(k)
         h.nic.tx(
-            Packet(reverse_key(k), ACK, TX, -1, 64, 0),
+            Packet(reverse_key(k), ACK, -1, 64),
             TransmitDescriptor(reverse_key(k), 2), 0,
         )
         h.nic.rx(rx_pkt(k, seq=0), 0)
@@ -153,7 +153,7 @@ class TestTx:
         k = key()
         h.admit(k)
         out = h.nic.tx(
-            Packet(reverse_key(k), ACK, TX, -1, 64, 0),
+            Packet(reverse_key(k), ACK, -1, 64),
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
         assert out is TxOutcome.TRANSITION_STARTED
@@ -161,7 +161,7 @@ class TestTx:
     def test_rss_mode_has_no_table_effect(self):
         h = Harness(mode=MODE_RSS)
         out = h.nic.tx(
-            Packet(reverse_key(key()), ACK, TX, -1, 64, 0),
+            Packet(reverse_key(key()), ACK, -1, 64),
             TransmitDescriptor(reverse_key(key()), 1), 0,
         )
         assert out is None
@@ -169,7 +169,7 @@ class TestTx:
     def test_unknown_flow_descriptor(self):
         h = Harness()
         out = h.nic.tx(
-            Packet(reverse_key(key()), ACK, TX, -1, 64, 0),
+            Packet(reverse_key(key()), ACK, -1, 64),
             TransmitDescriptor(reverse_key(key()), 1), 0,
         )
         assert out is TxOutcome.NO_ENTRY
@@ -197,7 +197,7 @@ class TestDrainAndFlush:
         k = key()
         h.admit(k)
         h.nic.tx(
-            Packet(reverse_key(k), ACK, TX, -1, 64, 0),
+            Packet(reverse_key(k), ACK, -1, 64),
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
         for seq in (5, 6, 7):
@@ -216,7 +216,7 @@ class TestDrainAndFlush:
         k = key()
         h.admit(k)
         h.nic.tx(
-            Packet(reverse_key(k), ACK, TX, -1, 64, 0),
+            Packet(reverse_key(k), ACK, -1, 64),
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
         h.sim.run_until(1_000)

@@ -118,6 +118,16 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("rss", "style", "indirect"),
+        ("traffic", "ephemeral_ports", "randm"),
+    ])
+    def test_validation_names_unknown_choice(self, section, field, value):
+        d = scenario(4).to_dict()
+        d[section][field] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+            Scenario.from_dict(d)
+
     @pytest.mark.parametrize("field, traffic_kwargs", [
         ("traffic.ephemeral_start", {"streams": 10, "ephemeral_start": 65530}),
         ("traffic.streams", {"streams": 32769, "ephemeral_ports": "random"}),
