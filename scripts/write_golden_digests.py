@@ -5,10 +5,14 @@ tests/test_golden.py checks.
     python scripts/write_golden_digests.py
 
 Each digest is the sha256 of one run's `RunReport.to_row()` at seed 1, for
-every bundled scenario plus a tie-stress scenario built here. Run this only
-for a change that is meant to alter simulated output, and say so with the
-change: the file is the gate that a refactor or speed-up kept every report
-byte for byte.
+every bundled scenario, a tie-stress scenario built here, and a grid of
+named overlays on bundled scenarios that reaches the settings no bundled
+file uses: the `rss` NIC mode, lookup-latency accounting, indirection RSS,
+random ports, the power-saving and cpuset schedulers, and settings that
+schedule events for the current instant (a zero hold timer or receive
+cadence). Run this only for a change that is meant to alter simulated
+output, and say so with the change: the file is the gate that a refactor or
+speed-up kept every report byte for byte.
 """
 
 import hashlib
@@ -48,10 +52,56 @@ def tie_stress() -> Scenario:
     return s.validate()
 
 
+# Overlays applied to every scenario in GRID_BASES: name -> nested overrides.
+OVERLAYS = {
+    "rss": {"nic": {"mode": "rss"}},
+    "latency": {"nic": {"latency_accounting": True}},
+    "indirection": {"rss": {"style": "indirection"}},
+    "indirection_rss": {"rss": {"style": "indirection"}, "nic": {"mode": "rss"}},
+    "random_ports": {"traffic": {"ephemeral_ports": "random"}},
+    "no_cadence": {"host": {"syscall_cadence_us": None}},
+    "cadence0": {"host": {"syscall_cadence_us": 0.0}},
+    "timer0": {"flow_table": {"t_timer_us": 0.0}},
+    "ack1": {"host": {"ack_every": 1}},
+    "ring4": {"nic": {"ring_capacity": 4}},
+}
+GRID_BASES = ("pinned_same", "migrate_same", "migrate_cross", "memory10g", "worstcase")
+
+# Scheduler overlays for the migrating scenarios. Power saving gets every
+# core, so processes start off processor 0 and choose between two targets.
+ALL_CORES = [{"ports": [5001, 6001], "cores": [0, 1, 2, 3]}]
+SCHEDULER_OVERLAYS = {
+    "power_saving": {"scheduler": {"mode": "power_saving"}, "apps": ALL_CORES},
+    "power_saving_latency": {
+        "scheduler": {"mode": "power_saving"}, "apps": ALL_CORES,
+        "nic": {"latency_accounting": True},
+    },
+    "cpuset": {"scheduler": {"mode": "cpuset"}},
+}
+MIGRATING = ("migrate_same", "migrate_cross", "memory10g")
+
+
+def overlay(base: Scenario, overrides: dict) -> Scenario:
+    """`base` with `overrides` merged into its dict form, one level deep."""
+    d = base.to_dict()
+    for section, value in overrides.items():
+        if isinstance(value, dict):
+            d[section] = {**d[section], **value}
+        else:
+            d[section] = value
+    return Scenario.from_dict(d)
+
+
 def scenarios() -> dict:
     """Every scenario the digests cover, by name."""
     out = {p.stem: Scenario.load(p) for p in sorted((ROOT / "scenarios").glob("*.json"))}
     out["tie_stress"] = tie_stress()
+    for base in GRID_BASES:
+        for name, overrides in OVERLAYS.items():
+            out[f"{base}+{name}"] = overlay(out[base], overrides)
+    for base in MIGRATING:
+        for name, overrides in SCHEDULER_OVERLAYS.items():
+            out[f"{base}+{name}"] = overlay(out[base], overrides)
     return out
 
 

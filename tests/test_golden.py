@@ -1,7 +1,9 @@
 """Report digests at seed 1 must not drift.
 
-A change that alters any report byte for a bundled scenario, or for the
-tie-stress scenario whose events share fire times, fails here. Rewrite the
+A change that alters any report byte for a bundled scenario, for the
+tie-stress scenario whose events share fire times, or for one of the
+overlays on bundled scenarios that cover the other modes and settings,
+fails here. Rewrite the
 digests with scripts/write_golden_digests.py only for a change meant to
 alter simulated output.
 """
