@@ -22,6 +22,26 @@ class ScenarioError(ValueError):
     pass
 
 
+# Every field that takes one of a fixed set of values, by dotted path.
+# `Scenario.validate` rejects anything else; any other value would run
+# silently as some default.
+CHOICES = {
+    "kind": ("streams", "worst_case"),
+    "nic.mode": ("rss", "flowsteer"),
+    "rss.style": ("direct", "indirection"),
+    "traffic.ephemeral_ports": ("sequential", "random"),
+    "scheduler.mode": ("pinned", "peak_performance", "power_saving", "cpuset"),
+}
+
+
+def field_value(scenario, path: str):
+    """The value of a dotted field path such as "nic.mode"."""
+    value = scenario
+    for name in path.split("."):
+        value = getattr(value, name)
+    return value
+
+
 @dataclass
 class TrafficSpec:
     streams: int = 40  # total parallel TCP streams, split across the ports
@@ -124,13 +144,13 @@ class Scenario:
             raise ScenarioError("traffic.handshake_gap_us must be non-negative")
         if self.traffic.jitter_ns < 0:
             raise ScenarioError("traffic.jitter_ns must be non-negative")
-        # Any other value would run silently as the default choice.
-        if self.traffic.ephemeral_ports not in ("sequential", "random"):
-            raise ScenarioError(
-                f"unknown traffic.ephemeral_ports {self.traffic.ephemeral_ports!r}"
-            )
-        if self.rss.style not in ("direct", "indirection"):
-            raise ScenarioError(f"unknown rss.style {self.rss.style!r}")
+        pps = self.traffic.per_stream_pps
+        if pps is not None and not pps > 0:
+            raise ScenarioError(f"traffic.per_stream_pps must be positive, not {pps}")
+        for path, choices in CHOICES.items():
+            value = field_value(self, path)
+            if value not in choices:
+                raise ScenarioError(f"unknown {path} {value!r}")
         # assign_ports would fail mid-setup on these.
         if self.traffic.ephemeral_ports == "random":
             if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
@@ -147,12 +167,27 @@ class Scenario:
             raise ScenarioError("host.service_rate_pps must be positive")
         if self.host.ack_every < 1:
             raise ScenarioError("host.ack_every must be at least 1")
-        if self.nic.mode not in ("rss", "flowsteer"):
-            raise ScenarioError(f"unknown NIC mode {self.nic.mode!r}")
-        if self.scheduler.mode not in (
-            "pinned", "peak_performance", "power_saving", "cpuset"
-        ):
-            raise ScenarioError(f"unknown scheduler mode {self.scheduler.mode!r}")
+        cadence = self.host.syscall_cadence_us
+        if cadence is not None and not cadence >= 0:
+            raise ScenarioError(
+                f"host.syscall_cadence_us must be non-negative or null, not {cadence}"
+            )
+        # The NIC and flow table would reject these only once the run is set up.
+        if self.nic.ring_capacity < 1:
+            raise ScenarioError("nic.ring_capacity must be at least 1")
+        ft = self.flow_table
+        if ft.num_buckets < 1:
+            raise ScenarioError("flow_table.num_buckets must be at least 1")
+        if ft.max_entries < 1:
+            raise ScenarioError("flow_table.max_entries must be at least 1")
+        if not 0 < ft.pressure_threshold <= 1:
+            raise ScenarioError(
+                f"flow_table.pressure_threshold must be in (0, 1], not {ft.pressure_threshold}"
+            )
+        if not ft.t_delete_pressure_ms <= ft.t_delete_ms:
+            raise ScenarioError(
+                "flow_table.t_delete_pressure_ms must not exceed flow_table.t_delete_ms"
+            )
         # A tick of zero would silently switch balancing off.
         if self.scheduler.mode != "pinned" and self.scheduler.tick_us <= 0:
             raise ScenarioError(

@@ -113,6 +113,16 @@ class TestCompare:
         assert err.startswith("error: traffic.ephemeral_start")
         assert "Traceback" not in err
 
+    def test_ring_of_zero_exits_2_without_traceback(self, tmp_path, capsys):
+        s = presets.pinned_same(8)
+        s.nic.ring_capacity = 0
+        path = tmp_path / "ring0.json"
+        path.write_text(json.dumps(s.to_dict()))
+        assert run_cli("run", path, "--out", tmp_path / "out", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: nic.ring_capacity")
+        assert "Traceback" not in err
+
     def test_scenario_error_during_setup_exits_2(self, small_scenario, tmp_path, capsys,
                                                  monkeypatch):
         def fail(scenario, seed=None):

@@ -12,7 +12,11 @@ import json
 import sys
 from pathlib import Path
 
+import dataclasses
+
 import pytest
+
+from steersim.workload import CHOICES, Scenario, field_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -29,3 +33,23 @@ def test_every_scenario_has_a_digest():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_report_digest_matches(name):
     assert golden.digest(SCENARIOS[name]) == GOLDEN[name]
+
+
+def choice_fields() -> dict:
+    """Every field with a fixed set of values, by dotted path: the named
+    choices plus every boolean field of the scenario's sections."""
+    out = dict(CHOICES)
+    for section in dataclasses.fields(Scenario):
+        spec = getattr(Scenario(), section.name)
+        if dataclasses.is_dataclass(spec):
+            for f in dataclasses.fields(spec):
+                if f.type is bool:
+                    out[f"{section.name}.{f.name}"] = (False, True)
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(choice_fields()))
+def test_every_choice_is_gated(path):
+    seen = {field_value(s, path) for s in SCENARIOS.values()}
+    missing = [v for v in choice_fields()[path] if v not in seen]
+    assert not missing, f"no digest covers {path} = {missing}"

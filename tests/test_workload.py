@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steersim.runner import run_scenario
 from steersim.simkernel import make_rng
 from steersim.workload import (
     AppRule,
@@ -126,6 +127,42 @@ class TestScenarioSerialization:
         d = scenario(4).to_dict()
         d[section][field] = value
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("nic", "ring_capacity", 0),
+        ("flow_table", "num_buckets", 0),
+        ("flow_table", "max_entries", 0),
+        ("flow_table", "pressure_threshold", 0.0),
+        ("flow_table", "pressure_threshold", 2.0),
+        ("flow_table", "t_delete_pressure_ms", 2000.0),
+        ("host", "syscall_cadence_us", -5.0),
+        ("traffic", "per_stream_pps", 0.0),
+        ("traffic", "per_stream_pps", float("nan")),
+    ])
+    def test_validation_names_field_that_would_fail_mid_setup(self, section, field, value):
+        d = scenario(4).to_dict()
+        d[section][field] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+            Scenario.from_dict(d)
+
+    def test_smallest_accepted_values_run(self):
+        s = scenario(4)
+        s.duration_us = 2_000.0
+        s.nic.ring_capacity = 1
+        s.flow_table.num_buckets = 1
+        s.flow_table.max_entries = 1
+        s.flow_table.pressure_threshold = 1.0
+        s.flow_table.t_delete_pressure_ms = s.flow_table.t_delete_ms
+        s.host.syscall_cadence_us = 0.0
+        s.traffic.per_stream_pps = 1e-3
+        report = run_scenario(s.validate(), seed=1).report
+        assert report.handshakes == 4
+
+    def test_validation_names_unknown_kind(self):
+        d = scenario(4).to_dict()
+        d["kind"] = "worstcase"
+        with pytest.raises(ScenarioError, match="kind"):
             Scenario.from_dict(d)
 
     @pytest.mark.parametrize("field, traffic_kwargs", [
