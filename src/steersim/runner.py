@@ -306,24 +306,25 @@ class Engine:
     def run(self) -> RunResult:
         """Schedule the workload, run to the horizon and collect the report.
 
-        Cyclic garbage collection is paused for the event loop only, as
-        `timeit` does, and restored as the caller had it, also when the
-        loop raises. The loop creates no reference cycles, so collection
-        would free nothing; the objects a run keeps would only be rescanned
-        over and over."""
-        if self.scenario.kind == "worst_case":
-            self._schedule_worst_case()
-        else:
-            self._schedule_streams()
-        self._schedule_periodics()
+        Cyclic garbage collection is paused for the whole call, as `timeit`
+        does, and restored as the caller had it, also when the run raises.
+        Setup, the event loop and collection allocate objects that live as
+        long as the run, so a collection would free next to nothing; it
+        would only rescan them over and over. Cycles the run leaves behind
+        are freed by the first collection after it."""
         enabled = gc.isenabled()
         gc.disable()
         try:
+            if self.scenario.kind == "worst_case":
+                self._schedule_worst_case()
+            else:
+                self._schedule_streams()
+            self._schedule_periodics()
             self.sim.run_until(self.duration_ns)
+            return self._collect()
         finally:
             if enabled:
                 gc.enable()
-        return self._collect()
 
     # -- reporting ----------------------------------------------------------------
 

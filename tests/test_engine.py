@@ -1,6 +1,7 @@
 """Whole-run integration behaviour of the wired simulation."""
 
 import gc
+import sys
 from array import array
 
 import pytest
@@ -214,6 +215,27 @@ def gc_state():
 
 
 class TestGarbageCollectionPause:
+    def test_no_collection_inside_run(self, gc_state):
+        code = Engine.run.__code__
+        inside = []
+
+        def watch(phase, info):
+            if phase == "start":
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_code is not code:
+                    frame = frame.f_back
+                inside.append(frame is not None)
+
+        gc.enable()
+        engine = Engine(presets.migrate_same(200), seed=3)
+        gc.callbacks.append(watch)
+        try:
+            engine.run()
+            gc.collect()  # a collection outside run is seen, and not inside it
+        finally:
+            gc.callbacks.remove(watch)
+        assert inside and not any(inside)
+
     def test_paused_for_the_loop_and_enabled_after(self, gc_state, monkeypatch):
         seen = []
         run_until = Simulator.run_until
@@ -232,6 +254,16 @@ class TestGarbageCollectionPause:
         gc.disable()
         run_scenario(presets.migrate_same(8), seed=1)
         assert not gc.isenabled()
+
+    def test_restored_when_setup_raises(self, gc_state, monkeypatch):
+        def failing_setup(engine):
+            raise RuntimeError("setup failed")
+
+        monkeypatch.setattr(Engine, "_schedule_streams", failing_setup)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="setup failed"):
+            Engine(presets.migrate_same(8), seed=1).run()
+        assert gc.isenabled()
 
     def test_restored_when_the_loop_raises(self, gc_state, monkeypatch):
         def failing_loop(sim, t_end):
