@@ -211,14 +211,19 @@ class FlowTable:
     # -- steering ------------------------------------------------------------
 
     def steer(self, packet: Packet, now: int, want_position: bool = False):
-        """Returns (decision, core_id, chain_position).
+        """Look a received packet up once; returns (decision, core_id,
+        chain_position).
 
-        DIRECT names the pinned core's queue, HELD appended the packet to the
-        entry's transition list, FALLBACK means the caller should route by
-        hash. chain_position is 1-based and only computed when the caller
-        charges lookup latency; on a miss it is the full chain length walked.
+        A miss runs connection tracking, and a handshake's final ACK that
+        admits an entry is steered as a hit. DIRECT names the pinned core's
+        queue, HELD appended the packet to the entry's transition list,
+        FALLBACK means the caller should route by hash. chain_position is
+        1-based and only computed when the caller charges lookup latency;
+        on a miss it is the full chain length walked.
         """
         entry = self._entries.get(packet.key)
+        if entry is None:
+            entry = self.on_rx_connection_tracking(packet, now)
         if entry is None:
             position = 1
             if want_position:

@@ -102,22 +102,6 @@ class DeliveryLog:
 
 
 @dataclass
-class SocketModel:
-    """Per-flow receive socket. A packet found with the socket owned, the
-    app sleeping in receive, or the backlog non-empty must defer to the
-    backlog; processing anything ahead of a non-empty backlog would reorder
-    the flow."""
-
-    key: object
-    pid: int
-    owned_by_user: bool = False
-    sleeping: bool = False
-    backlog: deque = field(default_factory=deque)
-    delivered: DeliveryLog = field(default_factory=DeliveryLog)
-    delivered_since_ack: int = 0
-
-
-@dataclass
 class AppProcess:
     pid: int
     core: int
@@ -128,6 +112,22 @@ class AppProcess:
     @property
     def pinned(self) -> bool:
         return len(self.allowed_cores) == 1
+
+
+@dataclass
+class SocketModel:
+    """Per-flow receive socket, read by the application process `proc`. A
+    packet found with the socket owned, the app sleeping in receive, or the
+    backlog non-empty must defer to the backlog; processing anything ahead
+    of a non-empty backlog would reorder the flow."""
+
+    key: object
+    proc: AppProcess
+    owned_by_user: bool = False
+    sleeping: bool = False
+    backlog: deque = field(default_factory=deque)
+    delivered: DeliveryLog = field(default_factory=DeliveryLog)
+    delivered_since_ack: int = 0
 
 
 @dataclass
@@ -189,7 +189,6 @@ class Host:
         self.ack_every = ack_every
         self.emit_ack = emit_ack  # callable(flow_key, core_id, now)
         self.sockets: dict = {}
-        self.socket_by_pid: dict[int, SocketModel] = {}
         self.processes: dict[int, AppProcess] = {}
         self.handler_active = [False] * len(cores)
         self.proc_lanes = [_ProcLane(sim, core) for core in cores]
@@ -209,11 +208,10 @@ class Host:
         pid = process.pid
         self.processes[pid] = process
         self._wired = None
-        sock = SocketModel(key=key, pid=pid)
+        sock = SocketModel(key=key, proc=process)
         self.sockets[key] = sock
-        self.socket_by_pid[pid] = sock
-        self._syscall_work[pid] = lambda now: self._syscall_enter(pid, now)
-        self._drain_work[pid] = lambda now: self._drain_step(pid, now)
+        self._syscall_work[pid] = lambda now: self._syscall_enter(sock, now)
+        self._drain_work[pid] = lambda now: self._drain_step(sock, now)
         self._submit_syscall_at[pid] = lambda: self._submit_syscall(pid)
         return sock
 
@@ -271,10 +269,8 @@ class Host:
                 # Deferral is an enqueue, too cheap to charge the service
                 # rate, so the drain continues at this same instant.
                 self.stats.deferrals += 1
-                if sock.owned_by_user:
-                    owner = self.processes[sock.pid]
-                    if owner.core != core.core_id:
-                        self.stats.lock_conflicts += 1
+                if sock.owned_by_user and sock.proc.core != core.core_id:
+                    self.stats.lock_conflicts += 1
                 sock.backlog.append(packet)
                 if sock.sleeping:
                     self._wake(sock)
@@ -298,14 +294,13 @@ class Host:
         proc = self.processes[pid]
         self.proc_lanes[proc.core].submit(self._syscall_work[pid])
 
-    def _syscall_enter(self, pid: int, now: int) -> int:
-        proc = self.processes[pid]
-        sock = self.socket_by_pid[pid]
+    def _syscall_enter(self, sock: SocketModel, now: int) -> int:
+        proc = sock.proc
         self.stats.syscalls += 1
         if sock.backlog:
             sock.owned_by_user = True
             proc.state = STATE_DRAINING
-            self.proc_lanes[proc.core].submit(self._drain_work[pid])
+            self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
         else:
             # Block in the receive call until data arrives.
             sock.sleeping = True
@@ -318,17 +313,16 @@ class Host:
         # the backlog in interrupt context.
         sock.sleeping = False
         sock.owned_by_user = True
-        proc = self.processes[sock.pid]
+        proc = sock.proc
         proc.state = STATE_DRAINING
-        self.proc_lanes[proc.core].submit(self._drain_work[sock.pid])
+        self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
 
-    def _drain_step(self, pid: int, now: int) -> int:
-        proc = self.processes[pid]
-        sock = self.socket_by_pid[pid]
+    def _drain_step(self, sock: SocketModel, now: int) -> int:
+        proc = sock.proc
         if sock.backlog:
             packet = sock.backlog.popleft()
             self._deliver(packet, sock, proc.core, _PROCESS, now)
-            self.proc_lanes[proc.core].submit(self._drain_work[pid])
+            self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
             return self.cores[proc.core].service_ns
         # Backlog empty: the call returns, releasing the socket. Anything
         # delivered since the last ACK is acknowledged from this core now,
@@ -339,7 +333,7 @@ class Host:
         sock.owned_by_user = False
         proc.state = STATE_COMPUTING
         if proc.cadence_ns is not None:
-            self.sim.schedule(now + proc.cadence_ns, self._submit_syscall_at[pid])
+            self.sim.schedule(now + proc.cadence_ns, self._submit_syscall_at[proc.pid])
         return 0
 
     # -- delivery ----------------------------------------------------------------
@@ -352,7 +346,7 @@ class Host:
         log.t.append(now)
         log.core.append(core_id)
         log.context.append(context)
-        log.app_core.append(self.processes[sock.pid].core)
+        log.app_core.append(sock.proc.core)
         log.kind.append(KIND_CODE[kind])
         if context == _INTERRUPT:
             self.stats.delivered_interrupt += 1

@@ -101,6 +101,9 @@ class Nic:
         self.engine = engine
         self.table = table
         self.sim = sim
+        # Whether the table steers and whether lookups cost time: fixed per run.
+        self._steers = config.mode == MODE_FLOWSTEER
+        self._latency = config.latency_accounting
         self._interrupt_cb = interrupt_cb
         self.rings = [RingBuffer(q, config.ring_capacity) for q in range(config.num_queues)]
         self.acks_sent = 0
@@ -117,18 +120,15 @@ class Nic:
         """Place an arriving packet: held by the table, or pushed onto its
         queue's ring (tail-dropped when full). Ring counters, `dropped` and
         the table's held lists record where it went."""
-        if self.table is not None and self.config.mode == MODE_FLOWSTEER:
-            self.table.on_rx_connection_tracking(packet, now)
-            decision, core, position = self.table.steer(
-                packet, now, want_position=self.config.latency_accounting
-            )
+        if self._steers:
+            decision, core, position = self.table.steer(packet, now, self._latency)
             if decision is SteerDecision.HELD:
                 return
             if decision is SteerDecision.DIRECT:
                 queue = core
             else:
                 queue = self.fallback_queue(packet.key)
-            if self.config.latency_accounting:
+            if self._latency:
                 self._enqueue_after_lookup(queue, packet, now, position)
                 return
         else:
@@ -156,7 +156,7 @@ class Nic:
         peer after the link latency; the peer model is open-loop, so only the
         table side effects matter here."""
         self.acks_sent += 1
-        if self.table is None or self.config.mode != MODE_FLOWSTEER:
+        if not self._steers:
             return None
         self.table.note_tx_packet(packet, now)
         outcome = self.table.observe_tx(desc, now)
@@ -167,7 +167,7 @@ class Nic:
         effect as `tx` with an ACK packet, whose handshake monitoring only
         looks for SYN-ACKs, so no packet is built."""
         self.acks_sent += 1
-        if self.table is not None and self.config.mode == MODE_FLOWSTEER:
+        if self._steers:
             self.table.observe_tx(desc, now)
 
     def on_hold_timer(self, key: FlowKey):

@@ -6,19 +6,29 @@ run with a fixed seed replays identically event for event.
 
 Ids are handed out in one increasing sequence. `schedule` takes the next id
 when it is called; `reserve(n)` sets aside the next n ids at once. Events
-come from two sources. Runtime events sit on a binary heap. Arrivals, whose
-times are all known at setup, are handed over once by `schedule_arrivals`
-under reserved ids and kept as one presorted sequence. `run_until` merges
-the two by (fire_time, id), so an arrival never touches the heap yet ties
-as if it had been scheduled when its id was reserved: at an equal fire time
-it beats every event scheduled after the reservation and loses to every
-event scheduled before it.
+come from three sources:
+
+- Runtime events for a later time sit on a binary heap.
+- Runtime events for the current instant, such as a ring-edge interrupt,
+  wait in a FIFO lane instead. Every heap entry at the current instant
+  was scheduled before the clock reached it, so it holds a smaller id
+  than any lane entry and fires first. The lane is empty before the clock
+  moves on.
+- Arrivals, whose times are all known at setup, are handed over once by
+  `schedule_arrivals` under reserved ids and kept as one presorted
+  sequence.
+
+`run_until` merges the three by (fire_time, id). So an arrival never
+touches the heap yet ties as if it had been scheduled when its id was
+reserved: at an equal fire time it beats every event scheduled after the
+reservation and loses to every event scheduled before it.
 """
 
 import heapq
 import random
 from array import array
 from bisect import bisect_right
+from collections import deque
 from itertools import repeat
 from operator import lshift, or_
 
@@ -47,6 +57,7 @@ class Simulator:
 
     def __init__(self):
         self._heap = []
+        self._lane = deque()  # (id, action) of events for now(), in id order
         self._next_id = 0
         self._now = 0
         self.fired_total = 0
@@ -63,13 +74,16 @@ class Simulator:
 
     def schedule(self, fire_time: int, action) -> int:
         """Queue `action` to run at `fire_time`; returns a unique event id."""
-        if fire_time < self._now:
-            raise SchedulingError(
-                f"event scheduled at {fire_time} ns, before now ({self._now} ns)"
-            )
+        now = self._now
         event_id = self._next_id
-        self._next_id = event_id + 1
-        heapq.heappush(self._heap, (fire_time, event_id, action))
+        if fire_time > now:
+            self._next_id = event_id + 1
+            heapq.heappush(self._heap, (fire_time, event_id, action))
+        elif fire_time == now:
+            self._next_id = event_id + 1
+            self._lane.append((event_id, action))
+        else:
+            raise SchedulingError(f"event scheduled at {fire_time} ns, before now ({now} ns)")
         return event_id
 
     def schedule_after(self, delay: int, action) -> int:
@@ -146,6 +160,9 @@ class Simulator:
             raise SchedulingError(f"run_until({t_end}) is before now ({self._now})")
         heap = self._heap
         pop = heapq.heappop
+        lane = self._lane
+        take = lane.popleft
+        now = self._now
         arrivals = self._arrivals or ()
         n = len(arrivals)
         pos = self._arrival_pos
@@ -160,19 +177,28 @@ class Simulator:
         fired = 0
         try:
             while True:
+                # A lane entry waits only for heap entries at now, which
+                # all have smaller ids, and for arrivals at now with a
+                # smaller id.
+                if lane and (not heap or heap[0][0] > now) and (
+                    a_time > now or a_id > lane[0][0]
+                ):
+                    take()[1]()
+                    fired += 1
+                    continue
                 if heap:
                     fire_time, event_id, action = heap[0]
                     if fire_time < a_time or (fire_time == a_time and event_id < a_id):
                         if fire_time > t_end:
                             break
                         pop(heap)
-                        self._now = fire_time
+                        self._now = now = fire_time
                         action()
                         fired += 1
                         continue
                 if a_time > t_end:
                     break
-                self._now = a_time
+                self._now = now = a_time
                 pos += 1
                 arrive(a_id)
                 fired += 1
@@ -188,9 +214,9 @@ class Simulator:
         return fired
 
     def pending(self) -> int:
-        """Events waiting on the heap. Arrivals from `schedule_arrivals` are
-        not counted: they never enter the heap."""
-        return len(self._heap)
+        """Runtime events waiting, on the heap or in the same-instant lane.
+        Arrivals from `schedule_arrivals` are not counted."""
+        return len(self._heap) + len(self._lane)
 
 
 def make_rng(seed: int) -> random.Random:

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,114 @@ def test_arrival_action_schedules_event_at_the_same_instant():
     assert order == [first, first + 1, ("runtime", 50)]
 
 
+def test_event_scheduled_at_now_waits_for_the_heap_at_that_instant():
+    # E fires first at 100 and schedules L for the same instant. H was
+    # scheduled at setup, so its id is smaller than L's and it fires first.
+    sim = Simulator()
+    order = []
+
+    def on_e():
+        order.append("E")
+        sim.schedule(sim.now(), lambda: order.append("L"))
+        sim.schedule(sim.now(), lambda: order.append("L2"))
+
+    sim.schedule(100, on_e)
+    sim.schedule(100, lambda: order.append("H"))
+    sim.schedule(101, lambda: order.append("later"))
+    assert sim.run_until(100) == 4
+    assert order == ["E", "H", "L", "L2"]
+    assert sim.pending() == 1
+    sim.run_until(101)
+    assert order[-1] == "later"
+
+
+def test_lane_event_scheduling_another_fires_before_the_clock_moves():
+    sim = Simulator()
+    order = []
+
+    def chain(n):
+        order.append((n, sim.now()))
+        if n:
+            sim.schedule(sim.now(), lambda: chain(n - 1))
+
+    sim.schedule(10, lambda: chain(3))
+    sim.schedule(11, lambda: order.append(("next", sim.now())))
+    sim.run_until(11)
+    assert order == [(3, 10), (2, 10), (1, 10), (0, 10), ("next", 11)]
+
+
+def test_heap_event_and_arrival_each_tied_with_a_lane_event():
+    # At 100: arrival a (reserved first), E (schedules L at now when it
+    # fires), H, then arrival b. L takes its id only when E fires, so it
+    # comes after all four.
+    sim = Simulator()
+    order = []
+    a = sim.reserve(1)
+
+    def on_e():
+        order.append("E")
+        sim.schedule(sim.now(), lambda: order.append("L"))
+
+    sim.schedule(100, on_e)
+    sim.schedule(100, lambda: order.append("H"))
+    b = sim.reserve(1)
+    sim.schedule_arrivals([(a, [100]), (b, [100])], order.append)
+    assert sim.run_until(100) == 5
+    assert order == [a, "E", "H", b, "L"]
+
+
+def test_arrival_schedules_lane_event_behind_a_later_arrival():
+    # The arrival at 50 schedules L at now; the arrival reserved after it
+    # at the same instant still has the smaller id, so it fires first.
+    sim = Simulator()
+    order = []
+    first = sim.reserve(2)
+
+    def arrive(event_id):
+        order.append(event_id)
+        if event_id == first:
+            sim.schedule(sim.now(), lambda: order.append("L"))
+
+    sim.schedule(50, lambda: order.append("H"))
+    sim.schedule_arrivals([(first, [50, 50])], arrive)
+    sim.run_until(50)
+    assert order == [first, first + 1, "H", "L"]
+
+
+def test_events_scheduled_at_time_zero_before_the_first_run():
+    sim = Simulator()
+    order = []
+    early = sim.reserve(1)
+    sim.schedule(0, lambda: order.append("L0"))
+    sim.schedule(0, lambda: order.append("L1"))
+    late = sim.reserve(1)
+    sim.schedule(5, lambda: order.append("H"))
+    assert sim.pending() == 3  # two in the lane, one on the heap
+    sim.schedule_arrivals([(early, [0]), (late, [0])], order.append)
+    assert sim.run_until(0) == 4
+    assert order == [early, "L0", "L1", late]
+    assert sim.pending() == 1
+    sim.run_until(5)
+    assert order[-1] == "H"
+
+
+def test_pending_counts_lane_entries_during_a_run():
+    sim = Simulator()
+    seen = []
+
+    def on_e():
+        sim.schedule(sim.now(), lambda: seen.append(sim.pending()))
+        sim.schedule(sim.now(), lambda: None)
+        sim.schedule(sim.now() + 1, lambda: None)
+        seen.append(sim.pending())
+
+    sim.schedule(10, on_e)
+    sim.run_until(10)
+    # Two lane entries and one heap entry; then one lane entry is left.
+    assert seen == [3, 2]
+    assert sim.pending() == 1
+
+
 def test_arrival_times_need_not_be_sorted():
     sim = Simulator()
     fired = []
@@ -215,29 +325,55 @@ def test_second_schedule_arrivals_rejected():
 
 
 @given(
-    st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)), max_size=60),
+    st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=200),
+                  st.integers(min_value=0, max_value=2)),
+        max_size=60,
+    ),
     st.integers(min_value=0, max_value=200),
 )
 @settings(max_examples=150)
 def test_merge_matches_one_heap_of_everything(plan, t_end):
-    # Each entry is either a runtime event or a one-arrival reservation;
-    # dispatch must follow (fire_time, id) across both sources.
+    # Each entry is a runtime event or a one-arrival reservation. One with
+    # spawns left schedules a child at now() when it fires, and the child
+    # may spawn again. Dispatch must follow (fire_time, id) across heap,
+    # same-instant lane and arrivals, as one heap holding everything would.
     sim = Simulator()
     fired = []
+    spawns_left = {}
+
+    def fire(event_id):
+        fired.append((sim.now(), event_id))
+        left = spawns_left[event_id]
+        if left:
+            child = sim.schedule(sim.now(), lambda: fire(child))
+            spawns_left[child] = left - 1
+
     blocks = []
-    expected = []
-    for is_arrival, t in plan:
+    for index, (is_arrival, t, spawns) in enumerate(plan):
         if is_arrival:
             event_id = sim.reserve(1)
             blocks.append((event_id, [t]))
         else:
-            event_id = sim.schedule(t, lambda t=t, n=len(expected): fired.append(("event", n)))
-        expected.append((t, event_id, "arrival" if is_arrival else "event", len(expected)))
-    arrival_tag = {event_id: n for n, (_, event_id, kind, _) in enumerate(expected) if kind == "arrival"}
-    sim.schedule_arrivals(blocks, lambda event_id: fired.append(("arrival", arrival_tag[event_id])))
+            event_id = sim.schedule(t, lambda i=index: fire(i))
+        assert event_id == index
+        spawns_left[event_id] = spawns
+    sim.schedule_arrivals(blocks, fire)
     sim.run_until(t_end)
     sim.run_until(200)
-    assert fired == [(kind, n) for _, _, kind, n in sorted(expected)]
+
+    heap = [(t, i, spawns) for i, (_, t, spawns) in enumerate(plan)]
+    heapq.heapify(heap)
+    next_id = len(plan)
+    expected = []
+    while heap:
+        t, i, left = heapq.heappop(heap)
+        expected.append((t, i))
+        if left:
+            heapq.heappush(heap, (t, next_id, left - 1))
+            next_id += 1
+    assert fired == expected
+    assert sim.pending() == 0
 
 
 def test_rng_reproducibility():
