@@ -311,7 +311,7 @@ class Engine:
         Setup, the event loop and collection allocate objects that live as
         long as the run, so a collection would free next to nothing; it
         would only rescan them over and over. Cycles the run leaves behind
-        are freed by the first collection after it."""
+        wait for a later collection."""
         enabled = gc.isenabled()
         gc.disable()
         try:
