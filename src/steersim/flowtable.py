@@ -21,12 +21,6 @@ class SteerDecision(Enum):
     FALLBACK = "fallback"
 
 
-class TxOutcome(Enum):
-    NO_ENTRY = "no_entry"
-    SAME_CORE = "same_core"
-    TRANSITION_STARTED = "transition_started"
-
-
 # Handshake tracker states; completion deletes the tracker entry.
 SYN_SEEN = "syn_seen"
 SYNACK_SEEN = "synack_seen"
@@ -38,6 +32,9 @@ class TimerBugError(RuntimeError):
 
 @dataclass
 class FlowTableConfig:
+    """The table's settings in nanoseconds, converted from a scenario's
+    `TableSpec`, which `Scenario.validate` checks."""
+
     num_buckets: int = 256
     max_list_size: int = 6
     max_entries: int = 10_000
@@ -45,17 +42,6 @@ class FlowTableConfig:
     t_delete_ns: int = 1_000_000_000  # idle eviction timeout
     t_delete_pressure_ns: int = 100_000_000  # used when the table runs hot
     pressure_threshold: float = 0.9  # occupancy fraction enabling the above
-
-    def validate(self):
-        if self.max_list_size <= 0:
-            raise ValueError("max_list_size must be positive")
-        if self.t_delete_pressure_ns > self.t_delete_ns:
-            raise ValueError("pressure timeout must not exceed the idle timeout")
-        if not 0 < self.pressure_threshold <= 1:
-            raise ValueError("pressure_threshold must be in (0, 1]")
-        if self.t_timer_ns < 0 or self.num_buckets < 1 or self.max_entries < 1:
-            raise ValueError("invalid flow table configuration")
-        return self
 
 
 @dataclass
@@ -144,7 +130,7 @@ class FlowTable:
     """
 
     def __init__(self, config: FlowTableConfig, schedule_timer, fallback_core):
-        self.config = config.validate()
+        self.config = config
         self._schedule_timer = schedule_timer
         self._fallback_core = fallback_core
         self._buckets: dict[int, list[FlowEntry]] = {}
@@ -164,10 +150,10 @@ class FlowTable:
     # -- connection tracking -------------------------------------------------
 
     def on_rx_connection_tracking(self, packet: Packet, now: int) -> FlowEntry | None:
-        """Advance handshake state from an incoming packet; admit on the
-        final ACK. Rejection (chain or table full) is a counted outcome, not
-        an error."""
-        if packet.key.protocol != PROTO_TCP or packet.key in self._entries:
+        """Advance handshake state from an incoming packet whose flow has no
+        entry (`steer` calls this only after a miss); admit on the final ACK.
+        Rejection (chain or table full) is a counted outcome, not an error."""
+        if packet.key.protocol != PROTO_TCP:
             return None
         if packet.kind == SYN:
             self._tracker[packet.key] = (SYN_SEEN, now)
@@ -250,7 +236,7 @@ class FlowTable:
 
     # -- updates from the transmit path ---------------------------------------
 
-    def observe_tx(self, desc, now: int) -> TxOutcome:
+    def observe_tx(self, desc, now: int):
         """Apply a transmit descriptor's core id to the matching entry.
 
         A differing core id starts a transition and a hold timer. A further
@@ -261,17 +247,16 @@ class FlowTable:
         """
         entry = self._by_tx_key.get(desc.key)
         if entry is None:
-            return TxOutcome.NO_ENTRY
+            return
         entry.last_activity = now
         if desc.core_id == entry.core_id:
-            return TxOutcome.SAME_CORE
+            return
         entry.core_id = desc.core_id
         if not entry.transition:
             entry.transition = True
             entry.timer_deadline = now + self.config.t_timer_ns
             self.stats.transitions_started += 1
             self._schedule_timer(entry.timer_deadline, entry.key)
-        return TxOutcome.TRANSITION_STARTED
 
     def on_timer_expire(self, key: FlowKey, now: int):
         """Leave the transition state; returns (core_id, held packets) with

@@ -17,14 +17,8 @@ from operator import ne
 
 from .flows import DATA, KINDS
 
-CTX_INTERRUPT = "interrupt"
-CTX_PROCESS = "process"
-
-# DeliveryLog keeps context and kind as one-byte codes: indices into these.
-CONTEXTS = (CTX_INTERRUPT, CTX_PROCESS)
+# DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
 KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
-_INTERRUPT = CONTEXTS.index(CTX_INTERRUPT)
-_PROCESS = CONTEXTS.index(CTX_PROCESS)
 
 MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
@@ -51,7 +45,6 @@ class DeliveryRecord:
     seq: int
     t: int
     core: int
-    context: str
     app_core: int
     kind: str
 
@@ -61,30 +54,28 @@ class DeliveryLog:
 
     `seq` and `t` are `array('q')`. The one-byte fields are `bytearray`s:
     `core` and `app_core` (`Scenario.validate` caps a host at 256 cores),
-    and `context` and `kind` as codes into `CONTEXTS` and `flows.KINDS`.
+    and `kind` as a code into `flows.KINDS`.
     `bytearray.append` takes a third of the time of `array('B').append`,
     which parses its argument through a format string. Metrics scan the
     columns. Indexing or iterating builds a `DeliveryRecord` per record on
     demand, for tests and debugging.
     """
 
-    __slots__ = ("seq", "t", "core", "context", "app_core", "kind")
+    __slots__ = ("seq", "t", "core", "app_core", "kind")
 
     def __init__(self):
         self.seq = array("q")
         self.t = array("q")
         self.core = bytearray()
-        self.context = bytearray()
         self.app_core = bytearray()
         self.kind = bytearray()
 
-    def append(self, seq: int, t: int, core: int, context: str, app_core: int, kind: str):
+    def append(self, seq: int, t: int, core: int, app_core: int, kind: str):
         """Append one record, fields in DeliveryRecord order. The host's
         delivery path writes the columns directly instead."""
         self.seq.append(seq)
         self.t.append(t)
         self.core.append(core)
-        self.context.append(CONTEXTS.index(context))
         self.app_core.append(app_core)
         self.kind.append(KIND_CODE[kind])
 
@@ -92,12 +83,11 @@ class DeliveryLog:
         return len(self.seq)
 
     def __getitem__(self, i: int) -> DeliveryRecord:
-        return DeliveryRecord(self.seq[i], self.t[i], self.core[i], CONTEXTS[self.context[i]],
-                              self.app_core[i], KINDS[self.kind[i]])
+        return DeliveryRecord(self.seq[i], self.t[i], self.core[i], self.app_core[i],
+                              KINDS[self.kind[i]])
 
     def __iter__(self):
-        return map(DeliveryRecord, self.seq, self.t, self.core,
-                   map(CONTEXTS.__getitem__, self.context), self.app_core,
+        return map(DeliveryRecord, self.seq, self.t, self.core, self.app_core,
                    map(KINDS.__getitem__, self.kind))
 
 
@@ -184,7 +174,6 @@ class Host:
                  ack_every: int = 2, emit_ack=None):
         self.cores = cores
         self.sim = sim
-        self.nic = nic
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
         self.emit_ack = emit_ack  # callable(flow_key, core_id, now)
@@ -276,7 +265,8 @@ class Host:
                     self._wake(sock)
                 continue
             if sock is not None:
-                self._deliver(packet, sock, core.core_id, _INTERRUPT, now)
+                self.stats.delivered_interrupt += 1
+                self._deliver(packet, sock, core.core_id, now)
             core.irq_free = now + core.service_ns
             self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
@@ -321,7 +311,8 @@ class Host:
         proc = sock.proc
         if sock.backlog:
             packet = sock.backlog.popleft()
-            self._deliver(packet, sock, proc.core, _PROCESS, now)
+            self.stats.delivered_process += 1
+            self._deliver(packet, sock, proc.core, now)
             self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
             return self.cores[proc.core].service_ns
         # Backlog empty: the call returns, releasing the socket. Anything
@@ -338,20 +329,15 @@ class Host:
 
     # -- delivery ----------------------------------------------------------------
 
-    def _deliver(self, packet, sock, core_id: int, context: int, now: int):
-        """Log one delivery; `context` is a code into CONTEXTS."""
+    def _deliver(self, packet, sock, core_id: int, now: int):
+        """Log one delivery; the caller counts it under its context."""
         kind = packet.kind
         log = sock.delivered
         log.seq.append(packet.seq)
         log.t.append(now)
         log.core.append(core_id)
-        log.context.append(context)
         log.app_core.append(sock.proc.core)
         log.kind.append(KIND_CODE[kind])
-        if context == _INTERRUPT:
-            self.stats.delivered_interrupt += 1
-        else:
-            self.stats.delivered_process += 1
         if kind == DATA:
             sock.delivered_since_ack += 1
             if sock.delivered_since_ack >= self.ack_every and self.emit_ack is not None:
@@ -360,36 +346,37 @@ class Host:
 
     # -- scheduling ----------------------------------------------------------------
 
-    def runnable_counts(self) -> list[int]:
-        counts = [0] * len(self.cores)
-        for proc in self.processes.values():
-            if proc.state in RUNNABLE:
-                counts[proc.core] += 1
-        return counts
-
-    def scheduler_tick(self, now: int) -> list:
-        """One balancing pass; returns its (t, pid, from, to) migrations."""
-        moves = []
-        if self.scheduler_mode == MODE_PEAK_PERFORMANCE:
-            self._balance_peak(now, moves)
-        elif self.scheduler_mode == MODE_POWER_SAVING:
-            self._converge_power(now, moves)
-        elif self.scheduler_mode == MODE_CPUSET:
-            self._enforce_cpuset(now, moves)
-        self.migrations += len(moves)
-        return moves
-
-    def _balance_peak(self, now: int, moves: list):
-        # Move Free processes from the longest run queue to the shortest
-        # until balanced; lowest pid moves first.
+    def runnable_counts(self, movable: list | None = None) -> list[int]:
+        """Runnable processes per core, counted in one pass in pid order.
+        With `movable`, one list per core, each core's runnable Free
+        processes are appended to its list as well."""
         order, _ = self._wiring()
         counts = [0] * len(self.cores)
-        movable = [[] for _ in self.cores]
         for proc, free in order:
             if proc.state in RUNNABLE:
                 counts[proc.core] += 1
-                if free:
+                if free and movable is not None:
                     movable[proc.core].append(proc)
+        return counts
+
+    def scheduler_tick(self):
+        """One balancing pass; `migrations` counts the processes it moves."""
+        if self.scheduler_mode == MODE_PEAK_PERFORMANCE:
+            self._balance_peak()
+        elif self.scheduler_mode == MODE_POWER_SAVING:
+            self._converge_power()
+        elif self.scheduler_mode == MODE_CPUSET:
+            self._enforce_cpuset()
+
+    def _migrate(self, proc: AppProcess, to_core: int):
+        proc.core = to_core
+        self.migrations += 1
+
+    def _balance_peak(self):
+        # Move Free processes from the longest run queue to the shortest
+        # until balanced; lowest pid moves first.
+        movable = [[] for _ in self.cores]
+        counts = self.runnable_counts(movable)
         cores = range(len(counts))
         while True:
             busiest = max(cores, key=lambda c: (counts[c], -c))
@@ -406,9 +393,9 @@ class Host:
             movable[idlest].append(proc)
             counts[busiest] -= 1
             counts[idlest] += 1
-            _migrate(proc, idlest, now, moves)
+            self._migrate(proc, idlest)
 
-    def _converge_power(self, now: int, moves: list):
+    def _converge_power(self):
         order, _ = self._wiring()
         target_cores = [c.core_id for c in self.cores if c.processor_id == 0]
         counts = self.runnable_counts()
@@ -420,18 +407,18 @@ class Host:
                 continue
             dest = min(options, key=lambda c: (counts[c], c))
             counts[dest] += 1
-            _migrate(proc, dest, now, moves)
+            self._migrate(proc, dest)
 
-    def _enforce_cpuset(self, now: int, moves: list):
+    def _enforce_cpuset(self):
         order, _ = self._wiring()
         counts = self.runnable_counts()
         for proc, _ in order:
             if proc.core not in proc.allowed_cores:
                 dest = min(proc.allowed_cores, key=lambda c: (counts[c], c))
                 counts[dest] += 1
-                _migrate(proc, dest, now, moves)
+                self._migrate(proc, dest)
 
-    def force_alternate(self, now: int):
+    def force_alternate(self):
         """Deterministically rotate every Free process to the next core in
         its allowed set. Models aggressive migration pressure so transition
         behaviour is exercised reproducibly."""
@@ -439,11 +426,6 @@ class Host:
         for proc, nxt, first in rotation:
             proc.core = nxt.get(proc.core, first)
         self.migrations += len(rotation)
-
-
-def _migrate(proc: AppProcess, to_core: int, now: int, moves: list):
-    moves.append((now, proc.pid, proc.core, to_core))
-    proc.core = to_core
 
 
 def contention_proxy(delivered, lock_conflicts: int = 0, processor_of=None,

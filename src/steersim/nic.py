@@ -8,9 +8,10 @@ empty-to-non-empty edge, and the host then drains until empty.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .flowtable import FlowTable, SteerDecision, TxOutcome, search_time
+from .flowtable import FlowTable, SteerDecision, search_time
 from .flows import FlowKey, Packet
 from .rss import RssEngine
+from .workload import NicSpec
 
 MODE_RSS = "rss"
 MODE_FLOWSTEER = "flowsteer"
@@ -34,20 +35,14 @@ class RingBuffer:
     queue_id: int
     capacity: int
     _slots: deque = field(default_factory=deque)
-    offered_direct: int = 0
-    offered_flush: int = 0
     enqueued: int = 0
     dropped: int = 0
     max_depth: int = 0
     interrupts: int = 0
 
-    def push(self, packet: Packet, via_flush: bool = False) -> int:
+    def push(self, packet: Packet) -> int:
         """Append at the tail. Returns the depth after the push, or 0 when
         the ring is full and the packet is tail-dropped."""
-        if via_flush:
-            self.offered_flush += 1
-        else:
-            self.offered_direct += 1
         slots = self._slots
         if len(slots) >= self.capacity:
             self.dropped += 1
@@ -68,24 +63,6 @@ class RingBuffer:
         return len(self._slots)
 
 
-@dataclass
-class NicConfig:
-    num_queues: int = 4
-    ring_capacity: int = 256
-    mode: str = MODE_FLOWSTEER
-    latency_accounting: bool = False
-    link_latency_ns: int = 10_000
-
-    def validate(self):
-        if self.num_queues < 1:
-            raise ValueError("need at least one queue")
-        if self.ring_capacity < 1:
-            raise ValueError("ring capacity must be positive")
-        if self.mode not in (MODE_RSS, MODE_FLOWSTEER):
-            raise ValueError(f"unknown NIC mode {self.mode!r}")
-        return self
-
-
 class Nic:
     """Receive pipeline plus transmit-descriptor observation.
 
@@ -93,19 +70,18 @@ class Nic:
     In flow-steering mode a FlowTable must be attached; RSS mode ignores it.
     """
 
-    def __init__(self, config: NicConfig, engine: RssEngine, table: FlowTable | None,
-                 sim, interrupt_cb):
-        self.config = config.validate()
-        if config.mode == MODE_FLOWSTEER and table is None:
+    def __init__(self, spec: NicSpec, num_queues: int, engine: RssEngine,
+                 table: FlowTable | None, sim, interrupt_cb):
+        if spec.mode == MODE_FLOWSTEER and table is None:
             raise ValueError("flow-steering mode requires a flow table")
         self.engine = engine
         self.table = table
         self.sim = sim
         # Whether the table steers and whether lookups cost time: fixed per run.
-        self._steers = config.mode == MODE_FLOWSTEER
-        self._latency = config.latency_accounting
+        self._steers = spec.mode == MODE_FLOWSTEER
+        self._latency = spec.latency_accounting
         self._interrupt_cb = interrupt_cb
-        self.rings = [RingBuffer(q, config.ring_capacity) for q in range(config.num_queues)]
+        self.rings = [RingBuffer(q, spec.ring_capacity) for q in range(num_queues)]
         self.acks_sent = 0
         self.hold_delays: list[int] = []  # flush time minus arrival, per held packet
         self._pipeline_free = 0  # serial lookup pipeline, latency accounting only
@@ -142,30 +118,26 @@ class Nic:
         self._pipeline_free = done
         self.sim.schedule(done, lambda: self._enqueue(queue, packet))
 
-    def _enqueue(self, queue: int, packet: Packet, via_flush: bool = False):
+    def _enqueue(self, queue: int, packet: Packet):
         ring = self.rings[queue]
-        if ring.push(packet, via_flush) == 1:
+        if ring.push(packet) == 1:
             ring.interrupts += 1
             self._interrupt_cb(queue)
 
     # -- transmit path ----------------------------------------------------------
 
-    def tx(self, packet: Packet, desc: TransmitDescriptor, now: int) -> TxOutcome | None:
-        """Observe an outgoing packet. Returns the table update outcome in
-        flow-steering mode, None under plain RSS. The frame itself reaches the
-        peer after the link latency; the peer model is open-loop, so only the
+    def tx(self, packet: Packet, desc: TransmitDescriptor, now: int):
+        """Observe an outgoing packet: its handshake half, then its
+        descriptor through `tx_ack`. The peer model is open-loop, so only the
         table side effects matter here."""
-        self.acks_sent += 1
-        if not self._steers:
-            return None
-        self.table.note_tx_packet(packet, now)
-        outcome = self.table.observe_tx(desc, now)
-        return outcome
+        if self._steers:
+            self.table.note_tx_packet(packet, now)
+        self.tx_ack(desc, now)
 
     def tx_ack(self, desc: TransmitDescriptor, now: int):
-        """Observe an outgoing data ACK from its descriptor alone. Same
-        effect as `tx` with an ACK packet, whose handshake monitoring only
-        looks for SYN-ACKs, so no packet is built."""
+        """Observe an outgoing packet's descriptor. A data ACK goes out
+        through here alone: handshake monitoring only looks for SYN-ACKs,
+        so no packet is built."""
         self.acks_sent += 1
         if self._steers:
             self.table.observe_tx(desc, now)
@@ -177,7 +149,7 @@ class Nic:
         for packet in packets:
             self.hold_delays.append(now - packet.held_at)
             packet.held_at = None
-            self._enqueue(queue, packet, via_flush=True)
+            self._enqueue(queue, packet)
 
     def drain(self, queue_id: int) -> Packet | None:
         return self.rings[queue_id].pop()

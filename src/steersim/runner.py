@@ -10,7 +10,7 @@ import gc
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .flowtable import FlowTable, FlowTableConfig, memory_estimate
+from .flowtable import FlowTable, FlowTableConfig, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, PROTO_TCP, FlowKey, Packet, reverse_key
 from .host import KIND_CODE, AppProcess, Core, Host, contention_proxy
 from .metrics import (
@@ -19,8 +19,7 @@ from .metrics import (
     admitted_fraction,
     reordering_ratio,
 )
-from .nic import MODE_FLOWSTEER, Nic, NicConfig, TransmitDescriptor
-from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, RssEngine
+from .nic import MODE_FLOWSTEER, Nic, TransmitDescriptor
 from .simkernel import MS, US, Simulator, make_rng
 from .workload import (
     EPHEMERAL_END,
@@ -28,6 +27,7 @@ from .workload import (
     Scenario,
     StreamPlan,
     adversarial_migration_schedule,
+    build_rss_engine,
     make_handshake_packets,
     spawn_streams,
 )
@@ -39,26 +39,7 @@ AGE_SWEEP_INTERVAL_NS = 10 * MS
 class RunResult:
     report: RunReport
     delivered: dict = field(default_factory=dict)  # key -> DeliveryLog
-    warm_up_end: dict = field(default_factory=dict)
     hold_delays: list = field(default_factory=list)
-    queue_stats: dict = field(default_factory=dict)
-
-
-def build_rss_engine(scenario: Scenario) -> RssEngine:
-    cfg = scenario.rss
-    key = bytes.fromhex(cfg.key_hex) if cfg.key_hex else DEFAULT_RSS_KEY
-    table = None
-    if cfg.style == "indirection":
-        entries = cfg.table or tuple(
-            q % scenario.num_cores() for q in range(8 * scenario.num_cores())
-        )
-        table = IndirectionTable.from_list(list(entries))
-    return RssEngine(
-        key=key,
-        hash_fields=HashFields.from_names(cfg.fields),
-        num_queues=scenario.num_cores(),
-        table=table,
-    )
 
 
 class Engine:
@@ -84,13 +65,6 @@ class Engine:
 
         self.rss = build_rss_engine(scenario)
         self.table = None
-        nic_config = NicConfig(
-            num_queues=num_cores,
-            ring_capacity=scenario.nic.ring_capacity,
-            mode=scenario.nic.mode,
-            latency_accounting=scenario.nic.latency_accounting,
-            link_latency_ns=int(scenario.nic.link_latency_us * US),
-        )
         if scenario.nic.mode == MODE_FLOWSTEER:
             ft = scenario.flow_table
             self.table = FlowTable(
@@ -107,7 +81,7 @@ class Engine:
                 fallback_core=lambda key: self.nic.fallback_queue(key),
             )
         self.nic = Nic(
-            nic_config, self.rss, self.table, self.sim,
+            scenario.nic, num_cores, self.rss, self.table, self.sim,
             interrupt_cb=self._on_ring_edge,
         )
         self.host = Host(
@@ -276,20 +250,22 @@ class Engine:
     # -- periodic machinery ---------------------------------------------------------
 
     def _schedule_periodics(self):
-        tick_ns = int(self.scenario.scheduler.tick_us * US)
-        if tick_ns > 0 and self.scenario.scheduler.mode != "pinned":
+        # Scenario.validate ensures both periods are at least 1 ns.
+        sched = self.scenario.scheduler
+        if sched.mode != "pinned":
+            tick_ns = int(sched.tick_us * US)
+
             def tick():
-                self.host.scheduler_tick(self.sim.now())
+                self.host.scheduler_tick()
                 self.sim.schedule_after(tick_ns, tick)
 
             self.sim.schedule(tick_ns, tick)
 
-        period = self.scenario.scheduler.forced_migration_period_us
-        if period:
-            period_ns = int(period * US)
+        if sched.forced_migration_period_us is not None:
+            period_ns = int(sched.forced_migration_period_us * US)
 
             def alternate():
-                self.host.force_alternate(self.sim.now())
+                self.host.force_alternate()
                 self.sim.schedule_after(period_ns, alternate)
 
             self.sim.schedule(period_ns, alternate)
@@ -371,23 +347,8 @@ class Engine:
             drops += ring.dropped
             interrupts += ring.interrupts
 
-        if self.table is not None:
-            ts = self.table.stats
-            handshakes = ts.handshakes_completed
-            admitted = ts.admitted
-            rejected_bucket = ts.rejected_bucket_full
-            rejected_table = ts.rejected_table_full
-            evictions = ts.evictions
-            peak_entries = ts.peak_entries
-            transitions = ts.transitions_started
-            held_total = ts.held_packets_total
-            peak_held = ts.peak_held_bytes
-            memory_peak = memory_estimate(peak_entries, 4, peak_held)
-        else:
-            handshakes = admitted = rejected_bucket = rejected_table = 0
-            evictions = peak_entries = transitions = held_total = peak_held = 0
-            memory_peak = 0
-
+        # Plain RSS has no table: every table figure reads 0.
+        ts = self.table.stats if self.table is not None else FlowTableStats()
         report = RunReport(
             scenario=self.scenario.name,
             seed=self.seed,
@@ -401,19 +362,19 @@ class Engine:
                 stats.delivered_process / delivered_total if delivered_total else 0.0
             ),
             reordering_ratio=reordering_ratio(delivered),
-            handshakes=handshakes,
-            admitted=admitted,
-            rejected_bucket_full=rejected_bucket,
-            rejected_table_full=rejected_table,
-            admitted_fraction=admitted_fraction(admitted, handshakes),
-            evictions=evictions,
-            peak_entries=peak_entries,
-            transitions=transitions,
-            held_packets=held_total,
-            peak_held_bytes=peak_held,
+            handshakes=ts.handshakes_completed,
+            admitted=ts.admitted,
+            rejected_bucket_full=ts.rejected_bucket_full,
+            rejected_table_full=ts.rejected_table_full,
+            admitted_fraction=admitted_fraction(ts.admitted, ts.handshakes_completed),
+            evictions=ts.evictions,
+            peak_entries=ts.peak_entries,
+            transitions=ts.transitions_started,
+            held_packets=ts.held_packets_total,
+            peak_held_bytes=ts.peak_held_bytes,
             held_delay_max_ns=max(hold_delays, default=0),
             held_delay_mean_ns=sum(hold_delays) / len(hold_delays) if hold_delays else 0.0,
-            table_memory_peak_bytes=memory_peak,
+            table_memory_peak_bytes=memory_estimate(ts.peak_entries, 4, ts.peak_held_bytes),
             drops=drops,
             interrupts=interrupts,
             migrations=self.host.migrations,
@@ -426,13 +387,7 @@ class Engine:
             lock_conflict_events=proxies["lock_conflict_events"],
             queue_stats=queue_stats,
         )
-        return RunResult(
-            report=report,
-            delivered=delivered,
-            warm_up_end=warm_up,
-            hold_delays=hold_delays,
-            queue_stats=queue_stats,
-        )
+        return RunResult(report=report, delivered=delivered, hold_delays=hold_delays)
 
 
 def _arrival_blocks(plans: list, firsts: list):

@@ -10,6 +10,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
+from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, KeyTooShortError, RssEngine
 from .simkernel import US
 
 SCENARIO_VERSION = 1
@@ -90,7 +91,6 @@ class NicSpec:
     mode: str = "flowsteer"
     ring_capacity: int = 256
     latency_accounting: bool = False
-    link_latency_us: float = 10.0
 
 
 @dataclass
@@ -147,6 +147,8 @@ class Scenario:
         pps = self.traffic.per_stream_pps
         if pps is not None and not pps > 0:
             raise ScenarioError(f"traffic.per_stream_pps must be positive, not {pps}")
+        if self.traffic.burst < 1:
+            raise ScenarioError(f"traffic.burst must be at least 1, not {self.traffic.burst}")
         for path, choices in CHOICES.items():
             value = field_value(self, path)
             if value not in choices:
@@ -188,10 +190,19 @@ class Scenario:
             raise ScenarioError(
                 "flow_table.t_delete_pressure_ms must not exceed flow_table.t_delete_ms"
             )
-        # A tick of zero would silently switch balancing off.
-        if self.scheduler.mode != "pinned" and self.scheduler.tick_us <= 0:
+        # Periods convert to whole ns; one that truncates to 0 would
+        # reschedule itself at the same instant forever.
+        sched = self.scheduler
+        if sched.mode != "pinned" and not sched.tick_us * US >= 1:
             raise ScenarioError(
-                f"scheduler.tick_us must be positive under {self.scheduler.mode!r}"
+                f"scheduler.tick_us must be at least 1 ns under {sched.mode!r}, "
+                f"not {sched.tick_us} us"
+            )
+        period = sched.forced_migration_period_us
+        if period is not None and not period * US >= 1:
+            raise ScenarioError(
+                "scheduler.forced_migration_period_us must be at least 1 ns or null, "
+                f"not {period} us"
             )
         cores = [c for group in self.host.processors for c in group]
         if sorted(cores) != list(range(len(cores))):
@@ -206,6 +217,20 @@ class Scenario:
         for port in (p for r in self.apps for p in r.ports):
             if port not in self.traffic.ports and self.kind == "streams":
                 raise ScenarioError(f"app rule names unused port {port}")
+        rss = build_rss_engine(self)
+        try:
+            # Every flow has these addresses, so this key's hash input is as
+            # long as any flow's.
+            rss.hash_of(FlowKey(self.traffic.src_addr, self.traffic.dst_addr, PROTO_TCP, 0, 0))
+        except KeyTooShortError as exc:
+            raise ScenarioError(f"rss.key_hex: {exc}") from None
+        except ValueError as exc:
+            raise ScenarioError(f"traffic.src_addr or dst_addr: {exc}") from None
+        stray = [q for q in self.rss.table or () if q not in range(len(cores))]
+        if stray:
+            raise ScenarioError(
+                f"rss.table names queues {stray}; the host has queues 0..{len(cores) - 1}"
+            )
         return self
 
     def num_cores(self) -> int:
@@ -261,6 +286,30 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def build_rss_engine(scenario: Scenario) -> RssEngine:
+    """The scenario's RSS engine. `Scenario.validate` builds one too, so a
+    field list, key or table that the rss module rejects fails at load, as
+    a ScenarioError naming the field."""
+    cfg = scenario.rss
+    n = scenario.num_cores()
+    try:
+        hash_fields = HashFields.from_names(cfg.fields)
+    except ValueError as exc:
+        raise ScenarioError(f"rss.fields: {exc}") from None
+    try:
+        key = bytes.fromhex(cfg.key_hex) if cfg.key_hex else DEFAULT_RSS_KEY
+    except ValueError as exc:
+        raise ScenarioError(f"rss.key_hex: {exc}") from None
+    table = None
+    if cfg.style == "indirection":
+        entries = cfg.table or tuple(q % n for q in range(8 * n))
+        try:
+            table = IndirectionTable.from_list(list(entries))
+        except ValueError as exc:
+            raise ScenarioError(f"rss.table: {exc}") from None
+    return RssEngine(key=key, hash_fields=hash_fields, num_queues=n, table=table)
 
 
 def _build(spec_cls, data):
@@ -331,7 +380,7 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     if pps is None:
         total_pps = traffic.link_gbps * 1e9 / 8 / traffic.packet_bytes
         pps = total_pps / traffic.streams
-    burst = max(1, traffic.burst)
+    burst = traffic.burst
     inter_burst = max(1, int(round(burst * 1e9 / pps)))
 
     plans = []
@@ -340,7 +389,7 @@ def spawn_streams(scenario: Scenario, rng) -> list:
         key = FlowKey(
             traffic.src_addr, traffic.dst_addr, PROTO_TCP, ports[i], dst_port
         )
-        start = (i * spread) // max(1, traffic.streams)
+        start = (i * spread) // traffic.streams
         syn_at = start
         synack_at = start + gap
         ack_at = start + 2 * gap

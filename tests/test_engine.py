@@ -8,7 +8,7 @@ import pytest
 
 from steersim import presets
 from steersim.flows import DATA, FIN, SYN
-from steersim.host import CTX_INTERRUPT, CTX_PROCESS, DeliveryLog, DeliveryRecord
+from steersim.host import DeliveryLog, DeliveryRecord
 from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
 
@@ -79,7 +79,7 @@ class TestConservation:
 
     def test_queue_accounting_identity(self):
         result = small_migrate(seed=5)
-        for ring_stats in result.queue_stats.values():
+        for ring_stats in result.report.queue_stats.values():
             assert ring_stats["queued"] >= 0 and ring_stats["dropped"] >= 0
 
 
@@ -283,7 +283,7 @@ def _records_alive() -> int:
 
 class TestColumnarDeliveryLog:
     WIDE = ("seq", "t")
-    BYTES = ("core", "context", "app_core", "kind")
+    BYTES = ("core", "app_core", "kind")
 
     def test_a_run_keeps_no_record_objects(self):
         result = run_scenario(presets.migrate_same(40), seed=3)
@@ -304,14 +304,14 @@ class TestColumnarDeliveryLog:
 
     def test_iteration_gives_back_the_appended_records(self):
         records = [
-            DeliveryRecord(-1, 0, 0, CTX_INTERRUPT, 0, SYN),
-            DeliveryRecord(7, 2**40, 255, CTX_PROCESS, 3, DATA),
-            DeliveryRecord(-1, 2**40 + 5, 1, CTX_INTERRUPT, 255, FIN),
+            DeliveryRecord(-1, 0, 0, 0, SYN),
+            DeliveryRecord(7, 2**40, 255, 3, DATA),
+            DeliveryRecord(-1, 2**40 + 5, 1, 255, FIN),
         ]
         log = DeliveryLog()
         for r in records:
-            log.append(r.seq, r.t, r.core, r.context, r.app_core, r.kind)
+            log.append(r.seq, r.t, r.core, r.app_core, r.kind)
         assert len(log) == 3
         assert list(log) == records
         assert [log[i] for i in range(3)] == records
-        assert log[-1].context == CTX_INTERRUPT and log[1].kind == DATA
+        assert log[-1].app_core == 255 and log[1].kind == DATA

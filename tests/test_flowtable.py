@@ -11,7 +11,6 @@ from steersim.flowtable import (
     FlowTableConfig,
     SteerDecision,
     TimerBugError,
-    TxOutcome,
     bucket_index,
     memory_estimate,
     search_time,
@@ -147,26 +146,28 @@ class TestObserveTx:
         table, timers = make_table(fallback=0)
         k = key()
         admit(table, k)
-        desc = TransmitDescriptor(reverse_key(k), 0)
-        assert table.observe_tx(desc, 50) is TxOutcome.SAME_CORE
-        assert table.get(k).last_activity == 50
+        table.observe_tx(TransmitDescriptor(reverse_key(k), 0), 50)
+        entry = table.get(k)
+        assert entry.last_activity == 50 and not entry.transition and entry.core_id == 0
+        assert table.stats.transitions_started == 0
         assert timers.scheduled == []
 
     def test_core_change_starts_transition(self):
         table, timers = make_table(fallback=0, t_timer_ns=100_000)
         k = key()
         admit(table, k)
-        assert table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 70) \
-            is TxOutcome.TRANSITION_STARTED
+        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 70)
         entry = table.get(k)
         assert entry.transition and entry.core_id == 1
+        assert table.stats.transitions_started == 1
         assert entry.timer_deadline == 70 + 100_000
         assert timers.scheduled == [(70 + 100_000, k)]
 
     def test_unknown_flow(self):
-        table, _ = make_table()
-        desc = TransmitDescriptor(reverse_key(key()), 1)
-        assert table.observe_tx(desc, 0) is TxOutcome.NO_ENTRY
+        table, timers = make_table()
+        table.observe_tx(TransmitDescriptor(reverse_key(key()), 1), 0)
+        assert table.get(key()) is None and len(table) == 0
+        assert table.stats.transitions_started == 0 and timers.scheduled == []
 
     def test_retarget_keeps_original_deadline(self):
         # A second migration inside the transition window retargets the core
@@ -175,10 +176,10 @@ class TestObserveTx:
         k = key()
         admit(table, k)
         table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
-        assert table.observe_tx(TransmitDescriptor(reverse_key(k), 2), 40_000) \
-            is TxOutcome.TRANSITION_STARTED
+        table.observe_tx(TransmitDescriptor(reverse_key(k), 2), 40_000)
         entry = table.get(k)
-        assert entry.core_id == 2
+        assert entry.transition and entry.core_id == 2
+        assert table.stats.transitions_started == 1
         assert entry.timer_deadline == 100_000
         assert len(timers.scheduled) == 1
 
@@ -366,5 +367,6 @@ class TestInvariants:
         for t in range(20, 400, 17):
             decision, core, _ = table.steer(rx_pkt(k), t)
             assert (decision, core) == (SteerDecision.DIRECT, 3)
-            assert table.observe_tx(TransmitDescriptor(reverse_key(k), 3), t) \
-                is TxOutcome.SAME_CORE
+            table.observe_tx(TransmitDescriptor(reverse_key(k), 3), t)
+            assert not table.get(k).transition
+        assert table.stats.transitions_started == 1

@@ -1,7 +1,5 @@
 from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet
 from steersim.host import (
-    CTX_INTERRUPT,
-    CTX_PROCESS,
     MODE_CPUSET,
     MODE_PEAK_PERFORMANCE,
     MODE_PINNED,
@@ -13,9 +11,10 @@ from steersim.host import (
     Host,
     contention_proxy,
 )
-from steersim.nic import MODE_RSS, Nic, NicConfig
+from steersim.nic import MODE_RSS, Nic
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
+from steersim.workload import NicSpec
 
 SERVICE_NS = 333
 
@@ -43,7 +42,7 @@ class Harness:
         engine = RssEngine(num_queues=num_cores)
         self.acks = []
         self.nic = Nic(
-            NicConfig(num_queues=num_cores, ring_capacity=256, mode=MODE_RSS),
+            NicSpec(mode=MODE_RSS, ring_capacity=256), num_cores,
             engine, None, self.sim,
             interrupt_cb=lambda q: self.sim.schedule(
                 self.sim.now(), lambda: self.host.on_interrupt(q)
@@ -78,7 +77,8 @@ class TestInterruptContext:
             h.inject(k, seq, at=0, queue=0)
         h.sim.run_until(10_000)
         assert len(sock.delivered) == 5
-        assert all(r.context == CTX_INTERRUPT and r.core == 0 for r in sock.delivered)
+        assert all(r.core == 0 for r in sock.delivered)
+        assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (5, 0)
         # First at t=0, then spaced by one service quantum each.
         assert [r.t for r in sock.delivered] == [i * SERVICE_NS for i in range(5)]
 
@@ -111,7 +111,8 @@ class TestProcessContext:
         h.host.start_process(0, first_call_at=10)
         h.sim.run_until(50_000)
         assert len(sock.delivered) == 4
-        assert all(r.context == CTX_PROCESS and r.core == 1 for r in sock.delivered)
+        assert all(r.core == 1 for r in sock.delivered)
+        assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 4)
 
     def test_sleeping_receiver_woken_by_arrival(self):
         h = Harness()
@@ -123,7 +124,8 @@ class TestProcessContext:
         h.inject(k, seq=0, at=500, queue=0)
         h.sim.run_until(5_000)
         assert not sock.sleeping
-        assert [r.context for r in sock.delivered] == [CTX_PROCESS]
+        assert len(sock.delivered) == 1
+        assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 1)
         assert sock.delivered[0].core == 1
 
     def test_ack_emitted_every_k_and_at_syscall_return(self):
@@ -166,9 +168,10 @@ class TestProcessContext:
         for seq in range(40):
             h.inject(k, seq, at=1_000 + seq * 2_000, queue=0)
         h.sim.run_until(200_000)
-        contexts = {r.context for r in sock.delivered}
+        stats = h.host.stats
         cores = {r.core for r in sock.delivered}
-        assert contexts == {CTX_INTERRUPT, CTX_PROCESS}
+        assert stats.delivered_interrupt > 0 and stats.delivered_process > 0
+        assert stats.delivered_interrupt + stats.delivered_process == 40
         assert cores == {0, 1}
         assert len(sock.delivered) == 40
         seqs = [r.seq for r in sock.delivered]
@@ -202,42 +205,44 @@ class TestScheduler:
         h = Harness(scheduler=MODE_PINNED)
         h.flow(key(sport=1), pid=0, core=0)
         h.flow(key(sport=2), pid=1, core=0)
-        assert h.host.scheduler_tick(0) == []
+        h.host.scheduler_tick()
+        assert h.host.migrations == 0
+        assert [p.core for p in h.host.processes.values()] == [0, 0]
 
     def test_peak_performance_balances(self):
         h = Harness(scheduler=MODE_PEAK_PERFORMANCE, num_cores=2,
                     processors=((0, 1),))
         h.flow(key(sport=1), pid=0, core=0, allowed=(0, 1))
         h.flow(key(sport=2), pid=1, core=0, allowed=(0, 1))
-        moves = h.host.scheduler_tick(0)
-        assert len(moves) == 1
-        t, pid, src, dst = moves[0]
-        assert (pid, src, dst) == (0, 0, 1)  # lowest pid moves first
+        h.host.scheduler_tick()
         assert h.host.migrations == 1
+        # The lowest pid moves first.
+        assert [p.core for p in h.host.processes.values()] == [1, 0]
 
     def test_power_saving_converges_to_processor_zero(self):
         h = Harness(scheduler=MODE_POWER_SAVING)
         h.flow(key(sport=1), pid=0, core=0, allowed=(0, 2))
         h.flow(key(sport=2), pid=1, core=2, allowed=(0, 2))
-        moves = h.host.scheduler_tick(0)
-        assert len(moves) == 1
-        assert moves[0][1] == 1  # the process on processor 1 moved
+        h.host.scheduler_tick()
+        assert h.host.migrations == 1
+        # Only the process on processor 1 moved.
+        assert h.host.processes[0].core == 0
         assert h.host.processes[1].core in (0, 1)
 
     def test_cpuset_enforces_partition(self):
         h = Harness(scheduler=MODE_CPUSET)
         h.flow(key(sport=1), pid=0, core=3, allowed=(0, 1))
-        moves = h.host.scheduler_tick(0)
-        assert len(moves) == 1 and h.host.processes[0].core in (0, 1)
+        h.host.scheduler_tick()
+        assert h.host.migrations == 1 and h.host.processes[0].core in (0, 1)
 
     def test_force_alternate_rotates(self):
         h = Harness()
         h.flow(key(sport=1), pid=0, core=0, allowed=(0, 2))
         h.flow(key(sport=2), pid=1, core=0, allowed=(1, 2, 3))  # outside its set
         h.flow(key(sport=3), pid=2, core=3)  # pinned: never moves
-        h.host.force_alternate(0)
+        h.host.force_alternate()
         assert [p.core for p in h.host.processes.values()] == [2, 1, 3]
-        h.host.force_alternate(1)
+        h.host.force_alternate()
         assert [p.core for p in h.host.processes.values()] == [0, 2, 3]
         assert h.host.migrations == 4
 
@@ -246,7 +251,7 @@ class TestContentionProxy:
     def test_single_core_system_all_zero(self):
         log = DeliveryLog()
         for s in range(5):
-            log.append(s, s * 10, 0, CTX_INTERRUPT, 0, DATA)
+            log.append(s, s * 10, 0, 0, DATA)
         out = contention_proxy({key(): log})
         assert out["cross_core_packets"] == 0
         assert out["alternations"] == 0
@@ -254,9 +259,9 @@ class TestContentionProxy:
 
     def test_cross_core_and_alternations(self):
         log = DeliveryLog()
-        log.append(0, 0, 0, CTX_INTERRUPT, 1, DATA)
-        log.append(1, 10, 1, CTX_PROCESS, 1, DATA)
-        log.append(2, 20, 0, CTX_INTERRUPT, 1, DATA)
+        log.append(0, 0, 0, 1, DATA)
+        log.append(1, 10, 1, 1, DATA)
+        log.append(2, 20, 0, 1, DATA)
         out = contention_proxy({key(): log}, processor_of=lambda c: c // 2)
         assert out["cross_core_packets"] == 2
         assert out["alternations"] == 2

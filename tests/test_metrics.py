@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steersim.flows import DATA, PROTO_TCP, FlowKey
-from steersim.host import CTX_INTERRUPT, DeliveryLog
+from steersim.host import DeliveryLog
 from steersim.metrics import (
     RunReport,
     affinity_scores,
@@ -24,7 +24,7 @@ def key(sport=1):
 
 
 def rec(seq, t=0, core=0, app_core=0, kind=DATA):
-    return seq, t, core, CTX_INTERRUPT, app_core, kind
+    return seq, t, core, app_core, kind
 
 
 def flow_log(*records):

@@ -1,17 +1,11 @@
 import pytest
 
 from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
-from steersim.flowtable import FlowTable, FlowTableConfig, TxOutcome
-from steersim.nic import (
-    MODE_FLOWSTEER,
-    MODE_RSS,
-    Nic,
-    NicConfig,
-    RingBuffer,
-    TransmitDescriptor,
-)
+from steersim.flowtable import FlowTable, FlowTableConfig
+from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic, RingBuffer, TransmitDescriptor
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
+from steersim.workload import NicSpec
 
 
 def key(sport=40000, dport=5001):
@@ -38,9 +32,9 @@ class Harness:
                 fallback_core=lambda k: fallback,
             )
         self.nic = Nic(
-            NicConfig(num_queues=num_queues, ring_capacity=ring_capacity, mode=mode,
-                      latency_accounting=latency_accounting),
-            engine, table, self.sim, interrupt_cb=self.interrupts.append,
+            NicSpec(mode=mode, ring_capacity=ring_capacity,
+                    latency_accounting=latency_accounting),
+            num_queues, engine, table, self.sim, interrupt_cb=self.interrupts.append,
         )
         self.table = table
 
@@ -91,9 +85,10 @@ class TestRingBuffer:
 
     def test_accounting_identity(self):
         ring = RingBuffer(0, 2)
-        for seq in range(5):
-            ring.push(rx_pkt(key(), seq=seq), via_flush=seq % 2 == 0)
-        assert ring.offered_direct + ring.offered_flush == ring.enqueued + ring.dropped
+        pushes = 5
+        for seq in range(pushes):
+            ring.push(rx_pkt(key(), seq=seq))
+        assert ring.enqueued + ring.dropped == pushes
 
 
 class TestRx:
@@ -152,27 +147,30 @@ class TestTx:
         h = Harness(fallback=0)
         k = key()
         h.admit(k)
-        out = h.nic.tx(
+        h.nic.tx(
             Packet(reverse_key(k), ACK, -1, 64),
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
-        assert out is TxOutcome.TRANSITION_STARTED
+        entry = h.table.get(k)
+        assert entry.transition and entry.core_id == 1
+        assert h.table.stats.transitions_started == 1
 
     def test_rss_mode_has_no_table_effect(self):
         h = Harness(mode=MODE_RSS)
-        out = h.nic.tx(
+        h.nic.tx(
             Packet(reverse_key(key()), ACK, -1, 64),
             TransmitDescriptor(reverse_key(key()), 1), 0,
         )
-        assert out is None
+        assert h.nic.table is None and h.nic.acks_sent == 1
 
     def test_unknown_flow_descriptor(self):
         h = Harness()
-        out = h.nic.tx(
+        h.nic.tx(
             Packet(reverse_key(key()), ACK, -1, 64),
             TransmitDescriptor(reverse_key(key()), 1), 0,
         )
-        assert out is TxOutcome.NO_ENTRY
+        assert h.table.get(key()) is None and len(h.table) == 0
+        assert h.table.stats.transitions_started == 0 and h.sim.pending() == 0
 
     def test_descriptor_core_fits_one_byte(self):
         with pytest.raises(ValueError):

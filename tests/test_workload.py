@@ -110,7 +110,9 @@ class TestScenarioSerialization:
     @pytest.mark.parametrize("section, field, value", [
         ("scheduler", "tick_us", 0.0),
         ("scheduler", "tick_us", -250.0),
+        ("scheduler", "tick_us", 0.0001),  # truncates to 0 ns
         ("host", "ack_every", 0),
+        ("traffic", "burst", 0),
     ])
     def test_validation_names_field_that_would_load_silently(self, section, field, value):
         d = scenario(4).to_dict()
@@ -137,6 +139,12 @@ class TestScenarioSerialization:
         ("flow_table", "pressure_threshold", 2.0),
         ("flow_table", "t_delete_pressure_ms", 2000.0),
         ("host", "syscall_cadence_us", -5.0),
+        ("scheduler", "forced_migration_period_us", -5.0),
+        ("scheduler", "forced_migration_period_us", 0.0),
+        ("scheduler", "forced_migration_period_us", float("nan")),
+        # Truncates to 0 ns, so it would reschedule itself at the same
+        # instant forever: checked at load only, never run.
+        ("scheduler", "forced_migration_period_us", 0.0001),
         ("traffic", "per_stream_pps", 0.0),
         ("traffic", "per_stream_pps", float("nan")),
     ])
@@ -146,9 +154,45 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
 
+    def test_null_and_1_ns_periods_load(self):
+        d = scenario(4).to_dict()
+        d["scheduler"]["forced_migration_period_us"] = None
+        assert Scenario.from_dict(d).scheduler.forced_migration_period_us is None
+        d["scheduler"]["forced_migration_period_us"] = 0.001
+        d["scheduler"]["mode"] = "peak_performance"
+        d["scheduler"]["tick_us"] = 0.001
+        Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("section, field, value, style", [
+        ("rss", "fields", ["foo"], "direct"),
+        ("rss", "fields", [], "direct"),
+        ("rss", "key_hex", "00", "direct"),
+        ("rss", "key_hex", "zz", "direct"),
+        ("rss", "table", [0, 1, 2], "indirection"),
+        ("rss", "table", [0, 9], "indirection"),
+        ("rss", "table", [0, -1], "direct"),
+        ("traffic", "src_addr", "10.0.0", "direct"),
+    ])
+    def test_validation_names_rss_input_that_would_fail_mid_run(self, section, field, value,
+                                                                style):
+        d = scenario(4).to_dict()
+        d["rss"]["style"] = style
+        d[section][field] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+            Scenario.from_dict(d)
+
+    def test_indirection_needs_a_power_of_two_default_table(self):
+        d = scenario(4).to_dict()
+        d["rss"]["style"] = "indirection"
+        d["host"]["processors"] = [[0, 1, 2]]
+        d["apps"] = [{"ports": [5001, 6001], "cores": [0, 1]}]
+        with pytest.raises(ScenarioError, match="rss.table"):
+            Scenario.from_dict(d)
+
     def test_smallest_accepted_values_run(self):
         s = scenario(4)
         s.duration_us = 2_000.0
+        s.traffic.burst = 1
         s.nic.ring_capacity = 1
         s.flow_table.num_buckets = 1
         s.flow_table.max_entries = 1
