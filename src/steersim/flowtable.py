@@ -21,6 +21,13 @@ class SteerDecision(Enum):
     FALLBACK = "fallback"
 
 
+# Plain module names for the members: the per-packet path tests decisions
+# with `is`, and a module global is found faster than an enum attribute.
+DIRECT = SteerDecision.DIRECT
+HELD = SteerDecision.HELD
+FALLBACK = SteerDecision.FALLBACK
+
+
 # Handshake tracker states; completion deletes the tracker entry.
 SYN_SEEN = "syn_seen"
 SYNACK_SEEN = "synack_seen"
@@ -217,7 +224,7 @@ class FlowTable:
                     bucket_index(packet.key, self.config.num_buckets), ()
                 )
                 position = max(1, len(bucket))
-            return SteerDecision.FALLBACK, None, position
+            return FALLBACK, None, position
         position = self._position_of(entry) if want_position else 1
         entry.last_activity = now
         if entry.transition:
@@ -228,8 +235,8 @@ class FlowTable:
             self.stats.peak_held_bytes = max(
                 self.stats.peak_held_bytes, self.stats.held_bytes
             )
-            return SteerDecision.HELD, None, position
-        return SteerDecision.DIRECT, entry.core_id, position
+            return HELD, None, position
+        return DIRECT, entry.core_id, position
 
     def _position_of(self, entry: FlowEntry) -> int:
         return self._buckets[entry.bucket].index(entry) + 1

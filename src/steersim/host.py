@@ -133,37 +133,41 @@ class HostStats:
 class _ProcLane:
     """Serial process-context execution on one core.
 
-    Work units run one at a time; dispatch waits for the core's interrupt
-    lane to go idle first. Contending sockets interleave packet by packet,
-    which is timesharing, and each unit reports its own service charge.
+    A work unit is a (function, socket) pair; the lane runs `fn(sock, now)`
+    and the function returns its service charge in ns. Units run one at a
+    time; dispatch waits for the core's interrupt lane to go idle first.
+    Contending sockets interleave packet by packet, which is timesharing.
     """
 
     def __init__(self, sim, core: Core):
         self.sim = sim
         self.core = core
-        self.queue = deque()
+        self.queue = deque()  # (fn, sock) units waiting, FIFO
         self.busy = False
         self._resume = self._dispatch  # one bound method for every reschedule
 
-    def submit(self, work):
-        self.queue.append(work)
+    def submit(self, fn, sock):
+        self.queue.append((fn, sock))
         if not self.busy:
             self.busy = True
             self._dispatch()
 
     def _dispatch(self):
+        sim = self.sim
+        core = self.core
+        queue = self.queue
         while True:
-            now = self.sim.now()
-            if self.core.irq_free > now:
-                self.sim.schedule(self.core.irq_free, self._resume)
+            now = sim.now
+            if core.irq_free > now:
+                sim.schedule(core.irq_free, self._resume)
                 return
-            if not self.queue:
+            if not queue:
                 self.busy = False
                 return
-            work = self.queue.popleft()
-            charge = work(now)
+            fn, sock = queue.popleft()
+            charge = fn(sock, now)
             if charge:
-                self.sim.schedule(now + charge, self._resume)
+                sim.schedule(now + charge, self._resume)
                 return
 
 
@@ -183,11 +187,14 @@ class Host:
         self.proc_lanes = [_ProcLane(sim, core) for core in cores]
         self.migrations = 0  # migrations performed so far
         self.stats = HostStats()
-        # Event callables built once instead of once per event.
+        self._rx_slots = [ring.slots for ring in nic.rings]  # per queue, for the softirq drain
+        # Event callables built once instead of once per event. The NIC
+        # schedules the per-queue interrupt action on a ring's empty edge.
+        nic.interrupts = [lambda q=q: self.on_interrupt(q) for q in range(len(cores))]
         self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(len(cores))]
-        self._ring_pop = [ring.pop for ring in nic.rings]  # per queue, for the softirq drain
-        self._syscall_work: dict = {}  # pid -> lane work entering receive
-        self._drain_work: dict = {}  # pid -> lane work draining the backlog
+        # Process-lane work functions, bound once; a unit pairs one with a socket.
+        self._syscall = self._syscall_enter
+        self._drain = self._drain_step
         self._submit_syscall_at: dict = {}  # pid -> event issuing the next call
         self._wired = None  # _wiring() until the next add_flow
 
@@ -199,9 +206,7 @@ class Host:
         self._wired = None
         sock = SocketModel(key=key, proc=process)
         self.sockets[key] = sock
-        self._syscall_work[pid] = lambda now: self._syscall_enter(sock, now)
-        self._drain_work[pid] = lambda now: self._drain_step(sock, now)
-        self._submit_syscall_at[pid] = lambda: self._submit_syscall(pid)
+        self._submit_syscall_at[pid] = lambda: self._submit_syscall(sock)
         return sock
 
     def _wiring(self) -> tuple:
@@ -243,14 +248,14 @@ class Host:
         self._softirq_step(queue_id)
 
     def _softirq_step(self, queue_id: int):
-        now = self.sim.now()
+        now = self.sim.now
         core = self.cores[queue_id]
-        pop = self._ring_pop[queue_id]
+        slots = self._rx_slots[queue_id]
         while True:
-            packet = pop()
-            if packet is None:
+            if not slots:
                 self.handler_active[queue_id] = False
                 return
+            packet = slots.popleft()
             sock = self.sockets.get(packet.key)
             if sock is not None and (
                 sock.owned_by_user or sock.sleeping or sock.backlog
@@ -280,9 +285,8 @@ class Host:
             return
         self.sim.schedule(first_call_at, self._submit_syscall_at[pid])
 
-    def _submit_syscall(self, pid: int):
-        proc = self.processes[pid]
-        self.proc_lanes[proc.core].submit(self._syscall_work[pid])
+    def _submit_syscall(self, sock: SocketModel):
+        self.proc_lanes[sock.proc.core].submit(self._syscall, sock)
 
     def _syscall_enter(self, sock: SocketModel, now: int) -> int:
         proc = sock.proc
@@ -290,7 +294,7 @@ class Host:
         if sock.backlog:
             sock.owned_by_user = True
             proc.state = STATE_DRAINING
-            self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
+            self.proc_lanes[proc.core].submit(self._drain, sock)
         else:
             # Block in the receive call until data arrives.
             sock.sleeping = True
@@ -305,7 +309,7 @@ class Host:
         sock.owned_by_user = True
         proc = sock.proc
         proc.state = STATE_DRAINING
-        self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
+        self.proc_lanes[proc.core].submit(self._drain, sock)
 
     def _drain_step(self, sock: SocketModel, now: int) -> int:
         proc = sock.proc
@@ -313,7 +317,13 @@ class Host:
             packet = sock.backlog.popleft()
             self.stats.delivered_process += 1
             self._deliver(packet, sock, proc.core, now)
-            self.proc_lanes[proc.core].submit(self._drain_work[proc.pid])
+            # A busy lane, usually the one running this step, takes the next
+            # unit at its tail; one left idle by a migration needs `submit`.
+            lane = self.proc_lanes[proc.core]
+            if lane.busy:
+                lane.queue.append((self._drain, sock))
+            else:
+                lane.submit(self._drain, sock)
             return self.cores[proc.core].service_ns
         # Backlog empty: the call returns, releasing the socket. Anything
         # delivered since the last ACK is acknowledged from this core now,

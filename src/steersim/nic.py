@@ -8,7 +8,7 @@ empty-to-non-empty edge, and the host then drains until empty.
 from collections import deque
 from dataclasses import dataclass, field
 
-from .flowtable import FlowTable, SteerDecision, search_time
+from .flowtable import DIRECT, HELD, FlowTable, search_time
 from .flows import FlowKey, Packet
 from .rss import RssEngine
 from .workload import NicSpec
@@ -32,46 +32,33 @@ class TransmitDescriptor:
 
 @dataclass
 class RingBuffer:
+    """One receive queue: the packets in FIFO order and its counters. The
+    NIC appends at the tail (`Nic._enqueue`), the host's softirq drain pops
+    from the head of `slots`."""
+
     queue_id: int
     capacity: int
-    _slots: deque = field(default_factory=deque)
+    slots: deque = field(default_factory=deque)
     enqueued: int = 0
     dropped: int = 0
     max_depth: int = 0
     interrupts: int = 0
 
-    def push(self, packet: Packet) -> int:
-        """Append at the tail. Returns the depth after the push, or 0 when
-        the ring is full and the packet is tail-dropped."""
-        slots = self._slots
-        if len(slots) >= self.capacity:
-            self.dropped += 1
-            return 0
-        slots.append(packet)
-        self.enqueued += 1
-        depth = len(slots)
-        if depth > self.max_depth:
-            self.max_depth = depth
-        return depth
-
-    def pop(self) -> Packet | None:
-        if not self._slots:
-            return None
-        return self._slots.popleft()
-
     def depth(self) -> int:
-        return len(self._slots)
+        return len(self.slots)
 
 
 class Nic:
     """Receive pipeline plus transmit-descriptor observation.
 
-    `interrupt_cb(queue_id)` fires on a ring's empty->non-empty edge.
+    On a ring's empty->non-empty edge the NIC schedules `interrupts[queue]`,
+    a zero-argument action, at the current instant. The host installs its
+    per-queue interrupt actions there when it attaches (`Host.__init__`).
     In flow-steering mode a FlowTable must be attached; RSS mode ignores it.
     """
 
     def __init__(self, spec: NicSpec, num_queues: int, engine: RssEngine,
-                 table: FlowTable | None, sim, interrupt_cb):
+                 table: FlowTable | None, sim):
         if spec.mode == MODE_FLOWSTEER and table is None:
             raise ValueError("flow-steering mode requires a flow table")
         self.engine = engine
@@ -80,7 +67,7 @@ class Nic:
         # Whether the table steers and whether lookups cost time: fixed per run.
         self._steers = spec.mode == MODE_FLOWSTEER
         self._latency = spec.latency_accounting
-        self._interrupt_cb = interrupt_cb
+        self.interrupts = None  # per-queue interrupt actions, set by the host
         self.rings = [RingBuffer(q, spec.ring_capacity) for q in range(num_queues)]
         self.acks_sent = 0
         self.hold_delays: list[int] = []  # flush time minus arrival, per held packet
@@ -97,18 +84,16 @@ class Nic:
         queue's ring (tail-dropped when full). Ring counters, `dropped` and
         the table's held lists record where it went."""
         if self._steers:
-            decision, core, position = self.table.steer(packet, now, self._latency)
-            if decision is SteerDecision.HELD:
+            decision, queue, position = self.table.steer(packet, now, self._latency)
+            if decision is HELD:
                 return
-            if decision is SteerDecision.DIRECT:
-                queue = core
-            else:
-                queue = self.fallback_queue(packet.key)
+            if decision is not DIRECT:
+                queue = self.engine.queue_for(packet.key)
             if self._latency:
                 self._enqueue_after_lookup(queue, packet, now, position)
                 return
         else:
-            queue = self.fallback_queue(packet.key)
+            queue = self.engine.queue_for(packet.key)
         self._enqueue(queue, packet)
 
     def _enqueue_after_lookup(self, queue: int, packet: Packet, now: int, position: int):
@@ -119,10 +104,22 @@ class Nic:
         self.sim.schedule(done, lambda: self._enqueue(queue, packet))
 
     def _enqueue(self, queue: int, packet: Packet):
+        """Append at the ring's tail, or tail-drop when it is full. The
+        push onto an empty ring schedules the queue's interrupt."""
         ring = self.rings[queue]
-        if ring.push(packet) == 1:
+        slots = ring.slots
+        depth = len(slots)
+        if depth >= ring.capacity:
+            ring.dropped += 1
+            return
+        slots.append(packet)
+        ring.enqueued += 1
+        if depth >= ring.max_depth:
+            ring.max_depth = depth + 1
+        if not depth:
             ring.interrupts += 1
-            self._interrupt_cb(queue)
+            sim = self.sim
+            sim.schedule(sim.now, self.interrupts[queue])
 
     # -- transmit path ----------------------------------------------------------
 
@@ -144,7 +141,7 @@ class Nic:
 
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""
-        now = self.sim.now()
+        now = self.sim.now
         queue, packets = self.table.on_timer_expire(key, now)
         for packet in packets:
             self.hold_delays.append(now - packet.held_at)
@@ -152,4 +149,6 @@ class Nic:
             self._enqueue(queue, packet)
 
     def drain(self, queue_id: int) -> Packet | None:
-        return self.rings[queue_id].pop()
+        """Pop the head of a queue's ring, or None when it is empty."""
+        slots = self.rings[queue_id].slots
+        return slots.popleft() if slots else None

@@ -7,8 +7,9 @@ in their transmit descriptors.
 """
 
 import gc
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .flowtable import FlowTable, FlowTableConfig, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, PROTO_TCP, FlowKey, Packet, reverse_key
@@ -80,10 +81,7 @@ class Engine:
                 schedule_timer=self._schedule_hold_timer,
                 fallback_core=lambda key: self.nic.fallback_queue(key),
             )
-        self.nic = Nic(
-            scenario.nic, num_cores, self.rss, self.table, self.sim,
-            interrupt_cb=self._on_ring_edge,
-        )
+        self.nic = Nic(scenario.nic, num_cores, self.rss, self.table, self.sim)
         self.host = Host(
             self.cores,
             self.sim,
@@ -92,9 +90,6 @@ class Engine:
             ack_every=scenario.host.ack_every,
             emit_ack=self._emit_ack,
         )
-
-        # One ring-edge interrupt event per queue, built once.
-        self._ring_edge = [lambda q=q: self.host.on_interrupt(q) for q in range(num_cores)]
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
         # Receive key -> ACK transmit descriptor per core, built on first use.
@@ -102,13 +97,10 @@ class Engine:
 
     # -- wiring callbacks --------------------------------------------------------
 
-    def _on_ring_edge(self, queue_id: int):
-        self.sim.schedule(self.sim.now(), self._ring_edge[queue_id])
-
     def _schedule_hold_timer(self, deadline: int, key: FlowKey):
         def fire():
             self.nic.on_hold_timer(key)
-            self.flush_times[key] = self.sim.now()
+            self.flush_times[key] = self.sim.now
 
         self.sim.schedule(deadline, fire)
 
@@ -140,7 +132,11 @@ class Engine:
         cadence = scenario.host.syscall_cadence_us
         cadence_ns = None if cadence is None else int(cadence * US)
         firsts = []  # each stream's first arrival id, ascending
-        for plan in plans:
+        # Event id minus the first stream's first id -> stream index. An id
+        # between two blocks never arrives, so it may name either stream.
+        base = sim.reserve(0)
+        stream_of = array("i")
+        for i, plan in enumerate(plans):
             rule = scenario.app_rule_for_port(plan.port)
             initial = rule.cores[plan.index % len(rule.cores)]
             proc = AppProcess(
@@ -150,14 +146,17 @@ class Engine:
                 cadence_ns=cadence_ns,
             )
             self._add_flow(plan.key, proc)
-            firsts.append(sim.reserve(3 + len(plan.data_times)))
-            self.generated_data += len(plan.data_times)
+            n = 3 + len(plan.data_times)
+            first = sim.reserve(n)
+            firsts.append(first)
+            stream_of.extend(repeat(i, first + n - base - len(stream_of)))
+            self.generated_data += n - 3
             # The app begins issuing receive calls once its stream is up.
             self.host.start_process(proc.pid, plan.ack_at + 1)
-        arrive = self._arrival_action(plans, firsts)
+        arrive = self._arrival_action(plans, firsts, base, stream_of)
         sim.schedule_arrivals(_arrival_blocks(plans, firsts), arrive)
 
-    def _arrival_action(self, plans: list, firsts: list):
+    def _arrival_action(self, plans: list, firsts: list, base: int, stream_of: array):
         """The action for every stream arrival: find the stream whose block
         holds the id, then build and receive its data packet, or replay its
         SYN, SYN-ACK or ACK."""
@@ -165,19 +164,18 @@ class Engine:
         handshakes = [make_handshake_packets(plan) for plan in plans]
         size = self.scenario.traffic.packet_bytes
         rx = self.nic.rx
-        now = self.sim.now
+        sim = self.sim
         tx_synack = self._tx_synack
 
         def arrive(event_id: int):
-            i = bisect_right(firsts, event_id) - 1
+            i = stream_of[event_id - base]
             k = event_id - firsts[i]
-            t = now()
             if k >= 3:
-                rx(Packet(keys[i], DATA, k - 3, size), t)
+                rx(Packet(keys[i], DATA, k - 3, size), sim.now)
             elif k == 1:
                 tx_synack(handshakes[i][1])
             else:
-                rx(handshakes[i][k], t)
+                rx(handshakes[i][k], sim.now)
 
         return arrive
 
@@ -186,7 +184,7 @@ class Engine:
         # processed on; before any steering entry exists that is the hash
         # fallback core.
         core = self.nic.fallback_queue(reverse_key(packet.key))
-        self.nic.tx(packet, TransmitDescriptor(packet.key, core), self.sim.now())
+        self.nic.tx(packet, TransmitDescriptor(packet.key, core), self.sim.now)
 
     def _schedule_worst_case(self):
         scenario = self.scenario
@@ -229,11 +227,11 @@ class Engine:
             elif ev.role == "migrate":
                 packet = Packet(reverse_key(victim_key), ACK, -1, 64)
                 desc = TransmitDescriptor(packet.key, new_core)
-                self.sim.schedule(ev.at, lambda p=packet, d=desc: self.nic.tx(p, d, self.sim.now()))
+                self.sim.schedule(ev.at, lambda p=packet, d=desc: self.nic.tx(p, d, self.sim.now))
 
     def _schedule_rx(self, at: int, packet: Packet):
         """Schedule one scripted packet to reach the NIC at `at`."""
-        self.sim.schedule(at, lambda: self.nic.rx(packet, self.sim.now()))
+        self.sim.schedule(at, lambda: self.nic.rx(packet, self.sim.now))
 
     def _find_key_for_queue(self, queue: int, dst_port: int, skip=()) -> FlowKey:
         """Search the ephemeral range for a source port whose hash fallback
@@ -272,7 +270,7 @@ class Engine:
 
         if self.table is not None:
             def sweep():
-                self.table.age(self.sim.now())
+                self.table.age(self.sim.now)
                 self.sim.schedule_after(AGE_SWEEP_INTERVAL_NS, sweep)
 
             self.sim.schedule(AGE_SWEEP_INTERVAL_NS, sweep)

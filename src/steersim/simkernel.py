@@ -24,10 +24,10 @@ reserved: at an equal fire time it beats every event scheduled after the
 reservation and loses to every event scheduled before it.
 """
 
-import heapq
 import random
 from array import array
 from bisect import bisect_right
+from heapq import heappop, heappush
 from collections import deque
 from itertools import repeat
 from operator import lshift, or_
@@ -43,7 +43,7 @@ _NEVER = 1 << 256
 
 
 class SchedulingError(ValueError):
-    """Scheduling an event before now() is a causality bug in the caller."""
+    """Scheduling an event before `now` is a causality bug in the caller."""
 
 
 class Simulator:
@@ -53,13 +53,16 @@ class Simulator:
     action that takes the arrival's event id. Total dispatch order is
     (fire_time, event id). A run owns all of its state: separate runs are
     independent and may execute in parallel processes.
+
+    `now` is the current virtual time in ns, a plain attribute that only
+    `run_until` advances.
     """
 
     def __init__(self):
+        self.now = 0
         self._heap = []
-        self._lane = deque()  # (id, action) of events for now(), in id order
+        self._lane = deque()  # (id, action) of events for `now`, in id order
         self._next_id = 0
-        self._now = 0
         self.fired_total = 0
         self._reserved_starts = []  # reserved id ranges [start, end), ascending
         self._reserved_ends = []
@@ -69,16 +72,13 @@ class Simulator:
         self._arrival_pos = 0
         self._arrival_action = None
 
-    def now(self) -> int:
-        return self._now
-
     def schedule(self, fire_time: int, action) -> int:
         """Queue `action` to run at `fire_time`; returns a unique event id."""
-        now = self._now
+        now = self.now
         event_id = self._next_id
         if fire_time > now:
             self._next_id = event_id + 1
-            heapq.heappush(self._heap, (fire_time, event_id, action))
+            heappush(self._heap, (fire_time, event_id, action))
         elif fire_time == now:
             self._next_id = event_id + 1
             self._lane.append((event_id, action))
@@ -87,7 +87,7 @@ class Simulator:
         return event_id
 
     def schedule_after(self, delay: int, action) -> int:
-        return self.schedule(self._now + delay, action)
+        return self.schedule(self.now + delay, action)
 
     def reserve(self, n: int) -> int:
         """Set aside the next `n` event ids and return the first of them.
@@ -115,7 +115,7 @@ class Simulator:
         times are read once, so the caller can drop them as soon as the next
         block is asked for. Raises ValueError for ids never reserved or
         shared by two blocks, and for a second call; SchedulingError for a
-        time before now().
+        time before `now`.
         """
         if self._arrivals is not None:
             raise ValueError("arrivals were already scheduled")
@@ -137,9 +137,9 @@ class Simulator:
             if first < prev_end:
                 raise ValueError(f"event ids {first}..{min(end, prev_end) - 1} are in two blocks")
         packed.sort()
-        if packed and packed[0] >> shift < self._now:
+        if packed and packed[0] >> shift < self.now:
             raise SchedulingError(
-                f"arrival at {packed[0] >> shift} ns, before now ({self._now} ns)"
+                f"arrival at {packed[0] >> shift} ns, before now ({self.now} ns)"
             )
         try:
             arrivals = array("q", packed)
@@ -154,15 +154,15 @@ class Simulator:
         """Fire every event and arrival with fire_time <= t_end, in order.
 
         Events fired may schedule further events inside the window; those fire
-        in the same call. On return now() == t_end.
+        in the same call. On return `now == t_end`.
         """
-        if t_end < self._now:
-            raise SchedulingError(f"run_until({t_end}) is before now ({self._now})")
+        if t_end < self.now:
+            raise SchedulingError(f"run_until({t_end}) is before now ({self.now})")
         heap = self._heap
-        pop = heapq.heappop
+        pop = heappop
         lane = self._lane
         take = lane.popleft
-        now = self._now
+        now = self.now
         arrivals = self._arrivals or ()
         n = len(arrivals)
         pos = self._arrival_pos
@@ -192,13 +192,13 @@ class Simulator:
                         if fire_time > t_end:
                             break
                         pop(heap)
-                        self._now = now = fire_time
+                        self.now = now = fire_time
                         action()
                         fired += 1
                         continue
                 if a_time > t_end:
                     break
-                self._now = now = a_time
+                self.now = now = a_time
                 pos += 1
                 arrive(a_id)
                 fired += 1
@@ -210,7 +210,7 @@ class Simulator:
         finally:
             self._arrival_pos = pos
             self.fired_total += fired
-        self._now = t_end
+        self.now = t_end
         return fired
 
     def pending(self) -> int:

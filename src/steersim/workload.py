@@ -7,7 +7,8 @@ back. Stream generation is pure given a seeded rng, so runs replay exactly.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
 from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, KeyTooShortError, RssEngine
@@ -131,8 +132,10 @@ class Scenario:
     def validate(self) -> "Scenario":
         if self.traffic.streams <= 0:
             raise ScenarioError("stream count must be positive")
-        if self.duration_us < 0:
-            raise ScenarioError("duration must not be negative")
+        if not 0 <= self.duration_us < math.inf:
+            raise ScenarioError(
+                f"duration_us must be finite and non-negative, not {self.duration_us}"
+            )
         if self.flow_table.t_timer_us < 0:
             raise ScenarioError("t_timer must be non-negative")
         if self.flow_table.max_list_size <= 0:
@@ -149,10 +152,25 @@ class Scenario:
             raise ScenarioError(f"traffic.per_stream_pps must be positive, not {pps}")
         if self.traffic.burst < 1:
             raise ScenarioError(f"traffic.burst must be at least 1, not {self.traffic.burst}")
+        # spawn_streams divides by these, or would emit nonsense sizes.
+        if not self.traffic.link_gbps > 0:
+            raise ScenarioError(f"traffic.link_gbps must be positive, not {self.traffic.link_gbps}")
+        if not self.traffic.packet_bytes >= 1:
+            raise ScenarioError(
+                f"traffic.packet_bytes must be at least 1, not {self.traffic.packet_bytes}"
+            )
+        if self.traffic.data_packets_per_stream < 0:
+            raise ScenarioError(
+                "traffic.data_packets_per_stream must not be negative, "
+                f"not {self.traffic.data_packets_per_stream}"
+            )
         for path, choices in CHOICES.items():
             value = field_value(self, path)
             if value not in choices:
                 raise ScenarioError(f"unknown {path} {value!r}")
+        if self.rss.style == "direct" and self.rss.table is not None:
+            # Only the indirection style reads a table.
+            raise ScenarioError("rss.table has no effect under rss.style 'direct'; use null")
         # assign_ports would fail mid-setup on these.
         if self.traffic.ephemeral_ports == "random":
             if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
@@ -256,6 +274,15 @@ class Scenario:
         version = d.pop("version", SCENARIO_VERSION)
         if version != SCENARIO_VERSION:
             raise ScenarioError(f"unsupported scenario version {version}")
+        unknown = _unknown_keys(cls, d, "")
+        for f in fields(cls):
+            if is_dataclass(f.type):
+                unknown += _unknown_keys(f.type, d.get(f.name), f.name + ".")
+        for i, rule in enumerate(d.get("apps") or ()):
+            unknown += _unknown_keys(AppRule, rule, f"apps[{i}].")
+        if unknown:
+            # A misspelt or retired key would otherwise run as the default.
+            raise ScenarioError("unknown scenario keys: " + ", ".join(unknown))
         if "apps" in d:
             apps = tuple(
                 AppRule(tuple(r["ports"]), tuple(r["cores"])) for r in d["apps"]
@@ -310,6 +337,14 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
         except ValueError as exc:
             raise ScenarioError(f"rss.table: {exc}") from None
     return RssEngine(key=key, hash_fields=hash_fields, num_queues=n, table=table)
+
+
+def _unknown_keys(spec_cls, data, prefix: str) -> list:
+    """Dotted paths of the keys in `data` that `spec_cls` does not declare."""
+    if not isinstance(data, dict):
+        return []
+    declared = spec_cls.__dataclass_fields__
+    return [prefix + name for name in data if name not in declared]
 
 
 def _build(spec_cls, data):
@@ -382,6 +417,10 @@ def spawn_streams(scenario: Scenario, rng) -> list:
         pps = total_pps / traffic.streams
     burst = traffic.burst
     inter_burst = max(1, int(round(burst * 1e9 / pps)))
+    wanted = traffic.data_packets_per_stream
+    spacing = traffic.burst_spacing_ns
+    jitter_ns = traffic.jitter_ns
+    randrange = rng.randrange
 
     plans = []
     for i in range(traffic.streams):
@@ -395,21 +434,24 @@ def spawn_streams(scenario: Scenario, rng) -> list:
         ack_at = start + 2 * gap
         data_start = start + 3 * gap
         times = []
+        append = times.append
+        left = wanted  # data packets still to place
         t = data_start
-        while len(times) < traffic.data_packets_per_stream and t < duration:
-            jitter = rng.randrange(0, traffic.jitter_ns + 1) if traffic.jitter_ns else 0
+        while left > 0 and t < duration:
+            burst_t = t + randrange(0, jitter_ns + 1) if jitter_ns else t
             # Bursts never overlap: per-flow arrival times never decrease
             # (equal times dispatch in sequence order), so source order
             # equals sequence order.
-            burst_t = t + jitter
-            if times:
-                burst_t = max(burst_t, times[-1] + traffic.burst_spacing_ns)
-            for b in range(burst):
-                if len(times) >= traffic.data_packets_per_stream:
+            if times and burst_t < times[-1] + spacing:
+                burst_t = times[-1] + spacing
+            # Spacing is non-negative, so the arrivals before the horizon
+            # are a prefix of the burst.
+            for b in range(burst if burst < left else left):
+                at = burst_t + b * spacing
+                if at >= duration:
                     break
-                at = burst_t + b * traffic.burst_spacing_ns
-                if at < duration:
-                    times.append(at)
+                append(at)
+                left -= 1
             t += inter_burst
         plans.append(
             StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, times)

@@ -141,6 +141,29 @@ class TestCompare:
         assert err.startswith(f"error: rss.{field}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("", "duration_us", float("nan"), "duration_us"),
+        ("traffic", "link_gbps", 0.0, "traffic.link_gbps"),
+        ("traffic", "packet_bytes", 0, "traffic.packet_bytes"),
+        ("traffic", "packet_bytes", -1, "traffic.packet_bytes"),
+        ("traffic", "data_packets_per_stream", -1, "traffic.data_packets_per_stream"),
+        ("flow_table", "t_timer", 100.0, "unknown scenario keys: flow_table.t_timer"),
+        ("", "flowtable", {}, "unknown scenario keys: flowtable"),
+        ("nic", "link_latency_us", -1e9, "unknown scenario keys: nic.link_latency_us"),
+        ("rss", "table", [0, 1, 2], "rss.table"),
+    ])
+    def test_load_time_probes_exit_2_without_traceback(self, tmp_path, capsys, section, field,
+                                                       value, named):
+        d = presets.pinned_same(8).to_dict()
+        d["traffic"]["per_stream_pps"] = None
+        (d[section] if section else d)[field] = value
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", path, "--out", tmp_path / "out", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}")
+        assert "Traceback" not in err
+
     def test_scenario_error_during_setup_exits_2(self, small_scenario, tmp_path, capsys,
                                                  monkeypatch):
         def fail(scenario, seed=None):

@@ -41,12 +41,10 @@ class Harness:
         cores = [Core(c, proc_of.get(c, 0), SERVICE_NS) for c in range(num_cores)]
         engine = RssEngine(num_queues=num_cores)
         self.acks = []
+        # The host installs its interrupt actions on the NIC it attaches to.
         self.nic = Nic(
             NicSpec(mode=MODE_RSS, ring_capacity=256), num_cores,
             engine, None, self.sim,
-            interrupt_cb=lambda q: self.sim.schedule(
-                self.sim.now(), lambda: self.host.on_interrupt(q)
-            ),
         )
         self.host = Host(
             cores, self.sim, self.nic, scheduler_mode=scheduler,

@@ -2,7 +2,7 @@ import pytest
 
 from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
 from steersim.flowtable import FlowTable, FlowTableConfig
-from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic, RingBuffer, TransmitDescriptor
+from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic, TransmitDescriptor
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
 from steersim.workload import NicSpec
@@ -17,7 +17,9 @@ def rx_pkt(k, kind=DATA, seq=0, size=1500):
 
 
 class Harness:
-    """NIC wired to a real simulator and table, with interrupts recorded."""
+    """NIC wired to a real simulator and table. No host is attached: each
+    queue's interrupt action records the queue, once the simulator runs to
+    the instant the NIC scheduled it at (`edges()`)."""
 
     def __init__(self, mode=MODE_FLOWSTEER, ring_capacity=4, fallback=0,
                  t_timer_ns=1000, latency_accounting=False, num_queues=4):
@@ -34,9 +36,18 @@ class Harness:
         self.nic = Nic(
             NicSpec(mode=mode, ring_capacity=ring_capacity,
                     latency_accounting=latency_accounting),
-            num_queues, engine, table, self.sim, interrupt_cb=self.interrupts.append,
+            num_queues, engine, table, self.sim,
         )
+        self.nic.interrupts = [
+            lambda q=q: self.interrupts.append(q) for q in range(num_queues)
+        ]
         self.table = table
+
+    def edges(self):
+        """Queues whose ring-edge interrupt has fired, in firing order,
+        after running the simulator to the current instant."""
+        self.sim.run_until(self.sim.now)
+        return self.interrupts
 
     def _schedule_timer(self, deadline, flow_key):
         self.sim.schedule(deadline, lambda: self.nic.on_hold_timer(flow_key))
@@ -62,33 +73,39 @@ class Harness:
         # No host drains in this harness; discard handshake leftovers so the
         # rings start each test empty.
         for ring in self.nic.rings:
-            while ring.pop() is not None:
-                pass
+            ring.slots.clear()
 
 
 class TestRingBuffer:
+    """The ring through the NIC, which pushes (`_enqueue`) and drains."""
+
     def test_fifo(self):
-        ring = RingBuffer(0, 8)
+        nic = Harness(ring_capacity=8).nic
         for seq in range(3):
-            assert ring.push(rx_pkt(key(), seq=seq))
-        assert [ring.pop().seq for _ in range(3)] == [0, 1, 2]
+            nic._enqueue(0, rx_pkt(key(), seq=seq))
+        assert [nic.drain(0).seq for _ in range(3)] == [0, 1, 2]
 
     def test_drop_tail_at_capacity(self):
-        ring = RingBuffer(0, 2)
-        assert ring.push(rx_pkt(key(), seq=0))
-        assert ring.push(rx_pkt(key(), seq=1))
-        assert not ring.push(rx_pkt(key(), seq=2))
+        nic = Harness(ring_capacity=2).nic
+        for seq in range(3):
+            nic._enqueue(0, rx_pkt(key(), seq=seq))
+        ring = nic.rings[0]
         assert ring.dropped == 1 and ring.enqueued == 2
+        assert [p.seq for p in ring.slots] == [0, 1]
 
     def test_pop_empty(self):
-        assert RingBuffer(0, 2).pop() is None
+        h = Harness()
+        assert h.nic.drain(0) is None
+        assert h.nic.rings[0].depth() == 0 and h.edges() == []
 
     def test_accounting_identity(self):
-        ring = RingBuffer(0, 2)
+        nic = Harness(ring_capacity=2).nic
         pushes = 5
         for seq in range(pushes):
-            ring.push(rx_pkt(key(), seq=seq))
+            nic._enqueue(0, rx_pkt(key(), seq=seq))
+        ring = nic.rings[0]
         assert ring.enqueued + ring.dropped == pushes
+        assert ring.max_depth == 2
 
 
 class TestRx:
@@ -96,7 +113,7 @@ class TestRx:
         h = Harness(fallback=1)
         k = key()
         h.admit(k, core=1)
-        h.nic.rx(rx_pkt(k, seq=5), h.sim.now())
+        h.nic.rx(rx_pkt(k, seq=5), h.sim.now)
         assert [ring.depth() for ring in h.nic.rings] == [0, 1, 0, 0]
         assert h.table.get(k).held == []
 
@@ -127,10 +144,10 @@ class TestRx:
         h = Harness(fallback=0)
         k = key()
         h.admit(k)
-        start = len(h.interrupts)
+        start = len(h.edges())
         h.nic.rx(rx_pkt(k, seq=0), 0)
         h.nic.rx(rx_pkt(k, seq=1), 0)
-        assert len(h.interrupts) == start + 1
+        assert h.edges()[start:] == [0]
 
     def test_rss_mode_uses_hash(self):
         h = Harness(mode=MODE_RSS)
@@ -199,12 +216,12 @@ class TestDrainAndFlush:
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
         for seq in (5, 6, 7):
-            h.nic.rx(rx_pkt(k, seq=seq), h.sim.now())
+            h.nic.rx(rx_pkt(k, seq=seq), h.sim.now)
         assert [p.seq for p in h.table.get(k).held] == [5, 6, 7]
         assert h.nic.rings[1].depth() == 0
         h.sim.run_until(5_000)  # timer fires, flush to queue 1
         assert h.table.get(k).held == []
-        h.nic.rx(rx_pkt(k, seq=8), h.sim.now())
+        h.nic.rx(rx_pkt(k, seq=8), h.sim.now)
         assert [ring.depth() for ring in h.nic.rings] == [0, 4, 0, 0]
         seqs = [h.nic.drain(1).seq for _ in range(4)]
         assert seqs == [5, 6, 7, 8]
@@ -218,7 +235,7 @@ class TestDrainAndFlush:
             TransmitDescriptor(reverse_key(k), 1), 0,
         )
         h.sim.run_until(1_000)
-        h.nic.rx(rx_pkt(k, seq=0), h.sim.now())
+        h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(5_000)
         assert h.nic.hold_delays == [4_000]
 
@@ -232,13 +249,13 @@ class TestLatencyAccounting:
         # deferred enqueues land, then start from a clean ring.
         h.sim.run_until(1000)
         h.clear_rings()
-        h.nic.rx(rx_pkt(k, seq=0), h.sim.now())  # chain position 1: 260 ns
+        h.nic.rx(rx_pkt(k, seq=0), h.sim.now)  # chain position 1: 260 ns
         assert h.nic.rings[0].depth() == 0  # not yet through the pipeline
         h.sim.run_until(1000 + 260)
         assert h.nic.rings[0].depth() == 1
         # A packet arriving mid-lookup queues behind it in the pipeline even
         # though its own chain walk costs the same.
-        h.nic.rx(rx_pkt(k, seq=1), h.sim.now())
+        h.nic.rx(rx_pkt(k, seq=1), h.sim.now)
         h.sim.run_until(1000 + 260 + 259)
         assert h.nic.rings[0].depth() == 1
         h.sim.run_until(1000 + 260 + 260)

@@ -35,7 +35,7 @@ def test_past_time_rejected():
 def test_run_until_empty_queue():
     sim = Simulator()
     assert sim.run_until(1000) == 0
-    assert sim.now() == 1000
+    assert sim.now == 1000
 
 
 def test_run_until_window_boundary():
@@ -45,7 +45,7 @@ def test_run_until_window_boundary():
         sim.schedule(t, lambda t=t: fired.append(t))
     assert sim.run_until(30) == 3
     assert fired == [10, 20, 30]
-    assert sim.now() == 30
+    assert sim.now == 30
     assert sim.pending() == 1
 
 
@@ -57,17 +57,17 @@ def test_child_events_fire_within_window():
     trace = []
 
     def on_a():
-        trace.append(("A", sim.now()))
-        sim.schedule(50, lambda: trace.append(("B", sim.now())))
-        sim.schedule(30, lambda: trace.append(("C", sim.now())))
+        trace.append(("A", sim.now))
+        sim.schedule(50, lambda: trace.append(("B", sim.now)))
+        sim.schedule(30, lambda: trace.append(("C", sim.now)))
 
     sim.schedule(10, on_a)
-    sim.schedule(40, lambda: trace.append(("D", sim.now())))
-    sim.schedule(100, lambda: trace.append(("E", sim.now())))
+    sim.schedule(40, lambda: trace.append(("D", sim.now)))
+    sim.schedule(100, lambda: trace.append(("E", sim.now)))
 
     assert sim.run_until(60) == 4
     assert trace == [("A", 10), ("C", 30), ("D", 40), ("B", 50)]
-    assert sim.now() == 60
+    assert sim.now == 60
     assert sim.pending() == 1
 
 
@@ -75,7 +75,7 @@ def test_events_never_observe_future_now():
     sim = Simulator()
     seen = []
     for t in (5, 5, 7, 12):
-        sim.schedule(t, lambda t=t: seen.append((t, sim.now())))
+        sim.schedule(t, lambda t=t: seen.append((t, sim.now)))
     sim.run_until(20)
     assert all(now == t for t, now in seen)
 
@@ -127,7 +127,7 @@ def test_arrivals_resume_across_windows():
     assert order == [first]
     assert sim.run_until(20) == 3  # an arrival exactly at t_end fires
     assert order == [first, "runtime", first + 1, first + 2]
-    assert sim.now() == 20
+    assert sim.now == 20
     assert sim.run_until(30) == 0
     assert sim.run_until(35) == 1
     assert order[-1] == first + 3
@@ -145,7 +145,7 @@ def test_arrival_action_schedules_event_at_the_same_instant():
     def arrive(event_id):
         order.append(event_id)
         if event_id == first:
-            sim.schedule(sim.now(), lambda: order.append(("runtime", sim.now())))
+            sim.schedule(sim.now, lambda: order.append(("runtime", sim.now)))
 
     sim.schedule_arrivals([(first, [50, 50])], arrive)
     assert sim.run_until(50) == 3
@@ -160,8 +160,8 @@ def test_event_scheduled_at_now_waits_for_the_heap_at_that_instant():
 
     def on_e():
         order.append("E")
-        sim.schedule(sim.now(), lambda: order.append("L"))
-        sim.schedule(sim.now(), lambda: order.append("L2"))
+        sim.schedule(sim.now, lambda: order.append("L"))
+        sim.schedule(sim.now, lambda: order.append("L2"))
 
     sim.schedule(100, on_e)
     sim.schedule(100, lambda: order.append("H"))
@@ -178,12 +178,12 @@ def test_lane_event_scheduling_another_fires_before_the_clock_moves():
     order = []
 
     def chain(n):
-        order.append((n, sim.now()))
+        order.append((n, sim.now))
         if n:
-            sim.schedule(sim.now(), lambda: chain(n - 1))
+            sim.schedule(sim.now, lambda: chain(n - 1))
 
     sim.schedule(10, lambda: chain(3))
-    sim.schedule(11, lambda: order.append(("next", sim.now())))
+    sim.schedule(11, lambda: order.append(("next", sim.now)))
     sim.run_until(11)
     assert order == [(3, 10), (2, 10), (1, 10), (0, 10), ("next", 11)]
 
@@ -198,7 +198,7 @@ def test_heap_event_and_arrival_each_tied_with_a_lane_event():
 
     def on_e():
         order.append("E")
-        sim.schedule(sim.now(), lambda: order.append("L"))
+        sim.schedule(sim.now, lambda: order.append("L"))
 
     sim.schedule(100, on_e)
     sim.schedule(100, lambda: order.append("H"))
@@ -218,7 +218,7 @@ def test_arrival_schedules_lane_event_behind_a_later_arrival():
     def arrive(event_id):
         order.append(event_id)
         if event_id == first:
-            sim.schedule(sim.now(), lambda: order.append("L"))
+            sim.schedule(sim.now, lambda: order.append("L"))
 
     sim.schedule(50, lambda: order.append("H"))
     sim.schedule_arrivals([(first, [50, 50])], arrive)
@@ -248,9 +248,9 @@ def test_pending_counts_lane_entries_during_a_run():
     seen = []
 
     def on_e():
-        sim.schedule(sim.now(), lambda: seen.append(sim.pending()))
-        sim.schedule(sim.now(), lambda: None)
-        sim.schedule(sim.now() + 1, lambda: None)
+        sim.schedule(sim.now, lambda: seen.append(sim.pending()))
+        sim.schedule(sim.now, lambda: None)
+        sim.schedule(sim.now + 1, lambda: None)
         seen.append(sim.pending())
 
     sim.schedule(10, on_e)
@@ -264,7 +264,7 @@ def test_arrival_times_need_not_be_sorted():
     sim = Simulator()
     fired = []
     first = sim.reserve(3)
-    sim.schedule_arrivals([(first, [30, 10, 20])], lambda event_id: fired.append((sim.now(), event_id)))
+    sim.schedule_arrivals([(first, [30, 10, 20])], lambda event_id: fired.append((sim.now, event_id)))
     sim.run_until(30)
     assert fired == [(10, first + 1), (20, first + 2), (30, first)]
 
@@ -343,10 +343,10 @@ def test_merge_matches_one_heap_of_everything(plan, t_end):
     spawns_left = {}
 
     def fire(event_id):
-        fired.append((sim.now(), event_id))
+        fired.append((sim.now, event_id))
         left = spawns_left[event_id]
         if left:
-            child = sim.schedule(sim.now(), lambda: fire(child))
+            child = sim.schedule(sim.now, lambda: fire(child))
             spawns_left[child] = left - 1
 
     blocks = []

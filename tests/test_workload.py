@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steersim.runner import run_scenario
@@ -13,6 +13,13 @@ from steersim.workload import (
     assign_ports,
     spawn_streams,
 )
+
+
+def set_field(d, section, field, value):
+    """Set `field` in `d[section]`, or at the top level when `section` is
+    empty; returns the dotted path an error should name."""
+    (d[section] if section else d)[field] = value
+    return f"{section}.{field}" if section else field
 
 
 def scenario(streams=40, **traffic_kwargs):
@@ -57,6 +64,43 @@ class TestSpawnStreams:
                      per_stream_pps=50_000, burst=4)
         for plan in spawn_streams(s, make_rng(7)):
             assert all(b > a for a, b in zip(plan.data_times, plan.data_times[1:]))
+
+    # At 200k packets/s a burst gets 5 us per packet: wider spacing makes
+    # bursts meet, so the overlap clamp runs too. Data ends by about 330 us,
+    # so the horizon often cuts a stream, or a burst, short.
+    @given(st.integers(0, 40), st.integers(1, 5), st.integers(0, 8_000), st.integers(0, 5_000),
+           st.floats(1.0, 400.0))
+    @example(10, 2, 8_000, 0, 400.0)  # each burst starts at the clamp
+    @example(10, 5, 8_000, 0, 50.0)  # the horizon cuts the second burst
+    @settings(max_examples=60, deadline=None)
+    def test_times_and_rng_draws_match_the_per_packet_loop(self, wanted, burst, spacing,
+                                                           jitter, duration_us):
+        # The reference places a burst one packet at a time, checking the
+        # count and the horizon before each packet.
+        s = scenario(3, data_packets_per_stream=wanted, burst=burst, burst_spacing_ns=spacing,
+                     jitter_ns=jitter, per_stream_pps=200_000, handshake_gap_us=1.0,
+                     start_spread_us=10.0)
+        s.duration_us = duration_us
+        rng, ref_rng = make_rng(5), make_rng(5)
+        plans = spawn_streams(s, rng)
+        assign_ports(s.traffic, ref_rng)
+        duration = int(duration_us * 1000)
+        inter_burst = max(1, int(round(burst * 1e9 / 200_000)))
+        for plan in plans:
+            times = []
+            t = plan.ack_at + 1_000
+            while len(times) < wanted and t < duration:
+                burst_t = t + (ref_rng.randrange(0, jitter + 1) if jitter else 0)
+                if times:
+                    burst_t = max(burst_t, times[-1] + spacing)
+                for b in range(burst):
+                    if len(times) >= wanted:
+                        break
+                    if burst_t + b * spacing < duration:
+                        times.append(burst_t + b * spacing)
+                t += inter_burst
+            assert plan.data_times == times
+        assert rng.getstate() == ref_rng.getstate()
 
     def test_random_ports_unique(self):
         s = scenario(2000, ephemeral_ports="random")
@@ -113,13 +157,32 @@ class TestScenarioSerialization:
         ("scheduler", "tick_us", 0.0001),  # truncates to 0 ns
         ("host", "ack_every", 0),
         ("traffic", "burst", 0),
+        ("traffic", "packet_bytes", -1),
+        # Keys no spec declares: a typo, a misnamed section, a retired key.
+        ("flow_table", "t_timer", 100.0),
+        ("", "flowtable", {"t_timer_us": 100.0}),
+        ("nic", "link_latency_us", -1e9),
+        # Only rss.style "indirection" reads a table.
+        ("rss", "table", [0, 1, 2]),
+        ("rss", "table", [0, 1]),
     ])
     def test_validation_names_field_that_would_load_silently(self, section, field, value):
         d = scenario(4).to_dict()
         d["scheduler"]["mode"] = "peak_performance"
-        d[section][field] = value
-        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+        path = set_field(d, section, field, value)
+        with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
+
+    def test_every_unknown_key_is_named(self):
+        d = scenario(4).to_dict()
+        d["flowtable"] = {}
+        d["flow_table"]["t_timer"] = 100.0
+        d["apps"][0]["prots"] = [5001]
+        with pytest.raises(ScenarioError) as info:
+            Scenario.from_dict(d)
+        assert str(info.value) == (
+            "unknown scenario keys: flowtable, flow_table.t_timer, apps[0].prots"
+        )
 
     @pytest.mark.parametrize("section, field, value", [
         ("rss", "style", "indirect"),
@@ -147,11 +210,18 @@ class TestScenarioSerialization:
         ("scheduler", "forced_migration_period_us", 0.0001),
         ("traffic", "per_stream_pps", 0.0),
         ("traffic", "per_stream_pps", float("nan")),
+        # With per_stream_pps null, spawn_streams divides by these two.
+        ("traffic", "link_gbps", 0.0),
+        ("traffic", "link_gbps", float("nan")),
+        ("traffic", "packet_bytes", 0),
+        ("traffic", "data_packets_per_stream", -1),
+        ("", "duration_us", float("nan")),
+        ("", "duration_us", float("inf")),
     ])
     def test_validation_names_field_that_would_fail_mid_setup(self, section, field, value):
         d = scenario(4).to_dict()
-        d[section][field] = value
-        with pytest.raises(ScenarioError, match=f"{section}.{field}"):
+        path = set_field(d, section, field, value)
+        with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
 
     def test_null_and_1_ns_periods_load(self):
