@@ -51,7 +51,7 @@ class FlowTableConfig:
     pressure_threshold: float = 0.9  # occupancy fraction enabling the above
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowEntry:
     key: FlowKey
     core_id: int
@@ -143,9 +143,11 @@ class FlowTable:
         self._buckets: dict[int, list[FlowEntry]] = {}
         self._entries: dict[FlowKey, FlowEntry] = {}
         # The same entries under their transmit-direction keys, so a transmit
-        # descriptor finds its entry without reversing the key.
+        # descriptor finds its entry without reversing the key. The key is
+        # the one the flow's SYN-ACK carried, not a copy.
         self._by_tx_key: dict[FlowKey, FlowEntry] = {}
-        self._tracker: dict[FlowKey, tuple[str, int]] = {}
+        # Receive key -> (state, time, the SYN-ACK's key or None).
+        self._tracker: dict[FlowKey, tuple[str, int, FlowKey | None]] = {}
         self.stats = FlowTableStats()
 
     def __len__(self):
@@ -163,14 +165,14 @@ class FlowTable:
         if packet.key.protocol != PROTO_TCP:
             return None
         if packet.kind == SYN:
-            self._tracker[packet.key] = (SYN_SEEN, now)
+            self._tracker[packet.key] = (SYN_SEEN, now, None)
             return None
         if packet.kind == ACK:
             state = self._tracker.get(packet.key)
             if state is not None and state[0] == SYNACK_SEEN:
                 del self._tracker[packet.key]
                 self.stats.handshakes_completed += 1
-                return self._try_admit(packet.key, now)
+                return self._try_admit(packet.key, state[2], now)
         return None
 
     def note_tx_packet(self, packet: Packet, now: int):
@@ -180,9 +182,9 @@ class FlowTable:
         key = reverse_key(packet.key)
         state = self._tracker.get(key)
         if state is not None and state[0] == SYN_SEEN:
-            self._tracker[key] = (SYNACK_SEEN, now)
+            self._tracker[key] = (SYNACK_SEEN, now, packet.key)
 
-    def _try_admit(self, key: FlowKey, now: int) -> FlowEntry | None:
+    def _try_admit(self, key: FlowKey, tx_key: FlowKey, now: int) -> FlowEntry | None:
         if len(self._entries) >= self.config.max_entries:
             self.stats.rejected_table_full += 1
             return None
@@ -196,7 +198,7 @@ class FlowTable:
         )
         bucket.append(entry)
         self._entries[key] = entry
-        self._by_tx_key[reverse_key(key)] = entry
+        self._by_tx_key[tx_key] = entry
         self.stats.admitted += 1
         self.stats.peak_entries = max(self.stats.peak_entries, len(self._entries))
         return entry
@@ -243,8 +245,9 @@ class FlowTable:
 
     # -- updates from the transmit path ---------------------------------------
 
-    def observe_tx(self, desc, now: int):
-        """Apply a transmit descriptor's core id to the matching entry.
+    def observe_tx(self, tx_key: FlowKey, core_id: int, now: int):
+        """Apply a transmit descriptor's core id to the entry of the flow
+        whose transmit-direction key is `tx_key`.
 
         A differing core id starts a transition and a hold timer. A further
         change while already in transition retargets the entry but keeps the
@@ -252,13 +255,13 @@ class FlowTable:
         flow left first, and extending it would let held packets wait longer
         than one timer period.
         """
-        entry = self._by_tx_key.get(desc.key)
+        entry = self._by_tx_key.get(tx_key)
         if entry is None:
             return
         entry.last_activity = now
-        if desc.core_id == entry.core_id:
+        if core_id == entry.core_id:
             return
-        entry.core_id = desc.core_id
+        entry.core_id = core_id
         if not entry.transition:
             entry.transition = True
             entry.timer_deadline = now + self.config.t_timer_ns
@@ -301,7 +304,7 @@ class FlowTable:
 
         stale = [
             key
-            for key, (_, t) in self._tracker.items()
+            for key, (_, t, _) in self._tracker.items()
             if now - t >= self.config.t_delete_ns
         ]
         for key in stale:

@@ -91,7 +91,7 @@ class DeliveryLog:
                    map(KINDS.__getitem__, self.kind))
 
 
-@dataclass
+@dataclass(slots=True)
 class AppProcess:
     pid: int
     core: int
@@ -104,18 +104,22 @@ class AppProcess:
         return len(self.allowed_cores) == 1
 
 
-@dataclass
+@dataclass(slots=True)
 class SocketModel:
     """Per-flow receive socket, read by the application process `proc`. A
     packet found with the socket owned, the app sleeping in receive, or the
     backlog non-empty must defer to the backlog; processing anything ahead
-    of a non-empty backlog would reorder the flow."""
+    of a non-empty backlog would reorder the flow.
+
+    The backlog is a list: it stays a few packets deep, where `pop(0)` costs
+    what `deque.popleft` does, and an empty list takes 56 bytes where an
+    empty deque takes 760."""
 
     key: object
     proc: AppProcess
     owned_by_user: bool = False
     sleeping: bool = False
-    backlog: deque = field(default_factory=deque)
+    backlog: list = field(default_factory=list)
     delivered: DeliveryLog = field(default_factory=DeliveryLog)
     delivered_since_ack: int = 0
 
@@ -314,7 +318,7 @@ class Host:
     def _drain_step(self, sock: SocketModel, now: int) -> int:
         proc = sock.proc
         if sock.backlog:
-            packet = sock.backlog.popleft()
+            packet = sock.backlog.pop(0)
             self.stats.delivered_process += 1
             self._deliver(packet, sock, proc.core, now)
             # A busy lane, usually the one running this step, takes the next

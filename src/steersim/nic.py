@@ -125,19 +125,21 @@ class Nic:
 
     def tx(self, packet: Packet, desc: TransmitDescriptor, now: int):
         """Observe an outgoing packet: its handshake half, then its
-        descriptor through `tx_ack`. The peer model is open-loop, so only the
-        table side effects matter here."""
+        descriptor's two fields through `tx_ack`. The peer model is
+        open-loop, so only the table side effects matter here."""
         if self._steers:
             self.table.note_tx_packet(packet, now)
-        self.tx_ack(desc, now)
+        self.tx_ack(desc.key, desc.core_id, now)
 
-    def tx_ack(self, desc: TransmitDescriptor, now: int):
-        """Observe an outgoing packet's descriptor. A data ACK goes out
-        through here alone: handshake monitoring only looks for SYN-ACKs,
-        so no packet is built."""
+    def tx_ack(self, tx_key: FlowKey, core_id: int, now: int):
+        """Observe an outgoing packet's descriptor fields: its
+        transmit-direction key and the core that processed it. A data ACK
+        goes out through here alone: handshake monitoring only looks for
+        SYN-ACKs, so neither a packet nor a descriptor is built. The host
+        hands over core ids below 256, which fit the descriptor's byte."""
         self.acks_sent += 1
         if self._steers:
-            self.table.observe_tx(desc, now)
+            self.table.observe_tx(tx_key, core_id, now)
 
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""

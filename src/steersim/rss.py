@@ -96,23 +96,39 @@ def select_fields(key, hash_fields: HashFields) -> bytes:
     return b"".join(parts)
 
 
+@lru_cache(maxsize=64)
+def _nibble_tables(key: bytes, length: int) -> tuple:
+    """Per input byte, the two 16-entry tables of a `length`-byte input:
+    entry v of a nibble's table is the XOR of the 32-bit key windows of
+    the bits set in v. A hash is then one lookup per nibble."""
+    window = int.from_bytes(key[: length + 4], "big")
+    tables = []
+    for first_bit in range(0, 8 * length, 4):
+        table = [0] * 16
+        for v in range(1, 16):
+            low = v & -v
+            # Nibble bit 8 is input bit first_bit, nibble bit 1 is
+            # first_bit + 3; input bit j XORs in key bits j..j+31.
+            bit = first_bit + 4 - low.bit_length()
+            table[v] = table[v ^ low] ^ ((window >> (8 * length - bit)) & 0xFFFFFFFF)
+        tables.append(tuple(table))
+    return tuple(zip(tables[::2], tables[1::2]))
+
+
 def toeplitz_hash(key: bytes, data: bytes) -> int:
     """Standard Toeplitz hash: for each set input bit, XOR in the 32-bit
     window of the key starting at that bit position (big-endian bit order).
+
+    The windows are folded into 16-entry tables per input nibble, built
+    once per key and input length.
     """
     if len(key) < len(data) + 4:
         raise KeyTooShortError(
             f"key of {len(key)} bytes cannot cover {len(data)} input bytes"
         )
-    # Maintain the 32-bit window as the top bits of an integer shifted along.
-    window = int.from_bytes(key[: len(data) + 4], "big")
-    shift = len(data) * 8
     result = 0
-    for byte in data:
-        for bit in range(7, -1, -1):
-            if byte & (1 << bit):
-                result ^= (window >> shift) & 0xFFFFFFFF
-            shift -= 1
+    for (high, low), byte in zip(_nibble_tables(key, len(data)), data):
+        result ^= high[byte >> 4] ^ low[byte & 15]
     return result
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 from .flowtable import FlowTable, FlowTableConfig, FlowTableStats, memory_estimate
-from .flows import ACK, DATA, PROTO_TCP, FlowKey, Packet, reverse_key
+from .flows import ACK, DATA, PROTO_TCP, SYN, SYNACK, FlowKey, Packet, reverse_key
 from .host import KIND_CODE, AppProcess, Core, Host, contention_proxy
 from .metrics import (
     RunReport,
@@ -26,14 +26,14 @@ from .workload import (
     EPHEMERAL_END,
     EPHEMERAL_START,
     Scenario,
-    StreamPlan,
+    ScenarioError,
     adversarial_migration_schedule,
     build_rss_engine,
-    make_handshake_packets,
     spawn_streams,
 )
 
 AGE_SWEEP_INTERVAL_NS = 10 * MS
+CONTROL_BYTES = 64  # SYN, SYN-ACK and pure ACK frames
 
 
 @dataclass
@@ -92,8 +92,8 @@ class Engine:
         )
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
-        # Receive key -> ACK transmit descriptor per core, built on first use.
-        self._ack_descs: dict[FlowKey, list] = {}
+        # Receive key -> transmit-direction key, reversed once per flow.
+        self._tx_keys: dict[FlowKey, FlowKey] = {}
 
     # -- wiring callbacks --------------------------------------------------------
 
@@ -105,17 +105,13 @@ class Engine:
         self.sim.schedule(deadline, fire)
 
     def _emit_ack(self, key: FlowKey, core_id: int, now: int):
-        descs = self._ack_descs[key]
-        desc = descs[core_id]
-        if desc is None:  # descriptors are frozen, so one per flow and core serves every ACK
-            desc = descs[core_id] = TransmitDescriptor(reverse_key(key), core_id)
-        self.nic.tx_ack(desc, now)
+        self.nic.tx_ack(self._tx_keys[key], core_id, now)
 
     # -- workload scheduling -------------------------------------------------------
 
     def _add_flow(self, key: FlowKey, proc: AppProcess):
         self.host.add_flow(key, proc)
-        self._ack_descs[key] = [None] * len(self.cores)
+        self._tx_keys[key] = reverse_key(key)
 
     def _schedule_streams(self):
         """Wire every stream's app and hand all arrivals to the simulator.
@@ -158,10 +154,9 @@ class Engine:
 
     def _arrival_action(self, plans: list, firsts: list, base: int, stream_of: array):
         """The action for every stream arrival: find the stream whose block
-        holds the id, then build and receive its data packet, or replay its
-        SYN, SYN-ACK or ACK."""
+        holds the id, then build its SYN, SYN-ACK, ACK or data packet as it
+        arrives. No packet exists before its arrival."""
         keys = [plan.key for plan in plans]
-        handshakes = [make_handshake_packets(plan) for plan in plans]
         size = self.scenario.traffic.packet_bytes
         rx = self.nic.rx
         sim = self.sim
@@ -173,18 +168,21 @@ class Engine:
             if k >= 3:
                 rx(Packet(keys[i], DATA, k - 3, size), sim.now)
             elif k == 1:
-                tx_synack(handshakes[i][1])
+                tx_synack(keys[i])
             else:
-                rx(handshakes[i][k], sim.now)
+                rx(Packet(keys[i], ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
 
         return arrive
 
-    def _tx_synack(self, packet: Packet):
+    def _tx_synack(self, key: FlowKey):
+        """Send the SYN-ACK of the flow with receive key `key`."""
         # The kernel answers the SYN from whichever core the handshake was
         # processed on; before any steering entry exists that is the hash
         # fallback core.
-        core = self.nic.fallback_queue(reverse_key(packet.key))
-        self.nic.tx(packet, TransmitDescriptor(packet.key, core), self.sim.now)
+        tx_key = self._tx_keys[key]
+        packet = Packet(tx_key, SYNACK, -1, CONTROL_BYTES)
+        desc = TransmitDescriptor(tx_key, self.nic.fallback_queue(key))
+        self.nic.tx(packet, desc, self.sim.now)
 
     def _schedule_worst_case(self):
         scenario = self.scenario
@@ -208,11 +206,9 @@ class Engine:
         self._add_flow(filler_key, filler_proc)
 
         gap = int(scenario.traffic.handshake_gap_us * US)
-        plan = StreamPlan(0, victim_key, victim_key.dst_port, 0, gap, 2 * gap, [])
-        syn, synack, ack = make_handshake_packets(plan)
-        self._schedule_rx(plan.syn_at, syn)
-        self.sim.schedule(plan.synack_at, lambda: self._tx_synack(synack))
-        self._schedule_rx(plan.ack_at, ack)
+        self._schedule_rx(0, Packet(victim_key, SYN, -1, CONTROL_BYTES))
+        self.sim.schedule(gap, lambda: self._tx_synack(victim_key))
+        self._schedule_rx(2 * gap, Packet(victim_key, ACK, -1, CONTROL_BYTES))
 
         size = scenario.traffic.packet_bytes
         filler_seq = 0
@@ -225,7 +221,7 @@ class Engine:
                 self._schedule_rx(ev.at, Packet(victim_key, DATA, ev.seq, size))
                 self.generated_data += 1
             elif ev.role == "migrate":
-                packet = Packet(reverse_key(victim_key), ACK, -1, 64)
+                packet = Packet(self._tx_keys[victim_key], ACK, -1, CONTROL_BYTES)
                 desc = TransmitDescriptor(packet.key, new_core)
                 self.sim.schedule(ev.at, lambda p=packet, d=desc: self.nic.tx(p, d, self.sim.now))
 
@@ -243,7 +239,7 @@ class Engine:
                 continue
             if self.nic.fallback_queue(key) == queue:
                 return key
-        raise RuntimeError(f"no ephemeral port maps to queue {queue}")
+        raise ScenarioError(f"rss: no ephemeral port maps to queue {queue}")
 
     # -- periodic machinery ---------------------------------------------------------
 

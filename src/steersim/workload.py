@@ -8,9 +8,11 @@ back. Stream generation is pure given a seeded rng, so runs replay exactly.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin
 
-from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
+from .flows import PROTO_TCP, FlowKey
 from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, KeyTooShortError, RssEngine
 from .simkernel import US
 
@@ -18,6 +20,8 @@ SCENARIO_VERSION = 1
 
 EPHEMERAL_START = 32768
 EPHEMERAL_END = 65536
+# kind "worst_case" schedules one event per ring slot at setup.
+MAX_WORST_CASE_RING = 1 << 16
 
 
 class ScenarioError(ValueError):
@@ -47,7 +51,7 @@ def field_value(scenario, path: str):
 @dataclass
 class TrafficSpec:
     streams: int = 40  # total parallel TCP streams, split across the ports
-    ports: tuple = (5001, 6001)
+    ports: tuple[int, ...] = (5001, 6001)
     src_addr: str = "10.0.0.1"
     dst_addr: str = "10.0.0.2"
     packet_bytes: int = 1500
@@ -68,13 +72,14 @@ class AppRule:
     """Placement for the app threads serving the given destination ports.
     One core pins the thread; several allow scheduler migration among them."""
 
-    ports: tuple
-    cores: tuple
+    ports: tuple[int, ...]
+    cores: tuple[int, ...]
 
 
 @dataclass
 class HostSpec:
-    processors: tuple = ((0, 1), (2, 3))  # cores grouped by physical processor
+    # Cores grouped by physical processor.
+    processors: tuple[tuple[int, ...], ...] = ((0, 1), (2, 3))
     service_rate_pps: float = 3_000_000.0
     ack_every: int = 2
     syscall_cadence_us: float | None = 50.0
@@ -98,8 +103,8 @@ class NicSpec:
 class RssSpec:
     key_hex: str | None = None  # default verification key when None
     style: str = "direct"  # or "indirection"
-    table: tuple | None = None  # queue ids, power-of-two length
-    fields: tuple = ("src_addr", "dst_addr", "src_port", "dst_port")
+    table: tuple[int, ...] | None = None  # queue ids, power-of-two length
+    fields: tuple[str, ...] = ("src_addr", "dst_addr", "src_port", "dst_port")
 
 
 @dataclass
@@ -125,21 +130,23 @@ class Scenario:
     flow_table: TableSpec = field(default_factory=TableSpec)
     host: HostSpec = field(default_factory=HostSpec)
     scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
-    apps: tuple = (AppRule((5001,), (0,)), AppRule((6001,), (1,)))
+    apps: tuple[AppRule, ...] = (AppRule((5001,), (0,)), AppRule((6001,), (1,)))
 
     # ---- validation ----------------------------------------------------------
 
     def validate(self) -> "Scenario":
+        # Durations and rates convert to whole ns; NaN or inf would fail there.
+        for path, value in _float_values(self):
+            if not math.isfinite(value):
+                raise ScenarioError(f"{path} must be a finite number, not {value}")
         if self.traffic.streams <= 0:
-            raise ScenarioError("stream count must be positive")
-        if not 0 <= self.duration_us < math.inf:
-            raise ScenarioError(
-                f"duration_us must be finite and non-negative, not {self.duration_us}"
-            )
+            raise ScenarioError("traffic.streams must be positive")
+        if self.duration_us < 0:
+            raise ScenarioError(f"duration_us must be non-negative, not {self.duration_us}")
         if self.flow_table.t_timer_us < 0:
-            raise ScenarioError("t_timer must be non-negative")
+            raise ScenarioError("flow_table.t_timer_us must be non-negative")
         if self.flow_table.max_list_size <= 0:
-            raise ScenarioError("max_list_size must be positive")
+            raise ScenarioError("flow_table.max_list_size must be positive")
         # Negative gaps or spacing would reorder a stream's own packets.
         if self.traffic.burst_spacing_ns < 0:
             raise ScenarioError("traffic.burst_spacing_ns must be non-negative")
@@ -147,6 +154,8 @@ class Scenario:
             raise ScenarioError("traffic.handshake_gap_us must be non-negative")
         if self.traffic.jitter_ns < 0:
             raise ScenarioError("traffic.jitter_ns must be non-negative")
+        if self.traffic.start_spread_us < 0:
+            raise ScenarioError("traffic.start_spread_us must be non-negative")
         pps = self.traffic.per_stream_pps
         if pps is not None and not pps > 0:
             raise ScenarioError(f"traffic.per_stream_pps must be positive, not {pps}")
@@ -171,6 +180,14 @@ class Scenario:
         if self.rss.style == "direct" and self.rss.table is not None:
             # Only the indirection style reads a table.
             raise ScenarioError("rss.table has no effect under rss.style 'direct'; use null")
+        # Ports go into the hash input as two bytes each.
+        if not self.traffic.ports:
+            raise ScenarioError("traffic.ports must name at least one port")
+        stray = [p for p in self.traffic.ports if p not in range(1 << 16)]
+        if stray:
+            raise ScenarioError(f"traffic.ports {stray} are outside 0..65535")
+        if self.traffic.ephemeral_start < 0:
+            raise ScenarioError("traffic.ephemeral_start must be non-negative")
         # assign_ports would fail mid-setup on these.
         if self.traffic.ephemeral_ports == "random":
             if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
@@ -223,18 +240,31 @@ class Scenario:
                 f"not {period} us"
             )
         cores = [c for group in self.host.processors for c in group]
-        if sorted(cores) != list(range(len(cores))):
-            raise ScenarioError("processor groups must cover cores 0..n-1")
+        if not cores or sorted(cores) != list(range(len(cores))):
+            raise ScenarioError("host.processors must cover cores 0..n-1, n >= 1")
         if len(cores) > 256:
             # The transmit descriptor carries the core id in one byte.
             raise ScenarioError(f"host.processors lists {len(cores)} cores; at most 256 fit")
-        for rule in self.apps:
+        for i, rule in enumerate(self.apps):
+            if not rule.cores:
+                raise ScenarioError(f"apps[{i}].cores must name at least one core")
             for core in rule.cores:
                 if core not in cores:
-                    raise ScenarioError(f"app rule names unknown core {core}")
-        for port in (p for r in self.apps for p in r.ports):
-            if port not in self.traffic.ports and self.kind == "streams":
-                raise ScenarioError(f"app rule names unused port {port}")
+                    raise ScenarioError(f"apps[{i}].cores names unknown core {core}")
+            for port in rule.ports:
+                if port not in self.traffic.ports and self.kind == "streams":
+                    raise ScenarioError(f"apps[{i}].ports names unused port {port}")
+        if self.kind == "worst_case":
+            # The schedule migrates the victim from core 0 to core 1 and
+            # pre-loads ring_capacity - 1 packets, one event each.
+            if len(cores) < 2:
+                raise ScenarioError("host.processors must list 2 cores or more under kind "
+                                    "'worst_case'")
+            if not 2 <= self.nic.ring_capacity <= MAX_WORST_CASE_RING:
+                raise ScenarioError(
+                    f"nic.ring_capacity must be in 2..{MAX_WORST_CASE_RING} under kind "
+                    f"'worst_case', not {self.nic.ring_capacity}"
+                )
         rss = build_rss_engine(self)
         try:
             # Every flow has these addresses, so this key's hash input is as
@@ -270,39 +300,20 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """Load a scenario from parsed JSON. Every key and value is checked
+        against the spec dataclasses' annotations; the first problem is a
+        ScenarioError that names its dotted path, such as apps[0].ports."""
+        if not isinstance(d, dict):
+            raise ScenarioError(f"a scenario must be an object, not {_shown(d)}")
         d = dict(d)
         version = d.pop("version", SCENARIO_VERSION)
         if version != SCENARIO_VERSION:
             raise ScenarioError(f"unsupported scenario version {version}")
         unknown = _unknown_keys(cls, d, "")
-        for f in fields(cls):
-            if is_dataclass(f.type):
-                unknown += _unknown_keys(f.type, d.get(f.name), f.name + ".")
-        for i, rule in enumerate(d.get("apps") or ()):
-            unknown += _unknown_keys(AppRule, rule, f"apps[{i}].")
         if unknown:
             # A misspelt or retired key would otherwise run as the default.
             raise ScenarioError("unknown scenario keys: " + ", ".join(unknown))
-        if "apps" in d:
-            apps = tuple(
-                AppRule(tuple(r["ports"]), tuple(r["cores"])) for r in d["apps"]
-            )
-        else:
-            apps = (AppRule((5001,), (0,)), AppRule((6001,), (1,)))
-        built = cls(
-            name=d.get("name", "scenario"),
-            kind=d.get("kind", "streams"),
-            seed=int(d.get("seed", 1)),
-            duration_us=float(d.get("duration_us", 30_000.0)),
-            traffic=_build(TrafficSpec, d.get("traffic")),
-            nic=_build(NicSpec, d.get("nic")),
-            rss=_build(RssSpec, d.get("rss")),
-            flow_table=_build(TableSpec, d.get("flow_table")),
-            host=_build(HostSpec, d.get("host")),
-            scheduler=_build(SchedulerSpec, d.get("scheduler")),
-            apps=apps,
-        )
-        return built.validate()
+        return _load_spec(cls, d, "").validate()
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -313,6 +324,19 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _float_values(scenario: Scenario):
+    """(dotted path, value) of every float field of the scenario and its
+    sections that is set."""
+    for section in fields(scenario):
+        value = getattr(scenario, section.name)
+        if is_dataclass(value):
+            for f in fields(value):
+                if float in (f.type, *get_args(f.type)) and getattr(value, f.name) is not None:
+                    yield f"{section.name}.{f.name}", getattr(value, f.name)
+        elif section.type is float:
+            yield section.name, value
 
 
 def build_rss_engine(scenario: Scenario) -> RssEngine:
@@ -340,31 +364,74 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
 
 
 def _unknown_keys(spec_cls, data, prefix: str) -> list:
-    """Dotted paths of the keys in `data` that `spec_cls` does not declare."""
+    """Dotted paths of the keys in `data` that `spec_cls` does not declare,
+    this level's first, then those of the spec objects nested in it."""
     if not isinstance(data, dict):
         return []
     declared = spec_cls.__dataclass_fields__
-    return [prefix + name for name in data if name not in declared]
+    unknown = [prefix + name for name in data if name not in declared]
+    for name, spec_field in declared.items():
+        value = data.get(name)
+        tp = spec_field.type
+        if is_dataclass(tp):
+            unknown += _unknown_keys(tp, value, f"{prefix}{name}.")
+        elif get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]) and isinstance(
+            value, (list, tuple)
+        ):
+            for i, item in enumerate(value):
+                unknown += _unknown_keys(get_args(tp)[0], item, f"{prefix}{name}[{i}].")
+    return unknown
 
 
-def _build(spec_cls, data):
-    if data is None:
-        return spec_cls()
+def _load_spec(spec_cls, data: dict, path: str):
+    """Build `spec_cls` from a JSON object whose keys it all declares."""
+    prefix = path + "." if path else ""
     kwargs = {}
     for name, spec_field in spec_cls.__dataclass_fields__.items():
         if name in data:
-            value = data[name]
-            if isinstance(value, list):
-                value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-            # Keep numeric types canonical so save/load is a byte fixpoint.
-            if (
-                isinstance(value, int)
-                and not isinstance(value, bool)
-                and "float" in str(spec_field.type)
-            ):
-                value = float(value)
-            kwargs[name] = value
+            kwargs[name] = _load_value(spec_field.type, data[name], prefix + name)
+        elif spec_field.default is MISSING and spec_field.default_factory is MISSING:
+            raise ScenarioError(f"{prefix}{name} is missing")
     return spec_cls(**kwargs)
+
+
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _load_value(tp, value, path: str):
+    """`value` as the annotation `tp` types it: int (never bool), float
+    (ints accepted), bool, str, `X | None`, `tuple[X, ...]` from a list, or
+    a spec dataclass from an object. Floats are stored as floats and lists
+    as tuples, so save and load are a byte fixpoint."""
+    optional = isinstance(tp, UnionType)
+    if optional:
+        if value is None:
+            return None
+        (tp,) = [t for t in get_args(tp) if t is not type(None)]
+    if is_dataclass(tp):
+        expected = "an object"
+        if isinstance(value, dict):
+            return _load_spec(tp, value, path)
+    elif get_origin(tp) is tuple:
+        expected = "a list"
+        if isinstance(value, (list, tuple)):
+            item = get_args(tp)[0]
+            return tuple(_load_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    else:
+        expected = _EXPECTED[tp]
+        if tp is float and isinstance(value, int) and not isinstance(value, bool):
+            return float(value)
+        if isinstance(value, tp) and (tp is bool or not isinstance(value, bool)):
+            return value
+    if optional:
+        expected += " or null"
+    raise ScenarioError(f"{path} must be {expected}, not {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """A value as JSON, cut short for an error message."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 # ---- stream generation ----------------------------------------------------------
@@ -457,13 +524,6 @@ def spawn_streams(scenario: Scenario, rng) -> list:
             StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, times)
         )
     return plans
-
-
-def make_handshake_packets(plan: StreamPlan, size: int = 64):
-    syn = Packet(plan.key, SYN, -1, size)
-    synack = Packet(reverse_key(plan.key), SYNACK, -1, size)
-    ack = Packet(plan.key, ACK, -1, size)
-    return syn, synack, ack
 
 
 # ---- adversarial schedule -------------------------------------------------------

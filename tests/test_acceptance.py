@@ -203,7 +203,6 @@ def test_criterion_7_affinity_benefit(paired_affinity_runs):
 def test_criterion_8_property_suite(inorder_batch):
     from steersim.flowtable import FlowTable, FlowTableConfig
     from steersim.flows import Packet, reverse_key
-    from steersim.nic import TransmitDescriptor
 
     # Toeplitz agreement with the independent bit-level oracle.
     rng = random.Random(0xACCE)
@@ -232,7 +231,7 @@ def test_criterion_8_property_suite(inorder_batch):
     table.on_rx_connection_tracking(Packet(k, SYN, -1, 64), 0)
     table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), 0)
     table.on_rx_connection_tracking(Packet(k, ACK, -1, 64), 0)
-    table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+    table.observe_tx(reverse_key(k), 1, 0)
     seqs = [rng.randrange(1000) for _ in range(64)]
     for i, seq in enumerate(seqs):
         table.steer(Packet(k, DATA, seq, 100), i)

@@ -164,6 +164,27 @@ class TestCompare:
         assert err.startswith(f"error: {named}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("traffic", "burst_spacing_ns", 250.5, "traffic.burst_spacing_ns"),
+        ("", "nic", 5, "nic"),
+        ("traffic", "streams", "40", "traffic.streams"),
+        ("traffic", "ports", 5001, "traffic.ports"),
+        ("host", "ack_every", 2.5, "host.ack_every"),
+        ("nic", "ring_capacity", True, "nic.ring_capacity"),
+        ("nic", "latency_accounting", "yes", "nic.latency_accounting"),
+        ("", "apps", [{"cores": [0]}], "apps[0].ports"),
+    ])
+    def test_wrong_value_types_exit_2_without_traceback(self, tmp_path, capsys, section, field,
+                                                        value, named):
+        d = presets.pinned_same(4).to_dict()
+        (d[section] if section else d)[field] = value
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", path, "--out", tmp_path / "out", "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ")
+        assert "Traceback" not in err
+
     def test_scenario_error_during_setup_exits_2(self, small_scenario, tmp_path, capsys,
                                                  monkeypatch):
         def fail(scenario, seed=None):

@@ -3,12 +3,14 @@
 import gc
 import sys
 from array import array
+from collections import Counter, deque
 
 import pytest
 
 from steersim import presets
-from steersim.flows import DATA, FIN, SYN
+from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
 from steersim.host import DeliveryLog, DeliveryRecord
+from steersim.nic import TransmitDescriptor
 from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
 
@@ -274,6 +276,40 @@ class TestGarbageCollectionPause:
         with pytest.raises(RuntimeError, match="loop failed"):
             Engine(presets.migrate_same(8), seed=1).run()
         assert gc.isenabled()
+
+
+def _census() -> Counter:
+    """gc-tracked objects by type; packets other than data count as
+    "handshake packet"."""
+    return Counter(
+        "handshake packet" if type(o) is Packet and o.kind != DATA else type(o)
+        for o in gc.get_objects()
+    )
+
+
+class TestPerFlowState:
+    """What a finished run keeps per flow: a socket with a list backlog,
+    its delivery columns and one transmit-direction key. Handshake packets
+    and transmit descriptors exist only while they are in use."""
+
+    STREAMS = 200
+
+    def test_flows_keep_no_idle_objects(self, gc_state):
+        s = presets.migrate_same(self.STREAMS)
+        s.duration_us = 3_000.0
+        gc.collect()
+        # Paused, so no collection untracks a key tuple before it is counted.
+        gc.disable()
+        before = _census()
+        engine = Engine(s, seed=1)
+        engine.run()
+        alive = _census() - before
+        sockets = engine.host.sockets.values()
+        assert len(sockets) == self.STREAMS
+        assert not any(isinstance(sock.backlog, deque) for sock in sockets)
+        assert alive["handshake packet"] == 0
+        assert alive[TransmitDescriptor] == 0
+        assert alive[FlowKey] <= 3 * self.STREAMS
 
 
 def _records_alive() -> int:

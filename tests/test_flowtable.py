@@ -15,7 +15,6 @@ from steersim.flowtable import (
     memory_estimate,
     search_time,
 )
-from steersim.nic import TransmitDescriptor
 
 
 def key(sport=40000, dport=5001, src="10.0.0.1", dst="10.0.0.2", proto=PROTO_TCP):
@@ -146,7 +145,7 @@ class TestObserveTx:
         table, timers = make_table(fallback=0)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 0), 50)
+        table.observe_tx(reverse_key(k), 0, 50)
         entry = table.get(k)
         assert entry.last_activity == 50 and not entry.transition and entry.core_id == 0
         assert table.stats.transitions_started == 0
@@ -156,7 +155,7 @@ class TestObserveTx:
         table, timers = make_table(fallback=0, t_timer_ns=100_000)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 70)
+        table.observe_tx(reverse_key(k), 1, 70)
         entry = table.get(k)
         assert entry.transition and entry.core_id == 1
         assert table.stats.transitions_started == 1
@@ -165,7 +164,7 @@ class TestObserveTx:
 
     def test_unknown_flow(self):
         table, timers = make_table()
-        table.observe_tx(TransmitDescriptor(reverse_key(key()), 1), 0)
+        table.observe_tx(reverse_key(key()), 1, 0)
         assert table.get(key()) is None and len(table) == 0
         assert table.stats.transitions_started == 0 and timers.scheduled == []
 
@@ -175,8 +174,8 @@ class TestObserveTx:
         table, timers = make_table(fallback=0, t_timer_ns=100_000)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 2), 40_000)
+        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(reverse_key(k), 2, 40_000)
         entry = table.get(k)
         assert entry.transition and entry.core_id == 2
         assert table.stats.transitions_started == 1
@@ -205,7 +204,7 @@ class TestSteer:
         table, _ = make_table(fallback=0)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+        table.observe_tx(reverse_key(k), 1, 0)
         for seq in (5, 6, 7):
             decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
             assert decision is SteerDecision.HELD
@@ -224,7 +223,7 @@ class TestTimerExpiry:
         table, timers = make_table(fallback=0, t_timer_ns=1000)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+        table.observe_tx(reverse_key(k), 1, 0)
         for seq in (5, 6, 7):
             table.steer(rx_pkt(k, seq=seq), 10)
         core, flushed = table.on_timer_expire(k, 1000)
@@ -238,7 +237,7 @@ class TestTimerExpiry:
         table, _ = make_table(fallback=0, t_timer_ns=1000)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+        table.observe_tx(reverse_key(k), 1, 0)
         core, flushed = table.on_timer_expire(k, 1000)
         assert flushed == [] and not table.get(k).transition
 
@@ -246,7 +245,7 @@ class TestTimerExpiry:
         table, _ = make_table(fallback=0, t_timer_ns=1000)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+        table.observe_tx(reverse_key(k), 1, 0)
         table.on_timer_expire(k, 1000)
         decision, core, _ = table.steer(rx_pkt(k), 2000)
         assert decision is SteerDecision.DIRECT and core == 1
@@ -284,7 +283,7 @@ class TestAging:
         table, _ = make_table(t_delete_ns=10, t_delete_pressure_ns=10)
         k = key()
         admit(table, k, now=0)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+        table.observe_tx(reverse_key(k), 1, 0)
         table.steer(rx_pkt(k, seq=1), 0)
         assert table.age(10_000) == []
         assert table.get(k) is not None
@@ -350,7 +349,7 @@ class TestInvariants:
         table, _ = make_table(fallback=0)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 1), 0)
+        table.observe_tx(reverse_key(k), 1, 0)
         for i, seq in enumerate(seqs):
             table.steer(rx_pkt(k, seq=seq), i)
         _, flushed = table.on_timer_expire(k, table.get(k).timer_deadline)
@@ -362,11 +361,11 @@ class TestInvariants:
         table, _ = make_table(fallback=0, t_timer_ns=10)
         k = key()
         admit(table, k)
-        table.observe_tx(TransmitDescriptor(reverse_key(k), 3), 0)
+        table.observe_tx(reverse_key(k), 3, 0)
         table.on_timer_expire(k, 10)
         for t in range(20, 400, 17):
             decision, core, _ = table.steer(rx_pkt(k), t)
             assert (decision, core) == (SteerDecision.DIRECT, 3)
-            table.observe_tx(TransmitDescriptor(reverse_key(k), 3), t)
+            table.observe_tx(reverse_key(k), 3, t)
             assert not table.get(k).transition
         assert table.stats.transitions_started == 1

@@ -102,6 +102,14 @@ class TestToeplitz:
         with pytest.raises(KeyTooShortError):
             toeplitz_hash(b"\x01" * 10, b"\x00" * 8)
 
+    # 8 bytes: IPv4 addresses; 12: the IPv4 four-tuple; 36: the IPv6 one.
+    @given(st.sampled_from([8, 12, 36]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_oracle_on_random_keys(self, length, data):
+        key = data.draw(st.binary(min_size=length + 4, max_size=length + 16))
+        payload = data.draw(st.binary(min_size=length, max_size=length))
+        assert toeplitz_hash(key, payload) == toeplitz_reference(key, payload)
+
     @given(st.binary(min_size=1, max_size=36), st.data())
     @settings(max_examples=200)
     def test_linearity(self, a, data):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,56 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("traffic", "burst_spacing_ns"), 250.5, "traffic.burst_spacing_ns must be an integer"),
+        (("traffic", "streams"), "40", "traffic.streams must be an integer"),
+        (("traffic", "streams"), True, "traffic.streams must be an integer"),
+        (("traffic", "ports"), 5001, "traffic.ports must be a list"),
+        (("traffic", "ports", 1), "6001", r"traffic.ports\[1\] must be an integer"),
+        (("traffic", "per_stream_pps"), "fast", "traffic.per_stream_pps must be a number or null"),
+        (("host", "ack_every"), 2.5, "host.ack_every must be an integer"),
+        (("host", "processors", 0), 1, r"host.processors\[0\] must be a list"),
+        (("nic",), 5, "nic must be an object"),
+        (("nic",), None, "nic must be an object"),
+        (("nic", "ring_capacity"), True, "nic.ring_capacity must be an integer"),
+        (("nic", "latency_accounting"), "yes", "nic.latency_accounting must be true or false"),
+        (("nic", "latency_accounting"), 1, "nic.latency_accounting must be true or false"),
+        (("rss", "fields", 0), 7, r"rss.fields\[0\] must be a string"),
+        (("apps",), 5, "apps must be a list"),
+        (("apps", 0), [5001], r"apps\[0\] must be an object"),
+        (("apps", 0, "cores", 0), 0.0, r"apps\[0\].cores\[0\] must be an integer"),
+        (("seed",), 1.0, "seed must be an integer"),
+        (("name",), 3, "name must be a string"),
+    ])
+    def test_wrong_value_type_names_its_path(self, path, value, message):
+        d = json.loads(json.dumps(scenario(4).to_dict()))
+        owner = d
+        for k in path[:-1]:
+            owner = owner[k]
+        owner[path[-1]] = value
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_dict(d)
+
+    def test_missing_app_field_is_named(self):
+        d = scenario(4).to_dict()
+        d["apps"] = [{"cores": [0]}]
+        with pytest.raises(ScenarioError, match=r"apps\[0\].ports is missing"):
+            Scenario.from_dict(d)
+
+    def test_numbers_load_as_their_field_types(self):
+        d = scenario(4).to_dict()
+        d["duration_us"] = 2000
+        d["traffic"]["per_stream_pps"] = 50_000
+        d["traffic"]["ports"] = [5001, 6001]
+        loaded = Scenario.from_dict(d)
+        assert type(loaded.duration_us) is float
+        assert type(loaded.traffic.per_stream_pps) is float
+        assert loaded.traffic.ports == (5001, 6001)
+
+    def test_a_scenario_must_be_an_object(self):
+        with pytest.raises(ScenarioError, match="must be an object"):
+            Scenario.from_dict([1, 2])
+
     def test_every_unknown_key_is_named(self):
         d = scenario(4).to_dict()
         d["flowtable"] = {}
@@ -220,6 +272,42 @@ class TestScenarioSerialization:
     ])
     def test_validation_names_field_that_would_fail_mid_setup(self, section, field, value):
         d = scenario(4).to_dict()
+        path = set_field(d, section, field, value)
+        with pytest.raises(ScenarioError, match=path):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("traffic", "handshake_gap_us", float("nan")),
+        ("traffic", "start_spread_us", float("nan")),
+        ("traffic", "start_spread_us", -1.0),
+        ("flow_table", "t_timer_us", float("nan")),
+        ("host", "service_rate_pps", float("nan")),
+        ("scheduler", "tick_us", float("inf")),
+        ("traffic", "ports", []),
+        ("traffic", "ports", [5001, 70000]),
+        ("traffic", "ephemeral_start", -1),
+    ])
+    def test_validation_names_value_that_would_fail_in_setup(self, section, field, value):
+        d = scenario(4).to_dict()
+        path = set_field(d, section, field, value)
+        with pytest.raises(ScenarioError, match=path):
+            Scenario.from_dict(d)
+
+    def test_validation_names_app_rule_without_cores(self):
+        d = scenario(4).to_dict()
+        d["apps"] = [{"ports": [5001, 6001], "cores": []}]
+        with pytest.raises(ScenarioError, match=r"apps\[0\].cores"):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("nic", "ring_capacity", 1),
+        ("nic", "ring_capacity", 10**18),
+        ("host", "processors", [[0]]),
+    ])
+    def test_worst_case_limits_are_checked_at_load(self, section, field, value):
+        d = scenario(4).to_dict()
+        d["kind"] = "worst_case"
+        d["apps"] = [{"ports": [5001], "cores": [0]}]
         path = set_field(d, section, field, value)
         with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
