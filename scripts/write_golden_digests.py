@@ -8,9 +8,9 @@ Each digest is the sha256 of one run's `RunReport.to_row()` at seed 1, for
 every bundled scenario, a tie-stress scenario built here, and a grid of
 named overlays on bundled scenarios that reaches the settings no bundled
 file uses: the `rss` NIC mode, lookup-latency accounting, indirection RSS,
-random ports, the power-saving and cpuset schedulers, and settings that
-schedule events for the current instant (a zero hold timer or receive
-cadence). Run this only for a change that is meant to alter simulated
+random ports, IPv6 addresses, the power-saving and cpuset schedulers, and
+settings that schedule events for the current instant (a zero hold timer or
+receive cadence). Run this only for a change that is meant to alter simulated
 output, and say so with the change: the file is the gate that a refactor or
 speed-up kept every report byte for byte.
 """
@@ -64,6 +64,7 @@ OVERLAYS = {
     "timer0": {"flow_table": {"t_timer_us": 0.0}},
     "ack1": {"host": {"ack_every": 1}},
     "ring4": {"nic": {"ring_capacity": 4}},
+    "ipv6": {"traffic": {"src_addr": "2001:db8::1", "dst_addr": "2001:db8::2"}},
 }
 GRID_BASES = ("pinned_same", "migrate_same", "migrate_cross", "memory10g", "worstcase")
 
