@@ -11,8 +11,10 @@ migrations.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .flows import ACK, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
+from .flows import ACK, SYN, PROTO_TCP, FlowKey, Packet, reverse_key
 from .rss import _packed_addr
+from .simkernel import MS, US
+from .workload import TableSpec
 
 
 class SteerDecision(Enum):
@@ -35,20 +37,6 @@ SYNACK_SEEN = "synack_seen"
 
 class TimerBugError(RuntimeError):
     """A hold timer fired for an entry that is not in transition."""
-
-
-@dataclass
-class FlowTableConfig:
-    """The table's settings in nanoseconds, converted from a scenario's
-    `TableSpec`, which `Scenario.validate` checks."""
-
-    num_buckets: int = 256
-    max_list_size: int = 6
-    max_entries: int = 10_000
-    t_timer_ns: int = 100_000  # hold duration on core change
-    t_delete_ns: int = 1_000_000_000  # idle eviction timeout
-    t_delete_pressure_ns: int = 100_000_000  # used when the table runs hot
-    pressure_threshold: float = 0.9  # occupancy fraction enabling the above
 
 
 @dataclass(slots=True)
@@ -130,21 +118,26 @@ class FlowTable:
     with that bucket stay out (steered by plain RSS) until aging frees a
     slot and a later handshake retries.
 
-    `schedule_timer(deadline, key)` is injected by the owning NIC model and
-    must arrange a later call to `on_timer_expire`. `fallback_core(key)`
-    names the core the hash fallback would pick; new entries start there
-    because nothing better is known before the first transmit descriptor.
+    `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks.
+    `schedule_timer(deadline, key)` is injected by the owner and must
+    arrange a later call to `on_timer_expire`. `fallback_core(key)` names
+    the core the hash fallback would pick; new entries start there because
+    nothing better is known before the flow's first outgoing core id.
     """
 
-    def __init__(self, config: FlowTableConfig, schedule_timer, fallback_core):
-        self.config = config
+    def __init__(self, spec: TableSpec, schedule_timer, fallback_core):
+        self.spec = spec
+        # The spec's durations in ns, converted once.
+        self.t_timer_ns = int(spec.t_timer_us * US)  # hold duration on core change
+        self.t_delete_ns = int(spec.t_delete_ms * MS)  # idle eviction timeout
+        self.t_delete_pressure_ns = int(spec.t_delete_pressure_ms * MS)  # when running hot
         self._schedule_timer = schedule_timer
         self._fallback_core = fallback_core
         self._buckets: dict[int, list[FlowEntry]] = {}
         self._entries: dict[FlowKey, FlowEntry] = {}
-        # The same entries under their transmit-direction keys, so a transmit
-        # descriptor finds its entry without reversing the key. The key is
-        # the one the flow's SYN-ACK carried, not a copy.
+        # The same entries under their transmit-direction keys, so an
+        # outgoing core id finds its entry without reversing the key. The key
+        # is the one the flow's SYN-ACK carried, not a copy.
         self._by_tx_key: dict[FlowKey, FlowEntry] = {}
         # Receive key -> (state, time, the SYN-ACK's key or None).
         self._tracker: dict[FlowKey, tuple[str, int, FlowKey | None]] = {}
@@ -175,22 +168,23 @@ class FlowTable:
                 return self._try_admit(packet.key, state[2], now)
         return None
 
-    def note_tx_packet(self, packet: Packet, now: int):
-        """Outgoing half of handshake monitoring (the SYN-ACK)."""
-        if packet.key.protocol != PROTO_TCP or packet.kind != SYNACK:
-            return
-        key = reverse_key(packet.key)
+    def note_tx_packet(self, tx_key: FlowKey, now: int):
+        """Outgoing half of handshake monitoring: the SYN-ACK of the flow
+        whose transmit-direction key is `tx_key`. Only a TCP SYN opens a
+        tracker entry, so other protocols find none here."""
+        key = reverse_key(tx_key)
         state = self._tracker.get(key)
         if state is not None and state[0] == SYN_SEEN:
-            self._tracker[key] = (SYNACK_SEEN, now, packet.key)
+            self._tracker[key] = (SYNACK_SEEN, now, tx_key)
 
     def _try_admit(self, key: FlowKey, tx_key: FlowKey, now: int) -> FlowEntry | None:
-        if len(self._entries) >= self.config.max_entries:
+        spec = self.spec
+        if len(self._entries) >= spec.max_entries:
             self.stats.rejected_table_full += 1
             return None
-        index = bucket_index(key, self.config.num_buckets)
+        index = bucket_index(key, spec.num_buckets)
         bucket = self._buckets.setdefault(index, [])
-        if len(bucket) >= self.config.max_list_size:
+        if len(bucket) >= spec.max_list_size:
             self.stats.rejected_bucket_full += 1
             return None
         entry = FlowEntry(
@@ -223,7 +217,7 @@ class FlowTable:
             position = 1
             if want_position:
                 bucket = self._buckets.get(
-                    bucket_index(packet.key, self.config.num_buckets), ()
+                    bucket_index(packet.key, self.spec.num_buckets), ()
                 )
                 position = max(1, len(bucket))
             return FALLBACK, None, position
@@ -246,8 +240,8 @@ class FlowTable:
     # -- updates from the transmit path ---------------------------------------
 
     def observe_tx(self, tx_key: FlowKey, core_id: int, now: int):
-        """Apply a transmit descriptor's core id to the entry of the flow
-        whose transmit-direction key is `tx_key`.
+        """Apply an outgoing packet's core id to the entry of the flow whose
+        transmit-direction key is `tx_key`.
 
         A differing core id starts a transition and a hold timer. A further
         change while already in transition retargets the entry but keeps the
@@ -264,7 +258,7 @@ class FlowTable:
         entry.core_id = core_id
         if not entry.transition:
             entry.transition = True
-            entry.timer_deadline = now + self.config.t_timer_ns
+            entry.timer_deadline = now + self.t_timer_ns
             self.stats.transitions_started += 1
             self._schedule_timer(entry.timer_deadline, entry.key)
 
@@ -288,9 +282,9 @@ class FlowTable:
         """Evict entries idle past the timeout; under occupancy pressure the
         shorter timeout applies. Entries in transition are exempt (their held
         packets must flush first). Stale partial handshakes expire here too."""
-        limit = self.config.t_delete_ns
-        if len(self._entries) >= self.config.pressure_threshold * self.config.max_entries:
-            limit = self.config.t_delete_pressure_ns
+        limit = self.t_delete_ns
+        if len(self._entries) >= self.spec.pressure_threshold * self.spec.max_entries:
+            limit = self.t_delete_pressure_ns
         evicted = [
             key
             for key, entry in self._entries.items()
@@ -305,7 +299,7 @@ class FlowTable:
         stale = [
             key
             for key, (_, t, _) in self._tracker.items()
-            if now - t >= self.config.t_delete_ns
+            if now - t >= self.t_delete_ns
         ]
         for key in stale:
             del self._tracker[key]

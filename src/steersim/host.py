@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import ne
 
-from .flows import DATA, KINDS
+from .flows import DATA, KINDS, reverse_key
 
 # DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
 KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
@@ -106,8 +106,9 @@ class AppProcess:
 
 @dataclass(slots=True)
 class SocketModel:
-    """Per-flow receive socket, read by the application process `proc`. A
-    packet found with the socket owned, the app sleeping in receive, or the
+    """Per-flow receive socket, read by the application process `proc`.
+    `key` is the flow's receive-direction key, `tx_key` the same flow's
+    transmit-direction key, which its ACKs carry. A packet found with the socket owned, the app sleeping in receive, or the
     backlog non-empty must defer to the backlog; processing anything ahead
     of a non-empty backlog would reorder the flow.
 
@@ -116,6 +117,7 @@ class SocketModel:
     empty deque takes 760."""
 
     key: object
+    tx_key: object
     proc: AppProcess
     owned_by_user: bool = False
     sleeping: bool = False
@@ -176,15 +178,16 @@ class _ProcLane:
 
 
 class Host:
-    """Owns cores, sockets and application processes for one simulated run."""
+    """Owns cores, sockets and application processes for one simulated run.
+    It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`."""
 
     def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
-                 ack_every: int = 2, emit_ack=None):
+                 ack_every: int = 2):
         self.cores = cores
         self.sim = sim
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
-        self.emit_ack = emit_ack  # callable(flow_key, core_id, now)
+        self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
         self.sockets: dict = {}
         self.processes: dict[int, AppProcess] = {}
         self.handler_active = [False] * len(cores)
@@ -208,7 +211,7 @@ class Host:
         pid = process.pid
         self.processes[pid] = process
         self._wired = None
-        sock = SocketModel(key=key, proc=process)
+        sock = SocketModel(key=key, tx_key=reverse_key(key), proc=process)
         self.sockets[key] = sock
         self._submit_syscall_at[pid] = lambda: self._submit_syscall(sock)
         return sock
@@ -332,9 +335,9 @@ class Host:
         # Backlog empty: the call returns, releasing the socket. Anything
         # delivered since the last ACK is acknowledged from this core now,
         # which is how the NIC learns where the application runs.
-        if sock.delivered_since_ack and self.emit_ack is not None:
+        if sock.delivered_since_ack:
             sock.delivered_since_ack = 0
-            self.emit_ack(sock.key, proc.core, now)
+            self._tx_ack(sock.tx_key, proc.core, now)
         sock.owned_by_user = False
         proc.state = STATE_COMPUTING
         if proc.cadence_ns is not None:
@@ -354,9 +357,9 @@ class Host:
         log.kind.append(KIND_CODE[kind])
         if kind == DATA:
             sock.delivered_since_ack += 1
-            if sock.delivered_since_ack >= self.ack_every and self.emit_ack is not None:
+            if sock.delivered_since_ack >= self.ack_every:
                 sock.delivered_since_ack = 0
-                self.emit_ack(packet.key, core_id, now)
+                self._tx_ack(sock.tx_key, core_id, now)
 
     # -- scheduling ----------------------------------------------------------------
 

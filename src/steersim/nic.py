@@ -1,5 +1,6 @@
 """Multi-queue NIC model: receive classification into per-core ring buffers
-and the transmit path that feeds core ids back into the steering table.
+and the transmit path that feeds each flow's core id back into the steering
+table.
 
 Queue i is pinned to core i; an interrupt is raised only on a ring's
 empty-to-non-empty edge, and the host then drains until empty.
@@ -15,19 +16,6 @@ from .workload import NicSpec
 
 MODE_RSS = "rss"
 MODE_FLOWSTEER = "flowsteer"
-
-
-@dataclass(frozen=True)
-class TransmitDescriptor:
-    """Outgoing packet metadata: the 5-tuple in transmit direction plus the
-    core that performed the network processing (one byte, up to 256 cores)."""
-
-    key: FlowKey
-    core_id: int
-
-    def __post_init__(self):
-        if not 0 <= self.core_id <= 255:
-            raise ValueError("core id must fit one byte")
 
 
 @dataclass
@@ -49,7 +37,9 @@ class RingBuffer:
 
 
 class Nic:
-    """Receive pipeline plus transmit-descriptor observation.
+    """Receive pipeline plus observation of outgoing packets: each one's
+    transmit-direction key and the core id it carries, the two fields that
+    A-TFN reads from a transmit descriptor.
 
     On a ring's empty->non-empty edge the NIC schedules `interrupts[queue]`,
     a zero-argument action, at the current instant. The host installs its
@@ -72,10 +62,6 @@ class Nic:
         self.acks_sent = 0
         self.hold_delays: list[int] = []  # flush time minus arrival, per held packet
         self._pipeline_free = 0  # serial lookup pipeline, latency accounting only
-
-    def fallback_queue(self, key: FlowKey) -> int:
-        """The RSS hash's queue for a flow, which is also its core."""
-        return self.engine.queue_for(key)
 
     # -- receive path ----------------------------------------------------------
 
@@ -123,20 +109,18 @@ class Nic:
 
     # -- transmit path ----------------------------------------------------------
 
-    def tx(self, packet: Packet, desc: TransmitDescriptor, now: int):
-        """Observe an outgoing packet: its handshake half, then its
-        descriptor's two fields through `tx_ack`. The peer model is
+    def tx(self, tx_key: FlowKey, core_id: int, now: int):
+        """Observe a flow's outgoing SYN-ACK, sent from core `core_id`: its
+        handshake half, then the core id through `tx_ack`. The peer model is
         open-loop, so only the table side effects matter here."""
         if self._steers:
-            self.table.note_tx_packet(packet, now)
-        self.tx_ack(desc.key, desc.core_id, now)
+            self.table.note_tx_packet(tx_key, now)
+        self.tx_ack(tx_key, core_id, now)
 
     def tx_ack(self, tx_key: FlowKey, core_id: int, now: int):
-        """Observe an outgoing packet's descriptor fields: its
-        transmit-direction key and the core that processed it. A data ACK
-        goes out through here alone: handshake monitoring only looks for
-        SYN-ACKs, so neither a packet nor a descriptor is built. The host
-        hands over core ids below 256, which fit the descriptor's byte."""
+        """Observe an outgoing ACK: its transmit-direction key and the core
+        that processed it. `Scenario.validate` caps a host at 256 cores, so
+        every core id fits a descriptor's byte."""
         self.acks_sent += 1
         if self._steers:
             self.table.observe_tx(tx_key, core_id, now)

@@ -1,9 +1,9 @@
 """Wires one scenario into a simulation and executes it.
 
 The receiver under test is a multi-queue NIC feeding per-core rings on a
-multicore host. Incoming traffic is scripted by the workload; outgoing
-SYN-ACKs and data ACKs are generated here and carry the processing core id
-in their transmit descriptors.
+multicore host. Incoming traffic is scripted by the workload. Each flow's
+SYN-ACK is sent from here and its data ACKs from the host; each hands the
+NIC the flow's transmit-direction key and the core that processed it.
 """
 
 import gc
@@ -11,16 +11,16 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .flowtable import FlowTable, FlowTableConfig, FlowTableStats, memory_estimate
-from .flows import ACK, DATA, PROTO_TCP, SYN, SYNACK, FlowKey, Packet, reverse_key
-from .host import KIND_CODE, AppProcess, Core, Host, contention_proxy
+from .flowtable import FlowTable, FlowTableStats, memory_estimate
+from .flows import ACK, DATA, PROTO_TCP, SYN, FlowKey, Packet
+from .host import KIND_CODE, AppProcess, Core, Host, SocketModel, contention_proxy
 from .metrics import (
     RunReport,
     affinity_scores,
     admitted_fraction,
     reordering_ratio,
 )
-from .nic import MODE_FLOWSTEER, Nic, TransmitDescriptor
+from .nic import MODE_FLOWSTEER, Nic
 from .simkernel import MS, US, Simulator, make_rng
 from .workload import (
     EPHEMERAL_END,
@@ -67,19 +67,10 @@ class Engine:
         self.rss = build_rss_engine(scenario)
         self.table = None
         if scenario.nic.mode == MODE_FLOWSTEER:
-            ft = scenario.flow_table
             self.table = FlowTable(
-                FlowTableConfig(
-                    num_buckets=ft.num_buckets,
-                    max_list_size=ft.max_list_size,
-                    max_entries=ft.max_entries,
-                    t_timer_ns=int(ft.t_timer_us * US),
-                    t_delete_ns=int(ft.t_delete_ms * MS),
-                    t_delete_pressure_ns=int(ft.t_delete_pressure_ms * MS),
-                    pressure_threshold=ft.pressure_threshold,
-                ),
+                scenario.flow_table,
                 schedule_timer=self._schedule_hold_timer,
-                fallback_core=lambda key: self.nic.fallback_queue(key),
+                fallback_core=self.rss.queue_for,
             )
         self.nic = Nic(scenario.nic, num_cores, self.rss, self.table, self.sim)
         self.host = Host(
@@ -88,12 +79,9 @@ class Engine:
             self.nic,
             scheduler_mode=scenario.scheduler.mode,
             ack_every=scenario.host.ack_every,
-            emit_ack=self._emit_ack,
         )
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
-        # Receive key -> transmit-direction key, reversed once per flow.
-        self._tx_keys: dict[FlowKey, FlowKey] = {}
 
     # -- wiring callbacks --------------------------------------------------------
 
@@ -104,14 +92,7 @@ class Engine:
 
         self.sim.schedule(deadline, fire)
 
-    def _emit_ack(self, key: FlowKey, core_id: int, now: int):
-        self.nic.tx_ack(self._tx_keys[key], core_id, now)
-
     # -- workload scheduling -------------------------------------------------------
-
-    def _add_flow(self, key: FlowKey, proc: AppProcess):
-        self.host.add_flow(key, proc)
-        self._tx_keys[key] = reverse_key(key)
 
     def _schedule_streams(self):
         """Wire every stream's app and hand all arrivals to the simulator.
@@ -127,6 +108,7 @@ class Engine:
         plans = spawn_streams(scenario, self.rng)
         cadence = scenario.host.syscall_cadence_us
         cadence_ns = None if cadence is None else int(cadence * US)
+        socks = []  # each stream's socket
         firsts = []  # each stream's first arrival id, ascending
         # Event id minus the first stream's first id -> stream index. An id
         # between two blocks never arrives, so it may name either stream.
@@ -141,7 +123,7 @@ class Engine:
                 allowed_cores=tuple(rule.cores),
                 cadence_ns=cadence_ns,
             )
-            self._add_flow(plan.key, proc)
+            socks.append(self.host.add_flow(plan.key, proc))
             n = 3 + len(plan.data_times)
             first = sim.reserve(n)
             firsts.append(first)
@@ -149,14 +131,14 @@ class Engine:
             self.generated_data += n - 3
             # The app begins issuing receive calls once its stream is up.
             self.host.start_process(proc.pid, plan.ack_at + 1)
-        arrive = self._arrival_action(plans, firsts, base, stream_of)
+        arrive = self._arrival_action(socks, firsts, base, stream_of)
         sim.schedule_arrivals(_arrival_blocks(plans, firsts), arrive)
 
-    def _arrival_action(self, plans: list, firsts: list, base: int, stream_of: array):
+    def _arrival_action(self, socks: list, firsts: list, base: int, stream_of: array):
         """The action for every stream arrival: find the stream whose block
-        holds the id, then build its SYN, SYN-ACK, ACK or data packet as it
-        arrives. No packet exists before its arrival."""
-        keys = [plan.key for plan in plans]
+        holds the id, then send its SYN-ACK or build its SYN, ACK or data
+        packet as it arrives. No packet exists before its arrival."""
+        keys = [sock.key for sock in socks]
         size = self.scenario.traffic.packet_bytes
         rx = self.nic.rx
         sim = self.sim
@@ -168,27 +150,22 @@ class Engine:
             if k >= 3:
                 rx(Packet(keys[i], DATA, k - 3, size), sim.now)
             elif k == 1:
-                tx_synack(keys[i])
+                tx_synack(socks[i])
             else:
                 rx(Packet(keys[i], ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
 
         return arrive
 
-    def _tx_synack(self, key: FlowKey):
-        """Send the SYN-ACK of the flow with receive key `key`."""
+    def _tx_synack(self, sock: SocketModel):
+        """Send the SYN-ACK of the flow of socket `sock`."""
         # The kernel answers the SYN from whichever core the handshake was
         # processed on; before any steering entry exists that is the hash
         # fallback core.
-        tx_key = self._tx_keys[key]
-        packet = Packet(tx_key, SYNACK, -1, CONTROL_BYTES)
-        desc = TransmitDescriptor(tx_key, self.nic.fallback_queue(key))
-        self.nic.tx(packet, desc, self.sim.now)
+        self.nic.tx(sock.tx_key, self.rss.queue_for(sock.key), self.sim.now)
 
     def _schedule_worst_case(self):
         scenario = self.scenario
-        D = scenario.nic.ring_capacity
-        service_ns = self.cores[0].service_ns
-        events = adversarial_migration_schedule(D, service_ns)
+        events = adversarial_migration_schedule(scenario.nic.ring_capacity)
 
         old_queue, new_core = 0, 1
         victim_key = self._find_key_for_queue(old_queue, scenario.traffic.ports[0])
@@ -201,13 +178,13 @@ class Engine:
         # interrupt context and the schedule is exact. The filler flow is
         # never admitted and rides the hash fallback onto the same queue.
         proc = AppProcess(pid=0, core=0, allowed_cores=(0,), cadence_ns=None)
-        self._add_flow(victim_key, proc)
+        victim = self.host.add_flow(victim_key, proc)
         filler_proc = AppProcess(pid=1, core=0, allowed_cores=(0,), cadence_ns=None)
-        self._add_flow(filler_key, filler_proc)
+        self.host.add_flow(filler_key, filler_proc)
 
         gap = int(scenario.traffic.handshake_gap_us * US)
         self._schedule_rx(0, Packet(victim_key, SYN, -1, CONTROL_BYTES))
-        self.sim.schedule(gap, lambda: self._tx_synack(victim_key))
+        self.sim.schedule(gap, lambda: self._tx_synack(victim))
         self._schedule_rx(2 * gap, Packet(victim_key, ACK, -1, CONTROL_BYTES))
 
         size = scenario.traffic.packet_bytes
@@ -221,9 +198,10 @@ class Engine:
                 self._schedule_rx(ev.at, Packet(victim_key, DATA, ev.seq, size))
                 self.generated_data += 1
             elif ev.role == "migrate":
-                packet = Packet(self._tx_keys[victim_key], ACK, -1, CONTROL_BYTES)
-                desc = TransmitDescriptor(packet.key, new_core)
-                self.sim.schedule(ev.at, lambda p=packet, d=desc: self.nic.tx(p, d, self.sim.now))
+                # The victim's app ACKs from its new core.
+                self.sim.schedule(
+                    ev.at, lambda: self.nic.tx_ack(victim.tx_key, new_core, self.sim.now)
+                )
 
     def _schedule_rx(self, at: int, packet: Packet):
         """Schedule one scripted packet to reach the NIC at `at`."""
@@ -237,7 +215,7 @@ class Engine:
             key = FlowKey(traffic.src_addr, traffic.dst_addr, PROTO_TCP, port, dst_port)
             if key in skip:
                 continue
-            if self.nic.fallback_queue(key) == queue:
+            if self.rss.queue_for(key) == queue:
                 return key
         raise ScenarioError(f"rss: no ephemeral port maps to queue {queue}")
 

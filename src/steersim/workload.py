@@ -536,22 +536,26 @@ class WorstCaseEvent:
     seq: int = -1
 
 
-def adversarial_migration_schedule(ring_capacity: int, service_ns: int,
-                                   t_fire_us: float = 50.0,
-                                   epsilon_ns: int = 1) -> list:
+# The worst-case schedule migrates at WORST_CASE_FIRE_NS; the packets around
+# the migration are WORST_CASE_EPSILON_NS apart.
+WORST_CASE_FIRE_NS = 50 * US
+WORST_CASE_EPSILON_NS = 1
+
+
+def adversarial_migration_schedule(ring_capacity: int) -> list:
     """Worst-case migration schedule for in-order analysis.
 
     Pre-loads the victim's old queue with ring_capacity - 1 packets of other
-    flows, lands victim packet S one tick before the migration descriptor
-    arrives, and packet S+1 one tick after. With a zero hold timer the new
-    queue services S+1 while S still waits behind the backlog; with a timer
-    of at least (ring_capacity - 1) * service_ns the flush lands after S's
-    service start and order is preserved.
+    flows, lands victim packet S one tick before the migration ACK goes out
+    from the new core, and packet S+1 one tick after. With a zero hold timer
+    the new queue services S+1 while S still waits behind the backlog; with
+    a timer of at least (ring_capacity - 1) / R_service the flush lands after
+    S's service start and order is preserved.
     """
     if ring_capacity < 2:
         raise ScenarioError("need a ring of at least two slots")
-    t = int(t_fire_us * US)
-    eps = max(1, epsilon_ns)
+    t = WORST_CASE_FIRE_NS
+    eps = WORST_CASE_EPSILON_NS
     events = []
     for i in range(ring_capacity - 1):
         events.append(WorstCaseEvent(t - 2 * eps, "filler", i))

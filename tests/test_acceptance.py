@@ -201,8 +201,9 @@ def test_criterion_7_affinity_benefit(paired_affinity_runs):
 
 
 def test_criterion_8_property_suite(inorder_batch):
-    from steersim.flowtable import FlowTable, FlowTableConfig
+    from steersim.flowtable import FlowTable
     from steersim.flows import Packet, reverse_key
+    from steersim.workload import TableSpec
 
     # Toeplitz agreement with the independent bit-level oracle.
     rng = random.Random(0xACCE)
@@ -223,13 +224,13 @@ def test_criterion_8_property_suite(inorder_batch):
 
     # FIFO hold-flush order at the table level.
     table = FlowTable(
-        FlowTableConfig(), schedule_timer=lambda d, k: None, fallback_core=lambda k: 0
+        TableSpec(), schedule_timer=lambda d, k: None, fallback_core=lambda k: 0
     )
     k = FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, 40000, 5001)
-    from steersim.flows import ACK, SYN, SYNACK
+    from steersim.flows import ACK, SYN
 
     table.on_rx_connection_tracking(Packet(k, SYN, -1, 64), 0)
-    table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), 0)
+    table.note_tx_packet(reverse_key(k), 0)
     table.on_rx_connection_tracking(Packet(k, ACK, -1, 64), 0)
     table.observe_tx(reverse_key(k), 1, 0)
     seqs = [rng.randrange(1000) for _ in range(64)]

@@ -10,7 +10,6 @@ import pytest
 from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
 from steersim.host import DeliveryLog, DeliveryRecord
-from steersim.nic import TransmitDescriptor
 from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
 
@@ -290,7 +289,7 @@ def _census() -> Counter:
 class TestPerFlowState:
     """What a finished run keeps per flow: a socket with a list backlog,
     its delivery columns and one transmit-direction key. Handshake packets
-    and transmit descriptors exist only while they are in use."""
+    exist only while they are in use."""
 
     STREAMS = 200
 
@@ -308,8 +307,7 @@ class TestPerFlowState:
         assert len(sockets) == self.STREAMS
         assert not any(isinstance(sock.backlog, deque) for sock in sockets)
         assert alive["handshake packet"] == 0
-        assert alive[TransmitDescriptor] == 0
-        assert alive[FlowKey] <= 3 * self.STREAMS
+        assert alive[FlowKey] <= 2 * self.STREAMS  # receive and transmit key
 
 
 def _records_alive() -> int:

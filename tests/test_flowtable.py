@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, PROTO_UDP, FlowKey, Packet, reverse_key
+from steersim.flows import ACK, DATA, SYN, PROTO_TCP, PROTO_UDP, FlowKey, Packet, reverse_key
 from steersim.flowtable import (
     FlowTable,
-    FlowTableConfig,
     SteerDecision,
     TimerBugError,
     bucket_index,
     memory_estimate,
     search_time,
 )
+from steersim.workload import TableSpec
 
 
 def key(sport=40000, dport=5001, src="10.0.0.1", dst="10.0.0.2", proto=PROTO_TCP):
@@ -33,17 +33,17 @@ class Timers:
         self.scheduled.append((deadline, flow_key))
 
 
-def make_table(fallback=0, **cfg):
+def make_table(fallback=0, **spec):
     timers = Timers()
     table = FlowTable(
-        FlowTableConfig(**cfg), schedule_timer=timers, fallback_core=lambda k: fallback
+        TableSpec(**spec), schedule_timer=timers, fallback_core=lambda k: fallback
     )
     return table, timers
 
 
 def admit(table, k, now=0):
     table.on_rx_connection_tracking(rx_pkt(k, SYN), now)
-    table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), now)
+    table.note_tx_packet(reverse_key(k), now)
     entry = table.on_rx_connection_tracking(rx_pkt(k, ACK), now)
     return entry
 
@@ -152,7 +152,7 @@ class TestObserveTx:
         assert timers.scheduled == []
 
     def test_core_change_starts_transition(self):
-        table, timers = make_table(fallback=0, t_timer_ns=100_000)
+        table, timers = make_table(fallback=0, t_timer_us=100.0)
         k = key()
         admit(table, k)
         table.observe_tx(reverse_key(k), 1, 70)
@@ -171,7 +171,7 @@ class TestObserveTx:
     def test_retarget_keeps_original_deadline(self):
         # A second migration inside the transition window retargets the core
         # but must not extend the hold beyond one timer period.
-        table, timers = make_table(fallback=0, t_timer_ns=100_000)
+        table, timers = make_table(fallback=0, t_timer_us=100.0)
         k = key()
         admit(table, k)
         table.observe_tx(reverse_key(k), 1, 0)
@@ -220,7 +220,7 @@ class TestSteer:
 
 class TestTimerExpiry:
     def test_flush_returns_fifo_and_clears(self):
-        table, timers = make_table(fallback=0, t_timer_ns=1000)
+        table, timers = make_table(fallback=0, t_timer_us=1.0)
         k = key()
         admit(table, k)
         table.observe_tx(reverse_key(k), 1, 0)
@@ -234,7 +234,7 @@ class TestTimerExpiry:
         assert entry.held == [] and table.stats.held_bytes == 0
 
     def test_empty_flush_still_clears(self):
-        table, _ = make_table(fallback=0, t_timer_ns=1000)
+        table, _ = make_table(fallback=0, t_timer_us=1.0)
         k = key()
         admit(table, k)
         table.observe_tx(reverse_key(k), 1, 0)
@@ -242,7 +242,7 @@ class TestTimerExpiry:
         assert flushed == [] and not table.get(k).transition
 
     def test_post_flush_steer_goes_direct_to_new_core(self):
-        table, _ = make_table(fallback=0, t_timer_ns=1000)
+        table, _ = make_table(fallback=0, t_timer_us=1.0)
         k = key()
         admit(table, k)
         table.observe_tx(reverse_key(k), 1, 0)
@@ -260,7 +260,7 @@ class TestTimerExpiry:
 
 class TestAging:
     def test_idle_entry_evicted_active_retained(self):
-        table, _ = make_table(t_delete_ns=1000, t_delete_pressure_ns=1000)
+        table, _ = make_table(t_delete_ms=0.001, t_delete_pressure_ms=0.001)
         idle, active = key(sport=1), key(sport=2)
         admit(table, idle, now=0)
         admit(table, active, now=0)
@@ -273,14 +273,14 @@ class TestAging:
     def test_pressure_uses_shorter_timeout(self):
         table, _ = make_table(
             max_entries=10, pressure_threshold=0.9,
-            t_delete_ns=10_000, t_delete_pressure_ns=100, num_buckets=64,
+            t_delete_ms=0.01, t_delete_pressure_ms=0.0001, num_buckets=64,
         )
         for i in range(9):  # 90% occupancy
             admit(table, key(sport=100 + i), now=0)
         assert table.age(500) != []  # idle for 500 >= pressure timeout
 
     def test_transition_entries_exempt(self):
-        table, _ = make_table(t_delete_ns=10, t_delete_pressure_ns=10)
+        table, _ = make_table(t_delete_ms=0.00001, t_delete_pressure_ms=0.00001)
         k = key()
         admit(table, k, now=0)
         table.observe_tx(reverse_key(k), 1, 0)
@@ -289,18 +289,18 @@ class TestAging:
         assert table.get(k) is not None
 
     def test_stale_partial_handshake_expires(self):
-        table, _ = make_table(t_delete_ns=1000, t_delete_pressure_ns=1000)
+        table, _ = make_table(t_delete_ms=0.001, t_delete_pressure_ms=0.001)
         k = key()
         table.on_rx_connection_tracking(rx_pkt(k, SYN), 0)
         table.age(2000)
         # Handshake must restart from SYN after expiry.
-        table.note_tx_packet(Packet(reverse_key(k), SYNACK, -1, 64), 2100)
+        table.note_tx_packet(reverse_key(k), 2100)
         assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 2200) is None
 
     def test_rejected_flow_can_retry_after_eviction_frees_the_chain(self):
         table, _ = make_table(
             max_list_size=1, num_buckets=1,
-            t_delete_ns=1000, t_delete_pressure_ns=1000,
+            t_delete_ms=0.001, t_delete_pressure_ms=0.001,
         )
         blocker, late = key(sport=1), key(sport=2)
         assert admit(table, blocker, now=0) is not None
@@ -358,7 +358,7 @@ class TestInvariants:
     def test_direct_after_observe_until_next_change(self):
         # Once a transition to core c flushes, every steer is Direct(c) until
         # a differing descriptor arrives.
-        table, _ = make_table(fallback=0, t_timer_ns=10)
+        table, _ = make_table(fallback=0, t_timer_us=0.01)
         k = key()
         admit(table, k)
         table.observe_tx(reverse_key(k), 3, 0)

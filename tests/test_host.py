@@ -1,4 +1,4 @@
-from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet
+from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet, reverse_key
 from steersim.host import (
     MODE_CPUSET,
     MODE_PEAK_PERFORMANCE,
@@ -46,10 +46,11 @@ class Harness:
             NicSpec(mode=MODE_RSS, ring_capacity=256), num_cores,
             engine, None, self.sim,
         )
+        # Record the ACKs the host sends; set before the host binds tx_ack.
+        self.nic.tx_ack = lambda tx_key, core, now: self.acks.append((tx_key, core, now))
         self.host = Host(
             cores, self.sim, self.nic, scheduler_mode=scheduler,
             ack_every=ack_every,
-            emit_ack=lambda k, core, now: self.acks.append((k, core, now)),
         )
 
     def flow(self, k, pid=0, core=0, allowed=None, cadence_ns=None):
@@ -136,6 +137,8 @@ class TestProcessContext:
         # Two ACKs: the per-2-packets one mid-drain, the residue at return.
         assert len(h.acks) == 2
         assert all(core == 1 for _, core, _ in h.acks)
+        # Each ACK carries the flow's transmit-direction key.
+        assert all(tx_key == reverse_key(k) for tx_key, _, _ in h.acks)
 
     def test_empty_backlog_syscall_blocks_without_ack(self):
         h = Harness()

@@ -1,11 +1,9 @@
-import pytest
-
-from steersim.flows import ACK, DATA, SYN, SYNACK, PROTO_TCP, FlowKey, Packet, reverse_key
-from steersim.flowtable import FlowTable, FlowTableConfig
-from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic, TransmitDescriptor
+from steersim.flows import ACK, DATA, SYN, PROTO_TCP, FlowKey, Packet, reverse_key
+from steersim.flowtable import FlowTable
+from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
-from steersim.workload import NicSpec
+from steersim.workload import NicSpec, TableSpec
 
 
 def key(sport=40000, dport=5001):
@@ -22,14 +20,14 @@ class Harness:
     the instant the NIC scheduled it at (`edges()`)."""
 
     def __init__(self, mode=MODE_FLOWSTEER, ring_capacity=4, fallback=0,
-                 t_timer_ns=1000, latency_accounting=False, num_queues=4):
+                 t_timer_us=1.0, latency_accounting=False, num_queues=4):
         self.sim = Simulator()
         self.interrupts = []
         engine = RssEngine(num_queues=num_queues)
         table = None
         if mode == MODE_FLOWSTEER:
             table = FlowTable(
-                FlowTableConfig(t_timer_ns=t_timer_ns),
+                TableSpec(t_timer_us=t_timer_us),
                 schedule_timer=self._schedule_timer,
                 fallback_core=lambda k: fallback,
             )
@@ -54,16 +52,10 @@ class Harness:
 
     def admit(self, k, core=None, now=0):
         self.nic.rx(rx_pkt(k, SYN), now)
-        self.nic.tx(
-            Packet(reverse_key(k), SYNACK, -1, 64),
-            TransmitDescriptor(reverse_key(k), 0), now,
-        )
+        self.nic.tx(reverse_key(k), 0, now)  # the SYN-ACK
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
-            self.nic.tx(
-                Packet(reverse_key(k), ACK, -1, 64),
-                TransmitDescriptor(reverse_key(k), core), now,
-            )
+            self.nic.tx_ack(reverse_key(k), core, now)
             deadline = self.table.get(k).timer_deadline
             if deadline is not None:
                 self.sim.run_until(deadline)
@@ -118,13 +110,10 @@ class TestRx:
         assert h.table.get(k).held == []
 
     def test_transition_holds(self):
-        h = Harness(fallback=0, t_timer_ns=10_000)
+        h = Harness(fallback=0, t_timer_us=10.0)
         k = key()
         h.admit(k)
-        h.nic.tx(
-            Packet(reverse_key(k), ACK, -1, 64),
-            TransmitDescriptor(reverse_key(k), 2), 0,
-        )
+        h.nic.tx_ack(reverse_key(k), 2, 0)
         h.nic.rx(rx_pkt(k, seq=0), 0)
         assert [p.seq for p in h.table.get(k).held] == [0]
         assert [ring.depth() for ring in h.nic.rings] == [0, 0, 0, 0]
@@ -164,34 +153,21 @@ class TestTx:
         h = Harness(fallback=0)
         k = key()
         h.admit(k)
-        h.nic.tx(
-            Packet(reverse_key(k), ACK, -1, 64),
-            TransmitDescriptor(reverse_key(k), 1), 0,
-        )
+        h.nic.tx_ack(reverse_key(k), 1, 0)
         entry = h.table.get(k)
         assert entry.transition and entry.core_id == 1
         assert h.table.stats.transitions_started == 1
 
     def test_rss_mode_has_no_table_effect(self):
         h = Harness(mode=MODE_RSS)
-        h.nic.tx(
-            Packet(reverse_key(key()), ACK, -1, 64),
-            TransmitDescriptor(reverse_key(key()), 1), 0,
-        )
+        h.nic.tx_ack(reverse_key(key()), 1, 0)
         assert h.nic.table is None and h.nic.acks_sent == 1
 
     def test_unknown_flow_descriptor(self):
         h = Harness()
-        h.nic.tx(
-            Packet(reverse_key(key()), ACK, -1, 64),
-            TransmitDescriptor(reverse_key(key()), 1), 0,
-        )
+        h.nic.tx_ack(reverse_key(key()), 1, 0)
         assert h.table.get(key()) is None and len(h.table) == 0
         assert h.table.stats.transitions_started == 0 and h.sim.pending() == 0
-
-    def test_descriptor_core_fits_one_byte(self):
-        with pytest.raises(ValueError):
-            TransmitDescriptor(reverse_key(key()), 256)
 
 
 class TestDrainAndFlush:
@@ -208,13 +184,10 @@ class TestDrainAndFlush:
     def test_flush_lands_before_later_direct_arrivals(self):
         # Held packets push to the new ring at flush time; a direct arrival
         # after the flush pops behind them.
-        h = Harness(fallback=0, t_timer_ns=5_000)
+        h = Harness(fallback=0, t_timer_us=5.0)
         k = key()
         h.admit(k)
-        h.nic.tx(
-            Packet(reverse_key(k), ACK, -1, 64),
-            TransmitDescriptor(reverse_key(k), 1), 0,
-        )
+        h.nic.tx_ack(reverse_key(k), 1, 0)
         for seq in (5, 6, 7):
             h.nic.rx(rx_pkt(k, seq=seq), h.sim.now)
         assert [p.seq for p in h.table.get(k).held] == [5, 6, 7]
@@ -227,13 +200,10 @@ class TestDrainAndFlush:
         assert seqs == [5, 6, 7, 8]
 
     def test_hold_delays_recorded(self):
-        h = Harness(fallback=0, t_timer_ns=5_000)
+        h = Harness(fallback=0, t_timer_us=5.0)
         k = key()
         h.admit(k)
-        h.nic.tx(
-            Packet(reverse_key(k), ACK, -1, 64),
-            TransmitDescriptor(reverse_key(k), 1), 0,
-        )
+        h.nic.tx_ack(reverse_key(k), 1, 0)
         h.sim.run_until(1_000)
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(5_000)

@@ -402,7 +402,7 @@ class TestScenarioSerialization:
 
 class TestWorstCaseSchedule:
     def test_minimal_ring_of_two(self):
-        events = adversarial_migration_schedule(2, 333)
+        events = adversarial_migration_schedule(2)
         fillers = [e for e in events if e.role == "filler"]
         assert len(fillers) == 1
         roles = [e.role for e in events]
@@ -410,7 +410,7 @@ class TestWorstCaseSchedule:
         assert [e.at for e in events] == sorted(e.at for e in events)
 
     def test_event_spacing_one_tick(self):
-        events = adversarial_migration_schedule(256, 333)
+        events = adversarial_migration_schedule(256)
         migrate = next(e for e in events if e.role == "migrate")
         s_pkt, s1_pkt = [e for e in events if e.role == "victim_data"]
         assert migrate.at - s_pkt.at == 1
@@ -419,4 +419,4 @@ class TestWorstCaseSchedule:
 
     def test_ring_too_small_rejected(self):
         with pytest.raises(ScenarioError):
-            adversarial_migration_schedule(1, 333)
+            adversarial_migration_schedule(1)
