@@ -6,6 +6,7 @@ are one-directional: data flows sender -> receiver, acknowledgements flow
 back. Stream generation is pure given a seeded rng, so runs replay exactly.
 """
 
+import ipaddress
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -265,6 +266,19 @@ class Scenario:
                     f"nic.ring_capacity must be in 2..{MAX_WORST_CASE_RING} under kind "
                     f"'worst_case', not {self.nic.ring_capacity}"
                 )
+        # Every flow carries both addresses, so both must parse, and in one
+        # address family: a flow is IPv4 or IPv6 end to end.
+        versions = {}
+        for name in ("src_addr", "dst_addr"):
+            try:
+                versions[name] = ipaddress.ip_address(getattr(self.traffic, name)).version
+            except ValueError as exc:
+                raise ScenarioError(f"traffic.{name}: {exc}") from None
+        if versions["dst_addr"] != versions["src_addr"]:
+            raise ScenarioError(
+                f"traffic.dst_addr {self.traffic.dst_addr!r} is IPv{versions['dst_addr']}, "
+                f"but traffic.src_addr {self.traffic.src_addr!r} is IPv{versions['src_addr']}"
+            )
         rss = build_rss_engine(self)
         try:
             # Every flow has these addresses, so this key's hash input is as
@@ -272,8 +286,6 @@ class Scenario:
             rss.hash_of(FlowKey(self.traffic.src_addr, self.traffic.dst_addr, PROTO_TCP, 0, 0))
         except KeyTooShortError as exc:
             raise ScenarioError(f"rss.key_hex: {exc}") from None
-        except ValueError as exc:
-            raise ScenarioError(f"traffic.src_addr or dst_addr: {exc}") from None
         stray = [q for q in self.rss.table or () if q not in range(len(cores))]
         if stray:
             raise ScenarioError(

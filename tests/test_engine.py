@@ -116,6 +116,22 @@ class TestHoldBounds:
         assert result.report.peak_held_bytes <= 250_000
 
 
+class TestTableMemory:
+    @pytest.mark.parametrize("src, dst, per_entry", [
+        ("10.0.0.1", "10.0.0.2", 20),
+        ("2001:db8::1", "2001:db8::2", 44),
+    ])
+    def test_entry_size_follows_the_address_family(self, src, dst, per_entry):
+        s = presets.pinned_same(40)
+        s.duration_us = 5_000.0
+        s.traffic.src_addr, s.traffic.dst_addr = src, dst
+        report = run_scenario(s.validate(), seed=1).report
+        assert report.peak_entries > 0 and report.peak_held_bytes > 0
+        assert report.table_memory_peak_bytes == (
+            per_entry * report.peak_entries + report.peak_held_bytes
+        )
+
+
 class TestAgingAtRunLevel:
     def test_idle_entries_age_out_during_a_run(self):
         s = presets.pinned_same(8)

@@ -385,6 +385,16 @@ class TestScenarioSerialization:
         d["scheduler"]["tick_us"] = 0.0
         assert Scenario.from_dict(d).scheduler.mode == "pinned"
 
+    @pytest.mark.parametrize("src, dst", [
+        ("10.0.0.1", "2001:db8::2"),
+        ("2001:db8::1", "10.0.0.2"),
+    ])
+    def test_validation_rejects_mixed_address_families(self, src, dst):
+        d = scenario(4).to_dict()
+        d["traffic"]["src_addr"], d["traffic"]["dst_addr"] = src, dst
+        with pytest.raises(ScenarioError, match="traffic.dst_addr"):
+            Scenario.from_dict(d)
+
     def test_validation_rejects_more_cores_than_a_descriptor_byte_holds(self):
         s = scenario(4)
         s.host.processors = (tuple(range(130)), tuple(range(130, 260)))
