@@ -2,8 +2,8 @@
 
 Models a NIC with per-core receive queues under two steering policies:
 classic RSS hashing, and a flow-to-core table that learns where each flow's
-application runs from outgoing-packet descriptors and holds packets briefly
-across core changes to keep delivery in order.
+application runs from the core id on its outgoing packets and holds packets
+briefly across core changes to keep delivery in order.
 """
 
 from .flows import FlowKey, Packet, reverse_key

@@ -107,10 +107,11 @@ class AppProcess:
 @dataclass(slots=True)
 class SocketModel:
     """Per-flow receive socket, read by the application process `proc`.
-    `key` is the flow's receive-direction key, `tx_key` the same flow's
-    transmit-direction key, which its ACKs carry. A packet found with the socket owned, the app sleeping in receive, or the
-    backlog non-empty must defer to the backlog; processing anything ahead
-    of a non-empty backlog would reorder the flow.
+    `key` is the flow's receive-direction key and `tx_key` the same flow's
+    transmit-direction key, which its ACKs carry. A packet found with the
+    socket owned, the app sleeping in receive, or the backlog non-empty must
+    defer to the backlog; processing anything ahead of a non-empty backlog
+    would reorder the flow.
 
     The backlog is a list: it stays a few packets deep, where `pop(0)` costs
     what `deque.popleft` does, and an empty list takes 56 bytes where an

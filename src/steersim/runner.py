@@ -324,6 +324,7 @@ class Engine:
         ts = self.table.stats if self.table is not None else FlowTableStats()
         # Scenario.validate puts both addresses in one family.
         ip_version = ipaddress.ip_address(self.scenario.traffic.src_addr).version
+        memory = memory_estimate(ts.peak_entries, ip_version, ts.peak_held_bytes)
         report = RunReport(
             scenario=self.scenario.name,
             seed=self.seed,
@@ -349,7 +350,7 @@ class Engine:
             peak_held_bytes=ts.peak_held_bytes,
             held_delay_max_ns=max(hold_delays, default=0),
             held_delay_mean_ns=sum(hold_delays) / len(hold_delays) if hold_delays else 0.0,
-            table_memory_peak_bytes=memory_estimate(ts.peak_entries, ip_version, ts.peak_held_bytes),
+            table_memory_peak_bytes=memory,
             drops=drops,
             interrupts=interrupts,
             migrations=self.host.migrations,

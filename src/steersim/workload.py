@@ -268,16 +268,16 @@ class Scenario:
                 )
         # Every flow carries both addresses, so both must parse, and in one
         # address family: a flow is IPv4 or IPv6 end to end.
-        versions = {}
+        versions = []
         for name in ("src_addr", "dst_addr"):
             try:
-                versions[name] = ipaddress.ip_address(getattr(self.traffic, name)).version
+                versions.append(ipaddress.ip_address(getattr(self.traffic, name)).version)
             except ValueError as exc:
                 raise ScenarioError(f"traffic.{name}: {exc}") from None
-        if versions["dst_addr"] != versions["src_addr"]:
+        if versions[0] != versions[1]:
             raise ScenarioError(
-                f"traffic.dst_addr {self.traffic.dst_addr!r} is IPv{versions['dst_addr']}, "
-                f"but traffic.src_addr {self.traffic.src_addr!r} is IPv{versions['src_addr']}"
+                f"traffic.dst_addr {self.traffic.dst_addr!r} is not IPv{versions[0]} like "
+                f"traffic.src_addr {self.traffic.src_addr!r}"
             )
         rss = build_rss_engine(self)
         try:
