@@ -6,19 +6,27 @@ Covers: steering-vs-RSS affinity comparisons on the pinned placements
 migrating placements (migrate_same/migrate_cross), the admission sweep, the
 worst-case migration schedule and the held-byte bound (memory10g).
 
-Usage: python scripts/run_experiments.py [--seeds N]
+Usage: python scripts/run_experiments.py [--seeds N] [--jobs N]
+
+`--jobs N` runs the simulations in up to N worker processes; the tables are
+the same as with the default of 1.
 """
 
 import argparse
 import statistics
 import sys
+from itertools import islice
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from steersim import presets  # noqa: E402
 from steersim.metrics import occupancy_oracle  # noqa: E402
-from steersim.runner import run_scenario  # noqa: E402
+from steersim.runner import report_rows  # noqa: E402
+
+# Each table function returns (runs, show): the (scenario, seed) runs it
+# needs, and a function that prints the table from their report rows, given
+# in the order of `runs`.
 
 
 def mean_std(values):
@@ -27,85 +35,120 @@ def mean_std(values):
     return m, s
 
 
+def per_case(rows, n):
+    """Split rows into consecutive groups of n, one group per case."""
+    return [rows[i:i + n] for i in range(0, len(rows), n)]
+
+
 def affinity_table(seeds):
-    print("== steering benefit (pinned apps) ==")
-    print(f"{'scenario':<14} {'mode':<10} {'data_affinity':>14} {'cross_core':>11} "
-          f"{'lock_conflicts':>15} {'proc_ctx%':>10}")
-    for build in (presets.pinned_same, presets.pinned_cross):
-        for mode in ("flowsteer", "rss"):
-            daff, cross, lock, pf = [], [], [], []
-            for seed in seeds:
-                s = build()
-                s.nic.mode = mode
-                r = run_scenario(s, seed=seed).report
-                daff.append(r.data_affinity)
-                cross.append(r.cross_core_packets)
-                lock.append(r.lock_conflict_events)
-                pf.append(r.process_context_fraction)
+    cases = [(build, mode) for build in (presets.pinned_same, presets.pinned_cross)
+             for mode in ("flowsteer", "rss")]
+    runs = []
+    for build, mode in cases:
+        for seed in seeds:
+            s = build()
+            s.nic.mode = mode
+            runs.append((s, seed))
+
+    def show(rows):
+        print("== steering benefit (pinned apps) ==")
+        print(f"{'scenario':<14} {'mode':<10} {'data_affinity':>14} {'cross_core':>11} "
+              f"{'lock_conflicts':>15} {'proc_ctx%':>10}")
+        for (build, mode), group in zip(cases, per_case(rows, len(seeds))):
+            daff = [r["data_affinity"] for r in group]
+            cross = [r["cross_core_packets"] for r in group]
+            lock = [r["lock_conflict_events"] for r in group]
+            pf = [r["process_context_fraction"] for r in group]
             print(f"{build.__name__:<14} {mode:<10}"
                   f" {mean_std(daff)[0]:>8.3f}±{mean_std(daff)[1]:.3f}"
                   f" {mean_std(cross)[0]:>10.1f}"
                   f" {mean_std(lock)[0]:>15.1f}"
                   f" {100 * mean_std(pf)[0]:>9.1f}%")
-    print()
+        print()
+
+    return runs, show
 
 
 def reordering_table(seeds):
-    print("== reordering ratio (migrating apps) ==")
-    print(f"{'scenario':<14} {'streams':>8} {'timer=0':>12} {'timer=100us':>12}")
-    for build in (presets.migrate_same, presets.migrate_cross):
-        for streams in (40, 2000):
-            with_timer, without = [], []
-            for seed in seeds:
-                s0 = build(streams)
-                s0.flow_table.t_timer_us = 0.0
-                without.append(run_scenario(s0, seed=seed).report.reordering_ratio)
-                s1 = build(streams)
-                with_timer.append(run_scenario(s1, seed=seed).report.reordering_ratio)
+    cases = [(build, streams) for build in (presets.migrate_same, presets.migrate_cross)
+             for streams in (40, 2000)]
+    runs = []
+    for build, streams in cases:
+        for seed in seeds:
+            s0 = build(streams)
+            s0.flow_table.t_timer_us = 0.0
+            runs.append((s0, seed))
+            runs.append((build(streams), seed))
+
+    def show(rows):
+        print("== reordering ratio (migrating apps) ==")
+        print(f"{'scenario':<14} {'streams':>8} {'timer=0':>12} {'timer=100us':>12}")
+        for (build, streams), group in zip(cases, per_case(rows, 2 * len(seeds))):
+            without = [r["reordering_ratio"] for r in group[0::2]]
+            with_timer = [r["reordering_ratio"] for r in group[1::2]]
             print(f"{build.__name__:<14} {streams:>8}"
                   f" {mean_std(without)[0]:>12.3e} {mean_std(with_timer)[0]:>12.3e}")
-    print()
+        print()
+
+    return runs, show
 
 
 def admission_table(seeds):
-    print("== flows admitted to the steering table ==")
-    print(f"{'streams':>8} {'chain cap':>10} {'simulated':>10} {'analytic':>9}")
-    for mls in (6, 1):
-        for streams in (40, 200, 1000, 2000):
-            fractions = [
-                run_scenario(presets.admission(streams, mls), seed=s).report.admitted_fraction
-                for s in seeds
-            ]
-            m, sd = mean_std(fractions)
+    cases = [(mls, streams) for mls in (6, 1) for streams in (40, 200, 1000, 2000)]
+    runs = [(presets.admission(streams, mls), seed)
+            for mls, streams in cases for seed in seeds]
+
+    def show(rows):
+        print("== flows admitted to the steering table ==")
+        print(f"{'streams':>8} {'chain cap':>10} {'simulated':>10} {'analytic':>9}")
+        for (mls, streams), group in zip(cases, per_case(rows, len(seeds))):
+            m, sd = mean_std([r["admitted_fraction"] for r in group])
             oracle = occupancy_oracle(256, streams, mls)
             print(f"{streams:>8} {mls:>10} {100 * m:>8.1f}%±{100 * sd:.1f} "
                   f"{100 * oracle:>8.1f}%")
-    print()
+        print()
+
+    return runs, show
 
 
 def worstcase_and_memory():
-    print("== worst-case migration schedule ==")
-    for t_timer in (0.0, 85.0, 100.0):
+    timers = (0.0, 85.0, 100.0)
+    runs = []
+    for t_timer in timers:
         s = presets.worstcase()
         s.flow_table.t_timer_us = t_timer
-        r = run_scenario(s, seed=1).report
-        print(f"t_timer={t_timer:>6.1f}us reordering={r.reordering_ratio:.3e} "
-              f"held={r.held_packets} max_hold={r.held_delay_max_ns}ns")
-    r = run_scenario(presets.memory10g(), seed=1).report
-    print(f"10 Gbps, t_timer=200us: peak held bytes {r.peak_held_bytes} "
-          f"(bound 250000), table memory peak {r.table_memory_peak_bytes} bytes")
-    print()
+        runs.append((s, 1))
+    runs.append((presets.memory10g(), 1))
+
+    def show(rows):
+        print("== worst-case migration schedule ==")
+        for t_timer, r in zip(timers, rows):
+            print(f"t_timer={t_timer:>6.1f}us reordering={r['reordering_ratio']:.3e} "
+                  f"held={r['held_packets']} max_hold={r['held_delay_max_ns']}ns")
+        r = rows[-1]
+        print(f"10 Gbps, t_timer=200us: peak held bytes {r['peak_held_bytes']} "
+              f"(bound 250000), table memory peak {r['table_memory_peak_bytes']} bytes")
+        print()
+
+    return runs, show
 
 
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--seeds", type=int, default=3)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the runs (default 1: run in this process)")
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     seeds = range(1, args.seeds + 1)
-    affinity_table(seeds)
-    reordering_table(seeds)
-    admission_table(seeds)
-    worstcase_and_memory()
+    tables = [affinity_table(seeds), reordering_table(seeds), admission_table(seeds),
+              worstcase_and_memory()]
+    # Every run is handed over at once, so workers stay busy across tables;
+    # each table prints as soon as its own rows are in.
+    rows = report_rows([run for runs, _ in tables for run in runs], args.jobs)
+    for runs, show in tables:
+        show(list(islice(rows, len(runs))))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 `steersim run scenario.json` executes one or more seeded runs and writes
 runs.csv (one row per run), aggregate.csv (mean and sample stddev per
-metric), summary.txt and manifest.json into the output directory.
+metric), summary.txt and manifest.json into the output directory. With
+`--jobs N` the seeds run in up to N worker processes; every output is the
+same as with one.
 `steersim compare A B` diffs two aggregate reports produced from the same
 scenario (override axes excluded from the identity hash).
 """
@@ -16,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .metrics import aggregate_rows, format_value, rows_to_csv, summary_text
-from .runner import run_scenario
+from .runner import report_rows
 from .workload import Scenario, ScenarioError
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -68,16 +70,14 @@ def cmd_run(args) -> int:
     seeds = [scenario.seed + i for i in range(args.repeat)]
     rows = []
     try:
-        for seed in seeds:
-            result = run_scenario(scenario, seed=seed)
-            rows.append(result.report.to_row())
+        for seed, row in zip(seeds, report_rows([(scenario, s) for s in seeds], args.jobs)):
+            rows.append(row)
             if not args.quiet:
-                r = result.report
                 print(
-                    f"seed {seed}: delivered={r.delivered_data}"
-                    f" reordering={format_value(r.reordering_ratio)}"
-                    f" admitted={format_value(r.admitted_fraction)}"
-                    f" data_affinity={format_value(r.data_affinity)}"
+                    f"seed {seed}: delivered={row['delivered_data']}"
+                    f" reordering={format_value(row['reordering_ratio'])}"
+                    f" admitted={format_value(row['admitted_fraction'])}"
+                    f" data_affinity={format_value(row['data_affinity'])}"
                 )
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -169,6 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="override the base seed")
     run_p.add_argument("--repeat", type=int, default=1,
                        help="number of runs, seeded seed, seed+1, ...")
+    run_p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the runs (default 1: run in this process)")
     run_p.add_argument("--out", help="output directory (default $STEERSIM_OUT/<name>_<mode>)")
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=cmd_run)
@@ -182,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "repeat", 1) < 1:
-        print("error: --repeat must be at least 1", file=sys.stderr)
-        return 2
+    for flag in ("repeat", "jobs"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag} must be at least 1", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

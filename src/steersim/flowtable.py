@@ -120,9 +120,11 @@ class FlowTable:
 
     `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks.
     `schedule_timer(deadline, key)` is injected by the owner and must
-    arrange a later call to `on_timer_expire`. `fallback_core(key)` names
-    the core the hash fallback would pick; new entries start there because
-    nothing better is known before the flow's first outgoing core id.
+    arrange a later call to `on_timer_expire`; the engine sets it to None
+    when its run ends, since it refers back to the engine.
+    `fallback_core(key)` names the core the hash fallback would pick; new
+    entries start there because nothing better is known before the flow's
+    first outgoing core id.
     """
 
     def __init__(self, spec: TableSpec, schedule_timer, fallback_core):
@@ -131,7 +133,7 @@ class FlowTable:
         self.t_timer_ns = int(spec.t_timer_us * US)  # hold duration on core change
         self.t_delete_ns = int(spec.t_delete_ms * MS)  # idle eviction timeout
         self.t_delete_pressure_ns = int(spec.t_delete_pressure_ms * MS)  # when running hot
-        self._schedule_timer = schedule_timer
+        self.schedule_timer = schedule_timer
         self._fallback_core = fallback_core
         self._buckets: dict[int, list[FlowEntry]] = {}
         self._entries: dict[FlowKey, FlowEntry] = {}
@@ -260,7 +262,7 @@ class FlowTable:
             entry.transition = True
             entry.timer_deadline = now + self.t_timer_ns
             self.stats.transitions_started += 1
-            self._schedule_timer(entry.timer_deadline, entry.key)
+            self.schedule_timer(entry.timer_deadline, entry.key)
 
     def on_timer_expire(self, key: FlowKey, now: int):
         """Leave the transition state; returns (core_id, held packets) with

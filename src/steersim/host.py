@@ -14,6 +14,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from operator import ne
+from types import MethodType
 
 from .flows import DATA, KINDS, reverse_key
 
@@ -180,7 +181,10 @@ class _ProcLane:
 
 class Host:
     """Owns cores, sockets and application processes for one simulated run.
-    It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`."""
+    It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`.
+
+    Pids are dense: `add_flow` takes pids 0, 1, 2, ... in order, and
+    `processes` is the list of processes indexed by pid."""
 
     def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
                  ack_every: int = 2):
@@ -188,9 +192,10 @@ class Host:
         self.sim = sim
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
+        self._nic = nic
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
         self.sockets: dict = {}
-        self.processes: dict[int, AppProcess] = {}
+        self.processes: list[AppProcess] = []  # indexed by pid
         self.handler_active = [False] * len(cores)
         self.proc_lanes = [_ProcLane(sim, core) for core in cores]
         self.migrations = 0  # migrations performed so far
@@ -203,19 +208,35 @@ class Host:
         # Process-lane work functions, bound once; a unit pairs one with a socket.
         self._syscall = self._syscall_enter
         self._drain = self._drain_step
-        self._submit_syscall_at: dict = {}  # pid -> event issuing the next call
+        # Indexed by pid: the event that issues the process's next receive
+        # call, `_submit_syscall` bound to its socket.
+        self._submit_syscall_at: list[MethodType] = []
         self._wired = None  # _wiring() until the next add_flow
 
     # -- wiring -----------------------------------------------------------------
 
     def add_flow(self, key, process: AppProcess):
-        pid = process.pid
-        self.processes[pid] = process
+        """Attach `process`, whose pid must be the next dense pid, and give
+        it the socket of the flow `key` it reads."""
+        if process.pid != len(self.processes):
+            raise ValueError(f"pid {process.pid} is not the next pid, {len(self.processes)}")
+        self.processes.append(process)
         self._wired = None
         sock = SocketModel(key=key, tx_key=reverse_key(key), proc=process)
         self.sockets[key] = sock
-        self._submit_syscall_at[pid] = lambda: self._submit_syscall(sock)
+        self._submit_syscall_at.append(MethodType(self._submit_syscall, sock))
         return sock
+
+    def release(self):
+        """Drop the host's event actions and the interrupt actions it put on
+        the NIC. Each refers back to the host or one of its lanes, so each
+        forms a reference cycle. Counters, sockets and processes stay
+        readable; the host takes no events afterwards."""
+        self._nic.interrupts = None
+        self._softirq_next = self._submit_syscall_at = None
+        self._syscall = self._drain = None
+        for lane in self.proc_lanes:
+            lane._resume = None
 
     def _wiring(self) -> tuple:
         """Scheduler views of the wired processes, built once per wiring:
@@ -226,8 +247,7 @@ class Host:
         fallback core) per Free process with two or more allowed cores, for
         force_alternate."""
         if self._wired is None:
-            procs = sorted(self.processes.values(), key=lambda p: p.pid)
-            order = [(p, not p.pinned) for p in procs]
+            order = [(p, not p.pinned) for p in self.processes]
             next_maps = {}
             rotation = []
             for proc, free in order:

@@ -8,6 +8,7 @@ NIC the flow's transmit-direction key and the core that processed it.
 
 import gc
 import ipaddress
+import os
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -81,8 +82,17 @@ class Engine:
             scheduler_mode=scenario.scheduler.mode,
             ack_every=scenario.host.ack_every,
         )
+        sched = scenario.scheduler
+        # Periods of the periodic events, None for an event that is off;
+        # Scenario.validate ensures each is at least 1 ns.
+        self._tick_ns = None if sched.mode == "pinned" else int(sched.tick_us * US)
+        self._alternate_ns = (
+            None if sched.forced_migration_period_us is None
+            else int(sched.forced_migration_period_us * US)
+        )
         self.generated_data = 0
         self.flush_times: dict[FlowKey, int] = {}
+        self._ran = False
 
     # -- wiring callbacks --------------------------------------------------------
 
@@ -223,44 +233,44 @@ class Engine:
     # -- periodic machinery ---------------------------------------------------------
 
     def _schedule_periodics(self):
-        # Scenario.validate ensures both periods are at least 1 ns.
-        sched = self.scenario.scheduler
-        if sched.mode != "pinned":
-            tick_ns = int(sched.tick_us * US)
-
-            def tick():
-                self.host.scheduler_tick()
-                self.sim.schedule_after(tick_ns, tick)
-
-            self.sim.schedule(tick_ns, tick)
-
-        if sched.forced_migration_period_us is not None:
-            period_ns = int(sched.forced_migration_period_us * US)
-
-            def alternate():
-                self.host.force_alternate()
-                self.sim.schedule_after(period_ns, alternate)
-
-            self.sim.schedule(period_ns, alternate)
-
+        if self._tick_ns is not None:
+            self.sim.schedule(self._tick_ns, self._tick)
+        if self._alternate_ns is not None:
+            self.sim.schedule(self._alternate_ns, self._alternate)
         if self.table is not None:
-            def sweep():
-                self.table.age(self.sim.now)
-                self.sim.schedule_after(AGE_SWEEP_INTERVAL_NS, sweep)
+            self.sim.schedule(AGE_SWEEP_INTERVAL_NS, self._sweep)
 
-            self.sim.schedule(AGE_SWEEP_INTERVAL_NS, sweep)
+    # Each periodic event reschedules itself. They are bound methods, not
+    # closures: a closure that names itself is a reference cycle.
+
+    def _tick(self):
+        self.host.scheduler_tick()
+        self.sim.schedule_after(self._tick_ns, self._tick)
+
+    def _alternate(self):
+        self.host.force_alternate()
+        self.sim.schedule_after(self._alternate_ns, self._alternate)
+
+    def _sweep(self):
+        self.table.age(self.sim.now)
+        self.sim.schedule_after(AGE_SWEEP_INTERVAL_NS, self._sweep)
 
     # -- run ---------------------------------------------------------------------
 
     def run(self) -> RunResult:
         """Schedule the workload, run to the horizon and collect the report.
+        An Engine runs once; a second call raises RuntimeError.
 
         Cyclic garbage collection is paused for the whole call, as `timeit`
         does, and restored as the caller had it, also when the run raises.
         Setup, the event loop and collection allocate objects that live as
         long as the run, so a collection would free next to nothing; it
-        would only rescan them over and over. Cycles the run leaves behind
-        wait for a later collection."""
+        would only rescan them over and over. The run leaves no reference
+        cycle behind (`_release`), so the engine and all it built are freed
+        by reference counting as soon as the caller drops the engine."""
+        if self._ran:
+            raise RuntimeError("an Engine runs once; build a new Engine for another run")
+        self._ran = True
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -272,8 +282,20 @@ class Engine:
             self.sim.run_until(self.duration_ns)
             return self._collect()
         finally:
+            self._release()
             if enabled:
                 gc.enable()
+
+    def _release(self):
+        """Drop every event action the run built. The actions refer back to
+        the models that schedule them (the host, its lanes, the engine), so
+        each forms a reference cycle. What the report, `RunResult` and a
+        caller read afterwards stays: `sim.fired_total`, `host.stats`,
+        `host.sockets`, `nic.rings` and `table.stats`."""
+        self.sim.clear()
+        self.host.release()
+        if self.table is not None:
+            self.table.schedule_timer = None
 
     # -- reporting ----------------------------------------------------------------
 
@@ -378,3 +400,33 @@ def _arrival_blocks(plans: list, firsts: list):
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
     return Engine(scenario, seed=seed).run()
+
+
+def report_row(scenario: Scenario, seed: int) -> dict:
+    """The report row of one run; a worker process sends back only this,
+    not the run's delivery logs."""
+    return run_scenario(scenario, seed=seed).report.to_row()
+
+
+def report_rows(runs, jobs: int = 1):
+    """Yield the report row of each (scenario, seed) run, in the order given.
+
+    With `jobs` 1, or a single run, the runs execute one after another in
+    this process. Otherwise a pool of spawned worker processes, at most
+    `jobs`, `os.cpu_count()` and the number of runs, executes them; rows
+    still come back in the order given, and an error a run raises is
+    raised here when its row is reached. A run's row does not depend on the
+    process it ran in, so the rows are the same for every `jobs`."""
+    runs = list(runs)
+    workers = min(jobs, os.cpu_count() or 1, len(runs))
+    if workers <= 1:
+        for scenario, seed in runs:
+            yield report_row(scenario, seed)
+        return
+    # Imported only here: the pool's modules take about 20 ms to import,
+    # a quarter of a single-process run's start-up.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        yield from pool.map(report_row, *zip(*runs))

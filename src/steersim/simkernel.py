@@ -213,6 +213,18 @@ class Simulator:
         self.now = t_end
         return fired
 
+    def clear(self):
+        """Drop every event and arrival not yet fired, with their actions.
+
+        Afterwards nothing is pending and `schedule_arrivals` may not be
+        called; `now` and `fired_total` stay. An action usually refers to
+        the model that scheduled it, which refers back to this simulator;
+        clearing ends those reference cycles when a run is over."""
+        self._heap.clear()
+        self._lane.clear()
+        self._arrivals = ()
+        self._arrival_action = None
+
     def pending(self) -> int:
         """Runtime events waiting, on the heap or in the same-instant lane.
         Arrivals from `schedule_arrivals` are not counted."""

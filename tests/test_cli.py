@@ -1,10 +1,12 @@
+import concurrent.futures
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from steersim import cli, presets
+from steersim import presets, runner
 from steersim.cli import main, scenario_hash
 from steersim.workload import ScenarioError
 
@@ -190,7 +192,7 @@ class TestCompare:
         def fail(scenario, seed=None):
             raise ScenarioError("no app placement rule for port 7")
 
-        monkeypatch.setattr(cli, "run_scenario", fail)
+        monkeypatch.setattr(runner, "run_scenario", fail)
         assert run_cli("run", small_scenario, "--out", tmp_path / "out", "--quiet") == 2
         assert capsys.readouterr().err == "error: no app placement rule for port 7\n"
 
@@ -210,6 +212,76 @@ class TestCompare:
         run_cli("run", pa, "--out", out_a, "--quiet")
         run_cli("run", pb, "--out", out_b, "--quiet")
         assert run_cli("compare", out_a, out_b) == 1
+
+
+class TestJobs:
+    OUTPUTS = ("runs.csv", "aggregate.csv", "summary.txt", "manifest.json")
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Allow a pool of two workers even on a one-CPU machine."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_two_jobs_write_what_one_writes(self, small_scenario, tmp_path, capsys, two_cpus):
+        printed = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert run_cli("run", small_scenario, "--repeat", 4, "--jobs", jobs,
+                           "--out", out) == 0
+            printed[jobs] = capsys.readouterr().out.splitlines()
+        for name in self.OUTPUTS:
+            assert (tmp_path / "jobs1" / name).read_bytes() == \
+                (tmp_path / "jobs2" / name).read_bytes()
+        seed_lines = printed[2][:-1]  # the last line names the output directory
+        assert seed_lines == printed[1][:-1]
+        assert [line.split(":")[0] for line in seed_lines] == [f"seed {s}" for s in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_exit_2(self, small_scenario, tmp_path, capsys, jobs):
+        assert run_cli("run", small_scenario, "--jobs", jobs, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err == "error: --jobs must be at least 1\n"
+
+    def test_scenario_error_in_a_worker_exits_2(self, tmp_path, capfd, two_cpus):
+        # No ephemeral port hashes to queue 0, where the worst case needs its
+        # victim flow: the run raises during setup, inside a worker.
+        d = presets.worstcase().to_dict()
+        d["rss"]["style"] = "indirection"
+        d["rss"]["table"] = [1, 1, 1, 1]
+        path = tmp_path / "noqueue0.json"
+        path.write_text(json.dumps(d))
+        assert run_cli("run", path, "--repeat", 2, "--jobs", 2,
+                       "--out", tmp_path / "out", "--quiet") == 2
+        assert capfd.readouterr().err == "error: rss: no ephemeral port maps to queue 0\n"
+
+    @pytest.mark.parametrize("jobs, runs, cpus, workers", [
+        (1, 3, 4, None), (2, 1, 4, None), (2, 3, 1, None),
+        (2, 3, 4, 2), (8, 3, 4, 3), (8, 6, 4, 4),
+    ])
+    def test_pool_is_capped_by_cpus_and_runs(self, monkeypatch, jobs, runs, cpus, workers):
+        pools = []
+
+        class Pool:
+            """Maps in this process and records the pool size asked for."""
+
+            def __init__(self, max_workers, mp_context):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(runner, "report_row", lambda scenario, seed: {"seed": seed})
+        rows = list(runner.report_rows([(None, seed) for seed in range(runs)], jobs))
+        assert rows == [{"seed": seed} for seed in range(runs)]
+        assert pools == ([] if workers is None else [workers])
 
 
 class TestScenarioHash:

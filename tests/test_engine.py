@@ -220,6 +220,15 @@ class TestScenarioShape:
         assert result.report.delivered_data == result.report.generated_data
 
 
+class TestRunsOnce:
+    @pytest.mark.parametrize("build", [presets.migrate_same, presets.worstcase])
+    def test_second_run_raises(self, build):
+        engine = Engine(build(), seed=1)
+        engine.run()
+        with pytest.raises(RuntimeError, match="an Engine runs once"):
+            engine.run()
+
+
 @pytest.fixture
 def gc_state():
     """Restore the collector's on/off state after a test that changes it."""

@@ -6,15 +6,24 @@ steersim layers as a fault. A `functools.partial` reports `functools`, so
 event callables must be plain functions, lambdas or bound methods defined in
 steersim. The arrival action handed to `Simulator.schedule_arrivals` is held
 to the same rule.
+
+Most of these callables refer back to the model that scheduled them, so
+`Engine.run` drops them all when the run ends: a finished run is then freed
+by reference counting alone, without the cycle collector.
 """
 
+import gc
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from steersim import presets
+from steersim import Scenario, presets
 from steersim.runner import Engine
 from steersim.simkernel import Simulator
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _latency_accounting():
@@ -59,3 +68,53 @@ def test_scheduled_actions_come_from_steersim(name, monkeypatch):
     outside = {m: n for m, n in modules.items()
                if not (isinstance(m, str) and m.startswith("steersim."))}
     assert outside == {}
+
+
+@pytest.fixture
+def gc_paused():
+    """Run the test with the cycle collector off, restoring its state after."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def _contents(result):
+    """Everything a caller reads from a RunResult, as plain values."""
+    logs = {key: (log.seq.tobytes(), log.t.tobytes(), bytes(log.core),
+                  bytes(log.app_core), bytes(log.kind))
+            for key, log in result.delivered.items()}
+    return result.report.to_row(), logs, list(result.hold_delays)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_finished_run_is_freed_without_the_cycle_collector(name, gc_paused):
+    engine = Engine(SCENARIOS[name](), seed=1)
+    result = engine.run()
+    before = _contents(result)
+    assert sum(len(log) for log in result.delivered.values()) > 0
+    built = [engine, engine.sim, engine.nic, engine.host, *engine.host.proc_lanes]
+    if engine.table is not None:
+        built.append(engine.table)
+    refs = [weakref.ref(obj) for obj in built]
+    del engine, built
+    assert [ref() for ref in refs if ref() is not None] == []
+    assert _contents(result) == before
+
+
+def test_seed_loop_keeps_only_the_held_and_the_running_engine(gc_paused):
+    # Shaped like perfbench/sample.py's `timed` batch: the first engine is
+    # built ahead and held, each later one replaces the previous in `engine`.
+    scenario = Scenario.load(SCENARIO_DIR / "pinned_same.json")
+    scenario.nic.mode = "rss"
+    seeds = range(20)
+    first = Engine(scenario, seeds[0])
+    refs = []
+    most_alive = 0
+    for k, seed in enumerate(seeds):
+        engine = first if k == 0 else Engine(scenario, seed)
+        refs.append(weakref.ref(engine))
+        engine.run()
+        most_alive = max(most_alive, sum(ref() is not None for ref in refs))
+    assert most_alive == 2

@@ -208,7 +208,7 @@ class TestScheduler:
         h.flow(key(sport=2), pid=1, core=0)
         h.host.scheduler_tick()
         assert h.host.migrations == 0
-        assert [p.core for p in h.host.processes.values()] == [0, 0]
+        assert [p.core for p in h.host.processes] == [0, 0]
 
     def test_peak_performance_balances(self):
         h = Harness(scheduler=MODE_PEAK_PERFORMANCE, num_cores=2,
@@ -218,7 +218,7 @@ class TestScheduler:
         h.host.scheduler_tick()
         assert h.host.migrations == 1
         # The lowest pid moves first.
-        assert [p.core for p in h.host.processes.values()] == [1, 0]
+        assert [p.core for p in h.host.processes] == [1, 0]
 
     def test_power_saving_converges_to_processor_zero(self):
         h = Harness(scheduler=MODE_POWER_SAVING)
@@ -242,9 +242,9 @@ class TestScheduler:
         h.flow(key(sport=2), pid=1, core=0, allowed=(1, 2, 3))  # outside its set
         h.flow(key(sport=3), pid=2, core=3)  # pinned: never moves
         h.host.force_alternate()
-        assert [p.core for p in h.host.processes.values()] == [2, 1, 3]
+        assert [p.core for p in h.host.processes] == [2, 1, 3]
         h.host.force_alternate()
-        assert [p.core for p in h.host.processes.values()] == [0, 2, 3]
+        assert [p.core for p in h.host.processes] == [0, 2, 3]
         assert h.host.migrations == 4
 
 
