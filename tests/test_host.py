@@ -1,3 +1,5 @@
+import pytest
+
 from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet, reverse_key
 from steersim.host import (
     MODE_CPUSET,
@@ -199,6 +201,17 @@ class TestLockConflicts:
         h.sim.run_until(1_000)
         assert h.host.stats.lock_conflicts == 0
         assert h.host.stats.deferrals == 1
+
+
+class TestWiring:
+    def test_pids_are_dense_and_index_processes(self):
+        h = Harness()
+        h.flow(key(sport=1), pid=0)
+        h.flow(key(sport=2), pid=1, core=2)
+        assert [p.pid for p in h.host.processes] == [0, 1]
+        assert h.host.processes[1].core == 2
+        with pytest.raises(ValueError, match="pid 3 is not the next pid, 2"):
+            h.flow(key(sport=3), pid=3)
 
 
 class TestScheduler:
