@@ -7,10 +7,10 @@ tests/test_golden.py checks.
 Each digest is the sha256 of one run's `RunReport.to_row()` at seed 1, for
 every bundled scenario, a tie-stress scenario built here, and a grid of
 named overlays on bundled scenarios that reaches the settings no bundled
-file uses: the `rss` NIC mode, lookup-latency accounting, indirection RSS,
-random ports, IPv6 addresses, the power-saving and cpuset schedulers, and
-settings that schedule events for the current instant (a zero hold timer or
-receive cadence). Run this only for a change that is meant to alter simulated
+file uses: the `rss` NIC mode, lookup-latency accounting, an RSS indirection
+table, random ports, IPv6 addresses, the power-saving scheduler, flow-table
+aging under both delete limits, and settings that schedule events for the
+current instant (a zero hold timer or receive cadence). Run this only for a change that is meant to alter simulated
 output, and say so with the change: the file is the gate that a refactor or
 speed-up kept every report byte for byte.
 """
@@ -52,12 +52,15 @@ def tie_stress() -> Scenario:
     return s.validate()
 
 
+# An indirection table that maps a hash to another queue than hash mod 4 does.
+TABLE = {"style": "indirection", "table": [0, 1, 2, 3, 3, 2, 1, 0]}
+
 # Overlays applied to every scenario in GRID_BASES: name -> nested overrides.
 OVERLAYS = {
     "rss": {"nic": {"mode": "rss"}},
     "latency": {"nic": {"latency_accounting": True}},
-    "indirection": {"rss": {"style": "indirection"}},
-    "indirection_rss": {"rss": {"style": "indirection"}, "nic": {"mode": "rss"}},
+    "table": {"rss": TABLE},
+    "table_rss": {"rss": TABLE, "nic": {"mode": "rss"}},
     "random_ports": {"traffic": {"ephemeral_ports": "random"}},
     "no_cadence": {"host": {"syscall_cadence_us": None}},
     "cadence0": {"host": {"syscall_cadence_us": 0.0}},
@@ -65,6 +68,12 @@ OVERLAYS = {
     "ack1": {"host": {"ack_every": 1}},
     "ring4": {"nic": {"ring_capacity": 4}},
     "ipv6": {"traffic": {"src_addr": "2001:db8::1", "dst_addr": "2001:db8::2"}},
+    # The 40-flow scenarios go idle before the first sweep and age out under
+    # t_delete_ms; memory10g's 200 entries cross the pressure threshold, so
+    # its active flows age out under t_delete_pressure_ms.
+    "age": {"flow_table": {
+        "t_delete_ms": 5.0, "t_delete_pressure_ms": 0.5, "pressure_threshold": 0.01,
+    }},
 }
 GRID_BASES = ("pinned_same", "migrate_same", "migrate_cross", "memory10g", "worstcase")
 
@@ -77,7 +86,6 @@ SCHEDULER_OVERLAYS = {
         "scheduler": {"mode": "power_saving"}, "apps": ALL_CORES,
         "nic": {"latency_accounting": True},
     },
-    "cpuset": {"scheduler": {"mode": "cpuset"}},
 }
 MIGRATING = ("migrate_same", "migrate_cross", "memory10g")
 

@@ -10,6 +10,7 @@ alter simulated output.
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import dataclasses
@@ -33,6 +34,36 @@ def test_every_scenario_has_a_digest():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_report_digest_matches(name):
     assert golden.digest(SCENARIOS[name]) == GOLDEN[name]
+
+
+OVERLAYS = {**golden.OVERLAYS, **golden.SCHEDULER_OVERLAYS}
+
+
+def settings(overrides: dict) -> set:
+    """An overlay's overrides as a set of (section, field, JSON value)."""
+    out = set()
+    for section, value in overrides.items():
+        items = value.items() if isinstance(value, dict) else [(None, value)]
+        out |= {(section, name, json.dumps(v)) for name, v in items}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAYS))
+def test_every_overlay_changes_a_report(name):
+    """On at least one base, the overlay's digest differs from the base's
+    and from that of each overlay it extends (`table_rss` extends `rss`).
+    An overlay that repeats them on every base gates a setting with no
+    effect. Reads the digests only."""
+    mine = settings(OVERLAYS[name])
+    extended = [p for p in OVERLAYS if p != name and settings(OVERLAYS[p]) <= mine]
+    changed = []
+    for key, digest in GOLDEN.items():
+        base, _, overlay = key.partition("+")
+        if overlay == name:
+            before = [GOLDEN[base]] + [GOLDEN[f"{base}+{p}"] for p in extended]
+            changed.append(digest not in before)
+    assert changed, f"no digest for overlay {name}"
+    assert any(changed), f"overlay {name} changes no base's report"
 
 
 def choice_fields() -> dict:
