@@ -38,7 +38,7 @@ def tie_stress() -> Scenario:
     t = s.traffic
     t.streams = 12
     t.data_packets_per_stream = 40
-    t.per_stream_pps = 200_000.0
+    t.link_gbps = 28.8  # 200k pps of 1500 B per stream
     t.burst = 4
     t.burst_spacing_ns = 0
     t.jitter_ns = 0
@@ -53,7 +53,7 @@ def tie_stress() -> Scenario:
 
 
 # An indirection table that maps a hash to another queue than hash mod 4 does.
-TABLE = {"style": "indirection", "table": [0, 1, 2, 3, 3, 2, 1, 0]}
+TABLE = {"table": [0, 1, 2, 3, 3, 2, 1, 0]}
 
 # Overlays applied to every scenario in GRID_BASES: name -> nested overrides.
 OVERLAYS = {

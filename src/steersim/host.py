@@ -24,7 +24,6 @@ KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
 MODE_POWER_SAVING = "power_saving"
-MODE_CPUSET = "cpuset"
 
 STATE_COMPUTING = "computing"
 STATE_DRAINING = "draining"
@@ -217,9 +216,15 @@ class Host:
 
     def add_flow(self, key, process: AppProcess):
         """Attach `process`, whose pid must be the next dense pid, and give
-        it the socket of the flow `key` it reads."""
+        it the socket of the flow `key` it reads. The process must start on
+        one of its allowed cores; the scheduler moves it only among them."""
         if process.pid != len(self.processes):
             raise ValueError(f"pid {process.pid} is not the next pid, {len(self.processes)}")
+        if process.core not in process.allowed_cores:
+            raise ValueError(
+                f"pid {process.pid} starts on core {process.core}, outside its allowed "
+                f"cores {process.allowed_cores}"
+            )
         self.processes.append(process)
         self._wired = None
         sock = SocketModel(key=key, tx_key=reverse_key(key), proc=process)
@@ -243,8 +248,8 @@ class Host:
         pids and pinning are fixed once flows are added.
 
         Returns (order, rotation). `order` is every process in pid order
-        with its Free flag; `rotation` holds one (process, next-core map,
-        fallback core) per Free process with two or more allowed cores, for
+        with its Free flag; `rotation` holds one (process, next-core map)
+        per Free process with two or more allowed cores, for
         force_alternate."""
         if self._wired is None:
             order = [(p, not p.pinned) for p in self.processes]
@@ -259,8 +264,7 @@ class Host:
                     nxt = next_maps[allowed] = {}
                     for i, core in enumerate(allowed):
                         nxt.setdefault(core, allowed[(i + 1) % len(allowed)])
-                # A core outside the allowed set rotates to the first one.
-                rotation.append((proc, nxt, allowed[0]))
+                rotation.append((proc, nxt))
             self._wired = (order, rotation)
         return self._wired
 
@@ -403,8 +407,6 @@ class Host:
             self._balance_peak()
         elif self.scheduler_mode == MODE_POWER_SAVING:
             self._converge_power()
-        elif self.scheduler_mode == MODE_CPUSET:
-            self._enforce_cpuset()
 
     def _migrate(self, proc: AppProcess, to_core: int):
         proc.core = to_core
@@ -447,22 +449,13 @@ class Host:
             counts[dest] += 1
             self._migrate(proc, dest)
 
-    def _enforce_cpuset(self):
-        order, _ = self._wiring()
-        counts = self.runnable_counts()
-        for proc, _ in order:
-            if proc.core not in proc.allowed_cores:
-                dest = min(proc.allowed_cores, key=lambda c: (counts[c], c))
-                counts[dest] += 1
-                self._migrate(proc, dest)
-
     def force_alternate(self):
         """Deterministically rotate every Free process to the next core in
         its allowed set. Models aggressive migration pressure so transition
         behaviour is exercised reproducibly."""
         _, rotation = self._wiring()
-        for proc, nxt, first in rotation:
-            proc.core = nxt.get(proc.core, first)
+        for proc, nxt in rotation:
+            proc.core = nxt[proc.core]
         self.migrations += len(rotation)
 
 

@@ -32,9 +32,6 @@ class RingBuffer:
     max_depth: int = 0
     interrupts: int = 0
 
-    def depth(self) -> int:
-        return len(self.slots)
-
 
 class Nic:
     """Receive pipeline plus observation of outgoing packets: each one's
@@ -133,8 +130,3 @@ class Nic:
             self.hold_delays.append(now - packet.held_at)
             packet.held_at = None
             self._enqueue(queue, packet)
-
-    def drain(self, queue_id: int) -> Packet | None:
-        """Pop the head of a queue's ring, or None when it is empty."""
-        slots = self.rings[queue_id].slots
-        return slots.popleft() if slots else None

@@ -30,7 +30,7 @@ def pinned_same(streams: int = 40) -> Scenario:
     s.duration_us = 20_000.0
     s.traffic.streams = streams
     s.traffic.data_packets_per_stream = 60
-    s.traffic.per_stream_pps = 40_000.0
+    s.traffic.link_gbps = 0.48 * streams  # 40k pps of 1500 B per stream
     s.traffic.burst = 3
     s.traffic.burst_spacing_ns = 250
     s.traffic.jitter_ns = 60_000
@@ -62,7 +62,7 @@ def migrate_same(streams: int = 40) -> Scenario:
         # Few flows: drive each hard so bursts straddle migrations.
         s.duration_us = 20_000.0
         s.traffic.data_packets_per_stream = max(60, 16_000 // streams)
-        s.traffic.per_stream_pps = 4_800_000.0 / streams
+        s.traffic.link_gbps = 57.6  # 4.8 Mpps of 1500 B
         s.traffic.burst = 8
         s.traffic.burst_spacing_ns = 300
         s.traffic.jitter_ns = 50_000
@@ -71,7 +71,7 @@ def migrate_same(streams: int = 40) -> Scenario:
         # Many flows: aggregate pressure builds the ring depth instead.
         s.duration_us = 30_000.0
         s.traffic.data_packets_per_stream = max(10, 60_000 // streams)
-        s.traffic.per_stream_pps = 4_000_000.0 / streams
+        s.traffic.link_gbps = 48.0  # 4 Mpps of 1500 B
         s.traffic.burst = 6
         s.traffic.burst_spacing_ns = 250
         s.traffic.jitter_ns = 50_000
@@ -95,7 +95,7 @@ def admission(streams: int, max_list_size: int) -> Scenario:
     s.duration_us = 15_000.0
     s.traffic.streams = streams
     s.traffic.data_packets_per_stream = 2
-    s.traffic.per_stream_pps = 10_000.0
+    s.traffic.link_gbps = 0.12 * streams  # 10k pps of 1500 B per stream
     s.traffic.ephemeral_ports = "random"
     s.flow_table.max_list_size = max_list_size
     s.apps = (AppRule((5001, 6001), (0, 1)),)
@@ -121,7 +121,7 @@ def memory10g() -> Scenario:
     s.duration_us = 25_000.0
     s.traffic.streams = 200
     s.traffic.data_packets_per_stream = 110
-    s.traffic.per_stream_pps = None  # split 10 Gbps evenly
+    s.traffic.link_gbps = 10.0
     s.traffic.burst = 4
     s.traffic.jitter_ns = 30_000
     s.flow_table.t_timer_us = 200.0

@@ -29,13 +29,16 @@ from .workload import (
     EPHEMERAL_START,
     Scenario,
     ScenarioError,
-    adversarial_migration_schedule,
     build_rss_engine,
     spawn_streams,
 )
 
 AGE_SWEEP_INTERVAL_NS = 10 * MS
 CONTROL_BYTES = 64  # SYN, SYN-ACK and pure ACK frames
+# The worst-case schedule migrates at WORST_CASE_FIRE_NS; the packets around
+# the migration are WORST_CASE_EPSILON_NS apart.
+WORST_CASE_FIRE_NS = 50 * US
+WORST_CASE_EPSILON_NS = 1
 
 
 @dataclass
@@ -175,9 +178,17 @@ class Engine:
         self.nic.tx(sock.tx_key, self.rss.queue_for(sock.key), self.sim.now)
 
     def _schedule_worst_case(self):
-        scenario = self.scenario
-        events = adversarial_migration_schedule(scenario.nic.ring_capacity)
+        """Worst-case migration schedule for in-order analysis.
 
+        Pre-loads the victim's old queue with ring_capacity - 1 packets of a
+        filler flow, lands victim packet S one tick before the migration ACK
+        goes out from the new core, and packet S+1 one tick after. With a
+        zero hold timer the new queue services S+1 while S still waits
+        behind the backlog; with a timer of at least (ring_capacity - 1) /
+        R_service the flush lands after S's service start and order is
+        preserved. `Scenario.validate` ensures a ring of two slots or more.
+        """
+        scenario = self.scenario
         old_queue, new_core = 0, 1
         victim_key = self._find_key_for_queue(old_queue, scenario.traffic.ports[0])
         filler_key = self._find_key_for_queue(
@@ -199,20 +210,16 @@ class Engine:
         self._schedule_rx(2 * gap, Packet(victim_key, ACK, -1, CONTROL_BYTES))
 
         size = scenario.traffic.packet_bytes
-        filler_seq = 0
-        for ev in events:
-            if ev.role == "filler":
-                self._schedule_rx(ev.at, Packet(filler_key, DATA, filler_seq, size))
-                filler_seq += 1
-                self.generated_data += 1
-            elif ev.role == "victim_data":
-                self._schedule_rx(ev.at, Packet(victim_key, DATA, ev.seq, size))
-                self.generated_data += 1
-            elif ev.role == "migrate":
-                # The victim's app ACKs from its new core.
-                self.sim.schedule(
-                    ev.at, lambda: self.nic.tx_ack(victim.tx_key, new_core, self.sim.now)
-                )
+        t = WORST_CASE_FIRE_NS
+        eps = WORST_CASE_EPSILON_NS
+        fillers = scenario.nic.ring_capacity - 1
+        for seq in range(fillers):
+            self._schedule_rx(t - 2 * eps, Packet(filler_key, DATA, seq, size))
+        self._schedule_rx(t - eps, Packet(victim_key, DATA, 0, size))
+        # The victim's app ACKs from its new core.
+        self.sim.schedule(t, lambda: self.nic.tx_ack(victim.tx_key, new_core, self.sim.now))
+        self._schedule_rx(t + eps, Packet(victim_key, DATA, 1, size))
+        self.generated_data += fillers + 2
 
     def _schedule_rx(self, at: int, packet: Packet):
         """Schedule one scripted packet to reach the NIC at `at`."""

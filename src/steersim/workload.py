@@ -35,9 +35,8 @@ class ScenarioError(ValueError):
 CHOICES = {
     "kind": ("streams", "worst_case"),
     "nic.mode": ("rss", "flowsteer"),
-    "rss.style": ("direct", "indirection"),
     "traffic.ephemeral_ports": ("sequential", "random"),
-    "scheduler.mode": ("pinned", "peak_performance", "power_saving", "cpuset"),
+    "scheduler.mode": ("pinned", "peak_performance", "power_saving"),
 }
 
 
@@ -57,7 +56,7 @@ class TrafficSpec:
     dst_addr: str = "10.0.0.2"
     packet_bytes: int = 1500
     data_packets_per_stream: int = 30
-    per_stream_pps: float | None = None  # None: split 10 Gbps evenly
+    link_gbps: float = 10.0  # aggregate offered load, split evenly over the streams
     burst: int = 3  # packets sent back to back
     burst_spacing_ns: int = 250
     jitter_ns: int = 0  # uniform jitter applied per burst
@@ -65,7 +64,6 @@ class TrafficSpec:
     ephemeral_start: int = EPHEMERAL_START
     handshake_gap_us: float = 10.0
     start_spread_us: float = 1000.0  # stream starts staggered over this window
-    link_gbps: float = 10.0
 
 
 @dataclass
@@ -103,8 +101,9 @@ class NicSpec:
 @dataclass
 class RssSpec:
     key_hex: str | None = None  # default verification key when None
-    style: str = "direct"  # or "indirection"
-    table: tuple[int, ...] | None = None  # queue ids, power-of-two length
+    # Queue ids, power-of-two length, looked up by the hash's low bits;
+    # None: the hash mod the queue count.
+    table: tuple[int, ...] | None = None
     fields: tuple[str, ...] = ("src_addr", "dst_addr", "src_port", "dst_port")
 
 
@@ -157,9 +156,6 @@ class Scenario:
             raise ScenarioError("traffic.jitter_ns must be non-negative")
         if self.traffic.start_spread_us < 0:
             raise ScenarioError("traffic.start_spread_us must be non-negative")
-        pps = self.traffic.per_stream_pps
-        if pps is not None and not pps > 0:
-            raise ScenarioError(f"traffic.per_stream_pps must be positive, not {pps}")
         if self.traffic.burst < 1:
             raise ScenarioError(f"traffic.burst must be at least 1, not {self.traffic.burst}")
         # spawn_streams divides by these, or would emit nonsense sizes.
@@ -178,9 +174,6 @@ class Scenario:
             value = field_value(self, path)
             if value not in choices:
                 raise ScenarioError(f"unknown {path} {value!r}")
-        if self.rss.style == "direct" and self.rss.table is not None:
-            # Only the indirection style reads a table.
-            raise ScenarioError("rss.table has no effect under rss.style 'direct'; use null")
         # Ports go into the hash input as two bytes each.
         if not self.traffic.ports:
             raise ScenarioError("traffic.ports must name at least one port")
@@ -356,7 +349,6 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
     field list, key or table that the rss module rejects fails at load, as
     a ScenarioError naming the field."""
     cfg = scenario.rss
-    n = scenario.num_cores()
     try:
         hash_fields = HashFields.from_names(cfg.fields)
     except ValueError as exc:
@@ -366,13 +358,13 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
     except ValueError as exc:
         raise ScenarioError(f"rss.key_hex: {exc}") from None
     table = None
-    if cfg.style == "indirection":
-        entries = cfg.table or tuple(q % n for q in range(8 * n))
+    if cfg.table is not None:
         try:
-            table = IndirectionTable.from_list(list(entries))
+            table = IndirectionTable.from_list(list(cfg.table))
         except ValueError as exc:
             raise ScenarioError(f"rss.table: {exc}") from None
-    return RssEngine(key=key, hash_fields=hash_fields, num_queues=n, table=table)
+    return RssEngine(key=key, hash_fields=hash_fields, num_queues=scenario.num_cores(),
+                     table=table)
 
 
 def _unknown_keys(spec_cls, data, prefix: str) -> list:
@@ -490,10 +482,7 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     spread = int(traffic.start_spread_us * US)
     duration = int(scenario.duration_us * US)
 
-    pps = traffic.per_stream_pps
-    if pps is None:
-        total_pps = traffic.link_gbps * 1e9 / 8 / traffic.packet_bytes
-        pps = total_pps / traffic.streams
+    pps = traffic.link_gbps * 1e9 / 8 / traffic.packet_bytes / traffic.streams
     burst = traffic.burst
     inter_burst = max(1, int(round(burst * 1e9 / pps)))
     wanted = traffic.data_packets_per_stream
@@ -536,42 +525,3 @@ def spawn_streams(scenario: Scenario, rng) -> list:
             StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, times)
         )
     return plans
-
-
-# ---- adversarial schedule -------------------------------------------------------
-
-
-@dataclass
-class WorstCaseEvent:
-    at: int
-    role: str  # filler | victim_data | migrate
-    seq: int = -1
-
-
-# The worst-case schedule migrates at WORST_CASE_FIRE_NS; the packets around
-# the migration are WORST_CASE_EPSILON_NS apart.
-WORST_CASE_FIRE_NS = 50 * US
-WORST_CASE_EPSILON_NS = 1
-
-
-def adversarial_migration_schedule(ring_capacity: int) -> list:
-    """Worst-case migration schedule for in-order analysis.
-
-    Pre-loads the victim's old queue with ring_capacity - 1 packets of other
-    flows, lands victim packet S one tick before the migration ACK goes out
-    from the new core, and packet S+1 one tick after. With a zero hold timer
-    the new queue services S+1 while S still waits behind the backlog; with
-    a timer of at least (ring_capacity - 1) / R_service the flush lands after
-    S's service start and order is preserved.
-    """
-    if ring_capacity < 2:
-        raise ScenarioError("need a ring of at least two slots")
-    t = WORST_CASE_FIRE_NS
-    eps = WORST_CASE_EPSILON_NS
-    events = []
-    for i in range(ring_capacity - 1):
-        events.append(WorstCaseEvent(t - 2 * eps, "filler", i))
-    events.append(WorstCaseEvent(t - eps, "victim_data", 0))
-    events.append(WorstCaseEvent(t, "migrate"))
-    events.append(WorstCaseEvent(t + eps, "victim_data", 1))
-    return events

@@ -125,16 +125,14 @@ class TestCompare:
         assert err.startswith("error: nic.ring_capacity")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value, style", [
-        ("fields", ["foo"], "direct"),
-        ("table", [0, 1, 2], "indirection"),
-        ("key_hex", "00", "direct"),
-        ("table", [0, 9], "indirection"),
+    @pytest.mark.parametrize("field, value", [
+        ("fields", ["foo"]),
+        ("table", [0, 1, 2]),
+        ("key_hex", "00"),
+        ("table", [0, 9]),
     ])
-    def test_bad_rss_input_exits_2_without_traceback(self, tmp_path, capsys, field, value,
-                                                     style):
+    def test_bad_rss_input_exits_2_without_traceback(self, tmp_path, capsys, field, value):
         d = presets.pinned_same(8).to_dict()
-        d["rss"]["style"] = style
         d["rss"][field] = value
         path = tmp_path / "rss.json"
         path.write_text(json.dumps(d))
@@ -157,7 +155,6 @@ class TestCompare:
     def test_load_time_probes_exit_2_without_traceback(self, tmp_path, capsys, section, field,
                                                        value, named):
         d = presets.pinned_same(8).to_dict()
-        d["traffic"]["per_stream_pps"] = None
         (d[section] if section else d)[field] = value
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(d))
@@ -246,7 +243,6 @@ class TestJobs:
         # No ephemeral port hashes to queue 0, where the worst case needs its
         # victim flow: the run raises during setup, inside a worker.
         d = presets.worstcase().to_dict()
-        d["rss"]["style"] = "indirection"
         d["rss"]["table"] = [1, 1, 1, 1]
         path = tmp_path / "noqueue0.json"
         path.write_text(json.dumps(d))

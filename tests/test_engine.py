@@ -10,7 +10,7 @@ import pytest
 from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
 from steersim.host import DeliveryLog, DeliveryRecord
-from steersim.runner import Engine, run_scenario
+from steersim.runner import WORST_CASE_FIRE_NS, Engine, run_scenario
 from steersim.simkernel import US, Simulator
 
 
@@ -38,6 +38,35 @@ class TestWorstCaseSchedule:
         result = run_scenario(s, seed=1)
         assert result.report.reordering_ratio == 0.0
         assert result.report.held_packets >= 1
+
+    @pytest.mark.parametrize("ring", [2, 256])
+    def test_schedule_fills_the_ring_and_spaces_one_tick(self, ring):
+        # What reaches the NIC: ring - 1 filler packets, then victim packet
+        # S one tick before the migration ACK from core 1 and S+1 one tick
+        # after it.
+        engine = Engine(presets.worstcase(ring_capacity=ring), seed=1)
+        nic = engine.nic
+        rx, tx_ack = nic.rx, nic.tx_ack
+        data, acks = [], []
+
+        def record_rx(packet, now):
+            if packet.kind == DATA:
+                data.append((now, packet.key, packet.seq))
+            rx(packet, now)
+
+        def record_ack(tx_key, core, now):  # the SYN-ACK and the migration
+            acks.append((now, core))
+            tx_ack(tx_key, core, now)
+
+        nic.rx, nic.tx_ack = record_rx, record_ack
+        engine.run()
+        victim = next(iter(engine.host.sockets))  # pid 0
+        t = WORST_CASE_FIRE_NS
+        fillers = [(now, seq) for now, k, seq in data if k != victim]
+        assert fillers == [(t - 2, seq) for seq in range(ring - 1)]
+        assert [(now, seq) for now, k, seq in data if k == victim] == [(t - 1, 0), (t + 1, 1)]
+        assert [a for a in acks if a[0] >= t - 2] == [(t, 1)]
+        assert [now for now, _, _ in data] == sorted(now for now, _, _ in data)
 
     def test_minimal_ring(self):
         s = presets.worstcase(ring_capacity=2)
@@ -203,7 +232,6 @@ class TestScenarioShape:
 
         s = presets.pinned_same(8)
         s.rss.key_hex = "ab" * 40
-        s.rss.style = "indirection"
         s.rss.table = (0, 1, 2, 3, 3, 2, 1, 0)
         engine = build_rss_engine(s)
         assert engine.key == bytes.fromhex("ab" * 40)

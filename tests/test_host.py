@@ -2,7 +2,6 @@ import pytest
 
 from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet, reverse_key
 from steersim.host import (
-    MODE_CPUSET,
     MODE_PEAK_PERFORMANCE,
     MODE_PINNED,
     MODE_POWER_SAVING,
@@ -213,6 +212,15 @@ class TestWiring:
         with pytest.raises(ValueError, match="pid 3 is not the next pid, 2"):
             h.flow(key(sport=3), pid=3)
 
+    def test_process_must_start_on_an_allowed_core(self):
+        # The scheduler moves a process only among its allowed cores, so
+        # this is the one place a process could run outside them.
+        h = Harness()
+        with pytest.raises(ValueError, match=r"pid 0 starts on core 3, outside its allowed "
+                                             r"cores \(0, 1\)"):
+            h.flow(key(sport=1), pid=0, core=3, allowed=(0, 1))
+        assert h.host.processes == [] and h.host.sockets == {}
+
 
 class TestScheduler:
     def test_pinned_never_migrates(self):
@@ -243,16 +251,10 @@ class TestScheduler:
         assert h.host.processes[0].core == 0
         assert h.host.processes[1].core in (0, 1)
 
-    def test_cpuset_enforces_partition(self):
-        h = Harness(scheduler=MODE_CPUSET)
-        h.flow(key(sport=1), pid=0, core=3, allowed=(0, 1))
-        h.host.scheduler_tick()
-        assert h.host.migrations == 1 and h.host.processes[0].core in (0, 1)
-
     def test_force_alternate_rotates(self):
         h = Harness()
         h.flow(key(sport=1), pid=0, core=0, allowed=(0, 2))
-        h.flow(key(sport=2), pid=1, core=0, allowed=(1, 2, 3))  # outside its set
+        h.flow(key(sport=2), pid=1, core=3, allowed=(1, 2, 3))  # wraps to its first core
         h.flow(key(sport=3), pid=2, core=3)  # pinned: never moves
         h.host.force_alternate()
         assert [p.core for p in h.host.processes] == [2, 1, 3]

@@ -75,7 +75,7 @@ class TestRingBuffer:
         nic = Harness(ring_capacity=8).nic
         for seq in range(3):
             nic._enqueue(0, rx_pkt(key(), seq=seq))
-        assert [nic.drain(0).seq for _ in range(3)] == [0, 1, 2]
+        assert [nic.rings[0].slots.popleft().seq for _ in range(3)] == [0, 1, 2]
 
     def test_drop_tail_at_capacity(self):
         nic = Harness(ring_capacity=2).nic
@@ -87,8 +87,7 @@ class TestRingBuffer:
 
     def test_pop_empty(self):
         h = Harness()
-        assert h.nic.drain(0) is None
-        assert h.nic.rings[0].depth() == 0 and h.edges() == []
+        assert not h.nic.rings[0].slots and h.edges() == []
 
     def test_accounting_identity(self):
         nic = Harness(ring_capacity=2).nic
@@ -106,7 +105,7 @@ class TestRx:
         k = key()
         h.admit(k, core=1)
         h.nic.rx(rx_pkt(k, seq=5), h.sim.now)
-        assert [ring.depth() for ring in h.nic.rings] == [0, 1, 0, 0]
+        assert [len(ring.slots) for ring in h.nic.rings] == [0, 1, 0, 0]
         assert h.table.get(k).held == []
 
     def test_transition_holds(self):
@@ -116,7 +115,7 @@ class TestRx:
         h.nic.tx_ack(reverse_key(k), 2, 0)
         h.nic.rx(rx_pkt(k, seq=0), 0)
         assert [p.seq for p in h.table.get(k).held] == [0]
-        assert [ring.depth() for ring in h.nic.rings] == [0, 0, 0, 0]
+        assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 0, 0]
 
     def test_ring_overflow_drops(self):
         h = Harness(ring_capacity=2, fallback=0)
@@ -125,9 +124,9 @@ class TestRx:
         depths = []
         for s in range(3):
             h.nic.rx(rx_pkt(k, seq=s), 0)
-            depths.append((h.nic.rings[0].depth(), h.nic.rings[0].dropped))
+            depths.append((len(h.nic.rings[0].slots), h.nic.rings[0].dropped))
         assert depths == [(1, 0), (2, 0), (2, 1)]
-        assert [h.nic.drain(0).seq for _ in range(2)] == [0, 1]
+        assert [h.nic.rings[0].slots.popleft().seq for _ in range(2)] == [0, 1]
 
     def test_interrupt_only_on_empty_edge(self):
         h = Harness(fallback=0)
@@ -143,7 +142,7 @@ class TestRx:
         k = key()
         expected = h.nic.engine.queue_for(k)
         h.nic.rx(rx_pkt(k, seq=0), 0)
-        assert [ring.depth() for ring in h.nic.rings] == [
+        assert [len(ring.slots) for ring in h.nic.rings] == [
             int(q == expected) for q in range(4)
         ]
 
@@ -177,9 +176,9 @@ class TestDrainAndFlush:
         h.admit(k)
         for seq in range(3):
             h.nic.rx(rx_pkt(k, seq=seq), 0)
-        got = [h.nic.drain(0).seq for _ in range(3)]
+        got = [h.nic.rings[0].slots.popleft().seq for _ in range(3)]
         assert got == [0, 1, 2]
-        assert h.nic.drain(0) is None
+        assert not h.nic.rings[0].slots
 
     def test_flush_lands_before_later_direct_arrivals(self):
         # Held packets push to the new ring at flush time; a direct arrival
@@ -191,12 +190,12 @@ class TestDrainAndFlush:
         for seq in (5, 6, 7):
             h.nic.rx(rx_pkt(k, seq=seq), h.sim.now)
         assert [p.seq for p in h.table.get(k).held] == [5, 6, 7]
-        assert h.nic.rings[1].depth() == 0
+        assert len(h.nic.rings[1].slots) == 0
         h.sim.run_until(5_000)  # timer fires, flush to queue 1
         assert h.table.get(k).held == []
         h.nic.rx(rx_pkt(k, seq=8), h.sim.now)
-        assert [ring.depth() for ring in h.nic.rings] == [0, 4, 0, 0]
-        seqs = [h.nic.drain(1).seq for _ in range(4)]
+        assert [len(ring.slots) for ring in h.nic.rings] == [0, 4, 0, 0]
+        seqs = [h.nic.rings[1].slots.popleft().seq for _ in range(4)]
         assert seqs == [5, 6, 7, 8]
 
     def test_hold_delays_recorded(self):
@@ -220,13 +219,13 @@ class TestLatencyAccounting:
         h.sim.run_until(1000)
         h.clear_rings()
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)  # chain position 1: 260 ns
-        assert h.nic.rings[0].depth() == 0  # not yet through the pipeline
+        assert len(h.nic.rings[0].slots) == 0  # not yet through the pipeline
         h.sim.run_until(1000 + 260)
-        assert h.nic.rings[0].depth() == 1
+        assert len(h.nic.rings[0].slots) == 1
         # A packet arriving mid-lookup queues behind it in the pipeline even
         # though its own chain walk costs the same.
         h.nic.rx(rx_pkt(k, seq=1), h.sim.now)
         h.sim.run_until(1000 + 260 + 259)
-        assert h.nic.rings[0].depth() == 1
+        assert len(h.nic.rings[0].slots) == 1
         h.sim.run_until(1000 + 260 + 260)
-        assert h.nic.rings[0].depth() == 2
+        assert len(h.nic.rings[0].slots) == 2

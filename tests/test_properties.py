@@ -31,7 +31,8 @@ def migration_scenarios(draw):
         s.flow_table.t_timer_us = draw(st.sampled_from([20.0, 100.0, 400.0]))
     s.traffic.streams = draw(st.integers(2, 10))
     s.traffic.data_packets_per_stream = draw(st.integers(5, 60))
-    s.traffic.per_stream_pps = draw(st.sampled_from([50_000.0, 200_000.0, 600_000.0]))
+    # 50k, 200k or 600k packets/s of 1500 B per stream.
+    s.traffic.link_gbps = s.traffic.streams * draw(st.sampled_from([0.6, 2.4, 7.2]))
     s.traffic.burst = draw(st.integers(1, 8))
     s.traffic.burst_spacing_ns = draw(st.sampled_from([100, 300, 1_000]))
     s.traffic.jitter_ns = draw(st.sampled_from([0, 10_000, 80_000]))

@@ -11,7 +11,6 @@ from steersim.workload import (
     Scenario,
     ScenarioError,
     TrafficSpec,
-    adversarial_migration_schedule,
     assign_ports,
     spawn_streams,
 )
@@ -63,11 +62,11 @@ class TestSpawnStreams:
     @settings(max_examples=30, deadline=None)
     def test_sequence_times_strictly_increasing(self, streams, jitter):
         s = scenario(streams, data_packets_per_stream=20, jitter_ns=jitter,
-                     per_stream_pps=50_000, burst=4)
+                     link_gbps=0.6 * streams, burst=4)  # 50k pps per stream
         for plan in spawn_streams(s, make_rng(7)):
             assert all(b > a for a, b in zip(plan.data_times, plan.data_times[1:]))
 
-    # At 200k packets/s a burst gets 5 us per packet: wider spacing makes
+    # At 200k packets/s per stream a burst gets 5 us per packet: wider spacing makes
     # bursts meet, so the overlap clamp runs too. Data ends by about 330 us,
     # so the horizon often cuts a stream, or a burst, short.
     @given(st.integers(0, 40), st.integers(1, 5), st.integers(0, 8_000), st.integers(0, 5_000),
@@ -80,7 +79,7 @@ class TestSpawnStreams:
         # The reference places a burst one packet at a time, checking the
         # count and the horizon before each packet.
         s = scenario(3, data_packets_per_stream=wanted, burst=burst, burst_spacing_ns=spacing,
-                     jitter_ns=jitter, per_stream_pps=200_000, handshake_gap_us=1.0,
+                     jitter_ns=jitter, link_gbps=7.2, handshake_gap_us=1.0,
                      start_spread_us=10.0)
         s.duration_us = duration_us
         rng, ref_rng = make_rng(5), make_rng(5)
@@ -164,9 +163,6 @@ class TestScenarioSerialization:
         ("flow_table", "t_timer", 100.0),
         ("", "flowtable", {"t_timer_us": 100.0}),
         ("nic", "link_latency_us", -1e9),
-        # Only rss.style "indirection" reads a table.
-        ("rss", "table", [0, 1, 2]),
-        ("rss", "table", [0, 1]),
     ])
     def test_validation_names_field_that_would_load_silently(self, section, field, value):
         d = scenario(4).to_dict()
@@ -181,7 +177,7 @@ class TestScenarioSerialization:
         (("traffic", "streams"), True, "traffic.streams must be an integer"),
         (("traffic", "ports"), 5001, "traffic.ports must be a list"),
         (("traffic", "ports", 1), "6001", r"traffic.ports\[1\] must be an integer"),
-        (("traffic", "per_stream_pps"), "fast", "traffic.per_stream_pps must be a number or null"),
+        (("traffic", "link_gbps"), "fast", "traffic.link_gbps must be a number,"),
         (("host", "ack_every"), 2.5, "host.ack_every must be an integer"),
         (("host", "processors", 0), 1, r"host.processors\[0\] must be a list"),
         (("nic",), 5, "nic must be an object"),
@@ -214,11 +210,11 @@ class TestScenarioSerialization:
     def test_numbers_load_as_their_field_types(self):
         d = scenario(4).to_dict()
         d["duration_us"] = 2000
-        d["traffic"]["per_stream_pps"] = 50_000
+        d["traffic"]["link_gbps"] = 10
         d["traffic"]["ports"] = [5001, 6001]
         loaded = Scenario.from_dict(d)
         assert type(loaded.duration_us) is float
-        assert type(loaded.traffic.per_stream_pps) is float
+        assert type(loaded.traffic.link_gbps) is float
         assert loaded.traffic.ports == (5001, 6001)
 
     def test_a_scenario_must_be_an_object(self):
@@ -237,8 +233,9 @@ class TestScenarioSerialization:
         )
 
     @pytest.mark.parametrize("section, field, value", [
-        ("rss", "style", "indirect"),
         ("traffic", "ephemeral_ports", "randm"),
+        # Retired: every move already keeps a process within apps[].cores.
+        ("scheduler", "mode", "cpuset"),
     ])
     def test_validation_names_unknown_choice(self, section, field, value):
         d = scenario(4).to_dict()
@@ -260,9 +257,7 @@ class TestScenarioSerialization:
         # Truncates to 0 ns, so it would reschedule itself at the same
         # instant forever: checked at load only, never run.
         ("scheduler", "forced_migration_period_us", 0.0001),
-        ("traffic", "per_stream_pps", 0.0),
-        ("traffic", "per_stream_pps", float("nan")),
-        # With per_stream_pps null, spawn_streams divides by these two.
+        # spawn_streams divides by these two.
         ("traffic", "link_gbps", 0.0),
         ("traffic", "link_gbps", float("nan")),
         ("traffic", "packet_bytes", 0),
@@ -321,31 +316,33 @@ class TestScenarioSerialization:
         d["scheduler"]["tick_us"] = 0.001
         Scenario.from_dict(d)
 
-    @pytest.mark.parametrize("section, field, value, style", [
-        ("rss", "fields", ["foo"], "direct"),
-        ("rss", "fields", [], "direct"),
-        ("rss", "key_hex", "00", "direct"),
-        ("rss", "key_hex", "zz", "direct"),
-        ("rss", "table", [0, 1, 2], "indirection"),
-        ("rss", "table", [0, 9], "indirection"),
-        ("rss", "table", [0, -1], "direct"),
-        ("traffic", "src_addr", "10.0.0", "direct"),
+    @pytest.mark.parametrize("section, field, value", [
+        ("rss", "fields", ["foo"]),
+        ("rss", "fields", []),
+        ("rss", "key_hex", "00"),
+        ("rss", "key_hex", "zz"),
+        ("rss", "table", [0, 1, 2]),
+        ("rss", "table", [0, 9]),
+        ("rss", "table", [0, -1]),
+        ("traffic", "src_addr", "10.0.0"),
     ])
-    def test_validation_names_rss_input_that_would_fail_mid_run(self, section, field, value,
-                                                                style):
+    def test_validation_names_rss_input_that_would_fail_mid_run(self, section, field, value):
         d = scenario(4).to_dict()
-        d["rss"]["style"] = style
         d[section][field] = value
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
 
-    def test_indirection_needs_a_power_of_two_default_table(self):
-        d = scenario(4).to_dict()
-        d["rss"]["style"] = "indirection"
+    @pytest.mark.parametrize("table", [None, [0, 1, 2, 0]])
+    def test_three_core_host_runs_with_or_without_a_table(self, table):
+        # Three queues: hash mod 3 without a table, a 4-entry table with one.
+        d = scenario(12).to_dict()
+        d["duration_us"] = 2_000.0
         d["host"]["processors"] = [[0, 1, 2]]
-        d["apps"] = [{"ports": [5001, 6001], "cores": [0, 1]}]
-        with pytest.raises(ScenarioError, match="rss.table"):
-            Scenario.from_dict(d)
+        d["apps"] = [{"ports": [5001, 6001], "cores": [0, 1, 2]}]
+        d["rss"]["table"] = table
+        report = run_scenario(Scenario.from_dict(d), seed=1).report
+        assert report.handshakes == 12
+        assert report.delivered_data > 0
 
     def test_smallest_accepted_values_run(self):
         s = scenario(4)
@@ -357,7 +354,7 @@ class TestScenarioSerialization:
         s.flow_table.pressure_threshold = 1.0
         s.flow_table.t_delete_pressure_ms = s.flow_table.t_delete_ms
         s.host.syscall_cadence_us = 0.0
-        s.traffic.per_stream_pps = 1e-3
+        s.traffic.link_gbps = 1e-9
         report = run_scenario(s.validate(), seed=1).report
         assert report.handshakes == 4
 
@@ -408,25 +405,3 @@ class TestScenarioSerialization:
         s.host.processors = ((0, 1), (3, 4))
         with pytest.raises(ScenarioError):
             s.validate()
-
-
-class TestWorstCaseSchedule:
-    def test_minimal_ring_of_two(self):
-        events = adversarial_migration_schedule(2)
-        fillers = [e for e in events if e.role == "filler"]
-        assert len(fillers) == 1
-        roles = [e.role for e in events]
-        assert roles == ["filler", "victim_data", "migrate", "victim_data"]
-        assert [e.at for e in events] == sorted(e.at for e in events)
-
-    def test_event_spacing_one_tick(self):
-        events = adversarial_migration_schedule(256)
-        migrate = next(e for e in events if e.role == "migrate")
-        s_pkt, s1_pkt = [e for e in events if e.role == "victim_data"]
-        assert migrate.at - s_pkt.at == 1
-        assert s1_pkt.at - migrate.at == 1
-        assert len([e for e in events if e.role == "filler"]) == 255
-
-    def test_ring_too_small_rejected(self):
-        with pytest.raises(ScenarioError):
-            adversarial_migration_schedule(1)
