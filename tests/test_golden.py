@@ -10,7 +10,6 @@ alter simulated output.
 
 import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import dataclasses
