@@ -84,16 +84,6 @@ def cmd_run(args) -> int:
         return 2
 
     aggregates = aggregate_rows(rows)
-    (out_dir / "runs.csv").write_text(rows_to_csv(rows))
-    (out_dir / "aggregate.csv").write_text(
-        rows_to_csv([
-            {k: a[k] for k in ("metric", "mean", "stddev", "min", "max", "n")}
-            for a in aggregates
-        ])
-    )
-    (out_dir / "summary.txt").write_text(
-        summary_text(scenario.name, scenario.nic.mode, aggregates)
-    )
     manifest = {
         "scenario_hash": scenario_hash(scenario),
         "scenario": scenario.to_dict(),
@@ -102,16 +92,34 @@ def cmd_run(args) -> int:
         "max_list_size": scenario.flow_table.max_list_size,
         "seeds": seeds,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    outputs = {
+        "runs.csv": rows_to_csv(rows),
+        "aggregate.csv": rows_to_csv([
+            {k: a[k] for k in ("metric", "mean", "stddev", "min", "max", "n")}
+            for a in aggregates
+        ]),
+        "summary.txt": summary_text(scenario.name, scenario.nic.mode, aggregates),
+        "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    }
+    try:
+        for name, text in outputs.items():
+            (out_dir / name).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write output file: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         print(f"wrote {out_dir}/runs.csv aggregate.csv summary.txt manifest.json")
     return 0
 
 
 def _load_aggregate(run_dir: Path) -> tuple[dict, dict]:
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path} holds no JSON object")
+    missing = [k for k in ("scenario_hash", "mode", "t_timer_us") if k not in manifest]
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(missing)}")
     with open(run_dir / "aggregate.csv", newline="") as fh:
         metrics = {row["metric"]: float(row["mean"]) for row in csv.DictReader(fh)}
     if not metrics:

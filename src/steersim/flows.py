@@ -1,6 +1,5 @@
-"""Flow identity and simulated frames."""
+"""Flow identity, simulated frames and the record base class."""
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 PROTO_TCP = 6
@@ -38,7 +37,50 @@ def reverse_key(key: FlowKey) -> FlowKey:
     return FlowKey(key.dst_addr, key.src_addr, key.protocol, key.dst_port, key.src_port)
 
 
-@dataclass(slots=True)
+class Record:
+    """Base of the scenario, its sections, the run report and the run's
+    counters. A record's annotated class attributes are its fields, in
+    order, and their values the defaults. A field typed as a record
+    defaults to a fresh one, so no two objects share a section; a field
+    with no value is required. `FIELDS` maps each field name to its
+    annotation. Records take their fields by position or keyword and
+    compare by value."""
+
+    FIELDS: dict = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.FIELDS = dict(cls.__annotations__)  # the class's own, never inherited
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        values = dict(zip(cls.FIELDS, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or not values.keys() <= cls.FIELDS.keys():
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(cls.FIELDS)}, each once")
+        for name, tp in cls.FIELDS.items():
+            if name in values:
+                setattr(self, name, values[name])
+            elif is_record(tp):
+                setattr(self, name, tp())
+            elif name in vars(cls):
+                setattr(self, name, vars(cls)[name])
+            else:
+                raise TypeError(f"{cls.__name__} needs a value for {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.FIELDS)
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({values})"
+
+
+def is_record(tp) -> bool:
+    return isinstance(tp, type) and issubclass(tp, Record)
+
+
 class Packet:
     """One simulated frame.
 
@@ -47,8 +89,11 @@ class Packet:
     table's transition list.
     """
 
-    key: FlowKey
-    kind: str
-    seq: int
-    size: int
-    held_at: int | None = None
+    __slots__ = ("key", "kind", "seq", "size", "held_at")
+
+    def __init__(self, key: FlowKey, kind: str, seq: int, size: int, held_at: int | None = None):
+        self.key = key
+        self.kind = kind
+        self.seq = seq
+        self.size = size
+        self.held_at = held_at

@@ -8,10 +8,9 @@ until a timer expires, which is what preserves in-order delivery across
 migrations.
 """
 
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .flows import ACK, SYN, PROTO_TCP, FlowKey, Packet, reverse_key
+from .flows import ACK, SYN, PROTO_TCP, FlowKey, Packet, Record, reverse_key
 from .rss import _packed_addr
 from .simkernel import MS, US
 from .workload import TableSpec
@@ -39,19 +38,26 @@ class TimerBugError(RuntimeError):
     """A hold timer fired for an entry that is not in transition."""
 
 
-@dataclass(slots=True)
 class FlowEntry:
-    key: FlowKey
-    core_id: int
-    transition: bool = False
-    held: list = field(default_factory=list)
-    timer_deadline: int | None = None
-    last_activity: int = 0
-    bucket: int = 0
+    """One admitted flow. Compares by identity: a key has one entry, so a
+    chain finds an entry by `is` alone."""
+
+    __slots__ = ("key", "core_id", "transition", "held", "timer_deadline", "last_activity",
+                 "bucket")
+
+    def __init__(self, key: FlowKey, core_id: int, transition: bool = False,
+                 held: list | None = None, timer_deadline: int | None = None,
+                 last_activity: int = 0, bucket: int = 0):
+        self.key = key
+        self.core_id = core_id
+        self.transition = transition
+        self.held = [] if held is None else held
+        self.timer_deadline = timer_deadline
+        self.last_activity = last_activity
+        self.bucket = bucket
 
 
-@dataclass
-class FlowTableStats:
+class FlowTableStats(Record):
     handshakes_completed: int = 0
     admitted: int = 0
     rejected_bucket_full: int = 0

@@ -12,11 +12,11 @@ and makes the hold-timer bound effective.
 
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
 from operator import ne
 from types import MethodType
+from typing import NamedTuple
 
-from .flows import DATA, KINDS, reverse_key
+from .flows import DATA, KINDS, Record, reverse_key
 
 # DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
 KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
@@ -32,16 +32,14 @@ STATE_IDLE = "idle"  # never calls receive; everything stays in interrupt contex
 RUNNABLE = (STATE_COMPUTING, STATE_DRAINING)
 
 
-@dataclass
-class Core:
+class Core(Record):
     core_id: int
     processor_id: int
     service_ns: int  # 1/R_service, virtual cost to process one packet
     irq_free: int = 0
 
 
-@dataclass(slots=True)
-class DeliveryRecord:
+class DeliveryRecord(NamedTuple):
     seq: int
     t: int
     core: int
@@ -91,20 +89,22 @@ class DeliveryLog:
                    map(KINDS.__getitem__, self.kind))
 
 
-@dataclass(slots=True)
 class AppProcess:
-    pid: int
-    core: int
-    allowed_cores: tuple
-    cadence_ns: int | None  # compute time between receive calls; None = never calls
-    state: str = STATE_COMPUTING
+    __slots__ = ("pid", "core", "allowed_cores", "cadence_ns", "state")
+
+    def __init__(self, pid: int, core: int, allowed_cores: tuple, cadence_ns: int | None,
+                 state: str = STATE_COMPUTING):
+        self.pid = pid
+        self.core = core
+        self.allowed_cores = allowed_cores
+        self.cadence_ns = cadence_ns  # compute time between receive calls; None = never calls
+        self.state = state
 
     @property
     def pinned(self) -> bool:
         return len(self.allowed_cores) == 1
 
 
-@dataclass(slots=True)
 class SocketModel:
     """Per-flow receive socket, read by the application process `proc`.
     `key` is the flow's receive-direction key and `tx_key` the same flow's
@@ -117,18 +117,23 @@ class SocketModel:
     what `deque.popleft` does, and an empty list takes 56 bytes where an
     empty deque takes 760."""
 
-    key: object
-    tx_key: object
-    proc: AppProcess
-    owned_by_user: bool = False
-    sleeping: bool = False
-    backlog: list = field(default_factory=list)
-    delivered: DeliveryLog = field(default_factory=DeliveryLog)
-    delivered_since_ack: int = 0
+    __slots__ = ("key", "tx_key", "proc", "owned_by_user", "sleeping", "backlog", "delivered",
+                 "delivered_since_ack")
+
+    def __init__(self, key, tx_key, proc: AppProcess, owned_by_user: bool = False,
+                 sleeping: bool = False, backlog: list | None = None,
+                 delivered: DeliveryLog | None = None, delivered_since_ack: int = 0):
+        self.key = key
+        self.tx_key = tx_key
+        self.proc = proc
+        self.owned_by_user = owned_by_user
+        self.sleeping = sleeping
+        self.backlog = [] if backlog is None else backlog
+        self.delivered = DeliveryLog() if delivered is None else delivered
+        self.delivered_since_ack = delivered_since_ack
 
 
-@dataclass
-class HostStats:
+class HostStats(Record):
     delivered_interrupt: int = 0
     delivered_process: int = 0
     deferrals: int = 0

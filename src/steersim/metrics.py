@@ -5,13 +5,10 @@ key to its `host.DeliveryLog`, whose columns they scan. The CSV schema is
 versioned: bump CSV_SCHEMA_VERSION when columns change meaning.
 """
 
-import csv
 import io
 import math
-import statistics
-from dataclasses import dataclass, field, fields
 
-from .flows import DATA
+from .flows import DATA, Record
 from .host import KIND_CODE
 
 CSV_SCHEMA_VERSION = 1
@@ -104,9 +101,11 @@ def affinity_scores(delivered: dict, warm_up_end: dict) -> tuple:
 # ---- run report -------------------------------------------------------------
 
 
-@dataclass
-class RunReport:
-    """One row per run; every ratio lies in [0, 1]."""
+class RunReport(Record):
+    """One row per run. Its fields are the row's columns, in CSV order,
+    apart from `queue_stats`: it maps each queue id to its counters, which
+    `to_row` flattens into q<i>_<stat> columns after the others. Every
+    ratio lies in [0, 1]."""
 
     scenario: str = ""
     seed: int = 0
@@ -141,9 +140,12 @@ class RunReport:
     cross_processor_packets: int = 0
     alternations: int = 0
     lock_conflict_events: int = 0
-    queue_stats: dict = field(default_factory=dict)
+    queue_stats: dict | None = None
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.queue_stats is None:
+            self.queue_stats = {}
         for name in (
             "process_context_fraction",
             "reordering_ratio",
@@ -157,17 +159,13 @@ class RunReport:
 
     def to_row(self) -> dict:
         row = {"schema": CSV_SCHEMA_VERSION}
-        for name in _SCALAR_COLUMNS:
+        for name in self.FIELDS:
             row[name] = getattr(self, name)
-        for q in sorted(self.queue_stats):
-            for stat, value in self.queue_stats[q].items():
+        queue_stats = row.pop("queue_stats")
+        for q in sorted(queue_stats):
+            for stat, value in queue_stats[q].items():
                 row[f"q{q}_{stat}"] = value
         return row
-
-
-# Every RunReport field in declaration order, apart from the per-queue dict
-# that to_row flattens into q<i>_<stat> columns.
-_SCALAR_COLUMNS = tuple(f.name for f in fields(RunReport) if f.name != "queue_stats")
 
 
 def format_value(value) -> str:
@@ -181,6 +179,8 @@ def format_value(value) -> str:
 def rows_to_csv(rows) -> str:
     """CSV text with a header taken from the first row. Values holding a
     comma, quote or newline are quoted; others are written as they are."""
+    import csv  # here, not at the top: a run writes no CSV
+
     if not rows:
         return ""
     out = io.StringIO()
@@ -194,6 +194,10 @@ def rows_to_csv(rows) -> str:
 
 def aggregate_rows(rows) -> list:
     """Mean and sample stddev per numeric column, in column order."""
+    # Imported here: statistics imports fractions and decimal, 3-5 ms of
+    # start-up that a run, which aggregates nothing, would pay.
+    import statistics
+
     if not rows:
         return []
     out = []

@@ -7,7 +7,6 @@ empty-to-non-empty edge, and the host then drains until empty.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .flowtable import DIRECT, HELD, FlowTable, search_time
 from .flows import FlowKey, Packet
@@ -18,19 +17,20 @@ MODE_RSS = "rss"
 MODE_FLOWSTEER = "flowsteer"
 
 
-@dataclass
 class RingBuffer:
     """One receive queue: the packets in FIFO order and its counters. The
     NIC appends at the tail (`Nic._enqueue`), the host's softirq drain pops
     from the head of `slots`."""
 
-    queue_id: int
-    capacity: int
-    slots: deque = field(default_factory=deque)
-    enqueued: int = 0
-    dropped: int = 0
-    max_depth: int = 0
-    interrupts: int = 0
+    def __init__(self, queue_id: int, capacity: int, slots: deque | None = None,
+                 enqueued: int = 0, dropped: int = 0, max_depth: int = 0, interrupts: int = 0):
+        self.queue_id = queue_id
+        self.capacity = capacity
+        self.slots = deque() if slots is None else slots
+        self.enqueued = enqueued
+        self.dropped = dropped
+        self.max_depth = max_depth
+        self.interrupts = interrupts
 
 
 class Nic:

@@ -7,7 +7,6 @@ configuration and safe to call from any thread.
 """
 
 import ipaddress
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 # Well-known 40-byte verification key from the public RSS specification.
@@ -25,19 +24,34 @@ class KeyTooShortError(ValueError):
     """The key must cover the hash input plus the 32-bit sliding window."""
 
 
-@dataclass(frozen=True)
-class HashFields:
+class _Value:
+    """Immutable once built; compares, hashes and prints by its fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__name__}({values})"
+
+
+class HashFields(_Value):
     """Which packet header fields feed the hash. At least one must be set."""
 
-    src_addr: bool = True
-    dst_addr: bool = True
-    src_port: bool = True
-    dst_port: bool = True
-    protocol: bool = False
-
-    def __post_init__(self):
-        if not any(getattr(self, name) for name in _CANONICAL_FIELDS):
+    def __init__(self, src_addr: bool = True, dst_addr: bool = True, src_port: bool = True,
+                 dst_port: bool = True, protocol: bool = False):
+        if not (src_addr or dst_addr or src_port or dst_port or protocol):
             raise ValueError("hash field selection enables no fields")
+        vars(self).update(src_addr=src_addr, dst_addr=dst_addr, src_port=src_port,
+                          dst_port=dst_port, protocol=protocol)
 
     @classmethod
     def from_names(cls, names) -> "HashFields":
@@ -48,19 +62,15 @@ class HashFields:
         return cls(**{name: name in names for name in _CANONICAL_FIELDS})
 
 
-@dataclass(frozen=True)
-class IndirectionTable:
+class IndirectionTable(_Value):
     """Array of queue ids indexed by the masked low bits of the hash."""
 
-    entries: tuple
-    mask_bits: int
-
-    def __post_init__(self):
-        if len(self.entries) != (1 << self.mask_bits):
+    def __init__(self, entries: tuple, mask_bits: int):
+        if len(entries) != (1 << mask_bits):
             raise ValueError(
-                f"indirection table has {len(self.entries)} entries, "
-                f"expected 2^{self.mask_bits}"
+                f"indirection table has {len(entries)} entries, expected 2^{mask_bits}"
             )
+        vars(self).update(entries=entries, mask_bits=mask_bits)
 
     @classmethod
     def from_list(cls, entries) -> "IndirectionTable":
@@ -143,7 +153,6 @@ def direct_map_lookup(hash_value: int, num_queues: int) -> int:
     return hash_value % num_queues
 
 
-@dataclass
 class RssEngine:
     """Bundles key, field selection and lookup style; caches per-flow results.
 
@@ -151,11 +160,13 @@ class RssEngine:
     OS concern outside this model.
     """
 
-    key: bytes = DEFAULT_RSS_KEY
-    hash_fields: HashFields = field(default_factory=HashFields)
-    num_queues: int = 4
-    table: IndirectionTable | None = None  # None selects direct mapping
-    _cache: dict = field(default_factory=dict, repr=False)
+    def __init__(self, key: bytes = DEFAULT_RSS_KEY, hash_fields: HashFields | None = None,
+                 num_queues: int = 4, table: IndirectionTable | None = None):
+        self.key = key
+        self.hash_fields = HashFields() if hash_fields is None else hash_fields
+        self.num_queues = num_queues
+        self.table = table  # None selects direct mapping
+        self._cache = {}
 
     def hash_of(self, flow_key) -> int:
         return toeplitz_hash(self.key, select_fields(flow_key, self.hash_fields))

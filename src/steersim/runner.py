@@ -10,7 +10,6 @@ import gc
 import ipaddress
 import os
 from array import array
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
@@ -41,11 +40,12 @@ WORST_CASE_FIRE_NS = 50 * US
 WORST_CASE_EPSILON_NS = 1
 
 
-@dataclass
 class RunResult:
-    report: RunReport
-    delivered: dict = field(default_factory=dict)  # key -> DeliveryLog
-    hold_delays: list = field(default_factory=list)
+    def __init__(self, report: RunReport, delivered: dict | None = None,
+                 hold_delays: list | None = None):
+        self.report = report
+        self.delivered = {} if delivered is None else delivered  # key -> DeliveryLog
+        self.hold_delays = [] if hold_delays is None else hold_delays
 
 
 class Engine:

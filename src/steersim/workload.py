@@ -9,11 +9,10 @@ back. Stream generation is pure given a seeded rng, so runs replay exactly.
 import ipaddress
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin
 
-from .flows import PROTO_TCP, FlowKey
+from .flows import PROTO_TCP, FlowKey, Record, is_record
 from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, KeyTooShortError, RssEngine
 from .simkernel import US
 
@@ -48,8 +47,7 @@ def field_value(scenario, path: str):
     return value
 
 
-@dataclass
-class TrafficSpec:
+class TrafficSpec(Record):
     streams: int = 40  # total parallel TCP streams, split across the ports
     ports: tuple[int, ...] = (5001, 6001)
     src_addr: str = "10.0.0.1"
@@ -66,8 +64,7 @@ class TrafficSpec:
     start_spread_us: float = 1000.0  # stream starts staggered over this window
 
 
-@dataclass
-class AppRule:
+class AppRule(Record):
     """Placement for the app threads serving the given destination ports.
     One core pins the thread; several allow scheduler migration among them."""
 
@@ -75,8 +72,7 @@ class AppRule:
     cores: tuple[int, ...]
 
 
-@dataclass
-class HostSpec:
+class HostSpec(Record):
     # Cores grouped by physical processor.
     processors: tuple[tuple[int, ...], ...] = ((0, 1), (2, 3))
     service_rate_pps: float = 3_000_000.0
@@ -84,22 +80,19 @@ class HostSpec:
     syscall_cadence_us: float | None = 50.0
 
 
-@dataclass
-class SchedulerSpec:
+class SchedulerSpec(Record):
     mode: str = "pinned"
     tick_us: float = 500.0
     forced_migration_period_us: float | None = None
 
 
-@dataclass
-class NicSpec:
+class NicSpec(Record):
     mode: str = "flowsteer"
     ring_capacity: int = 256
     latency_accounting: bool = False
 
 
-@dataclass
-class RssSpec:
+class RssSpec(Record):
     key_hex: str | None = None  # default verification key when None
     # Queue ids, power-of-two length, looked up by the hash's low bits;
     # None: the hash mod the queue count.
@@ -107,8 +100,7 @@ class RssSpec:
     fields: tuple[str, ...] = ("src_addr", "dst_addr", "src_port", "dst_port")
 
 
-@dataclass
-class TableSpec:
+class TableSpec(Record):
     num_buckets: int = 256
     max_list_size: int = 6
     max_entries: int = 10_000
@@ -118,18 +110,17 @@ class TableSpec:
     pressure_threshold: float = 0.9
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     name: str = "scenario"
     kind: str = "streams"  # or "worst_case"
     seed: int = 1
     duration_us: float = 30_000.0
-    traffic: TrafficSpec = field(default_factory=TrafficSpec)
-    nic: NicSpec = field(default_factory=NicSpec)
-    rss: RssSpec = field(default_factory=RssSpec)
-    flow_table: TableSpec = field(default_factory=TableSpec)
-    host: HostSpec = field(default_factory=HostSpec)
-    scheduler: SchedulerSpec = field(default_factory=SchedulerSpec)
+    traffic: TrafficSpec
+    nic: NicSpec
+    rss: RssSpec
+    flow_table: TableSpec
+    host: HostSpec
+    scheduler: SchedulerSpec
     apps: tuple[AppRule, ...] = (AppRule((5001,), (0,)), AppRule((6001,), (1,)))
 
     # ---- validation ----------------------------------------------------------
@@ -298,7 +289,7 @@ class Scenario:
     # ---- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = _plain(self)
         d["version"] = SCENARIO_VERSION
         d["duration_us"] = float(self.duration_us)
         return d
@@ -306,7 +297,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         """Load a scenario from parsed JSON. Every key and value is checked
-        against the spec dataclasses' annotations; the first problem is a
+        against the sections' annotations; the first problem is a
         ScenarioError that names its dotted path, such as apps[0].ports."""
         if not isinstance(d, dict):
             raise ScenarioError(f"a scenario must be an object, not {_shown(d)}")
@@ -334,14 +325,24 @@ class Scenario:
 def _float_values(scenario: Scenario):
     """(dotted path, value) of every float field of the scenario and its
     sections that is set."""
-    for section in fields(scenario):
-        value = getattr(scenario, section.name)
-        if is_dataclass(value):
-            for f in fields(value):
-                if float in (f.type, *get_args(f.type)) and getattr(value, f.name) is not None:
-                    yield f"{section.name}.{f.name}", getattr(value, f.name)
-        elif section.type is float:
-            yield section.name, value
+    for name, tp in scenario.FIELDS.items():
+        value = getattr(scenario, name)
+        if isinstance(value, Record):
+            for inner, inner_tp in value.FIELDS.items():
+                if float in (inner_tp, *get_args(inner_tp)) and getattr(value, inner) is not None:
+                    yield f"{name}.{inner}", getattr(value, inner)
+        elif tp is float:
+            yield name, value
+
+
+def _plain(value):
+    """A field value as JSON data: each record a dict, each list or tuple
+    converted item by item."""
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value.FIELDS}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    return value
 
 
 def build_rss_engine(scenario: Scenario) -> RssEngine:
@@ -372,14 +373,13 @@ def _unknown_keys(spec_cls, data, prefix: str) -> list:
     this level's first, then those of the spec objects nested in it."""
     if not isinstance(data, dict):
         return []
-    declared = spec_cls.__dataclass_fields__
+    declared = spec_cls.FIELDS
     unknown = [prefix + name for name in data if name not in declared]
-    for name, spec_field in declared.items():
+    for name, tp in declared.items():
         value = data.get(name)
-        tp = spec_field.type
-        if is_dataclass(tp):
+        if is_record(tp):
             unknown += _unknown_keys(tp, value, f"{prefix}{name}.")
-        elif get_origin(tp) is tuple and is_dataclass(get_args(tp)[0]) and isinstance(
+        elif get_origin(tp) is tuple and is_record(get_args(tp)[0]) and isinstance(
             value, (list, tuple)
         ):
             for i, item in enumerate(value):
@@ -391,10 +391,10 @@ def _load_spec(spec_cls, data: dict, path: str):
     """Build `spec_cls` from a JSON object whose keys it all declares."""
     prefix = path + "." if path else ""
     kwargs = {}
-    for name, spec_field in spec_cls.__dataclass_fields__.items():
+    for name, tp in spec_cls.FIELDS.items():
         if name in data:
-            kwargs[name] = _load_value(spec_field.type, data[name], prefix + name)
-        elif spec_field.default is MISSING and spec_field.default_factory is MISSING:
+            kwargs[name] = _load_value(tp, data[name], prefix + name)
+        elif name not in vars(spec_cls) and not is_record(tp):
             raise ScenarioError(f"{prefix}{name} is missing")
     return spec_cls(**kwargs)
 
@@ -405,14 +405,14 @@ _EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "
 def _load_value(tp, value, path: str):
     """`value` as the annotation `tp` types it: int (never bool), float
     (ints accepted), bool, str, `X | None`, `tuple[X, ...]` from a list, or
-    a spec dataclass from an object. Floats are stored as floats and lists
+    a section from an object. Floats are stored as floats and lists
     as tuples, so save and load are a byte fixpoint."""
     optional = isinstance(tp, UnionType)
     if optional:
         if value is None:
             return None
         (tp,) = [t for t in get_args(tp) if t is not type(None)]
-    if is_dataclass(tp):
+    if is_record(tp):
         expected = "an object"
         if isinstance(value, dict):
             return _load_spec(tp, value, path)
@@ -441,17 +441,18 @@ def _shown(value) -> str:
 # ---- stream generation ----------------------------------------------------------
 
 
-@dataclass
 class StreamPlan:
     """One flow's full arrival schedule at the receiver NIC."""
 
-    index: int
-    key: FlowKey  # receive direction
-    port: int
-    syn_at: int
-    synack_at: int
-    ack_at: int
-    data_times: list
+    def __init__(self, index: int, key: FlowKey, port: int, syn_at: int, synack_at: int,
+                 ack_at: int, data_times: list):
+        self.index = index
+        self.key = key  # receive direction
+        self.port = port
+        self.syn_at = syn_at
+        self.synack_at = synack_at
+        self.ack_at = ack_at
+        self.data_times = data_times
 
 
 def assign_ports(traffic: TrafficSpec, rng) -> list:

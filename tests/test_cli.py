@@ -81,6 +81,12 @@ class TestRun:
         assert [dict(zip(header, row))["scenario"] for row in rows] == [s.name] * 2
         assert run_cli("compare", out, out) == 0
 
+    def test_unwritable_output_exits_2(self, small_scenario, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "runs.csv").mkdir(parents=True)
+        assert run_cli("run", small_scenario, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output file: ")
+
     def test_env_var_default_out(self, small_scenario, tmp_path, monkeypatch):
         monkeypatch.setenv("STEERSIM_OUT", str(tmp_path / "envout"))
         assert run_cli("run", small_scenario, "--quiet") == 0
@@ -198,6 +204,19 @@ class TestCompare:
         run_cli("run", small_scenario, "--out", out, "--quiet")
         (out / "aggregate.csv").write_text("")
         assert run_cli("compare", out, out) == 2
+
+    @pytest.mark.parametrize("lacks", ["scenario_hash", "mode", "t_timer_us", "object"])
+    def test_incomplete_manifest_is_unreadable(self, small_scenario, tmp_path, capsys, lacks):
+        out = tmp_path / "one"
+        run_cli("run", small_scenario, "--out", out, "--quiet")
+        manifest = json.loads((out / "manifest.json").read_text())
+        if lacks == "object":
+            manifest = [manifest]
+        else:
+            del manifest[lacks]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert run_cli("compare", out, out) == 2
+        assert capsys.readouterr().err.startswith("error: unreadable run directory: ")
 
     def test_mismatched_scenarios_error(self, tmp_path):
         a = presets.pinned_same(8)

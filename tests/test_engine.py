@@ -1,9 +1,13 @@
 """Whole-run integration behaviour of the wired simulation."""
 
 import gc
+import json
+import os
+import subprocess
 import sys
 from array import array
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +259,37 @@ class TestRunsOnce:
         engine.run()
         with pytest.raises(RuntimeError, match="an Engine runs once"):
             engine.run()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Run in a fresh interpreter: what `import steersim` and one run add to
+# sys.modules, as JSON, then the report step's CSV header and aggregates.
+STARTUP = """
+import json, sys
+before = set(sys.modules)
+from steersim import Engine, Scenario, metrics
+row = Engine(Scenario.load(sys.argv[1])).run().report.to_row()
+added = sorted(set(sys.modules) - before)
+text = metrics.rows_to_csv([row, row])
+aggregates = metrics.aggregate_rows([row, row])
+print(json.dumps({"added": added, "header": text.splitlines()[0],
+                  "aggregated": [a["metric"] for a in aggregates]}))
+"""
+
+
+def test_a_run_imports_no_dataclasses_statistics_or_csv():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", STARTUP, str(ROOT / "scenarios" / "pinned_same.json")],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    seen = json.loads(out.stdout)
+    loaded = {"dataclasses", "inspect", "statistics", "csv", "fractions", "decimal"}
+    assert loaded.isdisjoint(seen["added"])
+    assert "steersim.runner" in seen["added"]
+    assert seen["header"].startswith("schema,scenario,seed,mode,")
+    assert "delivered_data" in seen["aggregated"]
 
 
 @pytest.fixture

@@ -12,11 +12,9 @@ import json
 import sys
 from pathlib import Path
 
-import dataclasses
-
 import pytest
 
-from steersim.workload import CHOICES, Scenario, field_value
+from steersim.workload import CHOICES, Record, Scenario, field_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -69,12 +67,12 @@ def choice_fields() -> dict:
     """Every field with a fixed set of values, by dotted path: the named
     choices plus every boolean field of the scenario's sections."""
     out = dict(CHOICES)
-    for section in dataclasses.fields(Scenario):
-        spec = getattr(Scenario(), section.name)
-        if dataclasses.is_dataclass(spec):
-            for f in dataclasses.fields(spec):
-                if f.type is bool:
-                    out[f"{section.name}.{f.name}"] = (False, True)
+    for section in Scenario.FIELDS:
+        spec = getattr(Scenario(), section)
+        if isinstance(spec, Record):
+            for name, tp in spec.FIELDS.items():
+                if tp is bool:
+                    out[f"{section}.{name}"] = (False, True)
     return out
 
 

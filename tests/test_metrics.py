@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -127,11 +126,15 @@ class TestReportAndCsv:
 
     def test_row_columns_follow_field_order(self):
         report = RunReport(scenario="a", seed=3, queue_stats={1: {"queued": 5}, 0: {"queued": 2}})
-        names = [f.name for f in dataclasses.fields(RunReport) if f.name != "queue_stats"]
+        names = [name for name in RunReport.FIELDS if name != "queue_stats"]
         assert len(names) == 33  # with schema, the 34 scalar columns of CSV schema 1
         row = report.to_row()
         assert list(row) == ["schema", *names, "q0_queued", "q1_queued"]
         assert row["seed"] == 3 and row["q1_queued"] == 5
+        same = RunReport(scenario="a", seed=3, queue_stats={1: {"queued": 5}, 0: {"queued": 2}})
+        assert report == same
+        same.queue_stats[1]["queued"] = 6
+        assert report != same and "queue_stats" in repr(report)
 
     def test_aggregate_mean_and_stddev(self):
         rows = [

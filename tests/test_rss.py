@@ -59,6 +59,18 @@ class TestSelectFields:
         with pytest.raises(ValueError):
             HashFields(False, False, False, False, False)
 
+    def test_selections_and_tables_are_immutable_values(self):
+        fields = HashFields(protocol=True)
+        table = IndirectionTable.from_list([0, 1, 2, 3])
+        assert fields == HashFields(protocol=True) and fields != HashFields()
+        assert table == IndirectionTable((0, 1, 2, 3), 2) != IndirectionTable.from_list([0] * 4)
+        same = {fields, HashFields(protocol=True), table, IndirectionTable((0, 1, 2, 3), 2)}
+        assert len(same) == 2
+        # Setting fields afterwards would bypass the construction checks.
+        for value, name in ((fields, "src_addr"), (table, "mask_bits")):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+
 
 class TestToeplitz:
     def test_all_zero_input(self):

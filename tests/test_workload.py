@@ -405,3 +405,30 @@ class TestScenarioSerialization:
         s.host.processors = ((0, 1), (3, 4))
         with pytest.raises(ScenarioError):
             s.validate()
+
+
+class TestSections:
+    def test_no_two_scenarios_share_a_section(self):
+        Scenario().nic.mode = "rss"
+        d = Scenario().to_dict()
+        del d["traffic"]
+        Scenario.from_dict(d).traffic.streams = 7
+        fresh = Scenario()
+        assert fresh.nic.mode == "flowsteer" and fresh.traffic.streams == 40
+        assert fresh.nic is not Scenario().nic
+
+    def test_equality_follows_the_field_values(self):
+        assert Scenario() == Scenario()
+        changed = Scenario()
+        changed.flow_table.t_timer_us = 0.0
+        assert changed != Scenario()
+        assert AppRule((5001,), (0,)) == AppRule(ports=(5001,), cores=(0,))
+        assert AppRule((5001,), (0,)) != AppRule((5001,), (1,))
+
+    def test_app_rule_without_cores(self):
+        with pytest.raises(TypeError):
+            AppRule((5001,))
+        d = scenario(4).to_dict()
+        d["apps"] = [{"ports": [5001, 6001]}]
+        with pytest.raises(ScenarioError, match=r"^apps\[0\].cores is missing$"):
+            Scenario.from_dict(d)
