@@ -41,7 +41,8 @@ class Record:
     """Base of the scenario, its sections, the run report and the run's
     counters. A record's annotated class attributes are its fields, in
     order, and their values the defaults. A field typed as a record
-    defaults to a fresh one, so no two objects share a section; a field
+    defaults to a fresh one, and a default that holds records gets fresh
+    copies of them, so no two objects share a section or a rule; a field
     with no value is required. `FIELDS` maps each field name to its
     annotation. Records take their fields by position or keyword and
     compare by value."""
@@ -63,7 +64,7 @@ class Record:
             elif is_record(tp):
                 setattr(self, name, tp())
             elif name in vars(cls):
-                setattr(self, name, vars(cls)[name])
+                setattr(self, name, _fresh(vars(cls)[name]))
             else:
                 raise TypeError(f"{cls.__name__} needs a value for {name!r}")
 
@@ -79,6 +80,16 @@ class Record:
 
 def is_record(tp) -> bool:
     return isinstance(tp, type) and issubclass(tp, Record)
+
+
+def _fresh(default):
+    """`default`, with every record in it, however deep in tuples, copied:
+    a record is mutable, so no two objects may share one."""
+    if isinstance(default, Record):
+        return type(default)(*map(_fresh, map(default.__getattribute__, default.FIELDS)))
+    if type(default) is tuple:
+        return tuple(map(_fresh, default))
+    return default
 
 
 class Packet:

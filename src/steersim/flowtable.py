@@ -45,14 +45,12 @@ class FlowEntry:
     __slots__ = ("key", "core_id", "transition", "held", "timer_deadline", "last_activity",
                  "bucket")
 
-    def __init__(self, key: FlowKey, core_id: int, transition: bool = False,
-                 held: list | None = None, timer_deadline: int | None = None,
-                 last_activity: int = 0, bucket: int = 0):
+    def __init__(self, key: FlowKey, core_id: int, last_activity: int = 0, bucket: int = 0):
         self.key = key
         self.core_id = core_id
-        self.transition = transition
-        self.held = [] if held is None else held
-        self.timer_deadline = timer_deadline
+        self.transition = False
+        self.held = []
+        self.timer_deadline = None
         self.last_activity = last_activity
         self.bucket = bucket
 

@@ -12,7 +12,6 @@ and makes the hold-timer bound effective.
 
 from array import array
 from collections import deque
-from operator import ne
 from types import MethodType
 from typing import NamedTuple
 
@@ -90,15 +89,17 @@ class DeliveryLog:
 
 
 class AppProcess:
+    """An application thread. One that makes receive calls starts out
+    computing until its first call; one that never calls starts idle."""
+
     __slots__ = ("pid", "core", "allowed_cores", "cadence_ns", "state")
 
-    def __init__(self, pid: int, core: int, allowed_cores: tuple, cadence_ns: int | None,
-                 state: str = STATE_COMPUTING):
+    def __init__(self, pid: int, core: int, allowed_cores: tuple, cadence_ns: int | None):
         self.pid = pid
         self.core = core
         self.allowed_cores = allowed_cores
         self.cadence_ns = cadence_ns  # compute time between receive calls; None = never calls
-        self.state = state
+        self.state = STATE_IDLE if cadence_ns is None else STATE_COMPUTING
 
     @property
     def pinned(self) -> bool:
@@ -120,17 +121,15 @@ class SocketModel:
     __slots__ = ("key", "tx_key", "proc", "owned_by_user", "sleeping", "backlog", "delivered",
                  "delivered_since_ack")
 
-    def __init__(self, key, tx_key, proc: AppProcess, owned_by_user: bool = False,
-                 sleeping: bool = False, backlog: list | None = None,
-                 delivered: DeliveryLog | None = None, delivered_since_ack: int = 0):
+    def __init__(self, key, tx_key, proc: AppProcess):
         self.key = key
         self.tx_key = tx_key
         self.proc = proc
-        self.owned_by_user = owned_by_user
-        self.sleeping = sleeping
-        self.backlog = [] if backlog is None else backlog
-        self.delivered = DeliveryLog() if delivered is None else delivered
-        self.delivered_since_ack = delivered_since_ack
+        self.owned_by_user = False
+        self.sleeping = False
+        self.backlog = []
+        self.delivered = DeliveryLog()
+        self.delivered_since_ack = 0
 
 
 class HostStats(Record):
@@ -213,7 +212,7 @@ class Host:
         self._syscall = self._syscall_enter
         self._drain = self._drain_step
         # Indexed by pid: the event that issues the process's next receive
-        # call, `_submit_syscall` bound to its socket.
+        # call, `submit_syscall` bound to its socket.
         self._submit_syscall_at: list[MethodType] = []
         self._wired = None  # _wiring() until the next add_flow
 
@@ -234,7 +233,7 @@ class Host:
         self._wired = None
         sock = SocketModel(key=key, tx_key=reverse_key(key), proc=process)
         self.sockets[key] = sock
-        self._submit_syscall_at.append(MethodType(self._submit_syscall, sock))
+        self._submit_syscall_at.append(MethodType(self.submit_syscall, sock))
         return sock
 
     def release(self):
@@ -315,14 +314,10 @@ class Host:
 
     # -- process context ------------------------------------------------------------
 
-    def start_process(self, pid: int, first_call_at: int):
-        proc = self.processes[pid]
-        if proc.cadence_ns is None:
-            proc.state = STATE_IDLE
-            return
-        self.sim.schedule(first_call_at, self._submit_syscall_at[pid])
-
-    def _submit_syscall(self, sock: SocketModel):
+    def submit_syscall(self, sock: SocketModel):
+        """Issue a receive call for `sock` from its process's current core.
+        The engine issues each app's first call; the process issues the
+        rest itself, one cadence after each call returns."""
         self.proc_lanes[sock.proc.core].submit(self._syscall, sock)
 
     def _syscall_enter(self, sock: SocketModel, now: int) -> int:
@@ -462,34 +457,3 @@ class Host:
         for proc, nxt in rotation:
             proc.core = nxt[proc.core]
         self.migrations += len(rotation)
-
-
-def contention_proxy(delivered, lock_conflicts: int = 0, processor_of=None,
-                     warm_up_end=None) -> dict:
-    """Simulator-observable stand-ins for cross-core contention.
-
-    `delivered` maps flow key -> DeliveryLog. cross_core counts
-    packets processed on a different core than the app occupied at that
-    moment; alternations counts consecutive same-flow deliveries on
-    different cores. lock_conflicts is recorded online by the engine (an
-    interrupt-context arrival finding the socket owned by a thread running
-    on another core) and passed through.
-    """
-    cross = 0
-    cross_processor = 0
-    alternations = 0
-    for key, log in delivered.items():
-        cutoff = warm_up_end.get(key, -1) if warm_up_end else -1
-        cores = log.core
-        for t, core, app_core in zip(log.t, cores, log.app_core):
-            if t > cutoff and core != app_core:
-                cross += 1
-                if processor_of is not None and processor_of(core) != processor_of(app_core):
-                    cross_processor += 1
-        alternations += sum(map(ne, cores, cores[1:]))
-    return {
-        "cross_core_packets": cross,
-        "cross_processor_packets": cross_processor,
-        "alternations": alternations,
-        "lock_conflict_events": lock_conflicts,
-    }

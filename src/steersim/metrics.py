@@ -7,6 +7,7 @@ versioned: bump CSV_SCHEMA_VERSION when columns change meaning.
 
 import io
 import math
+from operator import ne
 
 from .flows import DATA, Record
 from .host import KIND_CODE
@@ -96,6 +97,34 @@ def affinity_scores(delivered: dict, warm_up_end: dict) -> tuple:
     )
     data_affinity = on_app_core / total if total else 1.0
     return flow_affinity, data_affinity
+
+
+def contention_proxy(delivered: dict, processor_of, warm_up_end: dict) -> dict:
+    """Simulator-observable stand-ins for cross-core contention.
+
+    cross_core_packets counts packets delivered after the flow's warm-up on
+    another core than the app occupied at that moment, and
+    cross_processor_packets those of them on another processor;
+    `processor_of` maps a core id to its processor id. alternations counts
+    consecutive same-flow deliveries on different cores.
+    """
+    cross = 0
+    cross_processor = 0
+    alternations = 0
+    for key, log in delivered.items():
+        cutoff = warm_up_end.get(key, -1)
+        cores = log.core
+        for t, core, app_core in zip(log.t, cores, log.app_core):
+            if t > cutoff and core != app_core:
+                cross += 1
+                if processor_of[core] != processor_of[app_core]:
+                    cross_processor += 1
+        alternations += sum(map(ne, cores, cores[1:]))
+    return {
+        "cross_core_packets": cross,
+        "cross_processor_packets": cross_processor,
+        "alternations": alternations,
+    }
 
 
 # ---- run report -------------------------------------------------------------

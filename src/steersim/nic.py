@@ -22,15 +22,14 @@ class RingBuffer:
     NIC appends at the tail (`Nic._enqueue`), the host's softirq drain pops
     from the head of `slots`."""
 
-    def __init__(self, queue_id: int, capacity: int, slots: deque | None = None,
-                 enqueued: int = 0, dropped: int = 0, max_depth: int = 0, interrupts: int = 0):
+    def __init__(self, queue_id: int, capacity: int):
         self.queue_id = queue_id
         self.capacity = capacity
-        self.slots = deque() if slots is None else slots
-        self.enqueued = enqueued
-        self.dropped = dropped
-        self.max_depth = max_depth
-        self.interrupts = interrupts
+        self.slots = deque()
+        self.enqueued = 0
+        self.dropped = 0
+        self.max_depth = 0
+        self.interrupts = 0
 
 
 class Nic:

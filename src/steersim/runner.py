@@ -14,11 +14,12 @@ from itertools import repeat
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, PROTO_TCP, SYN, FlowKey, Packet
-from .host import KIND_CODE, AppProcess, Core, Host, SocketModel, contention_proxy
+from .host import KIND_CODE, AppProcess, Core, Host, SocketModel
 from .metrics import (
     RunReport,
     affinity_scores,
     admitted_fraction,
+    contention_proxy,
     reordering_ratio,
 )
 from .nic import MODE_FLOWSTEER, Nic
@@ -111,22 +112,21 @@ class Engine:
     def _schedule_streams(self):
         """Wire every stream's app and hand all arrivals to the simulator.
 
-        Each stream reserves its arrival ids in the order that scheduling
-        every arrival at setup would give them: SYN, SYN-ACK, ACK, then data
-        in sequence order; its app's first receive call takes the next id.
-        The arrivals go to `Simulator.schedule_arrivals` as one block per
-        stream, and a data packet is built only when it arrives.
+        Each stream's arrivals form one block, in the order that scheduling
+        them one by one at setup would give them: SYN, SYN-ACK, ACK, data in
+        sequence order, then its app's first receive call, if the apps make
+        receive calls. The blocks go to `Simulator.schedule_arrivals` stream
+        by stream, and a data packet is built only when it arrives.
         """
         scenario = self.scenario
-        sim = self.sim
         plans = spawn_streams(scenario, self.rng)
         cadence = scenario.host.syscall_cadence_us
         cadence_ns = None if cadence is None else int(cadence * US)
+        calls = cadence_ns is not None
         socks = []  # each stream's socket
-        firsts = []  # each stream's first arrival id, ascending
-        # Event id minus the first stream's first id -> stream index. An id
-        # between two blocks never arrives, so it may name either stream.
-        base = sim.reserve(0)
+        firsts = []  # each stream's first arrival index
+        # Arrival index -> stream index, or ~stream index for the first
+        # receive call of the stream's app.
         stream_of = array("i")
         for i, plan in enumerate(plans):
             rule = scenario.app_rule_for_port(plan.port)
@@ -138,29 +138,32 @@ class Engine:
                 cadence_ns=cadence_ns,
             )
             socks.append(self.host.add_flow(plan.key, proc))
-            n = 3 + len(plan.data_times)
-            first = sim.reserve(n)
-            firsts.append(first)
-            stream_of.extend(repeat(i, first + n - base - len(stream_of)))
-            self.generated_data += n - 3
-            # The app begins issuing receive calls once its stream is up.
-            self.host.start_process(proc.pid, plan.ack_at + 1)
-        arrive = self._arrival_action(socks, firsts, base, stream_of)
-        sim.schedule_arrivals(_arrival_blocks(plans, firsts), arrive)
+            firsts.append(len(stream_of))
+            stream_of.extend(repeat(i, 3 + len(plan.data_times)))
+            if calls:
+                stream_of.append(~i)
+            self.generated_data += len(plan.data_times)
+        arrive = self._arrival_action(socks, firsts, stream_of)
+        self.sim.schedule_arrivals(len(stream_of), _arrival_blocks(plans, calls), arrive)
 
-    def _arrival_action(self, socks: list, firsts: list, base: int, stream_of: array):
-        """The action for every stream arrival: find the stream whose block
-        holds the id, then send its SYN-ACK or build its SYN, ACK or data
-        packet as it arrives. No packet exists before its arrival."""
+    def _arrival_action(self, socks: list, firsts: list, stream_of: array):
+        """The action for every stream arrival: find the arrival's stream,
+        then send its SYN-ACK, build its SYN, ACK or data packet as it
+        arrives, or issue its app's first receive call. No packet exists
+        before its arrival."""
         keys = [sock.key for sock in socks]
         size = self.scenario.traffic.packet_bytes
         rx = self.nic.rx
         sim = self.sim
         tx_synack = self._tx_synack
+        submit_syscall = self.host.submit_syscall
 
-        def arrive(event_id: int):
-            i = stream_of[event_id - base]
-            k = event_id - firsts[i]
+        def arrive(index: int):
+            i = stream_of[index]
+            if i < 0:
+                submit_syscall(socks[~i])
+                return
+            k = index - firsts[i]
             if k >= 3:
                 rx(Packet(keys[i], DATA, k - 3, size), sim.now)
             elif k == 1:
@@ -324,12 +327,7 @@ class Engine:
         delivered = {key: sock.delivered for key, sock in self.host.sockets.items()}
         warm_up = self._warm_up_end()
         flow_aff, data_aff = affinity_scores(delivered, warm_up)
-        proxies = contention_proxy(
-            delivered,
-            lock_conflicts=self.host.stats.lock_conflicts,
-            processor_of=lambda c: self._processor_of[c],
-            warm_up_end=warm_up,
-        )
+        proxies = contention_proxy(delivered, self._processor_of, warm_up)
         stats = self.host.stats
         delivered_total = stats.delivered_interrupt + stats.delivered_process
         data_code = KIND_CODE[DATA]
@@ -389,20 +387,22 @@ class Engine:
             cross_core_packets=proxies["cross_core_packets"],
             cross_processor_packets=proxies["cross_processor_packets"],
             alternations=proxies["alternations"],
-            lock_conflict_events=proxies["lock_conflict_events"],
+            lock_conflict_events=stats.lock_conflicts,
             queue_stats=queue_stats,
         )
         return RunResult(report=report, delivered=delivered, hold_delays=hold_delays)
 
 
-def _arrival_blocks(plans: list, firsts: list):
-    """Yield each stream's (first id, arrival times) block. Each plan's
-    data_times list is dropped as its block is yielded, so its memory is
-    free again while the simulator packs the next blocks."""
-    for plan, first in zip(plans, firsts):
-        times = (plan.syn_at, plan.synack_at, plan.ack_at, *plan.data_times)
+def _arrival_blocks(plans: list, calls: bool):
+    """Yield each stream's arrival times: SYN, SYN-ACK, ACK and data, then,
+    when `calls`, its app's first receive call just after the ACK. Each
+    plan's data_times list is dropped as its block is yielded, so its
+    memory is free again while the simulator packs the next blocks."""
+    for plan in plans:
+        call = (plan.ack_at + 1,) if calls else ()
+        times = (plan.syn_at, plan.synack_at, plan.ack_at, *plan.data_times, *call)
         plan.data_times = None
-        yield first, times
+        yield times
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -5,12 +5,12 @@ from steersim.host import (
     MODE_PEAK_PERFORMANCE,
     MODE_PINNED,
     MODE_POWER_SAVING,
+    STATE_COMPUTING,
+    STATE_IDLE,
     STATE_SLEEPING,
     AppProcess,
     Core,
-    DeliveryLog,
     Host,
-    contention_proxy,
 )
 from steersim.nic import MODE_RSS, Nic
 from steersim.rss import RssEngine
@@ -62,6 +62,11 @@ class Harness:
         )
         return self.host.add_flow(k, proc)
 
+    def first_call(self, sock, at):
+        """Issue the first receive call of `sock`'s app at `at`, as the
+        engine's arrivals do."""
+        self.sim.schedule(at, lambda: self.host.submit_syscall(sock))
+
     def inject(self, k, seq, at, queue):
         self.sim.schedule(
             at, lambda: self.nic._enqueue(queue, rx_pkt(k, seq=seq))
@@ -103,12 +108,19 @@ class TestInterruptContext:
 
 
 class TestProcessContext:
+    def test_process_starts_idle_only_without_cadence(self):
+        h = Harness()
+        idle = h.flow(key(sport=1), pid=0).proc
+        calling = h.flow(key(sport=2), pid=1, cadence_ns=100_000).proc
+        assert (idle.state, calling.state) == (STATE_IDLE, STATE_COMPUTING)
+        assert h.host.runnable_counts() == [1, 0, 0, 0]
+
     def test_backlog_drained_on_app_core(self):
         h = Harness()
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
         sock.backlog.extend(rx_pkt(k, seq=s) for s in range(4))
-        h.host.start_process(0, first_call_at=10)
+        h.first_call(sock, at=10)
         h.sim.run_until(50_000)
         assert len(sock.delivered) == 4
         assert all(r.core == 1 for r in sock.delivered)
@@ -118,7 +130,7 @@ class TestProcessContext:
         h = Harness()
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
-        h.host.start_process(0, first_call_at=0)
+        h.first_call(sock, at=0)
         h.sim.run_until(10)
         assert sock.sleeping and h.host.processes[0].state == STATE_SLEEPING
         h.inject(k, seq=0, at=500, queue=0)
@@ -133,7 +145,7 @@ class TestProcessContext:
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
         sock.backlog.extend(rx_pkt(k, seq=s) for s in range(3))
-        h.host.start_process(0, first_call_at=0)
+        h.first_call(sock, at=0)
         h.sim.run_until(50_000)
         # Two ACKs: the per-2-packets one mid-drain, the residue at return.
         assert len(h.acks) == 2
@@ -143,8 +155,8 @@ class TestProcessContext:
 
     def test_empty_backlog_syscall_blocks_without_ack(self):
         h = Harness()
-        h.flow(key(), core=1, cadence_ns=100_000)
-        h.host.start_process(0, first_call_at=0)
+        sock = h.flow(key(), core=1, cadence_ns=100_000)
+        h.first_call(sock, at=0)
         h.sim.run_until(1_000)
         assert h.acks == []
         assert h.host.stats.syscalls == 1
@@ -154,7 +166,7 @@ class TestProcessContext:
         h = Harness()
         k = key()
         sock = h.flow(k, core=0, cadence_ns=50_000)
-        h.host.start_process(0, first_call_at=0)
+        h.first_call(sock, at=0)
         for seq in range(6):
             h.inject(k, seq, at=100 + seq * 100, queue=0)
         h.sim.run_until(100_000)
@@ -166,7 +178,7 @@ class TestProcessContext:
         h = Harness()
         k = key()
         sock = h.flow(k, core=1, cadence_ns=3_000)
-        h.host.start_process(0, first_call_at=0)
+        h.first_call(sock, at=0)
         for seq in range(40):
             h.inject(k, seq, at=1_000 + seq * 2_000, queue=0)
         h.sim.run_until(200_000)
@@ -234,8 +246,9 @@ class TestScheduler:
     def test_peak_performance_balances(self):
         h = Harness(scheduler=MODE_PEAK_PERFORMANCE, num_cores=2,
                     processors=((0, 1),))
-        h.flow(key(sport=1), pid=0, core=0, allowed=(0, 1))
-        h.flow(key(sport=2), pid=1, core=0, allowed=(0, 1))
+        # Only a process that makes receive calls is runnable.
+        h.flow(key(sport=1), pid=0, core=0, allowed=(0, 1), cadence_ns=50_000)
+        h.flow(key(sport=2), pid=1, core=0, allowed=(0, 1), cadence_ns=50_000)
         h.host.scheduler_tick()
         assert h.host.migrations == 1
         # The lowest pid moves first.
@@ -262,23 +275,3 @@ class TestScheduler:
         assert [p.core for p in h.host.processes] == [0, 2, 3]
         assert h.host.migrations == 4
 
-
-class TestContentionProxy:
-    def test_single_core_system_all_zero(self):
-        log = DeliveryLog()
-        for s in range(5):
-            log.append(s, s * 10, 0, 0, DATA)
-        out = contention_proxy({key(): log})
-        assert out["cross_core_packets"] == 0
-        assert out["alternations"] == 0
-        assert out["lock_conflict_events"] == 0
-
-    def test_cross_core_and_alternations(self):
-        log = DeliveryLog()
-        log.append(0, 0, 0, 1, DATA)
-        log.append(1, 10, 1, 1, DATA)
-        log.append(2, 20, 0, 1, DATA)
-        out = contention_proxy({key(): log}, processor_of=lambda c: c // 2)
-        assert out["cross_core_packets"] == 2
-        assert out["alternations"] == 2
-        assert out["cross_processor_packets"] == 0

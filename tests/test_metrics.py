@@ -11,6 +11,7 @@ from steersim.metrics import (
     RunReport,
     affinity_scores,
     aggregate_rows,
+    contention_proxy,
     format_value,
     occupancy_oracle,
     reordering_ratio,
@@ -108,6 +109,28 @@ class TestAffinityScores:
         recs = flow_log(rec(0, t=5, core=1, app_core=0), rec(1, t=50, core=0, app_core=0))
         flow_aff, data_aff = affinity_scores({key(): recs}, {key(): 10})
         assert flow_aff == 1.0 and data_aff == 1.0
+
+
+class TestContentionProxy:
+    def test_single_core_system_all_zero(self):
+        log = flow_log(*(rec(s, t=s * 10) for s in range(5)))
+        out = contention_proxy({key(): log}, [0], {})
+        assert out == {"cross_core_packets": 0, "cross_processor_packets": 0,
+                       "alternations": 0}
+
+    def test_cross_core_and_alternations(self):
+        log = flow_log(rec(0, 0, 0, 1), rec(1, 10, 1, 1), rec(2, 20, 0, 1))
+        out = contention_proxy({key(): log}, [0, 0, 1, 1], {})
+        assert out["cross_core_packets"] == 2
+        assert out["alternations"] == 2
+        assert out["cross_processor_packets"] == 0
+
+    def test_cross_processor_after_warm_up_only(self):
+        log = flow_log(rec(0, 0, 0, 2), rec(1, 10, 0, 2), rec(2, 20, 1, 1))
+        out = contention_proxy({key(): log}, {0: 0, 1: 0, 2: 1}, {key(): 5})
+        assert out["cross_core_packets"] == 1
+        assert out["cross_processor_packets"] == 1
+        assert out["alternations"] == 1
 
 
 class TestReportAndCsv:

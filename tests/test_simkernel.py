@@ -91,70 +91,55 @@ def test_dispatch_is_time_then_insertion_ordered(times):
     assert fired == sorted(fired)
 
 
-def test_reserved_arrival_beats_later_scheduled_runtime_event():
+def test_arrivals_fire_first_at_an_instant_in_hand_over_order():
+    # A heap event wins no tie with an arrival, even one scheduled first.
     sim = Simulator()
     order = []
-    first = sim.reserve(1)
-    sim.schedule(100, lambda: order.append("runtime"))
-    sim.schedule_arrivals([(first, [100])], lambda event_id: order.append(event_id))
-    sim.run_until(100)
-    assert order == [first, "runtime"]
-
-
-def test_equal_time_tie_follows_reservation_order():
-    # An arrival reserved before a runtime event's id wins the tie; one
-    # reserved after it loses.
-    sim = Simulator()
-    order = []
-    early = sim.reserve(1)
-    runtime = sim.schedule(100, lambda: order.append("runtime"))
-    late = sim.reserve(1)
-    assert early < runtime < late
-    sim.schedule_arrivals([(late, [100]), (early, [100])], order.append)
-    assert sim.run_until(100) == 3
-    assert order == [early, "runtime", late]
-    assert sim.fired_total == 3
+    sim.schedule(100, lambda: order.append("before"))
+    sim.schedule_arrivals(3, [[100], [100, 100]], order.append)
+    sim.schedule(100, lambda: order.append("after"))
+    assert sim.run_until(100) == 5
+    assert order == [0, 1, 2, "before", "after"]
+    assert sim.fired_total == 5
 
 
 def test_arrivals_resume_across_windows():
     sim = Simulator()
     order = []
-    first = sim.reserve(4)
     sim.schedule(15, lambda: order.append("runtime"))
-    sim.schedule_arrivals([(first, [10, 20, 20, 35])], order.append)
+    sim.schedule_arrivals(4, [[10, 20, 20, 35]], order.append)
     assert sim.pending() == 1  # arrivals never enter the heap
     assert sim.run_until(10) == 1
-    assert order == [first]
+    assert order == [0]
     assert sim.run_until(20) == 3  # an arrival exactly at t_end fires
-    assert order == [first, "runtime", first + 1, first + 2]
+    assert order == [0, "runtime", 1, 2]
     assert sim.now == 20
     assert sim.run_until(30) == 0
     assert sim.run_until(35) == 1
-    assert order[-1] == first + 3
+    assert order[-1] == 3
     assert sim.run_until(1_000) == 0
     assert sim.fired_total == 5
 
 
 def test_arrival_action_schedules_event_at_the_same_instant():
-    # The new event takes an id after every reserved one, so it fires at the
-    # same instant but after the arrivals that share that instant.
+    # The new event fires at the same instant, after the arrivals that
+    # share that instant.
     sim = Simulator()
     order = []
-    first = sim.reserve(2)
 
-    def arrive(event_id):
-        order.append(event_id)
-        if event_id == first:
+    def arrive(index):
+        order.append(index)
+        if index == 0:
             sim.schedule(sim.now, lambda: order.append(("runtime", sim.now)))
 
-    sim.schedule_arrivals([(first, [50, 50])], arrive)
+    sim.schedule_arrivals(2, [[50, 50]], arrive)
     assert sim.run_until(50) == 3
-    assert order == [first, first + 1, ("runtime", 50)]
+    assert order == [0, 1, ("runtime", 50)]
 
 
 def test_event_scheduled_at_now_waits_for_the_heap_at_that_instant():
     # E fires first at 100 and schedules L for the same instant. H was
-    # scheduled at setup, so its id is smaller than L's and it fires first.
+    # scheduled at setup, before L, so it fires first.
     sim = Simulator()
     order = []
 
@@ -188,13 +173,11 @@ def test_lane_event_scheduling_another_fires_before_the_clock_moves():
     assert order == [(3, 10), (2, 10), (1, 10), (0, 10), ("next", 11)]
 
 
-def test_heap_event_and_arrival_each_tied_with_a_lane_event():
-    # At 100: arrival a (reserved first), E (schedules L at now when it
-    # fires), H, then arrival b. L takes its id only when E fires, so it
-    # comes after all four.
+def test_arrivals_heap_events_and_lane_at_one_instant():
+    # At 100: both arrivals, then E (which schedules L at now when it
+    # fires) and H by id, then L from the lane.
     sim = Simulator()
     order = []
-    a = sim.reserve(1)
 
     def on_e():
         order.append("E")
@@ -202,42 +185,38 @@ def test_heap_event_and_arrival_each_tied_with_a_lane_event():
 
     sim.schedule(100, on_e)
     sim.schedule(100, lambda: order.append("H"))
-    b = sim.reserve(1)
-    sim.schedule_arrivals([(a, [100]), (b, [100])], order.append)
+    sim.schedule_arrivals(2, [[100], [100]], order.append)
     assert sim.run_until(100) == 5
-    assert order == [a, "E", "H", b, "L"]
+    assert order == [0, 1, "E", "H", "L"]
 
 
 def test_arrival_schedules_lane_event_behind_a_later_arrival():
-    # The arrival at 50 schedules L at now; the arrival reserved after it
-    # at the same instant still has the smaller id, so it fires first.
+    # The arrival at 50 schedules L at now; the next arrival at the same
+    # instant still fires first, then the heap event, then L.
     sim = Simulator()
     order = []
-    first = sim.reserve(2)
 
-    def arrive(event_id):
-        order.append(event_id)
-        if event_id == first:
+    def arrive(index):
+        order.append(index)
+        if index == 0:
             sim.schedule(sim.now, lambda: order.append("L"))
 
     sim.schedule(50, lambda: order.append("H"))
-    sim.schedule_arrivals([(first, [50, 50])], arrive)
+    sim.schedule_arrivals(2, [[50, 50]], arrive)
     sim.run_until(50)
-    assert order == [first, first + 1, "H", "L"]
+    assert order == [0, 1, "H", "L"]
 
 
 def test_events_scheduled_at_time_zero_before_the_first_run():
     sim = Simulator()
     order = []
-    early = sim.reserve(1)
     sim.schedule(0, lambda: order.append("L0"))
     sim.schedule(0, lambda: order.append("L1"))
-    late = sim.reserve(1)
     sim.schedule(5, lambda: order.append("H"))
     assert sim.pending() == 3  # two in the lane, one on the heap
-    sim.schedule_arrivals([(early, [0]), (late, [0])], order.append)
+    sim.schedule_arrivals(2, [[0], [0]], order.append)
     assert sim.run_until(0) == 4
-    assert order == [early, "L0", "L1", late]
+    assert order == [0, 1, "L0", "L1"]
     assert sim.pending() == 1
     sim.run_until(5)
     assert order[-1] == "H"
@@ -261,67 +240,47 @@ def test_pending_counts_lane_entries_during_a_run():
 
 
 def test_arrival_times_need_not_be_sorted():
+    # Blocks may come from a generator; arrivals are numbered in the order
+    # the blocks give them.
     sim = Simulator()
     fired = []
-    first = sim.reserve(3)
-    sim.schedule_arrivals([(first, [30, 10, 20])], lambda event_id: fired.append((sim.now, event_id)))
-    sim.run_until(30)
-    assert fired == [(10, first + 1), (20, first + 2), (30, first)]
+    blocks = (block for block in ([7, 3], [5], [3, 9]))
+    sim.schedule_arrivals(5, blocks, lambda index: fired.append((sim.now, index)))
+    sim.run_until(10)
+    assert fired == [(3, 1), (3, 3), (5, 2), (7, 0), (9, 4)]
 
 
 def test_arrival_too_late_for_64_bit_packing_still_fires():
     sim = Simulator()
     fired = []
-    first = sim.reserve(2)
     late = 1 << 62
-    sim.schedule_arrivals([(first, [late, 5])], fired.append)
+    sim.schedule_arrivals(2, [[late, 5]], fired.append)
     assert sim.run_until(late) == 2
-    assert fired == [first + 1, first]
+    assert fired == [1, 0]
 
 
 def test_arrival_before_now_rejected():
     sim = Simulator()
-    first = sim.reserve(2)
     sim.run_until(50)
     with pytest.raises(SchedulingError):
-        sim.schedule_arrivals([(first, [40, 50])], lambda event_id: None)
-    sim.schedule_arrivals([(first, [50, 50])], lambda event_id: None)
+        sim.schedule_arrivals(2, [[40, 50]], lambda index: None)
+    sim.schedule_arrivals(2, [[50, 50]], lambda index: None)
     assert sim.run_until(50) == 2
 
 
-def test_unreserved_arrival_ids_rejected():
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_wrong_arrival_count_rejected(count):
     sim = Simulator()
-    assert sim.reserve(3) == 0
-    # reserve(0) sets nothing aside: it names the id the next event gets.
-    nxt = sim.reserve(0)
-    assert nxt == 3
-    with pytest.raises(ValueError, match="never reserved"):
-        sim.schedule_arrivals([(nxt, [10])], lambda event_id: None)
-    assert sim.schedule(10, lambda: None) == nxt
-    # An id taken by schedule was not reserved either.
-    with pytest.raises(ValueError, match="never reserved"):
-        sim.schedule_arrivals([(nxt, [10])], lambda event_id: None)
-    # A block running past its reservation.
-    with pytest.raises(ValueError, match="never reserved"):
-        sim.schedule_arrivals([(1, [10, 10, 10])], lambda event_id: None)
-    with pytest.raises(ValueError):
-        sim.reserve(-1)
-    assert sim.reserve(0) == 4
-
-
-def test_overlapping_arrival_blocks_rejected():
-    sim = Simulator()
-    first = sim.reserve(4)
-    with pytest.raises(ValueError, match="two blocks"):
-        sim.schedule_arrivals([(first + 2, [5, 6]), (first, [1, 2, 3])], lambda event_id: None)
+    with pytest.raises(ValueError, match=f"3 arrival times handed over, not {count}"):
+        sim.schedule_arrivals(count, [[10, 20], [30]], lambda index: None)
+    assert sim.run_until(100) == 0
 
 
 def test_second_schedule_arrivals_rejected():
     sim = Simulator()
-    first = sim.reserve(2)
-    sim.schedule_arrivals([(first, [10])], lambda event_id: None)
+    sim.schedule_arrivals(1, [[10]], lambda index: None)
     with pytest.raises(ValueError, match="already"):
-        sim.schedule_arrivals([(first + 1, [20])], lambda event_id: None)
+        sim.schedule_arrivals(1, [[20]], lambda index: None)
 
 
 @given(
@@ -334,43 +293,45 @@ def test_second_schedule_arrivals_rejected():
 )
 @settings(max_examples=150)
 def test_merge_matches_one_heap_of_everything(plan, t_end):
-    # Each entry is a runtime event or a one-arrival reservation. One with
+    # Each entry is a runtime event or a one-time arrival block. One with
     # spawns left schedules a child at now() when it fires, and the child
-    # may spawn again. Dispatch must follow (fire_time, id) across heap,
-    # same-instant lane and arrivals, as one heap holding everything would.
+    # may spawn again. Dispatch must match one heap holding everything,
+    # arrival i keyed (fire_time, 0, i) ahead of the event with id e keyed
+    # (fire_time, 1, e), children included.
     sim = Simulator()
     fired = []
     spawns_left = {}
 
-    def fire(event_id):
-        fired.append((sim.now, event_id))
-        left = spawns_left[event_id]
+    def fire(tag):
+        fired.append((sim.now, tag))
+        left = spawns_left[tag]
         if left:
-            child = sim.schedule(sim.now, lambda: fire(child))
+            child = (1, sim.schedule(sim.now, lambda: fire(child)))
             spawns_left[child] = left - 1
 
     blocks = []
-    for index, (is_arrival, t, spawns) in enumerate(plan):
+    heap = []
+    for is_arrival, t, spawns in plan:
         if is_arrival:
-            event_id = sim.reserve(1)
-            blocks.append((event_id, [t]))
+            tag = (0, len(blocks))
+            blocks.append([t])
         else:
-            event_id = sim.schedule(t, lambda i=index: fire(i))
-        assert event_id == index
-        spawns_left[event_id] = spawns
-    sim.schedule_arrivals(blocks, fire)
+            tag = (1, len(heap) - len(blocks))
+            assert sim.schedule(t, lambda tag=tag: fire(tag)) == tag[1]
+        heap.append((t, *tag, spawns))
+        spawns_left[tag] = spawns
+    sim.schedule_arrivals(len(blocks), blocks, lambda index: fire((0, index)))
     sim.run_until(t_end)
     sim.run_until(200)
 
-    heap = [(t, i, spawns) for i, (_, t, spawns) in enumerate(plan)]
     heapq.heapify(heap)
-    next_id = len(plan)
+    next_id = len(plan) - len(blocks)
     expected = []
     while heap:
-        t, i, left = heapq.heappop(heap)
-        expected.append((t, i))
+        t, kind, number, left = heapq.heappop(heap)
+        expected.append((t, (kind, number)))
         if left:
-            heapq.heappush(heap, (t, next_id, left - 1))
+            heapq.heappush(heap, (t, 1, next_id, left - 1))
             next_id += 1
     assert fired == expected
     assert sim.pending() == 0

@@ -417,6 +417,15 @@ class TestSections:
         assert fresh.nic.mode == "flowsteer" and fresh.traffic.streams == 40
         assert fresh.nic is not Scenario().nic
 
+    def test_no_two_scenarios_share_an_app_rule(self):
+        Scenario().apps[0].cores = (1,)
+        d = Scenario().to_dict()
+        del d["apps"]
+        Scenario.from_dict(d).apps[1].ports = (7001,)
+        fresh = Scenario()
+        assert fresh.apps == (AppRule((5001,), (0,)), AppRule((6001,), (1,)))
+        assert fresh.apps[0] is not Scenario().apps[0]
+
     def test_equality_follows_the_field_values(self):
         assert Scenario() == Scenario()
         changed = Scenario()
