@@ -9,6 +9,7 @@ migrations.
 """
 
 from enum import Enum
+from functools import lru_cache
 
 from .flows import ACK, SYN, PROTO_TCP, FlowKey, Packet, Record, reverse_key
 from .rss import _packed_addr
@@ -42,14 +43,15 @@ class FlowEntry:
     """One admitted flow. Compares by identity: a key has one entry, so a
     chain finds an entry by `is` alone."""
 
-    __slots__ = ("key", "core_id", "transition", "held", "timer_deadline", "last_activity",
-                 "bucket")
+    __slots__ = ("key", "core_id", "transition", "held", "held_bytes", "timer_deadline",
+                 "last_activity", "bucket")
 
     def __init__(self, key: FlowKey, core_id: int, last_activity: int = 0, bucket: int = 0):
         self.key = key
         self.core_id = core_id
         self.transition = False
         self.held = []
+        self.held_bytes = 0  # sum of the sizes in `held`
         self.timer_deadline = None
         self.last_activity = last_activity
         self.bucket = bucket
@@ -79,7 +81,10 @@ def _fmix32(h: int) -> int:
     return h
 
 
+@lru_cache(maxsize=64)
 def _fold_addr(addr: str) -> int:
+    """The address XOR-folded to 32 bits. Cached: a run hashes the same
+    few addresses on every table miss."""
     packed = _packed_addr(addr)
     folded = 0
     for i in range(0, len(packed), 4):
@@ -97,7 +102,8 @@ def bucket_index(key: FlowKey, num_buckets: int) -> int:
         raise ValueError("need at least one bucket")
     v = (key.src_port << 16) | key.dst_port
     v ^= _fold_addr(key.src_addr)
-    v ^= ((_fold_addr(key.dst_addr) << 16) | (_fold_addr(key.dst_addr) >> 16)) & 0xFFFFFFFF
+    dst = _fold_addr(key.dst_addr)
+    v ^= ((dst << 16) | (dst >> 16)) & 0xFFFFFFFF
     return _fmix32(v) % num_buckets
 
 
@@ -232,6 +238,7 @@ class FlowTable:
         if entry.transition:
             packet.held_at = now
             entry.held.append(packet)
+            entry.held_bytes += packet.size
             self.stats.held_packets_total += 1
             self.stats.held_bytes += packet.size
             self.stats.peak_held_bytes = max(
@@ -279,7 +286,8 @@ class FlowTable:
         entry.transition = False
         entry.timer_deadline = None
         entry.last_activity = now
-        self.stats.held_bytes -= sum(p.size for p in flushed)
+        self.stats.held_bytes -= entry.held_bytes
+        entry.held_bytes = 0
         return entry.core_id, flushed
 
     # -- aging ----------------------------------------------------------------

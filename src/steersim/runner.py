@@ -9,8 +9,6 @@ NIC the flow's transmit-direction key and the core that processed it.
 import gc
 import ipaddress
 import os
-from array import array
-from itertools import repeat
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, PROTO_TCP, SYN, FlowKey, Packet
@@ -23,7 +21,7 @@ from .metrics import (
     reordering_ratio,
 )
 from .nic import MODE_FLOWSTEER, Nic
-from .simkernel import MS, US, Simulator, make_rng
+from .simkernel import MS, US, Simulator, make_rng, time_array
 from .workload import (
     EPHEMERAL_END,
     EPHEMERAL_START,
@@ -110,25 +108,28 @@ class Engine:
     # -- workload scheduling -------------------------------------------------------
 
     def _schedule_streams(self):
-        """Wire every stream's app and hand all arrivals to the simulator.
+        """Hand all arrivals to the simulator, then wire every stream's app.
 
         Each stream's arrivals form one block, in the order that scheduling
         them one by one at setup would give them: SYN, SYN-ACK, ACK, data in
         sequence order, then its app's first receive call, if the apps make
-        receive calls. The blocks go to `Simulator.schedule_arrivals` stream
-        by stream, and a data packet is built only when it arrives.
+        receive calls. Block i is stream i, and a data packet is built only
+        when it arrives. Wiring draws no randomness and schedules nothing,
+        so it follows the hand-over, and the simulator's sort is done
+        before the sockets and their logs exist.
         """
         scenario = self.scenario
         plans = spawn_streams(scenario, self.rng)
         cadence = scenario.host.syscall_cadence_us
         cadence_ns = None if cadence is None else int(cadence * US)
-        calls = cadence_ns is not None
-        socks = []  # each stream's socket
-        firsts = []  # each stream's first arrival index
-        # Arrival index -> stream index, or ~stream index for the first
-        # receive call of the stream's app.
-        stream_of = array("i")
-        for i, plan in enumerate(plans):
+        data_counts = [len(plan.data_times) for plan in plans]
+        self.generated_data += sum(data_counts)
+        socks = []  # each stream's socket, filled in by the wiring below
+        self.sim.schedule_arrivals(
+            _arrival_blocks(plans, cadence_ns is not None),
+            self._arrival_action([plan.key for plan in plans], socks, data_counts),
+        )
+        for plan in plans:
             rule = scenario.app_rule_for_port(plan.port)
             initial = rule.cores[plan.index % len(rule.cores)]
             proc = AppProcess(
@@ -138,34 +139,25 @@ class Engine:
                 cadence_ns=cadence_ns,
             )
             socks.append(self.host.add_flow(plan.key, proc))
-            firsts.append(len(stream_of))
-            stream_of.extend(repeat(i, 3 + len(plan.data_times)))
-            if calls:
-                stream_of.append(~i)
-            self.generated_data += len(plan.data_times)
-        arrive = self._arrival_action(socks, firsts, stream_of)
-        self.sim.schedule_arrivals(len(stream_of), _arrival_blocks(plans, calls), arrive)
 
-    def _arrival_action(self, socks: list, firsts: list, stream_of: array):
-        """The action for every stream arrival: find the arrival's stream,
-        then send its SYN-ACK, build its SYN, ACK or data packet as it
-        arrives, or issue its app's first receive call. No packet exists
-        before its arrival."""
-        keys = [sock.key for sock in socks]
+    def _arrival_action(self, keys: list, socks: list, data_counts: list):
+        """The action for every stream arrival, called with the stream and
+        the arrival's position in its block: send the SYN-ACK, build the
+        SYN, ACK or data packet as it arrives, or issue the app's first
+        receive call. No packet exists before its arrival."""
         size = self.scenario.traffic.packet_bytes
         rx = self.nic.rx
         sim = self.sim
         tx_synack = self._tx_synack
         submit_syscall = self.host.submit_syscall
 
-        def arrive(index: int):
-            i = stream_of[index]
-            if i < 0:
-                submit_syscall(socks[~i])
-                return
-            k = index - firsts[i]
+        def arrive(i: int, k: int):
             if k >= 3:
-                rx(Packet(keys[i], DATA, k - 3, size), sim.now)
+                seq = k - 3
+                if seq < data_counts[i]:
+                    rx(Packet(keys[i], DATA, seq, size), sim.now)
+                else:
+                    submit_syscall(socks[i])
             elif k == 1:
                 tx_synack(socks[i])
             else:
@@ -393,16 +385,18 @@ class Engine:
         return RunResult(report=report, delivered=delivered, hold_delays=hold_delays)
 
 
-def _arrival_blocks(plans: list, calls: bool):
-    """Yield each stream's arrival times: SYN, SYN-ACK, ACK and data, then,
-    when `calls`, its app's first receive call just after the ACK. Each
-    plan's data_times list is dropped as its block is yielded, so its
-    memory is free again while the simulator packs the next blocks."""
+def _arrival_blocks(plans: list, calls: bool) -> list:
+    """Each stream's arrival times as one block: SYN, SYN-ACK, ACK and data,
+    then, when `calls`, its app's first receive call just after the ACK.
+    Each plan's data_times is dropped once copied into its block."""
+    blocks = []
     for plan in plans:
-        call = (plan.ack_at + 1,) if calls else ()
-        times = (plan.syn_at, plan.synack_at, plan.ack_at, *plan.data_times, *call)
+        tail = (plan.ack_at + 1,) if calls else ()
+        blocks.append(
+            time_array((plan.syn_at, plan.synack_at, plan.ack_at), plan.data_times, tail)
+        )
         plan.data_times = None
-        yield times
+    return blocks
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

@@ -4,14 +4,16 @@ Time is an integer count of nanoseconds since simulation start. Events come
 from three sources:
 
 - Arrivals, whose times are all known at setup, are handed over once by
-  `schedule_arrivals` and kept as one presorted sequence.
+  `schedule_arrivals` in blocks and kept as one presorted array of machine
+  ints, each fire time packed with its block and its position in the
+  block. The loop drops fired arrivals from the array's front as it goes.
 - Runtime events for a later time sit on a binary heap under an id that
   `schedule` hands out in one increasing sequence.
 - Runtime events for the current instant, such as a ring-edge interrupt,
   wait in a FIFO lane instead.
 
-One rule orders them. At any instant the arrivals fire first, in the order
-they were handed over; then the heap events for that instant, by id; then
+One rule orders them. At any instant the arrivals fire first, by block and
+then by position; then the heap events for that instant, by id; then
 the same-instant lane, in the order it was filled, until it is empty. Every
 heap entry at an instant was scheduled before the clock reached it and
 every lane entry after, so heap and lane together fire in scheduling order.
@@ -34,6 +36,20 @@ SEC = 1_000_000_000
 
 # Fire time of the arrival after the last one: later than any event.
 _NEVER = 1 << 256
+# Fired arrivals are deleted from the front of the array this many at a time.
+_RELEASE_CHUNK = 8192
+
+
+def time_array(*parts):
+    """The times of `parts`, concatenated, as an `array('q')` of machine
+    ints, or as a list of Python ints when one is too late for 64 bits."""
+    try:
+        times = array("q", parts[0])
+        for part in parts[1:]:
+            times.extend(part)
+    except OverflowError:
+        return [t for part in parts for t in part]
+    return times
 
 
 class SchedulingError(ValueError):
@@ -44,8 +60,9 @@ class Simulator:
     """Single-threaded event queue over integer nanosecond virtual time.
 
     A runtime event is an opaque zero-argument callable; arrivals share one
-    action that takes the arrival's index. A run owns all of its state:
-    separate runs are independent and may execute in parallel processes.
+    action that takes the arrival's block and position. A run owns all of
+    its state: separate runs are independent and may execute in parallel
+    processes.
 
     `now` is the current virtual time in ns, a plain attribute that only
     `run_until` advances.
@@ -57,10 +74,11 @@ class Simulator:
         self._lane = deque()  # actions of the events for `now`, in scheduling order
         self._next_id = 0
         self.fired_total = 0
-        # Arrivals: (fire_time << _shift | index), ascending; _arrival_pos is the next.
+        # Arrivals not yet fired, ascending:
+        # fire_time << _shift | block << _pos_bits | position.
         self._arrivals = None
         self._shift = 0
-        self._arrival_pos = 0
+        self._pos_bits = 0
         self._arrival_action = None
 
     def schedule(self, fire_time: int, action) -> int:
@@ -80,41 +98,36 @@ class Simulator:
     def schedule_after(self, delay: int, action) -> int:
         return self.schedule(self.now + delay, action)
 
-    def schedule_arrivals(self, count: int, blocks, action):
-        """Hand over all `count` arrivals of the run at once; callable once.
+    def schedule_arrivals(self, blocks, action):
+        """Hand over all arrivals of the run at once; callable once.
 
-        `blocks` yields sequences of fire times. The arrivals are numbered
-        0, 1, ..., count - 1 in the order the blocks give them, and arrival
-        i runs `action(i)`. At an equal fire time they fire in that order,
-        ahead of every runtime event. Times need not be sorted. `blocks` may
-        be a generator; each block is read once, so the caller can drop it
-        as soon as the next one is asked for. Raises ValueError when the
-        blocks hold other than `count` times or for a second call, and
+        `blocks` is a sequence of sequences of fire times, such as a list
+        of `array('q')`. Position k of block b is one arrival, which runs
+        `action(b, k)`. At an equal fire time arrivals fire by block and
+        then by position, ahead of every runtime event. Times need not be
+        sorted. The arrivals are kept packed in one `array('q')`, or in a
+        list when a fire time is too late for 64 bits, and each leaves it
+        soon after it fires. Raises ValueError for a second call and
         SchedulingError for a time before `now`.
         """
         if self._arrivals is not None:
             raise ValueError("arrivals were already scheduled")
-        shift = count.bit_length()
+        pos_bits = max(map(len, blocks), default=0).bit_length()
+        shift = pos_bits + len(blocks).bit_length()
         packed = []
-        for times in blocks:
-            start = len(packed)
+        for b, times in enumerate(blocks):
+            start = b << pos_bits
             packed.extend(
                 map(or_, map(lshift, times, repeat(shift)), range(start, start + len(times)))
             )
-        if len(packed) != count:
-            raise ValueError(f"{len(packed)} arrival times handed over, not {count}")
         packed.sort()
         if packed and packed[0] >> shift < self.now:
             raise SchedulingError(
                 f"arrival at {packed[0] >> shift} ns, before now ({self.now} ns)"
             )
-        try:
-            arrivals = array("q", packed)
-        except OverflowError:  # a fire time too late for 64 bits: keep the ints
-            arrivals = packed
-        self._arrivals = arrivals
+        self._arrivals = time_array(packed)
         self._shift = shift
-        self._arrival_pos = 0
+        self._pos_bits = pos_bits
         self._arrival_action = action
 
     def run_until(self, t_end: int) -> int:
@@ -132,9 +145,11 @@ class Simulator:
         now = self.now
         arrivals = self._arrivals or ()
         n = len(arrivals)
-        pos = self._arrival_pos
+        pos = 0  # arrivals[:pos] have fired
         shift = self._shift
         mask = (1 << shift) - 1
+        pos_bits = self._pos_bits
+        pos_mask = (1 << pos_bits) - 1
         arrive = self._arrival_action
         a_time = arrivals[pos] >> shift if pos < n else _NEVER
         fired = 0
@@ -163,13 +178,18 @@ class Simulator:
                 if a_time > t_end:
                     break
                 self.now = now = a_time
-                index = arrivals[pos] & mask
+                low = arrivals[pos] & mask
                 pos += 1
-                arrive(index)
+                arrive(low >> pos_bits, low & pos_mask)
                 fired += 1
+                if pos == _RELEASE_CHUNK:
+                    del arrivals[:pos]
+                    n -= pos
+                    pos = 0
                 a_time = arrivals[pos] >> shift if pos < n else _NEVER
         finally:
-            self._arrival_pos = pos
+            if pos:
+                del arrivals[:pos]
             self.fired_total += fired
         self.now = t_end
         return fired

@@ -14,7 +14,7 @@ from typing import get_args, get_origin
 
 from .flows import PROTO_TCP, FlowKey, Record, is_record
 from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, KeyTooShortError, RssEngine
-from .simkernel import US
+from .simkernel import US, time_array
 
 SCENARIO_VERSION = 1
 
@@ -445,13 +445,14 @@ class StreamPlan:
     """One flow's full arrival schedule at the receiver NIC."""
 
     def __init__(self, index: int, key: FlowKey, port: int, syn_at: int, synack_at: int,
-                 ack_at: int, data_times: list):
+                 ack_at: int, data_times):
         self.index = index
         self.key = key  # receive direction
         self.port = port
         self.syn_at = syn_at
         self.synack_at = synack_at
         self.ack_at = ack_at
+        # An array('q'), or a list when a time is too late for 64 bits.
         self.data_times = data_times
 
 
@@ -489,7 +490,13 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     wanted = traffic.data_packets_per_stream
     spacing = traffic.burst_spacing_ns
     jitter_ns = traffic.jitter_ns
-    randrange = rng.randrange
+    # A burst's jitter is drawn from 0..jitter_ns exactly as
+    # rng.randrange(0, jitter_ns + 1) draws it: getrandbits of the bound's
+    # bit length, redrawn while out of range. getrandbits is the primitive
+    # whose output for a seed Python keeps stable.
+    getrandbits = rng.getrandbits
+    bound = jitter_ns + 1
+    bits = bound.bit_length()
 
     plans = []
     for i in range(traffic.streams):
@@ -507,7 +514,12 @@ def spawn_streams(scenario: Scenario, rng) -> list:
         left = wanted  # data packets still to place
         t = data_start
         while left > 0 and t < duration:
-            burst_t = t + randrange(0, jitter_ns + 1) if jitter_ns else t
+            burst_t = t
+            if jitter_ns:
+                r = getrandbits(bits)
+                while r >= bound:
+                    r = getrandbits(bits)
+                burst_t += r
             # Bursts never overlap: per-flow arrival times never decrease
             # (equal times dispatch in sequence order), so source order
             # equals sequence order.
@@ -523,6 +535,6 @@ def spawn_streams(scenario: Scenario, rng) -> list:
                 left -= 1
             t += inter_burst
         plans.append(
-            StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, times)
+            StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, time_array(times))
         )
     return plans

@@ -13,6 +13,7 @@ import pytest
 
 from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
+from steersim.flowtable import FlowTable
 from steersim.host import DeliveryLog, DeliveryRecord
 from steersim.runner import WORST_CASE_FIRE_NS, Engine, run_scenario
 from steersim.simkernel import US, Simulator
@@ -143,6 +144,27 @@ class TestHoldBounds:
         assert result.report.held_delay_max_ns == max(delays)
         assert result.report.held_delay_mean_ns == sum(delays) / len(delays)
 
+    def test_held_bytes_return_to_zero_after_the_last_flush(self, monkeypatch):
+        # After every flush the table's held bytes are what the entries
+        # still hold; the run's last flush leaves no entry in transition.
+        engine = Engine(presets.migrate_same(40), seed=1)
+        expire = FlowTable.on_timer_expire
+        after = []
+
+        def recorded(table, key, now):
+            out = expire(table, key, now)
+            entries = [e for e in map(table.get, engine.host.sockets) if e is not None]
+            assert all(e.held_bytes == sum(p.size for p in e.held) for e in entries)
+            after.append((table.stats.held_bytes, sum(e.held_bytes for e in entries),
+                          sum(e.transition for e in entries)))
+            return out
+
+        monkeypatch.setattr(FlowTable, "on_timer_expire", recorded)
+        report = engine.run().report
+        assert report.held_packets > 0 and len(after) > 1
+        assert all(total == per_entry for total, per_entry, _ in after)
+        assert after[-1] == (0, 0, 0)
+
     def test_held_bytes_bounded_by_line_rate_times_timer(self):
         result = run_scenario(presets.memory10g(), seed=1)
         assert result.report.held_packets > 0
@@ -250,6 +272,18 @@ class TestScenarioShape:
         result = run_scenario(s, seed=1)
         assert result.report.rejected_table_full > 0
         assert result.report.delivered_data == result.report.generated_data
+
+    @pytest.mark.parametrize("calls", [True, False])
+    def test_handshake_times_past_64_bits_run(self, calls):
+        # A valid gap puts each SYN-ACK and ACK past 2**63 ns, beyond the
+        # horizon: those arrivals stay Python ints and never fire.
+        s = presets.pinned_same(4)
+        s.traffic.handshake_gap_us = 1e300
+        if not calls:
+            s.host.syscall_cadence_us = None
+        report = run_scenario(s.validate(), seed=1).report
+        assert report.handshakes == 0
+        assert report.generated_data == 0
 
 
 class TestRunsOnce:

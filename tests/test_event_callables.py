@@ -56,9 +56,9 @@ def test_scheduled_actions_come_from_steersim(name, monkeypatch):
         modules[getattr(action, "__module__", None)] += 1
         return schedule(sim, fire_time, action)
 
-    def schedule_arrivals_recorded(sim, count, blocks, action):
+    def schedule_arrivals_recorded(sim, blocks, action):
         modules[getattr(action, "__module__", None)] += 1
-        return schedule_arrivals(sim, count, blocks, action)
+        return schedule_arrivals(sim, blocks, action)
 
     monkeypatch.setattr(Simulator, "schedule", schedule_recorded)
     monkeypatch.setattr(Simulator, "schedule_arrivals", schedule_arrivals_recorded)

@@ -1,5 +1,8 @@
+import ipaddress
 import math
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
@@ -66,7 +69,35 @@ class TestFlowKey:
         assert reverse_key(k) == k
 
 
+def reference_bucket_index(k, num_buckets):
+    """bucket_index with every address parsed afresh: the port pair XORed
+    with both addresses folded to 32 bits, the destination's halves
+    swapped, through the murmur3 finalizer."""
+    def fold(addr):
+        packed = ipaddress.ip_address(addr).packed
+        return reduce(xor, (int.from_bytes(packed[i:i + 4], "big")
+                            for i in range(0, len(packed), 4)))
+
+    dst = fold(k.dst_addr)
+    h = (k.src_port << 16 | k.dst_port) ^ fold(k.src_addr) ^ (dst << 16 | dst >> 16) & 0xFFFFFFFF
+    for shift, mult in ((16, 0x85EBCA6B), (13, 0xC2B2AE35)):
+        h = (h ^ h >> shift) * mult & 0xFFFFFFFF
+    return (h ^ h >> 16) % num_buckets
+
+
 class TestBucketIndex:
+    @pytest.mark.parametrize("src, dst", [
+        ("10.0.0.1", "10.0.0.2"),
+        ("192.168.7.200", "172.16.254.3"),
+        ("2001:db8::1", "2001:db8::2"),
+        ("fe80::1:2:3:4", "2001:db8:ffff::9"),
+    ])
+    def test_matches_an_uncached_reference(self, src, dst):
+        for sport in range(32768, 32768 + 300, 7):
+            for num_buckets in (1, 3, 256, 4096):
+                k = key(sport=sport, src=src, dst=dst)
+                assert bucket_index(k, num_buckets) == reference_bucket_index(k, num_buckets)
+
     def test_single_bucket(self):
         assert bucket_index(key(), 1) == 0
 

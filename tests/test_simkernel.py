@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.simkernel import MS, US, SchedulingError, Simulator, make_rng
+from steersim.simkernel import _RELEASE_CHUNK, MS, US, SchedulingError, Simulator, make_rng
 
 
 def test_forward_scheduling():
@@ -91,15 +91,20 @@ def test_dispatch_is_time_then_insertion_ordered(times):
     assert fired == sorted(fired)
 
 
+def _recorder(order):
+    """An arrival action that records each arrival as (block, position)."""
+    return lambda block, position: order.append((block, position))
+
+
 def test_arrivals_fire_first_at_an_instant_in_hand_over_order():
     # A heap event wins no tie with an arrival, even one scheduled first.
     sim = Simulator()
     order = []
     sim.schedule(100, lambda: order.append("before"))
-    sim.schedule_arrivals(3, [[100], [100, 100]], order.append)
+    sim.schedule_arrivals([[100], [100, 100]], _recorder(order))
     sim.schedule(100, lambda: order.append("after"))
     assert sim.run_until(100) == 5
-    assert order == [0, 1, 2, "before", "after"]
+    assert order == [(0, 0), (1, 0), (1, 1), "before", "after"]
     assert sim.fired_total == 5
 
 
@@ -107,16 +112,16 @@ def test_arrivals_resume_across_windows():
     sim = Simulator()
     order = []
     sim.schedule(15, lambda: order.append("runtime"))
-    sim.schedule_arrivals(4, [[10, 20, 20, 35]], order.append)
+    sim.schedule_arrivals([[10, 20, 20, 35]], _recorder(order))
     assert sim.pending() == 1  # arrivals never enter the heap
     assert sim.run_until(10) == 1
-    assert order == [0]
+    assert order == [(0, 0)]
     assert sim.run_until(20) == 3  # an arrival exactly at t_end fires
-    assert order == [0, "runtime", 1, 2]
+    assert order == [(0, 0), "runtime", (0, 1), (0, 2)]
     assert sim.now == 20
     assert sim.run_until(30) == 0
     assert sim.run_until(35) == 1
-    assert order[-1] == 3
+    assert order[-1] == (0, 3)
     assert sim.run_until(1_000) == 0
     assert sim.fired_total == 5
 
@@ -127,12 +132,12 @@ def test_arrival_action_schedules_event_at_the_same_instant():
     sim = Simulator()
     order = []
 
-    def arrive(index):
-        order.append(index)
-        if index == 0:
+    def arrive(block, position):
+        order.append(position)
+        if position == 0:
             sim.schedule(sim.now, lambda: order.append(("runtime", sim.now)))
 
-    sim.schedule_arrivals(2, [[50, 50]], arrive)
+    sim.schedule_arrivals([[50, 50]], arrive)
     assert sim.run_until(50) == 3
     assert order == [0, 1, ("runtime", 50)]
 
@@ -185,9 +190,9 @@ def test_arrivals_heap_events_and_lane_at_one_instant():
 
     sim.schedule(100, on_e)
     sim.schedule(100, lambda: order.append("H"))
-    sim.schedule_arrivals(2, [[100], [100]], order.append)
+    sim.schedule_arrivals([[100], [100]], _recorder(order))
     assert sim.run_until(100) == 5
-    assert order == [0, 1, "E", "H", "L"]
+    assert order == [(0, 0), (1, 0), "E", "H", "L"]
 
 
 def test_arrival_schedules_lane_event_behind_a_later_arrival():
@@ -196,13 +201,13 @@ def test_arrival_schedules_lane_event_behind_a_later_arrival():
     sim = Simulator()
     order = []
 
-    def arrive(index):
-        order.append(index)
-        if index == 0:
+    def arrive(block, position):
+        order.append(position)
+        if position == 0:
             sim.schedule(sim.now, lambda: order.append("L"))
 
     sim.schedule(50, lambda: order.append("H"))
-    sim.schedule_arrivals(2, [[50, 50]], arrive)
+    sim.schedule_arrivals([[50, 50]], arrive)
     sim.run_until(50)
     assert order == [0, 1, "H", "L"]
 
@@ -214,9 +219,9 @@ def test_events_scheduled_at_time_zero_before_the_first_run():
     sim.schedule(0, lambda: order.append("L1"))
     sim.schedule(5, lambda: order.append("H"))
     assert sim.pending() == 3  # two in the lane, one on the heap
-    sim.schedule_arrivals(2, [[0], [0]], order.append)
+    sim.schedule_arrivals([[0], [0]], _recorder(order))
     assert sim.run_until(0) == 4
-    assert order == [0, 1, "L0", "L1"]
+    assert order == [(0, 0), (1, 0), "L0", "L1"]
     assert sim.pending() == 1
     sim.run_until(5)
     assert order[-1] == "H"
@@ -240,64 +245,80 @@ def test_pending_counts_lane_entries_during_a_run():
 
 
 def test_arrival_times_need_not_be_sorted():
-    # Blocks may come from a generator; arrivals are numbered in the order
-    # the blocks give them.
+    # Arrivals are numbered by block and by position in the block.
     sim = Simulator()
     fired = []
-    blocks = (block for block in ([7, 3], [5], [3, 9]))
-    sim.schedule_arrivals(5, blocks, lambda index: fired.append((sim.now, index)))
+    sim.schedule_arrivals([[7, 3], [5], [3, 9]], lambda b, k: fired.append((sim.now, b, k)))
     sim.run_until(10)
-    assert fired == [(3, 1), (3, 3), (5, 2), (7, 0), (9, 4)]
+    assert fired == [(3, 0, 1), (3, 2, 0), (5, 1, 0), (7, 0, 0), (9, 2, 1)]
 
 
 def test_arrival_too_late_for_64_bit_packing_still_fires():
     sim = Simulator()
     fired = []
     late = 1 << 62
-    sim.schedule_arrivals(2, [[late, 5]], fired.append)
+    sim.schedule_arrivals([[late, 5]], _recorder(fired))
     assert sim.run_until(late) == 2
-    assert fired == [1, 0]
+    assert fired == [(0, 1), (0, 0)]
 
 
 def test_arrival_before_now_rejected():
     sim = Simulator()
     sim.run_until(50)
     with pytest.raises(SchedulingError):
-        sim.schedule_arrivals(2, [[40, 50]], lambda index: None)
-    sim.schedule_arrivals(2, [[50, 50]], lambda index: None)
+        sim.schedule_arrivals([[40, 50]], lambda block, position: None)
+    sim.schedule_arrivals([[50, 50]], lambda block, position: None)
     assert sim.run_until(50) == 2
 
 
-@pytest.mark.parametrize("count", [0, 2, 4])
-def test_wrong_arrival_count_rejected(count):
+def test_blocks_of_any_length_fire_by_block_then_position():
+    # The position field is as wide as the longest block needs; an empty
+    # block still takes its number.
     sim = Simulator()
-    with pytest.raises(ValueError, match=f"3 arrival times handed over, not {count}"):
-        sim.schedule_arrivals(count, [[10, 20], [30]], lambda index: None)
-    assert sim.run_until(100) == 0
+    order = []
+    sim.schedule_arrivals([[5, 5, 5, 5], [], [5], [5, 5]], _recorder(order))
+    assert sim.run_until(5) == 7
+    assert order == [(0, 0), (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (3, 1)]
+
+
+def test_fired_arrivals_leave_the_simulator():
+    # Enough arrivals to cross the release chunk more than once; between
+    # windows the simulator holds only the arrivals still to fire.
+    sim = Simulator()
+    fired = []
+    n = 2 * _RELEASE_CHUNK + 100
+    blocks = [list(range(b, n, 3)) for b in range(3)]
+    sim.schedule_arrivals(blocks, lambda b, k: fired.append(blocks[b][k]))
+    for t_end in (0, _RELEASE_CHUNK - 1, _RELEASE_CHUNK + 5, n // 2, n - 1):
+        sim.run_until(t_end)
+        assert len(sim._arrivals) == n - 1 - t_end
+    assert fired == list(range(n))
+    assert len(sim._arrivals) == 0
 
 
 def test_second_schedule_arrivals_rejected():
     sim = Simulator()
-    sim.schedule_arrivals(1, [[10]], lambda index: None)
+    sim.schedule_arrivals([[10]], lambda block, position: None)
     with pytest.raises(ValueError, match="already"):
-        sim.schedule_arrivals(1, [[20]], lambda index: None)
+        sim.schedule_arrivals([[20]], lambda block, position: None)
 
 
 @given(
     st.lists(
         st.tuples(st.booleans(), st.integers(min_value=0, max_value=200),
-                  st.integers(min_value=0, max_value=2)),
+                  st.integers(min_value=0, max_value=2), st.booleans()),
         max_size=60,
     ),
     st.integers(min_value=0, max_value=200),
 )
 @settings(max_examples=150)
 def test_merge_matches_one_heap_of_everything(plan, t_end):
-    # Each entry is a runtime event or a one-time arrival block. One with
-    # spawns left schedules a child at now() when it fires, and the child
-    # may spawn again. Dispatch must match one heap holding everything,
-    # arrival i keyed (fire_time, 0, i) ahead of the event with id e keyed
-    # (fire_time, 1, e), children included.
+    # Each entry is a runtime event or a one-time arrival, which either
+    # opens a new block or joins the last one. One with spawns left
+    # schedules a child at now() when it fires, and the child may spawn
+    # again. Dispatch must match one heap holding everything, arrival k of
+    # block b keyed (fire_time, 0, (b, k)) ahead of the event with id e
+    # keyed (fire_time, 1, e), children included.
     sim = Simulator()
     fired = []
     spawns_left = {}
@@ -311,21 +332,25 @@ def test_merge_matches_one_heap_of_everything(plan, t_end):
 
     blocks = []
     heap = []
-    for is_arrival, t, spawns in plan:
+    events = 0
+    for is_arrival, t, spawns, new_block in plan:
         if is_arrival:
-            tag = (0, len(blocks))
-            blocks.append([t])
+            if new_block or not blocks:
+                blocks.append([])
+            tag = (0, (len(blocks) - 1, len(blocks[-1])))
+            blocks[-1].append(t)
         else:
-            tag = (1, len(heap) - len(blocks))
-            assert sim.schedule(t, lambda tag=tag: fire(tag)) == tag[1]
+            tag = (1, events)
+            assert sim.schedule(t, lambda tag=tag: fire(tag)) == events
+            events += 1
         heap.append((t, *tag, spawns))
         spawns_left[tag] = spawns
-    sim.schedule_arrivals(len(blocks), blocks, lambda index: fire((0, index)))
+    sim.schedule_arrivals(blocks, lambda b, k: fire((0, (b, k))))
     sim.run_until(t_end)
     sim.run_until(200)
 
     heapq.heapify(heap)
-    next_id = len(plan) - len(blocks)
+    next_id = events
     expected = []
     while heap:
         t, kind, number, left = heapq.heappop(heap)

@@ -1,4 +1,5 @@
 import json
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -49,14 +50,23 @@ class TestSpawnStreams:
 
     def test_zero_data_scenario_is_handshakes_only(self):
         plans = spawn_streams(scenario(4, data_packets_per_stream=0), make_rng(1))
-        assert all(p.data_times == [] for p in plans)
+        assert all(p.data_times == array("q") for p in plans)
 
     def test_zero_duration_scenario_is_handshakes_only(self):
         s = scenario(4)
         s.duration_us = 0.0
         plans = spawn_streams(s.validate(), make_rng(1))
         assert len(plans) == 4
-        assert all(p.data_times == [] for p in plans)
+        assert all(p.data_times == array("q") for p in plans)
+
+    def test_data_times_are_machine_ints_while_they_fit(self):
+        # Stream 1 starts at 1e19 ns, past 2**63: its times stay Python ints.
+        s = scenario(2, data_packets_per_stream=3, start_spread_us=2e16)
+        s.duration_us = 3e16
+        first, second = spawn_streams(s.validate(), make_rng(1))
+        assert isinstance(first.data_times, array) and first.data_times.typecode == "q"
+        assert isinstance(second.data_times, list)
+        assert len(second.data_times) == 3 and min(second.data_times) >= 10**19
 
     @given(st.integers(1, 64), st.integers(0, 200_000))
     @settings(max_examples=30, deadline=None)
@@ -100,7 +110,8 @@ class TestSpawnStreams:
                     if burst_t + b * spacing < duration:
                         times.append(burst_t + b * spacing)
                 t += inter_burst
-            assert plan.data_times == times
+            assert plan.data_times.typecode == "q"
+            assert list(plan.data_times) == times
         assert rng.getstate() == ref_rng.getstate()
 
     def test_random_ports_unique(self):
