@@ -116,20 +116,49 @@ class SocketModel:
 
     The backlog is a list: it stays a few packets deep, where `pop(0)` costs
     what `deque.popleft` does, and an empty list takes 56 bytes where an
-    empty deque takes 760."""
+    empty deque takes 760.
+
+    `Host._deliver` tallies every delivery as it happens, for the report:
+    - `data`, data packets delivered; `high`, the largest data seq so far;
+      `inversions`, data packets below it;
+    - `last_core`, the core of the last delivery (-1 before the first);
+      `alternations`, deliveries on another core than the one before;
+    - from the warm-up `cutoff` on, deliveries at a later time only:
+      `cross_core`, packets on another core than the app's, and
+      `cross_processor`, those also on another processor; for data
+      packets, `core_data` per core, `scored` in all, and `on_app_core`.
+
+    The cutoff is the time of the flow's last hold-timer flush, or else of
+    its first delivery (`restart_warm_up`); -1 until either happens.
+    `delivered` is the flow's DeliveryLog, or None when the host records
+    no deliveries."""
 
     __slots__ = ("key", "tx_key", "proc", "owned_by_user", "sleeping", "backlog", "delivered",
-                 "delivered_since_ack")
+                 "delivered_since_ack", "data", "high", "inversions", "last_core",
+                 "alternations", "cutoff", "cross_core", "cross_processor", "core_data",
+                 "scored", "on_app_core")
 
-    def __init__(self, key, tx_key, proc: AppProcess):
+    def __init__(self, key, tx_key, proc: AppProcess, num_cores: int,
+                 delivered: DeliveryLog | None = None):
         self.key = key
         self.tx_key = tx_key
         self.proc = proc
         self.owned_by_user = False
         self.sleeping = False
         self.backlog = []
-        self.delivered = DeliveryLog()
+        self.delivered = delivered
         self.delivered_since_ack = 0
+        self.data = self.inversions = self.alternations = 0
+        self.high = self.last_core = self.cutoff = -1
+        self.cross_core = self.cross_processor = self.scored = self.on_app_core = 0
+        self.core_data = [0] * num_cores
+
+    def restart_warm_up(self, now: int):
+        """Move the warm-up cutoff to `now`, as a hold-timer flush does:
+        the flow's steering changed, so only later deliveries count."""
+        self.cutoff = now
+        self.cross_core = self.cross_processor = self.scored = self.on_app_core = 0
+        self.core_data = [0] * len(self.core_data)
 
 
 class HostStats(Record):
@@ -187,14 +216,18 @@ class Host:
     It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`.
 
     Pids are dense: `add_flow` takes pids 0, 1, 2, ... in order, and
-    `processes` is the list of processes indexed by pid."""
+    `processes` is the list of processes indexed by pid. With
+    `record_deliveries`, every socket also keeps a DeliveryLog of its
+    deliveries, for tests and debugging; the report needs none."""
 
     def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
-                 ack_every: int = 2):
+                 ack_every: int = 2, record_deliveries: bool = False):
         self.cores = cores
+        self._processor_of = [core.processor_id for core in cores]  # by core id
         self.sim = sim
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
+        self.record_deliveries = record_deliveries  # give each socket a DeliveryLog
         self._nic = nic
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
         self.sockets: dict = {}
@@ -231,7 +264,8 @@ class Host:
             )
         self.processes.append(process)
         self._wired = None
-        sock = SocketModel(key=key, tx_key=reverse_key(key), proc=process)
+        log = DeliveryLog() if self.record_deliveries else None
+        sock = SocketModel(key, reverse_key(key), process, len(self.cores), log)
         self.sockets[key] = sock
         self._submit_syscall_at.append(MethodType(self.submit_syscall, sock))
         return sock
@@ -372,15 +406,43 @@ class Host:
     # -- delivery ----------------------------------------------------------------
 
     def _deliver(self, packet, sock, core_id: int, now: int):
-        """Log one delivery; the caller counts it under its context."""
+        """Tally one delivery on its socket and log it if the host records
+        deliveries; the caller counts it under its context."""
+        app_core = sock.proc.core
         kind = packet.kind
         log = sock.delivered
-        log.seq.append(packet.seq)
-        log.t.append(now)
-        log.core.append(core_id)
-        log.app_core.append(sock.proc.core)
-        log.kind.append(KIND_CODE[kind])
+        if log is not None:
+            log.seq.append(packet.seq)
+            log.t.append(now)
+            log.core.append(core_id)
+            log.app_core.append(app_core)
+            log.kind.append(KIND_CODE[kind])
+        last = sock.last_core
+        if core_id != last:
+            if last >= 0:
+                sock.alternations += 1
+            sock.last_core = core_id
+        cutoff = sock.cutoff
+        if cutoff < 0:
+            sock.cutoff = cutoff = now  # the first delivery ends the warm-up
+        scored = now > cutoff
+        if scored and core_id != app_core:
+            sock.cross_core += 1
+            processor_of = self._processor_of
+            if processor_of[core_id] != processor_of[app_core]:
+                sock.cross_processor += 1
         if kind == DATA:
+            seq = packet.seq
+            sock.data += 1
+            if seq < sock.high:
+                sock.inversions += 1
+            else:
+                sock.high = seq
+            if scored:
+                sock.core_data[core_id] += 1
+                sock.scored += 1
+                if core_id == app_core:
+                    sock.on_app_core += 1
             sock.delivered_since_ack += 1
             if sock.delivered_since_ack >= self.ack_every:
                 sock.delivered_since_ack = 0

@@ -1,38 +1,16 @@
-"""Post-run metric computation and CSV/report emission.
+"""The run report, the analytic admission oracle and CSV/report emission.
 
-All functions are pure over immutable run logs: `delivered` maps each flow
-key to its `host.DeliveryLog`, whose columns they scan. The CSV schema is
-versioned: bump CSV_SCHEMA_VERSION when columns change meaning.
+The delivery figures of a report (reordering, affinity and the contention
+proxies) are tallied while the run goes, by `host.Host._deliver`. The CSV
+schema is versioned: bump CSV_SCHEMA_VERSION when columns change meaning.
 """
 
 import io
 import math
-from operator import ne
 
-from .flows import DATA, Record
-from .host import KIND_CODE
+from .flows import Record
 
 CSV_SCHEMA_VERSION = 1
-
-_DATA = KIND_CODE[DATA]
-
-
-def reordering_ratio(delivered: dict) -> float:
-    """Fraction of delivered data packets whose sequence number is below the
-    running maximum already delivered for that flow."""
-    total = 0
-    inversions = 0
-    for log in delivered.values():
-        high = -1
-        for seq, kind in zip(log.seq, log.kind):
-            if kind != _DATA:
-                continue
-            total += 1
-            if seq < high:
-                inversions += 1
-            else:
-                high = seq
-    return inversions / total if total else 0.0
 
 
 def admitted_fraction(admitted: int, total_handshaked: int) -> float:
@@ -66,65 +44,6 @@ def occupancy_oracle(num_buckets: int, flows: int, max_list_size: int) -> float:
         )
         expected -= (m - k) * math.exp(log_pmf)
     return min(1.0, b * expected / n)
-
-
-def affinity_scores(delivered: dict, warm_up_end: dict) -> tuple:
-    """(flow_affinity, data_affinity) over post-warm-up data deliveries.
-
-    flow_affinity: per flow, the fraction of packets processed on the flow's
-    modal core, averaged over flows. data_affinity: fraction of packets
-    processed on the core the application occupied at that moment.
-    """
-    per_flow_scores = []
-    on_app_core = 0
-    total = 0
-    for key, log in delivered.items():
-        cutoff = warm_up_end.get(key, -1)
-        counts = {}
-        scored = 0
-        for t, core, app_core, kind in zip(log.t, log.core, log.app_core, log.kind):
-            if kind != _DATA or t <= cutoff:
-                continue
-            counts[core] = counts.get(core, 0) + 1
-            scored += 1
-            if core == app_core:
-                on_app_core += 1
-        if scored:
-            total += scored
-            per_flow_scores.append(max(counts.values()) / scored)
-    flow_affinity = (
-        sum(per_flow_scores) / len(per_flow_scores) if per_flow_scores else 1.0
-    )
-    data_affinity = on_app_core / total if total else 1.0
-    return flow_affinity, data_affinity
-
-
-def contention_proxy(delivered: dict, processor_of, warm_up_end: dict) -> dict:
-    """Simulator-observable stand-ins for cross-core contention.
-
-    cross_core_packets counts packets delivered after the flow's warm-up on
-    another core than the app occupied at that moment, and
-    cross_processor_packets those of them on another processor;
-    `processor_of` maps a core id to its processor id. alternations counts
-    consecutive same-flow deliveries on different cores.
-    """
-    cross = 0
-    cross_processor = 0
-    alternations = 0
-    for key, log in delivered.items():
-        cutoff = warm_up_end.get(key, -1)
-        cores = log.core
-        for t, core, app_core in zip(log.t, cores, log.app_core):
-            if t > cutoff and core != app_core:
-                cross += 1
-                if processor_of[core] != processor_of[app_core]:
-                    cross_processor += 1
-        alternations += sum(map(ne, cores, cores[1:]))
-    return {
-        "cross_core_packets": cross,
-        "cross_processor_packets": cross_processor,
-        "alternations": alternations,
-    }
 
 
 # ---- run report -------------------------------------------------------------

@@ -6,6 +6,7 @@ Queue i is pinned to core i; an interrupt is raised only on a ring's
 empty-to-non-empty edge, and the host then drains until empty.
 """
 
+from array import array
 from collections import deque
 
 from .flowtable import DIRECT, HELD, FlowTable, search_time
@@ -56,8 +57,12 @@ class Nic:
         self.interrupts = None  # per-queue interrupt actions, set by the host
         self.rings = [RingBuffer(q, spec.ring_capacity) for q in range(num_queues)]
         self.acks_sent = 0
-        self.hold_delays: list[int] = []  # flush time minus arrival, per held packet
-        self._pipeline_free = 0  # serial lookup pipeline, latency accounting only
+        self.hold_delays = array("q")  # flush time minus arrival, per held packet
+        # The serial lookup pipeline, latency accounting only: when it is
+        # next free, and the (queue, packet) pairs in it, in completion order.
+        self._pipeline_free = 0
+        self._lookups = deque()
+        self._lookup_done = self._finish_lookup  # the one action for every completion
 
     # -- receive path ----------------------------------------------------------
 
@@ -80,10 +85,16 @@ class Nic:
 
     def _enqueue_after_lookup(self, queue: int, packet: Packet, now: int, position: int):
         # The lookup pipeline is serial: a packet cannot overtake the one
-        # ahead of it even if its own chain walk is shorter.
+        # ahead of it even if its own chain walk is shorter. Completion
+        # times strictly increase, so completions fire in the order the
+        # packets entered and each pops its own packet.
         done = max(now, self._pipeline_free) + search_time(position)
         self._pipeline_free = done
-        self.sim.schedule(done, lambda: self._enqueue(queue, packet))
+        self._lookups.append((queue, packet))
+        self.sim.schedule(done, self._lookup_done)
+
+    def _finish_lookup(self):
+        self._enqueue(*self._lookups.popleft())
 
     def _enqueue(self, queue: int, packet: Packet):
         """Append at the ring's tail, or tail-drop when it is full. The
@@ -120,6 +131,11 @@ class Nic:
         self.acks_sent += 1
         if self._steers:
             self.table.observe_tx(tx_key, core_id, now)
+
+    def release(self):
+        """Drop the NIC's own event action, which refers back to the NIC;
+        the NIC takes no events afterwards."""
+        self._lookup_done = None
 
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""

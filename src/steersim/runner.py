@@ -12,14 +12,8 @@ import os
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, PROTO_TCP, SYN, FlowKey, Packet
-from .host import KIND_CODE, AppProcess, Core, Host, SocketModel
-from .metrics import (
-    RunReport,
-    affinity_scores,
-    admitted_fraction,
-    contention_proxy,
-    reordering_ratio,
-)
+from .host import AppProcess, Core, Host, SocketModel
+from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
 from .simkernel import MS, US, Simulator, make_rng, time_array
 from .workload import (
@@ -40,18 +34,25 @@ WORST_CASE_EPSILON_NS = 1
 
 
 class RunResult:
+    """A run's report, with its delivery logs (key -> DeliveryLog, empty
+    unless the engine recorded deliveries) and its hold delays (flush time
+    minus arrival, one per flushed packet)."""
+
     def __init__(self, report: RunReport, delivered: dict | None = None,
-                 hold_delays: list | None = None):
+                 hold_delays=()):
         self.report = report
-        self.delivered = {} if delivered is None else delivered  # key -> DeliveryLog
-        self.hold_delays = [] if hold_delays is None else hold_delays
+        self.delivered = {} if delivered is None else delivered
+        self.hold_delays = hold_delays
 
 
 class Engine:
     """One simulation run: builds the models, schedules the workload, runs
-    to the scenario horizon and assembles the report."""
+    to the scenario horizon and assembles the report. With
+    `record_deliveries`, every flow keeps a log of its deliveries, which
+    `RunResult.delivered` returns; the report is the same either way."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None):
+    def __init__(self, scenario: Scenario, seed: int | None = None,
+                 record_deliveries: bool = False):
         scenario.validate()
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
@@ -66,7 +67,6 @@ class Engine:
             for core in group:
                 processor_of[core] = proc_id
         self.cores = [Core(c, processor_of[c], service_ns) for c in range(num_cores)]
-        self._processor_of = processor_of
 
         self.rss = build_rss_engine(scenario)
         self.table = None
@@ -83,6 +83,7 @@ class Engine:
             self.nic,
             scheduler_mode=scenario.scheduler.mode,
             ack_every=scenario.host.ack_every,
+            record_deliveries=record_deliveries,
         )
         sched = scenario.scheduler
         # Periods of the periodic events, None for an event that is off;
@@ -93,7 +94,6 @@ class Engine:
             else int(sched.forced_migration_period_us * US)
         )
         self.generated_data = 0
-        self.flush_times: dict[FlowKey, int] = {}
         self._ran = False
 
     # -- wiring callbacks --------------------------------------------------------
@@ -101,7 +101,9 @@ class Engine:
     def _schedule_hold_timer(self, deadline: int, key: FlowKey):
         def fire():
             self.nic.on_hold_timer(key)
-            self.flush_times[key] = self.sim.now
+            sock = self.host.sockets.get(key)
+            if sock is not None:
+                sock.restart_warm_up(self.sim.now)
 
         self.sim.schedule(deadline, fire)
 
@@ -290,40 +292,38 @@ class Engine:
 
     def _release(self):
         """Drop every event action the run built. The actions refer back to
-        the models that schedule them (the host, its lanes, the engine), so
-        each forms a reference cycle. What the report, `RunResult` and a
-        caller read afterwards stays: `sim.fired_total`, `host.stats`,
-        `host.sockets`, `nic.rings` and `table.stats`."""
+        the models that schedule them (the host, its lanes, the NIC, the
+        engine), so each forms a reference cycle. What the report,
+        `RunResult` and a caller read afterwards stays: `sim.fired_total`,
+        `host.stats`, `host.sockets`, `nic.rings` and `table.stats`."""
         self.sim.clear()
         self.host.release()
+        self.nic.release()
         if self.table is not None:
             self.table.schedule_timer = None
 
     # -- reporting ----------------------------------------------------------------
 
-    def _warm_up_end(self) -> dict:
-        """Per flow, the steering warm-up horizon for affinity scoring: the
-        last transition flush if the flow ever migrated, else its first
-        delivery. Before that point the NIC cannot yet know the app core."""
-        out = {}
-        for key, sock in self.host.sockets.items():
-            if key in self.flush_times:
-                out[key] = self.flush_times[key]
-            elif sock.delivered:
-                out[key] = sock.delivered.t[0]
-            else:
-                out[key] = -1
-        return out
-
     def _collect(self) -> RunResult:
-        delivered = {key: sock.delivered for key, sock in self.host.sockets.items()}
-        warm_up = self._warm_up_end()
-        flow_aff, data_aff = affinity_scores(delivered, warm_up)
-        proxies = contention_proxy(delivered, self._processor_of, warm_up)
+        # Sum the sockets' delivery tallies in socket order, the order in
+        # which a scan of every flow's deliveries would add them up. A
+        # flow's affinity is the share of its scored data on its busiest core.
+        delivered_data = inversions = 0
+        cross = cross_processor = alternations = 0
+        flow_scores = []
+        on_app_core = scored = 0
+        for sock in self.host.sockets.values():
+            delivered_data += sock.data
+            inversions += sock.inversions
+            cross += sock.cross_core
+            cross_processor += sock.cross_processor
+            alternations += sock.alternations
+            if sock.scored:
+                scored += sock.scored
+                on_app_core += sock.on_app_core
+                flow_scores.append(max(sock.core_data) / sock.scored)
         stats = self.host.stats
         delivered_total = stats.delivered_interrupt + stats.delivered_process
-        data_code = KIND_CODE[DATA]
-        delivered_data = sum(log.kind.count(data_code) for log in delivered.values())
         hold_delays = self.nic.hold_delays
 
         queue_stats = {}
@@ -356,7 +356,7 @@ class Engine:
             process_context_fraction=(
                 stats.delivered_process / delivered_total if delivered_total else 0.0
             ),
-            reordering_ratio=reordering_ratio(delivered),
+            reordering_ratio=inversions / delivered_data if delivered_data else 0.0,
             handshakes=ts.handshakes_completed,
             admitted=ts.admitted,
             rejected_bucket_full=ts.rejected_bucket_full,
@@ -374,15 +374,18 @@ class Engine:
             interrupts=interrupts,
             migrations=self.host.migrations,
             acks_sent=self.nic.acks_sent,
-            flow_affinity=flow_aff,
-            data_affinity=data_aff,
-            cross_core_packets=proxies["cross_core_packets"],
-            cross_processor_packets=proxies["cross_processor_packets"],
-            alternations=proxies["alternations"],
+            flow_affinity=sum(flow_scores) / len(flow_scores) if flow_scores else 1.0,
+            data_affinity=on_app_core / scored if scored else 1.0,
+            cross_core_packets=cross,
+            cross_processor_packets=cross_processor,
+            alternations=alternations,
             lock_conflict_events=stats.lock_conflicts,
             queue_stats=queue_stats,
         )
-        return RunResult(report=report, delivered=delivered, hold_delays=hold_delays)
+        delivered = {}
+        if self.host.record_deliveries:
+            delivered = {key: sock.delivered for key, sock in self.host.sockets.items()}
+        return RunResult(report, delivered, hold_delays)
 
 
 def _arrival_blocks(plans: list, calls: bool) -> list:

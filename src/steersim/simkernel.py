@@ -23,6 +23,7 @@ with a fixed seed therefore replays identically event for event.
 
 import random
 from array import array
+from bisect import bisect_left
 from heapq import heappop, heappush
 from collections import deque
 from itertools import repeat
@@ -38,6 +39,9 @@ SEC = 1_000_000_000
 _NEVER = 1 << 256
 # Fired arrivals are deleted from the front of the array this many at a time.
 _RELEASE_CHUNK = 8192
+# `schedule_arrivals` sorts this many runs of the packed arrivals and merges
+# them this many windows at a time.
+_WINDOWS = 16
 
 
 def time_array(*parts):
@@ -50,6 +54,58 @@ def time_array(*parts):
     except OverflowError:
         return [t for part in parts for t in part]
     return times
+
+
+def _packed(blocks, shift: int, pos_bits: int):
+    """Per block, an iterator over its arrivals packed as
+    time << shift | block << pos_bits | position."""
+    for b, times in enumerate(blocks):
+        start = b << pos_bits
+        yield map(or_, map(lshift, times, repeat(shift)), range(start, start + len(times)))
+
+
+def _sorted_in_windows(blocks, shift: int, pos_bits: int) -> array:
+    """The packed arrivals of `blocks` in ascending order, as an `array('q')`.
+
+    Sorting needs Python ints, and a list of all of them takes four and a
+    half times the memory of the array. So the blocks are packed and sorted
+    into about _WINDOWS consecutive runs of one array, and the runs are
+    then merged one window of values at a time: each run's share of a
+    window is found by bisection, and the shares are sorted together and
+    appended. Each window ends at a quantile of a sample taken at even
+    steps through the runs, so each holds about one _WINDOWS-th of the
+    arrivals, and about that many Python ints exist at once. Raises
+    OverflowError for a packed value past 64 bits.
+    """
+    n = sum(map(len, blocks))
+    runs = array("q")
+    bounds = [0]
+    chunk = []
+    for part in _packed(blocks, shift, pos_bits):
+        chunk.extend(part)
+        if chunk and (len(chunk) * _WINDOWS >= n or len(runs) + len(chunk) == n):
+            chunk.sort()
+            runs.fromlist(chunk)
+            bounds.append(len(runs))
+            chunk = []
+    if not runs:
+        return runs
+    starts = bounds[:-1]
+    ends = bounds[1:]
+    sample = sorted(runs[:: max(1, n // (64 * _WINDOWS))])
+    edges = [sample[len(sample) * j // _WINDOWS] for j in range(1, _WINDOWS)]
+    edges.append(max(runs[i - 1] for i in ends) + 1)
+    out = array("q")
+    for edge in edges:  # a window takes the values below its edge
+        window = []
+        for r, lo in enumerate(starts):
+            hi = bisect_left(runs, edge, lo, ends[r])
+            if hi > lo:
+                window.extend(runs[lo:hi])
+                starts[r] = hi
+        window.sort()
+        out.fromlist(window)
+    return out
 
 
 class SchedulingError(ValueError):
@@ -114,18 +170,18 @@ class Simulator:
             raise ValueError("arrivals were already scheduled")
         pos_bits = max(map(len, blocks), default=0).bit_length()
         shift = pos_bits + len(blocks).bit_length()
-        packed = []
-        for b, times in enumerate(blocks):
-            start = b << pos_bits
-            packed.extend(
-                map(or_, map(lshift, times, repeat(shift)), range(start, start + len(times)))
-            )
-        packed.sort()
-        if packed and packed[0] >> shift < self.now:
+        try:
+            arrivals = _sorted_in_windows(blocks, shift, pos_bits)
+        except OverflowError:
+            arrivals = []
+            for part in _packed(blocks, shift, pos_bits):
+                arrivals.extend(part)
+            arrivals.sort()
+        if arrivals and arrivals[0] >> shift < self.now:
             raise SchedulingError(
-                f"arrival at {packed[0] >> shift} ns, before now ({self.now} ns)"
+                f"arrival at {arrivals[0] >> shift} ns, before now ({self.now} ns)"
             )
-        self._arrivals = time_array(packed)
+        self._arrivals = arrivals
         self._shift = shift
         self._pos_bits = pos_bits
         self._arrival_action = action

@@ -19,10 +19,10 @@ from steersim.runner import WORST_CASE_FIRE_NS, Engine, run_scenario
 from steersim.simkernel import US, Simulator
 
 
-def small_migrate(t_timer_us=100.0, seed=1):
+def small_migrate(t_timer_us=100.0, seed=1, record_deliveries=False):
     s = presets.migrate_same(40)
     s.flow_table.t_timer_us = t_timer_us
-    return run_scenario(s, seed=seed)
+    return Engine(s, seed=seed, record_deliveries=record_deliveries).run()
 
 
 class TestWorstCaseSchedule:
@@ -101,13 +101,13 @@ class TestConservation:
         assert r.generated_data - delivered_plus_lost >= 0
 
     def test_exactly_once_delivery(self):
-        result = small_migrate()
+        result = small_migrate(record_deliveries=True)
         for key, records in result.delivered.items():
             seqs = [rec.seq for rec in records if rec.kind == DATA]
             assert len(seqs) == len(set(seqs)), f"duplicate delivery for {key}"
 
     def test_delivery_log_times_non_decreasing(self):
-        result = small_migrate()
+        result = small_migrate(record_deliveries=True)
         for records in result.delivered.values():
             times = [rec.t for rec in records]
             assert times == sorted(times)
@@ -410,7 +410,7 @@ def _census() -> Counter:
 
 class TestPerFlowState:
     """What a finished run keeps per flow: a socket with a list backlog,
-    its delivery columns and one transmit-direction key. Handshake packets
+    its delivery tallies and one transmit-direction key. Handshake packets
     exist only while they are in use."""
 
     STREAMS = 200
@@ -437,17 +437,37 @@ def _records_alive() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is DeliveryRecord)
 
 
+class TestDeliveryRecording:
+    def test_a_default_run_keeps_no_log(self):
+        engine = Engine(presets.migrate_same(40), seed=3)
+        result = engine.run()
+        assert result.delivered == {}
+        assert result.report.delivered_data > 1000
+        assert all(sock.delivered is None for sock in engine.host.sockets.values())
+
+    def test_a_recording_run_logs_every_delivery(self):
+        engine = Engine(presets.migrate_same(40), seed=3, record_deliveries=True)
+        result = engine.run()
+        sockets = engine.host.sockets
+        assert list(result.delivered) == list(sockets)
+        assert all(result.delivered[key] is sock.delivered for key, sock in sockets.items())
+        r = result.report
+        assert sum(map(len, result.delivered.values())) == (
+            r.delivered_interrupt + r.delivered_process
+        )
+
+
 class TestColumnarDeliveryLog:
     WIDE = ("seq", "t")
     BYTES = ("core", "app_core", "kind")
 
     def test_a_run_keeps_no_record_objects(self):
-        result = run_scenario(presets.migrate_same(40), seed=3)
+        result = Engine(presets.migrate_same(40), seed=3, record_deliveries=True).run()
         assert sum(len(log) for log in result.delivered.values()) > 1000
         assert _records_alive() == 0
 
     def test_every_column_is_compact(self):
-        result = run_scenario(presets.migrate_same(40), seed=3)
+        result = Engine(presets.migrate_same(40), seed=3, record_deliveries=True).run()
         for log in result.delivered.values():
             assert isinstance(log, DeliveryLog)
             for name in self.WIDE:

@@ -90,7 +90,7 @@ def _contents(result):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_finished_run_is_freed_without_the_cycle_collector(name, gc_paused):
-    engine = Engine(SCENARIOS[name](), seed=1)
+    engine = Engine(SCENARIOS[name](), seed=1, record_deliveries=True)
     result = engine.run()
     before = _contents(result)
     assert sum(len(log) for log in result.delivered.values()) > 0

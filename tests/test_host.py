@@ -51,7 +51,7 @@ class Harness:
         self.nic.tx_ack = lambda tx_key, core, now: self.acks.append((tx_key, core, now))
         self.host = Host(
             cores, self.sim, self.nic, scheduler_mode=scheduler,
-            ack_every=ack_every,
+            ack_every=ack_every, record_deliveries=True,
         )
 
     def flow(self, k, pid=0, core=0, allowed=None, cadence_ns=None):

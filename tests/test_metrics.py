@@ -5,55 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import DATA, PROTO_TCP, FlowKey
-from steersim.host import DeliveryLog
 from steersim.metrics import (
     RunReport,
-    affinity_scores,
     aggregate_rows,
-    contention_proxy,
     format_value,
     occupancy_oracle,
-    reordering_ratio,
     rows_to_csv,
 )
-
-
-def key(sport=1):
-    return FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, sport, 5001)
-
-
-def rec(seq, t=0, core=0, app_core=0, kind=DATA):
-    return seq, t, core, app_core, kind
-
-
-def flow_log(*records):
-    """A DeliveryLog holding the given rec() tuples in order."""
-    log = DeliveryLog()
-    for r in records:
-        log.append(*r)
-    return log
-
-
-class TestReorderingRatio:
-    def test_in_order_log_is_zero(self):
-        log = {key(): flow_log(*(rec(s) for s in range(10)))}
-        assert reordering_ratio(log) == 0.0
-
-    def test_one_inversion_in_ten(self):
-        seqs = [0, 1, 2, 3, 5, 4, 6, 7, 8, 9]
-        log = {key(): flow_log(*(rec(s) for s in seqs))}
-        assert reordering_ratio(log) == 0.1
-
-    def test_per_flow_not_cross_flow(self):
-        log = {
-            key(1): flow_log(rec(5), rec(6)),
-            key(2): flow_log(rec(0), rec(1)),  # lower seqs on another flow: fine
-        }
-        assert reordering_ratio(log) == 0.0
-
-    def test_empty_log(self):
-        assert reordering_ratio({}) == 0.0
 
 
 class TestOccupancyOracle:
@@ -90,47 +48,6 @@ class TestOccupancyOracle:
     @settings(max_examples=60, deadline=None)
     def test_stays_in_unit_interval(self, buckets, flows, m):
         assert 0.0 <= occupancy_oracle(buckets, flows, m) <= 1.0
-
-
-class TestAffinityScores:
-    def test_every_flow_on_one_core(self):
-        log = {key(i): flow_log(*(rec(s, t=s + 1, core=2, app_core=2) for s in range(4)))
-               for i in range(3)}
-        flow_aff, data_aff = affinity_scores(log, {k: 0 for k in log})
-        assert flow_aff == 1.0 and data_aff == 1.0
-
-    def test_alternating_cores_gives_half(self):
-        recs = flow_log(*(rec(s, t=s + 1, core=s % 2, app_core=0) for s in range(10)))
-        flow_aff, data_aff = affinity_scores({key(): recs}, {key(): 0})
-        assert flow_aff == 0.5
-        assert data_aff == 0.5
-
-    def test_warm_up_cutoff_excludes_early_records(self):
-        recs = flow_log(rec(0, t=5, core=1, app_core=0), rec(1, t=50, core=0, app_core=0))
-        flow_aff, data_aff = affinity_scores({key(): recs}, {key(): 10})
-        assert flow_aff == 1.0 and data_aff == 1.0
-
-
-class TestContentionProxy:
-    def test_single_core_system_all_zero(self):
-        log = flow_log(*(rec(s, t=s * 10) for s in range(5)))
-        out = contention_proxy({key(): log}, [0], {})
-        assert out == {"cross_core_packets": 0, "cross_processor_packets": 0,
-                       "alternations": 0}
-
-    def test_cross_core_and_alternations(self):
-        log = flow_log(rec(0, 0, 0, 1), rec(1, 10, 1, 1), rec(2, 20, 0, 1))
-        out = contention_proxy({key(): log}, [0, 0, 1, 1], {})
-        assert out["cross_core_packets"] == 2
-        assert out["alternations"] == 2
-        assert out["cross_processor_packets"] == 0
-
-    def test_cross_processor_after_warm_up_only(self):
-        log = flow_log(rec(0, 0, 0, 2), rec(1, 10, 0, 2), rec(2, 20, 1, 1))
-        out = contention_proxy({key(): log}, {0: 0, 1: 0, 2: 1}, {key(): 5})
-        assert out["cross_core_packets"] == 1
-        assert out["cross_processor_packets"] == 1
-        assert out["alternations"] == 1
 
 
 class TestReportAndCsv:

@@ -206,7 +206,7 @@ class TestDrainAndFlush:
         h.sim.run_until(1_000)
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(5_000)
-        assert h.nic.hold_delays == [4_000]
+        assert h.nic.hold_delays.tolist() == [4_000]
 
 
 class TestLatencyAccounting:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steersim.flows import DATA
-from steersim.runner import run_scenario
+from steersim.runner import Engine
 from steersim.simkernel import US
 from steersim.workload import AppRule, Scenario
 
@@ -53,7 +53,7 @@ def test_adequate_hold_timer_keeps_every_flow_in_order(scenario):
     d = scenario.nic.ring_capacity
     service_ns = round(1e9 / scenario.host.service_rate_pps)
     assert scenario.flow_table.t_timer_us * US >= d * service_ns
-    result = run_scenario(scenario)
+    result = Engine(scenario, record_deliveries=True).run()
     assert result.report.reordering_ratio == 0.0
     for records in result.delivered.values():
         seqs = [r.seq for r in records if r.kind == DATA]
@@ -63,7 +63,7 @@ def test_adequate_hold_timer_keeps_every_flow_in_order(scenario):
 @given(migration_scenarios())
 @settings(max_examples=15, deadline=None)
 def test_run_invariants_hold_under_any_schedule(scenario):
-    result = run_scenario(scenario)
+    result = Engine(scenario, record_deliveries=True).run()
     r = result.report
 
     # Exactly-once: no data sequence number delivered twice for one flow.

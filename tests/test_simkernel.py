@@ -1,10 +1,19 @@
 import heapq
+from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from steersim.simkernel import _RELEASE_CHUNK, MS, US, SchedulingError, Simulator, make_rng
+from steersim.simkernel import (
+    _RELEASE_CHUNK,
+    _WINDOWS,
+    MS,
+    US,
+    SchedulingError,
+    Simulator,
+    make_rng,
+)
 
 
 def test_forward_scheduling():
@@ -294,6 +303,48 @@ def test_fired_arrivals_leave_the_simulator():
         assert len(sim._arrivals) == n - 1 - t_end
     assert fired == list(range(n))
     assert len(sim._arrivals) == 0
+
+
+START = 100  # `now` when the property below hands its arrivals over
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 2 * _WINDOWS), max_size=10), max_size=24),
+    st.sampled_from(["none", "past_64_bits", "before_now"]),
+    st.integers(0, 1000),
+)
+@settings(max_examples=200)
+# Each window edge is the packed value of a sampled arrival, so some arrival
+# sits on an edge whenever there is more than one. Here every window gets two.
+@example([list(range(2 * _WINDOWS))], "none", 0)
+# Equal times across blocks and in one block, empty and single blocks.
+@example([[], [3], [3, 3, 0], [], [0, 3]], "none", 0)
+@example([[0], [1, 1]], "past_64_bits", 1)
+@example([], "past_64_bits", 0)
+@example([[5]], "before_now", 0)
+def test_windowed_hand_over_fires_in_full_sort_order(offsets, extra, pick):
+    # Arrivals at START + offset, plus one at or past 2**63 ns or one before
+    # now, in a block `pick` chooses. They fire in the order of one full
+    # sort by (time, block, position), or the hand-over raises.
+    blocks = [[START + t for t in block] for block in offsets]
+    if extra != "none":
+        if not blocks:
+            blocks.append([])
+        late = (1 << 63) + pick if extra == "past_64_bits" else START - 1 - pick % START
+        block = blocks[pick % len(blocks)]
+        block.insert(pick % (len(block) + 1), late)
+    sim = Simulator()
+    sim.run_until(START)
+    fired = []
+    if extra == "before_now":
+        with pytest.raises(SchedulingError):
+            sim.schedule_arrivals(blocks, lambda b, k: fired.append((sim.now, b, k)))
+        return
+    sim.schedule_arrivals(blocks, lambda b, k: fired.append((sim.now, b, k)))
+    expected = sorted((t, b, k) for b, block in enumerate(blocks) for k, t in enumerate(block))
+    assert sim.run_until(max((t for t, _, _ in expected), default=START)) == len(expected)
+    assert fired == expected
+    assert isinstance(sim._arrivals, list if extra == "past_64_bits" else array)
 
 
 def test_second_schedule_arrivals_rejected():
