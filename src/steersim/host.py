@@ -10,15 +10,10 @@ around), which keeps the ring-drain rate at the full per-core service rate
 and makes the hold-timer bound effective.
 """
 
-from array import array
 from collections import deque
 from types import MethodType
-from typing import NamedTuple
 
-from .flows import DATA, KINDS, Record, reverse_key
-
-# DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
-KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+from .flows import DATA, Record, reverse_key
 
 MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
@@ -36,56 +31,6 @@ class Core(Record):
     processor_id: int
     service_ns: int  # 1/R_service, virtual cost to process one packet
     irq_free: int = 0
-
-
-class DeliveryRecord(NamedTuple):
-    seq: int
-    t: int
-    core: int
-    app_core: int
-    kind: str
-
-
-class DeliveryLog:
-    """One flow's deliveries in arrival order, one column per field.
-
-    `seq` and `t` are `array('q')`. The one-byte fields are `bytearray`s:
-    `core` and `app_core` (`Scenario.validate` caps a host at 256 cores),
-    and `kind` as a code into `flows.KINDS`.
-    `bytearray.append` takes a third of the time of `array('B').append`,
-    which parses its argument through a format string. Metrics scan the
-    columns. Indexing or iterating builds a `DeliveryRecord` per record on
-    demand, for tests and debugging.
-    """
-
-    __slots__ = ("seq", "t", "core", "app_core", "kind")
-
-    def __init__(self):
-        self.seq = array("q")
-        self.t = array("q")
-        self.core = bytearray()
-        self.app_core = bytearray()
-        self.kind = bytearray()
-
-    def append(self, seq: int, t: int, core: int, app_core: int, kind: str):
-        """Append one record, fields in DeliveryRecord order. The host's
-        delivery path writes the columns directly instead."""
-        self.seq.append(seq)
-        self.t.append(t)
-        self.core.append(core)
-        self.app_core.append(app_core)
-        self.kind.append(KIND_CODE[kind])
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def __getitem__(self, i: int) -> DeliveryRecord:
-        return DeliveryRecord(self.seq[i], self.t[i], self.core[i], self.app_core[i],
-                              KINDS[self.kind[i]])
-
-    def __iter__(self):
-        return map(DeliveryRecord, self.seq, self.t, self.core, self.app_core,
-                   map(KINDS.__getitem__, self.kind))
 
 
 class AppProcess:
@@ -129,24 +74,20 @@ class SocketModel:
       packets, `core_data` per core, `scored` in all, and `on_app_core`.
 
     The cutoff is the time of the flow's last hold-timer flush, or else of
-    its first delivery (`restart_warm_up`); -1 until either happens.
-    `delivered` is the flow's DeliveryLog, or None when the host records
-    no deliveries."""
+    its first delivery (`restart_warm_up`); -1 until either happens."""
 
-    __slots__ = ("key", "tx_key", "proc", "owned_by_user", "sleeping", "backlog", "delivered",
+    __slots__ = ("key", "tx_key", "proc", "owned_by_user", "sleeping", "backlog",
                  "delivered_since_ack", "data", "high", "inversions", "last_core",
                  "alternations", "cutoff", "cross_core", "cross_processor", "core_data",
                  "scored", "on_app_core")
 
-    def __init__(self, key, tx_key, proc: AppProcess, num_cores: int,
-                 delivered: DeliveryLog | None = None):
+    def __init__(self, key, tx_key, proc: AppProcess, num_cores: int):
         self.key = key
         self.tx_key = tx_key
         self.proc = proc
         self.owned_by_user = False
         self.sleeping = False
         self.backlog = []
-        self.delivered = delivered
         self.delivered_since_ack = 0
         self.data = self.inversions = self.alternations = 0
         self.high = self.last_core = self.cutoff = -1
@@ -216,18 +157,15 @@ class Host:
     It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`.
 
     Pids are dense: `add_flow` takes pids 0, 1, 2, ... in order, and
-    `processes` is the list of processes indexed by pid. With
-    `record_deliveries`, every socket also keeps a DeliveryLog of its
-    deliveries, for tests and debugging; the report needs none."""
+    `processes` is the list of processes indexed by pid."""
 
     def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
-                 ack_every: int = 2, record_deliveries: bool = False):
+                 ack_every: int = 2):
         self.cores = cores
         self._processor_of = [core.processor_id for core in cores]  # by core id
         self.sim = sim
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
-        self.record_deliveries = record_deliveries  # give each socket a DeliveryLog
         self._nic = nic
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
         self.sockets: dict = {}
@@ -264,8 +202,7 @@ class Host:
             )
         self.processes.append(process)
         self._wired = None
-        log = DeliveryLog() if self.record_deliveries else None
-        sock = SocketModel(key, reverse_key(key), process, len(self.cores), log)
+        sock = SocketModel(key, reverse_key(key), process, len(self.cores))
         self.sockets[key] = sock
         self._submit_syscall_at.append(MethodType(self.submit_syscall, sock))
         return sock
@@ -406,17 +343,9 @@ class Host:
     # -- delivery ----------------------------------------------------------------
 
     def _deliver(self, packet, sock, core_id: int, now: int):
-        """Tally one delivery on its socket and log it if the host records
-        deliveries; the caller counts it under its context."""
+        """Tally one delivery on its socket; the caller counts it under its
+        context."""
         app_core = sock.proc.core
-        kind = packet.kind
-        log = sock.delivered
-        if log is not None:
-            log.seq.append(packet.seq)
-            log.t.append(now)
-            log.core.append(core_id)
-            log.app_core.append(app_core)
-            log.kind.append(KIND_CODE[kind])
         last = sock.last_core
         if core_id != last:
             if last >= 0:
@@ -431,7 +360,7 @@ class Host:
             processor_of = self._processor_of
             if processor_of[core_id] != processor_of[app_core]:
                 sock.cross_processor += 1
-        if kind == DATA:
+        if packet.kind == DATA:
             seq = packet.seq
             sock.data += 1
             if seq < sock.high:

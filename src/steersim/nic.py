@@ -62,7 +62,6 @@ class Nic:
         # next free, and the (queue, packet) pairs in it, in completion order.
         self._pipeline_free = 0
         self._lookups = deque()
-        self._lookup_done = self._finish_lookup  # the one action for every completion
 
     # -- receive path ----------------------------------------------------------
 
@@ -91,7 +90,7 @@ class Nic:
         done = max(now, self._pipeline_free) + search_time(position)
         self._pipeline_free = done
         self._lookups.append((queue, packet))
-        self.sim.schedule(done, self._lookup_done)
+        self.sim.schedule(done, self._finish_lookup)
 
     def _finish_lookup(self):
         self._enqueue(*self._lookups.popleft())
@@ -131,11 +130,6 @@ class Nic:
         self.acks_sent += 1
         if self._steers:
             self.table.observe_tx(tx_key, core_id, now)
-
-    def release(self):
-        """Drop the NIC's own event action, which refers back to the NIC;
-        the NIC takes no events afterwards."""
-        self._lookup_done = None
 
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""

@@ -34,25 +34,19 @@ WORST_CASE_EPSILON_NS = 1
 
 
 class RunResult:
-    """A run's report, with its delivery logs (key -> DeliveryLog, empty
-    unless the engine recorded deliveries) and its hold delays (flush time
-    minus arrival, one per flushed packet)."""
+    """A run's report and its hold delays (flush time minus arrival, one
+    per flushed packet)."""
 
-    def __init__(self, report: RunReport, delivered: dict | None = None,
-                 hold_delays=()):
+    def __init__(self, report: RunReport, hold_delays=()):
         self.report = report
-        self.delivered = {} if delivered is None else delivered
         self.hold_delays = hold_delays
 
 
 class Engine:
     """One simulation run: builds the models, schedules the workload, runs
-    to the scenario horizon and assembles the report. With
-    `record_deliveries`, every flow keeps a log of its deliveries, which
-    `RunResult.delivered` returns; the report is the same either way."""
+    to the scenario horizon and assembles the report."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None,
-                 record_deliveries: bool = False):
+    def __init__(self, scenario: Scenario, seed: int | None = None):
         scenario.validate()
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
@@ -83,7 +77,6 @@ class Engine:
             self.nic,
             scheduler_mode=scenario.scheduler.mode,
             ack_every=scenario.host.ack_every,
-            record_deliveries=record_deliveries,
         )
         sched = scenario.scheduler
         # Periods of the periodic events, None for an event that is off;
@@ -292,13 +285,12 @@ class Engine:
 
     def _release(self):
         """Drop every event action the run built. The actions refer back to
-        the models that schedule them (the host, its lanes, the NIC, the
-        engine), so each forms a reference cycle. What the report,
-        `RunResult` and a caller read afterwards stays: `sim.fired_total`,
-        `host.stats`, `host.sockets`, `nic.rings` and `table.stats`."""
+        the models that schedule them (the host, its lanes, the engine), so
+        each forms a reference cycle. What the report, `RunResult` and a
+        caller read afterwards stays: `sim.fired_total`, `host.stats`,
+        `host.sockets`, `nic.rings` and `table.stats`."""
         self.sim.clear()
         self.host.release()
-        self.nic.release()
         if self.table is not None:
             self.table.schedule_timer = None
 
@@ -382,10 +374,7 @@ class Engine:
             lock_conflict_events=stats.lock_conflicts,
             queue_stats=queue_stats,
         )
-        delivered = {}
-        if self.host.record_deliveries:
-            delivered = {key: sock.delivered for key, sock in self.host.sockets.items()}
-        return RunResult(report, delivered, hold_delays)
+        return RunResult(report, hold_delays)
 
 
 def _arrival_blocks(plans: list, calls: bool) -> list:

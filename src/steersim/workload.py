@@ -136,6 +136,10 @@ class Scenario(Record):
             raise ScenarioError(f"duration_us must be non-negative, not {self.duration_us}")
         if self.flow_table.t_timer_us < 0:
             raise ScenarioError("flow_table.t_timer_us must be non-negative")
+        if int(self.flow_table.t_timer_us * US) >> 63:
+            # A held packet waits at most this long; Nic.hold_delays keeps
+            # each wait as a signed 64-bit int.
+            raise ScenarioError("flow_table.t_timer_us must be under 2**63 ns")
         if self.flow_table.max_list_size <= 0:
             raise ScenarioError("flow_table.max_list_size must be positive")
         # Negative gaps or spacing would reorder a stream's own packets.

@@ -1,18 +1,98 @@
-"""Delivery figures computed after the run from the delivery logs.
+"""Per-delivery logs, and the delivery figures computed from them.
 
-The engine tallies these figures while the run goes
-(`steersim.host.Host._deliver`). These functions compute them a second way,
-by scanning the logs that `Engine(..., record_deliveries=True)` keeps, so
-that tests can check one against the other. `delivered` maps each flow key
-to its `DeliveryLog`, in socket order.
+The engine tallies a run's delivery figures while the run goes
+(`steersim.host.Host._deliver`) and keeps no log. `record_deliveries`
+makes every host log its deliveries as well, and the functions below
+compute the figures a second way, by scanning those logs, so that tests
+can check one against the other. `delivered` maps each flow key to its
+`DeliveryLog`, in socket order.
 """
 
+from array import array
 from operator import ne
+from typing import NamedTuple
 
-from steersim.flows import DATA
-from steersim.host import KIND_CODE
+from steersim.flows import DATA, KINDS
+from steersim.host import Host
 
+# DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 _DATA = KIND_CODE[DATA]
+
+
+class DeliveryRecord(NamedTuple):
+    seq: int
+    t: int
+    core: int
+    app_core: int
+    kind: str
+
+
+class DeliveryLog:
+    """One flow's deliveries in arrival order, one column per field.
+
+    `seq` and `t` are `array('q')`. The one-byte fields are `bytearray`s:
+    `core` and `app_core` (`Scenario.validate` caps a host at 256 cores),
+    and `kind` as a code into `flows.KINDS`. The scans below read the
+    columns. Indexing or iterating builds a `DeliveryRecord` per record on
+    demand.
+    """
+
+    __slots__ = ("seq", "t", "core", "app_core", "kind")
+
+    def __init__(self):
+        self.seq = array("q")
+        self.t = array("q")
+        self.core = bytearray()
+        self.app_core = bytearray()
+        self.kind = bytearray()
+
+    def append(self, seq: int, t: int, core: int, app_core: int, kind: str):
+        """Append one record, fields in DeliveryRecord order."""
+        self.seq.append(seq)
+        self.t.append(t)
+        self.core.append(core)
+        self.app_core.append(app_core)
+        self.kind.append(KIND_CODE[kind])
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    def __getitem__(self, i: int) -> DeliveryRecord:
+        return DeliveryRecord(self.seq[i], self.t[i], self.core[i], self.app_core[i],
+                              KINDS[self.kind[i]])
+
+    def __iter__(self):
+        return map(DeliveryRecord, self.seq, self.t, self.core, self.app_core,
+                   map(KINDS.__getitem__, self.kind))
+
+
+def record_deliveries(monkeypatch) -> dict:
+    """Make every `Host` log each delivery, until `monkeypatch` is undone.
+
+    Returns the logs, flow key -> DeliveryLog, filled as deliveries happen:
+    a flow's log appears at its first delivery. Clear the dict between
+    runs that share flow keys; `in_socket_order` puts one run's logs in
+    the order of its host's sockets.
+    """
+    logs = {}
+    deliver = Host._deliver
+
+    def recorded(host, packet, sock, core_id, now):
+        log = logs.get(sock.key)
+        if log is None:
+            log = logs[sock.key] = DeliveryLog()
+        log.append(packet.seq, now, core_id, sock.proc.core, packet.kind)
+        deliver(host, packet, sock, core_id, now)
+
+    monkeypatch.setattr(Host, "_deliver", recorded)
+    return logs
+
+
+def in_socket_order(logs: dict, host: Host) -> dict:
+    """`logs` for every socket of `host`, in socket order; a flow that had
+    no delivery gets an empty log."""
+    return {key: logs.get(key) or DeliveryLog() for key in host.sockets}
 
 
 def reordering_ratio(delivered: dict) -> float:
@@ -112,9 +192,8 @@ def delivery_figures(delivered: dict, processor_of, flush_times: dict) -> dict:
     """The report's delivery figures, by report field name, from the logs."""
     warm_up = warm_up_end(delivered, flush_times)
     flow_affinity, data_affinity = affinity_scores(delivered, warm_up)
-    data = KIND_CODE[DATA]
     return {
-        "delivered_data": sum(log.kind.count(data) for log in delivered.values()),
+        "delivered_data": sum(log.kind.count(_DATA) for log in delivered.values()),
         "reordering_ratio": reordering_ratio(delivered),
         "flow_affinity": flow_affinity,
         "data_affinity": data_affinity,

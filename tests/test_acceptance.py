@@ -20,9 +20,10 @@ from steersim.rss import (
     indirection_lookup,
     toeplitz_hash,
 )
-from steersim.runner import Engine, run_scenario
+from steersim.runner import run_scenario
 from steersim.simkernel import US
 
+from delivery_oracle import record_deliveries
 from toeplitz_oracle import toeplitz_reference
 
 
@@ -41,19 +42,21 @@ def inorder_batch():
     D=256 and R_service=3e6/s give (D-1)/R = 85 us <= t_timer.
     """
     results = []
-    for build, streams, seeds in (
-        (presets.migrate_same, 40, range(1, 7)),
-        (presets.migrate_cross, 40, range(1, 7)),
-        (presets.migrate_same, 2000, range(1, 5)),
-        (presets.migrate_cross, 2000, range(1, 5)),
-    ):
-        for seed in seeds:
-            scenario = build(streams)
-            start = time.monotonic()
-            # Recording on: criterion 8 reads the delivery logs.
-            result = Engine(scenario, seed=seed, record_deliveries=True).run()
-            elapsed = time.monotonic() - start
-            results.append((scenario, seed, result, elapsed))
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_deliveries(mp)  # criterion 8 reads the delivery logs
+        for build, streams, seeds in (
+            (presets.migrate_same, 40, range(1, 7)),
+            (presets.migrate_cross, 40, range(1, 7)),
+            (presets.migrate_same, 2000, range(1, 5)),
+            (presets.migrate_cross, 2000, range(1, 5)),
+        ):
+            for seed in seeds:
+                scenario = build(streams)
+                start = time.monotonic()
+                result = run_scenario(scenario, seed=seed)
+                elapsed = time.monotonic() - start
+                results.append((scenario, seed, result, elapsed, dict(logs)))
+                logs.clear()
     return results
 
 
@@ -86,9 +89,9 @@ def paired_affinity_runs():
 
 
 def test_criterion_1_inorder_guarantee(inorder_batch):
-    worst_runtime = max(elapsed for _, _, _, elapsed in inorder_batch)
-    ratios = [res.report.reordering_ratio for _, _, res, _ in inorder_batch]
-    migrations = min(res.report.migrations for _, _, res, _ in inorder_batch)
+    worst_runtime = max(elapsed for _, _, _, elapsed, _ in inorder_batch)
+    ratios = [res.report.reordering_ratio for _, _, res, _, _ in inorder_batch]
+    migrations = min(res.report.migrations for _, _, res, _, _ in inorder_batch)
     ok = all(r == 0.0 for r in ratios) and worst_runtime < 60 and migrations > 0
     _verdict(
         "1",
@@ -245,12 +248,12 @@ def test_criterion_8_property_suite(inorder_batch):
     caps_ok = True
     held_ok = True
     once_ok = True
-    for scenario, _, result, _ in inorder_batch:
+    for scenario, _, result, _, logs in inorder_batch:
         t_timer_ns = int(scenario.flow_table.t_timer_us * US)
         if result.hold_delays:
             held_ok = held_ok and max(result.hold_delays) <= t_timer_ns
         caps_ok = caps_ok and result.report.peak_entries <= 10_000
-        for records in result.delivered.values():
+        for records in logs.values():
             data_seqs = [r.seq for r in records if r.kind == DATA]
             once_ok = once_ok and len(data_seqs) == len(set(data_seqs))
 

@@ -10,14 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delivery_oracle import (
+    DeliveryLog,
     affinity_scores,
     contention_proxy,
     delivery_figures,
+    in_socket_order,
+    record_deliveries,
     reordering_ratio,
     warm_up_end,
 )
 from steersim.flows import DATA, KINDS, PROTO_TCP, FlowKey, Packet
-from steersim.host import AppProcess, Core, DeliveryLog, Host
+from steersim.host import AppProcess, Core, Host
 from steersim.nic import Nic
 from steersim.rss import RssEngine
 from steersim.runner import Engine
@@ -123,12 +126,11 @@ FIGURES = ("delivered_data", "reordering_ratio", "flow_affinity", "data_affinity
 
 
 def _host(num_cores=4):
-    """A host over a plain-RSS NIC that records deliveries; processors
-    hold two cores each."""
+    """A host over a plain-RSS NIC; processors hold two cores each."""
     sim = Simulator()
     cores = [Core(c, c // 2, 333) for c in range(num_cores)]
     nic = Nic(NicSpec(mode="rss"), num_cores, RssEngine(num_queues=num_cores), None, sim)
-    return Host(cores, sim, nic, record_deliveries=True)
+    return Host(cores, sim, nic)
 
 
 deliveries_and_flushes = st.lists(
@@ -152,16 +154,18 @@ def test_socket_tallies_match_the_oracle(events):
     sock = host.add_flow(key(), AppProcess(0, 0, (0, 1, 2, 3), None))
     now = 0
     flushes = {}
-    for event in events:
-        now += event[0]
-        if len(event) == 1:
-            sock.restart_warm_up(now)
-            flushes[key()] = now
-            continue
-        _, core, app_core, kind, seq = event
-        sock.proc.core = app_core
-        host._deliver(Packet(key(), kind, seq, 100), sock, core, now)
-    expected = delivery_figures({key(): sock.delivered}, [0, 0, 1, 1], flushes)
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_deliveries(mp)
+        for event in events:
+            now += event[0]
+            if len(event) == 1:
+                sock.restart_warm_up(now)
+                flushes[key()] = now
+                continue
+            _, core, app_core, kind, seq = event
+            sock.proc.core = app_core
+            host._deliver(Packet(key(), kind, seq, 100), sock, core, now)
+    expected = delivery_figures(in_socket_order(logs, host), [0, 0, 1, 1], flushes)
     assert sock.data == expected["delivered_data"]
     assert (sock.inversions / sock.data if sock.data else 0.0) == expected["reordering_ratio"]
     assert (max(sock.core_data) / sock.scored if sock.scored else 1.0) == expected["flow_affinity"]
@@ -189,11 +193,13 @@ def test_online_report_matches_the_oracle_over_the_logs(name, monkeypatch):
         flushes[key] = nic.sim.now
 
     monkeypatch.setattr(Nic, "on_hold_timer", recorded)
+    logs = record_deliveries(monkeypatch)
     scenario = SCENARIOS[name]
-    result = Engine(scenario, golden.SEED, record_deliveries=True).run()
+    engine = Engine(scenario, golden.SEED)
+    result = engine.run()
     processor_of = {core: p for p, group in enumerate(scenario.host.processors)
                     for core in group}
-    expected = delivery_figures(result.delivered, processor_of, flushes)
+    expected = delivery_figures(in_socket_order(logs, engine.host), processor_of, flushes)
     report = result.report
     assert {name: getattr(report, name) for name in FIGURES} == expected
     assert report.delivered_data > 0

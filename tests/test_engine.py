@@ -14,15 +14,17 @@ import pytest
 from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
 from steersim.flowtable import FlowTable
-from steersim.host import DeliveryLog, DeliveryRecord
+from steersim.host import SocketModel
 from steersim.runner import WORST_CASE_FIRE_NS, Engine, run_scenario
 from steersim.simkernel import US, Simulator
 
+from delivery_oracle import DeliveryLog, DeliveryRecord, in_socket_order, record_deliveries
 
-def small_migrate(t_timer_us=100.0, seed=1, record_deliveries=False):
+
+def small_migrate(t_timer_us=100.0, seed=1):
     s = presets.migrate_same(40)
     s.flow_table.t_timer_us = t_timer_us
-    return Engine(s, seed=seed, record_deliveries=record_deliveries).run()
+    return run_scenario(s, seed=seed)
 
 
 class TestWorstCaseSchedule:
@@ -100,15 +102,17 @@ class TestConservation:
         # backlog, or hold list at the horizon.
         assert r.generated_data - delivered_plus_lost >= 0
 
-    def test_exactly_once_delivery(self):
-        result = small_migrate(record_deliveries=True)
-        for key, records in result.delivered.items():
+    def test_exactly_once_delivery(self, monkeypatch):
+        logs = record_deliveries(monkeypatch)
+        small_migrate()
+        for key, records in logs.items():
             seqs = [rec.seq for rec in records if rec.kind == DATA]
             assert len(seqs) == len(set(seqs)), f"duplicate delivery for {key}"
 
-    def test_delivery_log_times_non_decreasing(self):
-        result = small_migrate(record_deliveries=True)
-        for records in result.delivered.values():
+    def test_delivery_log_times_non_decreasing(self, monkeypatch):
+        logs = record_deliveries(monkeypatch)
+        small_migrate()
+        for records in logs.values():
             times = [rec.t for rec in records]
             assert times == sorted(times)
 
@@ -438,37 +442,39 @@ def _records_alive() -> int:
 
 
 class TestDeliveryRecording:
-    def test_a_default_run_keeps_no_log(self):
+    def test_a_run_keeps_nothing_per_delivery(self):
+        # A socket's slots hold its tallies, not one entry per delivery: a
+        # log would take 19 bytes a delivery, the slots take under 4.
         engine = Engine(presets.migrate_same(40), seed=3)
-        result = engine.run()
-        assert result.delivered == {}
-        assert result.report.delivered_data > 1000
-        assert all(sock.delivered is None for sock in engine.host.sockets.values())
+        engine.run()
+        for sock in engine.host.sockets.values():
+            held = sum(sys.getsizeof(getattr(sock, name)) for name in SocketModel.__slots__)
+            assert sock.data >= 200
+            assert held < 4 * sock.data
 
-    def test_a_recording_run_logs_every_delivery(self):
-        engine = Engine(presets.migrate_same(40), seed=3, record_deliveries=True)
-        result = engine.run()
-        sockets = engine.host.sockets
-        assert list(result.delivered) == list(sockets)
-        assert all(result.delivered[key] is sock.delivered for key, sock in sockets.items())
-        r = result.report
-        assert sum(map(len, result.delivered.values())) == (
-            r.delivered_interrupt + r.delivered_process
-        )
+    def test_the_recorder_logs_every_delivery(self, monkeypatch):
+        logs = record_deliveries(monkeypatch)
+        engine = Engine(presets.migrate_same(40), seed=3)
+        r = engine.run().report
+        assert set(logs) == set(engine.host.sockets)
+        assert list(in_socket_order(logs, engine.host)) == list(engine.host.sockets)
+        assert sum(map(len, logs.values())) == r.delivered_interrupt + r.delivered_process
 
 
 class TestColumnarDeliveryLog:
     WIDE = ("seq", "t")
     BYTES = ("core", "app_core", "kind")
 
-    def test_a_run_keeps_no_record_objects(self):
-        result = Engine(presets.migrate_same(40), seed=3, record_deliveries=True).run()
-        assert sum(len(log) for log in result.delivered.values()) > 1000
+    def test_a_run_keeps_no_record_objects(self, monkeypatch):
+        logs = record_deliveries(monkeypatch)
+        run_scenario(presets.migrate_same(40), seed=3)
+        assert sum(len(log) for log in logs.values()) > 1000
         assert _records_alive() == 0
 
-    def test_every_column_is_compact(self):
-        result = Engine(presets.migrate_same(40), seed=3, record_deliveries=True).run()
-        for log in result.delivered.values():
+    def test_every_column_is_compact(self, monkeypatch):
+        logs = record_deliveries(monkeypatch)
+        run_scenario(presets.migrate_same(40), seed=3)
+        for log in logs.values():
             assert isinstance(log, DeliveryLog)
             for name in self.WIDE:
                 column = getattr(log, name)

@@ -23,6 +23,8 @@ from steersim import Scenario, presets
 from steersim.runner import Engine
 from steersim.simkernel import Simulator
 
+from delivery_oracle import record_deliveries
+
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
@@ -80,27 +82,29 @@ def gc_paused():
         gc.enable()
 
 
-def _contents(result):
-    """Everything a caller reads from a RunResult, as plain values."""
-    logs = {key: (log.seq.tobytes(), log.t.tobytes(), bytes(log.core),
-                  bytes(log.app_core), bytes(log.kind))
-            for key, log in result.delivered.items()}
-    return result.report.to_row(), logs, list(result.hold_delays)
+def _contents(result, logs):
+    """Everything a caller reads from a RunResult, and the run's recorded
+    deliveries, as plain values."""
+    columns = {key: (log.seq.tobytes(), log.t.tobytes(), bytes(log.core),
+                     bytes(log.app_core), bytes(log.kind))
+               for key, log in logs.items()}
+    return result.report.to_row(), columns, list(result.hold_delays)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_finished_run_is_freed_without_the_cycle_collector(name, gc_paused):
-    engine = Engine(SCENARIOS[name](), seed=1, record_deliveries=True)
+def test_finished_run_is_freed_without_the_cycle_collector(name, gc_paused, monkeypatch):
+    logs = record_deliveries(monkeypatch)
+    engine = Engine(SCENARIOS[name](), seed=1)
     result = engine.run()
-    before = _contents(result)
-    assert sum(len(log) for log in result.delivered.values()) > 0
+    before = _contents(result, logs)
+    assert sum(len(log) for log in logs.values()) > 0
     built = [engine, engine.sim, engine.nic, engine.host, *engine.host.proc_lanes]
     if engine.table is not None:
         built.append(engine.table)
     refs = [weakref.ref(obj) for obj in built]
     del engine, built
     assert [ref() for ref in refs if ref() is not None] == []
-    assert _contents(result) == before
+    assert _contents(result, logs) == before
 
 
 def test_seed_loop_keeps_only_the_held_and_the_running_engine(gc_paused):

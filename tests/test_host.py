@@ -17,6 +17,8 @@ from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
 from steersim.workload import NicSpec
 
+from delivery_oracle import record_deliveries
+
 SERVICE_NS = 333
 
 
@@ -26,6 +28,12 @@ def key(sport=40000, dport=5001):
 
 def rx_pkt(k, seq=0, kind=DATA):
     return Packet(k, kind, seq, 1500)
+
+
+@pytest.fixture
+def logs(monkeypatch):
+    """Flow key -> DeliveryLog of every delivery the test's host makes."""
+    return record_deliveries(monkeypatch)
 
 
 class Harness:
@@ -51,7 +59,7 @@ class Harness:
         self.nic.tx_ack = lambda tx_key, core, now: self.acks.append((tx_key, core, now))
         self.host = Host(
             cores, self.sim, self.nic, scheduler_mode=scheduler,
-            ack_every=ack_every, record_deliveries=True,
+            ack_every=ack_every,
         )
 
     def flow(self, k, pid=0, core=0, allowed=None, cadence_ns=None):
@@ -74,20 +82,20 @@ class Harness:
 
 
 class TestInterruptContext:
-    def test_unowned_socket_processes_at_service_rate(self):
+    def test_unowned_socket_processes_at_service_rate(self, logs):
         h = Harness()
         k = key()
         sock = h.flow(k)  # idle app, never owns the socket
         for seq in range(5):
             h.inject(k, seq, at=0, queue=0)
         h.sim.run_until(10_000)
-        assert len(sock.delivered) == 5
-        assert all(r.core == 0 for r in sock.delivered)
+        assert len(logs[k]) == 5
+        assert all(r.core == 0 for r in logs[k])
         assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (5, 0)
         # First at t=0, then spaced by one service quantum each.
-        assert [r.t for r in sock.delivered] == [i * SERVICE_NS for i in range(5)]
+        assert [r.t for r in logs[k]] == [i * SERVICE_NS for i in range(5)]
 
-    def test_owned_socket_defers_to_backlog(self):
+    def test_owned_socket_defers_to_backlog(self, logs):
         h = Harness()
         k = key()
         sock = h.flow(k)
@@ -95,7 +103,7 @@ class TestInterruptContext:
         for seq in range(3):
             h.inject(k, seq, at=0, queue=0)
         h.sim.run_until(5_000)
-        assert len(sock.delivered) == 0
+        assert k not in logs
         assert [p.seq for p in sock.backlog] == [0, 1, 2]
         assert h.host.stats.deferrals == 3
 
@@ -115,18 +123,18 @@ class TestProcessContext:
         assert (idle.state, calling.state) == (STATE_IDLE, STATE_COMPUTING)
         assert h.host.runnable_counts() == [1, 0, 0, 0]
 
-    def test_backlog_drained_on_app_core(self):
+    def test_backlog_drained_on_app_core(self, logs):
         h = Harness()
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
         sock.backlog.extend(rx_pkt(k, seq=s) for s in range(4))
         h.first_call(sock, at=10)
         h.sim.run_until(50_000)
-        assert len(sock.delivered) == 4
-        assert all(r.core == 1 for r in sock.delivered)
+        assert len(logs[k]) == 4
+        assert all(r.core == 1 for r in logs[k])
         assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 4)
 
-    def test_sleeping_receiver_woken_by_arrival(self):
+    def test_sleeping_receiver_woken_by_arrival(self, logs):
         h = Harness()
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
@@ -136,9 +144,9 @@ class TestProcessContext:
         h.inject(k, seq=0, at=500, queue=0)
         h.sim.run_until(5_000)
         assert not sock.sleeping
-        assert len(sock.delivered) == 1
+        assert len(logs[k]) == 1
         assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 1)
-        assert sock.delivered[0].core == 1
+        assert logs[k][0].core == 1
 
     def test_ack_emitted_every_k_and_at_syscall_return(self):
         h = Harness(ack_every=2)
@@ -161,7 +169,7 @@ class TestProcessContext:
         assert h.acks == []
         assert h.host.stats.syscalls == 1
 
-    def test_deferred_then_drained_exactly_once(self):
+    def test_deferred_then_drained_exactly_once(self, logs):
         # Packets arriving while owned are delivered once, in process context.
         h = Harness()
         k = key()
@@ -170,10 +178,10 @@ class TestProcessContext:
         for seq in range(6):
             h.inject(k, seq, at=100 + seq * 100, queue=0)
         h.sim.run_until(100_000)
-        seqs = sorted(r.seq for r in sock.delivered)
+        seqs = sorted(r.seq for r in logs[k])
         assert seqs == list(range(6))
 
-    def test_alternation_under_rss_split_placement(self):
+    def test_alternation_under_rss_split_placement(self, logs):
         # Interrupts on core 0, app on core 1: deliveries use both cores.
         h = Harness()
         k = key()
@@ -183,12 +191,12 @@ class TestProcessContext:
             h.inject(k, seq, at=1_000 + seq * 2_000, queue=0)
         h.sim.run_until(200_000)
         stats = h.host.stats
-        cores = {r.core for r in sock.delivered}
+        cores = {r.core for r in logs[k]}
         assert stats.delivered_interrupt > 0 and stats.delivered_process > 0
         assert stats.delivered_interrupt + stats.delivered_process == 40
         assert cores == {0, 1}
-        assert len(sock.delivered) == 40
-        seqs = [r.seq for r in sock.delivered]
+        assert len(logs[k]) == 40
+        seqs = [r.seq for r in logs[k]]
         assert seqs == sorted(seqs)  # single queue: order survives alternation
 
 

@@ -6,13 +6,16 @@ out-of-order per-flow delivery. Alongside it, conservation and bound
 invariants that must survive any run.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steersim.flows import DATA
-from steersim.runner import Engine
+from steersim.runner import run_scenario
 from steersim.simkernel import US
 from steersim.workload import AppRule, Scenario
+
+from delivery_oracle import record_deliveries
 
 
 @st.composite
@@ -53,9 +56,11 @@ def test_adequate_hold_timer_keeps_every_flow_in_order(scenario):
     d = scenario.nic.ring_capacity
     service_ns = round(1e9 / scenario.host.service_rate_pps)
     assert scenario.flow_table.t_timer_us * US >= d * service_ns
-    result = Engine(scenario, record_deliveries=True).run()
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_deliveries(mp)
+        result = run_scenario(scenario)
     assert result.report.reordering_ratio == 0.0
-    for records in result.delivered.values():
+    for records in logs.values():
         seqs = [r.seq for r in records if r.kind == DATA]
         assert seqs == sorted(seqs)
 
@@ -63,12 +68,14 @@ def test_adequate_hold_timer_keeps_every_flow_in_order(scenario):
 @given(migration_scenarios())
 @settings(max_examples=15, deadline=None)
 def test_run_invariants_hold_under_any_schedule(scenario):
-    result = Engine(scenario, record_deliveries=True).run()
+    with pytest.MonkeyPatch.context() as mp:
+        logs = record_deliveries(mp)
+        result = run_scenario(scenario)
     r = result.report
 
     # Exactly-once: no data sequence number delivered twice for one flow.
     delivered_data = 0
-    for records in result.delivered.values():
+    for records in logs.values():
         seqs = [rec.seq for rec in records if rec.kind == DATA]
         assert len(seqs) == len(set(seqs))
         delivered_data += len(seqs)

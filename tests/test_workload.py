@@ -145,6 +145,15 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError):
             s.validate()
 
+    def test_validation_rejects_a_timer_of_2_to_the_63_ns(self):
+        # Nic.hold_delays keeps each hold, at most the timer, in 64 bits.
+        s = scenario(4)
+        s.flow_table.t_timer_us = 9.2e15
+        s.validate()
+        s.flow_table.t_timer_us = 9.3e15
+        with pytest.raises(ScenarioError, match="t_timer_us"):
+            s.validate()
+
     def test_validation_rejects_unknown_mode(self):
         s = scenario(4)
         s.nic.mode = "bogus"
