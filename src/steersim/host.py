@@ -11,7 +11,7 @@ and makes the hold-timer bound effective.
 """
 
 from collections import deque
-from types import MethodType
+from operator import add
 
 from .flows import DATA, Record, reverse_key
 
@@ -102,6 +102,22 @@ class SocketModel:
         self.core_data = [0] * len(self.core_data)
 
 
+class _CoreSet:
+    """The processes that share one allowed-core set: those on each allowed
+    core, and how many of them are runnable, per core of the host."""
+
+    __slots__ = ("runnable", "next_core", "on_core")
+
+    def __init__(self, allowed: tuple, num_cores: int):
+        self.runnable = [0] * num_cores
+        # force_alternate's rotation: each allowed core to the next one,
+        # the last back to the first. Allowed cores are distinct, so this
+        # is a permutation of them.
+        self.next_core = {core: allowed[(i + 1) % len(allowed)]
+                          for i, core in enumerate(allowed)}
+        self.on_core = {core: {} for core in allowed}  # processes as dict keys
+
+
 class HostStats(Record):
     delivered_interrupt: int = 0
     delivered_process: int = 0
@@ -157,7 +173,12 @@ class Host:
     It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`.
 
     Pids are dense: `add_flow` takes pids 0, 1, 2, ... in order, and
-    `processes` is the list of processes indexed by pid."""
+    `processes` is the list of processes indexed by pid.
+
+    The scheduler reads runnable processes per core from one count vector
+    per allowed-core set (`_CoreSet`), kept up to date wherever a process
+    changes state or core. A tick then costs O(cores) unless it has a
+    process to move."""
 
     def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
                  ack_every: int = 2):
@@ -182,10 +203,12 @@ class Host:
         # Process-lane work functions, bound once; a unit pairs one with a socket.
         self._syscall = self._syscall_enter
         self._drain = self._drain_step
-        # Indexed by pid: the event that issues the process's next receive
-        # call, `submit_syscall` bound to its socket.
-        self._submit_syscall_at: list[MethodType] = []
-        self._wired = None  # _wiring() until the next add_flow
+        # Per cadence: schedules a socket's next receive call that far
+        # ahead, on a timer line of `submit_syscall`.
+        self._call_after = {}
+        self._core_sets: dict[tuple, _CoreSet] = {}  # by allowed cores
+        self._set_of: list[_CoreSet] = []  # indexed by pid
+        self._free = []  # Free processes in pid order
 
     # -- wiring -----------------------------------------------------------------
 
@@ -195,53 +218,42 @@ class Host:
         one of its allowed cores; the scheduler moves it only among them."""
         if process.pid != len(self.processes):
             raise ValueError(f"pid {process.pid} is not the next pid, {len(self.processes)}")
-        if process.core not in process.allowed_cores:
+        allowed = process.allowed_cores
+        if process.core not in allowed:
             raise ValueError(
                 f"pid {process.pid} starts on core {process.core}, outside its allowed "
-                f"cores {process.allowed_cores}"
+                f"cores {allowed}"
             )
+        if len(set(allowed)) != len(allowed):
+            raise ValueError(f"pid {process.pid} repeats a core in its allowed cores {allowed}")
         self.processes.append(process)
-        self._wired = None
+        core_set = self._core_sets.get(allowed)
+        if core_set is None:
+            core_set = self._core_sets[allowed] = _CoreSet(allowed, len(self.cores))
+        core_set.on_core[process.core][process] = None
+        if process.state in RUNNABLE:
+            core_set.runnable[process.core] += 1
+        self._set_of.append(core_set)
+        if not process.pinned:
+            self._free.append(process)
+        cadence = process.cadence_ns
+        if cadence is not None and cadence not in self._call_after:
+            self._call_after[cadence] = self.sim.line(cadence, self.submit_syscall).add
         sock = SocketModel(key, reverse_key(key), process, len(self.cores))
         self.sockets[key] = sock
-        self._submit_syscall_at.append(MethodType(self.submit_syscall, sock))
         return sock
 
     def release(self):
         """Drop the host's event actions and the interrupt actions it put on
         the NIC. Each refers back to the host or one of its lanes, so each
-        forms a reference cycle. Counters, sockets and processes stay
-        readable; the host takes no events afterwards."""
+        forms a reference cycle; `Simulator.clear` drops the handlers of the
+        host's timer lines. Counters, sockets and processes stay readable;
+        the host takes no events afterwards."""
         self._nic.interrupts = None
-        self._softirq_next = self._submit_syscall_at = None
+        self._softirq_next = self._call_after = None
         self._syscall = self._drain = None
         for lane in self.proc_lanes:
             lane._resume = None
-
-    def _wiring(self) -> tuple:
-        """Scheduler views of the wired processes, built once per wiring:
-        pids and pinning are fixed once flows are added.
-
-        Returns (order, rotation). `order` is every process in pid order
-        with its Free flag; `rotation` holds one (process, next-core map)
-        per Free process with two or more allowed cores, for
-        force_alternate."""
-        if self._wired is None:
-            order = [(p, not p.pinned) for p in self.processes]
-            next_maps = {}
-            rotation = []
-            for proc, free in order:
-                allowed = proc.allowed_cores
-                if not free or len(allowed) < 2:
-                    continue
-                nxt = next_maps.get(allowed)
-                if nxt is None:
-                    nxt = next_maps[allowed] = {}
-                    for i, core in enumerate(allowed):
-                        nxt.setdefault(core, allowed[(i + 1) % len(allowed)])
-                rotation.append((proc, nxt))
-            self._wired = (order, rotation)
-        return self._wired
 
     # -- interrupt context --------------------------------------------------------
 
@@ -294,13 +306,18 @@ class Host:
     def _syscall_enter(self, sock: SocketModel, now: int) -> int:
         proc = sock.proc
         self.stats.syscalls += 1
+        runnable = proc.state in RUNNABLE
         if sock.backlog:
             sock.owned_by_user = True
+            if not runnable:
+                self._set_of[proc.pid].runnable[proc.core] += 1
             proc.state = STATE_DRAINING
             self.proc_lanes[proc.core].submit(self._drain, sock)
         else:
             # Block in the receive call until data arrives.
             sock.sleeping = True
+            if runnable:
+                self._set_of[proc.pid].runnable[proc.core] -= 1
             proc.state = STATE_SLEEPING
         return 0
 
@@ -311,6 +328,8 @@ class Host:
         sock.sleeping = False
         sock.owned_by_user = True
         proc = sock.proc
+        if proc.state not in RUNNABLE:
+            self._set_of[proc.pid].runnable[proc.core] += 1
         proc.state = STATE_DRAINING
         self.proc_lanes[proc.core].submit(self._drain, sock)
 
@@ -335,9 +354,11 @@ class Host:
             sock.delivered_since_ack = 0
             self._tx_ack(sock.tx_key, proc.core, now)
         sock.owned_by_user = False
+        if proc.state not in RUNNABLE:
+            self._set_of[proc.pid].runnable[proc.core] += 1
         proc.state = STATE_COMPUTING
         if proc.cadence_ns is not None:
-            self.sim.schedule(now + proc.cadence_ns, self._submit_syscall_at[proc.pid])
+            self._call_after[proc.cadence_ns](sock)
         return 0
 
     # -- delivery ----------------------------------------------------------------
@@ -379,17 +400,11 @@ class Host:
 
     # -- scheduling ----------------------------------------------------------------
 
-    def runnable_counts(self, movable: list | None = None) -> list[int]:
-        """Runnable processes per core, counted in one pass in pid order.
-        With `movable`, one list per core, each core's runnable Free
-        processes are appended to its list as well."""
-        order, _ = self._wiring()
+    def runnable_counts(self) -> list[int]:
+        """Runnable processes per core: the sum of the count vectors."""
         counts = [0] * len(self.cores)
-        for proc, free in order:
-            if proc.state in RUNNABLE:
-                counts[proc.core] += 1
-                if free and movable is not None:
-                    movable[proc.core].append(proc)
+        for core_set in self._core_sets.values():
+            counts = list(map(add, counts, core_set.runnable))
         return counts
 
     def scheduler_tick(self):
@@ -400,20 +415,37 @@ class Host:
             self._converge_power()
 
     def _migrate(self, proc: AppProcess, to_core: int):
+        core_set = self._set_of[proc.pid]
+        del core_set.on_core[proc.core][proc]
+        core_set.on_core[to_core][proc] = None
+        if proc.state in RUNNABLE:
+            core_set.runnable[proc.core] -= 1
+            core_set.runnable[to_core] += 1
         proc.core = to_core
         self.migrations += 1
 
     def _balance_peak(self):
         # Move Free processes from the longest run queue to the shortest
         # until balanced; lowest pid moves first.
-        movable = [[] for _ in self.cores]
-        counts = self.runnable_counts(movable)
-        cores = range(len(counts))
+        # Ties go to the lowest core id.
+        counts = self.runnable_counts()
+        movable = None  # runnable Free processes per core, in pid order
         while True:
-            busiest = max(cores, key=lambda c: (counts[c], -c))
-            idlest = min(cores, key=lambda c: (counts[c], c))
-            if counts[busiest] - counts[idlest] <= 1:
+            high = max(counts)
+            low = min(counts)
+            if high - low <= 1:
                 return
+            busiest = counts.index(high)
+            idlest = counts.index(low)
+            if movable is None:
+                # Walk the processes only when one of them can move.
+                if not any(c.runnable[busiest] for c in self._core_sets.values()
+                           if idlest in c.next_core):
+                    return
+                movable = [[] for _ in counts]
+                for proc in self._free:
+                    if proc.state in RUNNABLE:
+                        movable[proc.core].append(proc)
             queue = movable[busiest]
             for i, proc in enumerate(queue):
                 if idlest in proc.allowed_cores:
@@ -427,11 +459,10 @@ class Host:
             self._migrate(proc, idlest)
 
     def _converge_power(self):
-        order, _ = self._wiring()
         target_cores = [c.core_id for c in self.cores if c.processor_id == 0]
         counts = self.runnable_counts()
-        for proc, free in order:
-            if not free or self.cores[proc.core].processor_id == 0:
+        for proc in self._free:
+            if self.cores[proc.core].processor_id == 0:
                 continue
             options = [c for c in proc.allowed_cores if c in target_cores]
             if not options:
@@ -443,8 +474,20 @@ class Host:
     def force_alternate(self):
         """Deterministically rotate every Free process to the next core in
         its allowed set. Models aggressive migration pressure so transition
-        behaviour is exercised reproducibly."""
-        _, rotation = self._wiring()
-        for proc, nxt in rotation:
-            proc.core = nxt[proc.core]
-        self.migrations += len(rotation)
+        behaviour is exercised reproducibly. All of a set's processes on one
+        core go to the same next core, and the set's counts go with them."""
+        for core_set in self._core_sets.values():
+            nxt = core_set.next_core
+            if len(nxt) < 2:
+                continue  # pinned
+            on_core = core_set.on_core
+            for core, procs in on_core.items():
+                dest = nxt[core]
+                for proc in procs:
+                    proc.core = dest
+            core_set.on_core = {nxt[core]: procs for core, procs in on_core.items()}
+            rotated = [0] * len(core_set.runnable)
+            for core, dest in nxt.items():
+                rotated[dest] = core_set.runnable[core]
+            core_set.runnable = rotated
+        self.migrations += len(self._free)

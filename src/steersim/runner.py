@@ -70,6 +70,8 @@ class Engine:
                 schedule_timer=self._schedule_hold_timer,
                 fallback_core=self.rss.queue_for,
             )
+            # Every hold lasts t_timer, so the hold timers form one line.
+            self._hold_timers = self.sim.line(self.table.t_timer_ns, self._hold_timer_fired)
         self.nic = Nic(scenario.nic, num_cores, self.rss, self.table, self.sim)
         self.host = Host(
             self.cores,
@@ -92,13 +94,14 @@ class Engine:
     # -- wiring callbacks --------------------------------------------------------
 
     def _schedule_hold_timer(self, deadline: int, key: FlowKey):
-        def fire():
-            self.nic.on_hold_timer(key)
-            sock = self.host.sockets.get(key)
-            if sock is not None:
-                sock.restart_warm_up(self.sim.now)
+        # The table sets `deadline` t_timer after now, where the line fires.
+        self._hold_timers.add(key)
 
-        self.sim.schedule(deadline, fire)
+    def _hold_timer_fired(self, key: FlowKey):
+        self.nic.on_hold_timer(key)
+        sock = self.host.sockets.get(key)
+        if sock is not None:
+            sock.restart_warm_up(self.sim.now)
 
     # -- workload scheduling -------------------------------------------------------
 

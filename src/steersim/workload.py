@@ -237,6 +237,10 @@ class Scenario(Record):
         for i, rule in enumerate(self.apps):
             if not rule.cores:
                 raise ScenarioError(f"apps[{i}].cores must name at least one core")
+            if len(set(rule.cores)) != len(rule.cores):
+                # A repeated core would make the app's processes Free on one
+                # core and count a migration per rotation that moves nothing.
+                raise ScenarioError(f"apps[{i}].cores repeats a core: {list(rule.cores)}")
             for core in rule.cores:
                 if core not in cores:
                     raise ScenarioError(f"apps[{i}].cores names unknown core {core}")

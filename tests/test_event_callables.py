@@ -4,8 +4,8 @@ The benchmark's traced pass names each event's span after the `__module__`
 of the action handed to `Simulator.schedule`, and counts a span outside the
 steersim layers as a fault. A `functools.partial` reports `functools`, so
 event callables must be plain functions, lambdas or bound methods defined in
-steersim. The arrival action handed to `Simulator.schedule_arrivals` is held
-to the same rule.
+steersim. The arrival action handed to `Simulator.schedule_arrivals` and the
+handlers of timer lines made by `Simulator.line` are held to the same rule.
 
 Most of these callables refer back to the model that scheduled them, so
 `Engine.run` drops them all when the run ends: a finished run is then freed
@@ -53,6 +53,7 @@ SCENARIOS = {
 def test_scheduled_actions_come_from_steersim(name, monkeypatch):
     modules = Counter()
     schedule, schedule_arrivals = Simulator.schedule, Simulator.schedule_arrivals
+    line = Simulator.line
 
     def schedule_recorded(sim, fire_time, action):
         modules[getattr(action, "__module__", None)] += 1
@@ -62,7 +63,12 @@ def test_scheduled_actions_come_from_steersim(name, monkeypatch):
         modules[getattr(action, "__module__", None)] += 1
         return schedule_arrivals(sim, blocks, action)
 
+    def line_recorded(sim, delay, handler):
+        modules[getattr(handler, "__module__", None)] += 1
+        return line(sim, delay, handler)
+
     monkeypatch.setattr(Simulator, "schedule", schedule_recorded)
+    monkeypatch.setattr(Simulator, "line", line_recorded)
     monkeypatch.setattr(Simulator, "schedule_arrivals", schedule_arrivals_recorded)
     Engine(SCENARIOS[name](), seed=1).run()
 

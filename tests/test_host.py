@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet, reverse_key
 from steersim.host import (
@@ -17,6 +19,7 @@ from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
 from steersim.workload import NicSpec
 
+import scheduler_oracle
 from delivery_oracle import record_deliveries
 
 SERVICE_NS = 333
@@ -241,6 +244,15 @@ class TestWiring:
             h.flow(key(sport=1), pid=0, core=3, allowed=(0, 1))
         assert h.host.processes == [] and h.host.sockets == {}
 
+    def test_allowed_cores_must_be_distinct(self):
+        # A rotation maps each allowed core to the next; a repeated core
+        # would make that map no permutation.
+        h = Harness()
+        with pytest.raises(ValueError, match=r"pid 0 repeats a core in its allowed cores "
+                                             r"\(0, 0\)"):
+            h.flow(key(sport=1), pid=0, core=0, allowed=(0, 0))
+        assert h.host.processes == [] and h.host.sockets == {}
+
 
 class TestScheduler:
     def test_pinned_never_migrates(self):
@@ -283,3 +295,86 @@ class TestScheduler:
         assert [p.core for p in h.host.processes] == [0, 2, 3]
         assert h.host.migrations == 4
 
+
+
+# Allowed-core sets of the processes below: pinned, and Free over two,
+# three and four cores, so that a rotation is not its own inverse.
+ALLOWED_SETS = ((0,), (2,), (0, 1), (1, 2, 3), (3, 0, 2), (0, 1, 2, 3))
+
+processes = st.lists(
+    # (allowed cores, which of them to start on, receive-call cadence)
+    st.tuples(st.sampled_from(ALLOWED_SETS), st.integers(0, 3),
+              st.sampled_from([None, 700, 2_000])),
+    min_size=1, max_size=8,
+)
+host_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("call"), st.integers(0, 7)),
+        st.tuples(st.just("packet"), st.integers(0, 7), st.integers(0, 3)),
+        st.tuples(st.just("advance"), st.integers(1, 3_000)),
+        st.tuples(st.just("peak")),
+        st.tuples(st.just("power")),
+        st.tuples(st.just("alternate")),
+        st.tuples(st.just("migrate"), st.integers(0, 7), st.integers(0, 3)),
+    ),
+    max_size=40,
+)
+
+
+@given(processes, host_steps)
+@settings(max_examples=200, deadline=None)
+def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
+    # One host driven through receive calls (which sleep or drain), packet
+    # arrivals (which wake sleepers and fill backlogs), time passing (drains
+    # and later calls), peak and power ticks, forced rotations and direct
+    # migrations. After every step the host's runnable counts equal a walk
+    # over its processes, a tick moves what the walk would, in order, and a
+    # rotation moves every process to the next of its allowed cores.
+    h = Harness()
+    host = h.host
+    socks = [
+        h.flow(key(sport=1000 + pid), pid=pid, core=allowed[start % len(allowed)],
+               allowed=allowed, cadence_ns=cadence)
+        for pid, (allowed, start, cadence) in enumerate(specs)
+    ]
+    moves = []
+    migrate = host._migrate
+
+    def recorded(proc, to_core):
+        moves.append((proc.pid, to_core))
+        migrate(proc, to_core)
+
+    host._migrate = recorded
+    seq = 0
+    for step in steps:
+        kind = step[0]
+        expected = None
+        moves.clear()
+        if kind == "call":
+            host.submit_syscall(socks[step[1] % len(socks)])
+            h.sim.run_until(h.sim.now)
+        elif kind == "packet":
+            sock = socks[step[1] % len(socks)]
+            h.nic._enqueue(step[2], rx_pkt(sock.key, seq=seq))
+            seq += 1
+            h.sim.run_until(h.sim.now)
+        elif kind == "advance":
+            h.sim.run_until(h.sim.now + step[1])
+        elif kind == "peak":
+            expected = scheduler_oracle.peak_moves(host.processes, len(host.cores))
+            host._balance_peak()
+        elif kind == "power":
+            expected = scheduler_oracle.power_moves(host.processes, host.cores)
+            host._converge_power()
+        elif kind == "alternate":
+            rotated = [p.allowed_cores[(p.allowed_cores.index(p.core) + 1)
+                                       % len(p.allowed_cores)] for p in host.processes]
+            host.force_alternate()
+            assert [p.core for p in host.processes] == rotated
+        else:
+            proc = host.processes[step[1] % len(socks)]
+            host._migrate(proc, proc.allowed_cores[step[2] % len(proc.allowed_cores)])
+        if expected is not None:
+            assert moves == expected, step
+        walked = scheduler_oracle.runnable_counts(host.processes, len(host.cores))
+        assert host.runnable_counts() == walked, step

@@ -1,13 +1,19 @@
 import heapq
 from array import array
+from collections import deque
+from itertools import count
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from steersim import Engine, Scenario, simkernel
 from steersim.simkernel import (
+    _MAX_WINDOWS,
     _RELEASE_CHUNK,
-    _WINDOWS,
+    _WINDOW_ARRIVALS,
     MS,
     US,
     SchedulingError,
@@ -309,23 +315,36 @@ START = 100  # `now` when the property below hands its arrivals over
 
 
 @given(
-    st.lists(st.lists(st.integers(0, 2 * _WINDOWS), max_size=10), max_size=24),
+    st.lists(st.lists(st.integers(0, 2 * _MAX_WINDOWS), max_size=10), max_size=24),
     st.sampled_from(["none", "past_64_bits", "before_now"]),
     st.integers(0, 1000),
+    st.sampled_from([_WINDOW_ARRIVALS, 1, 2, 5]),
 )
 @settings(max_examples=200)
 # Each window edge is the packed value of a sampled arrival, so some arrival
 # sits on an edge whenever there is more than one. Here every window gets two.
-@example([list(range(2 * _WINDOWS))], "none", 0)
+@example([list(range(2 * _MAX_WINDOWS))], "none", 0, 2)
+# More arrivals than _MAX_WINDOWS windows of their size hold.
+@example([list(range(2 * _MAX_WINDOWS))] * 3, "none", 0, 1)
+# Just under two windows' worth: one sorted run.
+@example([[3, 1, 2]], "none", 0, 2)
 # Equal times across blocks and in one block, empty and single blocks.
-@example([[], [3], [3, 3, 0], [], [0, 3]], "none", 0)
-@example([[0], [1, 1]], "past_64_bits", 1)
-@example([], "past_64_bits", 0)
-@example([[5]], "before_now", 0)
-def test_windowed_hand_over_fires_in_full_sort_order(offsets, extra, pick):
+@example([[], [3], [3, 3, 0], [], [0, 3]], "none", 0, 1)
+@example([[], [3], [3, 3, 0], [], [0, 3]], "none", 0, _WINDOW_ARRIVALS)
+@example([[0], [1, 1]], "past_64_bits", 1, 1)
+@example([], "past_64_bits", 0, 1)
+@example([[5]], "before_now", 0, 1)
+def test_windowed_hand_over_fires_in_full_sort_order(offsets, extra, pick, window):
     # Arrivals at START + offset, plus one at or past 2**63 ns or one before
-    # now, in a block `pick` chooses. They fire in the order of one full
-    # sort by (time, block, position), or the hand-over raises.
+    # now, in a block `pick` chooses, handed over in windows of about
+    # `window` arrivals: many windows when it is small, one sorted run at
+    # the default size. They fire in the order of one full sort by (time,
+    # block, position), or the hand-over raises.
+    with mock.patch.object(simkernel, "_WINDOW_ARRIVALS", window):
+        _hand_over_in_full_sort_order(offsets, extra, pick)
+
+
+def _hand_over_in_full_sort_order(offsets, extra, pick):
     blocks = [[START + t for t in block] for block in offsets]
     if extra != "none":
         if not blocks:
@@ -411,6 +430,133 @@ def test_merge_matches_one_heap_of_everything(plan, t_end):
             next_id += 1
     assert fired == expected
     assert sim.pending() == 0
+
+
+# Delays of the timer lines below: the lane, and two lines of one delay so
+# that their events tie at one instant.
+LINE_DELAYS = (0, 3, 5, 5)
+# An event added to a line or to the heap: (target, delay), where target is
+# an index into LINE_DELAYS or -1 for `schedule` after `delay` ns.
+line_targets = st.tuples(st.integers(-1, len(LINE_DELAYS) - 1), st.integers(0, 6))
+
+
+def _run_lines(setup, spawns, t_mid, use_lines):
+    """Add the `setup` events at time 0 and run to 60, each fired event
+    adding the next group of `spawns`; with `use_lines` false every line
+    event is scheduled on the heap instead. Returns the firing order and
+    what `pending` read at 0, at `t_mid` and at the end."""
+    sim = Simulator()
+    fired = []
+    todo = deque(spawns)
+
+    def fire(tag):
+        fired.append((sim.now, tag))
+        for target, delay in todo.popleft() if todo else ():
+            add(target, delay)
+
+    def add(target, delay):
+        tag = next(tags)
+        if target < 0:
+            sim.schedule(sim.now + delay, lambda: fire(tag))
+        elif use_lines:
+            lines[target].add(tag)
+        else:
+            sim.schedule(sim.now + LINE_DELAYS[target], lambda: fire(tag))
+
+    lines = [sim.line(d, fire) for d in LINE_DELAYS] if use_lines else None
+    tags = count()
+    for target, delay in setup:
+        add(target, delay)
+    pending = [sim.pending()]
+    sim.run_until(t_mid)
+    pending.append(sim.pending())
+    sim.run_until(60)
+    pending.append(sim.pending())
+    return fired, pending, sim.fired_total
+
+
+@given(st.lists(line_targets, max_size=12),
+       st.lists(st.lists(line_targets, max_size=3), max_size=30),
+       st.integers(0, 60))
+@settings(max_examples=200)
+# Ties at one instant: two lines of one delay and a heap event, added in
+# turn, and lane events added as they fire.
+@example([(2, 0), (-1, 5), (3, 0), (2, 0), (0, 0)], [[(3, 0), (2, 0), (-1, 5)], [(0, 0)]], 5)
+def test_line_events_fire_as_scheduled_events_would(setup, spawns, t_mid):
+    # Line events interleave with heap and lane events exactly as they
+    # would if each had been scheduled on its own with `schedule`, and
+    # `pending` counts them alike.
+    assert _run_lines(setup, spawns, t_mid, True) == _run_lines(setup, spawns, t_mid, False)
+
+
+def test_line_of_delay_zero_uses_the_lane():
+    sim = Simulator()
+    order = []
+    line = sim.line(0, order.append)
+
+    def on_e():
+        order.append("E")
+        line.add("L")
+
+    sim.schedule(10, on_e)
+    sim.schedule(10, lambda: order.append("H"))
+    line.add("at 0")
+    assert (len(sim._lane), len(sim._heap), sim.pending()) == (1, 2, 3)
+    assert sim.run_until(10) == 4
+    assert order == ["at 0", "E", "H", "L"]
+
+
+def test_line_rejects_a_negative_delay():
+    with pytest.raises(SchedulingError):
+        Simulator().line(-1, print)
+
+
+def test_pending_counts_line_events_and_clear_drops_them():
+    sim = Simulator()
+    fired = []
+    line = sim.line(5, fired.append)
+    for tag in "abc":
+        line.add(tag)
+    sim.schedule(7, lambda: fired.append("heap"))
+    assert len(sim._heap) == 2  # a line's head only, and the event
+    assert sim.pending() == 4
+    sim.run_until(4)
+    line.add("d")  # fires at 9
+    assert sim.pending() == 5
+    sim.run_until(5)
+    assert fired == ["a", "b", "c"]
+    assert sim.pending() == 2
+    sim.clear()
+    assert sim.pending() == 0 and line.handler is None
+    assert sim.run_until(100) == 0
+    assert fired == ["a", "b", "c"]
+
+
+def test_heap_holds_one_entry_per_line_lane_and_periodic(monkeypatch):
+    # During migrate_same_2000 the hold timers and receive calls wait on
+    # timer lines, so the heap holds at most one entry per line, per
+    # softirq, per process lane and per periodic event (tick, forced
+    # migration, table sweep).
+    scenario = Scenario.load(Path(__file__).resolve().parents[1] / "scenarios"
+                             / "migrate_same_2000.json")
+    lines = []
+    heights = []
+    make_line, push = Simulator.line, simkernel.heappush
+
+    def line_counted(sim, delay, handler):
+        lines.append(delay)
+        return make_line(sim, delay, handler)
+
+    def push_measured(heap, entry):
+        push(heap, entry)
+        heights.append(len(heap))
+
+    monkeypatch.setattr(Simulator, "line", line_counted)
+    monkeypatch.setattr(simkernel, "heappush", push_measured)
+    Engine(scenario, 1).run()
+    cores = scenario.num_cores()
+    assert len(lines) == 2  # hold timers and receive calls
+    assert max(heights) <= len(lines) + 2 * cores + 3
 
 
 def test_rng_reproducibility():

@@ -314,6 +314,12 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=r"apps\[0\].cores"):
             Scenario.from_dict(d)
 
+    def test_validation_names_app_rule_that_repeats_a_core(self):
+        d = scenario(4).to_dict()
+        d["apps"] = [{"ports": [5001, 6001], "cores": [0, 0]}]
+        with pytest.raises(ScenarioError, match=r"apps\[0\].cores repeats a core: \[0, 0\]"):
+            Scenario.from_dict(d)
+
     @pytest.mark.parametrize("section, field, value", [
         ("nic", "ring_capacity", 1),
         ("nic", "ring_capacity", 10**18),
