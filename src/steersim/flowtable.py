@@ -43,8 +43,8 @@ class FlowEntry:
     """One admitted flow. Compares by identity: a key has one entry, so a
     chain finds an entry by `is` alone."""
 
-    __slots__ = ("key", "core_id", "transition", "held", "held_bytes", "timer_deadline",
-                 "last_activity", "bucket")
+    __slots__ = ("key", "core_id", "transition", "held", "held_bytes", "last_activity",
+                 "bucket")
 
     def __init__(self, key: FlowKey, core_id: int, last_activity: int = 0, bucket: int = 0):
         self.key = key
@@ -52,7 +52,6 @@ class FlowEntry:
         self.transition = False
         self.held = []
         self.held_bytes = 0  # sum of the sizes in `held`
-        self.timer_deadline = None
         self.last_activity = last_activity
         self.bucket = bucket
 
@@ -129,9 +128,8 @@ class FlowTable:
     slot and a later handshake retries.
 
     `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks.
-    `schedule_timer(deadline, key)` is injected by the owner and must
-    arrange a later call to `on_timer_expire`; the engine sets it to None
-    when its run ends, since it refers back to the engine.
+    `schedule_timer(key)` is injected by the owner and must arrange a call
+    to `on_timer_expire` t_timer later.
     `fallback_core(key)` names the core the hash fallback would pick; new
     entries start there because nothing better is known before the flow's
     first outgoing core id.
@@ -257,10 +255,10 @@ class FlowTable:
         transmit-direction key is `tx_key`.
 
         A differing core id starts a transition and a hold timer. A further
-        change while already in transition retargets the entry but keeps the
-        original deadline: the deadline already covers draining the queue the
-        flow left first, and extending it would let held packets wait longer
-        than one timer period.
+        change while already in transition retargets the entry but starts no
+        timer: the running one already covers draining the queue the flow
+        left first, and a later one would let held packets wait longer than
+        one timer period.
         """
         entry = self._by_tx_key.get(tx_key)
         if entry is None:
@@ -271,9 +269,8 @@ class FlowTable:
         entry.core_id = core_id
         if not entry.transition:
             entry.transition = True
-            entry.timer_deadline = now + self.t_timer_ns
             self.stats.transitions_started += 1
-            self.schedule_timer(entry.timer_deadline, entry.key)
+            self.schedule_timer(entry.key)
 
     def on_timer_expire(self, key: FlowKey, now: int):
         """Leave the transition state; returns (core_id, held packets) with
@@ -284,7 +281,6 @@ class FlowTable:
         flushed = entry.held
         entry.held = []
         entry.transition = False
-        entry.timer_deadline = None
         entry.last_activity = now
         self.stats.held_bytes -= entry.held_bytes
         entry.held_bytes = 0

@@ -19,10 +19,12 @@ MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
 MODE_POWER_SAVING = "power_saving"
 
-STATE_COMPUTING = "computing"
-STATE_DRAINING = "draining"
-STATE_SLEEPING = "sleeping"
-STATE_IDLE = "idle"  # never calls receive; everything stays in interrupt context
+# A thread's states, ordered: the softirq drain tests every packet's socket
+# for a thread in a receive call, draining or sleeping, with one comparison.
+STATE_IDLE = 0  # never calls receive; everything stays in interrupt context
+STATE_COMPUTING = 1
+STATE_DRAINING = 2
+STATE_SLEEPING = 3
 RUNNABLE = (STATE_COMPUTING, STATE_DRAINING)
 
 
@@ -33,31 +35,21 @@ class Core(Record):
     irq_free: int = 0
 
 
-class AppProcess:
-    """An application thread. One that makes receive calls starts out
-    computing until its first call; one that never calls starts idle."""
-
-    __slots__ = ("pid", "core", "allowed_cores", "cadence_ns", "state")
-
-    def __init__(self, pid: int, core: int, allowed_cores: tuple, cadence_ns: int | None):
-        self.pid = pid
-        self.core = core
-        self.allowed_cores = allowed_cores
-        self.cadence_ns = cadence_ns  # compute time between receive calls; None = never calls
-        self.state = STATE_IDLE if cadence_ns is None else STATE_COMPUTING
-
-    @property
-    def pinned(self) -> bool:
-        return len(self.allowed_cores) == 1
-
-
 class SocketModel:
-    """Per-flow receive socket, read by the application process `proc`.
-    `key` is the flow's receive-direction key and `tx_key` the same flow's
-    transmit-direction key, which its ACKs carry. A packet found with the
-    socket owned, the app sleeping in receive, or the backlog non-empty must
-    defer to the backlog; processing anything ahead of a non-empty backlog
-    would reorder the flow.
+    """Per-flow receive socket and the application thread that reads it;
+    each thread reads one socket. `key` is the flow's receive-direction key
+    and `tx_key` the same flow's transmit-direction key, which its ACKs
+    carry.
+
+    The thread has a dense `pid`, runs on `core`, one of its
+    `allowed_cores`, and is counted in `core_set`, the `_CoreSet` of those
+    cores. It makes a receive call every `cadence_ns` of compute, or never
+    when that is None; one that calls starts out computing until its first
+    call, one that never calls starts idle. In a receive call its `state`
+    is draining, when the thread owns the socket, or sleeping until data
+    arrives. A packet found during a call, or with the backlog non-empty,
+    must defer to the backlog; processing anything ahead of a non-empty
+    backlog would reorder the flow.
 
     The backlog is a list: it stays a few packets deep, where `pop(0)` costs
     what `deque.popleft` does, and an empty list takes 56 bytes where an
@@ -76,17 +68,21 @@ class SocketModel:
     The cutoff is the time of the flow's last hold-timer flush, or else of
     its first delivery (`restart_warm_up`); -1 until either happens."""
 
-    __slots__ = ("key", "tx_key", "proc", "owned_by_user", "sleeping", "backlog",
-                 "delivered_since_ack", "data", "high", "inversions", "last_core",
-                 "alternations", "cutoff", "cross_core", "cross_processor", "core_data",
-                 "scored", "on_app_core")
+    __slots__ = ("key", "tx_key", "pid", "core", "allowed_cores", "cadence_ns", "state",
+                 "core_set", "backlog", "delivered_since_ack", "data", "high", "inversions",
+                 "last_core", "alternations", "cutoff", "cross_core", "cross_processor",
+                 "core_data", "scored", "on_app_core")
 
-    def __init__(self, key, tx_key, proc: AppProcess, num_cores: int):
+    def __init__(self, key, pid: int, core: int, allowed_cores: tuple,
+                 cadence_ns: int | None, core_set: "_CoreSet", num_cores: int):
         self.key = key
-        self.tx_key = tx_key
-        self.proc = proc
-        self.owned_by_user = False
-        self.sleeping = False
+        self.tx_key = reverse_key(key)
+        self.pid = pid
+        self.core = core
+        self.allowed_cores = allowed_cores
+        self.cadence_ns = cadence_ns
+        self.state = STATE_IDLE if cadence_ns is None else STATE_COMPUTING
+        self.core_set = core_set
         self.backlog = []
         self.delivered_since_ack = 0
         self.data = self.inversions = self.alternations = 0
@@ -103,8 +99,9 @@ class SocketModel:
 
 
 class _CoreSet:
-    """The processes that share one allowed-core set: those on each allowed
-    core, and how many of them are runnable, per core of the host."""
+    """The threads that share one allowed-core set: the sockets of those on
+    each allowed core, and how many of them are runnable, per core of the
+    host."""
 
     __slots__ = ("runnable", "next_core", "on_core")
 
@@ -115,7 +112,7 @@ class _CoreSet:
         # is a permutation of them.
         self.next_core = {core: allowed[(i + 1) % len(allowed)]
                           for i, core in enumerate(allowed)}
-        self.on_core = {core: {} for core in allowed}  # processes as dict keys
+        self.on_core = {core: {} for core in allowed}  # sockets as dict keys
 
 
 class HostStats(Record):
@@ -169,16 +166,17 @@ class _ProcLane:
 
 
 class Host:
-    """Owns cores, sockets and application processes for one simulated run.
-    It drains `nic`'s rings and sends each flow's ACKs through `nic.tx_ack`.
+    """Owns cores and sockets, each with its application thread, for one
+    simulated run. It drains `nic`'s rings and sends each flow's ACKs
+    through `nic.tx_ack`.
 
-    Pids are dense: `add_flow` takes pids 0, 1, 2, ... in order, and
-    `processes` is the list of processes indexed by pid.
+    Pids are dense: `add_flow` hands out pids 0, 1, 2, ... in order, so
+    `sockets` lists the threads in pid order.
 
-    The scheduler reads runnable processes per core from one count vector
-    per allowed-core set (`_CoreSet`), kept up to date wherever a process
+    The scheduler reads runnable threads per core from one count vector
+    per allowed-core set (`_CoreSet`), kept up to date wherever a thread
     changes state or core. A tick then costs O(cores) unless it has a
-    process to move."""
+    thread to move."""
 
     def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
                  ack_every: int = 2):
@@ -189,8 +187,7 @@ class Host:
         self.ack_every = ack_every
         self._nic = nic
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
-        self.sockets: dict = {}
-        self.processes: list[AppProcess] = []  # indexed by pid
+        self.sockets: dict = {}  # by flow key, in pid order
         self.handler_active = [False] * len(cores)
         self.proc_lanes = [_ProcLane(sim, core) for core in cores]
         self.migrations = 0  # migrations performed so far
@@ -207,47 +204,41 @@ class Host:
         # ahead, on a timer line of `submit_syscall`.
         self._call_after = {}
         self._core_sets: dict[tuple, _CoreSet] = {}  # by allowed cores
-        self._set_of: list[_CoreSet] = []  # indexed by pid
-        self._free = []  # Free processes in pid order
+        self._free = []  # sockets of Free threads, in pid order
 
     # -- wiring -----------------------------------------------------------------
 
-    def add_flow(self, key, process: AppProcess):
-        """Attach `process`, whose pid must be the next dense pid, and give
-        it the socket of the flow `key` it reads. The process must start on
-        one of its allowed cores; the scheduler moves it only among them."""
-        if process.pid != len(self.processes):
-            raise ValueError(f"pid {process.pid} is not the next pid, {len(self.processes)}")
-        allowed = process.allowed_cores
-        if process.core not in allowed:
+    def add_flow(self, key, core: int, allowed_cores: tuple, cadence_ns: int | None):
+        """Give the flow `key` its socket, read by a thread with the next
+        pid that starts on `core` and makes a receive call every
+        `cadence_ns` (None: never). The thread must start on one of its
+        allowed cores; the scheduler moves it only among them."""
+        pid = len(self.sockets)
+        if core not in allowed_cores:
             raise ValueError(
-                f"pid {process.pid} starts on core {process.core}, outside its allowed "
-                f"cores {allowed}"
+                f"pid {pid} starts on core {core}, outside its allowed cores {allowed_cores}"
             )
-        if len(set(allowed)) != len(allowed):
-            raise ValueError(f"pid {process.pid} repeats a core in its allowed cores {allowed}")
-        self.processes.append(process)
-        core_set = self._core_sets.get(allowed)
+        if len(set(allowed_cores)) != len(allowed_cores):
+            raise ValueError(f"pid {pid} repeats a core in its allowed cores {allowed_cores}")
+        core_set = self._core_sets.get(allowed_cores)
         if core_set is None:
-            core_set = self._core_sets[allowed] = _CoreSet(allowed, len(self.cores))
-        core_set.on_core[process.core][process] = None
-        if process.state in RUNNABLE:
-            core_set.runnable[process.core] += 1
-        self._set_of.append(core_set)
-        if not process.pinned:
-            self._free.append(process)
-        cadence = process.cadence_ns
-        if cadence is not None and cadence not in self._call_after:
-            self._call_after[cadence] = self.sim.line(cadence, self.submit_syscall).add
-        sock = SocketModel(key, reverse_key(key), process, len(self.cores))
+            core_set = self._core_sets[allowed_cores] = _CoreSet(allowed_cores, len(self.cores))
+        sock = SocketModel(key, pid, core, allowed_cores, cadence_ns, core_set, len(self.cores))
         self.sockets[key] = sock
+        core_set.on_core[core][sock] = None
+        if sock.state in RUNNABLE:
+            core_set.runnable[core] += 1
+        if len(allowed_cores) > 1:
+            self._free.append(sock)
+        if cadence_ns is not None and cadence_ns not in self._call_after:
+            self._call_after[cadence_ns] = self.sim.line(cadence_ns, self.submit_syscall).add
         return sock
 
     def release(self):
         """Drop the host's event actions and the interrupt actions it put on
         the NIC. Each refers back to the host or one of its lanes, so each
         forms a reference cycle; `Simulator.clear` drops the handlers of the
-        host's timer lines. Counters, sockets and processes stay readable;
+        host's timer lines. Counters and sockets stay readable;
         the host takes no events afterwards."""
         self._nic.interrupts = None
         self._softirq_next = self._call_after = None
@@ -276,17 +267,15 @@ class Host:
                 return
             packet = slots.popleft()
             sock = self.sockets.get(packet.key)
-            if sock is not None and (
-                sock.owned_by_user or sock.sleeping or sock.backlog
-            ):
+            if sock is not None and (sock.state >= STATE_DRAINING or sock.backlog):
                 # Deferral is an enqueue, too cheap to charge the service
                 # rate, so the drain continues at this same instant.
                 self.stats.deferrals += 1
-                if sock.owned_by_user and sock.proc.core != core.core_id:
-                    self.stats.lock_conflicts += 1
                 sock.backlog.append(packet)
-                if sock.sleeping:
+                if sock.state == STATE_SLEEPING:
                     self._wake(sock)
+                elif sock.state == STATE_DRAINING and sock.core != core.core_id:
+                    self.stats.lock_conflicts += 1
                 continue
             if sock is not None:
                 self.stats.delivered_interrupt += 1
@@ -298,67 +287,59 @@ class Host:
     # -- process context ------------------------------------------------------------
 
     def submit_syscall(self, sock: SocketModel):
-        """Issue a receive call for `sock` from its process's current core.
-        The engine issues each app's first call; the process issues the
+        """Issue a receive call for `sock` from its thread's current core.
+        The engine issues each app's first call; the thread issues the
         rest itself, one cadence after each call returns."""
-        self.proc_lanes[sock.proc.core].submit(self._syscall, sock)
+        self.proc_lanes[sock.core].submit(self._syscall, sock)
 
     def _syscall_enter(self, sock: SocketModel, now: int) -> int:
-        proc = sock.proc
         self.stats.syscalls += 1
-        runnable = proc.state in RUNNABLE
+        runnable = sock.state in RUNNABLE
         if sock.backlog:
-            sock.owned_by_user = True
             if not runnable:
-                self._set_of[proc.pid].runnable[proc.core] += 1
-            proc.state = STATE_DRAINING
-            self.proc_lanes[proc.core].submit(self._drain, sock)
+                sock.core_set.runnable[sock.core] += 1
+            sock.state = STATE_DRAINING
+            self.proc_lanes[sock.core].submit(self._drain, sock)
         else:
             # Block in the receive call until data arrives.
-            sock.sleeping = True
             if runnable:
-                self._set_of[proc.pid].runnable[proc.core] -= 1
-            proc.state = STATE_SLEEPING
+                sock.core_set.runnable[sock.core] -= 1
+            sock.state = STATE_SLEEPING
         return 0
 
     def _wake(self, sock: SocketModel):
         # The deferral that woke the sleeper hands it the socket immediately;
-        # a gap between sleeping and owned would let a later packet slip past
-        # the backlog in interrupt context.
-        sock.sleeping = False
-        sock.owned_by_user = True
-        proc = sock.proc
-        if proc.state not in RUNNABLE:
-            self._set_of[proc.pid].runnable[proc.core] += 1
-        proc.state = STATE_DRAINING
-        self.proc_lanes[proc.core].submit(self._drain, sock)
+        # a gap between sleeping and draining would let a later packet slip
+        # past the backlog in interrupt context.
+        sock.core_set.runnable[sock.core] += 1
+        sock.state = STATE_DRAINING
+        self.proc_lanes[sock.core].submit(self._drain, sock)
 
     def _drain_step(self, sock: SocketModel, now: int) -> int:
-        proc = sock.proc
+        core = sock.core
         if sock.backlog:
             packet = sock.backlog.pop(0)
             self.stats.delivered_process += 1
-            self._deliver(packet, sock, proc.core, now)
+            self._deliver(packet, sock, core, now)
             # A busy lane, usually the one running this step, takes the next
             # unit at its tail; one left idle by a migration needs `submit`.
-            lane = self.proc_lanes[proc.core]
+            lane = self.proc_lanes[core]
             if lane.busy:
                 lane.queue.append((self._drain, sock))
             else:
                 lane.submit(self._drain, sock)
-            return self.cores[proc.core].service_ns
+            return self.cores[core].service_ns
         # Backlog empty: the call returns, releasing the socket. Anything
         # delivered since the last ACK is acknowledged from this core now,
         # which is how the NIC learns where the application runs.
         if sock.delivered_since_ack:
             sock.delivered_since_ack = 0
-            self._tx_ack(sock.tx_key, proc.core, now)
-        sock.owned_by_user = False
-        if proc.state not in RUNNABLE:
-            self._set_of[proc.pid].runnable[proc.core] += 1
-        proc.state = STATE_COMPUTING
-        if proc.cadence_ns is not None:
-            self._call_after[proc.cadence_ns](sock)
+            self._tx_ack(sock.tx_key, core, now)
+        if sock.state not in RUNNABLE:
+            sock.core_set.runnable[core] += 1
+        sock.state = STATE_COMPUTING
+        if sock.cadence_ns is not None:
+            self._call_after[sock.cadence_ns](sock)
         return 0
 
     # -- delivery ----------------------------------------------------------------
@@ -366,7 +347,7 @@ class Host:
     def _deliver(self, packet, sock, core_id: int, now: int):
         """Tally one delivery on its socket; the caller counts it under its
         context."""
-        app_core = sock.proc.core
+        app_core = sock.core
         last = sock.last_core
         if core_id != last:
             if last >= 0:
@@ -401,35 +382,35 @@ class Host:
     # -- scheduling ----------------------------------------------------------------
 
     def runnable_counts(self) -> list[int]:
-        """Runnable processes per core: the sum of the count vectors."""
+        """Runnable threads per core: the sum of the count vectors."""
         counts = [0] * len(self.cores)
         for core_set in self._core_sets.values():
             counts = list(map(add, counts, core_set.runnable))
         return counts
 
     def scheduler_tick(self):
-        """One balancing pass; `migrations` counts the processes it moves."""
+        """One balancing pass; `migrations` counts the threads it moves."""
         if self.scheduler_mode == MODE_PEAK_PERFORMANCE:
             self._balance_peak()
         elif self.scheduler_mode == MODE_POWER_SAVING:
             self._converge_power()
 
-    def _migrate(self, proc: AppProcess, to_core: int):
-        core_set = self._set_of[proc.pid]
-        del core_set.on_core[proc.core][proc]
-        core_set.on_core[to_core][proc] = None
-        if proc.state in RUNNABLE:
-            core_set.runnable[proc.core] -= 1
+    def _migrate(self, sock: SocketModel, to_core: int):
+        core_set = sock.core_set
+        del core_set.on_core[sock.core][sock]
+        core_set.on_core[to_core][sock] = None
+        if sock.state in RUNNABLE:
+            core_set.runnable[sock.core] -= 1
             core_set.runnable[to_core] += 1
-        proc.core = to_core
+        sock.core = to_core
         self.migrations += 1
 
     def _balance_peak(self):
-        # Move Free processes from the longest run queue to the shortest
+        # Move Free threads from the longest run queue to the shortest
         # until balanced; lowest pid moves first.
         # Ties go to the lowest core id.
         counts = self.runnable_counts()
-        movable = None  # runnable Free processes per core, in pid order
+        movable = None  # sockets of runnable Free threads per core, in pid order
         while True:
             high = max(counts)
             low = min(counts)
@@ -438,54 +419,54 @@ class Host:
             busiest = counts.index(high)
             idlest = counts.index(low)
             if movable is None:
-                # Walk the processes only when one of them can move.
+                # Walk the threads only when one of them can move.
                 if not any(c.runnable[busiest] for c in self._core_sets.values()
                            if idlest in c.next_core):
                     return
                 movable = [[] for _ in counts]
-                for proc in self._free:
-                    if proc.state in RUNNABLE:
-                        movable[proc.core].append(proc)
+                for sock in self._free:
+                    if sock.state in RUNNABLE:
+                        movable[sock.core].append(sock)
             queue = movable[busiest]
-            for i, proc in enumerate(queue):
-                if idlest in proc.allowed_cores:
+            for i, sock in enumerate(queue):
+                if idlest in sock.allowed_cores:
                     break
             else:
                 return
             del queue[i]
-            movable[idlest].append(proc)
+            movable[idlest].append(sock)
             counts[busiest] -= 1
             counts[idlest] += 1
-            self._migrate(proc, idlest)
+            self._migrate(sock, idlest)
 
     def _converge_power(self):
         target_cores = [c.core_id for c in self.cores if c.processor_id == 0]
         counts = self.runnable_counts()
-        for proc in self._free:
-            if self.cores[proc.core].processor_id == 0:
+        for sock in self._free:
+            if self.cores[sock.core].processor_id == 0:
                 continue
-            options = [c for c in proc.allowed_cores if c in target_cores]
+            options = [c for c in sock.allowed_cores if c in target_cores]
             if not options:
                 continue
             dest = min(options, key=lambda c: (counts[c], c))
             counts[dest] += 1
-            self._migrate(proc, dest)
+            self._migrate(sock, dest)
 
     def force_alternate(self):
-        """Deterministically rotate every Free process to the next core in
+        """Deterministically rotate every Free thread to the next core in
         its allowed set. Models aggressive migration pressure so transition
-        behaviour is exercised reproducibly. All of a set's processes on one
+        behaviour is exercised reproducibly. All of a set's threads on one
         core go to the same next core, and the set's counts go with them."""
         for core_set in self._core_sets.values():
             nxt = core_set.next_core
             if len(nxt) < 2:
                 continue  # pinned
             on_core = core_set.on_core
-            for core, procs in on_core.items():
+            for core, socks in on_core.items():
                 dest = nxt[core]
-                for proc in procs:
-                    proc.core = dest
-            core_set.on_core = {nxt[core]: procs for core, procs in on_core.items()}
+                for sock in socks:
+                    sock.core = dest
+            core_set.on_core = {nxt[core]: socks for core, socks in on_core.items()}
             rotated = [0] * len(core_set.runnable)
             for core, dest in nxt.items():
                 rotated[dest] = core_set.runnable[core]

@@ -12,7 +12,7 @@ import os
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, PROTO_TCP, SYN, FlowKey, Packet
-from .host import AppProcess, Core, Host, SocketModel
+from .host import Core, Host, SocketModel
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
 from .simkernel import MS, US, Simulator, make_rng, time_array
@@ -66,12 +66,12 @@ class Engine:
         self.table = None
         if scenario.nic.mode == MODE_FLOWSTEER:
             self.table = FlowTable(
-                scenario.flow_table,
-                schedule_timer=self._schedule_hold_timer,
-                fallback_core=self.rss.queue_for,
+                scenario.flow_table, schedule_timer=None, fallback_core=self.rss.queue_for
             )
             # Every hold lasts t_timer, so the hold timers form one line.
-            self._hold_timers = self.sim.line(self.table.t_timer_ns, self._hold_timer_fired)
+            self.table.schedule_timer = self.sim.line(
+                self.table.t_timer_ns, self._hold_timer_fired
+            ).add
         self.nic = Nic(scenario.nic, num_cores, self.rss, self.table, self.sim)
         self.host = Host(
             self.cores,
@@ -93,15 +93,10 @@ class Engine:
 
     # -- wiring callbacks --------------------------------------------------------
 
-    def _schedule_hold_timer(self, deadline: int, key: FlowKey):
-        # The table sets `deadline` t_timer after now, where the line fires.
-        self._hold_timers.add(key)
-
     def _hold_timer_fired(self, key: FlowKey):
         self.nic.on_hold_timer(key)
-        sock = self.host.sockets.get(key)
-        if sock is not None:
-            sock.restart_warm_up(self.sim.now)
+        # Every flow that completes a handshake was wired with a socket.
+        self.host.sockets[key].restart_warm_up(self.sim.now)
 
     # -- workload scheduling -------------------------------------------------------
 
@@ -114,7 +109,7 @@ class Engine:
         receive calls. Block i is stream i, and a data packet is built only
         when it arrives. Wiring draws no randomness and schedules nothing,
         so it follows the hand-over, and the simulator's sort is done
-        before the sockets and their logs exist.
+        before the sockets exist.
         """
         scenario = self.scenario
         plans = spawn_streams(scenario, self.rng)
@@ -125,20 +120,16 @@ class Engine:
         socks = []  # each stream's socket, filled in by the wiring below
         self.sim.schedule_arrivals(
             _arrival_blocks(plans, cadence_ns is not None),
-            self._arrival_action([plan.key for plan in plans], socks, data_counts),
+            self._arrival_action(socks, data_counts),
         )
         for plan in plans:
-            rule = scenario.app_rule_for_port(plan.port)
-            initial = rule.cores[plan.index % len(rule.cores)]
-            proc = AppProcess(
-                pid=plan.index,
-                core=initial,
-                allowed_cores=tuple(rule.cores),
-                cadence_ns=cadence_ns,
-            )
-            socks.append(self.host.add_flow(plan.key, proc))
+            # Plan i gets pid i; its thread starts on the i-th of its cores.
+            cores = tuple(scenario.app_rule_for_port(plan.port).cores)
+            socks.append(self.host.add_flow(
+                plan.key, cores[plan.index % len(cores)], cores, cadence_ns
+            ))
 
-    def _arrival_action(self, keys: list, socks: list, data_counts: list):
+    def _arrival_action(self, socks: list, data_counts: list):
         """The action for every stream arrival, called with the stream and
         the arrival's position in its block: send the SYN-ACK, build the
         SYN, ACK or data packet as it arrives, or issue the app's first
@@ -153,13 +144,13 @@ class Engine:
             if k >= 3:
                 seq = k - 3
                 if seq < data_counts[i]:
-                    rx(Packet(keys[i], DATA, seq, size), sim.now)
+                    rx(Packet(socks[i].key, DATA, seq, size), sim.now)
                 else:
                     submit_syscall(socks[i])
             elif k == 1:
                 tx_synack(socks[i])
             else:
-                rx(Packet(keys[i], ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
+                rx(Packet(socks[i].key, ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
 
         return arrive
 
@@ -192,10 +183,8 @@ class Engine:
         # migration; its app never calls receive so everything stays in
         # interrupt context and the schedule is exact. The filler flow is
         # never admitted and rides the hash fallback onto the same queue.
-        proc = AppProcess(pid=0, core=0, allowed_cores=(0,), cadence_ns=None)
-        victim = self.host.add_flow(victim_key, proc)
-        filler_proc = AppProcess(pid=1, core=0, allowed_cores=(0,), cadence_ns=None)
-        self.host.add_flow(filler_key, filler_proc)
+        victim = self.host.add_flow(victim_key, 0, (0,), None)
+        self.host.add_flow(filler_key, 0, (0,), None)
 
         gap = int(scenario.traffic.handshake_gap_us * US)
         self._schedule_rx(0, Packet(victim_key, SYN, -1, CONTROL_BYTES))
@@ -294,8 +283,6 @@ class Engine:
         `host.sockets`, `nic.rings` and `table.stats`."""
         self.sim.clear()
         self.host.release()
-        if self.table is not None:
-            self.table.schedule_timer = None
 
     # -- reporting ----------------------------------------------------------------
 
@@ -400,7 +387,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
 
 def report_row(scenario: Scenario, seed: int) -> dict:
     """The report row of one run; a worker process sends back only this,
-    not the run's delivery logs."""
+    not the run's engine and models."""
     return run_scenario(scenario, seed=seed).report.to_row()
 
 

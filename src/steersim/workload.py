@@ -234,6 +234,8 @@ class Scenario(Record):
         if len(cores) > 256:
             # The transmit descriptor carries the core id in one byte.
             raise ScenarioError(f"host.processors lists {len(cores)} cores; at most 256 fit")
+        streams = self.kind == "streams"
+        ruled = {}  # port -> the index of the apps rule that names it
         for i, rule in enumerate(self.apps):
             if not rule.cores:
                 raise ScenarioError(f"apps[{i}].cores must name at least one core")
@@ -245,8 +247,16 @@ class Scenario(Record):
                 if core not in cores:
                     raise ScenarioError(f"apps[{i}].cores names unknown core {core}")
             for port in rule.ports:
-                if port not in self.traffic.ports and self.kind == "streams":
+                if streams and port not in self.traffic.ports:
                     raise ScenarioError(f"apps[{i}].ports names unused port {port}")
+                # app_rule_for_port would take the first rule and ignore this one.
+                if streams and ruled.setdefault(port, i) != i:
+                    raise ScenarioError(
+                        f"apps[{i}].ports names port {port}, as apps[{ruled[port]}] does"
+                    )
+        unruled = [p for p in self.traffic.ports if p not in ruled]
+        if streams and unruled:
+            raise ScenarioError(f"traffic.ports {unruled} have no apps rule")
         if self.kind == "worst_case":
             # The schedule migrates the victim from core 0 to core 1 and
             # pre-loads ring_capacity - 1 packets, one event each.

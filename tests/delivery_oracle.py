@@ -82,7 +82,7 @@ def record_deliveries(monkeypatch) -> dict:
         log = logs.get(sock.key)
         if log is None:
             log = logs[sock.key] = DeliveryLog()
-        log.append(packet.seq, now, core_id, sock.proc.core, packet.kind)
+        log.append(packet.seq, now, core_id, sock.core, packet.kind)
         deliver(host, packet, sock, core_id, now)
 
     monkeypatch.setattr(Host, "_deliver", recorded)

@@ -1,34 +1,35 @@
-"""The scheduler's decisions, computed by walking every process.
+"""The scheduler's decisions, computed by walking every thread.
 
 `steersim.host.Host` keeps runnable counts per core up to date as its
-processes change state and core, and walks its processes on a tick only
-when it has one to move. The functions below are the walks it replaced:
-they count and choose from the processes' current states alone, so tests
-can check the host's counts and moves against them. They move nothing.
+threads change state and core, and walks its threads on a tick only when
+it has one to move. The functions below are the walks it replaced: they
+count and choose from the threads' current states alone, so tests can
+check the host's counts and moves against them. They take the host's
+sockets, one per thread, in pid order, and move nothing.
 """
 
 from steersim.host import RUNNABLE
 
 
-def runnable_counts(processes, num_cores: int, movable: list | None = None) -> list[int]:
-    """Runnable processes per core, counted in one pass in pid order. With
-    `movable`, one list per core, each core's runnable Free processes are
-    appended to its list as well."""
+def runnable_counts(socks, num_cores: int, movable: list | None = None) -> list[int]:
+    """Runnable threads per core, counted in one pass in pid order. With
+    `movable`, one list per core, the sockets of each core's runnable Free
+    threads are appended to its list as well."""
     counts = [0] * num_cores
-    for proc in processes:
-        if proc.state in RUNNABLE:
-            counts[proc.core] += 1
-            if not proc.pinned and movable is not None:
-                movable[proc.core].append(proc)
+    for sock in socks:
+        if sock.state in RUNNABLE:
+            counts[sock.core] += 1
+            if len(sock.allowed_cores) > 1 and movable is not None:
+                movable[sock.core].append(sock)
     return counts
 
 
-def peak_moves(processes, num_cores: int) -> list[tuple[int, int]]:
+def peak_moves(socks, num_cores: int) -> list[tuple[int, int]]:
     """The (pid, core) moves of one peak-performance tick, in order: Free
-    processes go from the longest run queue to the shortest until
-    balanced, lowest pid first."""
+    threads go from the longest run queue to the shortest until balanced,
+    lowest pid first."""
     movable = [[] for _ in range(num_cores)]
-    counts = runnable_counts(processes, num_cores, movable)
+    counts = runnable_counts(socks, num_cores, movable)
     cores = range(num_cores)
     moves = []
     while True:
@@ -37,32 +38,32 @@ def peak_moves(processes, num_cores: int) -> list[tuple[int, int]]:
         if counts[busiest] - counts[idlest] <= 1:
             return moves
         queue = movable[busiest]
-        for i, proc in enumerate(queue):
-            if idlest in proc.allowed_cores:
+        for i, sock in enumerate(queue):
+            if idlest in sock.allowed_cores:
                 break
         else:
             return moves
         del queue[i]
-        movable[idlest].append(proc)
+        movable[idlest].append(sock)
         counts[busiest] -= 1
         counts[idlest] += 1
-        moves.append((proc.pid, idlest))
+        moves.append((sock.pid, idlest))
 
 
-def power_moves(processes, cores) -> list[tuple[int, int]]:
+def power_moves(socks, cores) -> list[tuple[int, int]]:
     """The (pid, core) moves of one power-saving tick, in pid order: each
-    Free process off processor 0 goes to the least counted of its allowed
+    Free thread off processor 0 goes to the least counted of its allowed
     cores on processor 0, if it has one."""
     target_cores = [c.core_id for c in cores if c.processor_id == 0]
-    counts = runnable_counts(processes, len(cores))
+    counts = runnable_counts(socks, len(cores))
     moves = []
-    for proc in processes:
-        if proc.pinned or cores[proc.core].processor_id == 0:
+    for sock in socks:
+        if len(sock.allowed_cores) == 1 or cores[sock.core].processor_id == 0:
             continue
-        options = [c for c in proc.allowed_cores if c in target_cores]
+        options = [c for c in sock.allowed_cores if c in target_cores]
         if not options:
             continue
         dest = min(options, key=lambda c: (counts[c], c))
         counts[dest] += 1
-        moves.append((proc.pid, dest))
+        moves.append((sock.pid, dest))
     return moves

@@ -228,7 +228,7 @@ def test_criterion_8_property_suite(inorder_batch):
 
     # FIFO hold-flush order at the table level.
     table = FlowTable(
-        TableSpec(), schedule_timer=lambda d, k: None, fallback_core=lambda k: 0
+        TableSpec(), schedule_timer=lambda k: None, fallback_core=lambda k: 0
     )
     k = FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, 40000, 5001)
     from steersim.flows import ACK, SYN
@@ -240,7 +240,7 @@ def test_criterion_8_property_suite(inorder_batch):
     seqs = [rng.randrange(1000) for _ in range(64)]
     for i, seq in enumerate(seqs):
         table.steer(Packet(k, DATA, seq, 100), i)
-    _, flushed = table.on_timer_expire(k, table.get(k).timer_deadline)
+    _, flushed = table.on_timer_expire(k, table.t_timer_ns)
     fifo_ok = [p.seq for p in flushed] == seqs
 
     # Claims over the shared in-order batch: chain caps, occupancy bound,

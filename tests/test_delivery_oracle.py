@@ -20,7 +20,7 @@ from delivery_oracle import (
     warm_up_end,
 )
 from steersim.flows import DATA, KINDS, PROTO_TCP, FlowKey, Packet
-from steersim.host import AppProcess, Core, Host
+from steersim.host import Core, Host
 from steersim.nic import Nic
 from steersim.rss import RssEngine
 from steersim.runner import Engine
@@ -151,7 +151,7 @@ def test_socket_tallies_match_the_oracle(events):
     # One flow's deliveries and flushes, fed straight to the host in time
     # order, some at one instant; its tallies against the oracle's scans.
     host = _host()
-    sock = host.add_flow(key(), AppProcess(0, 0, (0, 1, 2, 3), None))
+    sock = host.add_flow(key(), 0, (0, 1, 2, 3), None)
     now = 0
     flushes = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -163,7 +163,7 @@ def test_socket_tallies_match_the_oracle(events):
                 flushes[key()] = now
                 continue
             _, core, app_core, kind, seq = event
-            sock.proc.core = app_core
+            sock.core = app_core
             host._deliver(Packet(key(), kind, seq, 100), sock, core, now)
     expected = delivery_figures(in_socket_order(logs, host), [0, 0, 1, 1], flushes)
     assert sock.data == expected["delivered_data"]

@@ -29,11 +29,13 @@ def rx_pkt(k, kind=DATA, seq=0, size=1500):
 
 
 class Timers:
+    """The flow keys of the hold timers the table started, in order."""
+
     def __init__(self):
         self.scheduled = []
 
-    def __call__(self, deadline, flow_key):
-        self.scheduled.append((deadline, flow_key))
+    def __call__(self, flow_key):
+        self.scheduled.append(flow_key)
 
 
 def make_table(fallback=0, **spec):
@@ -190,8 +192,7 @@ class TestObserveTx:
         entry = table.get(k)
         assert entry.transition and entry.core_id == 1
         assert table.stats.transitions_started == 1
-        assert entry.timer_deadline == 70 + 100_000
-        assert timers.scheduled == [(70 + 100_000, k)]
+        assert timers.scheduled == [k]
 
     def test_unknown_flow(self):
         table, timers = make_table()
@@ -210,8 +211,7 @@ class TestObserveTx:
         entry = table.get(k)
         assert entry.transition and entry.core_id == 2
         assert table.stats.transitions_started == 1
-        assert entry.timer_deadline == 100_000
-        assert len(timers.scheduled) == 1
+        assert timers.scheduled == [k]
 
 
 class TestSteer:
@@ -261,7 +261,7 @@ class TestTimerExpiry:
         assert core == 1
         assert [p.seq for p in flushed] == [5, 6, 7]
         entry = table.get(k)
-        assert not entry.transition and entry.timer_deadline is None
+        assert not entry.transition
         assert entry.held == [] and table.stats.held_bytes == 0
 
     def test_empty_flush_still_clears(self):
@@ -383,7 +383,7 @@ class TestInvariants:
         table.observe_tx(reverse_key(k), 1, 0)
         for i, seq in enumerate(seqs):
             table.steer(rx_pkt(k, seq=seq), i)
-        _, flushed = table.on_timer_expire(k, table.get(k).timer_deadline)
+        _, flushed = table.on_timer_expire(k, table.t_timer_ns)
         assert [p.seq for p in flushed] == seqs
 
     def test_direct_after_observe_until_next_change(self):

@@ -8,9 +8,9 @@ from steersim.host import (
     MODE_PINNED,
     MODE_POWER_SAVING,
     STATE_COMPUTING,
+    STATE_DRAINING,
     STATE_IDLE,
     STATE_SLEEPING,
-    AppProcess,
     Core,
     Host,
 )
@@ -65,13 +65,12 @@ class Harness:
             ack_every=ack_every,
         )
 
-    def flow(self, k, pid=0, core=0, allowed=None, cadence_ns=None):
-        proc = AppProcess(
-            pid=pid, core=core,
-            allowed_cores=tuple(allowed) if allowed else (core,),
-            cadence_ns=cadence_ns,
-        )
-        return self.host.add_flow(k, proc)
+    def flow(self, k, core=0, allowed=None, cadence_ns=None):
+        return self.host.add_flow(k, core, tuple(allowed) if allowed else (core,), cadence_ns)
+
+    def threads(self):
+        """The host's sockets, one per thread, in pid order."""
+        return list(self.host.sockets.values())
 
     def first_call(self, sock, at):
         """Issue the first receive call of `sock`'s app at `at`, as the
@@ -102,7 +101,7 @@ class TestInterruptContext:
         h = Harness()
         k = key()
         sock = h.flow(k)
-        sock.owned_by_user = True
+        sock.state = STATE_DRAINING
         for seq in range(3):
             h.inject(k, seq, at=0, queue=0)
         h.sim.run_until(5_000)
@@ -121,8 +120,8 @@ class TestInterruptContext:
 class TestProcessContext:
     def test_process_starts_idle_only_without_cadence(self):
         h = Harness()
-        idle = h.flow(key(sport=1), pid=0).proc
-        calling = h.flow(key(sport=2), pid=1, cadence_ns=100_000).proc
+        idle = h.flow(key(sport=1))
+        calling = h.flow(key(sport=2), cadence_ns=100_000)
         assert (idle.state, calling.state) == (STATE_IDLE, STATE_COMPUTING)
         assert h.host.runnable_counts() == [1, 0, 0, 0]
 
@@ -143,10 +142,10 @@ class TestProcessContext:
         sock = h.flow(k, core=1, cadence_ns=100_000)
         h.first_call(sock, at=0)
         h.sim.run_until(10)
-        assert sock.sleeping and h.host.processes[0].state == STATE_SLEEPING
+        assert sock.state == STATE_SLEEPING
         h.inject(k, seq=0, at=500, queue=0)
         h.sim.run_until(5_000)
-        assert not sock.sleeping
+        assert sock.state == STATE_COMPUTING
         assert len(logs[k]) == 1
         assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 1)
         assert logs[k][0].core == 1
@@ -208,7 +207,7 @@ class TestLockConflicts:
         h = Harness()
         k = key()
         sock = h.flow(k, core=1)
-        sock.owned_by_user = True
+        sock.state = STATE_DRAINING
         h.inject(k, seq=0, at=0, queue=0)  # pops on core 0, owner on core 1
         h.sim.run_until(1_000)
         assert h.host.stats.lock_conflicts == 1
@@ -218,7 +217,7 @@ class TestLockConflicts:
         h = Harness()
         k = key()
         sock = h.flow(k, core=0)
-        sock.owned_by_user = True
+        sock.state = STATE_DRAINING
         h.inject(k, seq=0, at=0, queue=0)
         h.sim.run_until(1_000)
         assert h.host.stats.lock_conflicts == 0
@@ -226,14 +225,12 @@ class TestLockConflicts:
 
 
 class TestWiring:
-    def test_pids_are_dense_and_index_processes(self):
+    def test_pids_are_dense_and_in_socket_order(self):
         h = Harness()
-        h.flow(key(sport=1), pid=0)
-        h.flow(key(sport=2), pid=1, core=2)
-        assert [p.pid for p in h.host.processes] == [0, 1]
-        assert h.host.processes[1].core == 2
-        with pytest.raises(ValueError, match="pid 3 is not the next pid, 2"):
-            h.flow(key(sport=3), pid=3)
+        socks = [h.flow(key(sport=1)), h.flow(key(sport=2), core=2), h.flow(key(sport=3))]
+        assert [s.pid for s in socks] == [0, 1, 2]
+        assert h.threads() == socks
+        assert socks[1].core == 2
 
     def test_process_must_start_on_an_allowed_core(self):
         # The scheduler moves a process only among its allowed cores, so
@@ -241,8 +238,8 @@ class TestWiring:
         h = Harness()
         with pytest.raises(ValueError, match=r"pid 0 starts on core 3, outside its allowed "
                                              r"cores \(0, 1\)"):
-            h.flow(key(sport=1), pid=0, core=3, allowed=(0, 1))
-        assert h.host.processes == [] and h.host.sockets == {}
+            h.flow(key(sport=1), core=3, allowed=(0, 1))
+        assert h.host.sockets == {} and h.host.runnable_counts() == [0, 0, 0, 0]
 
     def test_allowed_cores_must_be_distinct(self):
         # A rotation maps each allowed core to the next; a repeated core
@@ -250,58 +247,58 @@ class TestWiring:
         h = Harness()
         with pytest.raises(ValueError, match=r"pid 0 repeats a core in its allowed cores "
                                              r"\(0, 0\)"):
-            h.flow(key(sport=1), pid=0, core=0, allowed=(0, 0))
-        assert h.host.processes == [] and h.host.sockets == {}
+            h.flow(key(sport=1), core=0, allowed=(0, 0))
+        assert h.host.sockets == {} and h.host.runnable_counts() == [0, 0, 0, 0]
 
 
 class TestScheduler:
     def test_pinned_never_migrates(self):
         h = Harness(scheduler=MODE_PINNED)
-        h.flow(key(sport=1), pid=0, core=0)
-        h.flow(key(sport=2), pid=1, core=0)
+        h.flow(key(sport=1), core=0)
+        h.flow(key(sport=2), core=0)
         h.host.scheduler_tick()
         assert h.host.migrations == 0
-        assert [p.core for p in h.host.processes] == [0, 0]
+        assert [p.core for p in h.threads()] == [0, 0]
 
     def test_peak_performance_balances(self):
         h = Harness(scheduler=MODE_PEAK_PERFORMANCE, num_cores=2,
                     processors=((0, 1),))
         # Only a process that makes receive calls is runnable.
-        h.flow(key(sport=1), pid=0, core=0, allowed=(0, 1), cadence_ns=50_000)
-        h.flow(key(sport=2), pid=1, core=0, allowed=(0, 1), cadence_ns=50_000)
+        h.flow(key(sport=1), core=0, allowed=(0, 1), cadence_ns=50_000)
+        h.flow(key(sport=2), core=0, allowed=(0, 1), cadence_ns=50_000)
         h.host.scheduler_tick()
         assert h.host.migrations == 1
         # The lowest pid moves first.
-        assert [p.core for p in h.host.processes] == [1, 0]
+        assert [p.core for p in h.threads()] == [1, 0]
 
     def test_power_saving_converges_to_processor_zero(self):
         h = Harness(scheduler=MODE_POWER_SAVING)
-        h.flow(key(sport=1), pid=0, core=0, allowed=(0, 2))
-        h.flow(key(sport=2), pid=1, core=2, allowed=(0, 2))
+        h.flow(key(sport=1), core=0, allowed=(0, 2))
+        h.flow(key(sport=2), core=2, allowed=(0, 2))
         h.host.scheduler_tick()
         assert h.host.migrations == 1
         # Only the process on processor 1 moved.
-        assert h.host.processes[0].core == 0
-        assert h.host.processes[1].core in (0, 1)
+        assert h.threads()[0].core == 0
+        assert h.threads()[1].core in (0, 1)
 
     def test_force_alternate_rotates(self):
         h = Harness()
-        h.flow(key(sport=1), pid=0, core=0, allowed=(0, 2))
-        h.flow(key(sport=2), pid=1, core=3, allowed=(1, 2, 3))  # wraps to its first core
-        h.flow(key(sport=3), pid=2, core=3)  # pinned: never moves
+        h.flow(key(sport=1), core=0, allowed=(0, 2))
+        h.flow(key(sport=2), core=3, allowed=(1, 2, 3))  # wraps to its first core
+        h.flow(key(sport=3), core=3)  # pinned: never moves
         h.host.force_alternate()
-        assert [p.core for p in h.host.processes] == [2, 1, 3]
+        assert [p.core for p in h.threads()] == [2, 1, 3]
         h.host.force_alternate()
-        assert [p.core for p in h.host.processes] == [0, 2, 3]
+        assert [p.core for p in h.threads()] == [0, 2, 3]
         assert h.host.migrations == 4
 
 
 
-# Allowed-core sets of the processes below: pinned, and Free over two,
+# Allowed-core sets of the threads below: pinned, and Free over two,
 # three and four cores, so that a rotation is not its own inverse.
 ALLOWED_SETS = ((0,), (2,), (0, 1), (1, 2, 3), (3, 0, 2), (0, 1, 2, 3))
 
-processes = st.lists(
+threads = st.lists(
     # (allowed cores, which of them to start on, receive-call cadence)
     st.tuples(st.sampled_from(ALLOWED_SETS), st.integers(0, 3),
               st.sampled_from([None, 700, 2_000])),
@@ -321,28 +318,28 @@ host_steps = st.lists(
 )
 
 
-@given(processes, host_steps)
+@given(threads, host_steps)
 @settings(max_examples=200, deadline=None)
 def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
     # One host driven through receive calls (which sleep or drain), packet
     # arrivals (which wake sleepers and fill backlogs), time passing (drains
     # and later calls), peak and power ticks, forced rotations and direct
     # migrations. After every step the host's runnable counts equal a walk
-    # over its processes, a tick moves what the walk would, in order, and a
-    # rotation moves every process to the next of its allowed cores.
+    # over its sockets' threads, a tick moves what the walk would, in order,
+    # and a rotation moves every thread to the next of its allowed cores.
     h = Harness()
     host = h.host
     socks = [
-        h.flow(key(sport=1000 + pid), pid=pid, core=allowed[start % len(allowed)],
+        h.flow(key(sport=1000 + i), core=allowed[start % len(allowed)],
                allowed=allowed, cadence_ns=cadence)
-        for pid, (allowed, start, cadence) in enumerate(specs)
+        for i, (allowed, start, cadence) in enumerate(specs)
     ]
     moves = []
     migrate = host._migrate
 
-    def recorded(proc, to_core):
-        moves.append((proc.pid, to_core))
-        migrate(proc, to_core)
+    def recorded(sock, to_core):
+        moves.append((sock.pid, to_core))
+        migrate(sock, to_core)
 
     host._migrate = recorded
     seq = 0
@@ -361,20 +358,20 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
         elif kind == "advance":
             h.sim.run_until(h.sim.now + step[1])
         elif kind == "peak":
-            expected = scheduler_oracle.peak_moves(host.processes, len(host.cores))
+            expected = scheduler_oracle.peak_moves(host.sockets.values(), len(host.cores))
             host._balance_peak()
         elif kind == "power":
-            expected = scheduler_oracle.power_moves(host.processes, host.cores)
+            expected = scheduler_oracle.power_moves(host.sockets.values(), host.cores)
             host._converge_power()
         elif kind == "alternate":
             rotated = [p.allowed_cores[(p.allowed_cores.index(p.core) + 1)
-                                       % len(p.allowed_cores)] for p in host.processes]
+                                       % len(p.allowed_cores)] for p in host.sockets.values()]
             host.force_alternate()
-            assert [p.core for p in host.processes] == rotated
+            assert [p.core for p in host.sockets.values()] == rotated
         else:
-            proc = host.processes[step[1] % len(socks)]
-            host._migrate(proc, proc.allowed_cores[step[2] % len(proc.allowed_cores)])
+            sock = socks[step[1] % len(socks)]
+            host._migrate(sock, sock.allowed_cores[step[2] % len(sock.allowed_cores)])
         if expected is not None:
             assert moves == expected, step
-        walked = scheduler_oracle.runnable_counts(host.processes, len(host.cores))
+        walked = scheduler_oracle.runnable_counts(host.sockets.values(), len(host.cores))
         assert host.runnable_counts() == walked, step

@@ -28,7 +28,7 @@ class Harness:
         if mode == MODE_FLOWSTEER:
             table = FlowTable(
                 TableSpec(t_timer_us=t_timer_us),
-                schedule_timer=self._schedule_timer,
+                schedule_timer=None,
                 fallback_core=lambda k: fallback,
             )
         self.nic = Nic(
@@ -39,6 +39,9 @@ class Harness:
         self.nic.interrupts = [
             lambda q=q: self.interrupts.append(q) for q in range(num_queues)
         ]
+        if table is not None:
+            # Hold timers as the engine runs them: each fires t_timer later.
+            table.schedule_timer = self.sim.line(table.t_timer_ns, self.nic.on_hold_timer).add
         self.table = table
 
     def edges(self):
@@ -47,18 +50,13 @@ class Harness:
         self.sim.run_until(self.sim.now)
         return self.interrupts
 
-    def _schedule_timer(self, deadline, flow_key):
-        self.sim.schedule(deadline, lambda: self.nic.on_hold_timer(flow_key))
-
     def admit(self, k, core=None, now=0):
         self.nic.rx(rx_pkt(k, SYN), now)
         self.nic.tx(reverse_key(k), 0, now)  # the SYN-ACK
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
             self.nic.tx_ack(reverse_key(k), core, now)
-            deadline = self.table.get(k).timer_deadline
-            if deadline is not None:
-                self.sim.run_until(deadline)
+            self.sim.run_until(now + self.table.t_timer_ns)  # past any flush
         self.clear_rings()
 
     def clear_rings(self):
@@ -197,6 +195,23 @@ class TestDrainAndFlush:
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 4, 0, 0]
         seqs = [h.nic.rings[1].slots.popleft().seq for _ in range(4)]
         assert seqs == [5, 6, 7, 8]
+
+    def test_retarget_flushes_one_t_timer_after_the_first_change(self):
+        # A second change inside the hold retargets the flush but starts no
+        # timer, so held packets wait at most one t_timer.
+        h = Harness(fallback=0, t_timer_us=5.0)
+        k = key()
+        h.admit(k)
+        h.nic.tx_ack(reverse_key(k), 1, 0)
+        h.sim.run_until(1_000)
+        h.nic.tx_ack(reverse_key(k), 2, h.sim.now)
+        h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
+        h.sim.run_until(4_999)
+        assert [p.seq for p in h.table.get(k).held] == [0]
+        h.sim.run_until(5_000)
+        assert h.table.get(k).held == [] and h.sim.pending() == 0
+        assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 1, 0]
+        assert h.nic.hold_delays.tolist() == [4_000]
 
     def test_hold_delays_recorded(self):
         h = Harness(fallback=0, t_timer_us=5.0)

@@ -314,6 +314,21 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=r"apps\[0\].cores"):
             Scenario.from_dict(d)
 
+    def test_validation_names_port_without_app_rule(self):
+        # Setup would find no placement for the streams to port 6001.
+        s = scenario(4)
+        s.apps = (AppRule((5001,), (0,)),)
+        with pytest.raises(ScenarioError, match=r"^traffic.ports \[6001\] have no apps rule$"):
+            s.validate()
+
+    def test_validation_names_port_of_two_app_rules(self):
+        # Setup would place port 5001's apps by the first rule alone.
+        d = scenario(4).to_dict()
+        d["apps"] = [{"ports": [5001, 6001], "cores": [0]}, {"ports": [5001], "cores": [1]}]
+        with pytest.raises(ScenarioError,
+                           match=r"^apps\[1\].ports names port 5001, as apps\[0\] does$"):
+            Scenario.from_dict(d)
+
     def test_validation_names_app_rule_that_repeats_a_core(self):
         d = scenario(4).to_dict()
         d["apps"] = [{"ports": [5001, 6001], "cores": [0, 0]}]
