@@ -8,7 +8,6 @@ until a timer expires, which is what preserves in-order delivery across
 migrations.
 """
 
-from enum import Enum
 from functools import lru_cache
 
 from .flows import ACK, SYN, PROTO_TCP, FlowKey, Packet, Record, reverse_key
@@ -17,22 +16,10 @@ from .simkernel import MS, US
 from .workload import TableSpec
 
 
-class SteerDecision(Enum):
-    DIRECT = "direct"
-    HELD = "held"
-    FALLBACK = "fallback"
-
-
-# Plain module names for the members: the per-packet path tests decisions
-# with `is`, and a module global is found faster than an enum attribute.
-DIRECT = SteerDecision.DIRECT
-HELD = SteerDecision.HELD
-FALLBACK = SteerDecision.FALLBACK
-
-
-# Handshake tracker states; completion deletes the tracker entry.
-SYN_SEEN = "syn_seen"
-SYNACK_SEEN = "synack_seen"
+# What `steer` decides; callers test a decision with `is`.
+DIRECT = "direct"
+HELD = "held"
+FALLBACK = "fallback"
 
 
 class TimerBugError(RuntimeError):
@@ -149,8 +136,9 @@ class FlowTable:
         # outgoing core id finds its entry without reversing the key. The key
         # is the one the flow's SYN-ACK carried, not a copy.
         self._by_tx_key: dict[FlowKey, FlowEntry] = {}
-        # Receive key -> (state, time, the SYN-ACK's key or None).
-        self._tracker: dict[FlowKey, tuple[str, int, FlowKey | None]] = {}
+        # Receive key -> (time, the SYN-ACK's key once it is seen, else None).
+        # Completion deletes the entry.
+        self._tracker: dict[FlowKey, tuple[int, FlowKey | None]] = {}
         self.stats = FlowTableStats()
 
     def __len__(self):
@@ -168,14 +156,14 @@ class FlowTable:
         if packet.key.protocol != PROTO_TCP:
             return None
         if packet.kind == SYN:
-            self._tracker[packet.key] = (SYN_SEEN, now, None)
+            self._tracker[packet.key] = (now, None)
             return None
         if packet.kind == ACK:
             state = self._tracker.get(packet.key)
-            if state is not None and state[0] == SYNACK_SEEN:
+            if state is not None and state[1] is not None:
                 del self._tracker[packet.key]
                 self.stats.handshakes_completed += 1
-                return self._try_admit(packet.key, state[2], now)
+                return self._try_admit(packet.key, state[1], now)
         return None
 
     def note_tx_packet(self, tx_key: FlowKey, now: int):
@@ -184,8 +172,8 @@ class FlowTable:
         tracker entry, so other protocols find none here."""
         key = reverse_key(tx_key)
         state = self._tracker.get(key)
-        if state is not None and state[0] == SYN_SEEN:
-            self._tracker[key] = (SYNACK_SEEN, now, tx_key)
+        if state is not None and state[1] is None:
+            self._tracker[key] = (now, tx_key)
 
     def _try_admit(self, key: FlowKey, tx_key: FlowKey, now: int) -> FlowEntry | None:
         spec = self.spec
@@ -308,8 +296,8 @@ class FlowTable:
 
         stale = [
             key
-            for key, (_, t, _) in self._tracker.items()
-            if now - t >= self.t_delete_ns
+            for key, state in self._tracker.items()
+            if now - state[0] >= self.t_delete_ns
         ]
         for key in stale:
             del self._tracker[key]

@@ -2,8 +2,8 @@
 
 Field selection -> Toeplitz hash -> low-bit mask -> queue lookup, with both
 lookup styles found in deployed stacks: a masked indirection table and a
-plain hash-mod-queues direct map. All functions are pure over immutable
-configuration and safe to call from any thread.
+plain hash-mod-queues direct map. The functions are pure over settings
+that `Scenario.validate` has checked.
 """
 
 import ipaddress
@@ -17,67 +17,12 @@ DEFAULT_RSS_KEY = bytes.fromhex(
     "6a42b73bbeac01fa"
 )
 
-_CANONICAL_FIELDS = ("src_addr", "dst_addr", "src_port", "dst_port", "protocol")
+# The hashable header fields, in the order they enter the hash input.
+FIELD_NAMES = ("src_addr", "dst_addr", "src_port", "dst_port", "protocol")
 
 
 class KeyTooShortError(ValueError):
     """The key must cover the hash input plus the 32-bit sliding window."""
-
-
-class _Value:
-    """Immutable once built; compares, hashes and prints by its fields."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __hash__(self):
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self):
-        values = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__name__}({values})"
-
-
-class HashFields(_Value):
-    """Which packet header fields feed the hash. At least one must be set."""
-
-    def __init__(self, src_addr: bool = True, dst_addr: bool = True, src_port: bool = True,
-                 dst_port: bool = True, protocol: bool = False):
-        if not (src_addr or dst_addr or src_port or dst_port or protocol):
-            raise ValueError("hash field selection enables no fields")
-        vars(self).update(src_addr=src_addr, dst_addr=dst_addr, src_port=src_port,
-                          dst_port=dst_port, protocol=protocol)
-
-    @classmethod
-    def from_names(cls, names) -> "HashFields":
-        names = set(names)
-        unknown = names - set(_CANONICAL_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown hash fields: {sorted(unknown)}")
-        return cls(**{name: name in names for name in _CANONICAL_FIELDS})
-
-
-class IndirectionTable(_Value):
-    """Array of queue ids indexed by the masked low bits of the hash."""
-
-    def __init__(self, entries: tuple, mask_bits: int):
-        if len(entries) != (1 << mask_bits):
-            raise ValueError(
-                f"indirection table has {len(entries)} entries, expected 2^{mask_bits}"
-            )
-        vars(self).update(entries=entries, mask_bits=mask_bits)
-
-    @classmethod
-    def from_list(cls, entries) -> "IndirectionTable":
-        n = len(entries)
-        if n <= 0 or n & (n - 1):
-            raise ValueError("indirection table size must be a power of two")
-        return cls(tuple(entries), n.bit_length() - 1)
 
 
 @lru_cache(maxsize=None)
@@ -85,23 +30,23 @@ def _packed_addr(addr: str) -> bytes:
     return ipaddress.ip_address(addr).packed
 
 
-def select_fields(key, hash_fields: HashFields) -> bytes:
-    """Concatenate the enabled fields of a flow key in canonical order.
+def select_fields(key, fields) -> bytes:
+    """Concatenate the named fields of a flow key in canonical order.
 
-    Order is (src addr, dst addr, src port, dst port, protocol), all in
-    network byte order, so two packets of one flow always produce the same
-    byte sequence.
+    Order is FIELD_NAMES whatever the order of `fields`, all in network
+    byte order, so two packets of one flow always produce the same byte
+    sequence.
     """
     parts = []
-    if hash_fields.src_addr:
+    if "src_addr" in fields:
         parts.append(_packed_addr(key.src_addr))
-    if hash_fields.dst_addr:
+    if "dst_addr" in fields:
         parts.append(_packed_addr(key.dst_addr))
-    if hash_fields.src_port:
+    if "src_port" in fields:
         parts.append(key.src_port.to_bytes(2, "big"))
-    if hash_fields.dst_port:
+    if "dst_port" in fields:
         parts.append(key.dst_port.to_bytes(2, "big"))
-    if hash_fields.protocol:
+    if "protocol" in fields:
         parts.append(key.protocol.to_bytes(1, "big"))
     return b"".join(parts)
 
@@ -142,42 +87,36 @@ def toeplitz_hash(key: bytes, data: bytes) -> int:
     return result
 
 
-def indirection_lookup(hash_value: int, table: IndirectionTable) -> int:
-    return table.entries[hash_value & ((1 << table.mask_bits) - 1)]
-
-
-def direct_map_lookup(hash_value: int, num_queues: int) -> int:
-    """Linux/FreeBSD style: no indirection table, hash modulo queue count."""
-    if num_queues < 1:
-        raise ValueError("need at least one queue")
-    return hash_value % num_queues
+def queue_of(hash_value: int, num_queues: int, table) -> int:
+    """The queue of a hash: the entry of `table` (a power-of-two tuple of
+    queue ids) that its low bits index or, with no table, the hash modulo
+    the queue count as Linux and FreeBSD map it."""
+    if table is None:
+        return hash_value % num_queues
+    return table[hash_value & (len(table) - 1)]
 
 
 class RssEngine:
-    """Bundles key, field selection and lookup style; caches per-flow results.
+    """Bundles key, field names and lookup style; caches per-flow results.
 
     The indirection table is static during a run; rebalancing policy is an
     OS concern outside this model.
     """
 
-    def __init__(self, key: bytes = DEFAULT_RSS_KEY, hash_fields: HashFields | None = None,
-                 num_queues: int = 4, table: IndirectionTable | None = None):
+    def __init__(self, key: bytes = DEFAULT_RSS_KEY, fields: tuple = FIELD_NAMES[:4],
+                 num_queues: int = 4, table: tuple | None = None):
         self.key = key
-        self.hash_fields = HashFields() if hash_fields is None else hash_fields
+        self.fields = fields
         self.num_queues = num_queues
         self.table = table  # None selects direct mapping
         self._cache = {}
 
     def hash_of(self, flow_key) -> int:
-        return toeplitz_hash(self.key, select_fields(flow_key, self.hash_fields))
+        return toeplitz_hash(self.key, select_fields(flow_key, self.fields))
 
     def queue_for(self, flow_key) -> int:
         queue = self._cache.get(flow_key)
         if queue is None:
-            h = self.hash_of(flow_key)
-            if self.table is not None:
-                queue = indirection_lookup(h, self.table)
-            else:
-                queue = direct_map_lookup(h, self.num_queues)
+            queue = queue_of(self.hash_of(flow_key), self.num_queues, self.table)
             self._cache[flow_key] = queue
         return queue

@@ -13,7 +13,7 @@ from types import UnionType
 from typing import get_args, get_origin
 
 from .flows import PROTO_TCP, FlowKey, Record, is_record
-from .rss import DEFAULT_RSS_KEY, HashFields, IndirectionTable, KeyTooShortError, RssEngine
+from .rss import DEFAULT_RSS_KEY, FIELD_NAMES, RssEngine, select_fields
 from .simkernel import US, time_array
 
 SCENARIO_VERSION = 1
@@ -281,18 +281,31 @@ class Scenario(Record):
                 f"traffic.dst_addr {self.traffic.dst_addr!r} is not IPv{versions[0]} like "
                 f"traffic.src_addr {self.traffic.src_addr!r}"
             )
-        rss = build_rss_engine(self)
-        try:
-            # Every flow has these addresses, so this key's hash input is as
-            # long as any flow's.
-            rss.hash_of(FlowKey(self.traffic.src_addr, self.traffic.dst_addr, PROTO_TCP, 0, 0))
-        except KeyTooShortError as exc:
-            raise ScenarioError(f"rss.key_hex: {exc}") from None
-        stray = [q for q in self.rss.table or () if q not in range(len(cores))]
-        if stray:
+        # Flows the table does not steer go where these settings hash them.
+        fields = self.rss.fields
+        if not fields or not set(fields) <= set(FIELD_NAMES):
             raise ScenarioError(
-                f"rss.table names queues {stray}; the host has queues 0..{len(cores) - 1}"
+                f"rss.fields must name some of {list(FIELD_NAMES)}, not {list(fields)}"
             )
+        # Every flow has these addresses, so this key's hash input is as long
+        # as any flow's.
+        probe = FlowKey(self.traffic.src_addr, self.traffic.dst_addr, PROTO_TCP, 0, 0)
+        key, length = _rss_key(self.rss), len(select_fields(probe, fields))
+        if len(key) < length + 4:
+            raise ScenarioError(
+                f"rss.key_hex: key of {len(key)} bytes cannot cover {length} input bytes"
+            )
+        table = self.rss.table
+        if table is not None:
+            if not table or len(table) & (len(table) - 1):
+                raise ScenarioError(
+                    f"rss.table has {len(table)} entries; the count must be a power of two"
+                )
+            stray = [q for q in table if q not in range(len(cores))]
+            if stray:
+                raise ScenarioError(
+                    f"rss.table names queues {stray}; the host has queues 0..{len(cores) - 1}"
+                )
         return self
 
     def num_cores(self) -> int:
@@ -363,27 +376,18 @@ def _plain(value):
     return value
 
 
-def build_rss_engine(scenario: Scenario) -> RssEngine:
-    """The scenario's RSS engine. `Scenario.validate` builds one too, so a
-    field list, key or table that the rss module rejects fails at load, as
-    a ScenarioError naming the field."""
-    cfg = scenario.rss
+def _rss_key(rss: RssSpec) -> bytes:
+    """The key `rss.key_hex` spells, or the default key when it is null."""
     try:
-        hash_fields = HashFields.from_names(cfg.fields)
-    except ValueError as exc:
-        raise ScenarioError(f"rss.fields: {exc}") from None
-    try:
-        key = bytes.fromhex(cfg.key_hex) if cfg.key_hex else DEFAULT_RSS_KEY
+        return DEFAULT_RSS_KEY if rss.key_hex is None else bytes.fromhex(rss.key_hex)
     except ValueError as exc:
         raise ScenarioError(f"rss.key_hex: {exc}") from None
-    table = None
-    if cfg.table is not None:
-        try:
-            table = IndirectionTable.from_list(list(cfg.table))
-        except ValueError as exc:
-            raise ScenarioError(f"rss.table: {exc}") from None
-    return RssEngine(key=key, hash_fields=hash_fields, num_queues=scenario.num_cores(),
-                     table=table)
+
+
+def build_rss_engine(scenario: Scenario) -> RssEngine:
+    """The RSS engine of a validated scenario."""
+    cfg = scenario.rss
+    return RssEngine(_rss_key(cfg), cfg.fields, scenario.num_cores(), cfg.table)
 
 
 def _unknown_keys(spec_cls, data, prefix: str) -> list:

@@ -14,12 +14,7 @@ from steersim.cli import main as cli_main
 from steersim.flows import DATA, PROTO_TCP, FlowKey
 from steersim.flowtable import memory_estimate, search_time
 from steersim.metrics import occupancy_oracle
-from steersim.rss import (
-    DEFAULT_RSS_KEY,
-    IndirectionTable,
-    indirection_lookup,
-    toeplitz_hash,
-)
+from steersim.rss import DEFAULT_RSS_KEY, queue_of, toeplitz_hash
 from steersim.runner import run_scenario
 from steersim.simkernel import US
 
@@ -168,12 +163,12 @@ def test_criterion_5_search_time_model():
 
 
 def test_criterion_6_indirection_proportions():
-    table = IndirectionTable.from_list([0, 0, 0, 0, 1, 1, 2, 3])
+    table = (0, 0, 0, 0, 1, 1, 2, 3)
     rng = random.Random(2024)
     counts = [0, 0, 0, 0]
     n = 1_000_000
     for _ in range(n):
-        counts[indirection_lookup(rng.getrandbits(32), table)] += 1
+        counts[queue_of(rng.getrandbits(32), 4, table)] += 1
     shares = [c / n for c in counts]
     targets = [0.5, 0.25, 0.125, 0.125]
     ok = all(abs(s - t) <= 0.01 for s, t in zip(shares, targets))

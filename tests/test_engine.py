@@ -265,7 +265,7 @@ class TestScenarioShape:
         s.rss.table = (0, 1, 2, 3, 3, 2, 1, 0)
         engine = build_rss_engine(s)
         assert engine.key == bytes.fromhex("ab" * 40)
-        assert engine.table.entries == (0, 1, 2, 3, 3, 2, 1, 0)
+        assert engine.table == (0, 1, 2, 3, 3, 2, 1, 0)
         result = run_scenario(s, seed=1)
         assert result.report.delivered_data > 0
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from steersim.flows import ACK, DATA, SYN, PROTO_TCP, PROTO_UDP, FlowKey, Packet, reverse_key
 from steersim.flowtable import (
+    DIRECT,
+    FALLBACK,
+    HELD,
     FlowTable,
-    SteerDecision,
     TimerBugError,
     bucket_index,
     memory_estimate,
@@ -220,7 +222,7 @@ class TestSteer:
         k = key()
         admit(table, k)
         decision, core, pos = table.steer(rx_pkt(k), 10, want_position=True)
-        assert decision is SteerDecision.DIRECT and core == 2 and pos == 1
+        assert decision is DIRECT and core == 2 and pos == 1
 
     def test_chain_position_reported_for_latency_charging(self):
         table, _ = make_table(fallback=0, num_buckets=1, max_list_size=4)
@@ -238,7 +240,7 @@ class TestSteer:
         table.observe_tx(reverse_key(k), 1, 0)
         for seq in (5, 6, 7):
             decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
-            assert decision is SteerDecision.HELD
+            assert decision is HELD
         entry = table.get(k)
         assert [p.seq for p in entry.held] == [5, 6, 7]
         assert table.stats.held_bytes == 3 * 1500
@@ -246,7 +248,7 @@ class TestSteer:
     def test_unknown_udp_falls_back(self):
         table, _ = make_table()
         decision, core, _ = table.steer(rx_pkt(key(proto=PROTO_UDP)), 0)
-        assert decision is SteerDecision.FALLBACK and core is None
+        assert decision is FALLBACK and core is None
 
 
 class TestTimerExpiry:
@@ -279,7 +281,7 @@ class TestTimerExpiry:
         table.observe_tx(reverse_key(k), 1, 0)
         table.on_timer_expire(k, 1000)
         decision, core, _ = table.steer(rx_pkt(k), 2000)
-        assert decision is SteerDecision.DIRECT and core == 1
+        assert decision is DIRECT and core == 1
 
     def test_expiry_without_transition_is_a_bug(self):
         table, _ = make_table()
@@ -396,7 +398,7 @@ class TestInvariants:
         table.on_timer_expire(k, 10)
         for t in range(20, 400, 17):
             decision, core, _ = table.steer(rx_pkt(k), t)
-            assert (decision, core) == (SteerDecision.DIRECT, 3)
+            assert (decision, core) == (DIRECT, 3)
             table.observe_tx(reverse_key(k), 3, t)
             assert not table.get(k).transition
         assert table.stats.transitions_started == 1

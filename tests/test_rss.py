@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from steersim.flows import PROTO_TCP, FlowKey
 from steersim.rss import (
     DEFAULT_RSS_KEY,
-    HashFields,
-    IndirectionTable,
+    FIELD_NAMES,
     KeyTooShortError,
     RssEngine,
-    direct_map_lookup,
-    indirection_lookup,
+    queue_of,
     select_fields,
     toeplitz_hash,
 )
@@ -31,45 +29,32 @@ VERIFICATION_VECTORS = [
 ]
 
 
+ADDRESSES = ("src_addr", "dst_addr")
+FOUR_TUPLE = FIELD_NAMES[:4]
+
+
 def _key(src="10.0.0.1", dst="10.0.0.2", sport=32768, dport=5001, proto=PROTO_TCP):
     return FlowKey(src, dst, proto, sport, dport)
 
 
 class TestSelectFields:
     def test_all_fields_ipv4_is_13_bytes(self):
-        data = select_fields(_key(), HashFields(protocol=True))
+        data = select_fields(_key(), FIELD_NAMES)
         assert len(data) == 13
 
     def test_addresses_only_is_8_bytes(self):
-        fields = HashFields(src_port=False, dst_port=False, protocol=False)
-        assert len(select_fields(_key(), fields)) == 8
+        assert len(select_fields(_key(), ADDRESSES)) == 8
 
     def test_same_flow_same_bytes(self):
-        assert select_fields(_key(), HashFields()) == select_fields(
-            _key(), HashFields()
-        )
+        assert select_fields(_key(), FOUR_TUPLE) == select_fields(_key(), FOUR_TUPLE)
 
     def test_canonical_order(self):
-        data = select_fields(_key(), HashFields())
+        data = select_fields(_key(), FOUR_TUPLE)
         assert data == bytes([10, 0, 0, 1, 10, 0, 0, 2]) + (32768).to_bytes(
             2, "big"
         ) + (5001).to_bytes(2, "big")
-
-    def test_no_fields_rejected(self):
-        with pytest.raises(ValueError):
-            HashFields(False, False, False, False, False)
-
-    def test_selections_and_tables_are_immutable_values(self):
-        fields = HashFields(protocol=True)
-        table = IndirectionTable.from_list([0, 1, 2, 3])
-        assert fields == HashFields(protocol=True) and fields != HashFields()
-        assert table == IndirectionTable((0, 1, 2, 3), 2) != IndirectionTable.from_list([0] * 4)
-        same = {fields, HashFields(protocol=True), table, IndirectionTable((0, 1, 2, 3), 2)}
-        assert len(same) == 2
-        # Setting fields afterwards would bypass the construction checks.
-        for value, name in ((fields, "src_addr"), (table, "mask_bits")):
-            with pytest.raises(AttributeError):
-                setattr(value, name, 0)
+        # The names may come in any order; the input keeps the canonical one.
+        assert select_fields(_key(), FOUR_TUPLE[::-1]) == data
 
 
 class TestToeplitz:
@@ -83,21 +68,16 @@ class TestToeplitz:
         # The oracle itself must reproduce the published suite before it is
         # trusted as a cross-check.
         for dst, dport, src, sport, h_addr, h_tcp in VERIFICATION_VECTORS:
-            data_addr = select_fields(
-                _key(src, dst, sport, dport),
-                HashFields(src_port=False, dst_port=False, protocol=False),
-            )
-            data_tcp = select_fields(_key(src, dst, sport, dport), HashFields())
+            data_addr = select_fields(_key(src, dst, sport, dport), ADDRESSES)
+            data_tcp = select_fields(_key(src, dst, sport, dport), FOUR_TUPLE)
             assert toeplitz_reference(DEFAULT_RSS_KEY, data_addr) == h_addr
             assert toeplitz_reference(DEFAULT_RSS_KEY, data_tcp) == h_tcp
 
     def test_matches_published_vectors(self):
         for dst, dport, src, sport, h_addr, h_tcp in VERIFICATION_VECTORS:
             key = _key(src, dst, sport, dport)
-            data_addr = select_fields(
-                key, HashFields(src_port=False, dst_port=False, protocol=False)
-            )
-            data_tcp = select_fields(key, HashFields())
+            data_addr = select_fields(key, ADDRESSES)
+            data_tcp = select_fields(key, FOUR_TUPLE)
             assert toeplitz_hash(DEFAULT_RSS_KEY, data_addr) == h_addr
             assert toeplitz_hash(DEFAULT_RSS_KEY, data_tcp) == h_tcp
 
@@ -134,47 +114,37 @@ class TestToeplitz:
 
 class TestLookup:
     def test_hash_zero_hits_entry_zero(self):
-        table = IndirectionTable.from_list([3, 1, 2, 0])
-        assert indirection_lookup(0, table) == 3
+        assert queue_of(0, 4, (3, 1, 2, 0)) == 3
 
     def test_identical_entries(self):
-        table = IndirectionTable.from_list([2] * 8)
         for h in (0, 1, 7, 123456, 2**32 - 1):
-            assert indirection_lookup(h, table) == 2
-
-    def test_table_size_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            IndirectionTable.from_list([0, 1, 2])
+            assert queue_of(h, 4, (2,) * 8) == 2
 
     def test_weighted_table_shares(self):
         # 8-entry table split 4/2/1/1 across queues 0..3 gives loads of
         # 50/25/12.5/12.5 percent under uniform hashes, within one point.
-        table = IndirectionTable.from_list([0, 0, 0, 0, 1, 1, 2, 3])
+        table = (0, 0, 0, 0, 1, 1, 2, 3)
         rng = random.Random(42)
         counts = [0, 0, 0, 0]
         n = 1_000_000
         for _ in range(n):
-            counts[indirection_lookup(rng.getrandbits(32), table)] += 1
+            counts[queue_of(rng.getrandbits(32), 4, table)] += 1
         shares = [c / n for c in counts]
         for got, want in zip(shares, [0.50, 0.25, 0.125, 0.125]):
             assert abs(got - want) <= 0.01
 
     def test_direct_map_modulo(self):
-        assert direct_map_lookup(7, 4) == 3
-        assert direct_map_lookup(0, 4) == 0
+        assert queue_of(7, 4, None) == 3
+        assert queue_of(0, 4, None) == 0
 
     def test_direct_map_uniform(self):
         rng = random.Random(7)
         counts = [0] * 4
         n = 1_000_000
         for _ in range(n):
-            counts[direct_map_lookup(rng.getrandbits(32), 4)] += 1
+            counts[queue_of(rng.getrandbits(32), 4, None)] += 1
         for c in counts:
             assert abs(c / n - 0.25) <= 0.01
-
-    def test_direct_map_needs_a_queue(self):
-        with pytest.raises(ValueError):
-            direct_map_lookup(1, 0)
 
 
 class TestEngine:
@@ -194,9 +164,7 @@ class TestEngine:
     def test_indirection_vs_direct_styles(self):
         key = _key()
         direct = RssEngine(num_queues=4)
-        indirect = RssEngine(
-            num_queues=4, table=IndirectionTable.from_list([0, 1, 2, 3] * 2)
-        )
+        indirect = RssEngine(num_queues=4, table=(0, 1, 2, 3) * 2)
         h = direct.hash_of(key)
         assert direct.queue_for(key) == h % 4
         assert indirect.queue_for(key) == [0, 1, 2, 3, 0, 1, 2, 3][h & 7]

@@ -3,8 +3,8 @@
 `Tracer.patch` skips a name the program no longer has, so that a traced
 benchmark run survives a deletion. A rename would then set a per-layer
 metric to zero without failing anything. This runs a short bundled
-scenario under the tracer and checks that every span `layer_metrics` in
-perfbench/sample.py reads was recorded.
+scenario under the tracer and checks that every span and steer-decision
+counter `layer_metrics` in perfbench/sample.py reads was recorded.
 """
 
 import sys
@@ -28,6 +28,9 @@ LAYER_SPANS = (
     "simkernel.run_until",
 )
 
+# The steer-decision counters that perfbench/sample.py:layer_metrics reads.
+STEER_COUNTERS = ("flowtable.direct", "flowtable.held", "flowtable.fallback")
+
 
 def test_every_layer_span_is_recorded():
     scenario = Scenario.load(ROOT / "scenarios" / "migrate_same.json")
@@ -35,9 +38,12 @@ def test_every_layer_span_is_recorded():
     tracer = Tracer().install()
     try:
         Engine(scenario, 1).run()
-        recorded = tracer.stats().count
+        stats = tracer.stats()
     finally:
         tracer.uninstall()
-    missing = [name for name in LAYER_SPANS if not recorded.get(name)]
+    missing = [name for name in LAYER_SPANS if not stats.count.get(name)]
     assert not missing, f"spans never recorded: {missing}"
+    # perfbench reads the steer decisions as counters named after them.
+    uncounted = [name for name in STEER_COUNTERS if not stats.counters.get(name)]
+    assert not uncounted, f"counters never recorded: {uncounted}"
     assert tracer.restored()

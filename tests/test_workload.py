@@ -373,6 +373,23 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
 
+    def test_default_key_covers_the_ipv6_four_tuple_but_not_the_protocol_too(self):
+        # Two 16-byte addresses and two ports are 36 input bytes, the most
+        # the 40-byte default key covers; the protocol byte makes 37.
+        d = scenario(4, src_addr="2001:db8::1", dst_addr="2001:db8::2").to_dict()
+        Scenario.from_dict(d)
+        d["rss"]["fields"] += ("protocol",)
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(d)
+        assert str(exc.value) == "rss.key_hex: key of 40 bytes cannot cover 37 input bytes"
+
+    def test_empty_key_hex_is_a_key_too_short_not_the_default(self):
+        # Only null selects the default key; "" spells a key of 0 bytes.
+        d = scenario(4).to_dict()
+        d["rss"]["key_hex"] = ""
+        with pytest.raises(ScenarioError, match="rss.key_hex: key of 0 bytes"):
+            Scenario.from_dict(d)
+
     @pytest.mark.parametrize("table", [None, [0, 1, 2, 0]])
     def test_three_core_host_runs_with_or_without_a_table(self, table):
         # Three queues: hash mod 3 without a table, a 4-entry table with one.
