@@ -14,6 +14,7 @@ from steersim.rss import (
     select_fields,
     toeplitz_hash,
 )
+from steersim.workload import Scenario, ScenarioError, build_rss_engine
 
 from toeplitz_oracle import toeplitz_reference
 
@@ -31,6 +32,13 @@ VERIFICATION_VECTORS = [
 
 ADDRESSES = ("src_addr", "dst_addr")
 FOUR_TUPLE = FIELD_NAMES[:4]
+
+
+def _load_rss(**rss):
+    """Load a default scenario whose `rss` section has these settings."""
+    d = Scenario().to_dict()
+    d["rss"].update(rss)
+    return Scenario.from_dict(d)
 
 
 def _key(src="10.0.0.1", dst="10.0.0.2", sport=32768, dport=5001, proto=PROTO_TCP):
@@ -55,6 +63,28 @@ class TestSelectFields:
         ) + (5001).to_bytes(2, "big")
         # The names may come in any order; the input keeps the canonical one.
         assert select_fields(_key(), FOUR_TUPLE[::-1]) == data
+
+    def test_no_fields_rejected(self):
+        # An empty selection would hash every flow to one queue; the
+        # scenario loader refuses it, naming the field.
+        with pytest.raises(ScenarioError, match="rss.fields"):
+            _load_rss(fields=[])
+
+    def test_selections_and_tables_are_immutable_values(self):
+        fields, table = ["src_addr", "dst_addr", "protocol"], [0, 1, 2, 3]
+        engine = build_rss_engine(_load_rss(fields=fields, table=table))
+        assert engine.fields == ("src_addr", "dst_addr", "protocol")
+        assert engine.table == (0, 1, 2, 3)
+        same = {engine.fields, ("src_addr", "dst_addr", "protocol"), engine.table, (0, 1, 2, 3)}
+        assert len(same) == 2
+        # Changing the loaded lists afterwards would bypass the load checks.
+        fields.clear()
+        table[:] = [9, 9, 9]
+        assert engine.fields == ("src_addr", "dst_addr", "protocol")
+        assert engine.table == (0, 1, 2, 3)
+        for value in (engine.fields, engine.table):
+            with pytest.raises(TypeError):
+                value[0] = 0
 
 
 class TestToeplitz:
@@ -120,6 +150,13 @@ class TestLookup:
         for h in (0, 1, 7, 123456, 2**32 - 1):
             assert queue_of(h, 4, (2,) * 8) == 2
 
+    def test_table_size_must_be_power_of_two(self):
+        # The low-bit mask reaches every entry only of a power-of-two table.
+        with pytest.raises(ScenarioError, match="rss.table has 3 entries"):
+            _load_rss(table=[0, 1, 2])
+        with pytest.raises(ScenarioError, match="rss.table has 0 entries"):
+            _load_rss(table=[])
+
     def test_weighted_table_shares(self):
         # 8-entry table split 4/2/1/1 across queues 0..3 gives loads of
         # 50/25/12.5/12.5 percent under uniform hashes, within one point.
@@ -145,6 +182,14 @@ class TestLookup:
             counts[queue_of(rng.getrandbits(32), 4, None)] += 1
         for c in counts:
             assert abs(c / n - 0.25) <= 0.01
+
+    def test_direct_map_needs_a_queue(self):
+        # Direct mapping takes the hash modulo the core count, so a host
+        # with no cores is refused at load rather than dividing by zero.
+        d = Scenario().to_dict()
+        d["host"]["processors"] = []
+        with pytest.raises(ScenarioError, match="host.processors"):
+            Scenario.from_dict(d)
 
 
 class TestEngine:
