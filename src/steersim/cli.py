@@ -56,7 +56,7 @@ def cmd_run(args) -> int:
     try:
         scenario = Scenario.load(args.scenario)
         scenario = apply_overrides(scenario, args)
-    except (OSError, ScenarioError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,8 +84,6 @@ def bucket_index(key: FlowKey, num_buckets: int) -> int:
     The input is the port pair XOR-folded with the addresses, so when every
     flow shares one address pair the ports alone spread the table.
     """
-    if num_buckets < 1:
-        raise ValueError("need at least one bucket")
     v = (key.src_port << 16) | key.dst_port
     v ^= _fold_addr(key.src_addr)
     dst = _fold_addr(key.dst_addr)

@@ -211,15 +211,9 @@ class Host:
     def add_flow(self, key, core: int, allowed_cores: tuple, cadence_ns: int | None):
         """Give the flow `key` its socket, read by a thread with the next
         pid that starts on `core` and makes a receive call every
-        `cadence_ns` (None: never). The thread must start on one of its
-        allowed cores; the scheduler moves it only among them."""
+        `cadence_ns` (None: never). `core` is one of the distinct
+        `allowed_cores`, and the scheduler moves the thread only among them."""
         pid = len(self.sockets)
-        if core not in allowed_cores:
-            raise ValueError(
-                f"pid {pid} starts on core {core}, outside its allowed cores {allowed_cores}"
-            )
-        if len(set(allowed_cores)) != len(allowed_cores):
-            raise ValueError(f"pid {pid} repeats a core in its allowed cores {allowed_cores}")
         core_set = self._core_sets.get(allowed_cores)
         if core_set is None:
             core_set = self._core_sets[allowed_cores] = _CoreSet(allowed_cores, len(self.cores))

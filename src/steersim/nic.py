@@ -46,8 +46,6 @@ class Nic:
 
     def __init__(self, spec: NicSpec, num_queues: int, engine: RssEngine,
                  table: FlowTable | None, sim):
-        if spec.mode == MODE_FLOWSTEER and table is None:
-            raise ValueError("flow-steering mode requires a flow table")
         self.engine = engine
         self.table = table
         self.sim = sim

@@ -11,26 +11,22 @@ import ipaddress
 import os
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
-from .flows import ACK, DATA, PROTO_TCP, SYN, FlowKey, Packet
+from .flows import ACK, DATA, SYN, FlowKey, Packet
 from .host import Core, Host, SocketModel
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
 from .simkernel import MS, US, Simulator, make_rng, time_array
 from .workload import (
-    EPHEMERAL_END,
-    EPHEMERAL_START,
+    WORST_CASE_EPSILON_NS,
+    WORST_CASE_FIRE_NS,
     Scenario,
-    ScenarioError,
     build_rss_engine,
     spawn_streams,
+    worst_case_keys,
 )
 
 AGE_SWEEP_INTERVAL_NS = 10 * MS
 CONTROL_BYTES = 64  # SYN, SYN-ACK and pure ACK frames
-# The worst-case schedule migrates at WORST_CASE_FIRE_NS; the packets around
-# the migration are WORST_CASE_EPSILON_NS apart.
-WORST_CASE_FIRE_NS = 50 * US
-WORST_CASE_EPSILON_NS = 1
 
 
 class RunResult:
@@ -122,9 +118,10 @@ class Engine:
             _arrival_blocks(plans, cadence_ns is not None),
             self._arrival_action(socks, data_counts),
         )
+        cores_of = {port: tuple(rule.cores) for rule in scenario.apps for port in rule.ports}
         for plan in plans:
             # Plan i gets pid i; its thread starts on the i-th of its cores.
-            cores = tuple(scenario.app_rule_for_port(plan.port).cores)
+            cores = cores_of[plan.port]
             socks.append(self.host.add_flow(
                 plan.key, cores[plan.index % len(cores)], cores, cadence_ns
             ))
@@ -170,14 +167,10 @@ class Engine:
         zero hold timer the new queue services S+1 while S still waits
         behind the backlog; with a timer of at least (ring_capacity - 1) /
         R_service the flush lands after S's service start and order is
-        preserved. `Scenario.validate` ensures a ring of two slots or more.
+        preserved. `Scenario.validate` checks every limit of this schedule.
         """
         scenario = self.scenario
-        old_queue, new_core = 0, 1
-        victim_key = self._find_key_for_queue(old_queue, scenario.traffic.ports[0])
-        filler_key = self._find_key_for_queue(
-            old_queue, scenario.traffic.ports[0], skip={victim_key}
-        )
+        victim_key, filler_key = worst_case_keys(scenario, self.rss)
 
         # Victim flow is admitted via a scripted handshake well before the
         # migration; its app never calls receive so everything stays in
@@ -198,26 +191,14 @@ class Engine:
         for seq in range(fillers):
             self._schedule_rx(t - 2 * eps, Packet(filler_key, DATA, seq, size))
         self._schedule_rx(t - eps, Packet(victim_key, DATA, 0, size))
-        # The victim's app ACKs from its new core.
-        self.sim.schedule(t, lambda: self.nic.tx_ack(victim.tx_key, new_core, self.sim.now))
+        # The victim's app ACKs from its new core, core 1.
+        self.sim.schedule(t, lambda: self.nic.tx_ack(victim.tx_key, 1, self.sim.now))
         self._schedule_rx(t + eps, Packet(victim_key, DATA, 1, size))
         self.generated_data += fillers + 2
 
     def _schedule_rx(self, at: int, packet: Packet):
         """Schedule one scripted packet to reach the NIC at `at`."""
         self.sim.schedule(at, lambda: self.nic.rx(packet, self.sim.now))
-
-    def _find_key_for_queue(self, queue: int, dst_port: int, skip=()) -> FlowKey:
-        """Search the ephemeral range for a source port whose hash fallback
-        lands on the wanted queue; deterministic given the RSS config."""
-        traffic = self.scenario.traffic
-        for port in range(EPHEMERAL_START, EPHEMERAL_END):
-            key = FlowKey(traffic.src_addr, traffic.dst_addr, PROTO_TCP, port, dst_port)
-            if key in skip:
-                continue
-            if self.rss.queue_for(key) == queue:
-                return key
-        raise ScenarioError(f"rss: no ephemeral port maps to queue {queue}")
 
     # -- periodic machinery ---------------------------------------------------------
 

@@ -20,8 +20,11 @@ SCENARIO_VERSION = 1
 
 EPHEMERAL_START = 32768
 EPHEMERAL_END = 65536
-# kind "worst_case" schedules one event per ring slot at setup.
+# kind "worst_case" schedules one event per ring slot at setup, migrates at
+# WORST_CASE_FIRE_NS and spaces the packets around it WORST_CASE_EPSILON_NS apart.
 MAX_WORST_CASE_RING = 1 << 16
+WORST_CASE_FIRE_NS = 50 * US
+WORST_CASE_EPSILON_NS = 1
 
 
 class ScenarioError(ValueError):
@@ -177,7 +180,7 @@ class Scenario(Record):
             raise ScenarioError(f"traffic.ports {stray} are outside 0..65535")
         if self.traffic.ephemeral_start < 0:
             raise ScenarioError("traffic.ephemeral_start must be non-negative")
-        # assign_ports would fail mid-setup on these.
+        # assign_ports gives each stream its own port in the ephemeral range.
         if self.traffic.ephemeral_ports == "random":
             if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
                 raise ScenarioError(
@@ -249,7 +252,7 @@ class Scenario(Record):
             for port in rule.ports:
                 if streams and port not in self.traffic.ports:
                     raise ScenarioError(f"apps[{i}].ports names unused port {port}")
-                # app_rule_for_port would take the first rule and ignore this one.
+                # Setup would place the port's threads by one rule alone.
                 if streams and ruled.setdefault(port, i) != i:
                     raise ScenarioError(
                         f"apps[{i}].ports names port {port}, as apps[{ruled[port]}] does"
@@ -268,6 +271,16 @@ class Scenario(Record):
                     f"nic.ring_capacity must be in 2..{MAX_WORST_CASE_RING} under kind "
                     f"'worst_case', not {self.nic.ring_capacity}"
                 )
+            # The victim's final ACK must not follow the migration, and the run
+            # must reach the last scripted packet, or the report measures nothing.
+            gap, last = self.traffic.handshake_gap_us, WORST_CASE_FIRE_NS + WORST_CASE_EPSILON_NS
+            if 2 * int(gap * US) > WORST_CASE_FIRE_NS:
+                raise ScenarioError("traffic.handshake_gap_us must be at most "
+                                    f"{WORST_CASE_FIRE_NS / 2 / US} under kind 'worst_case', "
+                                    f"not {gap}")
+            if int(self.duration_us * US) < last:
+                raise ScenarioError(f"duration_us must be at least {last / US} under kind "
+                                    f"'worst_case', not {self.duration_us}")
         # Every flow carries both addresses, so both must parse, and in one
         # address family: a flow is IPv4 or IPv6 end to end.
         versions = []
@@ -306,16 +319,12 @@ class Scenario(Record):
                 raise ScenarioError(
                     f"rss.table names queues {stray}; the host has queues 0..{len(cores) - 1}"
                 )
+        if self.kind == "worst_case":  # last: the search hashes with the settings above
+            worst_case_keys(self, build_rss_engine(self))
         return self
 
     def num_cores(self) -> int:
         return sum(len(group) for group in self.host.processors)
-
-    def app_rule_for_port(self, port: int) -> AppRule:
-        for rule in self.apps:
-            if port in rule.ports:
-                return rule
-        raise ScenarioError(f"no app placement rule for port {port}")
 
     # ---- serialization --------------------------------------------------------
 
@@ -388,6 +397,25 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
     """The RSS engine of a validated scenario."""
     cfg = scenario.rss
     return RssEngine(_rss_key(cfg), cfg.fields, scenario.num_cores(), cfg.table)
+
+
+def worst_case_keys(scenario: Scenario, rss: RssEngine) -> tuple:
+    """The victim and filler flows of kind "worst_case": the first two
+    ephemeral source ports to `traffic.ports[0]` whose hash lands on queue 0,
+    where the schedule pre-loads its backlog."""
+    if rss.table is not None and 0 not in rss.table:
+        raise ScenarioError(f"rss.table {list(rss.table)} never names queue 0, where kind "
+                            "'worst_case' pre-loads its backlog")
+    traffic = scenario.traffic
+    keys = []
+    for port in range(EPHEMERAL_START, EPHEMERAL_END):
+        key = FlowKey(traffic.src_addr, traffic.dst_addr, PROTO_TCP, port, traffic.ports[0])
+        if rss.queue_for(key) == 0:
+            keys.append(key)
+            if len(keys) == 2:
+                return tuple(keys)
+    raise ScenarioError(f"rss.fields {list(rss.fields)} and rss.key_hex hash fewer than two "
+                        "source ports to queue 0, where kind 'worst_case' pre-loads its backlog")
 
 
 def _unknown_keys(spec_cls, data, prefix: str) -> list:
@@ -480,17 +508,11 @@ class StreamPlan:
 
 def assign_ports(traffic: TrafficSpec, rng) -> list:
     """Unique ephemeral source ports, sequential by default or drawn
-    uniformly without replacement in random mode."""
-    n = traffic.streams
+    uniformly without replacement in random mode; `Scenario.validate`
+    ensures the range holds them."""
     if traffic.ephemeral_ports == "random":
-        ports = rng.sample(range(EPHEMERAL_START, EPHEMERAL_END), n)
-    else:
-        ports = [traffic.ephemeral_start + i for i in range(n)]
-        if ports[-1] >= EPHEMERAL_END:
-            raise ScenarioError("sequential ports exhausted the ephemeral range")
-    if len(set(ports)) != n:
-        raise ScenarioError("duplicate port assignment")
-    return ports
+        return rng.sample(range(EPHEMERAL_START, EPHEMERAL_END), traffic.streams)
+    return list(range(traffic.ephemeral_start, traffic.ephemeral_start + traffic.streams))
 
 
 def spawn_streams(scenario: Scenario, rng) -> list:

@@ -193,11 +193,23 @@ class TestCompare:
     def test_scenario_error_during_setup_exits_2(self, small_scenario, tmp_path, capsys,
                                                  monkeypatch):
         def fail(scenario, seed=None):
-            raise ScenarioError("no app placement rule for port 7")
+            raise ScenarioError("traffic.streams must be positive")
 
         monkeypatch.setattr(runner, "run_scenario", fail)
         assert run_cli("run", small_scenario, "--out", tmp_path / "out", "--quiet") == 2
-        assert capsys.readouterr().err == "error: no app placement rule for port 7\n"
+        assert capsys.readouterr().err == "error: traffic.streams must be positive\n"
+
+    def test_worst_case_without_queue_0_exits_2_at_load(self, tmp_path, capsys):
+        # The table sends every flow past queue 0, where the worst case
+        # needs its victim and filler flows.
+        d = presets.worstcase().to_dict()
+        d["rss"]["table"] = [1, 1, 1, 1]
+        path = tmp_path / "noqueue0.json"
+        path.write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert run_cli("run", path, "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err.startswith("error: rss.table [1, 1, 1, 1] ")
+        assert not out.exists()
 
     def test_empty_aggregate_is_unreadable(self, small_scenario, tmp_path):
         out = tmp_path / "one"
@@ -258,16 +270,13 @@ class TestJobs:
         err = capsys.readouterr().err
         assert err == "error: --jobs must be at least 1\n"
 
-    def test_scenario_error_in_a_worker_exits_2(self, tmp_path, capfd, two_cpus):
-        # No ephemeral port hashes to queue 0, where the worst case needs its
-        # victim flow: the run raises during setup, inside a worker.
-        d = presets.worstcase().to_dict()
-        d["rss"]["table"] = [1, 1, 1, 1]
-        path = tmp_path / "noqueue0.json"
-        path.write_text(json.dumps(d))
-        assert run_cli("run", path, "--repeat", 2, "--jobs", 2,
-                       "--out", tmp_path / "out", "--quiet") == 2
-        assert capfd.readouterr().err == "error: rss: no ephemeral port maps to queue 0\n"
+    def test_scenario_error_in_a_worker_reaches_the_caller(self, two_cpus):
+        # Engine.__init__ validates the scenario again inside each worker,
+        # which rejects this one built in Python; the error comes back here.
+        s = presets.pinned_same(8)
+        s.traffic.streams = 0
+        with pytest.raises(ScenarioError, match="^traffic.streams must be positive$"):
+            list(runner.report_rows([(s, 1), (s, 2)], jobs=2))
 
     @pytest.mark.parametrize("jobs, runs, cpus, workers", [
         (1, 3, 4, None), (2, 1, 4, None), (2, 3, 1, None),

@@ -15,8 +15,9 @@ from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
 from steersim.flowtable import FlowTable
 from steersim.host import SocketModel
-from steersim.runner import WORST_CASE_FIRE_NS, Engine, run_scenario
+from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
+from steersim.workload import WORST_CASE_FIRE_NS
 
 from delivery_oracle import DeliveryLog, DeliveryRecord, in_socket_order, record_deliveries
 

@@ -232,24 +232,6 @@ class TestWiring:
         assert h.threads() == socks
         assert socks[1].core == 2
 
-    def test_process_must_start_on_an_allowed_core(self):
-        # The scheduler moves a process only among its allowed cores, so
-        # this is the one place a process could run outside them.
-        h = Harness()
-        with pytest.raises(ValueError, match=r"pid 0 starts on core 3, outside its allowed "
-                                             r"cores \(0, 1\)"):
-            h.flow(key(sport=1), core=3, allowed=(0, 1))
-        assert h.host.sockets == {} and h.host.runnable_counts() == [0, 0, 0, 0]
-
-    def test_allowed_cores_must_be_distinct(self):
-        # A rotation maps each allowed core to the next; a repeated core
-        # would make that map no permutation.
-        h = Harness()
-        with pytest.raises(ValueError, match=r"pid 0 repeats a core in its allowed cores "
-                                             r"\(0, 0\)"):
-            h.flow(key(sport=1), core=0, allowed=(0, 0))
-        assert h.host.sockets == {} and h.host.runnable_counts() == [0, 0, 0, 0]
-
 
 class TestScheduler:
     def test_pinned_never_migrates(self):

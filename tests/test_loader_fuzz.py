@@ -3,9 +3,9 @@
 Each example takes one bundled file, shortens it (a few streams, a short
 horizon) and applies one mutation at one key or list element: drop or
 rename the key, or put in a value of the wrong type, a negative, zero, NaN
-or huge number. The mutated scenario must either run or raise
-ScenarioError, and `steersim run` must exit 0 or 2 with an `error:` line,
-never with a raw exception.
+or huge number. The mutated scenario must either fail at load with a
+ScenarioError or load and run without one, and `steersim run` must exit 0
+or 2 with an `error:` line, never with a raw exception.
 """
 
 import contextlib
@@ -92,9 +92,10 @@ def mutated_scenarios(draw):
 def test_mutated_scenario_runs_or_raises_scenario_error(d):
     try:
         scenario = Scenario.from_dict(d)
-        run_scenario(scenario)
     except ScenarioError:
         pass
+    else:
+        run_scenario(scenario)  # a scenario that loads never fails mid-run
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutated.json"
         path.write_text(json.dumps(d))

@@ -1,10 +1,13 @@
+import ast
 import json
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import steersim
 from steersim.runner import run_scenario
 from steersim.simkernel import make_rng
 from steersim.workload import (
@@ -28,6 +31,13 @@ def scenario(streams=40, **traffic_kwargs):
     s = Scenario(name="t", duration_us=50_000)
     s.traffic = TrafficSpec(streams=streams, **traffic_kwargs)
     s.apps = (AppRule((5001,), (0,)), AppRule((6001,), (1,)))
+    return s
+
+
+def worst_case(streams):
+    s = scenario(streams)
+    s.kind = "worst_case"
+    s.apps = (AppRule((5001,), (0,)),)
     return s
 
 
@@ -119,11 +129,6 @@ class TestSpawnStreams:
         ports = assign_ports(s.traffic, make_rng(3))
         assert len(set(ports)) == 2000
         assert all(32768 <= p < 65536 for p in ports)
-
-    def test_sequential_port_exhaustion_raises(self):
-        s = scenario(10, ephemeral_start=65530)
-        with pytest.raises(ScenarioError):
-            assign_ports(s.traffic, make_rng(1))
 
 
 class TestScenarioSerialization:
@@ -339,14 +344,25 @@ class TestScenarioSerialization:
         ("nic", "ring_capacity", 1),
         ("nic", "ring_capacity", 10**18),
         ("host", "processors", [[0]]),
+        # Without src_port every flow hashes alike, here not to queue 0.
+        ("rss", "fields", ["src_addr", "dst_addr", "dst_port"]),
+        ("rss", "table", [1, 2]),
+        # The victim's final ACK would come after the migration.
+        ("traffic", "handshake_gap_us", 25.001),
+        # The run would end before the last scripted packet.
+        ("", "duration_us", 50.0),
     ])
     def test_worst_case_limits_are_checked_at_load(self, section, field, value):
-        d = scenario(4).to_dict()
-        d["kind"] = "worst_case"
-        d["apps"] = [{"ports": [5001], "cores": [0]}]
+        d = worst_case(4).to_dict()
         path = set_field(d, section, field, value)
-        with pytest.raises(ScenarioError, match=path):
+        with pytest.raises(ScenarioError, match=f"^{path}"):
             Scenario.from_dict(d)
+
+    def test_worst_case_at_its_limits_loads(self):
+        d = worst_case(4).to_dict()
+        d["traffic"]["handshake_gap_us"] = 25.0
+        d["duration_us"] = 50.001
+        Scenario.from_dict(d)
 
     def test_null_and_1_ns_periods_load(self):
         d = scenario(4).to_dict()
@@ -499,3 +515,17 @@ class TestSections:
         d["apps"] = [{"ports": [5001, 6001]}]
         with pytest.raises(ScenarioError, match=r"^apps\[0\].cores is missing$"):
             Scenario.from_dict(d)
+
+
+def test_only_the_loader_raises_scenario_error():
+    # Scenario.validate checks every rule at load; what runs a loaded
+    # scenario trusts it and never fails halfway with a ScenarioError.
+    raises = []
+    for path in sorted(Path(steersim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ScenarioError":
+                    raises.append((path.name, node.lineno))
+    assert raises, "the walk finds no raise at all"
+    assert [r for r in raises if r[0] != "workload.py"] == []
