@@ -1,7 +1,7 @@
 """Deterministic virtual-time event loop.
 
 Time is an integer count of nanoseconds since simulation start. Events come
-from three sources:
+from four sources:
 
 - Arrivals, whose times are all known at setup, are handed over once by
   `schedule_arrivals` in blocks and kept as one presorted array of machine
@@ -23,7 +23,7 @@ then by position; then the heap events for that instant, by id; then
 the same-instant lane, in the order it was filled, until it is empty. Every
 heap entry at an instant was scheduled before the clock reached it and
 every lane entry after, so heap and lane together fire in scheduling order.
-The clock moves on only when all three are done with the instant. A run
+The clock moves on only when all four are done with the instant. A run
 with a fixed seed therefore replays identically event for event.
 """
 

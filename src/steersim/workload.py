@@ -31,14 +31,77 @@ class ScenarioError(ValueError):
     pass
 
 
-# Every field that takes one of a fixed set of values, by dotted path.
-# `Scenario.validate` rejects anything else; any other value would run
-# silently as some default.
-CHOICES = {
-    "kind": ("streams", "worst_case"),
-    "nic.mode": ("rss", "flowsteer"),
-    "traffic.ephemeral_ports": ("sequential", "random"),
-    "scheduler.mode": ("pinned", "peak_performance", "power_saving"),
+class Bound:
+    """The finite numbers a field may take: `low` to `high`, each end
+    included unless it is open."""
+
+    def __init__(self, low=-math.inf, high=math.inf, low_open=False, high_open=False):
+        self.low, self.high, self.low_open, self.high_open = low, high, low_open, high_open
+
+    def __contains__(self, value) -> bool:
+        return (-math.inf < value < math.inf and self.low <= value <= self.high
+                and not (self.low_open and value == self.low)
+                and not (self.high_open and value == self.high))
+
+    def __str__(self) -> str:
+        if self.high < math.inf:
+            return (f"in {'(' if self.low_open else '['}{self.low}, "
+                    f"{self.high}{')' if self.high_open else ']'}")
+        if self.low > -math.inf:
+            return f"{'above' if self.low_open else 'at least'} {self.low}"
+        return "a finite number"
+
+
+class OneOf(tuple):
+    """The values a field with a fixed set of them may take."""
+
+    def __str__(self) -> str:
+        return "one of " + ", ".join(map(repr, self))
+
+
+FINITE = Bound()
+
+# Every rule on one scalar field's own value, by dotted path: `Scenario.validate`
+# refuses any other value, naming the path, and a field typed `X | None` also
+# takes null. Every float field has a row, so NaN and inf fail at load rather
+# than where the run converts times and rates to whole ns. Rules that relate
+# two fields or more, and those on lists, are written out in `validate`.
+RULES = {
+    "kind": OneOf(("streams", "worst_case")),
+    "duration_us": Bound(0),
+    "traffic.streams": Bound(1),
+    # spawn_streams divides by these two.
+    "traffic.packet_bytes": Bound(1),
+    "traffic.link_gbps": Bound(0, low_open=True),
+    "traffic.data_packets_per_stream": Bound(0),
+    "traffic.burst": Bound(1),
+    # Negative gaps or spacing would reorder a stream's own packets.
+    "traffic.burst_spacing_ns": Bound(0),
+    "traffic.jitter_ns": Bound(0),
+    "traffic.handshake_gap_us": Bound(0),
+    "traffic.start_spread_us": Bound(0),
+    "traffic.ephemeral_ports": OneOf(("sequential", "random")),
+    "traffic.ephemeral_start": Bound(0),
+    "host.service_rate_pps": Bound(0, low_open=True),
+    "host.ack_every": Bound(1),
+    "host.syscall_cadence_us": Bound(0),
+    "scheduler.mode": OneOf(("pinned", "peak_performance", "power_saving")),
+    "scheduler.tick_us": FINITE,  # its floor depends on scheduler.mode
+    # At least 1 ns: a period that truncates to 0 ns would reschedule itself
+    # at the same instant forever.
+    "scheduler.forced_migration_period_us": Bound(1 / US),
+    "nic.mode": OneOf(("rss", "flowsteer")),
+    "nic.ring_capacity": Bound(1),
+    "flow_table.num_buckets": Bound(1),
+    "flow_table.max_list_size": Bound(1),
+    "flow_table.max_entries": Bound(1),
+    # Under 2**63 ns: a held packet waits at most this long, and
+    # Nic.hold_delays keeps each wait as a signed 64-bit int.
+    "flow_table.t_timer_us": Bound(0, 2**63 / US, high_open=True),
+    # A negative idle timeout would evict every entry at its first sweep.
+    "flow_table.t_delete_ms": Bound(0),
+    "flow_table.t_delete_pressure_ms": Bound(0),
+    "flow_table.pressure_threshold": Bound(0, 1, low_open=True),
 }
 
 
@@ -48,6 +111,14 @@ def field_value(scenario, path: str):
     for name in path.split("."):
         value = getattr(value, name)
     return value
+
+
+def field_type(path: str):
+    """The annotation of a dotted field path such as "nic.mode"."""
+    tp = Scenario
+    for name in path.split("."):
+        tp = tp.FIELDS[name]
+    return tp
 
 
 class TrafficSpec(Record):
@@ -129,57 +200,21 @@ class Scenario(Record):
     # ---- validation ----------------------------------------------------------
 
     def validate(self) -> "Scenario":
-        # Durations and rates convert to whole ns; NaN or inf would fail there.
-        for path, value in _float_values(self):
-            if not math.isfinite(value):
-                raise ScenarioError(f"{path} must be a finite number, not {value}")
-        if self.traffic.streams <= 0:
-            raise ScenarioError("traffic.streams must be positive")
-        if self.duration_us < 0:
-            raise ScenarioError(f"duration_us must be non-negative, not {self.duration_us}")
-        if self.flow_table.t_timer_us < 0:
-            raise ScenarioError("flow_table.t_timer_us must be non-negative")
-        if int(self.flow_table.t_timer_us * US) >> 63:
-            # A held packet waits at most this long; Nic.hold_delays keeps
-            # each wait as a signed 64-bit int.
-            raise ScenarioError("flow_table.t_timer_us must be under 2**63 ns")
-        if self.flow_table.max_list_size <= 0:
-            raise ScenarioError("flow_table.max_list_size must be positive")
-        # Negative gaps or spacing would reorder a stream's own packets.
-        if self.traffic.burst_spacing_ns < 0:
-            raise ScenarioError("traffic.burst_spacing_ns must be non-negative")
-        if self.traffic.handshake_gap_us < 0:
-            raise ScenarioError("traffic.handshake_gap_us must be non-negative")
-        if self.traffic.jitter_ns < 0:
-            raise ScenarioError("traffic.jitter_ns must be non-negative")
-        if self.traffic.start_spread_us < 0:
-            raise ScenarioError("traffic.start_spread_us must be non-negative")
-        if self.traffic.burst < 1:
-            raise ScenarioError(f"traffic.burst must be at least 1, not {self.traffic.burst}")
-        # spawn_streams divides by these, or would emit nonsense sizes.
-        if not self.traffic.link_gbps > 0:
-            raise ScenarioError(f"traffic.link_gbps must be positive, not {self.traffic.link_gbps}")
-        if not self.traffic.packet_bytes >= 1:
-            raise ScenarioError(
-                f"traffic.packet_bytes must be at least 1, not {self.traffic.packet_bytes}"
-            )
-        if self.traffic.data_packets_per_stream < 0:
-            raise ScenarioError(
-                "traffic.data_packets_per_stream must not be negative, "
-                f"not {self.traffic.data_packets_per_stream}"
-            )
-        for path, choices in CHOICES.items():
-            value = field_value(self, path)
-            if value not in choices:
-                raise ScenarioError(f"unknown {path} {value!r}")
+        for path, rule in RULES.items():
+            value, nullable = field_value(self, path), type(None) in get_args(field_type(path))
+            if value is None and nullable:
+                continue
+            if isinstance(rule, Bound) and value not in FINITE:
+                rule = FINITE  # name what NaN and inf lack
+            if value not in rule:
+                null = " or null" if nullable else ""
+                raise ScenarioError(f"{path} must be {rule}{null}, not {value!r}")
         # Ports go into the hash input as two bytes each.
         if not self.traffic.ports:
             raise ScenarioError("traffic.ports must name at least one port")
         stray = [p for p in self.traffic.ports if p not in range(1 << 16)]
         if stray:
             raise ScenarioError(f"traffic.ports {stray} are outside 0..65535")
-        if self.traffic.ephemeral_start < 0:
-            raise ScenarioError("traffic.ephemeral_start must be non-negative")
         # assign_ports gives each stream its own port in the ephemeral range.
         if self.traffic.ephemeral_ports == "random":
             if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
@@ -192,44 +227,17 @@ class Scenario(Record):
                 f"traffic.ephemeral_start {self.traffic.ephemeral_start} leaves no room for "
                 f"{self.traffic.streams} sequential ports below {EPHEMERAL_END}"
             )
-        if self.host.service_rate_pps <= 0:
-            raise ScenarioError("host.service_rate_pps must be positive")
-        if self.host.ack_every < 1:
-            raise ScenarioError("host.ack_every must be at least 1")
-        cadence = self.host.syscall_cadence_us
-        if cadence is not None and not cadence >= 0:
-            raise ScenarioError(
-                f"host.syscall_cadence_us must be non-negative or null, not {cadence}"
-            )
-        # The NIC and flow table would reject these only once the run is set up.
-        if self.nic.ring_capacity < 1:
-            raise ScenarioError("nic.ring_capacity must be at least 1")
-        ft = self.flow_table
-        if ft.num_buckets < 1:
-            raise ScenarioError("flow_table.num_buckets must be at least 1")
-        if ft.max_entries < 1:
-            raise ScenarioError("flow_table.max_entries must be at least 1")
-        if not 0 < ft.pressure_threshold <= 1:
-            raise ScenarioError(
-                f"flow_table.pressure_threshold must be in (0, 1], not {ft.pressure_threshold}"
-            )
-        if not ft.t_delete_pressure_ms <= ft.t_delete_ms:
+        if not self.flow_table.t_delete_pressure_ms <= self.flow_table.t_delete_ms:
             raise ScenarioError(
                 "flow_table.t_delete_pressure_ms must not exceed flow_table.t_delete_ms"
             )
-        # Periods convert to whole ns; one that truncates to 0 would
+        # The tick converts to whole ns; one that truncates to 0 would
         # reschedule itself at the same instant forever.
         sched = self.scheduler
         if sched.mode != "pinned" and not sched.tick_us * US >= 1:
             raise ScenarioError(
                 f"scheduler.tick_us must be at least 1 ns under {sched.mode!r}, "
                 f"not {sched.tick_us} us"
-            )
-        period = sched.forced_migration_period_us
-        if period is not None and not period * US >= 1:
-            raise ScenarioError(
-                "scheduler.forced_migration_period_us must be at least 1 ns or null, "
-                f"not {period} us"
             )
         cores = [c for group in self.host.processors for c in group]
         if not cores or sorted(cores) != list(range(len(cores))):
@@ -360,19 +368,6 @@ class Scenario(Record):
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _float_values(scenario: Scenario):
-    """(dotted path, value) of every float field of the scenario and its
-    sections that is set."""
-    for name, tp in scenario.FIELDS.items():
-        value = getattr(scenario, name)
-        if isinstance(value, Record):
-            for inner, inner_tp in value.FIELDS.items():
-                if float in (inner_tp, *get_args(inner_tp)) and getattr(value, inner) is not None:
-                    yield f"{name}.{inner}", getattr(value, inner)
-        elif tp is float:
-            yield name, value
 
 
 def _plain(value):

@@ -193,11 +193,11 @@ class TestCompare:
     def test_scenario_error_during_setup_exits_2(self, small_scenario, tmp_path, capsys,
                                                  monkeypatch):
         def fail(scenario, seed=None):
-            raise ScenarioError("traffic.streams must be positive")
+            raise ScenarioError("traffic.streams must be at least 1, not 0")
 
         monkeypatch.setattr(runner, "run_scenario", fail)
         assert run_cli("run", small_scenario, "--out", tmp_path / "out", "--quiet") == 2
-        assert capsys.readouterr().err == "error: traffic.streams must be positive\n"
+        assert capsys.readouterr().err == "error: traffic.streams must be at least 1, not 0\n"
 
     def test_worst_case_without_queue_0_exits_2_at_load(self, tmp_path, capsys):
         # The table sends every flow past queue 0, where the worst case
@@ -275,7 +275,7 @@ class TestJobs:
         # which rejects this one built in Python; the error comes back here.
         s = presets.pinned_same(8)
         s.traffic.streams = 0
-        with pytest.raises(ScenarioError, match="^traffic.streams must be positive$"):
+        with pytest.raises(ScenarioError, match="^traffic.streams must be at least 1, not 0$"):
             list(runner.report_rows([(s, 1), (s, 2)], jobs=2))
 
     @pytest.mark.parametrize("jobs, runs, cpus, workers", [

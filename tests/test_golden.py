@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from steersim.workload import CHOICES, Record, Scenario, field_value
+from steersim.workload import RULES, OneOf, Record, Scenario, field_value
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -64,9 +64,9 @@ def test_every_overlay_changes_a_report(name):
 
 
 def choice_fields() -> dict:
-    """Every field with a fixed set of values, by dotted path: the named
-    choices plus every boolean field of the scenario's sections."""
-    out = dict(CHOICES)
+    """Every field with a fixed set of values, by dotted path: the choice
+    rows of RULES plus every boolean field of the scenario's sections."""
+    out = {path: rule for path, rule in RULES.items() if isinstance(rule, OneOf)}
     for section in Scenario.FIELDS:
         spec = getattr(Scenario(), section)
         if isinstance(spec, Record):

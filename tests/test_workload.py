@@ -1,21 +1,28 @@
 import ast
 import json
+import math
+import re
 from array import array
 from pathlib import Path
+from typing import get_args
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steersim
+from steersim.flows import is_record
 from steersim.runner import run_scenario
 from steersim.simkernel import make_rng
 from steersim.workload import (
+    RULES,
     AppRule,
+    Bound,
     Scenario,
     ScenarioError,
     TrafficSpec,
     assign_ports,
+    field_type,
     spawn_streams,
 )
 
@@ -289,6 +296,9 @@ class TestScenarioSerialization:
         ("traffic", "data_packets_per_stream", -1),
         ("", "duration_us", float("nan")),
         ("", "duration_us", float("inf")),
+        # Idle entries would be evicted at the first aging sweep.
+        ("flow_table", "t_delete_ms", -1.0),
+        ("flow_table", "t_delete_pressure_ms", -1.0),
     ])
     def test_validation_names_field_that_would_fail_mid_setup(self, section, field, value):
         d = scenario(4).to_dict()
@@ -479,6 +489,80 @@ class TestScenarioSerialization:
         s.host.processors = ((0, 1), (3, 4))
         with pytest.raises(ScenarioError):
             s.validate()
+
+
+# Number fields that take every value, so they have no row in RULES.
+UNBOUNDED = ("seed",)
+NUMBER_TYPES = (int, float, int | None, float | None)
+
+
+def unruled_number_fields(rules) -> list:
+    """Dotted paths of the scenario's number fields that neither have a row
+    in `rules` nor are listed in UNBOUNDED."""
+    paths = []
+    for name, tp in Scenario.FIELDS.items():
+        fields = ([(f"{name}.{inner}", t) for inner, t in tp.FIELDS.items()] if is_record(tp)
+                  else [(name, tp)])
+        paths += [path for path, t in fields if t in NUMBER_TYPES]
+    return [path for path in paths if path not in rules and path not in UNBOUNDED]
+
+
+def is_float_field(path: str) -> bool:
+    return float in (field_type(path), *get_args(field_type(path)))
+
+
+def bound_edges():
+    """(path, value at one finite end of the path's bound, nearest value
+    beyond that end) for each end of each bound row, read off the row's
+    own ends, not its membership test."""
+    for path, rule in RULES.items():
+        if not isinstance(rule, Bound):
+            continue
+        for end, outward in (("low", -math.inf), ("high", math.inf)):
+            limit, is_open = getattr(rule, end), getattr(rule, end + "_open")
+            if abs(limit) == math.inf:
+                continue
+            if is_float_field(path):
+                edge = math.nextafter(limit, -outward) if is_open else float(limit)
+                beyond = math.nextafter(edge, outward)
+            else:
+                step = 1 if outward > 0 else -1
+                edge = limit - step if is_open else limit
+                beyond = edge + step
+            yield pytest.param(path, edge, beyond, id=f"{path}-{end}")
+
+
+class TestRules:
+    def test_every_number_field_has_a_row(self):
+        assert unruled_number_fields(RULES) == []
+        for path in UNBOUNDED:
+            assert path not in RULES and field_type(path) in NUMBER_TYPES
+
+    def test_a_field_without_a_row_is_found(self):
+        rules = dict(RULES)
+        del rules["flow_table.t_delete_ms"]
+        assert unruled_number_fields(rules) == ["flow_table.t_delete_ms"]
+
+    @pytest.mark.parametrize("path, edge, beyond", bound_edges())
+    def test_each_bound_loads_at_its_edge_and_fails_just_beyond(self, path, edge, beyond):
+        d = scenario(4).to_dict()
+        d["flow_table"]["t_delete_pressure_ms"] = 0.0  # lets t_delete_ms reach 0
+        section, _, field = path.rpartition(".")
+        set_field(d, section, field, edge)
+        Scenario.from_dict(d)
+        set_field(d, section, field, beyond)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)} must be "):
+            Scenario.from_dict(d)
+
+    @pytest.mark.parametrize("path", [p for p in RULES if is_float_field(p)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_each_float_row_refuses_nan_and_inf(self, path, value):
+        d = scenario(4).to_dict()
+        section, _, field = path.rpartition(".")
+        set_field(d, section, field, value)
+        with pytest.raises(ScenarioError,
+                           match=f"^{re.escape(path)} must be a finite number(?: or null)?, not "):
+            Scenario.from_dict(d)
 
 
 class TestSections:
