@@ -11,6 +11,7 @@ and makes the hold-timer bound effective.
 """
 
 from collections import deque
+from functools import partial
 from operator import add
 
 from .flows import DATA, Record, reverse_key
@@ -194,8 +195,9 @@ class Host:
         self.stats = HostStats()
         self._rx_slots = [ring.slots for ring in nic.rings]  # per queue, for the softirq drain
         # Event callables built once instead of once per event. The NIC
-        # schedules the per-queue interrupt action on a ring's empty edge.
-        nic.interrupts = [lambda q=q: self.on_interrupt(q) for q in range(len(cores))]
+        # queues the per-queue interrupt action on a ring's empty edge; it
+        # never passes through `Simulator.schedule`, so it may be a partial.
+        nic.interrupts = [partial(self.on_interrupt, q) for q in range(len(cores))]
         self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(len(cores))]
         # Process-lane work functions, bound once; a unit pairs one with a socket.
         self._syscall = self._syscall_enter

@@ -38,9 +38,10 @@ class Nic:
     transmit-direction key and the core id it carries, the two fields that
     A-TFN reads from a transmit descriptor.
 
-    On a ring's empty->non-empty edge the NIC schedules `interrupts[queue]`,
-    a zero-argument action, at the current instant. The host installs its
-    per-queue interrupt actions there when it attaches (`Host.__init__`).
+    On a ring's empty->non-empty edge the NIC queues `interrupts[queue]`,
+    a zero-argument action, in the simulator's same-instant lane
+    (`Simulator.soon`). The host installs its per-queue interrupt actions
+    there when it attaches (`Host.__init__`).
     In flow-steering mode a FlowTable must be attached; RSS mode ignores it.
     """
 
@@ -49,6 +50,7 @@ class Nic:
         self.engine = engine
         self.table = table
         self.sim = sim
+        self._soon = sim.soon
         # Whether the table steers and whether lookups cost time: fixed per run.
         self._steers = spec.mode == MODE_FLOWSTEER
         self._latency = spec.latency_accounting
@@ -95,7 +97,7 @@ class Nic:
 
     def _enqueue(self, queue: int, packet: Packet):
         """Append at the ring's tail, or tail-drop when it is full. The
-        push onto an empty ring schedules the queue's interrupt."""
+        push onto an empty ring raises the queue's interrupt at this instant."""
         ring = self.rings[queue]
         slots = ring.slots
         depth = len(slots)
@@ -108,8 +110,7 @@ class Nic:
             ring.max_depth = depth + 1
         if not depth:
             ring.interrupts += 1
-            sim = self.sim
-            sim.schedule(sim.now, self.interrupts[queue])
+            self._soon(self.interrupts[queue])
 
     # -- transmit path ----------------------------------------------------------
 

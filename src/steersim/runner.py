@@ -15,7 +15,7 @@ from .flows import ACK, DATA, SYN, FlowKey, Packet
 from .host import Core, Host, SocketModel
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
-from .simkernel import MS, US, Simulator, make_rng, time_array
+from .simkernel import MS, US, Simulator, make_rng
 from .workload import (
     WORST_CASE_EPSILON_NS,
     WORST_CASE_FIRE_NS,
@@ -111,7 +111,7 @@ class Engine:
         plans = spawn_streams(scenario, self.rng)
         cadence = scenario.host.syscall_cadence_us
         cadence_ns = None if cadence is None else int(cadence * US)
-        data_counts = [len(plan.data_times) for plan in plans]
+        data_counts = [plan.data_count for plan in plans]
         self.generated_data += sum(data_counts)
         socks = []  # each stream's socket, filled in by the wiring below
         self.sim.schedule_arrivals(
@@ -349,16 +349,18 @@ class Engine:
 
 
 def _arrival_blocks(plans: list, calls: bool) -> list:
-    """Each stream's arrival times as one block: SYN, SYN-ACK, ACK and data,
-    then, when `calls`, its app's first receive call just after the ACK.
-    Each plan's data_times is dropped once copied into its block."""
+    """Each stream's arrivals as one block of runs: SYN, SYN-ACK and ACK,
+    one handshake gap apart, the data runs and, when `calls`, its app's
+    first receive call just after the ACK. A plan's data runs become its
+    block, and the plan drops them."""
     blocks = []
     for plan in plans:
-        tail = (plan.ack_at + 1,) if calls else ()
-        blocks.append(
-            time_array((plan.syn_at, plan.synack_at, plan.ack_at), plan.data_times, tail)
-        )
-        plan.data_times = None
+        block = plan.data_runs
+        block[:0] = (plan.syn_at, 3, plan.synack_at - plan.syn_at)
+        if calls:
+            block += (plan.ack_at + 1, 1, 0)
+        blocks.append(block)
+        plan.data_runs = None
     return blocks
 
 

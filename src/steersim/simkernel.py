@@ -4,9 +4,13 @@ Time is an integer count of nanoseconds since simulation start. Events come
 from four sources:
 
 - Arrivals, whose times are all known at setup, are handed over once by
-  `schedule_arrivals` in blocks and kept as one presorted array of machine
-  ints, each fire time packed with its block and its position in the
-  block. The loop drops fired arrivals from the array's front as it goes.
+  `schedule_arrivals` as runs of evenly spaced arrivals, such as the
+  packets of one burst. Each arrival is packed as one int of its fire
+  time, its block and its position in the block, so a run's packed values
+  step evenly and one `range` holds them all. The runs are sorted by their
+  first value, and `run_until` expands and sorts them one window of about
+  `_WINDOW_ARRIVALS` arrivals at a time, dropping each window once it has
+  fired.
 - Runtime events for a later time sit on a binary heap under an id that
   `schedule` hands out in one increasing sequence.
 - Timer lines (`Simulator.line`) hold events that all fire one fixed delay
@@ -16,7 +20,8 @@ from four sources:
   scheduled, so a line event fires exactly when it would have as a heap
   event of its own.
 - Runtime events for the current instant, such as a ring-edge interrupt,
-  wait in a FIFO lane instead.
+  wait in a FIFO lane instead. A lane entry takes no id: ids only order
+  heap entries.
 
 One rule orders them. At any instant the arrivals fire first, by block and
 then by position; then the heap events for that instant, by id; then
@@ -28,13 +33,9 @@ with a fixed seed therefore replays identically event for event.
 """
 
 import random
-from array import array
-from bisect import bisect_left
-from heapq import heappop, heappush, heapreplace
 from collections import deque
 from functools import partial
-from itertools import repeat
-from operator import lshift, or_
+from heapq import heappop, heappush, heapreplace
 
 # Unit multipliers for converting configuration values into nanoseconds.
 NS = 1
@@ -42,89 +43,10 @@ US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
 
-# Fire time of the arrival after the last one: later than any event.
-_NEVER = 1 << 256
-# Fired arrivals are deleted from the front of the array this many at a time.
-_RELEASE_CHUNK = 8192
-# `schedule_arrivals` sorts the packed arrivals in runs of about this many
-# and merges them this many at a time, in at most _MAX_WINDOWS windows.
-_WINDOW_ARRIVALS = 4096
-_MAX_WINDOWS = 16
-
-
-def time_array(*parts):
-    """The times of `parts`, concatenated, as an `array('q')` of machine
-    ints, or as a list of Python ints when one is too late for 64 bits."""
-    try:
-        times = array("q", parts[0])
-        for part in parts[1:]:
-            times.extend(part)
-    except OverflowError:
-        return [t for part in parts for t in part]
-    return times
-
-
-def _packed(blocks, shift: int, pos_bits: int):
-    """Per block, an iterator over its arrivals packed as
-    time << shift | block << pos_bits | position."""
-    for b, times in enumerate(blocks):
-        start = b << pos_bits
-        yield map(or_, map(lshift, times, repeat(shift)), range(start, start + len(times)))
-
-
-def _sorted_list(blocks, shift: int, pos_bits: int) -> list:
-    """The packed arrivals of `blocks` as one sorted list of Python ints."""
-    packed = []
-    for part in _packed(blocks, shift, pos_bits):
-        packed.extend(part)
-    packed.sort()
-    return packed
-
-
-def _sorted_in_windows(blocks, shift: int, pos_bits: int) -> array:
-    """The packed arrivals of `blocks` in ascending order, as an `array('q')`.
-
-    Sorting needs Python ints, and a list of all of them takes four and a
-    half times the memory of the array. So the blocks are packed and sorted
-    into consecutive runs of one array, one run per window, and the runs
-    are then merged one window of values at a time: each run's share of a
-    window is found by bisection, and the shares are sorted together and
-    appended. A window holds about _WINDOW_ARRIVALS arrivals, and there are
-    at most _MAX_WINDOWS; under two windows' worth the arrivals are sorted
-    as one run. Each window ends at a quantile of a sample taken at even
-    steps through the runs, so about one window of Python ints exists at
-    once. Raises OverflowError for a packed value past 64 bits.
-    """
-    n = sum(map(len, blocks))
-    windows = min(_MAX_WINDOWS, n // _WINDOW_ARRIVALS)
-    if windows < 2:
-        return array("q", _sorted_list(blocks, shift, pos_bits))
-    runs = array("q")
-    bounds = [0]
-    chunk = []
-    for part in _packed(blocks, shift, pos_bits):
-        chunk.extend(part)
-        if chunk and (len(chunk) * windows >= n or len(runs) + len(chunk) == n):
-            chunk.sort()
-            runs.fromlist(chunk)
-            bounds.append(len(runs))
-            chunk = []
-    starts = bounds[:-1]
-    ends = bounds[1:]
-    sample = sorted(runs[:: max(1, n // (64 * windows))])
-    edges = [sample[len(sample) * j // windows] for j in range(1, windows)]
-    edges.append(max(runs[i - 1] for i in ends) + 1)
-    out = array("q")
-    for edge in edges:  # a window takes the values below its edge
-        window = []
-        for r, lo in enumerate(starts):
-            hi = bisect_left(runs, edge, lo, ends[r])
-            if hi > lo:
-                window.extend(runs[lo:hi])
-                starts[r] = hi
-        window.sort()
-        out.fromlist(window)
-    return out
+# `run_until` expands and sorts about this many arrivals at a time. A
+# window's arrivals are Python ints while it waits to fire; at 1,024 a run
+# of `memory10g` peaks about 0.2 MB lower than at 4,096, and no slower.
+_WINDOW_ARRIVALS = 1024
 
 
 class SchedulingError(ValueError):
@@ -137,7 +59,7 @@ class TimerLine:
     `handler(arg)`; an event takes its id from the simulator's sequence, as
     `Simulator.schedule` gives it, so it fires exactly when a heap event
     scheduled at the same moment would. A delay of 0 puts the event in the
-    same-instant lane.
+    same-instant lane, as `Simulator.soon` does, without an id.
 
     The events wait in `_queue` as (fire_time, id, arg), oldest first, and
     the oldest also sits on the simulator's heap. `Simulator.clear` empties
@@ -153,13 +75,12 @@ class TimerLine:
 
     def add(self, arg):
         sim = self._sim
+        if not self.delay:
+            sim.soon(partial(self.handler, arg))
+            return
         event_id = sim._next_id
         sim._next_id = event_id + 1
-        delay = self.delay
-        if not delay:
-            sim._lane.append(partial(self.handler, arg))
-            return
-        fire_time = sim.now + delay
+        fire_time = sim.now + self.delay
         queue = self._queue
         queue.append((fire_time, event_id, arg))
         if len(queue) == 1:
@@ -179,19 +100,33 @@ class Simulator:
     or (fire_time, id, handler, queue) for the head of a timer line.
 
     `now` is the current virtual time in ns, a plain attribute that only
-    `run_until` advances.
+    `run_until` advances. `soon(action)` queues `action` in the
+    same-instant lane: it fires at `now`, after the heap events for `now`
+    and the lane entries before it, and takes no event id.
     """
 
     def __init__(self):
         self.now = 0
         self._heap = []
         self._lane = deque()  # actions of the events for `now`, in scheduling order
+        self.soon = self._lane.append
         self._lines = []  # every TimerLine made by `line`
         self._next_id = 0
         self.fired_total = 0
-        # Arrivals not yet fired, ascending:
-        # fire_time << _shift | block << _pos_bits | position.
-        self._arrivals = None
+        # Arrivals not yet fired, each packed as
+        # fire_time << _shift | block << _pos_bits | position: the runs not
+        # yet expanded, the remainders of runs cut at the last window's
+        # edge, as ranges, and the window being fired, from `_pos` on. A run
+        # in `_runs` is one int, first << _run_bits | count << _step_bits |
+        # the index of its step in `_steps`, and `_runs` is in descending
+        # order, so the next run is popped from its end.
+        self._runs = None
+        self._run_bits = 0
+        self._step_bits = 0
+        self._steps = []
+        self._carried = []
+        self._window = []
+        self._pos = 0
         self._shift = 0
         self._pos_bits = 0
         self._arrival_action = None
@@ -226,31 +161,98 @@ class Simulator:
     def schedule_arrivals(self, blocks, action):
         """Hand over all arrivals of the run at once; callable once.
 
-        `blocks` is a sequence of sequences of fire times, such as a list
-        of `array('q')`. Position k of block b is one arrival, which runs
-        `action(b, k)`. At an equal fire time arrivals fire by block and
-        then by position, ahead of every runtime event. Times need not be
-        sorted. The arrivals are kept packed in one `array('q')`, or in a
-        list when a fire time is too late for 64 bits, and each leaves it
-        soon after it fires. Raises ValueError for a second call and
-        SchedulingError for a time before `now`.
+        `blocks` is a sequence of blocks. A block is a flat list of runs,
+        three ints each, `first_time, count, spacing`: `count` arrivals at
+        `first_time`, `first_time + spacing`, and so on. The runs of a block
+        number its arrivals in turn, from position 0, and position k of
+        block b runs `action(b, k)`. At an equal fire time arrivals fire by
+        block and then by position, ahead of every runtime event. Neither
+        runs nor blocks need be sorted by time, and times may be any ints.
+        Raises ValueError for a second call, a block cut inside a run or a
+        negative count or spacing, and SchedulingError for a time before
+        `now`.
         """
-        if self._arrivals is not None:
+        if self._runs is not None:
             raise ValueError("arrivals were already scheduled")
-        pos_bits = max(map(len, blocks), default=0).bit_length()
+        pos_bits = max((sum(block[1::3]) for block in blocks), default=0).bit_length()
         shift = pos_bits + len(blocks).bit_length()
-        try:
-            arrivals = _sorted_in_windows(blocks, shift, pos_bits)
-        except OverflowError:
-            arrivals = _sorted_list(blocks, shift, pos_bits)
-        if arrivals and arrivals[0] >> shift < self.now:
+        spacings = sorted(set().union(*(block[2::3] for block in blocks)))
+        if spacings and spacings[0] < 0:
+            raise ValueError(f"arrivals spaced {spacings[0]} ns apart")
+        step_of = {spacing: i for i, spacing in enumerate(spacings)}
+        step_bits = (len(spacings) - 1).bit_length() if spacings else 0
+        run_bits = pos_bits + step_bits  # below a run's first value: its count and step
+        runs = []
+        append = runs.append
+        for b, block in enumerate(blocks):
+            low = b << pos_bits
+            arrivals = iter(block)
+            for first_time, count, spacing in zip(arrivals, arrivals, arrivals, strict=True):
+                if count > 0:
+                    first = first_time << shift | low
+                    append(first << run_bits | count << step_bits | step_of[spacing])
+                    low += count
+                elif count:
+                    raise ValueError(f"run of {count} arrivals in block {b}")
+        runs.sort(reverse=True)
+        if runs and runs[-1] >> run_bits + shift < self.now:
             raise SchedulingError(
-                f"arrival at {arrivals[0] >> shift} ns, before now ({self.now} ns)"
+                f"arrival at {runs[-1] >> run_bits + shift} ns, before now ({self.now} ns)"
             )
-        self._arrivals = arrivals
+        self._runs = runs
+        self._run_bits = run_bits
+        self._step_bits = step_bits
+        # Each arrival of a run steps the time by its spacing and the position by 1.
+        self._steps = [(spacing << shift) + 1 for spacing in spacings]
         self._shift = shift
         self._pos_bits = pos_bits
         self._arrival_action = action
+        self._next_window()
+
+    def _next_window(self):
+        """Refill `_window`, in place, with the next arrivals to fire,
+        sorted. The next runs, about `_WINDOW_ARRIVALS` arrivals' worth,
+        join the remainders carried from the last window, and the window
+        takes every packed value of theirs below an edge. The edge is at
+        most the first value of the runs left, so no value below it is
+        left out, and it is lowered where a run would give more than
+        `_WINDOW_ARRIVALS` values. A run cut at the edge carries its
+        remainder into the next window. The window is empty when no
+        arrival is left."""
+        runs = self._runs
+        run_bits = self._run_bits
+        step_bits = self._step_bits
+        count_mask = (1 << run_bits - step_bits) - 1
+        step_mask = (1 << step_bits) - 1
+        steps = self._steps
+        group = self._carried
+        size = 0
+        while runs and size < _WINDOW_ARRIVALS:
+            run = runs.pop()
+            first = run >> run_bits
+            count = run >> step_bits & count_mask
+            step = steps[run & step_mask]
+            group.append(range(first, first + count * step, step))
+            size += count
+        # The edge: the first value of the runs left, lowered so that no run
+        # gives the window more than _WINDOW_ARRIVALS values.
+        edge = runs[-1] >> run_bits if runs else None
+        for run in group:
+            if len(run) > _WINDOW_ARRIVALS and (edge is None or run[_WINDOW_ARRIVALS] < edge):
+                edge = run[_WINDOW_ARRIVALS]
+        window = self._window
+        window.clear()
+        self._carried = carried = []
+        for run in group:
+            if edge is None or run[-1] < edge:
+                window.extend(run)
+                continue
+            below = (edge - run.start + run.step - 1) // run.step
+            if below > 0:
+                window.extend(run[:below])
+                run = run[below:]
+            carried.append(run)
+        window.sort()
 
     def run_until(self, t_end: int) -> int:
         """Fire every event and arrival with fire_time <= t_end, in order.
@@ -266,15 +268,18 @@ class Simulator:
         lane = self._lane
         take = lane.popleft
         now = self.now
-        arrivals = self._arrivals or ()
-        n = len(arrivals)
-        pos = 0  # arrivals[:pos] have fired
+        window = self._window
+        n = len(window)
+        pos = self._pos  # window[:pos] have fired
         shift = self._shift
         mask = (1 << shift) - 1
         pos_bits = self._pos_bits
         pos_mask = (1 << pos_bits) - 1
         arrive = self._arrival_action
-        a_time = arrivals[pos] >> shift if pos < n else _NEVER
+        # The fire time of the arrival after the last one: past t_end, so
+        # whatever the heap holds then, the loop fires no arrival.
+        never = t_end + 1
+        a_time = window[pos] >> shift if pos < n else never
         fired = 0
         try:
             while True:
@@ -316,18 +321,17 @@ class Simulator:
                 if a_time > t_end:
                     break
                 self.now = now = a_time
-                low = arrivals[pos] & mask
+                low = window[pos] & mask
                 pos += 1
+                if pos == n:
+                    self._next_window()
+                    n = len(window)
+                    pos = 0
                 arrive(low >> pos_bits, low & pos_mask)
                 fired += 1
-                if pos == _RELEASE_CHUNK:
-                    del arrivals[:pos]
-                    n -= pos
-                    pos = 0
-                a_time = arrivals[pos] >> shift if pos < n else _NEVER
+                a_time = window[pos] >> shift if pos < n else never
         finally:
-            if pos:
-                del arrivals[:pos]
+            self._pos = pos
             self.fired_total += fired
         self.now = t_end
         return fired
@@ -346,7 +350,10 @@ class Simulator:
             line._queue.clear()
             line.handler = None
         self._lines = []
-        self._arrivals = ()
+        self._runs = []
+        self._carried = []
+        self._window = []
+        self._pos = 0
         self._arrival_action = None
 
     def pending(self) -> int:

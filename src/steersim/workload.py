@@ -9,12 +9,13 @@ back. Stream generation is pure given a seeded rng, so runs replay exactly.
 import ipaddress
 import json
 import math
+import sys
 from types import UnionType
 from typing import get_args, get_origin
 
 from .flows import PROTO_TCP, FlowKey, Record, is_record
 from .rss import DEFAULT_RSS_KEY, FIELD_NAMES, RssEngine, select_fields
-from .simkernel import US, time_array
+from .simkernel import MS, SEC, US
 
 SCENARIO_VERSION = 1
 
@@ -61,16 +62,27 @@ class OneOf(tuple):
 
 FINITE = Bound()
 
+
+def _most(unit: int) -> float:
+    """The largest float whose product with `unit` is finite."""
+    value = sys.float_info.max / unit
+    while not math.isfinite(value * unit):
+        value = math.nextafter(value, 0)
+    return value
+
+
 # Every rule on one scalar field's own value, by dotted path: `Scenario.validate`
 # refuses any other value, naming the path, and a field typed `X | None` also
-# takes null. Every float field has a row, so NaN and inf fail at load rather
-# than where the run converts times and rates to whole ns. Rules that relate
-# two fields or more, and those on lists, are written out in `validate`.
+# takes null. Every float field has a row, so NaN, inf and a value whose
+# nanoseconds overflow fail at load rather than where the run converts times
+# and rates to whole ns. Rules that relate two fields or more, and those on
+# lists, are written out in `validate`.
 RULES = {
     "kind": OneOf(("streams", "worst_case")),
-    "duration_us": Bound(0),
+    "duration_us": Bound(0, _most(US)),
     "traffic.streams": Bound(1),
-    # spawn_streams divides by these two.
+    # spawn_streams divides by these two. The link rate's floor also depends
+    # on streams, packet_bytes and burst, and `validate` checks it.
     "traffic.packet_bytes": Bound(1),
     "traffic.link_gbps": Bound(0, low_open=True),
     "traffic.data_packets_per_stream": Bound(0),
@@ -78,18 +90,19 @@ RULES = {
     # Negative gaps or spacing would reorder a stream's own packets.
     "traffic.burst_spacing_ns": Bound(0),
     "traffic.jitter_ns": Bound(0),
-    "traffic.handshake_gap_us": Bound(0),
-    "traffic.start_spread_us": Bound(0),
+    "traffic.handshake_gap_us": Bound(0, _most(US)),
+    "traffic.start_spread_us": Bound(0, _most(US)),
     "traffic.ephemeral_ports": OneOf(("sequential", "random")),
     "traffic.ephemeral_start": Bound(0),
-    "host.service_rate_pps": Bound(0, low_open=True),
+    # The least rate whose service time, 1e9 / rate ns, is finite.
+    "host.service_rate_pps": Bound(SEC / sys.float_info.max),
     "host.ack_every": Bound(1),
-    "host.syscall_cadence_us": Bound(0),
+    "host.syscall_cadence_us": Bound(0, _most(US)),
     "scheduler.mode": OneOf(("pinned", "peak_performance", "power_saving")),
-    "scheduler.tick_us": FINITE,  # its floor depends on scheduler.mode
+    "scheduler.tick_us": Bound(high=_most(US)),  # its floor depends on scheduler.mode
     # At least 1 ns: a period that truncates to 0 ns would reschedule itself
     # at the same instant forever.
-    "scheduler.forced_migration_period_us": Bound(1 / US),
+    "scheduler.forced_migration_period_us": Bound(1 / US, _most(US)),
     "nic.mode": OneOf(("rss", "flowsteer")),
     "nic.ring_capacity": Bound(1),
     "flow_table.num_buckets": Bound(1),
@@ -99,8 +112,8 @@ RULES = {
     # Nic.hold_delays keeps each wait as a signed 64-bit int.
     "flow_table.t_timer_us": Bound(0, 2**63 / US, high_open=True),
     # A negative idle timeout would evict every entry at its first sweep.
-    "flow_table.t_delete_ms": Bound(0),
-    "flow_table.t_delete_pressure_ms": Bound(0),
+    "flow_table.t_delete_ms": Bound(0, _most(MS)),
+    "flow_table.t_delete_pressure_ms": Bound(0, _most(MS)),
     "flow_table.pressure_threshold": Bound(0, 1, low_open=True),
 }
 
@@ -209,6 +222,11 @@ class Scenario(Record):
             if value not in rule:
                 null = " or null" if nullable else ""
                 raise ScenarioError(f"{path} must be {rule}{null}, not {value!r}")
+        if not math.isfinite(inter_burst_ns(self.traffic)):
+            raise ScenarioError(
+                f"traffic.link_gbps {self.traffic.link_gbps!r} spaces each stream's bursts "
+                f"more than {sys.float_info.max:g} ns apart"
+            )
         # Ports go into the hash input as two bytes each.
         if not self.traffic.ports:
             raise ScenarioError("traffic.ports must name at least one port")
@@ -490,15 +508,26 @@ class StreamPlan:
     """One flow's full arrival schedule at the receiver NIC."""
 
     def __init__(self, index: int, key: FlowKey, port: int, syn_at: int, synack_at: int,
-                 ack_at: int, data_times):
+                 ack_at: int, data_runs: list, data_count: int):
         self.index = index
         self.key = key  # receive direction
         self.port = port
         self.syn_at = syn_at
         self.synack_at = synack_at
         self.ack_at = ack_at
-        # An array('q'), or a list when a time is too late for 64 bits.
-        self.data_times = data_times
+        # One run per burst, in sequence order, as a flat list of three ints
+        # each, first_time, count, spacing: `count` data packets `spacing` ns
+        # apart. `data_count` packets in all.
+        self.data_runs = data_runs
+        self.data_count = data_count
+
+
+def inter_burst_ns(traffic: TrafficSpec) -> float:
+    """The time from the start of one burst of a stream to its next, in ns,
+    with `link_gbps` shared evenly by the streams; inf when a stream's share
+    is too small for a float."""
+    pps = traffic.link_gbps * 1e9 / 8 / traffic.packet_bytes / traffic.streams
+    return traffic.burst * 1e9 / pps if pps else math.inf
 
 
 def assign_ports(traffic: TrafficSpec, rng) -> list:
@@ -515,7 +544,8 @@ def spawn_streams(scenario: Scenario, rng) -> list:
 
     Streams split evenly across the destination ports; each gets a unique
     source port, a staggered start, a SYN / SYN-ACK / ACK exchange and then
-    bursts of data packets with gapless per-flow sequence numbers.
+    bursts of data packets with gapless per-flow sequence numbers. A burst
+    is kept as one run of evenly spaced packets, not packet by packet.
     """
     traffic = scenario.traffic
     ports = assign_ports(traffic, rng)
@@ -523,9 +553,8 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     spread = int(traffic.start_spread_us * US)
     duration = int(scenario.duration_us * US)
 
-    pps = traffic.link_gbps * 1e9 / 8 / traffic.packet_bytes / traffic.streams
     burst = traffic.burst
-    inter_burst = max(1, int(round(burst * 1e9 / pps)))
+    inter_burst = max(1, int(round(inter_burst_ns(traffic))))
     wanted = traffic.data_packets_per_stream
     spacing = traffic.burst_spacing_ns
     jitter_ns = traffic.jitter_ns
@@ -548,9 +577,9 @@ def spawn_streams(scenario: Scenario, rng) -> list:
         synack_at = start + gap
         ack_at = start + 2 * gap
         data_start = start + 3 * gap
-        times = []
-        append = times.append
+        runs = []
         left = wanted  # data packets still to place
+        last = None  # the time of the stream's last data packet so far
         t = data_start
         while left > 0 and t < duration:
             burst_t = t
@@ -562,18 +591,19 @@ def spawn_streams(scenario: Scenario, rng) -> list:
             # Bursts never overlap: per-flow arrival times never decrease
             # (equal times dispatch in sequence order), so source order
             # equals sequence order.
-            if times and burst_t < times[-1] + spacing:
-                burst_t = times[-1] + spacing
+            if last is not None and burst_t < last + spacing:
+                burst_t = last + spacing
             # Spacing is non-negative, so the arrivals before the horizon
             # are a prefix of the burst.
-            for b in range(burst if burst < left else left):
-                at = burst_t + b * spacing
-                if at >= duration:
-                    break
-                append(at)
-                left -= 1
+            count = burst if burst < left else left
+            if burst_t + (count - 1) * spacing >= duration:
+                count = 0 if burst_t >= duration else (duration - burst_t - 1) // spacing + 1
+            if count:
+                runs += (burst_t, count, spacing)
+                last = burst_t + (count - 1) * spacing
+                left -= count
             t += inter_burst
         plans.append(
-            StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, time_array(times))
+            StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, runs, wanted - left)
         )
     return plans

@@ -17,7 +17,7 @@ def rx_pkt(k, kind=DATA, seq=0, size=1500):
 class Harness:
     """NIC wired to a real simulator and table. No host is attached: each
     queue's interrupt action records the queue, once the simulator runs to
-    the instant the NIC scheduled it at (`edges()`)."""
+    the instant the NIC raised it at (`edges()`)."""
 
     def __init__(self, mode=MODE_FLOWSTEER, ring_capacity=4, fallback=0,
                  t_timer_us=1.0, latency_accounting=False, num_queues=4):
@@ -86,6 +86,16 @@ class TestRingBuffer:
     def test_pop_empty(self):
         h = Harness()
         assert not h.nic.rings[0].slots and h.edges() == []
+
+    def test_ring_edge_raises_the_interrupt_in_the_lane_without_an_id(self, monkeypatch):
+        # Only the push onto an empty ring raises one; it bypasses
+        # `Simulator.schedule` and fires at the same instant.
+        h = Harness(ring_capacity=8)
+        monkeypatch.setattr(Simulator, "schedule", None)
+        for seq in range(3):
+            h.nic._enqueue(1, rx_pkt(key(), seq=seq))
+        assert (len(h.sim._lane), h.sim._next_id, h.sim.pending()) == (1, 0, 1)
+        assert h.edges() == [1] and h.nic.rings[1].interrupts == 1
 
     def test_accounting_identity(self):
         nic = Harness(ring_capacity=2).nic

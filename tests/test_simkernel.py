@@ -1,5 +1,4 @@
 import heapq
-from array import array
 from collections import deque
 from itertools import count
 from pathlib import Path
@@ -11,8 +10,6 @@ from hypothesis import strategies as st
 
 from steersim import Engine, Scenario, simkernel
 from steersim.simkernel import (
-    _MAX_WINDOWS,
-    _RELEASE_CHUNK,
     _WINDOW_ARRIVALS,
     MS,
     US,
@@ -111,12 +108,23 @@ def _recorder(order):
     return lambda block, position: order.append((block, position))
 
 
+def _block(*times):
+    """A block of one single-arrival run per time, in the given order."""
+    return [x for t in times for x in (t, 1, 0)]
+
+
+def _times(block):
+    """The fire time of each position of a block, run by run."""
+    runs = iter(block)
+    return [t + k * spacing for t, count, spacing in zip(runs, runs, runs) for k in range(count)]
+
+
 def test_arrivals_fire_first_at_an_instant_in_hand_over_order():
     # A heap event wins no tie with an arrival, even one scheduled first.
     sim = Simulator()
     order = []
     sim.schedule(100, lambda: order.append("before"))
-    sim.schedule_arrivals([[100], [100, 100]], _recorder(order))
+    sim.schedule_arrivals([_block(100), [100, 2, 0]], _recorder(order))
     sim.schedule(100, lambda: order.append("after"))
     assert sim.run_until(100) == 5
     assert order == [(0, 0), (1, 0), (1, 1), "before", "after"]
@@ -127,7 +135,7 @@ def test_arrivals_resume_across_windows():
     sim = Simulator()
     order = []
     sim.schedule(15, lambda: order.append("runtime"))
-    sim.schedule_arrivals([[10, 20, 20, 35]], _recorder(order))
+    sim.schedule_arrivals([[10, 1, 0, 20, 2, 0, 35, 1, 0]], _recorder(order))
     assert sim.pending() == 1  # arrivals never enter the heap
     assert sim.run_until(10) == 1
     assert order == [(0, 0)]
@@ -152,7 +160,7 @@ def test_arrival_action_schedules_event_at_the_same_instant():
         if position == 0:
             sim.schedule(sim.now, lambda: order.append(("runtime", sim.now)))
 
-    sim.schedule_arrivals([[50, 50]], arrive)
+    sim.schedule_arrivals([[50, 2, 0]], arrive)
     assert sim.run_until(50) == 3
     assert order == [0, 1, ("runtime", 50)]
 
@@ -205,7 +213,7 @@ def test_arrivals_heap_events_and_lane_at_one_instant():
 
     sim.schedule(100, on_e)
     sim.schedule(100, lambda: order.append("H"))
-    sim.schedule_arrivals([[100], [100]], _recorder(order))
+    sim.schedule_arrivals([_block(100), _block(100)], _recorder(order))
     assert sim.run_until(100) == 5
     assert order == [(0, 0), (1, 0), "E", "H", "L"]
 
@@ -222,7 +230,7 @@ def test_arrival_schedules_lane_event_behind_a_later_arrival():
             sim.schedule(sim.now, lambda: order.append("L"))
 
     sim.schedule(50, lambda: order.append("H"))
-    sim.schedule_arrivals([[50, 50]], arrive)
+    sim.schedule_arrivals([[50, 2, 0]], arrive)
     sim.run_until(50)
     assert order == [0, 1, "H", "L"]
 
@@ -234,7 +242,7 @@ def test_events_scheduled_at_time_zero_before_the_first_run():
     sim.schedule(0, lambda: order.append("L1"))
     sim.schedule(5, lambda: order.append("H"))
     assert sim.pending() == 3  # two in the lane, one on the heap
-    sim.schedule_arrivals([[0], [0]], _recorder(order))
+    sim.schedule_arrivals([_block(0), _block(0)], _recorder(order))
     assert sim.run_until(0) == 4
     assert order == [(0, 0), (1, 0), "L0", "L1"]
     assert sim.pending() == 1
@@ -263,7 +271,8 @@ def test_arrival_times_need_not_be_sorted():
     # Arrivals are numbered by block and by position in the block.
     sim = Simulator()
     fired = []
-    sim.schedule_arrivals([[7, 3], [5], [3, 9]], lambda b, k: fired.append((sim.now, b, k)))
+    sim.schedule_arrivals([_block(7, 3), _block(5), [3, 2, 6]],
+                           lambda b, k: fired.append((sim.now, b, k)))
     sim.run_until(10)
     assert fired == [(3, 0, 1), (3, 2, 0), (5, 1, 0), (7, 0, 0), (9, 2, 1)]
 
@@ -272,86 +281,115 @@ def test_arrival_too_late_for_64_bit_packing_still_fires():
     sim = Simulator()
     fired = []
     late = 1 << 62
-    sim.schedule_arrivals([[late, 5]], _recorder(fired))
+    sim.schedule_arrivals([[late, 2, late, 5, 1, 0]], _recorder(fired))
     assert sim.run_until(late) == 2
-    assert fired == [(0, 1), (0, 0)]
+    assert fired == [(0, 2), (0, 0)]
+    assert sim.run_until(2 * late) == 1
+    assert fired[-1] == (0, 1)
+
+
+def test_events_after_the_last_arrival_fire_however_late():
+    sim = Simulator()
+    fired = []
+    late = 1 << 300
+    sim.schedule_arrivals([_block(5)], lambda b, k: fired.append("arrival"))
+    sim.schedule(late, lambda: fired.append("late"))
+    assert sim.run_until(2 * late) == 2
+    assert fired == ["arrival", "late"]
 
 
 def test_arrival_before_now_rejected():
     sim = Simulator()
     sim.run_until(50)
     with pytest.raises(SchedulingError):
-        sim.schedule_arrivals([[40, 50]], lambda block, position: None)
-    sim.schedule_arrivals([[50, 50]], lambda block, position: None)
+        sim.schedule_arrivals([[50, 2, 0, 40, 1, 0]], lambda block, position: None)
+    sim.schedule_arrivals([[50, 2, 0]], lambda block, position: None)
     assert sim.run_until(50) == 2
 
 
 def test_blocks_of_any_length_fire_by_block_then_position():
     # The position field is as wide as the longest block needs; an empty
-    # block still takes its number.
+    # block still takes its number, and a run of no arrivals no position.
     sim = Simulator()
     order = []
-    sim.schedule_arrivals([[5, 5, 5, 5], [], [5], [5, 5]], _recorder(order))
+    sim.schedule_arrivals([[5, 3, 0, 5, 1, 0], [], [5, 0, 9, 5, 1, 0], [5, 2, 0]], _recorder(order))
     assert sim.run_until(5) == 7
     assert order == [(0, 0), (0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (3, 1)]
 
 
+def _unfired(sim):
+    """The arrivals the simulator holds that have not fired yet."""
+    count_mask = (1 << sim._run_bits - sim._step_bits) - 1
+    runs = sum(run >> sim._step_bits & count_mask for run in sim._runs)
+    return len(sim._window) - sim._pos + sum(map(len, sim._carried)) + runs
+
+
 def test_fired_arrivals_leave_the_simulator():
-    # Enough arrivals to cross the release chunk more than once; between
-    # windows the simulator holds only the arrivals still to fire.
+    # Three long runs, one per block, that interleave, and enough arrivals
+    # for several windows. The simulator holds one window of packed values
+    # at a time, every other arrival still as a run, and drops each window
+    # once it has fired.
     sim = Simulator()
     fired = []
-    n = 2 * _RELEASE_CHUNK + 100
-    blocks = [list(range(b, n, 3)) for b in range(3)]
-    sim.schedule_arrivals(blocks, lambda b, k: fired.append(blocks[b][k]))
-    for t_end in (0, _RELEASE_CHUNK - 1, _RELEASE_CHUNK + 5, n // 2, n - 1):
+    n = 5 * _WINDOW_ARRIVALS + 100
+    blocks = [[b, len(range(b, n, 3)), 3] for b in range(3)]
+    sim.schedule_arrivals(blocks, lambda b, k: fired.append(b + 3 * k))
+    for t_end in (0, _WINDOW_ARRIVALS - 1, _WINDOW_ARRIVALS + 5, n // 2, n - 1):
         sim.run_until(t_end)
-        assert len(sim._arrivals) == n - 1 - t_end
+        assert _unfired(sim) == n - 1 - t_end
+        assert len(sim._window) <= 3 * _WINDOW_ARRIVALS  # at most that many from each run
     assert fired == list(range(n))
-    assert len(sim._arrivals) == 0
+    assert (sim._window, sim._carried, sim._runs) == ([], [], [])
 
 
 START = 100  # `now` when the property below hands its arrivals over
 
+# A run as (offset from START, count, spacing); spacing 0 puts a run's
+# arrivals at one instant.
+runs = st.tuples(st.integers(0, 30), st.integers(0, 6), st.integers(0, 4))
+
 
 @given(
-    st.lists(st.lists(st.integers(0, 2 * _MAX_WINDOWS), max_size=10), max_size=24),
+    st.lists(st.lists(runs, max_size=5), max_size=24),
     st.sampled_from(["none", "past_64_bits", "before_now"]),
     st.integers(0, 1000),
     st.sampled_from([_WINDOW_ARRIVALS, 1, 2, 5]),
 )
 @settings(max_examples=200)
-# Each window edge is the packed value of a sampled arrival, so some arrival
-# sits on an edge whenever there is more than one. Here every window gets two.
-@example([list(range(2 * _MAX_WINDOWS))], "none", 0, 2)
-# More arrivals than _MAX_WINDOWS windows of their size hold.
-@example([list(range(2 * _MAX_WINDOWS))] * 3, "none", 0, 1)
-# Just under two windows' worth: one sorted run.
-@example([[3, 1, 2]], "none", 0, 2)
-# Equal times across blocks and in one block, empty and single blocks.
-@example([[], [3], [3, 3, 0], [], [0, 3]], "none", 0, 1)
-@example([[], [3], [3, 3, 0], [], [0, 3]], "none", 0, _WINDOW_ARRIVALS)
-@example([[0], [1, 1]], "past_64_bits", 1, 1)
+# Every window edge sits on an arrival: the first of the runs left, or one
+# inside a run cut at the window size. Here every window gets two.
+@example([[(t, 1, 0) for t in range(32)]], "none", 0, 2)
+# Long runs that interleave across blocks, and a run at one instant.
+@example([[(0, 30, 1)], [(0, 30, 1)], [(5, 10, 0)]], "none", 0, 1)
+@example([[(0, 30, 1)], [(0, 30, 1)], [(5, 10, 0)]], "none", 0, 5)
+# Equal times across blocks and in one block; empty blocks and runs.
+@example([[], [(3, 1, 0)], [(3, 2, 0), (9, 0, 2), (0, 1, 0)], [], [(0, 1, 0), (3, 1, 0)]],
+         "none", 0, 1)
+@example([[], [(3, 1, 0)], [(3, 2, 0), (9, 0, 2), (0, 1, 0)], [], [(0, 1, 0), (3, 1, 0)]],
+         "none", 0, _WINDOW_ARRIVALS)
+@example([[(0, 1, 0)], [(1, 2, 0)]], "past_64_bits", 1, 1)
 @example([], "past_64_bits", 0, 1)
-@example([[5]], "before_now", 0, 1)
-def test_windowed_hand_over_fires_in_full_sort_order(offsets, extra, pick, window):
-    # Arrivals at START + offset, plus one at or past 2**63 ns or one before
-    # now, in a block `pick` chooses, handed over in windows of about
-    # `window` arrivals: many windows when it is small, one sorted run at
-    # the default size. They fire in the order of one full sort by (time,
-    # block, position), or the hand-over raises.
+@example([[(5, 1, 0)]], "before_now", 0, 1)
+def test_windowed_hand_over_fires_in_full_sort_order(blocks, extra, pick, window):
+    # Runs of arrivals from START on, plus a run at or past 2**63 ns or one
+    # before now, in a block `pick` chooses, fired in windows of about
+    # `window` arrivals: many windows when it is small, one at the default
+    # size. They fire in the order of one full sort of every arrival by
+    # (time, block, position), or the hand-over raises.
     with mock.patch.object(simkernel, "_WINDOW_ARRIVALS", window):
-        _hand_over_in_full_sort_order(offsets, extra, pick)
+        _hand_over_in_full_sort_order(blocks, extra, pick)
 
 
-def _hand_over_in_full_sort_order(offsets, extra, pick):
-    blocks = [[START + t for t in block] for block in offsets]
+def _hand_over_in_full_sort_order(blocks, extra, pick):
+    blocks = [[x for t, count, spacing in block for x in (START + t, count, spacing)]
+              for block in blocks]
     if extra != "none":
         if not blocks:
             blocks.append([])
         late = (1 << 63) + pick if extra == "past_64_bits" else START - 1 - pick % START
         block = blocks[pick % len(blocks)]
-        block.insert(pick % (len(block) + 1), late)
+        at = 3 * (pick % (len(block) // 3 + 1))
+        block[at:at] = (late, 1 + pick % 3, pick)
     sim = Simulator()
     sim.run_until(START)
     fired = []
@@ -360,17 +398,25 @@ def _hand_over_in_full_sort_order(offsets, extra, pick):
             sim.schedule_arrivals(blocks, lambda b, k: fired.append((sim.now, b, k)))
         return
     sim.schedule_arrivals(blocks, lambda b, k: fired.append((sim.now, b, k)))
-    expected = sorted((t, b, k) for b, block in enumerate(blocks) for k, t in enumerate(block))
+    expected = sorted((t, b, k) for b, block in enumerate(blocks)
+                      for k, t in enumerate(_times(block)))
     assert sim.run_until(max((t for t, _, _ in expected), default=START)) == len(expected)
     assert fired == expected
-    assert isinstance(sim._arrivals, list if extra == "past_64_bits" else array)
+    assert (sim._window, sim._carried, sim._runs) == ([], [], [])
+
+
+@pytest.mark.parametrize("block", [[5, 1, -1], [5, -1, 0], [5, 1]])
+def test_malformed_run_rejected(block):
+    # A negative spacing or count, or a block cut inside a run.
+    with pytest.raises(ValueError):
+        Simulator().schedule_arrivals([_block(5), block], lambda b, k: None)
 
 
 def test_second_schedule_arrivals_rejected():
     sim = Simulator()
-    sim.schedule_arrivals([[10]], lambda block, position: None)
+    sim.schedule_arrivals([_block(10)], lambda block, position: None)
     with pytest.raises(ValueError, match="already"):
-        sim.schedule_arrivals([[20]], lambda block, position: None)
+        sim.schedule_arrivals([_block(20)], lambda block, position: None)
 
 
 @given(
@@ -407,8 +453,8 @@ def test_merge_matches_one_heap_of_everything(plan, t_end):
         if is_arrival:
             if new_block or not blocks:
                 blocks.append([])
-            tag = (0, (len(blocks) - 1, len(blocks[-1])))
-            blocks[-1].append(t)
+            tag = (0, (len(blocks) - 1, len(blocks[-1]) // 3))
+            blocks[-1] += (t, 1, 0)
         else:
             tag = (1, events)
             assert sim.schedule(t, lambda tag=tag: fire(tag)) == events
@@ -504,6 +550,33 @@ def test_line_of_delay_zero_uses_the_lane():
     assert (len(sim._lane), len(sim._heap), sim.pending()) == (1, 2, 3)
     assert sim.run_until(10) == 4
     assert order == ["at 0", "E", "H", "L"]
+
+
+def test_line_of_delay_zero_and_soon_take_no_id():
+    # Both put an entry in the same-instant lane: it fires after every heap
+    # event at its instant, in the order the entries were added, and takes
+    # no event id, so the heap's ids run on unbroken.
+    sim = Simulator()
+    order = []
+    line = sim.line(0, order.append)
+
+    def on_e():
+        order.append("E")
+        line.add("L1")
+        sim.soon(lambda: order.append("S"))
+        line.add("L2")
+        assert sim.schedule(sim.now, lambda: order.append("X")) == 3
+
+    assert sim.schedule(10, on_e) == 0
+    line.add("at 0")
+    sim.soon(lambda: order.append("soon at 0"))
+    assert sim.schedule(10, lambda: order.append("H")) == 1
+    assert sim.schedule(11, lambda: order.append("I")) == 2
+    assert sim.run_until(10) == 8
+    assert order == ["at 0", "soon at 0", "E", "H", "L1", "S", "L2", "X"]
+    assert sim.schedule(12, lambda: None) == 4
+    sim.run_until(11)
+    assert order[-1] == "I"
 
 
 def test_line_rejects_a_negative_delay():

@@ -2,7 +2,7 @@ import ast
 import json
 import math
 import re
-from array import array
+import struct
 from pathlib import Path
 from typing import get_args
 
@@ -23,6 +23,7 @@ from steersim.workload import (
     TrafficSpec,
     assign_ports,
     field_type,
+    inter_burst_ns,
     spawn_streams,
 )
 
@@ -48,6 +49,12 @@ def worst_case(streams):
     return s
 
 
+def data_times(plan) -> list:
+    """A plan's data arrival times, its runs expanded packet by packet."""
+    runs = iter(plan.data_runs)
+    return [t + k * spacing for t, count, spacing in zip(runs, runs, runs) for k in range(count)]
+
+
 class TestSpawnStreams:
     def test_forty_streams_forty_handshakes(self):
         plans = spawn_streams(scenario(40), make_rng(1))
@@ -67,23 +74,24 @@ class TestSpawnStreams:
 
     def test_zero_data_scenario_is_handshakes_only(self):
         plans = spawn_streams(scenario(4, data_packets_per_stream=0), make_rng(1))
-        assert all(p.data_times == array("q") for p in plans)
+        assert all(p.data_runs == [] and p.data_count == 0 for p in plans)
 
     def test_zero_duration_scenario_is_handshakes_only(self):
         s = scenario(4)
         s.duration_us = 0.0
         plans = spawn_streams(s.validate(), make_rng(1))
         assert len(plans) == 4
-        assert all(p.data_times == array("q") for p in plans)
+        assert all(p.data_runs == [] and p.data_count == 0 for p in plans)
 
-    def test_data_times_are_machine_ints_while_they_fit(self):
-        # Stream 1 starts at 1e19 ns, past 2**63: its times stay Python ints.
+    def test_data_times_past_64_bits_stay_exact(self):
+        # Stream 1 starts at 1e19 ns, past 2**63: its times are exact ints.
         s = scenario(2, data_packets_per_stream=3, start_spread_us=2e16)
         s.duration_us = 3e16
         first, second = spawn_streams(s.validate(), make_rng(1))
-        assert isinstance(first.data_times, array) and first.data_times.typecode == "q"
-        assert isinstance(second.data_times, list)
-        assert len(second.data_times) == 3 and min(second.data_times) >= 10**19
+        assert max(data_times(first)) < 2**63
+        times = data_times(second)
+        assert len(times) == second.data_count == 3 and min(times) >= 10**19
+        assert times[0] == second.ack_at + int(s.traffic.handshake_gap_us * 1000)
 
     @given(st.integers(1, 64), st.integers(0, 200_000))
     @settings(max_examples=30, deadline=None)
@@ -91,7 +99,8 @@ class TestSpawnStreams:
         s = scenario(streams, data_packets_per_stream=20, jitter_ns=jitter,
                      link_gbps=0.6 * streams, burst=4)  # 50k pps per stream
         for plan in spawn_streams(s, make_rng(7)):
-            assert all(b > a for a, b in zip(plan.data_times, plan.data_times[1:]))
+            times = data_times(plan)
+            assert all(b > a for a, b in zip(times, times[1:]))
 
     # At 200k packets/s per stream a burst gets 5 us per packet: wider spacing makes
     # bursts meet, so the overlap clamp runs too. Data ends by about 330 us,
@@ -100,11 +109,13 @@ class TestSpawnStreams:
            st.floats(1.0, 400.0))
     @example(10, 2, 8_000, 0, 400.0)  # each burst starts at the clamp
     @example(10, 5, 8_000, 0, 50.0)  # the horizon cuts the second burst
+    @example(10, 3, 0, 0, 40.0)  # the horizon falls on bursts at one instant
     @settings(max_examples=60, deadline=None)
     def test_times_and_rng_draws_match_the_per_packet_loop(self, wanted, burst, spacing,
                                                            jitter, duration_us):
         # The reference places a burst one packet at a time, checking the
-        # count and the horizon before each packet.
+        # count and the horizon before each packet. Each burst is one run,
+        # `spacing` apart, and expanded the runs give the reference's times.
         s = scenario(3, data_packets_per_stream=wanted, burst=burst, burst_spacing_ns=spacing,
                      jitter_ns=jitter, link_gbps=7.2, handshake_gap_us=1.0,
                      start_spread_us=10.0)
@@ -127,8 +138,10 @@ class TestSpawnStreams:
                     if burst_t + b * spacing < duration:
                         times.append(burst_t + b * spacing)
                 t += inter_burst
-            assert plan.data_times.typecode == "q"
-            assert list(plan.data_times) == times
+            assert data_times(plan) == times
+            assert plan.data_count == len(times)
+            runs = plan.data_runs
+            assert set(runs[2::3]) <= {spacing} and all(runs[1::3])
         assert rng.getstate() == ref_rng.getstate()
 
     def test_random_ports_unique(self):
@@ -511,6 +524,10 @@ def is_float_field(path: str) -> bool:
     return float in (field_type(path), *get_args(field_type(path)))
 
 
+# Row ends that a rule on more fields overrides; a test of their own checks them.
+OVERRIDDEN_ENDS = (("traffic.link_gbps", "low"),)
+
+
 def bound_edges():
     """(path, value at one finite end of the path's bound, nearest value
     beyond that end) for each end of each bound row, read off the row's
@@ -520,7 +537,7 @@ def bound_edges():
             continue
         for end, outward in (("low", -math.inf), ("high", math.inf)):
             limit, is_open = getattr(rule, end), getattr(rule, end + "_open")
-            if abs(limit) == math.inf:
+            if abs(limit) == math.inf or (path, end) in OVERRIDDEN_ENDS:
                 continue
             if is_float_field(path):
                 edge = math.nextafter(limit, -outward) if is_open else float(limit)
@@ -547,6 +564,8 @@ class TestRules:
     def test_each_bound_loads_at_its_edge_and_fails_just_beyond(self, path, edge, beyond):
         d = scenario(4).to_dict()
         d["flow_table"]["t_delete_pressure_ms"] = 0.0  # lets t_delete_ms reach 0
+        # ... and lets t_delete_pressure_ms reach its top.
+        d["flow_table"]["t_delete_ms"] = RULES["flow_table.t_delete_ms"].high
         section, _, field = path.rpartition(".")
         set_field(d, section, field, edge)
         Scenario.from_dict(d)
@@ -563,6 +582,51 @@ class TestRules:
         with pytest.raises(ScenarioError,
                            match=f"^{re.escape(path)} must be a finite number(?: or null)?, not "):
             Scenario.from_dict(d)
+
+
+    def test_link_rate_loads_at_its_floor_and_fails_just_below(self):
+        # A stream's share of the link sets the time between its bursts,
+        # which must be a finite number of ns: the floor depends on the
+        # stream count, the packet size and the burst. Bisect the float
+        # bit patterns between the row's edge, which fails, and 1 Gbps.
+        d = scenario(4).to_dict()
+
+        def loads(bits: int) -> bool:
+            d["traffic"]["link_gbps"] = struct.unpack("<d", struct.pack("<q", bits))[0]
+            try:
+                Scenario.from_dict(d)
+            except ScenarioError as exc:
+                assert str(exc).startswith("traffic.link_gbps ")
+                return False
+            return True
+
+        low, high = 1, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+        assert not loads(low) and loads(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (low, mid) if loads(mid) else (mid, high)
+        assert not loads(low)
+        assert loads(high)  # the next float up
+        assert 0 < d["traffic"]["link_gbps"] < 1e-290
+        assert inter_burst_ns(Scenario.from_dict(d).traffic) < math.inf
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("host", "service_rate_pps", 1e-300),  # 1e9 / rate overflows
+        ("traffic", "link_gbps", 1e-310),  # so does the time between bursts
+    ])
+    def test_rates_whose_nanoseconds_overflow_fail_at_load(self, section, field, value):
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        d = Scenario.load(scenarios / "pinned_same.json").to_dict()
+        path = set_field(d, section, field, value)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)} .*{value!r}"):
+            Scenario.from_dict(d)
+
+    def test_slowest_service_rate_that_loads_runs(self):
+        s = scenario(4)
+        s.duration_us = 200.0
+        s.host.service_rate_pps = RULES["host.service_rate_pps"].low
+        report = run_scenario(s.validate(), seed=1).report
+        assert report.delivered_data == 0 and report.generated_data > 0
 
 
 class TestSections:
