@@ -64,7 +64,8 @@ class SocketModel:
     - from the warm-up `cutoff` on, deliveries at a later time only:
       `cross_core`, packets on another core than the app's, and
       `cross_processor`, those also on another processor; for data
-      packets, `core_data` per core, `scored` in all, and `on_app_core`.
+      packets, `core_data` per core, whose sum is the flow's scored data,
+      and `on_app_core`.
 
     The cutoff is the time of the flow's last hold-timer flush, or else of
     its first delivery (`restart_warm_up`); -1 until either happens."""
@@ -72,7 +73,7 @@ class SocketModel:
     __slots__ = ("key", "tx_key", "pid", "core", "allowed_cores", "cadence_ns", "state",
                  "core_set", "backlog", "delivered_since_ack", "data", "high", "inversions",
                  "last_core", "alternations", "cutoff", "cross_core", "cross_processor",
-                 "core_data", "scored", "on_app_core")
+                 "core_data", "on_app_core")
 
     def __init__(self, key, pid: int, core: int, allowed_cores: tuple,
                  cadence_ns: int | None, core_set: "_CoreSet", num_cores: int):
@@ -88,14 +89,14 @@ class SocketModel:
         self.delivered_since_ack = 0
         self.data = self.inversions = self.alternations = 0
         self.high = self.last_core = self.cutoff = -1
-        self.cross_core = self.cross_processor = self.scored = self.on_app_core = 0
+        self.cross_core = self.cross_processor = self.on_app_core = 0
         self.core_data = [0] * num_cores
 
     def restart_warm_up(self, now: int):
         """Move the warm-up cutoff to `now`, as a hold-timer flush does:
         the flow's steering changed, so only later deliveries count."""
         self.cutoff = now
-        self.cross_core = self.cross_processor = self.scored = self.on_app_core = 0
+        self.cross_core = self.cross_processor = self.on_app_core = 0
         self.core_data = [0] * len(self.core_data)
 
 
@@ -128,27 +129,37 @@ class HostStats(Record):
 class _ProcLane:
     """Serial process-context execution on one core.
 
-    A work unit is a (function, socket) pair; the lane runs `fn(sock, now)`
-    and the function returns its service charge in ns. Units run one at a
-    time; dispatch waits for the core's interrupt lane to go idle first.
-    Contending sockets interleave packet by packet, which is timesharing.
+    The queue holds sockets, FIFO. A thread that enters receive calls only
+    while computing, as an engine run's threads do, has at most one socket
+    queued on all lanes, and the unit's work follows from its state:
+    - draining, with a backlog: deliver the backlog's head packet on the
+      app's core, queue the socket again on that core's lane and charge
+      the core's service time;
+    - draining, with the backlog empty: the receive call returns, with an
+      ACK for anything delivered since the last one, and the next call is
+      due one cadence later;
+    - any other state: enter the receive call.
+    The last two charge nothing. Units run one at a time; dispatch waits for
+    the core's interrupt lane to go idle first. Contending sockets
+    interleave packet by packet, which is timesharing.
     """
 
-    def __init__(self, sim, core: Core):
-        self.sim = sim
+    def __init__(self, host: "Host", core: Core):
+        self.host = host
         self.core = core
-        self.queue = deque()  # (fn, sock) units waiting, FIFO
+        self.queue = deque()  # sockets waiting, FIFO
         self.busy = False
         self._resume = self._dispatch  # one bound method for every reschedule
 
-    def submit(self, fn, sock):
-        self.queue.append((fn, sock))
+    def submit(self, sock: SocketModel):
+        self.queue.append(sock)
         if not self.busy:
             self.busy = True
             self._dispatch()
 
     def _dispatch(self):
-        sim = self.sim
+        host = self.host
+        sim = host.sim
         core = self.core
         queue = self.queue
         while True:
@@ -159,11 +170,32 @@ class _ProcLane:
             if not queue:
                 self.busy = False
                 return
-            fn, sock = queue.popleft()
-            charge = fn(sock, now)
-            if charge:
-                sim.schedule(now + charge, self._resume)
+            sock = queue.popleft()
+            if sock.state != STATE_DRAINING:
+                host._syscall_enter(sock)
+                continue
+            app_core = sock.core
+            if sock.backlog:
+                host.stats.delivered_process += 1
+                host._deliver(sock.backlog.pop(0), sock, app_core, now)
+                # A busy lane, usually this one, takes the socket at its
+                # tail; one left idle by a migration needs `submit`.
+                lane = host.proc_lanes[app_core]
+                if lane.busy:
+                    lane.queue.append(sock)
+                else:
+                    lane.submit(sock)
+                sim.schedule(now + host.cores[app_core].service_ns, self._resume)
                 return
+            # Backlog empty: the call returns, releasing the socket. Anything
+            # delivered since the last ACK is acknowledged from this core
+            # now, which is how the NIC learns where the application runs.
+            if sock.delivered_since_ack:
+                sock.delivered_since_ack = 0
+                host._tx_ack(sock.tx_key, app_core, now)
+            sock.state = STATE_COMPUTING
+            if sock.cadence_ns is not None:
+                host._call_after[sock.cadence_ns](sock)
 
 
 class Host:
@@ -190,7 +222,7 @@ class Host:
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
         self.sockets: dict = {}  # by flow key, in pid order
         self.handler_active = [False] * len(cores)
-        self.proc_lanes = [_ProcLane(sim, core) for core in cores]
+        self.proc_lanes = [_ProcLane(self, core) for core in cores]
         self.migrations = 0  # migrations performed so far
         self.stats = HostStats()
         self._rx_slots = [ring.slots for ring in nic.rings]  # per queue, for the softirq drain
@@ -199,9 +231,6 @@ class Host:
         # never passes through `Simulator.schedule`, so it may be a partial.
         nic.interrupts = [partial(self.on_interrupt, q) for q in range(len(cores))]
         self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(len(cores))]
-        # Process-lane work functions, bound once; a unit pairs one with a socket.
-        self._syscall = self._syscall_enter
-        self._drain = self._drain_step
         # Per cadence: schedules a socket's next receive call that far
         # ahead, on a timer line of `submit_syscall`.
         self._call_after = {}
@@ -231,16 +260,16 @@ class Host:
         return sock
 
     def release(self):
-        """Drop the host's event actions and the interrupt actions it put on
-        the NIC. Each refers back to the host or one of its lanes, so each
-        forms a reference cycle; `Simulator.clear` drops the handlers of the
-        host's timer lines. Counters and sockets stay readable;
-        the host takes no events afterwards."""
+        """Drop the host's event actions, the interrupt actions it put on
+        the NIC and each lane's reference back to the host. Each refers back
+        to the host or one of its lanes, so each forms a reference cycle;
+        `Simulator.clear` drops the handlers of the host's timer lines.
+        Counters and sockets stay readable; the host takes no events
+        afterwards."""
         self._nic.interrupts = None
         self._softirq_next = self._call_after = None
-        self._syscall = self._drain = None
         for lane in self.proc_lanes:
-            lane._resume = None
+            lane.host = lane._resume = None
 
     # -- interrupt context --------------------------------------------------------
 
@@ -249,18 +278,17 @@ class Host:
         while the handler is already active are ignored."""
         if self.handler_active[queue_id]:
             return
-        self.handler_active[queue_id] = True
         self.stats.interrupts_serviced += 1
         self._softirq_step(queue_id)
 
     def _softirq_step(self, queue_id: int):
+        # The handler is active while a continuation is pending. No ring is
+        # pushed while this loop runs, so no interrupt can arrive before
+        # the flag is set.
         now = self.sim.now
         core = self.cores[queue_id]
         slots = self._rx_slots[queue_id]
-        while True:
-            if not slots:
-                self.handler_active[queue_id] = False
-                return
+        while slots:
             packet = slots.popleft()
             sock = self.sockets.get(packet.key)
             if sock is not None and (sock.state >= STATE_DRAINING or sock.backlog):
@@ -269,7 +297,12 @@ class Host:
                 self.stats.deferrals += 1
                 sock.backlog.append(packet)
                 if sock.state == STATE_SLEEPING:
-                    self._wake(sock)
+                    # The deferral hands the sleeper the socket at once; a
+                    # gap between sleeping and draining would let a later
+                    # packet slip past the backlog in interrupt context.
+                    sock.core_set.runnable[sock.core] += 1
+                    sock.state = STATE_DRAINING
+                    self.proc_lanes[sock.core].submit(sock)
                 elif sock.state == STATE_DRAINING and sock.core != core.core_id:
                     self.stats.lock_conflicts += 1
                 continue
@@ -277,8 +310,10 @@ class Host:
                 self.stats.delivered_interrupt += 1
                 self._deliver(packet, sock, core.core_id, now)
             core.irq_free = now + core.service_ns
+            self.handler_active[queue_id] = True
             self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
+        self.handler_active[queue_id] = False
 
     # -- process context ------------------------------------------------------------
 
@@ -286,57 +321,21 @@ class Host:
         """Issue a receive call for `sock` from its thread's current core.
         The engine issues each app's first call; the thread issues the
         rest itself, one cadence after each call returns."""
-        self.proc_lanes[sock.core].submit(self._syscall, sock)
+        self.proc_lanes[sock.core].submit(sock)
 
-    def _syscall_enter(self, sock: SocketModel, now: int) -> int:
+    def _syscall_enter(self, sock: SocketModel):
         self.stats.syscalls += 1
         runnable = sock.state in RUNNABLE
         if sock.backlog:
             if not runnable:
                 sock.core_set.runnable[sock.core] += 1
             sock.state = STATE_DRAINING
-            self.proc_lanes[sock.core].submit(self._drain, sock)
+            self.proc_lanes[sock.core].submit(sock)
         else:
             # Block in the receive call until data arrives.
             if runnable:
                 sock.core_set.runnable[sock.core] -= 1
             sock.state = STATE_SLEEPING
-        return 0
-
-    def _wake(self, sock: SocketModel):
-        # The deferral that woke the sleeper hands it the socket immediately;
-        # a gap between sleeping and draining would let a later packet slip
-        # past the backlog in interrupt context.
-        sock.core_set.runnable[sock.core] += 1
-        sock.state = STATE_DRAINING
-        self.proc_lanes[sock.core].submit(self._drain, sock)
-
-    def _drain_step(self, sock: SocketModel, now: int) -> int:
-        core = sock.core
-        if sock.backlog:
-            packet = sock.backlog.pop(0)
-            self.stats.delivered_process += 1
-            self._deliver(packet, sock, core, now)
-            # A busy lane, usually the one running this step, takes the next
-            # unit at its tail; one left idle by a migration needs `submit`.
-            lane = self.proc_lanes[core]
-            if lane.busy:
-                lane.queue.append((self._drain, sock))
-            else:
-                lane.submit(self._drain, sock)
-            return self.cores[core].service_ns
-        # Backlog empty: the call returns, releasing the socket. Anything
-        # delivered since the last ACK is acknowledged from this core now,
-        # which is how the NIC learns where the application runs.
-        if sock.delivered_since_ack:
-            sock.delivered_since_ack = 0
-            self._tx_ack(sock.tx_key, core, now)
-        if sock.state not in RUNNABLE:
-            sock.core_set.runnable[core] += 1
-        sock.state = STATE_COMPUTING
-        if sock.cadence_ns is not None:
-            self._call_after[sock.cadence_ns](sock)
-        return 0
 
     # -- delivery ----------------------------------------------------------------
 
@@ -367,7 +366,6 @@ class Host:
                 sock.high = seq
             if scored:
                 sock.core_data[core_id] += 1
-                sock.scored += 1
                 if core_id == app_core:
                     sock.on_app_core += 1
             sock.delivered_since_ack += 1

@@ -281,10 +281,11 @@ class Engine:
             cross += sock.cross_core
             cross_processor += sock.cross_processor
             alternations += sock.alternations
-            if sock.scored:
-                scored += sock.scored
+            flow_scored = sum(sock.core_data)
+            if flow_scored:
+                scored += flow_scored
                 on_app_core += sock.on_app_core
-                flow_scores.append(max(sock.core_data) / sock.scored)
+                flow_scores.append(max(sock.core_data) / flow_scored)
         stats = self.host.stats
         delivered_total = stats.delivered_interrupt + stats.delivered_process
         hold_delays = self.nic.hold_delays

@@ -168,8 +168,9 @@ def test_socket_tallies_match_the_oracle(events):
     expected = delivery_figures(in_socket_order(logs, host), [0, 0, 1, 1], flushes)
     assert sock.data == expected["delivered_data"]
     assert (sock.inversions / sock.data if sock.data else 0.0) == expected["reordering_ratio"]
-    assert (max(sock.core_data) / sock.scored if sock.scored else 1.0) == expected["flow_affinity"]
-    assert (sock.on_app_core / sock.scored if sock.scored else 1.0) == expected["data_affinity"]
+    scored = sum(sock.core_data)
+    assert (max(sock.core_data) / scored if scored else 1.0) == expected["flow_affinity"]
+    assert (sock.on_app_core / scored if scored else 1.0) == expected["data_affinity"]
     assert sock.cross_core == expected["cross_core_packets"]
     assert sock.cross_processor == expected["cross_processor_packets"]
     assert sock.alternations == expected["alternations"]

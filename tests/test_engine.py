@@ -14,7 +14,7 @@ import pytest
 from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
 from steersim.flowtable import FlowTable
-from steersim.host import SocketModel
+from steersim.host import STATE_COMPUTING, SocketModel
 from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
 from steersim.workload import WORST_CASE_FIRE_NS
@@ -26,6 +26,21 @@ def small_migrate(t_timer_us=100.0, seed=1):
     s = presets.migrate_same(40)
     s.flow_table.t_timer_us = t_timer_us
     return run_scenario(s, seed=seed)
+
+
+def shortened(s, duration_us):
+    s.duration_us = duration_us
+    return s
+
+
+def in_mode(s, mode):
+    s.nic.mode = mode
+    return s
+
+
+def without_cadence_gap(s):
+    s.host.syscall_cadence_us = 0.0
+    return s
 
 
 class TestWorstCaseSchedule:
@@ -121,6 +136,67 @@ class TestConservation:
         result = small_migrate(seed=5)
         for ring_stats in result.report.queue_stats.values():
             assert ring_stats["queued"] >= 0 and ring_stats["dropped"] >= 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: presets.migrate_same(40),
+        # Cut short while threads still drain: packets stay in backlogs.
+        lambda: shortened(presets.memory10g(), 6_000.0),
+        lambda: in_mode(presets.pinned_same(), "rss"),
+        presets.worstcase,
+    ], ids=["migrate_same", "memory10g_6ms", "pinned_same_rss", "worstcase"])
+    def test_every_deferral_is_delivered_once_or_still_backlogged(self, build):
+        engine = Engine(build(), seed=1)
+        engine.run()
+        host = engine.host
+        backlogged = sum(len(sock.backlog) for sock in host.sockets.values())
+        assert host.stats.deferrals == host.stats.delivered_process + backlogged
+
+
+class _CheckedLaneQueue(deque):
+    """A lane's queue that fails when a socket is queued while it already
+    waits on this or any other lane sharing `queued`."""
+
+    def __init__(self, queued: set):
+        super().__init__()
+        self.queued = queued
+
+    def append(self, sock):
+        assert sock not in self.queued, f"pid {sock.pid} queued twice"
+        self.queued.add(sock)
+        super().append(sock)
+
+    def popleft(self):
+        sock = super().popleft()
+        self.queued.remove(sock)
+        return sock
+
+
+class TestProcessLanes:
+    # A lane unit's work follows from its thread's state, which is exact
+    # only if a thread has one unit queued at a time and every receive call
+    # starts from a computing thread with nothing in its backlog.
+    @pytest.mark.parametrize("build", [
+        lambda: shortened(presets.migrate_same(40), 10_000.0),
+        lambda: without_cadence_gap(presets.memory10g()),
+    ], ids=["migrate_same_10ms", "memory10g_cadence0"])
+    def test_one_unit_per_thread_and_calls_from_computing_threads(self, build):
+        engine = Engine(build(), seed=1)
+        host = engine.host
+        queued = set()
+        for lane in host.proc_lanes:
+            lane.queue = _CheckedLaneQueue(queued)
+        calls = Counter()
+        enter = host._syscall_enter
+
+        def recorded(sock):
+            calls[sock.state, len(sock.backlog)] += 1
+            enter(sock)
+
+        host._syscall_enter = recorded
+        engine.run()
+        assert list(calls) == [(STATE_COMPUTING, 0)]
+        assert calls[STATE_COMPUTING, 0] == host.stats.syscalls
+        assert host.stats.delivered_process > 0
 
 
 class TestDeterminism:
