@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from steersim import Engine, Scenario  # noqa: E402
-from steersim.workload import AppRule  # noqa: E402
+from steersim.workload import WORST_CASE_UNREAD, AppRule  # noqa: E402
 
 GOLDEN_PATH = ROOT / "tests" / "golden_digests.json"
 SEED = 1
@@ -101,13 +101,24 @@ def overlay(base: Scenario, overrides: dict) -> Scenario:
     return Scenario.from_dict(d)
 
 
+def paths(overrides: dict) -> set:
+    """The dotted paths of the settings an overlay sets."""
+    out = set()
+    for section, value in overrides.items():
+        out |= {f"{section}.{name}" for name in value} if isinstance(value, dict) else {section}
+    return out
+
+
 def scenarios() -> dict:
-    """Every scenario the digests cover, by name."""
+    """Every scenario the digests cover, by name. A worst case takes only
+    the overlays whose settings its kind reads."""
     out = {p.stem: Scenario.load(p) for p in sorted((ROOT / "scenarios").glob("*.json"))}
     out["tie_stress"] = tie_stress()
     for base in GRID_BASES:
+        unread = set(WORST_CASE_UNREAD) if out[base].kind == "worst_case" else set()
         for name, overrides in OVERLAYS.items():
-            out[f"{base}+{name}"] = overlay(out[base], overrides)
+            if not paths(overrides) & unread:
+                out[f"{base}+{name}"] = overlay(out[base], overrides)
     for base in MIGRATING:
         for name, overrides in SCHEDULER_OVERLAYS.items():
             out[f"{base}+{name}"] = overlay(out[base], overrides)

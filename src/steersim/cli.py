@@ -54,8 +54,9 @@ def default_out_dir(scenario: Scenario) -> Path:
 
 def cmd_run(args) -> int:
     try:
-        scenario = Scenario.load(args.scenario)
-        scenario = apply_overrides(scenario, args)
+        scenario = apply_overrides(Scenario.load(args.scenario), args)
+        if scenario.kind == "worst_case" and args.repeat > 1:
+            raise ValueError("--repeat must be 1 under kind 'worst_case', which is deterministic")
     except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

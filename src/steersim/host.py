@@ -129,16 +129,16 @@ class HostStats(Record):
 class _ProcLane:
     """Serial process-context execution on one core.
 
-    The queue holds sockets, FIFO. A thread that enters receive calls only
-    while computing, as an engine run's threads do, has at most one socket
-    queued on all lanes, and the unit's work follows from its state:
+    The queue holds sockets, FIFO. A thread enters receive calls only while
+    computing (`Host.submit_syscall`), so it has at most one socket queued
+    on all lanes, and the unit's work follows from its state:
     - draining, with a backlog: deliver the backlog's head packet on the
       app's core, queue the socket again on that core's lane and charge
       the core's service time;
     - draining, with the backlog empty: the receive call returns, with an
       ACK for anything delivered since the last one, and the next call is
       due one cadence later;
-    - any other state: enter the receive call.
+    - computing: enter the receive call.
     The last two charge nothing. Units run one at a time; dispatch waits for
     the core's interrupt lane to go idle first. Contending sockets
     interleave packet by packet, which is timesharing.
@@ -320,22 +320,15 @@ class Host:
     def submit_syscall(self, sock: SocketModel):
         """Issue a receive call for `sock` from its thread's current core.
         The engine issues each app's first call; the thread issues the
-        rest itself, one cadence after each call returns."""
+        rest itself, one cadence after each call returns. Either way the
+        thread is computing, with an empty backlog."""
         self.proc_lanes[sock.core].submit(sock)
 
     def _syscall_enter(self, sock: SocketModel):
+        # From a computing thread, whose backlog is empty: sleep until data.
         self.stats.syscalls += 1
-        runnable = sock.state in RUNNABLE
-        if sock.backlog:
-            if not runnable:
-                sock.core_set.runnable[sock.core] += 1
-            sock.state = STATE_DRAINING
-            self.proc_lanes[sock.core].submit(sock)
-        else:
-            # Block in the receive call until data arrives.
-            if runnable:
-                sock.core_set.runnable[sock.core] -= 1
-            sock.state = STATE_SLEEPING
+        sock.core_set.runnable[sock.core] -= 1
+        sock.state = STATE_SLEEPING
 
     # -- delivery ----------------------------------------------------------------
 

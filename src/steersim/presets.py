@@ -109,7 +109,6 @@ def worstcase(ring_capacity: int = RING_CAPACITY) -> Scenario:
     s.kind = "worst_case"
     s.duration_us = 500.0
     s.nic.ring_capacity = ring_capacity
-    s.apps = (AppRule((5001, 6001), (0, 1)),)
     return s
 
 

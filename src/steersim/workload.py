@@ -26,6 +26,16 @@ EPHEMERAL_END = 65536
 MAX_WORST_CASE_RING = 1 << 16
 WORST_CASE_FIRE_NS = 50 * US
 WORST_CASE_EPSILON_NS = 1
+# The settings that schedule never reads: its two flows have no receive calls
+# and no app rule, the victim is pinned to core 0 and its entry sits at chain
+# position 1. Each must keep its default, and `to_dict` leaves them out.
+WORST_CASE_UNREAD = (
+    "traffic.streams", "traffic.data_packets_per_stream", "traffic.link_gbps", "traffic.burst",
+    "traffic.burst_spacing_ns", "traffic.jitter_ns", "traffic.ephemeral_ports",
+    "traffic.ephemeral_start", "traffic.start_spread_us", "host.syscall_cadence_us",
+    "scheduler.mode", "scheduler.tick_us", "scheduler.forced_migration_period_us",
+    "flow_table.num_buckets", "flow_table.max_list_size", "apps",
+)
 
 
 class ScenarioError(ValueError):
@@ -213,6 +223,10 @@ class Scenario(Record):
     # ---- validation ----------------------------------------------------------
 
     def validate(self) -> "Scenario":
+        for path in WORST_CASE_UNREAD if self.kind == "worst_case" else ():
+            if field_value(self, path) != (default := field_value(Scenario(), path)):
+                raise ScenarioError(f"{path} is not read under kind 'worst_case' and must keep "
+                                    f"its default, {json.dumps(_plain(default))}")
         for path, rule in RULES.items():
             value, nullable = field_value(self, path), type(None) in get_args(field_type(path))
             if value is None and nullable:
@@ -263,50 +277,6 @@ class Scenario(Record):
         if len(cores) > 256:
             # The transmit descriptor carries the core id in one byte.
             raise ScenarioError(f"host.processors lists {len(cores)} cores; at most 256 fit")
-        streams = self.kind == "streams"
-        ruled = {}  # port -> the index of the apps rule that names it
-        for i, rule in enumerate(self.apps):
-            if not rule.cores:
-                raise ScenarioError(f"apps[{i}].cores must name at least one core")
-            if len(set(rule.cores)) != len(rule.cores):
-                # A repeated core would make the app's processes Free on one
-                # core and count a migration per rotation that moves nothing.
-                raise ScenarioError(f"apps[{i}].cores repeats a core: {list(rule.cores)}")
-            for core in rule.cores:
-                if core not in cores:
-                    raise ScenarioError(f"apps[{i}].cores names unknown core {core}")
-            for port in rule.ports:
-                if streams and port not in self.traffic.ports:
-                    raise ScenarioError(f"apps[{i}].ports names unused port {port}")
-                # Setup would place the port's threads by one rule alone.
-                if streams and ruled.setdefault(port, i) != i:
-                    raise ScenarioError(
-                        f"apps[{i}].ports names port {port}, as apps[{ruled[port]}] does"
-                    )
-        unruled = [p for p in self.traffic.ports if p not in ruled]
-        if streams and unruled:
-            raise ScenarioError(f"traffic.ports {unruled} have no apps rule")
-        if self.kind == "worst_case":
-            # The schedule migrates the victim from core 0 to core 1 and
-            # pre-loads ring_capacity - 1 packets, one event each.
-            if len(cores) < 2:
-                raise ScenarioError("host.processors must list 2 cores or more under kind "
-                                    "'worst_case'")
-            if not 2 <= self.nic.ring_capacity <= MAX_WORST_CASE_RING:
-                raise ScenarioError(
-                    f"nic.ring_capacity must be in 2..{MAX_WORST_CASE_RING} under kind "
-                    f"'worst_case', not {self.nic.ring_capacity}"
-                )
-            # The victim's final ACK must not follow the migration, and the run
-            # must reach the last scripted packet, or the report measures nothing.
-            gap, last = self.traffic.handshake_gap_us, WORST_CASE_FIRE_NS + WORST_CASE_EPSILON_NS
-            if 2 * int(gap * US) > WORST_CASE_FIRE_NS:
-                raise ScenarioError("traffic.handshake_gap_us must be at most "
-                                    f"{WORST_CASE_FIRE_NS / 2 / US} under kind 'worst_case', "
-                                    f"not {gap}")
-            if int(self.duration_us * US) < last:
-                raise ScenarioError(f"duration_us must be at least {last / US} under kind "
-                                    f"'worst_case', not {self.duration_us}")
         # Every flow carries both addresses, so both must parse, and in one
         # address family: a flow is IPv4 or IPv6 end to end.
         versions = []
@@ -345,8 +315,50 @@ class Scenario(Record):
                 raise ScenarioError(
                     f"rss.table names queues {stray}; the host has queues 0..{len(cores) - 1}"
                 )
-        if self.kind == "worst_case":  # last: the search hashes with the settings above
-            worst_case_keys(self, build_rss_engine(self))
+        if self.kind == "streams":
+            ruled = {}  # port -> the index of the apps rule that names it
+            for i, rule in enumerate(self.apps):
+                if not rule.cores:
+                    raise ScenarioError(f"apps[{i}].cores must name at least one core")
+                if len(set(rule.cores)) != len(rule.cores):
+                    # A repeated core would make the app's processes Free on one
+                    # core and count a migration per rotation that moves nothing.
+                    raise ScenarioError(f"apps[{i}].cores repeats a core: {list(rule.cores)}")
+                for core in rule.cores:
+                    if core not in cores:
+                        raise ScenarioError(f"apps[{i}].cores names unknown core {core}")
+                for port in rule.ports:
+                    if port not in self.traffic.ports:
+                        raise ScenarioError(f"apps[{i}].ports names unused port {port}")
+                    # Setup would place the port's threads by one rule alone.
+                    if ruled.setdefault(port, i) != i:
+                        raise ScenarioError(
+                            f"apps[{i}].ports names port {port}, as apps[{ruled[port]}] does"
+                        )
+            unruled = [p for p in self.traffic.ports if p not in ruled]
+            if unruled:
+                raise ScenarioError(f"traffic.ports {unruled} have no apps rule")
+            return self
+        # The schedule migrates the victim from core 0 to core 1 and
+        # pre-loads ring_capacity - 1 packets, one event each.
+        if len(cores) < 2:
+            raise ScenarioError("host.processors lists 1 core; kind 'worst_case' needs 2 or more")
+        if not 2 <= self.nic.ring_capacity <= MAX_WORST_CASE_RING:
+            raise ScenarioError(
+                f"nic.ring_capacity must be in 2..{MAX_WORST_CASE_RING} under kind "
+                f"'worst_case', not {self.nic.ring_capacity}"
+            )
+        # The victim's final ACK must not follow the migration, and the run
+        # must reach the last scripted packet, or the report measures nothing.
+        gap, last = self.traffic.handshake_gap_us, WORST_CASE_FIRE_NS + WORST_CASE_EPSILON_NS
+        if 2 * int(gap * US) > WORST_CASE_FIRE_NS:
+            raise ScenarioError("traffic.handshake_gap_us must be at most "
+                                f"{WORST_CASE_FIRE_NS / 2 / US} under kind 'worst_case', "
+                                f"not {gap}")
+        if int(self.duration_us * US) < last:
+            raise ScenarioError(f"duration_us must be at least {last / US} under kind "
+                                f"'worst_case', not {self.duration_us}")
+        worst_case_keys(self, build_rss_engine(self))  # last: it hashes with the settings above
         return self
 
     def num_cores(self) -> int:
@@ -358,6 +370,11 @@ class Scenario(Record):
         d = _plain(self)
         d["version"] = SCENARIO_VERSION
         d["duration_us"] = float(self.duration_us)
+        if self.kind == "worst_case":
+            for path in WORST_CASE_UNREAD:
+                section, _, name = path.rpartition(".")
+                del (d[section] if section else d)[name]
+            d = {name: value for name, value in d.items() if value != {}}  # no scheduler
         return d
 
     @classmethod

@@ -2,13 +2,14 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from steersim import presets, runner
 from steersim.cli import main, scenario_hash
-from steersim.workload import ScenarioError
+from steersim.workload import WORST_CASE_UNREAD, Scenario, ScenarioError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -323,6 +324,68 @@ class TestScenarioHash:
         b = presets.pinned_same()
         b.traffic.streams = 80
         assert scenario_hash(a) != scenario_hash(b)
+
+
+# A value other than the default for each setting a worst case never reads.
+UNREAD_VALUES = {
+    "traffic.streams": 41,
+    "traffic.data_packets_per_stream": 31,
+    "traffic.link_gbps": 5.0,
+    "traffic.burst": 4,
+    "traffic.burst_spacing_ns": 0,
+    "traffic.jitter_ns": 10,
+    "traffic.ephemeral_ports": "random",
+    "traffic.ephemeral_start": 65500,  # would leave no room for 40 sequential ports
+    "traffic.start_spread_us": 0.0,
+    "host.syscall_cadence_us": None,
+    "scheduler.mode": "peak_performance",
+    "scheduler.tick_us": 100.0,
+    "scheduler.forced_migration_period_us": 10.0,
+    "flow_table.num_buckets": 1,
+    "flow_table.max_list_size": 1,
+    "apps": [{"ports": [5001, 6001], "cores": [0, 3]}],
+}
+
+
+class TestWorstCase:
+    def test_every_unread_setting_has_a_value(self):
+        assert sorted(UNREAD_VALUES) == sorted(WORST_CASE_UNREAD)
+
+    @pytest.mark.parametrize("path", WORST_CASE_UNREAD)
+    def test_unread_setting_fails_at_load_naming_itself(self, path, tmp_path, capsys):
+        d = json.loads((SCENARIOS / "worstcase.json").read_text())
+        section, _, name = path.rpartition(".")
+        (d.setdefault(section, {}) if section else d)[name] = UNREAD_VALUES[path]
+        refusal = f"{path} is not read under kind 'worst_case' and must keep its default, "
+        with pytest.raises(ScenarioError, match=f"^{re.escape(refusal)}"):
+            Scenario.from_dict(d)
+        probe, out = tmp_path / "probe.json", tmp_path / "out"
+        probe.write_text(json.dumps(d))
+        assert run_cli("run", probe, "--out", out, "--quiet") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {refusal}")
+        assert not out.exists()
+
+    def test_repeat_exits_2(self, tmp_path, capsys):
+        # The schedule draws no randomness, so every seed gives the same row.
+        out = tmp_path / "out"
+        assert run_cli("run", SCENARIOS / "worstcase.json", "--repeat", 2, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --repeat must be 1 under kind 'worst_case', which is deterministic\n")
+        assert not out.exists()
+
+    def test_max_list_size_override_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("run", SCENARIOS / "worstcase.json", "--max-list-size", 3,
+                       "--out", out, "--quiet") == 2
+        assert capsys.readouterr().err.startswith("error: flow_table.max_list_size is not read ")
+
+    def test_a_single_run_writes_its_reports(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("run", SCENARIOS / "worstcase.json", "--repeat", 1, "--out", out,
+                       "--quiet") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["scenario"] == json.loads((SCENARIOS / "worstcase.json").read_text())
 
 
 class TestBundledScenarios:

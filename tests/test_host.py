@@ -126,12 +126,16 @@ class TestProcessContext:
         assert h.host.runnable_counts() == [1, 0, 0, 0]
 
     def test_backlog_drained_on_app_core(self, logs):
+        # The app sleeps in its receive call on core 1 when four packets
+        # reach queue 0 at once; each defers to the backlog, the first wakes it.
         h = Harness()
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
-        sock.backlog.extend(rx_pkt(k, seq=s) for s in range(4))
         h.first_call(sock, at=10)
+        for seq in range(4):
+            h.inject(k, seq, at=500, queue=0)
         h.sim.run_until(50_000)
+        assert h.host.stats.deferrals == 4
         assert len(logs[k]) == 4
         assert all(r.core == 1 for r in logs[k])
         assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 4)
@@ -154,9 +158,11 @@ class TestProcessContext:
         h = Harness(ack_every=2)
         k = key()
         sock = h.flow(k, core=1, cadence_ns=100_000)
-        sock.backlog.extend(rx_pkt(k, seq=s) for s in range(3))
         h.first_call(sock, at=0)
+        for seq in range(3):
+            h.inject(k, seq, at=500, queue=0)
         h.sim.run_until(50_000)
+        assert h.host.stats.delivered_process == 3
         # Two ACKs: the per-2-packets one mid-drain, the residue at return.
         assert len(h.acks) == 2
         assert all(core == 1 for _, core, _ in h.acks)
@@ -303,7 +309,7 @@ host_steps = st.lists(
 @given(threads, host_steps)
 @settings(max_examples=200, deadline=None)
 def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
-    # One host driven through receive calls (which sleep or drain), packet
+    # One host driven through first receive calls (which sleep), packet
     # arrivals (which wake sleepers and fill backlogs), time passing (drains
     # and later calls), peak and power ticks, forced rotations and direct
     # migrations. After every step the host's runnable counts equal a walk
@@ -316,6 +322,7 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
                allowed=allowed, cadence_ns=cadence)
         for i, (allowed, start, cadence) in enumerate(specs)
     ]
+    called = set()  # pids whose first receive call has been issued
     moves = []
     migrate = host._migrate
 
@@ -330,8 +337,13 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
         expected = None
         moves.clear()
         if kind == "call":
-            host.submit_syscall(socks[step[1] % len(socks)])
-            h.sim.run_until(h.sim.now)
+            # As in an engine run: a thread with a cadence gets its first
+            # call once, from outside; it issues every later one itself.
+            sock = socks[step[1] % len(socks)]
+            if sock.cadence_ns is not None and sock.pid not in called:
+                called.add(sock.pid)
+                host.submit_syscall(sock)
+                h.sim.run_until(h.sim.now)
         elif kind == "packet":
             sock = socks[step[1] % len(socks)]
             h.nic._enqueue(step[2], rx_pkt(sock.key, seq=seq))

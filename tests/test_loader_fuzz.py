@@ -34,7 +34,8 @@ OTHER_TYPES = ("text", 2.5, 7, True, None, [1, 2], {"a": 1})
 def shortened(path: Path) -> dict:
     d = json.loads(path.read_text())
     d["duration_us"] = SHORT_US
-    d["traffic"]["streams"] = min(d["traffic"]["streams"], MAX_STREAMS)
+    if "streams" in d["traffic"]:  # a worst case's file leaves it out
+        d["traffic"]["streams"] = min(d["traffic"]["streams"], MAX_STREAMS)
     return d
 
 

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steersim
+from steersim import presets
 from steersim.flows import is_record
 from steersim.runner import run_scenario
 from steersim.simkernel import make_rng
 from steersim.workload import (
     RULES,
+    WORST_CASE_UNREAD,
     AppRule,
     Bound,
     Scenario,
@@ -23,6 +25,7 @@ from steersim.workload import (
     TrafficSpec,
     assign_ports,
     field_type,
+    field_value,
     inter_burst_ns,
     spawn_streams,
 )
@@ -42,11 +45,8 @@ def scenario(streams=40, **traffic_kwargs):
     return s
 
 
-def worst_case(streams):
-    s = scenario(streams)
-    s.kind = "worst_case"
-    s.apps = (AppRule((5001,), (0,)),)
-    return s
+def worst_case():
+    return Scenario(name="t", kind="worst_case", duration_us=50_000)
 
 
 def data_times(plan) -> list:
@@ -376,13 +376,13 @@ class TestScenarioSerialization:
         ("", "duration_us", 50.0),
     ])
     def test_worst_case_limits_are_checked_at_load(self, section, field, value):
-        d = worst_case(4).to_dict()
+        d = worst_case().to_dict()
         path = set_field(d, section, field, value)
         with pytest.raises(ScenarioError, match=f"^{path}"):
             Scenario.from_dict(d)
 
     def test_worst_case_at_its_limits_loads(self):
-        d = worst_case(4).to_dict()
+        d = worst_case().to_dict()
         d["traffic"]["handshake_gap_us"] = 25.0
         d["duration_us"] = 50.001
         Scenario.from_dict(d)
@@ -627,6 +627,101 @@ class TestRules:
         s.host.service_rate_pps = RULES["host.service_rate_pps"].low
         report = run_scenario(s.validate(), seed=1).report
         assert report.delivered_data == 0 and report.generated_data > 0
+
+
+WORSTCASE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "worstcase.json"
+
+
+def set_path(d, path, value):
+    """Set the dotted `path` in `d`, adding its section when `d` lacks it."""
+    section, _, name = path.rpartition(".")
+    (d.setdefault(section, {}) if section else d)[name] = value
+
+
+def scenario_paths() -> set:
+    """The dotted path of every setting of a scenario."""
+    paths = set()
+    for name, tp in Scenario.FIELDS.items():
+        paths |= {f"{name}.{field}" for field in tp.FIELDS} if is_record(tp) else {name}
+    return paths
+
+
+# Each setting a worst case reads, with two sets of overrides whose report
+# rows differ; only the second changes the setting. Both runs last half a
+# second: the victim's entry idles from 50 us on, so the default 1 s idle
+# timeout keeps it and a shorter one evicts it.
+READ_BY_ROW = {
+    "name": ({}, {"name": "other"}),
+    "kind": ({}, {"kind": "streams"}),
+    "seed": ({}, {"seed": 2}),  # it only labels the row
+    "duration_us": ({}, {"duration_us": 1_000.0}),
+    # A flow's two addresses share a family; an IPv6 entry takes more memory.
+    "traffic.src_addr": ({}, {"traffic.src_addr": "2001:db8::1",
+                              "traffic.dst_addr": "2001:db8::2"}),
+    "traffic.packet_bytes": ({}, {"traffic.packet_bytes": 1_000}),
+    "traffic.handshake_gap_us": ({}, {"traffic.handshake_gap_us": 0.0}),
+    "host.processors": ({}, {"host.processors": [[0, 1, 2]]}),
+    "host.service_rate_pps": ({}, {"host.service_rate_pps": 2e6}),
+    "host.ack_every": ({}, {"host.ack_every": 1}),
+    "nic.mode": ({}, {"nic.mode": "rss"}),
+    "nic.ring_capacity": ({}, {"nic.ring_capacity": 4}),
+    "nic.latency_accounting": ({}, {"nic.latency_accounting": True}),
+    "flow_table.max_entries": ({}, {"flow_table.max_entries": 1}),
+    "flow_table.t_timer_us": ({}, {"flow_table.t_timer_us": 0.0}),
+    "flow_table.t_delete_ms": ({}, {"flow_table.t_delete_ms": 100.0}),
+    # Only a table at its pressure threshold takes the shorter timeout.
+    "flow_table.t_delete_pressure_ms": (
+        {"flow_table.max_entries": 1},
+        {"flow_table.max_entries": 1, "flow_table.t_delete_pressure_ms": 1_000.0},
+    ),
+    "flow_table.pressure_threshold": ({}, {"flow_table.pressure_threshold": 1e-5}),
+}
+
+# Settings a worst case reads to pick its victim and filler flows, the first
+# two source ports whose hash lands on queue 0. Another pick runs the same
+# schedule, so the row may stay the same.
+KEY_PICKING = {
+    "traffic.ports": "ports[0] is both flows' destination port",
+    "traffic.dst_addr": "both flows' destination address, in src_addr's family",
+    "rss.key_hex": "the hash key that places the flows",
+    "rss.table": "the indirection table that places the flows",
+    "rss.fields": "the hash input that places the flows",
+}
+
+
+class TestWorstCaseSettings:
+    def test_every_setting_is_refused_read_by_the_row_or_picks_the_flows(self):
+        groups = [set(WORST_CASE_UNREAD), set(READ_BY_ROW), set(KEY_PICKING)]
+        assert sum(map(len, groups)) == len(set.union(*groups))  # disjoint
+        assert set.union(*groups) == scenario_paths()
+
+    @pytest.mark.parametrize("path", sorted(READ_BY_ROW))
+    def test_each_read_setting_changes_the_row(self, path):
+        runs = []
+        for overrides in READ_BY_ROW[path]:
+            d = presets.worstcase().to_dict()
+            d["duration_us"] = 500_000.0
+            for name, value in overrides.items():
+                set_path(d, name, value)
+            runs.append(Scenario.from_dict(d))
+        assert field_value(runs[0], path) != field_value(runs[1], path)
+        before, after = (run_scenario(s).report.to_row() for s in runs)
+        assert before != after
+
+    def test_the_bundled_file_holds_only_what_the_kind_reads(self, tmp_path):
+        text = WORSTCASE_FILE.read_text()
+        d = json.loads(text)
+        for path in WORST_CASE_UNREAD:
+            section, _, name = path.rpartition(".")
+            assert name not in (d.get(section, {}) if section else d), path
+        Scenario.from_dict(d).save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+    def test_a_saved_worst_case_loads_as_it_was(self):
+        s = presets.worstcase()
+        s.flow_table.t_timer_us = 85.0
+        s.host.processors = ((0, 1, 2),)
+        assert Scenario.from_dict(s.to_dict()) == s
 
 
 class TestSections:
