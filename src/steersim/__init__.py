@@ -6,14 +6,13 @@ application runs from the core id on its outgoing packets and holds packets
 briefly across core changes to keep delivery in order.
 """
 
-from .flows import FlowKey, Packet, reverse_key
+from .flows import FlowKey, reverse_key
 from .runner import Engine, RunResult, run_scenario
 from .workload import Scenario
 
 __all__ = [
     "Engine",
     "FlowKey",
-    "Packet",
     "RunResult",
     "Scenario",
     "reverse_key",

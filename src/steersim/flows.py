@@ -1,4 +1,12 @@
-"""Flow identity, simulated frames and the record base class."""
+"""Flow identity, simulated frames and the record base class.
+
+A received frame is the plain tuple `(key, kind, seq, size)`: `key` is its
+flow's receive-direction `FlowKey`, `kind` one of `KINDS`, `seq` a gapless
+per-flow sequence number for DATA and -1 for control frames, and `size`
+its length in bytes. The engine builds one as the frame arrives; the model
+unpacks it and keeps no state on it, so a frame held by the steering table
+sits there beside the time it was held at (`FlowEntry.held`).
+"""
 
 from typing import NamedTuple
 
@@ -91,20 +99,3 @@ def _fresh(default):
         return tuple(map(_fresh, default))
     return default
 
-
-class Packet:
-    """One simulated frame.
-
-    `seq` is a gapless per-flow sequence number for DATA packets and -1 for
-    control packets. `held_at` is set while the frame sits in a steering
-    table's transition list.
-    """
-
-    __slots__ = ("key", "kind", "seq", "size", "held_at")
-
-    def __init__(self, key: FlowKey, kind: str, seq: int, size: int, held_at: int | None = None):
-        self.key = key
-        self.kind = kind
-        self.seq = seq
-        self.size = size
-        self.held_at = held_at

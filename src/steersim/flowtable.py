@@ -10,7 +10,7 @@ migrations.
 
 from functools import lru_cache
 
-from .flows import ACK, SYN, PROTO_TCP, FlowKey, Packet, Record, reverse_key
+from .flows import ACK, SYN, PROTO_TCP, FlowKey, Record, reverse_key
 from .rss import _packed_addr
 from .simkernel import MS, US
 from .workload import TableSpec
@@ -28,7 +28,9 @@ class TimerBugError(RuntimeError):
 
 class FlowEntry:
     """One admitted flow. Compares by identity: a key has one entry, so a
-    chain finds an entry by `is` alone."""
+    chain finds an entry by `is` alone. While the entry is in transition,
+    `held` lists its held packets as `(packet, held_at)` pairs, in arrival
+    order."""
 
     __slots__ = ("key", "core_id", "transition", "held", "held_bytes", "last_activity",
                  "bucket")
@@ -38,7 +40,7 @@ class FlowEntry:
         self.core_id = core_id
         self.transition = False
         self.held = []
-        self.held_bytes = 0  # sum of the sizes in `held`
+        self.held_bytes = 0  # sum of the packet sizes in `held`
         self.last_activity = last_activity
         self.bucket = bucket
 
@@ -137,6 +139,11 @@ class FlowTable:
         # Receive key -> (time, the SYN-ACK's key once it is seen, else None).
         # Completion deletes the entry.
         self._tracker: dict[FlowKey, tuple[int, FlowKey | None]] = {}
+        # `search_time` by 1-based chain position, for every position a
+        # chain has reached, so a lookup's latency is read per packet with
+        # no range check. `_try_admit` extends it as a chain grows, and no
+        # chain grows past `max_list_size`.
+        self.search_ns = [None, search_time(1)]
         self.stats = FlowTableStats()
 
     def __len__(self):
@@ -147,21 +154,22 @@ class FlowTable:
 
     # -- connection tracking -------------------------------------------------
 
-    def on_rx_connection_tracking(self, packet: Packet, now: int) -> FlowEntry | None:
+    def on_rx_connection_tracking(self, packet: tuple, now: int) -> FlowEntry | None:
         """Advance handshake state from an incoming packet whose flow has no
         entry (`steer` calls this only after a miss); admit on the final ACK.
         Rejection (chain or table full) is a counted outcome, not an error."""
-        if packet.key.protocol != PROTO_TCP:
+        key, kind, _, _ = packet
+        if key.protocol != PROTO_TCP:
             return None
-        if packet.kind == SYN:
-            self._tracker[packet.key] = (now, None)
+        if kind == SYN:
+            self._tracker[key] = (now, None)
             return None
-        if packet.kind == ACK:
-            state = self._tracker.get(packet.key)
+        if kind == ACK:
+            state = self._tracker.get(key)
             if state is not None and state[1] is not None:
-                del self._tracker[packet.key]
+                del self._tracker[key]
                 self.stats.handshakes_completed += 1
-                return self._try_admit(packet.key, state[1], now)
+                return self._try_admit(key, state[1], now)
         return None
 
     def note_tx_packet(self, tx_key: FlowKey, now: int):
@@ -187,6 +195,8 @@ class FlowTable:
             key, core_id=self._fallback_core(key), last_activity=now, bucket=index
         )
         bucket.append(entry)
+        if len(bucket) == len(self.search_ns):
+            self.search_ns.append(search_time(len(bucket)))
         self._entries[key] = entry
         self._by_tx_key[tx_key] = entry
         self.stats.admitted += 1
@@ -195,7 +205,7 @@ class FlowTable:
 
     # -- steering ------------------------------------------------------------
 
-    def steer(self, packet: Packet, now: int, want_position: bool = False):
+    def steer(self, packet: tuple, now: int, want_position: bool = False):
         """Look a received packet up once; returns (decision, core_id,
         chain_position).
 
@@ -206,25 +216,23 @@ class FlowTable:
         1-based and only computed when the caller charges lookup latency;
         on a miss it is the full chain length walked.
         """
-        entry = self._entries.get(packet.key)
+        key, _, _, size = packet
+        entry = self._entries.get(key)
         if entry is None:
             entry = self.on_rx_connection_tracking(packet, now)
         if entry is None:
             position = 1
             if want_position:
-                bucket = self._buckets.get(
-                    bucket_index(packet.key, self.spec.num_buckets), ()
-                )
+                bucket = self._buckets.get(bucket_index(key, self.spec.num_buckets), ())
                 position = max(1, len(bucket))
             return FALLBACK, None, position
         position = self._position_of(entry) if want_position else 1
         entry.last_activity = now
         if entry.transition:
-            packet.held_at = now
-            entry.held.append(packet)
-            entry.held_bytes += packet.size
+            entry.held.append((packet, now))
+            entry.held_bytes += size
             self.stats.held_packets_total += 1
-            self.stats.held_bytes += packet.size
+            self.stats.held_bytes += size
             self.stats.peak_held_bytes = max(
                 self.stats.peak_held_bytes, self.stats.held_bytes
             )
@@ -259,8 +267,9 @@ class FlowTable:
             self.schedule_timer(entry.key)
 
     def on_timer_expire(self, key: FlowKey, now: int):
-        """Leave the transition state; returns (core_id, held packets) with
-        the held list in arrival order for enqueueing to the new core."""
+        """Leave the transition state; returns the core id and the held
+        `(packet, held_at)` pairs, in arrival order, for enqueueing to the
+        new core."""
         entry = self._entries.get(key)
         if entry is None or not entry.transition:
             raise TimerBugError(f"hold timer fired for non-transition flow {key}")

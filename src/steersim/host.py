@@ -290,7 +290,7 @@ class Host:
         slots = self._rx_slots[queue_id]
         while slots:
             packet = slots.popleft()
-            sock = self.sockets.get(packet.key)
+            sock = self.sockets.get(packet[0])
             if sock is not None and (sock.state >= STATE_DRAINING or sock.backlog):
                 # Deferral is an enqueue, too cheap to charge the service
                 # rate, so the drain continues at this same instant.
@@ -332,9 +332,10 @@ class Host:
 
     # -- delivery ----------------------------------------------------------------
 
-    def _deliver(self, packet, sock, core_id: int, now: int):
+    def _deliver(self, packet: tuple, sock, core_id: int, now: int):
         """Tally one delivery on its socket; the caller counts it under its
         context."""
+        _, kind, seq, _ = packet
         app_core = sock.core
         last = sock.last_core
         if core_id != last:
@@ -350,8 +351,7 @@ class Host:
             processor_of = self._processor_of
             if processor_of[core_id] != processor_of[app_core]:
                 sock.cross_processor += 1
-        if packet.kind == DATA:
-            seq = packet.seq
+        if kind == DATA:
             sock.data += 1
             if seq < sock.high:
                 sock.inversions += 1

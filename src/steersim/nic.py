@@ -9,8 +9,8 @@ empty-to-non-empty edge, and the host then drains until empty.
 from array import array
 from collections import deque
 
-from .flowtable import DIRECT, HELD, FlowTable, search_time
-from .flows import FlowKey, Packet
+from .flowtable import DIRECT, HELD, FlowTable
+from .flows import FlowKey
 from .rss import RssEngine
 from .workload import NicSpec
 
@@ -65,29 +65,30 @@ class Nic:
 
     # -- receive path ----------------------------------------------------------
 
-    def rx(self, packet: Packet, now: int):
-        """Place an arriving packet: held by the table, or pushed onto its
-        queue's ring (tail-dropped when full). Ring counters, `dropped` and
-        the table's held lists record where it went."""
+    def rx(self, packet: tuple, now: int):
+        """Place an arriving packet (a tuple, laid out in `flows`): held by
+        the table, or pushed onto its queue's ring (tail-dropped when full).
+        Ring counters, `dropped` and the table's held lists record where it
+        went."""
         if self._steers:
             decision, queue, position = self.table.steer(packet, now, self._latency)
             if decision is HELD:
                 return
             if decision is not DIRECT:
-                queue = self.engine.queue_for(packet.key)
+                queue = self.engine.queue_for(packet[0])
             if self._latency:
                 self._enqueue_after_lookup(queue, packet, now, position)
                 return
         else:
-            queue = self.engine.queue_for(packet.key)
+            queue = self.engine.queue_for(packet[0])
         self._enqueue(queue, packet)
 
-    def _enqueue_after_lookup(self, queue: int, packet: Packet, now: int, position: int):
+    def _enqueue_after_lookup(self, queue: int, packet: tuple, now: int, position: int):
         # The lookup pipeline is serial: a packet cannot overtake the one
         # ahead of it even if its own chain walk is shorter. Completion
         # times strictly increase, so completions fire in the order the
         # packets entered and each pops its own packet.
-        done = max(now, self._pipeline_free) + search_time(position)
+        done = max(now, self._pipeline_free) + self.table.search_ns[position]
         self._pipeline_free = done
         self._lookups.append((queue, packet))
         self.sim.schedule(done, self._finish_lookup)
@@ -95,7 +96,7 @@ class Nic:
     def _finish_lookup(self):
         self._enqueue(*self._lookups.popleft())
 
-    def _enqueue(self, queue: int, packet: Packet):
+    def _enqueue(self, queue: int, packet: tuple):
         """Append at the ring's tail, or tail-drop when it is full. The
         push onto an empty ring raises the queue's interrupt at this instant."""
         ring = self.rings[queue]
@@ -133,8 +134,7 @@ class Nic:
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""
         now = self.sim.now
-        queue, packets = self.table.on_timer_expire(key, now)
-        for packet in packets:
-            self.hold_delays.append(now - packet.held_at)
-            packet.held_at = None
+        queue, held = self.table.on_timer_expire(key, now)
+        for packet, held_at in held:
+            self.hold_delays.append(now - held_at)
             self._enqueue(queue, packet)

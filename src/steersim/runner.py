@@ -11,7 +11,7 @@ import ipaddress
 import os
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
-from .flows import ACK, DATA, SYN, FlowKey, Packet
+from .flows import ACK, DATA, SYN, FlowKey
 from .host import Core, Host, SocketModel
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
@@ -141,13 +141,13 @@ class Engine:
             if k >= 3:
                 seq = k - 3
                 if seq < data_counts[i]:
-                    rx(Packet(socks[i].key, DATA, seq, size), sim.now)
+                    rx((socks[i].key, DATA, seq, size), sim.now)
                 else:
                     submit_syscall(socks[i])
             elif k == 1:
                 tx_synack(socks[i])
             else:
-                rx(Packet(socks[i].key, ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
+                rx((socks[i].key, ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
 
         return arrive
 
@@ -180,23 +180,23 @@ class Engine:
         self.host.add_flow(filler_key, 0, (0,), None)
 
         gap = int(scenario.traffic.handshake_gap_us * US)
-        self._schedule_rx(0, Packet(victim_key, SYN, -1, CONTROL_BYTES))
+        self._schedule_rx(0, (victim_key, SYN, -1, CONTROL_BYTES))
         self.sim.schedule(gap, lambda: self._tx_synack(victim))
-        self._schedule_rx(2 * gap, Packet(victim_key, ACK, -1, CONTROL_BYTES))
+        self._schedule_rx(2 * gap, (victim_key, ACK, -1, CONTROL_BYTES))
 
         size = scenario.traffic.packet_bytes
         t = WORST_CASE_FIRE_NS
         eps = WORST_CASE_EPSILON_NS
         fillers = scenario.nic.ring_capacity - 1
         for seq in range(fillers):
-            self._schedule_rx(t - 2 * eps, Packet(filler_key, DATA, seq, size))
-        self._schedule_rx(t - eps, Packet(victim_key, DATA, 0, size))
+            self._schedule_rx(t - 2 * eps, (filler_key, DATA, seq, size))
+        self._schedule_rx(t - eps, (victim_key, DATA, 0, size))
         # The victim's app ACKs from its new core, core 1.
         self.sim.schedule(t, lambda: self.nic.tx_ack(victim.tx_key, 1, self.sim.now))
-        self._schedule_rx(t + eps, Packet(victim_key, DATA, 1, size))
+        self._schedule_rx(t + eps, (victim_key, DATA, 1, size))
         self.generated_data += fillers + 2
 
-    def _schedule_rx(self, at: int, packet: Packet):
+    def _schedule_rx(self, at: int, packet: tuple):
         """Schedule one scripted packet to reach the NIC at `at`."""
         self.sim.schedule(at, lambda: self.nic.rx(packet, self.sim.now))
 

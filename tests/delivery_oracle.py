@@ -82,7 +82,8 @@ def record_deliveries(monkeypatch) -> dict:
         log = logs.get(sock.key)
         if log is None:
             log = logs[sock.key] = DeliveryLog()
-        log.append(packet.seq, now, core_id, sock.core, packet.kind)
+        _, kind, seq, _ = packet
+        log.append(seq, now, core_id, sock.core, kind)
         deliver(host, packet, sock, core_id, now)
 
     monkeypatch.setattr(Host, "_deliver", recorded)

@@ -201,7 +201,7 @@ def test_criterion_7_affinity_benefit(paired_affinity_runs):
 
 def test_criterion_8_property_suite(inorder_batch):
     from steersim.flowtable import FlowTable
-    from steersim.flows import Packet, reverse_key
+    from steersim.flows import reverse_key
     from steersim.workload import TableSpec
 
     # Toeplitz agreement with the independent bit-level oracle.
@@ -228,15 +228,15 @@ def test_criterion_8_property_suite(inorder_batch):
     k = FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, 40000, 5001)
     from steersim.flows import ACK, SYN
 
-    table.on_rx_connection_tracking(Packet(k, SYN, -1, 64), 0)
+    table.on_rx_connection_tracking((k, SYN, -1, 64), 0)
     table.note_tx_packet(reverse_key(k), 0)
-    table.on_rx_connection_tracking(Packet(k, ACK, -1, 64), 0)
+    table.on_rx_connection_tracking((k, ACK, -1, 64), 0)
     table.observe_tx(reverse_key(k), 1, 0)
     seqs = [rng.randrange(1000) for _ in range(64)]
     for i, seq in enumerate(seqs):
-        table.steer(Packet(k, DATA, seq, 100), i)
+        table.steer((k, DATA, seq, 100), i)
     _, flushed = table.on_timer_expire(k, table.t_timer_ns)
-    fifo_ok = [p.seq for p in flushed] == seqs
+    fifo_ok = [seq for (_, _, seq, _), _ in flushed] == seqs
 
     # Claims over the shared in-order batch: chain caps, occupancy bound,
     # held delay bound, exactly-once delivery.

@@ -19,7 +19,7 @@ from delivery_oracle import (
     reordering_ratio,
     warm_up_end,
 )
-from steersim.flows import DATA, KINDS, PROTO_TCP, FlowKey, Packet
+from steersim.flows import DATA, KINDS, PROTO_TCP, FlowKey
 from steersim.host import Core, Host
 from steersim.nic import Nic
 from steersim.rss import RssEngine
@@ -164,7 +164,7 @@ def test_socket_tallies_match_the_oracle(events):
                 continue
             _, core, app_core, kind, seq = event
             sock.core = app_core
-            host._deliver(Packet(key(), kind, seq, 100), sock, core, now)
+            host._deliver((key(), kind, seq, 100), sock, core, now)
     expected = delivery_figures(in_socket_order(logs, host), [0, 0, 1, 1], flushes)
     assert sock.data == expected["delivered_data"]
     assert (sock.inversions / sock.data if sock.data else 0.0) == expected["reordering_ratio"]

@@ -1,8 +1,10 @@
 """Whole-run integration behaviour of the wired simulation."""
 
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from array import array
@@ -11,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import steersim
 from steersim import presets
-from steersim.flows import DATA, FIN, SYN, FlowKey, Packet
+from steersim.flows import DATA, FIN, SYN, FlowKey
 from steersim.flowtable import FlowTable
 from steersim.host import STATE_COMPUTING, SocketModel
 from steersim.runner import Engine, run_scenario
@@ -73,8 +76,9 @@ class TestWorstCaseSchedule:
         data, acks = [], []
 
         def record_rx(packet, now):
-            if packet.kind == DATA:
-                data.append((now, packet.key, packet.seq))
+            k, kind, seq, _ = packet
+            if kind == DATA:
+                data.append((now, k, seq))
             rx(packet, now)
 
         def record_ack(tx_key, core, now):  # the SYN-ACK and the migration
@@ -235,7 +239,8 @@ class TestHoldBounds:
         def recorded(table, key, now):
             out = expire(table, key, now)
             entries = [e for e in map(table.get, engine.host.sockets) if e is not None]
-            assert all(e.held_bytes == sum(p.size for p in e.held) for e in entries)
+            assert all(e.held_bytes == sum(size for (_, _, _, size), _ in e.held)
+                       for e in entries)
             after.append((table.stats.held_bytes, sum(e.held_bytes for e in entries),
                           sum(e.transition for e in entries)))
             return out
@@ -480,11 +485,17 @@ class TestGarbageCollectionPause:
         assert gc.isenabled()
 
 
+def _is_handshake_packet(o) -> bool:
+    """Whether `o` is a received packet, a `(key, kind, seq, size)` tuple,
+    of a kind other than data."""
+    return type(o) is tuple and len(o) == 4 and type(o[0]) is FlowKey and o[1] != DATA
+
+
 def _census() -> Counter:
     """gc-tracked objects by type; packets other than data count as
     "handshake packet"."""
     return Counter(
-        "handshake packet" if type(o) is Packet and o.kind != DATA else type(o)
+        "handshake packet" if _is_handshake_packet(o) else type(o)
         for o in gc.get_objects()
     )
 
@@ -511,6 +522,64 @@ class TestPerFlowState:
         assert not any(isinstance(sock.backlog, deque) for sock in sockets)
         assert alive["handshake packet"] == 0
         assert alive[FlowKey] <= 2 * self.STREAMS  # receive and transmit key
+
+
+def _steersim_classes() -> list:
+    """Every class defined in a steersim module."""
+    classes = []
+    for info in pkgutil.iter_modules(steersim.__path__, "steersim."):
+        if info.name != "steersim.__main__":  # runs the CLI when imported
+            module = importlib.import_module(info.name)
+            classes += [obj for obj in vars(module).values()
+                        if isinstance(obj, type) and obj.__module__ == module.__name__]
+    return classes
+
+
+def _counted_init(cls, built: Counter, counting: list):
+    """An `__init__` for `cls` that counts, while `counting[0]` is true,
+    each object whose own class is `cls`, then runs the one `cls` had."""
+    init = vars(cls).get("__init__", cls.__init__)
+
+    def __init__(self, *args, **kwargs):
+        if counting[0] and type(self) is cls:
+            built[cls.__name__] += 1
+        if init is not object.__init__:  # a tuple subclass's __new__ set it up
+            init(self, *args, **kwargs)
+
+    return __init__
+
+
+class TestPerPacketPath:
+    """The event loop builds no steersim object per packet: a received
+    packet is a plain tuple. Under flow steering it builds one flow entry
+    per admitted flow and one `FlowKey` per handshake, the receive key that
+    `FlowTable.note_tx_packet` reverses from the SYN-ACK; under RSS,
+    nothing."""
+
+    @pytest.mark.parametrize("scenario", [
+        presets.migrate_same(),
+        in_mode(presets.pinned_same(), "rss"),
+    ], ids=["migrate_same", "pinned_same-rss"])
+    def test_run_until_builds_no_object_per_packet(self, scenario, monkeypatch):
+        built, counting = Counter(), [False]
+        for cls in _steersim_classes():
+            monkeypatch.setattr(cls, "__init__", _counted_init(cls, built, counting))
+        run_until = Simulator.run_until
+
+        def counted(sim, t_end):
+            counting[0] = True
+            try:
+                return run_until(sim, t_end)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(Simulator, "run_until", counted)
+        report = Engine(scenario, seed=1).run().report
+        assert report.generated_data > 0
+        if scenario.nic.mode == "rss":
+            assert built == Counter()
+        else:
+            assert built == Counter(FlowEntry=report.admitted, FlowKey=report.handshakes)
 
 
 def _records_alive() -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import ACK, DATA, SYN, PROTO_TCP, PROTO_UDP, FlowKey, Packet, reverse_key
+from steersim.flows import ACK, DATA, SYN, PROTO_TCP, PROTO_UDP, FlowKey, reverse_key
 from steersim.flowtable import (
     DIRECT,
     FALLBACK,
@@ -27,7 +27,7 @@ def key(sport=40000, dport=5001, src="10.0.0.1", dst="10.0.0.2", proto=PROTO_TCP
 
 
 def rx_pkt(k, kind=DATA, seq=0, size=1500):
-    return Packet(k, kind, seq, size)
+    return (k, kind, seq, size)
 
 
 class Timers:
@@ -233,6 +233,19 @@ class TestSteer:
         assert pos == 2
         assert search_time(pos) == 410
 
+    def test_search_ns_covers_every_position_a_chain_reaches(self):
+        # Six flows in one bucket of four: the chain fills, the last two
+        # miss it and walk all four entries.
+        table, _ = make_table(fallback=0, num_buckets=1, max_list_size=4)
+        assert table.search_ns == [None, search_time(1)]
+        keys = [key(sport=sport) for sport in range(1, 7)]
+        for k in keys:
+            admit(table, k)
+        assert table.search_ns == [None] + [search_time(p) for p in range(1, 5)]
+        positions = [table.steer(rx_pkt(k), 0, want_position=True)[2] for k in keys]
+        assert positions == [1, 2, 3, 4, 4, 4]
+        assert max(positions) == len(table.search_ns) - 1
+
     def test_held_appends_fifo(self):
         table, _ = make_table(fallback=0)
         k = key()
@@ -242,7 +255,7 @@ class TestSteer:
             decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
             assert decision is HELD
         entry = table.get(k)
-        assert [p.seq for p in entry.held] == [5, 6, 7]
+        assert [seq for (_, _, seq, _), _ in entry.held] == [5, 6, 7]
         assert table.stats.held_bytes == 3 * 1500
 
     def test_unknown_udp_falls_back(self):
@@ -261,7 +274,7 @@ class TestTimerExpiry:
             table.steer(rx_pkt(k, seq=seq), 10)
         core, flushed = table.on_timer_expire(k, 1000)
         assert core == 1
-        assert [p.seq for p in flushed] == [5, 6, 7]
+        assert [seq for (_, _, seq, _), _ in flushed] == [5, 6, 7]
         entry = table.get(k)
         assert not entry.transition
         assert entry.held == [] and table.stats.held_bytes == 0
@@ -386,7 +399,7 @@ class TestInvariants:
         for i, seq in enumerate(seqs):
             table.steer(rx_pkt(k, seq=seq), i)
         _, flushed = table.on_timer_expire(k, table.t_timer_ns)
-        assert [p.seq for p in flushed] == seqs
+        assert [seq for (_, _, seq, _), _ in flushed] == seqs
 
     def test_direct_after_observe_until_next_change(self):
         # Once a transition to core c flushes, every steer is Direct(c) until

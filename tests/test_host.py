@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import DATA, PROTO_TCP, FlowKey, Packet, reverse_key
+from steersim.flows import DATA, PROTO_TCP, FlowKey, reverse_key
 from steersim.host import (
     MODE_PEAK_PERFORMANCE,
     MODE_PINNED,
@@ -30,7 +30,7 @@ def key(sport=40000, dport=5001):
 
 
 def rx_pkt(k, seq=0, kind=DATA):
-    return Packet(k, kind, seq, 1500)
+    return (k, kind, seq, 1500)
 
 
 @pytest.fixture
@@ -106,7 +106,7 @@ class TestInterruptContext:
             h.inject(k, seq, at=0, queue=0)
         h.sim.run_until(5_000)
         assert k not in logs
-        assert [p.seq for p in sock.backlog] == [0, 1, 2]
+        assert [seq for _, _, seq, _ in sock.backlog] == [0, 1, 2]
         assert h.host.stats.deferrals == 3
 
     def test_empty_queue_handler_exits(self):

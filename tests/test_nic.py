@@ -1,4 +1,4 @@
-from steersim.flows import ACK, DATA, SYN, PROTO_TCP, FlowKey, Packet, reverse_key
+from steersim.flows import ACK, DATA, SYN, PROTO_TCP, FlowKey, reverse_key
 from steersim.flowtable import FlowTable
 from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic
 from steersim.rss import RssEngine
@@ -11,7 +11,7 @@ def key(sport=40000, dport=5001):
 
 
 def rx_pkt(k, kind=DATA, seq=0, size=1500):
-    return Packet(k, kind, seq, size)
+    return (k, kind, seq, size)
 
 
 class Harness:
@@ -73,7 +73,7 @@ class TestRingBuffer:
         nic = Harness(ring_capacity=8).nic
         for seq in range(3):
             nic._enqueue(0, rx_pkt(key(), seq=seq))
-        assert [nic.rings[0].slots.popleft().seq for _ in range(3)] == [0, 1, 2]
+        assert [nic.rings[0].slots.popleft()[2] for _ in range(3)] == [0, 1, 2]
 
     def test_drop_tail_at_capacity(self):
         nic = Harness(ring_capacity=2).nic
@@ -81,7 +81,7 @@ class TestRingBuffer:
             nic._enqueue(0, rx_pkt(key(), seq=seq))
         ring = nic.rings[0]
         assert ring.dropped == 1 and ring.enqueued == 2
-        assert [p.seq for p in ring.slots] == [0, 1]
+        assert [seq for _, _, seq, _ in ring.slots] == [0, 1]
 
     def test_pop_empty(self):
         h = Harness()
@@ -122,7 +122,7 @@ class TestRx:
         h.admit(k)
         h.nic.tx_ack(reverse_key(k), 2, 0)
         h.nic.rx(rx_pkt(k, seq=0), 0)
-        assert [p.seq for p in h.table.get(k).held] == [0]
+        assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [0]
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 0, 0]
 
     def test_ring_overflow_drops(self):
@@ -134,7 +134,7 @@ class TestRx:
             h.nic.rx(rx_pkt(k, seq=s), 0)
             depths.append((len(h.nic.rings[0].slots), h.nic.rings[0].dropped))
         assert depths == [(1, 0), (2, 0), (2, 1)]
-        assert [h.nic.rings[0].slots.popleft().seq for _ in range(2)] == [0, 1]
+        assert [h.nic.rings[0].slots.popleft()[2] for _ in range(2)] == [0, 1]
 
     def test_interrupt_only_on_empty_edge(self):
         h = Harness(fallback=0)
@@ -184,7 +184,7 @@ class TestDrainAndFlush:
         h.admit(k)
         for seq in range(3):
             h.nic.rx(rx_pkt(k, seq=seq), 0)
-        got = [h.nic.rings[0].slots.popleft().seq for _ in range(3)]
+        got = [h.nic.rings[0].slots.popleft()[2] for _ in range(3)]
         assert got == [0, 1, 2]
         assert not h.nic.rings[0].slots
 
@@ -197,13 +197,13 @@ class TestDrainAndFlush:
         h.nic.tx_ack(reverse_key(k), 1, 0)
         for seq in (5, 6, 7):
             h.nic.rx(rx_pkt(k, seq=seq), h.sim.now)
-        assert [p.seq for p in h.table.get(k).held] == [5, 6, 7]
+        assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [5, 6, 7]
         assert len(h.nic.rings[1].slots) == 0
         h.sim.run_until(5_000)  # timer fires, flush to queue 1
         assert h.table.get(k).held == []
         h.nic.rx(rx_pkt(k, seq=8), h.sim.now)
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 4, 0, 0]
-        seqs = [h.nic.rings[1].slots.popleft().seq for _ in range(4)]
+        seqs = [h.nic.rings[1].slots.popleft()[2] for _ in range(4)]
         assert seqs == [5, 6, 7, 8]
 
     def test_retarget_flushes_one_t_timer_after_the_first_change(self):
@@ -217,7 +217,7 @@ class TestDrainAndFlush:
         h.nic.tx_ack(reverse_key(k), 2, h.sim.now)
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(4_999)
-        assert [p.seq for p in h.table.get(k).held] == [0]
+        assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [0]
         h.sim.run_until(5_000)
         assert h.table.get(k).held == [] and h.sim.pending() == 0
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 1, 0]
