@@ -139,11 +139,6 @@ class FlowTable:
         # Receive key -> (time, the SYN-ACK's key once it is seen, else None).
         # Completion deletes the entry.
         self._tracker: dict[FlowKey, tuple[int, FlowKey | None]] = {}
-        # `search_time` by 1-based chain position, for every position a
-        # chain has reached, so a lookup's latency is read per packet with
-        # no range check. `_try_admit` extends it as a chain grows, and no
-        # chain grows past `max_list_size`.
-        self.search_ns = [None, search_time(1)]
         self.stats = FlowTableStats()
 
     def __len__(self):
@@ -195,8 +190,6 @@ class FlowTable:
             key, core_id=self._fallback_core(key), last_activity=now, bucket=index
         )
         bucket.append(entry)
-        if len(bucket) == len(self.search_ns):
-            self.search_ns.append(search_time(len(bucket)))
         self._entries[key] = entry
         self._by_tx_key[tx_key] = entry
         self.stats.admitted += 1

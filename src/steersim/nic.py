@@ -9,7 +9,7 @@ empty-to-non-empty edge, and the host then drains until empty.
 from array import array
 from collections import deque
 
-from .flowtable import DIRECT, HELD, FlowTable
+from .flowtable import DIRECT, HELD, FlowTable, search_time
 from .flows import FlowKey
 from .rss import RssEngine
 from .workload import NicSpec
@@ -88,7 +88,7 @@ class Nic:
         # ahead of it even if its own chain walk is shorter. Completion
         # times strictly increase, so completions fire in the order the
         # packets entered and each pops its own packet.
-        done = max(now, self._pipeline_free) + self.table.search_ns[position]
+        done = max(now, self._pipeline_free) + search_time(position)
         self._pipeline_free = done
         self._lookups.append((queue, packet))
         self.sim.schedule(done, self._finish_lookup)

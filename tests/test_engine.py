@@ -551,35 +551,43 @@ def _counted_init(cls, built: Counter, counting: list):
 
 class TestPerPacketPath:
     """The event loop builds no steersim object per packet: a received
-    packet is a plain tuple. Under flow steering it builds one flow entry
-    per admitted flow and one `FlowKey` per handshake, the receive key that
-    `FlowTable.note_tx_packet` reverses from the SYN-ACK; under RSS,
-    nothing."""
+    packet is a plain tuple. What it builds is per flow, so doubling each
+    stream's packets leaves every count unchanged: one flow entry per
+    admitted flow under flow steering, nothing at all under RSS."""
 
-    @pytest.mark.parametrize("scenario", [
-        presets.migrate_same(),
-        in_mode(presets.pinned_same(), "rss"),
-    ], ids=["migrate_same", "pinned_same-rss"])
-    def test_run_until_builds_no_object_per_packet(self, scenario, monkeypatch):
+    @staticmethod
+    def _built_during_run(scenario, monkeypatch):
         built, counting = Counter(), [False]
-        for cls in _steersim_classes():
-            monkeypatch.setattr(cls, "__init__", _counted_init(cls, built, counting))
-        run_until = Simulator.run_until
+        with monkeypatch.context() as patch:
+            for cls in _steersim_classes():
+                patch.setattr(cls, "__init__", _counted_init(cls, built, counting))
+            run_until = Simulator.run_until
 
-        def counted(sim, t_end):
-            counting[0] = True
-            try:
-                return run_until(sim, t_end)
-            finally:
-                counting[0] = False
+            def counted(sim, t_end):
+                counting[0] = True
+                try:
+                    return run_until(sim, t_end)
+                finally:
+                    counting[0] = False
 
-        monkeypatch.setattr(Simulator, "run_until", counted)
-        report = Engine(scenario, seed=1).run().report
-        assert report.generated_data > 0
+            patch.setattr(Simulator, "run_until", counted)
+            report = Engine(scenario, seed=1).run().report
+        return built, report
+
+    @pytest.mark.parametrize("make", [
+        presets.migrate_same,
+        lambda: in_mode(presets.pinned_same(), "rss"),
+    ], ids=["migrate_same", "pinned_same-rss"])
+    def test_run_until_builds_no_object_per_packet(self, make, monkeypatch):
+        scenario, doubled = make(), make()
+        doubled.traffic.data_packets_per_stream *= 2
+        built, report = self._built_during_run(scenario, monkeypatch)
+        built_doubled, report_doubled = self._built_during_run(doubled, monkeypatch)
+        assert report_doubled.generated_data == 2 * report.generated_data > 0
+        assert built_doubled == built
+        assert built["FlowEntry"] == report.admitted
         if scenario.nic.mode == "rss":
             assert built == Counter()
-        else:
-            assert built == Counter(FlowEntry=report.admitted, FlowKey=report.handshakes)
 
 
 def _records_alive() -> int:

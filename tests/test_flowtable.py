@@ -233,19 +233,6 @@ class TestSteer:
         assert pos == 2
         assert search_time(pos) == 410
 
-    def test_search_ns_covers_every_position_a_chain_reaches(self):
-        # Six flows in one bucket of four: the chain fills, the last two
-        # miss it and walk all four entries.
-        table, _ = make_table(fallback=0, num_buckets=1, max_list_size=4)
-        assert table.search_ns == [None, search_time(1)]
-        keys = [key(sport=sport) for sport in range(1, 7)]
-        for k in keys:
-            admit(table, k)
-        assert table.search_ns == [None] + [search_time(p) for p in range(1, 5)]
-        positions = [table.steer(rx_pkt(k), 0, want_position=True)[2] for k in keys]
-        assert positions == [1, 2, 3, 4, 4, 4]
-        assert max(positions) == len(table.search_ns) - 1
-
     def test_held_appends_fifo(self):
         table, _ = make_table(fallback=0)
         k = key()
