@@ -20,9 +20,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from steersim import presets  # noqa: E402
 from steersim.metrics import occupancy_oracle  # noqa: E402
 from steersim.runner import report_rows  # noqa: E402
+from write_golden_digests import bundled, overlay  # noqa: E402
 
 # Each table function returns (runs, show): the (scenario, seed) runs it
 # needs, and a function that prints the table from their report rows, given
@@ -41,25 +41,21 @@ def per_case(rows, n):
 
 
 def affinity_table(seeds):
-    cases = [(build, mode) for build in (presets.pinned_same, presets.pinned_cross)
+    cases = [(name, mode) for name in ("pinned_same", "pinned_cross")
              for mode in ("flowsteer", "rss")]
-    runs = []
-    for build, mode in cases:
-        for seed in seeds:
-            s = build()
-            s.nic.mode = mode
-            runs.append((s, seed))
+    runs = [(bundled(name, {"nic": {"mode": mode}}), seed)
+            for name, mode in cases for seed in seeds]
 
     def show(rows):
         print("== steering benefit (pinned apps) ==")
         print(f"{'scenario':<14} {'mode':<10} {'data_affinity':>14} {'cross_core':>11} "
               f"{'lock_conflicts':>15} {'proc_ctx%':>10}")
-        for (build, mode), group in zip(cases, per_case(rows, len(seeds))):
+        for (name, mode), group in zip(cases, per_case(rows, len(seeds))):
             daff = [r["data_affinity"] for r in group]
             cross = [r["cross_core_packets"] for r in group]
             lock = [r["lock_conflict_events"] for r in group]
             pf = [r["process_context_fraction"] for r in group]
-            print(f"{build.__name__:<14} {mode:<10}"
+            print(f"{name:<14} {mode:<10}"
                   f" {mean_std(daff)[0]:>8.3f}±{mean_std(daff)[1]:.3f}"
                   f" {mean_std(cross)[0]:>10.1f}"
                   f" {mean_std(lock)[0]:>15.1f}"
@@ -70,23 +66,22 @@ def affinity_table(seeds):
 
 
 def reordering_table(seeds):
-    cases = [(build, streams) for build in (presets.migrate_same, presets.migrate_cross)
-             for streams in (40, 2000)]
+    # Each placement at 40 streams and, in its many-flows regime, at 2000.
+    cases = [bundled(name) for name in
+             ("migrate_same", "migrate_same_2000", "migrate_cross", "migrate_cross_2000")]
     runs = []
-    for build, streams in cases:
+    for s in cases:
         for seed in seeds:
-            s0 = build(streams)
-            s0.flow_table.t_timer_us = 0.0
-            runs.append((s0, seed))
-            runs.append((build(streams), seed))
+            runs.append((overlay(s, {"flow_table": {"t_timer_us": 0.0}}), seed))
+            runs.append((s, seed))
 
     def show(rows):
         print("== reordering ratio (migrating apps) ==")
         print(f"{'scenario':<14} {'streams':>8} {'timer=0':>12} {'timer=100us':>12}")
-        for (build, streams), group in zip(cases, per_case(rows, 2 * len(seeds))):
+        for s, group in zip(cases, per_case(rows, 2 * len(seeds))):
             without = [r["reordering_ratio"] for r in group[0::2]]
             with_timer = [r["reordering_ratio"] for r in group[1::2]]
-            print(f"{build.__name__:<14} {streams:>8}"
+            print(f"{s.name:<14} {s.traffic.streams:>8}"
                   f" {mean_std(without)[0]:>12.3e} {mean_std(with_timer)[0]:>12.3e}")
         print()
 
@@ -95,8 +90,13 @@ def reordering_table(seeds):
 
 def admission_table(seeds):
     cases = [(mls, streams) for mls in (6, 1) for streams in (40, 200, 1000, 2000)]
-    runs = [(presets.admission(streams, mls), seed)
-            for mls, streams in cases for seed in seeds]
+    # Every point is admission_l6_n40 with its stream count, each stream
+    # offered 0.12 Gbps (10k pps of 1500 B), and its chain cap.
+    runs = [(bundled("admission_l6_n40", {
+        "name": f"admission_l{mls}_n{streams}",
+        "traffic": {"streams": streams, "link_gbps": 0.12 * streams},
+        "flow_table": {"max_list_size": mls},
+    }), seed) for mls, streams in cases for seed in seeds]
 
     def show(rows):
         print("== flows admitted to the steering table ==")
@@ -113,12 +113,9 @@ def admission_table(seeds):
 
 def worstcase_and_memory():
     timers = (0.0, 85.0, 100.0)
-    runs = []
-    for t_timer in timers:
-        s = presets.worstcase()
-        s.flow_table.t_timer_us = t_timer
-        runs.append((s, 1))
-    runs.append((presets.memory10g(), 1))
+    runs = [(bundled("worstcase", {"flow_table": {"t_timer_us": t_timer}}), 1)
+            for t_timer in timers]
+    runs.append((bundled("memory10g"), 1))
 
     def show(rows):
         print("== worst-case migration schedule ==")

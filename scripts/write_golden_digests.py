@@ -13,6 +13,10 @@ aging under both delete limits, and settings that schedule events for the
 current instant (a zero hold timer or receive cadence). Run this only for a change that is meant to alter simulated
 output, and say so with the change: the file is the gate that a refactor or
 speed-up kept every report byte for byte.
+
+`overlay` and `bundled` also build the scenario variants that
+scripts/run_experiments.py and the tests run: each bundled file is the one
+definition of its scenario.
 """
 
 import hashlib
@@ -99,6 +103,11 @@ def overlay(base: Scenario, overrides: dict) -> Scenario:
         else:
             d[section] = value
     return Scenario.from_dict(d)
+
+
+def bundled(name: str, overrides: dict | None = None) -> Scenario:
+    """The bundled scenario `scenarios/NAME.json`, with `overrides` merged in."""
+    return overlay(Scenario.load(ROOT / "scenarios" / f"{name}.json"), overrides or {})
 
 
 def paths(overrides: dict) -> set:

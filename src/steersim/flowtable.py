@@ -167,11 +167,11 @@ class FlowTable:
                 return self._try_admit(key, state[1], now)
         return None
 
-    def note_tx_packet(self, tx_key: FlowKey, now: int):
+    def note_tx_packet(self, key: FlowKey, tx_key: FlowKey, now: int):
         """Outgoing half of handshake monitoring: the SYN-ACK of the flow
-        whose transmit-direction key is `tx_key`. Only a TCP SYN opens a
-        tracker entry, so other protocols find none here."""
-        key = reverse_key(tx_key)
+        whose receive-direction key is `key` and transmit-direction key
+        `tx_key`. Only a TCP SYN opens a tracker entry, so other protocols
+        find none here."""
         state = self._tracker.get(key)
         if state is not None and state[1] is None:
             self._tracker[key] = (now, tx_key)

@@ -115,12 +115,14 @@ class Nic:
 
     # -- transmit path ----------------------------------------------------------
 
-    def tx(self, tx_key: FlowKey, core_id: int, now: int):
+    def tx(self, key: FlowKey, tx_key: FlowKey, core_id: int, now: int):
         """Observe a flow's outgoing SYN-ACK, sent from core `core_id`: its
-        handshake half, then the core id through `tx_ack`. The peer model is
-        open-loop, so only the table side effects matter here."""
+        handshake half, then the core id through `tx_ack`. `key` and
+        `tx_key` are the flow's receive- and transmit-direction keys. The
+        peer model is open-loop, so only the table side effects matter
+        here."""
         if self._steers:
-            self.table.note_tx_packet(tx_key, now)
+            self.table.note_tx_packet(key, tx_key, now)
         self.tx_ack(tx_key, core_id, now)
 
     def tx_ack(self, tx_key: FlowKey, core_id: int, now: int):

@@ -156,7 +156,7 @@ class Engine:
         # The kernel answers the SYN from whichever core the handshake was
         # processed on; before any steering entry exists that is the hash
         # fallback core.
-        self.nic.tx(sock.tx_key, self.rss.queue_for(sock.key), self.sim.now)
+        self.nic.tx(sock.key, sock.tx_key, self.rss.queue_for(sock.key), self.sim.now)
 
     def _schedule_worst_case(self):
         """Worst-case migration schedule for in-order analysis.

@@ -359,7 +359,8 @@ class Simulator:
     def pending(self) -> int:
         """Runtime events waiting, on the heap, on a timer line or in the
         same-instant lane. Arrivals from `schedule_arrivals` are not
-        counted."""
+        counted. No run reads it; the benchmark's traced pass
+        (`perfbench/tracer.py`) reads it for `simkernel.heap_at_start`."""
         behind_heads = sum(len(line._queue) - 1 for line in self._lines if line._queue)
         return len(self._heap) + len(self._lane) + behind_heads
 

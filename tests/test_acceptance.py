@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from steersim import presets
 from steersim.cli import main as cli_main
 from steersim.flows import DATA, PROTO_TCP, FlowKey
 from steersim.flowtable import memory_estimate, search_time
@@ -18,6 +17,7 @@ from steersim.rss import DEFAULT_RSS_KEY, queue_of, toeplitz_hash
 from steersim.runner import run_scenario
 from steersim.simkernel import US
 
+from bundled import bundled, migrating
 from delivery_oracle import record_deliveries
 from toeplitz_oracle import toeplitz_reference
 
@@ -39,14 +39,14 @@ def inorder_batch():
     results = []
     with pytest.MonkeyPatch.context() as mp:
         logs = record_deliveries(mp)  # criterion 8 reads the delivery logs
-        for build, streams, seeds in (
-            (presets.migrate_same, 40, range(1, 7)),
-            (presets.migrate_cross, 40, range(1, 7)),
-            (presets.migrate_same, 2000, range(1, 5)),
-            (presets.migrate_cross, 2000, range(1, 5)),
+        for name, seeds in (
+            ("migrate_same", range(1, 7)),
+            ("migrate_cross", range(1, 7)),
+            ("migrate_same_2000", range(1, 5)),
+            ("migrate_cross_2000", range(1, 5)),
         ):
             for seed in seeds:
-                scenario = build(streams)
+                scenario = bundled(name)
                 start = time.monotonic()
                 result = run_scenario(scenario, seed=seed)
                 elapsed = time.monotonic() - start
@@ -58,10 +58,10 @@ def inorder_batch():
 @pytest.fixture(scope="module")
 def zero_timer_batch():
     results = []
-    for build in (presets.migrate_same, presets.migrate_cross):
+    for name in ("migrate_same", "migrate_cross"):
         for streams in (40, 200):
             for seed in (1, 2, 3):
-                scenario = build(streams)
+                scenario = migrating(name, streams)
                 scenario.flow_table.t_timer_us = 0.0
                 results.append(run_scenario(scenario, seed=seed))
     return results
@@ -70,13 +70,11 @@ def zero_timer_batch():
 @pytest.fixture(scope="module")
 def paired_affinity_runs():
     pairs = []
-    for build in (presets.pinned_same, presets.pinned_cross):
+    for name in ("pinned_same", "pinned_cross"):
         for seed in (1, 2, 3):
-            steer = run_scenario(build(), seed=seed).report
-            rss_scenario = build()
-            rss_scenario.nic.mode = "rss"
-            rss = run_scenario(rss_scenario, seed=seed).report
-            pairs.append((build.__name__, seed, steer, rss))
+            steer = run_scenario(bundled(name), seed=seed).report
+            rss = run_scenario(bundled(name, {"nic": {"mode": "rss"}}), seed=seed).report
+            pairs.append((name, seed, steer, rss))
     return pairs
 
 
@@ -97,7 +95,7 @@ def test_criterion_1_inorder_guarantee(inorder_batch):
 
 
 def test_criterion_2_reordering_without_timer(zero_timer_batch):
-    worst_scenario = presets.worstcase()
+    worst_scenario = bundled("worstcase")
     worst_scenario.flow_table.t_timer_us = 0.0
     worst_a = run_scenario(worst_scenario, seed=1).report.reordering_ratio
     worst_b = run_scenario(worst_scenario, seed=1).report.reordering_ratio
@@ -128,7 +126,7 @@ def test_criterion_3_admission_table(capsys=None):
     ok = True
     for mls, streams, ref in expectations:
         fractions = [
-            run_scenario(presets.admission(streams, mls), seed=s).report.admitted_fraction
+            run_scenario(bundled(f"admission_l{mls}_n{streams}"), seed=s).report.admitted_fraction
             for s in seeds
         ]
         mean = statistics.fmean(fractions)
@@ -145,7 +143,7 @@ def test_criterion_3_admission_table(capsys=None):
 
 def test_criterion_4_memory_model():
     exact = memory_estimate(10_000, 4, 0) == 200_000
-    result = run_scenario(presets.memory10g(), seed=1)
+    result = run_scenario(bundled("memory10g"), seed=1)
     peak = result.report.peak_held_bytes
     held = result.report.held_packets
     ok = exact and held > 0 and peak <= 250_000
@@ -229,7 +227,7 @@ def test_criterion_8_property_suite(inorder_batch):
     from steersim.flows import ACK, SYN
 
     table.on_rx_connection_tracking((k, SYN, -1, 64), 0)
-    table.note_tx_packet(reverse_key(k), 0)
+    table.note_tx_packet(k, reverse_key(k), 0)
     table.on_rx_connection_tracking((k, ACK, -1, 64), 0)
     table.observe_tx(reverse_key(k), 1, 0)
     seqs = [rng.randrange(1000) for _ in range(64)]
@@ -263,7 +261,7 @@ def test_criterion_8_property_suite(inorder_batch):
 
 
 def test_criterion_9_determinism(tmp_path):
-    scenario = presets.migrate_same(40)
+    scenario = bundled("migrate_same")
     path = tmp_path / "det.json"
     scenario.save(path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from steersim import presets, runner
+from steersim import runner
 from steersim.cli import main, scenario_hash
 from steersim.workload import WORST_CASE_UNREAD, Scenario, ScenarioError
+
+from bundled import bundled, pinned_same
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture
 def small_scenario(tmp_path):
-    s = presets.pinned_same(8)
+    s = pinned_same(8)
     s.traffic.data_packets_per_stream = 10
     path = tmp_path / "small.json"
     s.save(path)
@@ -66,7 +68,7 @@ class TestRun:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_scenario_name_with_comma_round_trips(self, tmp_path):
-        s = presets.pinned_same(4)
+        s = pinned_same(4)
         s.name = 'pinned, "quoted"'
         s.traffic.data_packets_per_stream = 5
         path = tmp_path / "comma.json"
@@ -113,7 +115,7 @@ class TestCompare:
         assert "b_is=higher" not in printed and "b_is=lower" not in printed
 
     def test_exhausted_ports_exit_2_with_message(self, tmp_path, capsys):
-        s = presets.pinned_same(20)
+        s = pinned_same(20)
         s.traffic.ephemeral_start = 65530
         path = tmp_path / "ports.json"
         s.save(path)
@@ -123,7 +125,7 @@ class TestCompare:
         assert "Traceback" not in err
 
     def test_ring_of_zero_exits_2_without_traceback(self, tmp_path, capsys):
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.nic.ring_capacity = 0
         path = tmp_path / "ring0.json"
         path.write_text(json.dumps(s.to_dict()))
@@ -139,7 +141,7 @@ class TestCompare:
         ("table", [0, 9]),
     ])
     def test_bad_rss_input_exits_2_without_traceback(self, tmp_path, capsys, field, value):
-        d = presets.pinned_same(8).to_dict()
+        d = pinned_same(8).to_dict()
         d["rss"][field] = value
         path = tmp_path / "rss.json"
         path.write_text(json.dumps(d))
@@ -161,7 +163,7 @@ class TestCompare:
     ])
     def test_load_time_probes_exit_2_without_traceback(self, tmp_path, capsys, section, field,
                                                        value, named):
-        d = presets.pinned_same(8).to_dict()
+        d = pinned_same(8).to_dict()
         (d[section] if section else d)[field] = value
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(d))
@@ -182,7 +184,7 @@ class TestCompare:
     ])
     def test_wrong_value_types_exit_2_without_traceback(self, tmp_path, capsys, section, field,
                                                         value, named):
-        d = presets.pinned_same(4).to_dict()
+        d = pinned_same(4).to_dict()
         (d[section] if section else d)[field] = value
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(d))
@@ -203,7 +205,7 @@ class TestCompare:
     def test_worst_case_without_queue_0_exits_2_at_load(self, tmp_path, capsys):
         # The table sends every flow past queue 0, where the worst case
         # needs its victim and filler flows.
-        d = presets.worstcase().to_dict()
+        d = bundled("worstcase").to_dict()
         d["rss"]["table"] = [1, 1, 1, 1]
         path = tmp_path / "noqueue0.json"
         path.write_text(json.dumps(d))
@@ -232,8 +234,8 @@ class TestCompare:
         assert capsys.readouterr().err.startswith("error: unreadable run directory: ")
 
     def test_mismatched_scenarios_error(self, tmp_path):
-        a = presets.pinned_same(8)
-        b = presets.pinned_same(12)  # different stream count: different identity
+        a = pinned_same(8)
+        b = pinned_same(12)  # different stream count: different identity
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         a.save(pa)
         b.save(pb)
@@ -274,7 +276,7 @@ class TestJobs:
     def test_scenario_error_in_a_worker_reaches_the_caller(self, two_cpus):
         # Engine.__init__ validates the scenario again inside each worker,
         # which rejects this one built in Python; the error comes back here.
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.traffic.streams = 0
         with pytest.raises(ScenarioError, match="^traffic.streams must be at least 1, not 0$"):
             list(runner.report_rows([(s, 1), (s, 2)], jobs=2))
@@ -311,8 +313,8 @@ class TestJobs:
 
 class TestScenarioHash:
     def test_override_axes_do_not_change_hash(self):
-        a = presets.pinned_same()
-        b = presets.pinned_same()
+        a = bundled("pinned_same")
+        b = bundled("pinned_same")
         b.nic.mode = "rss"
         b.flow_table.t_timer_us = 0.0
         b.flow_table.max_list_size = 1
@@ -320,8 +322,8 @@ class TestScenarioHash:
         assert scenario_hash(a) == scenario_hash(b)
 
     def test_substantive_change_does(self):
-        a = presets.pinned_same()
-        b = presets.pinned_same()
+        a = bundled("pinned_same")
+        b = bundled("pinned_same")
         b.traffic.streams = 80
         assert scenario_hash(a) != scenario_hash(b)
 
@@ -386,17 +388,6 @@ class TestWorstCase:
                        "--quiet") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["scenario"] == json.loads((SCENARIOS / "worstcase.json").read_text())
-
-
-class TestBundledScenarios:
-    @pytest.mark.parametrize("name", sorted(presets.BUNDLED))
-    def test_bundled_file_is_what_its_preset_saves(self, name, tmp_path):
-        # Byte for byte: the loader ignores unknown keys, so comparing loaded
-        # scenarios would miss a field that lingers in a file after the spec
-        # dropped it. scripts/write_scenarios.py rewrites the files.
-        path = tmp_path / f"{name}.json"
-        presets.BUNDLED[name]().save(path)
-        assert (SCENARIOS / f"{name}.json").read_bytes() == path.read_bytes()
 
 
 def _mean_metric(out_dir, metric):

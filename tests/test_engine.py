@@ -14,19 +14,20 @@ from pathlib import Path
 import pytest
 
 import steersim
-from steersim import presets
 from steersim.flows import DATA, FIN, SYN, FlowKey
 from steersim.flowtable import FlowTable
 from steersim.host import STATE_COMPUTING, SocketModel
+from steersim.nic import Nic
 from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
 from steersim.workload import WORST_CASE_FIRE_NS
 
+from bundled import bundled, migrating, pinned_same
 from delivery_oracle import DeliveryLog, DeliveryRecord, in_socket_order, record_deliveries
 
 
 def small_migrate(t_timer_us=100.0, seed=1):
-    s = presets.migrate_same(40)
+    s = bundled("migrate_same")
     s.flow_table.t_timer_us = t_timer_us
     return run_scenario(s, seed=seed)
 
@@ -48,7 +49,7 @@ def without_cadence_gap(s):
 
 class TestWorstCaseSchedule:
     def test_zero_timer_produces_inversion_deterministically(self):
-        s = presets.worstcase()
+        s = bundled("worstcase")
         s.flow_table.t_timer_us = 0.0
         result = run_scenario(s, seed=1)
         assert result.report.reordering_ratio > 0
@@ -57,7 +58,7 @@ class TestWorstCaseSchedule:
         assert again.report.reordering_ratio == result.report.reordering_ratio
 
     def test_worst_case_timer_preserves_order(self):
-        s = presets.worstcase()
+        s = bundled("worstcase")
         d = s.nic.ring_capacity
         service_ns = round(1e9 / s.host.service_rate_pps)
         s.flow_table.t_timer_us = (d - 1) * service_ns / 1000
@@ -70,7 +71,7 @@ class TestWorstCaseSchedule:
         # What reaches the NIC: ring - 1 filler packets, then victim packet
         # S one tick before the migration ACK from core 1 and S+1 one tick
         # after it.
-        engine = Engine(presets.worstcase(ring_capacity=ring), seed=1)
+        engine = Engine(bundled("worstcase", {"nic": {"ring_capacity": ring}}), seed=1)
         nic = engine.nic
         rx, tx_ack = nic.rx, nic.tx_ack
         data, acks = [], []
@@ -96,12 +97,12 @@ class TestWorstCaseSchedule:
         assert [now for now, _, _ in data] == sorted(now for now, _, _ in data)
 
     def test_minimal_ring(self):
-        s = presets.worstcase(ring_capacity=2)
+        s = bundled("worstcase", {"nic": {"ring_capacity": 2}})
         s.flow_table.t_timer_us = 0.0
         assert run_scenario(s, seed=1).report.reordering_ratio > 0
 
     def test_victim_hold_delay_within_timer(self):
-        s = presets.worstcase()
+        s = bundled("worstcase")
         s.flow_table.t_timer_us = 85.0
         result = run_scenario(s, seed=1)
         assert result.hold_delays
@@ -111,7 +112,7 @@ class TestWorstCaseSchedule:
 class TestConservation:
     @pytest.mark.parametrize("mode", ["flowsteer", "rss"])
     def test_every_packet_delivered_dropped_or_resident(self, mode):
-        s = presets.migrate_same(40)
+        s = bundled("migrate_same")
         s.nic.mode = mode
         result = run_scenario(s, seed=3)
         r = result.report
@@ -142,11 +143,11 @@ class TestConservation:
             assert ring_stats["queued"] >= 0 and ring_stats["dropped"] >= 0
 
     @pytest.mark.parametrize("build", [
-        lambda: presets.migrate_same(40),
+        lambda: bundled("migrate_same"),
         # Cut short while threads still drain: packets stay in backlogs.
-        lambda: shortened(presets.memory10g(), 6_000.0),
-        lambda: in_mode(presets.pinned_same(), "rss"),
-        presets.worstcase,
+        lambda: shortened(bundled("memory10g"), 6_000.0),
+        lambda: in_mode(bundled("pinned_same"), "rss"),
+        lambda: bundled("worstcase"),
     ], ids=["migrate_same", "memory10g_6ms", "pinned_same_rss", "worstcase"])
     def test_every_deferral_is_delivered_once_or_still_backlogged(self, build):
         engine = Engine(build(), seed=1)
@@ -180,8 +181,8 @@ class TestProcessLanes:
     # only if a thread has one unit queued at a time and every receive call
     # starts from a computing thread with nothing in its backlog.
     @pytest.mark.parametrize("build", [
-        lambda: shortened(presets.migrate_same(40), 10_000.0),
-        lambda: without_cadence_gap(presets.memory10g()),
+        lambda: shortened(bundled("migrate_same"), 10_000.0),
+        lambda: without_cadence_gap(bundled("memory10g")),
     ], ids=["migrate_same_10ms", "memory10g_cadence0"])
     def test_one_unit_per_thread_and_calls_from_computing_threads(self, build):
         engine = Engine(build(), seed=1)
@@ -232,7 +233,7 @@ class TestHoldBounds:
     def test_held_bytes_return_to_zero_after_the_last_flush(self, monkeypatch):
         # After every flush the table's held bytes are what the entries
         # still hold; the run's last flush leaves no entry in transition.
-        engine = Engine(presets.migrate_same(40), seed=1)
+        engine = Engine(bundled("migrate_same"), seed=1)
         expire = FlowTable.on_timer_expire
         after = []
 
@@ -252,7 +253,7 @@ class TestHoldBounds:
         assert after[-1] == (0, 0, 0)
 
     def test_held_bytes_bounded_by_line_rate_times_timer(self):
-        result = run_scenario(presets.memory10g(), seed=1)
+        result = run_scenario(bundled("memory10g"), seed=1)
         assert result.report.held_packets > 0
         assert result.report.peak_held_bytes <= 250_000
 
@@ -263,7 +264,7 @@ class TestTableMemory:
         ("2001:db8::1", "2001:db8::2", 44),
     ])
     def test_entry_size_follows_the_address_family(self, src, dst, per_entry):
-        s = presets.pinned_same(40)
+        s = bundled("pinned_same")
         s.duration_us = 5_000.0
         s.traffic.src_addr, s.traffic.dst_addr = src, dst
         report = run_scenario(s.validate(), seed=1).report
@@ -275,7 +276,7 @@ class TestTableMemory:
 
 class TestAgingAtRunLevel:
     def test_idle_entries_age_out_during_a_run(self):
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.duration_us = 40_000.0
         s.flow_table.t_delete_ms = 15.0
         s.flow_table.t_delete_pressure_ms = 15.0
@@ -285,7 +286,7 @@ class TestAgingAtRunLevel:
         assert result.report.evictions == 8
 
     def test_active_flows_survive_the_sweep(self):
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.flow_table.t_delete_ms = 1000.0
         result = run_scenario(s, seed=1)
         assert result.report.evictions == 0
@@ -295,9 +296,9 @@ class TestTopologyWeighting:
     def test_cross_processor_counted_only_for_cross_socket_placement(self):
         # pinned_same keeps apps on processor 0; pinned_cross puts one app
         # on processor 1, so its RSS misses cross the socket boundary too.
-        same = presets.pinned_same()
+        same = bundled("pinned_same")
         same.nic.mode = "rss"
-        cross = presets.pinned_cross()
+        cross = bundled("pinned_cross")
         cross.nic.mode = "rss"
         r_same = run_scenario(same, seed=1).report
         r_cross = run_scenario(cross, seed=1).report
@@ -311,7 +312,7 @@ class TestLearningEdgeCases:
         # Everything stays in interrupt context: the steering table gets no
         # process-context descriptors, so the flow keeps its fallback core
         # and flow affinity still holds.
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.host.syscall_cadence_us = None
         result = run_scenario(s, seed=1)
         assert result.report.transitions == 0
@@ -319,7 +320,7 @@ class TestLearningEdgeCases:
         assert result.report.flow_affinity == 1.0
 
     def test_rss_mode_never_transitions(self):
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.nic.mode = "rss"
         result = run_scenario(s, seed=1)
         assert result.report.transitions == 0
@@ -328,13 +329,13 @@ class TestLearningEdgeCases:
 
 class TestScenarioShape:
     def test_streams_count_drives_handshakes(self):
-        s = presets.admission(40, 6)
+        s = bundled("admission_l6_n40")
         result = run_scenario(s, seed=1)
         assert result.report.handshakes == 40
         assert result.report.admitted == 40
 
     def test_apps_on_both_ports_share_allowed_cores(self):
-        s = presets.migrate_same(4)
+        s = migrating("migrate_same", 4)
         s.scheduler.forced_migration_period_us = None
         result = run_scenario(s, seed=1)
         assert result.report.generated_data > 0
@@ -342,7 +343,7 @@ class TestScenarioShape:
     def test_scenario_configures_key_and_indirection_table(self):
         from steersim.runner import build_rss_engine
 
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.rss.key_hex = "ab" * 40
         s.rss.table = (0, 1, 2, 3, 3, 2, 1, 0)
         engine = build_rss_engine(s)
@@ -353,7 +354,7 @@ class TestScenarioShape:
 
     def test_rss_and_steering_modes_share_fallback(self):
         # A flow the table rejects must route exactly like plain RSS.
-        s = presets.pinned_same(8)
+        s = pinned_same(8)
         s.flow_table.max_entries = 1
         result = run_scenario(s, seed=1)
         assert result.report.rejected_table_full > 0
@@ -363,7 +364,7 @@ class TestScenarioShape:
     def test_handshake_times_past_64_bits_run(self, calls):
         # A valid gap puts each SYN-ACK and ACK past 2**63 ns, beyond the
         # horizon: those arrivals stay Python ints and never fire.
-        s = presets.pinned_same(4)
+        s = pinned_same(4)
         s.traffic.handshake_gap_us = 1e300
         if not calls:
             s.host.syscall_cadence_us = None
@@ -373,9 +374,9 @@ class TestScenarioShape:
 
 
 class TestRunsOnce:
-    @pytest.mark.parametrize("build", [presets.migrate_same, presets.worstcase])
-    def test_second_run_raises(self, build):
-        engine = Engine(build(), seed=1)
+    @pytest.mark.parametrize("name", ["migrate_same", "worstcase"])
+    def test_second_run_raises(self, name):
+        engine = Engine(bundled(name), seed=1)
         engine.run()
         with pytest.raises(RuntimeError, match="an Engine runs once"):
             engine.run()
@@ -436,7 +437,7 @@ class TestGarbageCollectionPause:
                 inside.append(frame is not None)
 
         gc.enable()
-        engine = Engine(presets.migrate_same(200), seed=3)
+        engine = Engine(migrating("migrate_same", 200), seed=3)
         gc.callbacks.append(watch)
         try:
             engine.run()
@@ -455,13 +456,13 @@ class TestGarbageCollectionPause:
 
         monkeypatch.setattr(Simulator, "run_until", spy)
         gc.enable()
-        run_scenario(presets.migrate_same(8), seed=1)
+        run_scenario(migrating("migrate_same", 8), seed=1)
         assert seen == [False]
         assert gc.isenabled()
 
     def test_caller_that_disabled_it_finds_it_disabled(self, gc_state):
         gc.disable()
-        run_scenario(presets.migrate_same(8), seed=1)
+        run_scenario(migrating("migrate_same", 8), seed=1)
         assert not gc.isenabled()
 
     def test_restored_when_setup_raises(self, gc_state, monkeypatch):
@@ -471,7 +472,7 @@ class TestGarbageCollectionPause:
         monkeypatch.setattr(Engine, "_schedule_streams", failing_setup)
         gc.enable()
         with pytest.raises(RuntimeError, match="setup failed"):
-            Engine(presets.migrate_same(8), seed=1).run()
+            Engine(migrating("migrate_same", 8), seed=1).run()
         assert gc.isenabled()
 
     def test_restored_when_the_loop_raises(self, gc_state, monkeypatch):
@@ -481,7 +482,7 @@ class TestGarbageCollectionPause:
         monkeypatch.setattr(Simulator, "run_until", failing_loop)
         gc.enable()
         with pytest.raises(RuntimeError, match="loop failed"):
-            Engine(presets.migrate_same(8), seed=1).run()
+            Engine(migrating("migrate_same", 8), seed=1).run()
         assert gc.isenabled()
 
 
@@ -508,7 +509,7 @@ class TestPerFlowState:
     STREAMS = 200
 
     def test_flows_keep_no_idle_objects(self, gc_state):
-        s = presets.migrate_same(self.STREAMS)
+        s = migrating("migrate_same", self.STREAMS)
         s.duration_us = 3_000.0
         gc.collect()
         # Paused, so no collection untracks a key tuple before it is counted.
@@ -575,8 +576,8 @@ class TestPerPacketPath:
         return built, report
 
     @pytest.mark.parametrize("make", [
-        presets.migrate_same,
-        lambda: in_mode(presets.pinned_same(), "rss"),
+        lambda: bundled("migrate_same"),
+        lambda: in_mode(bundled("pinned_same"), "rss"),
     ], ids=["migrate_same", "pinned_same-rss"])
     def test_run_until_builds_no_object_per_packet(self, make, monkeypatch):
         scenario, doubled = make(), make()
@@ -589,6 +590,27 @@ class TestPerPacketPath:
         if scenario.nic.mode == "rss":
             assert built == Counter()
 
+    def test_synack_builds_no_flow_key(self, monkeypatch):
+        # The engine hands `Nic.tx` the flow's receive key beside its
+        # transmit key, so the handshake tracker is looked up without
+        # reversing the transmit key into a new one.
+        built, counting = Counter(), [False]
+        monkeypatch.setattr(FlowKey, "__init__", _counted_init(FlowKey, built, counting))
+        tx, synacks = Nic.tx, []
+
+        def counted(nic, *args):
+            synacks.append(args)
+            counting[0] = True
+            try:
+                return tx(nic, *args)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(Nic, "tx", counted)
+        report = Engine(bundled("migrate_same"), seed=1).run().report
+        assert len(synacks) == report.handshakes == report.admitted == 40
+        assert built == Counter()
+
 
 def _records_alive() -> int:
     gc.collect()
@@ -599,7 +621,7 @@ class TestDeliveryRecording:
     def test_a_run_keeps_nothing_per_delivery(self):
         # A socket's slots hold its tallies, not one entry per delivery: a
         # log would take 19 bytes a delivery, the slots take under 4.
-        engine = Engine(presets.migrate_same(40), seed=3)
+        engine = Engine(bundled("migrate_same"), seed=3)
         engine.run()
         for sock in engine.host.sockets.values():
             held = sum(sys.getsizeof(getattr(sock, name)) for name in SocketModel.__slots__)
@@ -608,7 +630,7 @@ class TestDeliveryRecording:
 
     def test_the_recorder_logs_every_delivery(self, monkeypatch):
         logs = record_deliveries(monkeypatch)
-        engine = Engine(presets.migrate_same(40), seed=3)
+        engine = Engine(bundled("migrate_same"), seed=3)
         r = engine.run().report
         assert set(logs) == set(engine.host.sockets)
         assert list(in_socket_order(logs, engine.host)) == list(engine.host.sockets)
@@ -621,13 +643,13 @@ class TestColumnarDeliveryLog:
 
     def test_a_run_keeps_no_record_objects(self, monkeypatch):
         logs = record_deliveries(monkeypatch)
-        run_scenario(presets.migrate_same(40), seed=3)
+        run_scenario(bundled("migrate_same"), seed=3)
         assert sum(len(log) for log in logs.values()) > 1000
         assert _records_alive() == 0
 
     def test_every_column_is_compact(self, monkeypatch):
         logs = record_deliveries(monkeypatch)
-        run_scenario(presets.migrate_same(40), seed=3)
+        run_scenario(bundled("migrate_same"), seed=3)
         for log in logs.values():
             assert isinstance(log, DeliveryLog)
             for name in self.WIDE:

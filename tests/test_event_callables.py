@@ -19,31 +19,32 @@ from pathlib import Path
 
 import pytest
 
-from steersim import Scenario, presets
+from steersim import Scenario
 from steersim.runner import Engine
 from steersim.simkernel import Simulator
 
+from bundled import bundled, migrating, pinned_same
 from delivery_oracle import record_deliveries
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _latency_accounting():
-    s = presets.migrate_same(8)
+    s = migrating("migrate_same", 8)
     s.nic.latency_accounting = True
     return s
 
 
 def _plain_rss():
-    s = presets.pinned_same(8)
+    s = pinned_same(8)
     s.nic.mode = "rss"
     return s
 
 
 SCENARIOS = {
     # Ticks, forced migrations, holds and flushes, softirq and process lanes.
-    "migrate_same": presets.migrate_same,
-    "worstcase": presets.worstcase,
+    "migrate_same": lambda: bundled("migrate_same"),
+    "worstcase": lambda: bundled("worstcase"),
     "latency_accounting": _latency_accounting,
     "pinned_rss": _plain_rss,
 }

@@ -50,7 +50,7 @@ def make_table(fallback=0, **spec):
 
 def admit(table, k, now=0):
     table.on_rx_connection_tracking(rx_pkt(k, SYN), now)
-    table.note_tx_packet(reverse_key(k), now)
+    table.note_tx_packet(k, reverse_key(k), now)
     entry = table.on_rx_connection_tracking(rx_pkt(k, ACK), now)
     return entry
 
@@ -327,7 +327,7 @@ class TestAging:
         table.on_rx_connection_tracking(rx_pkt(k, SYN), 0)
         table.age(2000)
         # Handshake must restart from SYN after expiry.
-        table.note_tx_packet(reverse_key(k), 2100)
+        table.note_tx_packet(k, reverse_key(k), 2100)
         assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 2200) is None
 
     def test_rejected_flow_can_retry_after_eviction_frees_the_chain(self):

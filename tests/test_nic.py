@@ -52,7 +52,7 @@ class Harness:
 
     def admit(self, k, core=None, now=0):
         self.nic.rx(rx_pkt(k, SYN), now)
-        self.nic.tx(reverse_key(k), 0, now)  # the SYN-ACK
+        self.nic.tx(k, reverse_key(k), 0, now)  # the SYN-ACK
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
             self.nic.tx_ack(reverse_key(k), core, now)

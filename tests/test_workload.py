@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steersim
-from steersim import presets
 from steersim.flows import is_record
 from steersim.runner import run_scenario
 from steersim.simkernel import make_rng
@@ -29,6 +28,10 @@ from steersim.workload import (
     inter_burst_ns,
     spawn_streams,
 )
+
+from bundled import bundled
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def set_field(d, section, field, value):
@@ -163,6 +166,13 @@ class TestScenarioSerialization:
         path2 = tmp_path / "s2.json"
         loaded.save(path2)
         assert path.read_text() == path2.read_text()
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_file_is_canonical(self, path, tmp_path):
+        # Byte for byte: a key the scenario no longer has fails the load,
+        # but a value written another way, or out of order, loads the same.
+        Scenario.load(path).save(tmp_path / path.name)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes()
 
     def test_validation_rejects_negative_timer(self):
         s = scenario(4)
@@ -615,8 +625,7 @@ class TestRules:
         ("traffic", "link_gbps", 1e-310),  # so does the time between bursts
     ])
     def test_rates_whose_nanoseconds_overflow_fail_at_load(self, section, field, value):
-        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
-        d = Scenario.load(scenarios / "pinned_same.json").to_dict()
+        d = bundled("pinned_same").to_dict()
         path = set_field(d, section, field, value)
         with pytest.raises(ScenarioError, match=f"^{re.escape(path)} .*{value!r}"):
             Scenario.from_dict(d)
@@ -627,9 +636,6 @@ class TestRules:
         s.host.service_rate_pps = RULES["host.service_rate_pps"].low
         report = run_scenario(s.validate(), seed=1).report
         assert report.delivered_data == 0 and report.generated_data > 0
-
-
-WORSTCASE_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "worstcase.json"
 
 
 def set_path(d, path, value):
@@ -699,7 +705,7 @@ class TestWorstCaseSettings:
     def test_each_read_setting_changes_the_row(self, path):
         runs = []
         for overrides in READ_BY_ROW[path]:
-            d = presets.worstcase().to_dict()
+            d = bundled("worstcase").to_dict()
             d["duration_us"] = 500_000.0
             for name, value in overrides.items():
                 set_path(d, name, value)
@@ -708,17 +714,15 @@ class TestWorstCaseSettings:
         before, after = (run_scenario(s).report.to_row() for s in runs)
         assert before != after
 
-    def test_the_bundled_file_holds_only_what_the_kind_reads(self, tmp_path):
-        text = WORSTCASE_FILE.read_text()
-        d = json.loads(text)
+    def test_the_bundled_file_holds_only_what_the_kind_reads(self):
+        # test_bundled_file_is_canonical checks that it loads and saves as is.
+        d = json.loads((SCENARIO_DIR / "worstcase.json").read_text())
         for path in WORST_CASE_UNREAD:
             section, _, name = path.rpartition(".")
             assert name not in (d.get(section, {}) if section else d), path
-        Scenario.from_dict(d).save(tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_text() == text
 
     def test_a_saved_worst_case_loads_as_it_was(self):
-        s = presets.worstcase()
+        s = bundled("worstcase")
         s.flow_table.t_timer_us = 85.0
         s.host.processors = ((0, 1, 2),)
         assert Scenario.from_dict(s.to_dict()) == s
