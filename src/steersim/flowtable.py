@@ -10,7 +10,7 @@ migrations.
 
 from functools import lru_cache
 
-from .flows import ACK, SYN, PROTO_TCP, FlowKey, Record, reverse_key
+from .flows import ACK, SYN, PROTO_TCP, FlowKey, Record
 from .rss import _packed_addr
 from .simkernel import MS, US
 from .workload import TableSpec
@@ -30,13 +30,16 @@ class FlowEntry:
     """One admitted flow. Compares by identity: a key has one entry, so a
     chain finds an entry by `is` alone. While the entry is in transition,
     `held` lists its held packets as `(packet, held_at)` pairs, in arrival
-    order."""
+    order. `tx_key` is the transmit-direction key the flow was admitted
+    with, the one its SYN-ACK carried."""
 
-    __slots__ = ("key", "core_id", "transition", "held", "held_bytes", "last_activity",
-                 "bucket")
+    __slots__ = ("key", "tx_key", "core_id", "transition", "held", "held_bytes",
+                 "last_activity", "bucket")
 
-    def __init__(self, key: FlowKey, core_id: int, last_activity: int = 0, bucket: int = 0):
+    def __init__(self, key: FlowKey, tx_key: FlowKey, core_id: int, last_activity: int = 0,
+                 bucket: int = 0):
         self.key = key
+        self.tx_key = tx_key
         self.core_id = core_id
         self.transition = False
         self.held = []
@@ -187,7 +190,7 @@ class FlowTable:
             self.stats.rejected_bucket_full += 1
             return None
         entry = FlowEntry(
-            key, core_id=self._fallback_core(key), last_activity=now, bucket=index
+            key, tx_key, core_id=self._fallback_core(key), last_activity=now, bucket=index
         )
         bucket.append(entry)
         self._entries[key] = entry
@@ -224,11 +227,11 @@ class FlowTable:
         if entry.transition:
             entry.held.append((packet, now))
             entry.held_bytes += size
-            self.stats.held_packets_total += 1
-            self.stats.held_bytes += size
-            self.stats.peak_held_bytes = max(
-                self.stats.peak_held_bytes, self.stats.held_bytes
-            )
+            stats = self.stats
+            stats.held_packets_total += 1
+            stats.held_bytes += size
+            if stats.held_bytes > stats.peak_held_bytes:
+                stats.peak_held_bytes = stats.held_bytes
             return HELD, None, position
         return DIRECT, entry.core_id, position
 
@@ -290,7 +293,7 @@ class FlowTable:
         ]
         for key in evicted:
             entry = self._entries.pop(key)
-            del self._by_tx_key[reverse_key(key)]
+            del self._by_tx_key[entry.tx_key]
             self._buckets[entry.bucket].remove(entry)
         self.stats.evictions += len(evicted)
 

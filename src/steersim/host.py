@@ -142,6 +142,11 @@ class _ProcLane:
     The last two charge nothing. Units run one at a time; dispatch waits for
     the core's interrupt lane to go idle first. Contending sockets
     interleave packet by packet, which is timesharing.
+
+    The two hot ways in, `Host.submit_syscall` and the softirq's wake-up of
+    a sleeping thread, skip `submit` when the lane is idle and its core's
+    interrupt lane is free: they run the unit at once, as `_dispatch` would
+    from an empty queue, so events and their order stay the same.
     """
 
     def __init__(self, host: "Host", core: Core):
@@ -176,6 +181,8 @@ class _ProcLane:
                 continue
             app_core = sock.core
             if sock.backlog:
+                # `Host._softirq_step` repeats this delivery for a wake-up on
+                # an idle lane; a shared method would add a frame per resume.
                 host.stats.delivered_process += 1
                 host._deliver(sock.backlog.pop(0), sock, app_core, now)
                 # A busy lane, usually this one, takes the socket at its
@@ -300,9 +307,20 @@ class Host:
                     # The deferral hands the sleeper the socket at once; a
                     # gap between sleeping and draining would let a later
                     # packet slip past the backlog in interrupt context.
-                    sock.core_set.runnable[sock.core] += 1
+                    app_core = sock.core
+                    sock.core_set.runnable[app_core] += 1
                     sock.state = STATE_DRAINING
-                    self.proc_lanes[sock.core].submit(sock)
+                    lane = self.proc_lanes[app_core]
+                    if lane.busy or lane.core.irq_free > now:
+                        lane.submit(sock)
+                        continue
+                    # An idle lane delivers the packet now, as `_dispatch`'s
+                    # backlog branch does; the two copies must agree.
+                    lane.busy = True
+                    self.stats.delivered_process += 1
+                    self._deliver(sock.backlog.pop(0), sock, app_core, now)
+                    lane.queue.append(sock)
+                    self.sim.schedule(now + lane.core.service_ns, lane._resume)
                 elif sock.state == STATE_DRAINING and sock.core != core.core_id:
                     self.stats.lock_conflicts += 1
                 continue
@@ -321,8 +339,14 @@ class Host:
         """Issue a receive call for `sock` from its thread's current core.
         The engine issues each app's first call; the thread issues the
         rest itself, one cadence after each call returns. Either way the
-        thread is computing, with an empty backlog."""
-        self.proc_lanes[sock.core].submit(sock)
+        thread is computing, with an empty backlog. On an idle lane whose
+        core's interrupt lane is free the call is entered at once; otherwise
+        it queues on the lane."""
+        lane = self.proc_lanes[sock.core]
+        if lane.busy or lane.core.irq_free > self.sim.now:
+            lane.submit(sock)
+        else:
+            self._syscall_enter(sock)
 
     def _syscall_enter(self, sock: SocketModel):
         # From a computing thread, whose backlog is empty: sleep until data.

@@ -611,6 +611,28 @@ class TestPerPacketPath:
         assert len(synacks) == report.handshakes == report.admitted == 40
         assert built == Counter()
 
+    def test_aging_builds_no_flow_key(self, monkeypatch):
+        # An entry keeps the transmit key it was admitted with, so aging
+        # drops it from the transmit-key index without reversing its key.
+        built, counting = Counter(), [False]
+        monkeypatch.setattr(FlowKey, "__init__", _counted_init(FlowKey, built, counting))
+        age = FlowTable.age
+
+        def counted(table, now):
+            counting[0] = True
+            try:
+                return age(table, now)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(FlowTable, "age", counted)
+        scenario = pinned_same(8)
+        scenario.duration_us = 40_000.0
+        scenario.flow_table.t_delete_ms = scenario.flow_table.t_delete_pressure_ms = 15.0
+        report = Engine(scenario, seed=1).run().report
+        assert report.evictions == report.admitted == 8
+        assert built == Counter()
+
 
 def _records_alive() -> int:
     gc.collect()

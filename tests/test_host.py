@@ -207,6 +207,128 @@ class TestProcessContext:
         seqs = [r.seq for r in logs[k]]
         assert seqs == sorted(seqs)  # single queue: order survives alternation
 
+    # An idle lane whose core's softirq is free takes a receive call or a
+    # wake-up at once; in every other case the socket queues on the lane.
+
+    @staticmethod
+    def entries(monkeypatch, h):
+        """(pid, time) of every receive call the host enters, in order."""
+        entered = []
+        enter = Host._syscall_enter
+
+        def recorded(host, sock):
+            entered.append((sock.pid, h.sim.now))
+            enter(host, sock)
+
+        monkeypatch.setattr(Host, "_syscall_enter", recorded)
+        return entered
+
+    def test_call_on_idle_lane_sleeps_at_once(self, monkeypatch):
+        h = Harness()
+        entered = self.entries(monkeypatch, h)
+        sock = h.flow(key(), core=1, cadence_ns=100_000)
+        h.first_call(sock, at=1_000)
+        h.sim.run_until(1_000)
+        assert entered == [(0, 1_000)]
+        assert sock.state == STATE_SLEEPING
+        lane = h.host.proc_lanes[1]
+        assert not lane.busy and not lane.queue
+        assert h.host.runnable_counts() == [0, 0, 0, 0]
+
+    def test_call_waits_for_the_cores_softirq(self, monkeypatch):
+        # Three packets of an idle app keep core 1's softirq busy until
+        # 3 x SERVICE_NS; a call made meanwhile on core 1 waits for it.
+        h = Harness()
+        entered = self.entries(monkeypatch, h)
+        other = key(sport=1)
+        h.flow(other, core=1)
+        sock = h.flow(key(sport=2), core=1, cadence_ns=100_000)
+        for seq in range(3):
+            h.inject(other, seq, at=0, queue=1)
+        h.first_call(sock, at=100)
+        h.sim.run_until(3 * SERVICE_NS - 1)
+        lane = h.host.proc_lanes[1]
+        assert h.host.cores[1].irq_free == 3 * SERVICE_NS
+        assert sock.state == STATE_COMPUTING
+        assert lane.busy and list(lane.queue) == [sock]
+        h.sim.run_until(10_000)
+        assert entered == [(1, 3 * SERVICE_NS)]
+        assert sock.state == STATE_SLEEPING
+        assert not lane.busy and not lane.queue
+
+    def test_call_waits_behind_a_draining_socket(self, monkeypatch):
+        # A drains three packets on core 1 from t=100; B's call at t=200
+        # queues behind A and is entered when the lane reaches B, at A's
+        # second service slot. A's last packet follows it at once.
+        h = Harness()
+        entered = self.entries(monkeypatch, h)
+        ka = key(sport=1)
+        a = h.flow(ka, core=1, cadence_ns=100_000)
+        b = h.flow(key(sport=2), core=1, cadence_ns=100_000)
+        h.first_call(a, at=0)
+        for seq in range(3):
+            h.inject(ka, seq, at=100, queue=0)
+        h.first_call(b, at=200)
+        h.sim.run_until(300)
+        lane = h.host.proc_lanes[1]
+        assert (a.state, b.state) == (STATE_DRAINING, STATE_COMPUTING)
+        assert lane.busy and list(lane.queue) == [a, b]
+        h.sim.run_until(10_000)
+        assert entered == [(0, 0), (1, 100 + 2 * SERVICE_NS)]
+        assert (a.state, b.state) == (STATE_COMPUTING, STATE_SLEEPING)
+
+    def test_wake_up_on_idle_lane_delivers_at_arrival(self, logs):
+        h = Harness()
+        k = key()
+        sock = h.flow(k, core=1, cadence_ns=100_000)
+        h.first_call(sock, at=0)
+        for seq in range(2):
+            h.inject(k, seq, at=500, queue=0)
+        h.sim.run_until(500)
+        assert sock.state == STATE_DRAINING
+        assert list(h.host.proc_lanes[1].queue) == [sock]
+        h.sim.run_until(10_000)
+        assert [(r.seq, r.t, r.core) for r in logs[k]] == [
+            (0, 500, 1), (1, 500 + SERVICE_NS, 1)]
+        assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 2)
+        assert sock.state == STATE_COMPUTING
+
+    def test_wake_up_waits_for_the_cores_softirq(self, logs):
+        # Core 1's softirq serves an idle app's three packets until
+        # 3 x SERVICE_NS; a sleeper on core 1 woken at t=100 from queue 0
+        # gets its packet when the softirq is done.
+        h = Harness()
+        other, k = key(sport=1), key(sport=2)
+        h.flow(other, core=1)
+        sock = h.flow(k, core=1, cadence_ns=100_000)
+        h.first_call(sock, at=0)
+        for seq in range(3):
+            h.inject(other, seq, at=0, queue=1)
+        h.inject(k, 0, at=100, queue=0)
+        h.sim.run_until(10_000)
+        assert [(r.t, r.core) for r in logs[k]] == [(3 * SERVICE_NS, 1)]
+        assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (3, 1)
+
+    def test_wake_up_on_busy_lane_waits_behind_the_socket_ahead(self, logs):
+        # A drains three packets on core 1 from t=100; B, asleep on core 1,
+        # is woken at t=200 and waits behind A: its packet goes at A's
+        # second service slot, ahead of A's last packet.
+        h = Harness()
+        ka, kb = key(sport=1), key(sport=2)
+        a = h.flow(ka, core=1, cadence_ns=100_000)
+        b = h.flow(kb, core=1, cadence_ns=100_000)
+        h.first_call(a, at=0)
+        h.first_call(b, at=0)
+        for seq in range(3):
+            h.inject(ka, seq, at=100, queue=0)
+        h.inject(kb, 0, at=200, queue=2)
+        h.sim.run_until(200)
+        assert list(h.host.proc_lanes[1].queue) == [a, b]
+        h.sim.run_until(10_000)
+        assert [r.t for r in logs[ka]] == [100, 100 + SERVICE_NS, 100 + 3 * SERVICE_NS]
+        assert [(r.t, r.core) for r in logs[kb]] == [(100 + 2 * SERVICE_NS, 1)]
+        assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 4)
+
 
 class TestLockConflicts:
     def test_cross_core_owned_encounter_counts(self):
