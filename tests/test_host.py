@@ -39,6 +39,20 @@ def logs(monkeypatch):
     return record_deliveries(monkeypatch)
 
 
+@pytest.fixture
+def entered(monkeypatch):
+    """(pid, time) of every receive call the test's host enters, in order."""
+    calls = []
+    enter = Host._syscall_enter
+
+    def recorded(host, sock):
+        calls.append((sock.pid, host.sim.now))
+        enter(host, sock)
+
+    monkeypatch.setattr(Host, "_syscall_enter", recorded)
+    return calls
+
+
 class Harness:
     """Host over a real NIC in plain RSS mode so steering is hash-only and
     the host behaviour is isolated."""
@@ -210,22 +224,8 @@ class TestProcessContext:
     # An idle lane whose core's softirq is free takes a receive call or a
     # wake-up at once; in every other case the socket queues on the lane.
 
-    @staticmethod
-    def entries(monkeypatch, h):
-        """(pid, time) of every receive call the host enters, in order."""
-        entered = []
-        enter = Host._syscall_enter
-
-        def recorded(host, sock):
-            entered.append((sock.pid, h.sim.now))
-            enter(host, sock)
-
-        monkeypatch.setattr(Host, "_syscall_enter", recorded)
-        return entered
-
-    def test_call_on_idle_lane_sleeps_at_once(self, monkeypatch):
+    def test_call_on_idle_lane_sleeps_at_once(self, entered):
         h = Harness()
-        entered = self.entries(monkeypatch, h)
         sock = h.flow(key(), core=1, cadence_ns=100_000)
         h.first_call(sock, at=1_000)
         h.sim.run_until(1_000)
@@ -235,11 +235,10 @@ class TestProcessContext:
         assert not lane.busy and not lane.queue
         assert h.host.runnable_counts() == [0, 0, 0, 0]
 
-    def test_call_waits_for_the_cores_softirq(self, monkeypatch):
+    def test_call_waits_for_the_cores_softirq(self, entered):
         # Three packets of an idle app keep core 1's softirq busy until
         # 3 x SERVICE_NS; a call made meanwhile on core 1 waits for it.
         h = Harness()
-        entered = self.entries(monkeypatch, h)
         other = key(sport=1)
         h.flow(other, core=1)
         sock = h.flow(key(sport=2), core=1, cadence_ns=100_000)
@@ -256,12 +255,11 @@ class TestProcessContext:
         assert sock.state == STATE_SLEEPING
         assert not lane.busy and not lane.queue
 
-    def test_call_waits_behind_a_draining_socket(self, monkeypatch):
+    def test_call_waits_behind_a_draining_socket(self, entered):
         # A drains three packets on core 1 from t=100; B's call at t=200
         # queues behind A and is entered when the lane reaches B, at A's
         # second service slot. A's last packet follows it at once.
         h = Harness()
-        entered = self.entries(monkeypatch, h)
         ka = key(sport=1)
         a = h.flow(ka, core=1, cadence_ns=100_000)
         b = h.flow(key(sport=2), core=1, cadence_ns=100_000)
