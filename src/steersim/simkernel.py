@@ -7,10 +7,11 @@ from four sources:
   `schedule_arrivals` as runs of evenly spaced arrivals, such as the
   packets of one burst. Each arrival is packed as one int of its fire
   time, its block and its position in the block, so a run's packed values
-  step evenly and one `range` holds them all. The runs are sorted by their
-  first value, and `run_until` expands and sorts them one window of about
-  `_WINDOW_ARRIVALS` arrivals at a time, dropping each window once it has
-  fired.
+  step evenly and one `range` holds them all. The runs wait, sorted by
+  their first value, as 64-bit words in an `array`, or in a list when a
+  run does not fit 64 bits. `run_until` expands and sorts them one window
+  of about `_WINDOW_ARRIVALS` arrivals at a time, dropping each window's
+  runs when it is made and its arrivals once they have fired.
 - Runtime events for a later time sit on a binary heap under an id that
   `schedule` hands out in one increasing sequence.
 - Timer lines (`Simulator.line`) hold events that all fire one fixed delay
@@ -33,6 +34,7 @@ with a fixed seed therefore replays identically event for event.
 """
 
 import random
+from array import array
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush, heapreplace
@@ -118,8 +120,9 @@ class Simulator:
         # yet expanded, the remainders of runs cut at the last window's
         # edge, as ranges, and the window being fired, from `_pos` on. A run
         # in `_runs` is one int, first << _run_bits | count << _step_bits |
-        # the index of its step in `_steps`, and `_runs` is in descending
-        # order, so the next run is popped from its end.
+        # the index of its step in `_steps`. `_runs` is an array('Q'), or a
+        # list if a run needs more than 64 bits, in descending order, so the
+        # next runs are taken from its end.
         self._runs = None
         self._run_bits = 0
         self._step_bits = 0
@@ -168,6 +171,8 @@ class Simulator:
         block b runs `action(b, k)`. At an equal fire time arrivals fire by
         block and then by position, ahead of every runtime event. Neither
         runs nor blocks need be sorted by time, and times may be any ints.
+        The runs wait packed in 64-bit words, or in a list of Python ints
+        when one does not fit, such as a time past 2^63 ns.
         Raises ValueError for a second call, a block cut inside a run or a
         negative count or spacing, and SchedulingError for a time before
         `now`.
@@ -199,6 +204,14 @@ class Simulator:
             raise SchedulingError(
                 f"arrival at {runs[-1] >> run_bits + shift} ns, before now ({self.now} ns)"
             )
+        if runs and runs[0] >> 64 == 0:
+            # Every run fits a 64-bit word: move them over a slice at a
+            # time, so the list shrinks as the array grows.
+            packed = array("Q")
+            while runs:
+                packed.extend(runs[:_WINDOW_ARRIVALS])
+                del runs[:_WINDOW_ARRIVALS]
+            runs = packed
         self._runs = runs
         self._run_bits = run_bits
         self._step_bits = step_bits
@@ -227,13 +240,17 @@ class Simulator:
         steps = self._steps
         group = self._carried
         size = 0
-        while runs and size < _WINDOW_ARRIVALS:
-            run = runs.pop()
+        left = len(runs)
+        while left and size < _WINDOW_ARRIVALS:
+            left -= 1
+            run = runs[left]
             first = run >> run_bits
             count = run >> step_bits & count_mask
             step = steps[run & step_mask]
             group.append(range(first, first + count * step, step))
             size += count
+        # One deletion, so that an array's buffer shrinks as its runs fire.
+        del runs[left:]
         # The edge: the first value of the runs left, lowered so that no run
         # gives the window more than _WINDOW_ARRIVALS values.
         edge = runs[-1] >> run_bits if runs else None

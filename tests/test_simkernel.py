@@ -1,4 +1,6 @@
 import heapq
+import sys
+from array import array
 from collections import deque
 from itertools import count
 from pathlib import Path
@@ -282,6 +284,7 @@ def test_arrival_too_late_for_64_bit_packing_still_fires():
     fired = []
     late = 1 << 62
     sim.schedule_arrivals([[late, 2, late, 5, 1, 0]], _recorder(fired))
+    assert type(sim._runs) is list  # the packed runs need more than 64 bits
     assert sim.run_until(late) == 2
     assert fired == [(0, 2), (0, 0)]
     assert sim.run_until(2 * late) == 1
@@ -339,7 +342,34 @@ def test_fired_arrivals_leave_the_simulator():
         assert _unfired(sim) == n - 1 - t_end
         assert len(sim._window) <= 3 * _WINDOW_ARRIVALS  # at most that many from each run
     assert fired == list(range(n))
-    assert (sim._window, sim._carried, sim._runs) == ([], [], [])
+    assert (len(sim._window), len(sim._carried), len(sim._runs)) == (0, 0, 0)
+
+
+def test_runs_that_fit_64_bits_are_held_in_an_array_that_shrinks_as_they_fire():
+    # One single-arrival run per ns, so each window deletes about
+    # _WINDOW_ARRIVALS runs at once, enough for the array to give memory back.
+    sim = Simulator()
+    n = 4 * _WINDOW_ARRIVALS
+    sim.schedule_arrivals([_block(*range(n))], lambda b, k: None)
+    runs = sim._runs
+    assert isinstance(runs, array) and runs.itemsize == 8
+    sizes = [(len(runs), sys.getsizeof(runs))]
+    for t_end in range(_WINDOW_ARRIVALS, n, _WINDOW_ARRIVALS):
+        sim.run_until(t_end)
+        sizes.append((len(runs), sys.getsizeof(runs)))
+    assert all(a > b for earlier, later in zip(sizes, sizes[1:])
+               for a, b in zip(earlier, later))
+
+
+@pytest.mark.parametrize("time, fits", [((1 << 61) - 1, True), (1 << 61, False)])
+def test_runs_go_to_an_array_exactly_when_they_fit_64_bits(time, fits):
+    # One block of one arrival: time << 3 | 1 is the packed run.
+    sim = Simulator()
+    fired = []
+    sim.schedule_arrivals([[time, 1, 0]], _recorder(fired))
+    assert isinstance(sim._runs, array) is fits
+    assert sim.run_until(time) == 1
+    assert fired == [(0, 0)]
 
 
 START = 100  # `now` when the property below hands its arrivals over
@@ -402,7 +432,7 @@ def _hand_over_in_full_sort_order(blocks, extra, pick):
                       for k, t in enumerate(_times(block)))
     assert sim.run_until(max((t for t, _, _ in expected), default=START)) == len(expected)
     assert fired == expected
-    assert (sim._window, sim._carried, sim._runs) == ([], [], [])
+    assert (len(sim._window), len(sim._carried), len(sim._runs)) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("block", [[5, 1, -1], [5, -1, 0], [5, 1]])
