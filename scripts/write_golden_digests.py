@@ -10,9 +10,12 @@ named overlays on bundled scenarios that reaches the settings no bundled
 file uses: the `rss` NIC mode, lookup-latency accounting, an RSS indirection
 table, random ports, IPv6 addresses, the power-saving scheduler, flow-table
 aging under both delete limits, and settings that schedule events for the
-current instant (a zero hold timer or receive cadence). Run this only for a change that is meant to alter simulated
-output, and say so with the change: the file is the gate that a refactor or
-speed-up kept every report byte for byte.
+current instant (a zero hold timer or receive cadence). A base skips each
+overlay that sets a setting it leaves unread by `workload.UNREAD`, such as
+the receive cadence of a worst case: the load would refuse it. Run this
+only for a change that is meant to alter simulated output, and say so with
+the change: the file is the gate that a refactor or speed-up kept every
+report byte for byte.
 
 `overlay` and `bundled` also build the scenario variants that
 scripts/run_experiments.py and the tests run: each bundled file is the one
@@ -28,7 +31,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from steersim import Engine, Scenario  # noqa: E402
-from steersim.workload import WORST_CASE_UNREAD, AppRule  # noqa: E402
+from steersim.workload import UNREAD, AppRule  # noqa: E402
 
 GOLDEN_PATH = ROOT / "tests" / "golden_digests.json"
 SEED = 1
@@ -99,7 +102,7 @@ def overlay(base: Scenario, overrides: dict) -> Scenario:
     d = base.to_dict()
     for section, value in overrides.items():
         if isinstance(value, dict):
-            d[section] = {**d[section], **value}
+            d[section] = {**d.get(section, {}), **value}  # to_dict may leave it out
         else:
             d[section] = value
     return Scenario.from_dict(d)
@@ -119,12 +122,13 @@ def paths(overrides: dict) -> set:
 
 
 def scenarios() -> dict:
-    """Every scenario the digests cover, by name. A worst case takes only
-    the overlays whose settings its kind reads."""
+    """Every scenario the digests cover, by name. A base takes only the
+    overlays that set none of the settings it leaves unread, by the rows of
+    `UNREAD` whose condition it meets."""
     out = {p.stem: Scenario.load(p) for p in sorted((ROOT / "scenarios").glob("*.json"))}
     out["tie_stress"] = tie_stress()
     for base in GRID_BASES:
-        unread = set(WORST_CASE_UNREAD) if out[base].kind == "worst_case" else set()
+        unread = {path for _, holds, paths in UNREAD if holds(out[base]) for path in paths}
         for name, overrides in OVERLAYS.items():
             if not paths(overrides) & unread:
                 out[f"{base}+{name}"] = overlay(out[base], overrides)

@@ -26,15 +26,26 @@ EPHEMERAL_END = 65536
 MAX_WORST_CASE_RING = 1 << 16
 WORST_CASE_FIRE_NS = 50 * US
 WORST_CASE_EPSILON_NS = 1
-# The settings that schedule never reads: its two flows have no receive calls
-# and no app rule, the victim is pinned to core 0 and its entry sits at chain
-# position 1. Each must keep its default, and `to_dict` leaves them out.
-WORST_CASE_UNREAD = (
-    "traffic.streams", "traffic.data_packets_per_stream", "traffic.link_gbps", "traffic.burst",
-    "traffic.burst_spacing_ns", "traffic.jitter_ns", "traffic.ephemeral_ports",
-    "traffic.ephemeral_start", "traffic.start_spread_us", "host.syscall_cadence_us",
-    "scheduler.mode", "scheduler.tick_us", "scheduler.forced_migration_period_us",
-    "flow_table.num_buckets", "flow_table.max_list_size", "apps",
+# The settings a run leaves unread while a condition holds, one row per
+# condition: its text, a test of it and the dotted paths. `validate` refuses
+# a value other than the default for each, and `to_dict` leaves them out.
+UNREAD = (
+    # schedule's two flows have no receive calls and no app rule, the victim
+    # is pinned to core 0 and its entry sits at chain position 1.
+    ("kind 'worst_case'", lambda s: s.kind == "worst_case", (
+        "traffic.streams", "traffic.data_packets_per_stream", "traffic.link_gbps", "traffic.burst",
+        "traffic.burst_spacing_ns", "traffic.jitter_ns", "traffic.ephemeral_ports",
+        "traffic.ephemeral_start", "traffic.start_spread_us", "host.syscall_cadence_us",
+        "scheduler.mode", "scheduler.tick_us", "scheduler.forced_migration_period_us",
+        "flow_table.num_buckets", "flow_table.max_list_size", "apps")),
+    # assign_ports draws from the whole ephemeral range.
+    ("traffic.ephemeral_ports 'random'", lambda s: s.traffic.ephemeral_ports == "random",
+     ("traffic.ephemeral_start",)),
+    # The engine schedules no tick.
+    ("scheduler.mode 'pinned'", lambda s: s.scheduler.mode == "pinned", ("scheduler.tick_us",)),
+    # The rotation, the balancer and power saving move only a thread with two cores or more.
+    ("apps rules that each name one core", lambda s: all(len(r.cores) == 1 for r in s.apps),
+     ("scheduler.mode", "scheduler.forced_migration_period_us")),
 )
 
 
@@ -109,9 +120,9 @@ RULES = {
     "host.ack_every": Bound(1),
     "host.syscall_cadence_us": Bound(0, _most(US)),
     "scheduler.mode": OneOf(("pinned", "peak_performance", "power_saving")),
-    "scheduler.tick_us": Bound(high=_most(US)),  # its floor depends on scheduler.mode
     # At least 1 ns: a period that truncates to 0 ns would reschedule itself
-    # at the same instant forever.
+    # at the same instant forever. A pinned scenario keeps the default tick.
+    "scheduler.tick_us": Bound(1 / US, _most(US)),
     "scheduler.forced_migration_period_us": Bound(1 / US, _most(US)),
     "nic.mode": OneOf(("rss", "flowsteer")),
     "nic.ring_capacity": Bound(1),
@@ -223,10 +234,11 @@ class Scenario(Record):
     # ---- validation ----------------------------------------------------------
 
     def validate(self) -> "Scenario":
-        for path in WORST_CASE_UNREAD if self.kind == "worst_case" else ():
-            if field_value(self, path) != (default := field_value(Scenario(), path)):
-                raise ScenarioError(f"{path} is not read under kind 'worst_case' and must keep "
-                                    f"its default, {json.dumps(_plain(default))}")
+        for condition, holds, paths in UNREAD:
+            for path in paths if holds(self) else ():
+                if field_value(self, path) != (default := field_value(Scenario(), path)):
+                    raise ScenarioError(f"{path} is not read under {condition} and must keep "
+                                        f"its default, {json.dumps(_plain(default))}")
         for path, rule in RULES.items():
             value, nullable = field_value(self, path), type(None) in get_args(field_type(path))
             if value is None and nullable:
@@ -247,29 +259,16 @@ class Scenario(Record):
         stray = [p for p in self.traffic.ports if p not in range(1 << 16)]
         if stray:
             raise ScenarioError(f"traffic.ports {stray} are outside 0..65535")
+        if len(set(self.traffic.ports)) != len(self.traffic.ports):
+            raise ScenarioError(f"traffic.ports repeats a port: {list(self.traffic.ports)}")
         # assign_ports gives each stream its own port in the ephemeral range.
-        if self.traffic.ephemeral_ports == "random":
-            if self.traffic.streams > EPHEMERAL_END - EPHEMERAL_START:
-                raise ScenarioError(
-                    f"traffic.streams is {self.traffic.streams}; random ports give at most "
-                    f"{EPHEMERAL_END - EPHEMERAL_START} distinct ones"
-                )
-        elif self.traffic.ephemeral_start + self.traffic.streams > EPHEMERAL_END:
+        if self.traffic.ephemeral_start + self.traffic.streams > EPHEMERAL_END:
             raise ScenarioError(
                 f"traffic.ephemeral_start {self.traffic.ephemeral_start} leaves no room for "
-                f"{self.traffic.streams} sequential ports below {EPHEMERAL_END}"
-            )
+                f"traffic.streams {self.traffic.streams} ports below {EPHEMERAL_END}")
         if not self.flow_table.t_delete_pressure_ms <= self.flow_table.t_delete_ms:
             raise ScenarioError(
                 "flow_table.t_delete_pressure_ms must not exceed flow_table.t_delete_ms"
-            )
-        # The tick converts to whole ns; one that truncates to 0 would
-        # reschedule itself at the same instant forever.
-        sched = self.scheduler
-        if sched.mode != "pinned" and not sched.tick_us * US >= 1:
-            raise ScenarioError(
-                f"scheduler.tick_us must be at least 1 ns under {sched.mode!r}, "
-                f"not {sched.tick_us} us"
             )
         cores = [c for group in self.host.processors for c in group]
         if not cores or sorted(cores) != list(range(len(cores))):
@@ -324,6 +323,8 @@ class Scenario(Record):
                     # A repeated core would make the app's processes Free on one
                     # core and count a migration per rotation that moves nothing.
                     raise ScenarioError(f"apps[{i}].cores repeats a core: {list(rule.cores)}")
+                if len(set(rule.ports)) != len(rule.ports):
+                    raise ScenarioError(f"apps[{i}].ports repeats a port: {list(rule.ports)}")
                 for core in rule.cores:
                     if core not in cores:
                         raise ScenarioError(f"apps[{i}].cores names unknown core {core}")
@@ -370,12 +371,10 @@ class Scenario(Record):
         d = _plain(self)
         d["version"] = SCENARIO_VERSION
         d["duration_us"] = float(self.duration_us)
-        if self.kind == "worst_case":
-            for path in WORST_CASE_UNREAD:
-                section, _, name = path.rpartition(".")
-                del (d[section] if section else d)[name]
-            d = {name: value for name, value in d.items() if value != {}}  # no scheduler
-        return d
+        for _, holds, paths in UNREAD:
+            for section, _, name in (p.rpartition(".") for p in paths if holds(self)):
+                (d[section] if section else d).pop(name, None)  # a path may come twice
+        return {name: value for name, value in d.items() if value != {}}  # no empty section
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":

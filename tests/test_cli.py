@@ -9,7 +9,7 @@ import pytest
 
 from steersim import runner
 from steersim.cli import main, scenario_hash
-from steersim.workload import WORST_CASE_UNREAD, Scenario, ScenarioError
+from steersim.workload import UNREAD, Scenario, ScenarioError
 
 from bundled import bundled, pinned_same
 
@@ -328,6 +328,7 @@ class TestScenarioHash:
         assert scenario_hash(a) != scenario_hash(b)
 
 
+WORST_CASE_UNREAD = {condition: paths for condition, _, paths in UNREAD}["kind 'worst_case'"]
 # A value other than the default for each setting a worst case never reads.
 UNREAD_VALUES = {
     "traffic.streams": 41,

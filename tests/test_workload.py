@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steersim
+from steersim.cli import main
 from steersim.flows import is_record
 from steersim.runner import run_scenario
 from steersim.simkernel import make_rng
 from steersim.workload import (
     RULES,
-    WORST_CASE_UNREAD,
+    UNREAD,
     AppRule,
     Bound,
     Scenario,
@@ -48,8 +49,20 @@ def scenario(streams=40, **traffic_kwargs):
     return s
 
 
+def movable(streams=40, **traffic_kwargs):
+    """`scenario` with its apps free to move between two cores under the
+    peak-performance scheduler, so that it reads every scheduler setting."""
+    s = scenario(streams, **traffic_kwargs)
+    s.apps = (AppRule((5001, 6001), (0, 1)),)
+    s.scheduler.mode = "peak_performance"
+    return s
+
+
 def worst_case():
     return Scenario(name="t", kind="worst_case", duration_us=50_000)
+
+
+WORST_CASE_UNREAD = {condition: paths for condition, _, paths in UNREAD}["kind 'worst_case'"]
 
 
 def data_times(plan) -> list:
@@ -156,8 +169,7 @@ class TestSpawnStreams:
 
 class TestScenarioSerialization:
     def test_round_trip_fixpoint(self, tmp_path):
-        s = scenario(12, ephemeral_ports="random", jitter_ns=777)
-        s.scheduler.mode = "peak_performance"
+        s = movable(12, ephemeral_ports="random", jitter_ns=777)
         s.scheduler.forced_migration_period_us = 1500.0
         path = tmp_path / "s.json"
         s.save(path)
@@ -220,8 +232,7 @@ class TestScenarioSerialization:
         ("nic", "link_latency_us", -1e9),
     ])
     def test_validation_names_field_that_would_load_silently(self, section, field, value):
-        d = scenario(4).to_dict()
-        d["scheduler"]["mode"] = "peak_performance"
+        d = movable(4).to_dict()
         path = set_field(d, section, field, value)
         with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
@@ -293,7 +304,7 @@ class TestScenarioSerialization:
         ("scheduler", "mode", "cpuset"),
     ])
     def test_validation_names_unknown_choice(self, section, field, value):
-        d = scenario(4).to_dict()
+        d = movable(4).to_dict()
         d[section][field] = value
         with pytest.raises(ScenarioError, match=f"{section}.{field}"):
             Scenario.from_dict(d)
@@ -324,7 +335,7 @@ class TestScenarioSerialization:
         ("flow_table", "t_delete_pressure_ms", -1.0),
     ])
     def test_validation_names_field_that_would_fail_mid_setup(self, section, field, value):
-        d = scenario(4).to_dict()
+        d = movable(4).to_dict()
         path = set_field(d, section, field, value)
         with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
@@ -341,7 +352,7 @@ class TestScenarioSerialization:
         ("traffic", "ephemeral_start", -1),
     ])
     def test_validation_names_value_that_would_fail_in_setup(self, section, field, value):
-        d = scenario(4).to_dict()
+        d = movable(4).to_dict()
         path = set_field(d, section, field, value)
         with pytest.raises(ScenarioError, match=path):
             Scenario.from_dict(d)
@@ -373,6 +384,19 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=r"apps\[0\].cores repeats a core: \[0, 0\]"):
             Scenario.from_dict(d)
 
+    @pytest.mark.parametrize("ports, apps, message", [
+        ([5001, 5001], [{"ports": [5001], "cores": [0]}],
+         r"traffic.ports repeats a port: \[5001, 5001\]"),
+        ([5001, 6001], [{"ports": [5001, 6001, 5001], "cores": [0]}],
+         r"apps\[0\].ports repeats a port: \[5001, 6001, 5001\]"),
+    ])
+    def test_validation_names_a_repeated_port(self, ports, apps, message):
+        # A repeated port would run as if it were named once.
+        d = scenario(4).to_dict()
+        d["traffic"]["ports"], d["apps"] = ports, apps
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
+            Scenario.from_dict(d)
+
     @pytest.mark.parametrize("section, field, value", [
         ("nic", "ring_capacity", 1),
         ("nic", "ring_capacity", 10**18),
@@ -398,11 +422,10 @@ class TestScenarioSerialization:
         Scenario.from_dict(d)
 
     def test_null_and_1_ns_periods_load(self):
-        d = scenario(4).to_dict()
+        d = movable(4).to_dict()
         d["scheduler"]["forced_migration_period_us"] = None
         assert Scenario.from_dict(d).scheduler.forced_migration_period_us is None
         d["scheduler"]["forced_migration_period_us"] = 0.001
-        d["scheduler"]["mode"] = "peak_performance"
         d["scheduler"]["tick_us"] = 0.001
         Scenario.from_dict(d)
 
@@ -484,10 +507,17 @@ class TestScenarioSerialization:
         scenario(10, ephemeral_start=65526).validate()
         scenario(32768, ephemeral_ports="random").validate()
 
-    def test_pinned_scheduler_ignores_tick(self):
-        d = scenario(4).to_dict()
+    def test_pinned_scheduler_refuses_a_tick(self):
+        # The engine schedules no tick under "pinned", so any other value
+        # than the default would load and do nothing.
+        d = movable(4).to_dict()
+        d["scheduler"]["mode"] = "pinned"
+        Scenario.from_dict(d)
         d["scheduler"]["tick_us"] = 0.0
-        assert Scenario.from_dict(d).scheduler.mode == "pinned"
+        with pytest.raises(ScenarioError) as exc:
+            Scenario.from_dict(d)
+        assert str(exc.value) == ("scheduler.tick_us is not read under scheduler.mode 'pinned' "
+                                  "and must keep its default, 500.0")
 
     @pytest.mark.parametrize("src, dst", [
         ("10.0.0.1", "2001:db8::2"),
@@ -572,7 +602,7 @@ class TestRules:
 
     @pytest.mark.parametrize("path, edge, beyond", bound_edges())
     def test_each_bound_loads_at_its_edge_and_fails_just_beyond(self, path, edge, beyond):
-        d = scenario(4).to_dict()
+        d = movable(4).to_dict()
         d["flow_table"]["t_delete_pressure_ms"] = 0.0  # lets t_delete_ms reach 0
         # ... and lets t_delete_pressure_ms reach its top.
         d["flow_table"]["t_delete_ms"] = RULES["flow_table.t_delete_ms"].high
@@ -586,7 +616,7 @@ class TestRules:
     @pytest.mark.parametrize("path", [p for p in RULES if is_float_field(p)])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_each_float_row_refuses_nan_and_inf(self, path, value):
-        d = scenario(4).to_dict()
+        d = movable(4).to_dict()
         section, _, field = path.rpartition(".")
         set_field(d, section, field, value)
         with pytest.raises(ScenarioError,
@@ -714,18 +744,69 @@ class TestWorstCaseSettings:
         before, after = (run_scenario(s).report.to_row() for s in runs)
         assert before != after
 
-    def test_the_bundled_file_holds_only_what_the_kind_reads(self):
-        # test_bundled_file_is_canonical checks that it loads and saves as is.
-        d = json.loads((SCENARIO_DIR / "worstcase.json").read_text())
-        for path in WORST_CASE_UNREAD:
-            section, _, name = path.rpartition(".")
-            assert name not in (d.get(section, {}) if section else d), path
-
     def test_a_saved_worst_case_loads_as_it_was(self):
         s = bundled("worstcase")
         s.flow_table.t_timer_us = 85.0
         s.host.processors = ((0, 1, 2),)
         assert Scenario.from_dict(s.to_dict()) == s
+
+
+# For each row of UNREAD that a streams scenario can meet: a bundled file
+# that meets it, and a value other than the default for one of its paths.
+STREAMS_UNREAD = [
+    ("traffic.ephemeral_ports 'random'", "admission_l6_n200", "traffic.ephemeral_start", 40_000),
+    ("traffic.ephemeral_ports 'random'", "admission_l1_n1000", "traffic.ephemeral_start", 1_000),
+    ("scheduler.mode 'pinned'", "pinned_same", "scheduler.tick_us", 37.0),
+    ("scheduler.mode 'pinned'", "pinned_cross", "scheduler.tick_us", 37.0),
+    ("apps rules that each name one core", "pinned_same", "scheduler.mode", "peak_performance"),
+    ("apps rules that each name one core", "pinned_cross", "scheduler.mode", "power_saving"),
+    ("apps rules that each name one core", "pinned_same",
+     "scheduler.forced_migration_period_us", 300.0),
+    ("apps rules that each name one core", "pinned_cross",
+     "scheduler.forced_migration_period_us", 300.0),
+]
+
+
+class TestUnreadSettings:
+    def test_every_streams_row_and_path_has_a_case(self):
+        rows = {(condition, path) for condition, _, paths in UNREAD[1:] for path in paths}
+        assert {(condition, path) for condition, _, path, _ in STREAMS_UNREAD} == rows
+        assert UNREAD[0][0] == "kind 'worst_case'"
+
+    @pytest.mark.parametrize("condition, name, path, value", STREAMS_UNREAD)
+    def test_the_setting_leaves_the_row_alone(self, condition, name, path, value, monkeypatch):
+        base = bundled(name)
+        holds = {text: test for text, test, _ in UNREAD}[condition]
+        assert holds(base)
+        changed = bundled(name)
+        section, _, field = path.rpartition(".")
+        setattr(getattr(changed, section), field, value)
+        assert holds(changed) and changed != base
+        monkeypatch.setattr(Scenario, "validate", lambda s: s)  # the load would refuse it
+        assert run_scenario(changed).report.to_row() == run_scenario(base).report.to_row()
+
+    @pytest.mark.parametrize("condition, name, path, value", STREAMS_UNREAD)
+    def test_load_and_run_refuse_the_setting(self, condition, name, path, value, tmp_path,
+                                             capsys):
+        d = bundled(name).to_dict()
+        set_path(d, path, value)
+        refusal = f"{path} is not read under {condition} and must keep its default, "
+        with pytest.raises(ScenarioError, match=f"^{re.escape(refusal)}"):
+            Scenario.from_dict(d)
+        probe, out = tmp_path / "probe.json", tmp_path / "out"
+        probe.write_text(json.dumps(d))
+        assert main(["run", str(probe), "--out", str(out), "--quiet"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {refusal}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_no_bundled_file_holds_a_setting_it_leaves_unread(self, path):
+        d, scenario = json.loads(path.read_text()), Scenario.load(path)
+        for _, holds, paths in UNREAD:
+            for unread_path in paths if holds(scenario) else ():
+                section, _, name = unread_path.rpartition(".")
+                assert name not in (d.get(section, {}) if section else d), unread_path
 
 
 class TestSections:
