@@ -26,9 +26,8 @@ EPHEMERAL_END = 65536
 MAX_WORST_CASE_RING = 1 << 16
 WORST_CASE_FIRE_NS = 50 * US
 WORST_CASE_EPSILON_NS = 1
-# The settings a run leaves unread while a condition holds, one row per
-# condition: its text, a test of it and the dotted paths. `validate` refuses
-# a value other than the default for each, and `to_dict` leaves them out.
+# Each row: a condition, a test of it on the scenario and the dotted paths a run leaves unread
+# while it holds. `validate` refuses a value other than the default for each; `to_dict` omits them.
 UNREAD = (
     # schedule's two flows have no receive calls and no app rule, the victim
     # is pinned to core 0 and its entry sits at chain position 1.
@@ -148,9 +147,9 @@ def field_value(scenario, path: str):
 
 
 def field_type(path: str):
-    """The annotation of a dotted field path such as "nic.mode"."""
+    """The annotation of a dotted field path such as "nic.mode"; Scenario for ""."""
     tp = Scenario
-    for name in path.split("."):
+    for name in path.split(".") if path else ():
         tp = tp.FIELDS[name]
     return tp
 
@@ -236,7 +235,8 @@ class Scenario(Record):
     def validate(self) -> "Scenario":
         for condition, holds, paths in UNREAD:
             for path in paths if holds(self) else ():
-                if field_value(self, path) != (default := field_value(Scenario(), path)):
+                section, _, name = path.rpartition(".")
+                if field_value(self, path) != (default := vars(field_type(section))[name]):
                     raise ScenarioError(f"{path} is not read under {condition} and must keep "
                                         f"its default, {json.dumps(_plain(default))}")
         for path, rule in RULES.items():
