@@ -43,7 +43,7 @@ UNREAD = (
     # The engine schedules no tick.
     ("scheduler.mode 'pinned'", lambda s: s.scheduler.mode == "pinned", ("scheduler.tick_us",)),
     # The rotation, the balancer and power saving move only a thread with two cores or more.
-    ("apps rules that each name one core", lambda s: all(len(r.cores) == 1 for r in s.apps),
+    ("apps rules that each name one core", lambda s: {len(r.cores) for r in s.apps} == {1},
      ("scheduler.mode", "scheduler.forced_migration_period_us")),
 )
 

@@ -363,11 +363,17 @@ class TestScenarioSerialization:
         with pytest.raises(ScenarioError, match=r"apps\[0\].cores"):
             Scenario.from_dict(d)
 
-    def test_validation_names_port_without_app_rule(self):
-        # Setup would find no placement for the streams to port 6001.
-        s = scenario(4)
-        s.apps = (AppRule((5001,), (0,)),)
-        with pytest.raises(ScenarioError, match=r"^traffic.ports \[6001\] have no apps rule$"):
+    @pytest.mark.parametrize("base, apps, unruled", [
+        (scenario, (AppRule((5001,), (0,)),), r"\[6001\]"),
+        # No rule at all is not "rules that each name one core", so the
+        # scheduler mode is not what the load names.
+        (movable, (), r"\[5001, 6001\]"),
+    ])
+    def test_validation_names_port_without_app_rule(self, base, apps, unruled):
+        # Setup would find no placement for the streams to these ports.
+        s = base(4)
+        s.apps = apps
+        with pytest.raises(ScenarioError, match=f"^traffic.ports {unruled} have no apps rule$"):
             s.validate()
 
     def test_validation_names_port_of_two_app_rules(self):
