@@ -10,11 +10,15 @@ the scenario's seed. The script builds one `Engine` and traces its `run`
 opcode events, then prints, for every steersim function that ran, the
 bytecodes it executed in its own frames and their number per generated
 data packet, followed by the totals for steersim and for all Python code.
+Last it prints the event heap's peak length, taken in a second, untraced
+run of an equal `Engine` with `heappush` wrapped, so that the counts above
+stay comparable.
 
 A bytecode count does not drift with the machine's speed the way CPU time
 does, so two trees can be compared from one run each. It says nothing of
 what each bytecode costs, nor of time spent in C code such as `heapq` or
-`deque`, so a speed claim still needs timings.
+`deque`, so a speed claim still needs timings; the heap's peak shows part
+of what the counts miss.
 """
 
 import argparse
@@ -25,6 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import steersim  # noqa: E402
+from steersim import simkernel  # noqa: E402
 from steersim.runner import Engine  # noqa: E402
 from steersim.workload import Scenario  # noqa: E402
 
@@ -62,6 +67,25 @@ def count_run(engine: Engine) -> tuple:
     return result, counts
 
 
+def peak_heap(engine: Engine) -> int:
+    """Run `engine` untraced with `simkernel.heappush` wrapped: the most
+    entries the event heap held."""
+    push = simkernel.heappush
+    peak = 0
+
+    def push_measured(heap, entry):
+        nonlocal peak
+        push(heap, entry)
+        peak = max(peak, len(heap))
+
+    simkernel.heappush = push_measured
+    try:
+        engine.run()
+    finally:
+        simkernel.heappush = push
+    return peak
+
+
 def function_name(code) -> str:
     module = Path(code.co_filename).stem
     return f"steersim.{module}:{getattr(code, 'co_qualname', code.co_name)}"
@@ -79,7 +103,9 @@ def main(argv=None) -> int:
     if args.mode is not None:
         scenario.nic.mode = args.mode
     seed = scenario.seed if args.seed is None else args.seed
-    result, counts = count_run(Engine(scenario.validate(), seed=seed))
+    scenario.validate()
+    result, counts = count_run(Engine(scenario, seed=seed))
+    heap_peak = peak_heap(Engine(scenario, seed=seed))
     packets = result.report.generated_data
 
     per_function = {}
@@ -101,6 +127,7 @@ def main(argv=None) -> int:
         print(line(n, name))
     print(line(own, "steersim total"))
     print(line(total, "total, all Python code"))
+    print(f"{heap_peak:>12,} {'':>10}  event heap's peak length, untraced run")
     return 0
 
 

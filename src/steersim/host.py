@@ -228,7 +228,6 @@ class Host:
         self._nic = nic
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
         self.sockets: dict = {}  # by flow key, in pid order
-        self.handler_active = [False] * len(cores)
         self.proc_lanes = [_ProcLane(self, core) for core in cores]
         self.migrations = 0  # migrations performed so far
         self.stats = HostStats()
@@ -282,16 +281,17 @@ class Host:
 
     def on_interrupt(self, queue_id: int):
         """Activate the softirq drain loop for a queue. Spurious interrupts
-        while the handler is already active are ignored."""
-        if self.handler_active[queue_id]:
+        while it is already active, until its core's `irq_free`, are ignored."""
+        if self.cores[queue_id].irq_free > self.sim.now:
             return
         self.stats.interrupts_serviced += 1
         self._softirq_step(queue_id)
 
     def _softirq_step(self, queue_id: int):
-        # The handler is active while a continuation is pending. No ring is
-        # pushed while this loop runs, so no interrupt can arrive before
-        # the flag is set.
+        # The drain is active while a continuation is pending, which is
+        # until `irq_free`: only this loop sets it, and always schedules the
+        # continuation there. An interrupt fires from the lane, after every
+        # heap event of its instant, the continuation included.
         now = self.sim.now
         core = self.cores[queue_id]
         slots = self._rx_slots[queue_id]
@@ -328,10 +328,8 @@ class Host:
                 self.stats.delivered_interrupt += 1
                 self._deliver(packet, sock, core.core_id, now)
             core.irq_free = now + core.service_ns
-            self.handler_active[queue_id] = True
             self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
-        self.handler_active[queue_id] = False
 
     # -- process context ------------------------------------------------------------
 

@@ -59,9 +59,9 @@ class Nic:
         self.acks_sent = 0
         self.hold_delays = array("q")  # flush time minus arrival, per held packet
         # The serial lookup pipeline, latency accounting only: when it is
-        # next free, and the (queue, packet) pairs in it, in completion order.
+        # next free, and the line its (queue, packet) pairs wait on.
         self._pipeline_free = 0
-        self._lookups = deque()
+        self._lookups = sim.line(0, self._finish_lookup) if self._latency else None
 
     # -- receive path ----------------------------------------------------------
 
@@ -77,24 +77,18 @@ class Nic:
             if decision is not DIRECT:
                 queue = self.engine.queue_for(packet[0])
             if self._latency:
-                self._enqueue_after_lookup(queue, packet, now, position)
+                # The pipeline is serial: no packet overtakes the one ahead
+                # of it, even with a shorter chain walk, so the times rise.
+                done = max(now, self._pipeline_free) + search_time(position)
+                self._pipeline_free = done
+                self._lookups.add_at(done, (queue, packet))
                 return
         else:
             queue = self.engine.queue_for(packet[0])
         self._enqueue(queue, packet)
 
-    def _enqueue_after_lookup(self, queue: int, packet: tuple, now: int, position: int):
-        # The lookup pipeline is serial: a packet cannot overtake the one
-        # ahead of it even if its own chain walk is shorter. Completion
-        # times strictly increase, so completions fire in the order the
-        # packets entered and each pops its own packet.
-        done = max(now, self._pipeline_free) + search_time(position)
-        self._pipeline_free = done
-        self._lookups.append((queue, packet))
-        self.sim.schedule(done, self._finish_lookup)
-
-    def _finish_lookup(self):
-        self._enqueue(*self._lookups.popleft())
+    def _finish_lookup(self, pair: tuple):
+        self._enqueue(*pair)
 
     def _enqueue(self, queue: int, packet: tuple):
         """Append at the ring's tail, or tail-drop when it is full. The

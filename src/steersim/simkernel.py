@@ -14,12 +14,12 @@ from four sources:
   runs when it is made and its arrivals once they have fired.
 - Runtime events for a later time sit on a binary heap under an id that
   `schedule` hands out in one increasing sequence.
-- Timer lines (`Simulator.line`) hold events that all fire one fixed delay
-  after they are scheduled, such as hold timers. A line is a FIFO, since
-  its events fire in the order they were scheduled; only its head sits on
-  the heap, under the id it took from the same sequence when it was
-  scheduled, so a line event fires exactly when it would have as a heap
-  event of its own.
+- Timer lines (`Simulator.line`) hold events that fire in the order they
+  were scheduled, each one fixed delay later, such as hold timers, or at
+  explicit times that never decrease, such as the NIC's lookup pipeline.
+  Only a line's head sits on the heap, under the id it took from the same
+  sequence when it was scheduled, so a line event fires exactly when it
+  would have as a heap event of its own.
 - Runtime events for the current instant, such as a ring-edge interrupt,
   wait in a FIFO lane instead. A lane entry takes no id: ids only order
   heap entries.
@@ -56,12 +56,13 @@ class SchedulingError(ValueError):
 
 
 class TimerLine:
-    """Events that each fire `delay` ns after they are scheduled, made by
-    `Simulator.line`. `add(arg)` schedules one, which fires as
-    `handler(arg)`; an event takes its id from the simulator's sequence, as
-    `Simulator.schedule` gives it, so it fires exactly when a heap event
-    scheduled at the same moment would. A delay of 0 puts the event in the
-    same-instant lane, as `Simulator.soon` does, without an id.
+    """Events that each fire as `handler(arg)`, made by `Simulator.line`:
+    `add(arg)` schedules one `delay` ns from now, and `add_at` one at an
+    explicit time, as the NIC's lookup pipeline does. An event takes its id
+    from the simulator's sequence, as `Simulator.schedule` gives it, so it
+    fires exactly when a heap event scheduled at the same moment would. An
+    event for `now` goes to the same-instant lane, as `Simulator.soon`
+    puts it, without an id.
 
     The events wait in `_queue` as (fire_time, id, arg), oldest first, and
     the oldest also sits on the simulator's heap. `Simulator.clear` empties
@@ -76,13 +77,17 @@ class TimerLine:
         self._queue = deque()
 
     def add(self, arg):
+        self.add_at(self._sim.now + self.delay, arg)
+
+    def add_at(self, fire_time: int, arg):
+        """Schedule an event at `fire_time`, which must not be earlier than
+        the line's last event's; nothing checks this."""
         sim = self._sim
-        if not self.delay:
+        if fire_time == sim.now:
             sim.soon(partial(self.handler, arg))
             return
         event_id = sim._next_id
         sim._next_id = event_id + 1
-        fire_time = sim.now + self.delay
         queue = self._queue
         queue.append((fire_time, event_id, arg))
         if len(queue) == 1:

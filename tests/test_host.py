@@ -127,7 +127,9 @@ class TestInterruptContext:
         h = Harness()
         h.flow(key())
         h.host.on_interrupt(0)
-        assert h.host.handler_active[0] is False
+        # The drain ended at once, so a second interrupt is serviced too.
+        h.host.on_interrupt(0)
+        assert h.host.stats.interrupts_serviced == 2
         assert h.host.stats.delivered_interrupt == 0
 
 

@@ -635,13 +635,61 @@ def test_pending_counts_line_events_and_clear_drops_them():
     assert fired == ["a", "b", "c"]
 
 
-def test_heap_holds_one_entry_per_line_lane_and_periodic(monkeypatch):
+def test_add_at_fires_at_explicit_times_in_the_order_added():
+    sim = Simulator()
+    fired = []
+    line = sim.line(0, lambda arg: fired.append((sim.now, arg)))
+    for time, tag in [(3, "a"), (7, "b"), (7, "c"), (20, "d")]:
+        line.add_at(time, tag)
+    assert sim.run_until(10) == 3
+    assert fired == [(3, "a"), (7, "b"), (7, "c")]
+    assert sim.run_until(20) == 1
+    assert fired[-1] == (20, "d")
+
+
+def test_add_at_fires_under_the_id_it_took_when_added():
+    # A heap event scheduled just before the line event for the same
+    # instant fires first, one scheduled just after fires after it, also
+    # when the line event waits behind an earlier one of its line.
+    sim = Simulator()
+    order = []
+    line = sim.line(0, order.append)
+    line.add_at(2, "first")
+    assert sim.schedule(5, lambda: order.append("before")) == 1
+    line.add_at(5, "line")
+    assert sim.schedule(5, lambda: order.append("after")) == 3
+    assert sim.run_until(5) == 4
+    assert order == ["first", "before", "line", "after"]
+
+
+def test_pending_counts_add_at_events_and_clear_drops_them():
+    sim = Simulator()
+    fired = []
+    line = sim.line(0, fired.append)
+    for time, tag in [(4, "a"), (6, "b"), (9, "c")]:
+        line.add_at(time, tag)
+    assert (len(sim._heap), sim.pending()) == (1, 3)
+    sim.run_until(5)
+    assert fired == ["a"] and sim.pending() == 2
+    sim.clear()
+    assert sim.pending() == 0 and line.handler is None
+    assert sim.run_until(100) == 0
+    assert fired == ["a"]
+
+
+@pytest.mark.parametrize("latency_accounting, line_count", [
+    pytest.param(False, 2, id="plain"),
+    pytest.param(True, 3, id="latency_accounting"),
+])
+def test_heap_holds_one_entry_per_line_lane_and_periodic(monkeypatch, latency_accounting,
+                                                         line_count):
     # During migrate_same_2000 the hold timers and receive calls wait on
-    # timer lines, so the heap holds at most one entry per line, per
-    # softirq, per process lane and per periodic event (tick, forced
-    # migration, table sweep).
+    # timer lines, and so do the lookups under latency accounting, so the
+    # heap holds at most one entry per line, per softirq, per process lane
+    # and per periodic event (tick, forced migration, table sweep).
     scenario = Scenario.load(Path(__file__).resolve().parents[1] / "scenarios"
                              / "migrate_same_2000.json")
+    scenario.nic.latency_accounting = latency_accounting
     lines = []
     heights = []
     make_line, push = Simulator.line, simkernel.heappush
@@ -658,7 +706,7 @@ def test_heap_holds_one_entry_per_line_lane_and_periodic(monkeypatch):
     monkeypatch.setattr(simkernel, "heappush", push_measured)
     Engine(scenario, 1).run()
     cores = scenario.num_cores()
-    assert len(lines) == 2  # hold timers and receive calls
+    assert len(lines) == line_count  # hold timers, receive calls and any lookups
     assert max(heights) <= len(lines) + 2 * cores + 3
 
 
