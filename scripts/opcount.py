@@ -12,7 +12,11 @@ bytecodes it executed in its own frames and their number per generated
 data packet, followed by the totals for steersim and for all Python code.
 Last it prints the event heap's peak length, taken in a second, untraced
 run of an equal `Engine` with `heappush` wrapped, so that the counts above
-stay comparable.
+stay comparable, and the `tracemalloc` peaks, in KiB, of the arrival
+hand-over (`Engine._schedule_streams`) and of the event loop
+(`Simulator.run_until`), taken in a third, untraced run. Each phase's peak
+is the most memory traced at once while it ran, the engine built before it
+included.
 
 A bytecode count does not drift with the machine's speed the way CPU time
 does, so two trees can be compared from one run each. It says nothing of
@@ -23,6 +27,7 @@ of what the counts miss.
 
 import argparse
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,6 +91,31 @@ def peak_heap(engine: Engine) -> int:
     return peak
 
 
+def phase_peaks(scenario: Scenario, seed: int) -> tuple:
+    """Build an `Engine` and run it under `tracemalloc`: the traced peak, in
+    bytes, of its arrival hand-over and of its event loop, each the most
+    memory traced at once during that phase. A worst-case run has no
+    hand-over; its first peak reads 0."""
+    peaks = {}
+    tracemalloc.start()
+    try:
+        engine = Engine(scenario, seed=seed)
+
+        def measured(name, phase):
+            def run(*args):
+                tracemalloc.reset_peak()
+                phase(*args)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            return run
+
+        engine._schedule_streams = measured("hand-over", engine._schedule_streams)
+        engine.sim.run_until = measured("loop", engine.sim.run_until)
+        engine.run()
+    finally:
+        tracemalloc.stop()
+    return peaks.get("hand-over", 0), peaks["loop"]
+
+
 def function_name(code) -> str:
     module = Path(code.co_filename).stem
     return f"steersim.{module}:{getattr(code, 'co_qualname', code.co_name)}"
@@ -106,6 +136,7 @@ def main(argv=None) -> int:
     scenario.validate()
     result, counts = count_run(Engine(scenario, seed=seed))
     heap_peak = peak_heap(Engine(scenario, seed=seed))
+    hand_over_peak, loop_peak = phase_peaks(scenario, seed)
     packets = result.report.generated_data
 
     per_function = {}
@@ -128,6 +159,8 @@ def main(argv=None) -> int:
     print(line(own, "steersim total"))
     print(line(total, "total, all Python code"))
     print(f"{heap_peak:>12,} {'':>10}  event heap's peak length, untraced run")
+    print(f"{hand_over_peak / 1024:>12,.1f} {'':>10}  traced KiB at most, arrival hand-over")
+    print(f"{loop_peak / 1024:>12,.1f} {'':>10}  traced KiB at most, event loop")
     return 0
 
 

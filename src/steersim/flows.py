@@ -5,7 +5,9 @@ flow's receive-direction `FlowKey`, `kind` one of `KINDS`, `seq` a gapless
 per-flow sequence number for DATA and -1 for control frames, and `size`
 its length in bytes. The engine builds one as the frame arrives; the model
 unpacks it and keeps no state on it, so a frame held by the steering table
-sits there beside the time it was held at (`FlowEntry.held`).
+sits there beside the time it was held at (`FlowEntry.held`). A socket
+backlog keeps of a deferred frame only its `seq`, which tells data from
+control, and the tuple is freed as it is deferred.
 """
 
 from typing import NamedTuple

@@ -14,7 +14,7 @@ from collections import deque
 from functools import partial
 from operator import add
 
-from .flows import DATA, Record, reverse_key
+from .flows import Record, reverse_key
 
 MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
@@ -42,19 +42,21 @@ class SocketModel:
     and `tx_key` the same flow's transmit-direction key, which its ACKs
     carry.
 
-    The thread has a dense `pid`, runs on `core`, one of its
-    `allowed_cores`, and is counted in `core_set`, the `_CoreSet` of those
-    cores. It makes a receive call every `cadence_ns` of compute, or never
-    when that is None; one that calls starts out computing until its first
-    call, one that never calls starts idle. In a receive call its `state`
-    is draining, when the thread owns the socket, or sleeping until data
-    arrives. A packet found during a call, or with the backlog non-empty,
-    must defer to the backlog; processing anything ahead of a non-empty
-    backlog would reorder the flow.
+    The thread runs on `core`, one of its `allowed_cores`, and is counted
+    in `core_set`, the `_CoreSet` of those cores. It makes a receive call
+    every `cadence_ns` of compute, or never when that is None; one that
+    calls starts out computing until its first call, one that never calls
+    starts idle. In a receive call its `state` is draining, when the thread
+    owns the socket, or sleeping until data arrives. A packet found during
+    a call, or with the backlog non-empty, must defer to the backlog;
+    processing anything ahead of a non-empty backlog would reorder the
+    flow.
 
-    The backlog is a list: it stays a few packets deep, where `pop(0)` costs
-    what `deque.popleft` does, and an empty list takes 56 bytes where an
-    empty deque takes 760.
+    The backlog keeps of each deferred frame its `seq` alone, -1 for a
+    control frame, which is all `Host._deliver` reads; the frame tuple is
+    freed as it is deferred. It is a list: it stays a few packets deep,
+    where `pop(0)` costs what `deque.popleft` does, and an empty list takes
+    56 bytes where an empty deque takes 760.
 
     `Host._deliver` tallies every delivery as it happens, for the report:
     - `data`, data packets delivered; `high`, the largest data seq so far;
@@ -70,16 +72,15 @@ class SocketModel:
     The cutoff is the time of the flow's last hold-timer flush, or else of
     its first delivery (`restart_warm_up`); -1 until either happens."""
 
-    __slots__ = ("key", "tx_key", "pid", "core", "allowed_cores", "cadence_ns", "state",
+    __slots__ = ("key", "tx_key", "core", "allowed_cores", "cadence_ns", "state",
                  "core_set", "backlog", "delivered_since_ack", "data", "high", "inversions",
                  "last_core", "alternations", "cutoff", "cross_core", "cross_processor",
                  "core_data", "on_app_core")
 
-    def __init__(self, key, pid: int, core: int, allowed_cores: tuple,
+    def __init__(self, key, core: int, allowed_cores: tuple,
                  cadence_ns: int | None, core_set: "_CoreSet", num_cores: int):
         self.key = key
         self.tx_key = reverse_key(key)
-        self.pid = pid
         self.core = core
         self.allowed_cores = allowed_cores
         self.cadence_ns = cadence_ns
@@ -210,8 +211,8 @@ class Host:
     simulated run. It drains `nic`'s rings and sends each flow's ACKs
     through `nic.tx_ack`.
 
-    Pids are dense: `add_flow` hands out pids 0, 1, 2, ... in order, so
-    `sockets` lists the threads in pid order.
+    `sockets` lists the threads in the order `add_flow` wired them, which
+    is socket order.
 
     The scheduler reads runnable threads per core from one count vector
     per allowed-core set (`_CoreSet`), kept up to date wherever a thread
@@ -227,7 +228,7 @@ class Host:
         self.ack_every = ack_every
         self._nic = nic
         self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
-        self.sockets: dict = {}  # by flow key, in pid order
+        self.sockets: dict = {}  # by flow key, in socket order
         self.proc_lanes = [_ProcLane(self, core) for core in cores]
         self.migrations = 0  # migrations performed so far
         self.stats = HostStats()
@@ -241,20 +242,19 @@ class Host:
         # ahead, on a timer line of `submit_syscall`.
         self._call_after = {}
         self._core_sets: dict[tuple, _CoreSet] = {}  # by allowed cores
-        self._free = []  # sockets of Free threads, in pid order
+        self._free = []  # sockets of Free threads, in socket order
 
     # -- wiring -----------------------------------------------------------------
 
     def add_flow(self, key, core: int, allowed_cores: tuple, cadence_ns: int | None):
-        """Give the flow `key` its socket, read by a thread with the next
-        pid that starts on `core` and makes a receive call every
+        """Give the flow `key` its socket, the last in socket order, read by
+        a thread that starts on `core` and makes a receive call every
         `cadence_ns` (None: never). `core` is one of the distinct
         `allowed_cores`, and the scheduler moves the thread only among them."""
-        pid = len(self.sockets)
         core_set = self._core_sets.get(allowed_cores)
         if core_set is None:
             core_set = self._core_sets[allowed_cores] = _CoreSet(allowed_cores, len(self.cores))
-        sock = SocketModel(key, pid, core, allowed_cores, cadence_ns, core_set, len(self.cores))
+        sock = SocketModel(key, core, allowed_cores, cadence_ns, core_set, len(self.cores))
         self.sockets[key] = sock
         core_set.on_core[core][sock] = None
         if sock.state in RUNNABLE:
@@ -302,7 +302,7 @@ class Host:
                 # Deferral is an enqueue, too cheap to charge the service
                 # rate, so the drain continues at this same instant.
                 self.stats.deferrals += 1
-                sock.backlog.append(packet)
+                sock.backlog.append(packet[2])
                 if sock.state == STATE_SLEEPING:
                     # The deferral hands the sleeper the socket at once; a
                     # gap between sleeping and draining would let a later
@@ -326,7 +326,7 @@ class Host:
                 continue
             if sock is not None:
                 self.stats.delivered_interrupt += 1
-                self._deliver(packet, sock, core.core_id, now)
+                self._deliver(packet[2], sock, core.core_id, now)
             core.irq_free = now + core.service_ns
             self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
@@ -354,10 +354,9 @@ class Host:
 
     # -- delivery ----------------------------------------------------------------
 
-    def _deliver(self, packet: tuple, sock, core_id: int, now: int):
-        """Tally one delivery on its socket; the caller counts it under its
-        context."""
-        _, kind, seq, _ = packet
+    def _deliver(self, seq: int, sock, core_id: int, now: int):
+        """Tally the delivery of the frame numbered `seq` on its socket, a
+        data frame when `seq >= 0`; the caller counts it under its context."""
         app_core = sock.core
         last = sock.last_core
         if core_id != last:
@@ -373,7 +372,7 @@ class Host:
             processor_of = self._processor_of
             if processor_of[core_id] != processor_of[app_core]:
                 sock.cross_processor += 1
-        if kind == DATA:
+        if seq >= 0:
             sock.data += 1
             if seq < sock.high:
                 sock.inversions += 1
@@ -416,10 +415,10 @@ class Host:
 
     def _balance_peak(self):
         # Move Free threads from the longest run queue to the shortest
-        # until balanced; lowest pid moves first.
+        # until balanced; the first in socket order moves first.
         # Ties go to the lowest core id.
         counts = self.runnable_counts()
-        movable = None  # sockets of runnable Free threads per core, in pid order
+        movable = None  # sockets of runnable Free threads per core, in socket order
         while True:
             high = max(counts)
             low = min(counts)

@@ -99,13 +99,14 @@ class Engine:
     def _schedule_streams(self):
         """Hand all arrivals to the simulator, then wire every stream's app.
 
-        Each stream's arrivals form one block, in the order that scheduling
-        them one by one at setup would give them: SYN, SYN-ACK, ACK, data in
-        sequence order, then its app's first receive call, if the apps make
-        receive calls. Block i is stream i, and a data packet is built only
-        when it arrives. Wiring draws no randomness and schedules nothing,
-        so it follows the hand-over, and the simulator's sort is done
-        before the sockets exist.
+        Each stream's arrivals form one block, built by `spawn_streams`
+        in the order that scheduling them one by one at setup would give
+        them: SYN, SYN-ACK, ACK, data in sequence order, then its app's
+        first receive call, if the apps make receive calls. Block i is
+        stream i, and a data packet is built only when it arrives. The
+        plans let go of their blocks at the hand-over. Wiring draws no
+        randomness and schedules nothing, so it follows the hand-over, and
+        the simulator's sort is done before the sockets exist.
         """
         scenario = self.scenario
         plans = spawn_streams(scenario, self.rng)
@@ -114,13 +115,14 @@ class Engine:
         data_counts = [plan.data_count for plan in plans]
         self.generated_data += sum(data_counts)
         socks = []  # each stream's socket, filled in by the wiring below
-        self.sim.schedule_arrivals(
-            _arrival_blocks(plans, cadence_ns is not None),
-            self._arrival_action(socks, data_counts),
-        )
+        blocks = [plan.block for plan in plans]
+        for plan in plans:
+            plan.block = None
+        self.sim.schedule_arrivals(blocks, self._arrival_action(socks, data_counts))
+        del blocks  # freed before the sockets are wired
         cores_of = {port: tuple(rule.cores) for rule in scenario.apps for port in rule.ports}
         for plan in plans:
-            # Plan i gets pid i; its thread starts on the i-th of its cores.
+            # Plan i is socket i; its thread starts on the i-th of its cores.
             cores = cores_of[plan.port]
             socks.append(self.host.add_flow(
                 plan.key, cores[plan.index % len(cores)], cores, cadence_ns
@@ -347,22 +349,6 @@ class Engine:
             queue_stats=queue_stats,
         )
         return RunResult(report, hold_delays)
-
-
-def _arrival_blocks(plans: list, calls: bool) -> list:
-    """Each stream's arrivals as one block of runs: SYN, SYN-ACK and ACK,
-    one handshake gap apart, the data runs and, when `calls`, its app's
-    first receive call just after the ACK. A plan's data runs become its
-    block, and the plan drops them."""
-    blocks = []
-    for plan in plans:
-        block = plan.data_runs
-        block[:0] = (plan.syn_at, 3, plan.synack_at - plan.syn_at)
-        if calls:
-            block += (plan.ack_at + 1, 1, 0)
-        blocks.append(block)
-        plan.data_runs = None
-    return blocks
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:

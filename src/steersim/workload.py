@@ -10,6 +10,8 @@ import ipaddress
 import json
 import math
 import sys
+from array import array
+from functools import partial
 from types import UnionType
 from typing import get_args, get_origin
 
@@ -521,20 +523,22 @@ def _shown(value) -> str:
 
 
 class StreamPlan:
-    """One flow's full arrival schedule at the receiver NIC."""
+    """One flow's full arrival schedule at the receiver NIC.
 
-    def __init__(self, index: int, key: FlowKey, port: int, syn_at: int, synack_at: int,
-                 ack_at: int, data_runs: list, data_count: int):
+    `block` is the flow's arrival block for `Simulator.schedule_arrivals`:
+    runs of three ints each, first_time, count, spacing, for `count`
+    arrivals `spacing` ns apart. Its first run is the SYN, SYN-ACK and ACK,
+    one handshake gap apart; one run per data burst follows, in sequence
+    order, `data_count` data packets in all; when the apps make receive
+    calls, a last run of one is the first call, 1 ns after the ACK."""
+
+    __slots__ = ("index", "key", "port", "block", "data_count")
+
+    def __init__(self, index: int, key: FlowKey, port: int, block, data_count: int):
         self.index = index
         self.key = key  # receive direction
         self.port = port
-        self.syn_at = syn_at
-        self.synack_at = synack_at
-        self.ack_at = ack_at
-        # One run per burst, in sequence order, as a flat list of three ints
-        # each, first_time, count, spacing: `count` data packets `spacing` ns
-        # apart. `data_count` packets in all.
-        self.data_runs = data_runs
+        self.block = block
         self.data_count = data_count
 
 
@@ -562,6 +566,8 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     source port, a staggered start, a SYN / SYN-ACK / ACK exchange and then
     bursts of data packets with gapless per-flow sequence numbers. A burst
     is kept as one run of evenly spaced packets, not packet by packet.
+    Each block is an `array('q')` of machine ints, or a list of Python ints
+    when some value of the scenario's blocks could reach 2^63.
     """
     traffic = scenario.traffic
     ports = assign_ports(traffic, rng)
@@ -581,6 +587,11 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     getrandbits = rng.getrandbits
     bound = jitter_ns + 1
     bits = bound.bit_length()
+    calls = scenario.host.syscall_cadence_us is not None
+    # Data times stay below the horizon and counts within `wanted`.
+    last_ack = (traffic.streams - 1) * spread // traffic.streams + 2 * gap
+    top = max(duration, last_ack + 1, spacing, wanted)
+    new_block = partial(array, "q") if top < 2**63 else list
 
     plans = []
     for i in range(traffic.streams):
@@ -589,14 +600,11 @@ def spawn_streams(scenario: Scenario, rng) -> list:
             traffic.src_addr, traffic.dst_addr, PROTO_TCP, ports[i], dst_port
         )
         start = (i * spread) // traffic.streams
-        syn_at = start
-        synack_at = start + gap
-        ack_at = start + 2 * gap
-        data_start = start + 3 * gap
-        runs = []
+        block = new_block((start, 3, gap))
+        extend = block.extend
         left = wanted  # data packets still to place
         last = None  # the time of the stream's last data packet so far
-        t = data_start
+        t = start + 3 * gap
         while left > 0 and t < duration:
             burst_t = t
             if jitter_ns:
@@ -615,11 +623,11 @@ def spawn_streams(scenario: Scenario, rng) -> list:
             if burst_t + (count - 1) * spacing >= duration:
                 count = 0 if burst_t >= duration else (duration - burst_t - 1) // spacing + 1
             if count:
-                runs += (burst_t, count, spacing)
+                extend((burst_t, count, spacing))
                 last = burst_t + (count - 1) * spacing
                 left -= count
             t += inter_burst
-        plans.append(
-            StreamPlan(i, key, dst_port, syn_at, synack_at, ack_at, runs, wanted - left)
-        )
+        if calls:
+            extend((start + 2 * gap + 1, 1, 0))
+        plans.append(StreamPlan(i, key, dst_port, block, wanted - left))
     return plans

@@ -12,7 +12,7 @@ from array import array
 from operator import ne
 from typing import NamedTuple
 
-from steersim.flows import DATA, KINDS
+from steersim.flows import ACK, DATA, KINDS
 from steersim.host import Host
 
 # DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
@@ -74,17 +74,20 @@ def record_deliveries(monkeypatch) -> dict:
     a flow's log appears at its first delivery. Clear the dict between
     runs that share flow keys; `in_socket_order` puts one run's logs in
     the order of its host's sockets.
+
+    The host delivers a frame by its `seq` alone, so the kind is derived
+    from it: DATA for `seq >= 0`, and ACK for every control frame, whose
+    seq is -1, the SYN included.
     """
     logs = {}
     deliver = Host._deliver
 
-    def recorded(host, packet, sock, core_id, now):
+    def recorded(host, seq, sock, core_id, now):
         log = logs.get(sock.key)
         if log is None:
             log = logs[sock.key] = DeliveryLog()
-        _, kind, seq, _ = packet
-        log.append(seq, now, core_id, sock.core, kind)
-        deliver(host, packet, sock, core_id, now)
+        log.append(seq, now, core_id, sock.core, DATA if seq >= 0 else ACK)
+        deliver(host, seq, sock, core_id, now)
 
     monkeypatch.setattr(Host, "_deliver", recorded)
     return logs

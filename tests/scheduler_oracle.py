@@ -5,14 +5,15 @@ threads change state and core, and walks its threads on a tick only when
 it has one to move. The functions below are the walks it replaced: they
 count and choose from the threads' current states alone, so tests can
 check the host's counts and moves against them. They take the host's
-sockets, one per thread, in pid order, and move nothing.
+sockets, one per thread, in socket order, and move nothing. A move names
+the thread by its socket's flow key.
 """
 
 from steersim.host import RUNNABLE
 
 
 def runnable_counts(socks, num_cores: int, movable: list | None = None) -> list[int]:
-    """Runnable threads per core, counted in one pass in pid order. With
+    """Runnable threads per core, counted in one pass in socket order. With
     `movable`, one list per core, the sockets of each core's runnable Free
     threads are appended to its list as well."""
     counts = [0] * num_cores
@@ -25,9 +26,9 @@ def runnable_counts(socks, num_cores: int, movable: list | None = None) -> list[
 
 
 def peak_moves(socks, num_cores: int) -> list[tuple[int, int]]:
-    """The (pid, core) moves of one peak-performance tick, in order: Free
+    """The (key, core) moves of one peak-performance tick, in order: Free
     threads go from the longest run queue to the shortest until balanced,
-    lowest pid first."""
+    the first in socket order first."""
     movable = [[] for _ in range(num_cores)]
     counts = runnable_counts(socks, num_cores, movable)
     cores = range(num_cores)
@@ -47,11 +48,11 @@ def peak_moves(socks, num_cores: int) -> list[tuple[int, int]]:
         movable[idlest].append(sock)
         counts[busiest] -= 1
         counts[idlest] += 1
-        moves.append((sock.pid, idlest))
+        moves.append((sock.key, idlest))
 
 
 def power_moves(socks, cores) -> list[tuple[int, int]]:
-    """The (pid, core) moves of one power-saving tick, in pid order: each
+    """The (key, core) moves of one power-saving tick, in socket order: each
     Free thread off processor 0 goes to the least counted of its allowed
     cores on processor 0, if it has one."""
     target_cores = [c.core_id for c in cores if c.processor_id == 0]
@@ -65,5 +66,5 @@ def power_moves(socks, cores) -> list[tuple[int, int]]:
             continue
         dest = min(options, key=lambda c: (counts[c], c))
         counts[dest] += 1
-        moves.append((sock.pid, dest))
+        moves.append((sock.key, dest))
     return moves

@@ -19,7 +19,7 @@ from delivery_oracle import (
     reordering_ratio,
     warm_up_end,
 )
-from steersim.flows import DATA, KINDS, PROTO_TCP, FlowKey
+from steersim.flows import DATA, PROTO_TCP, FlowKey
 from steersim.host import Core, Host
 from steersim.nic import Nic
 from steersim.rss import RssEngine
@@ -135,9 +135,9 @@ def _host(num_cores=4):
 
 deliveries_and_flushes = st.lists(
     st.one_of(
-        # (time step, core, app core, kind, seq) of one delivery
+        # (time step, core, app core, seq) of one delivery; -1 is a control frame
         st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
-                  st.sampled_from(KINDS), st.integers(0, 12)),
+                  st.integers(-1, 12)),
         # (time step,) of one hold-timer flush
         st.tuples(st.integers(0, 3)),
     ),
@@ -162,9 +162,9 @@ def test_socket_tallies_match_the_oracle(events):
                 sock.restart_warm_up(now)
                 flushes[key()] = now
                 continue
-            _, core, app_core, kind, seq = event
+            _, core, app_core, seq = event
             sock.core = app_core
-            host._deliver((key(), kind, seq, 100), sock, core, now)
+            host._deliver(seq, sock, core, now)
     expected = delivery_figures(in_socket_order(logs, host), [0, 0, 1, 1], flushes)
     assert sock.data == expected["delivered_data"]
     assert (sock.inversions / sock.data if sock.data else 0.0) == expected["reordering_ratio"]

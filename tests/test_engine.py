@@ -88,7 +88,7 @@ class TestWorstCaseSchedule:
 
         nic.rx, nic.tx_ack = record_rx, record_ack
         engine.run()
-        victim = next(iter(engine.host.sockets))  # pid 0
+        victim = next(iter(engine.host.sockets))  # the first socket
         t = WORST_CASE_FIRE_NS
         fillers = [(now, seq) for now, k, seq in data if k != victim]
         assert fillers == [(t - 2, seq) for seq in range(ring - 1)]
@@ -166,7 +166,7 @@ class _CheckedLaneQueue(deque):
         self.queued = queued
 
     def append(self, sock):
-        assert sock not in self.queued, f"pid {sock.pid} queued twice"
+        assert sock not in self.queued, f"socket {sock.key} queued twice"
         self.queued.add(sock)
         super().append(sock)
 
@@ -502,9 +502,9 @@ def _census() -> Counter:
 
 
 class TestPerFlowState:
-    """What a finished run keeps per flow: a socket with a list backlog,
-    its delivery tallies and one transmit-direction key. Handshake packets
-    exist only while they are in use."""
+    """What a finished run keeps per flow: a socket with a list backlog of
+    seqs, its delivery tallies and one transmit-direction key. Handshake
+    packets exist only while they are in use."""
 
     STREAMS = 200
 
@@ -523,6 +523,42 @@ class TestPerFlowState:
         assert not any(isinstance(sock.backlog, deque) for sock in sockets)
         assert alive["handshake packet"] == 0
         assert alive[FlowKey] <= 2 * self.STREAMS  # receive and transmit key
+
+    def test_backlogs_hold_seqs_in_deferral_order(self):
+        # Cut short while threads still drain, so backlogs hold packets:
+        # each holds the seqs of its deferred frames, the oldest first.
+        engine = Engine(shortened(bundled("memory10g"), 6_000.0), seed=1)
+        host = engine.host
+        add_flow = host.add_flow
+
+        def wired(*args):
+            sock = add_flow(*args)
+            sock.backlog = _DeferralLog()
+            return sock
+
+        host.add_flow = wired
+        engine.run()
+        backlogged = 0
+        for sock in host.sockets.values():
+            backlog = sock.backlog
+            assert all(type(seq) is int for seq in backlog)
+            assert list(backlog) == backlog.deferred[len(backlog.deferred) - len(backlog):]
+            backlogged += len(backlog)
+        assert backlogged > 0
+        assert host.stats.deferrals == host.stats.delivered_process + backlogged
+
+
+class _DeferralLog(list):
+    """A socket backlog that also keeps, in `deferred`, everything ever
+    deferred to it, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.deferred = []
+
+    def append(self, seq):
+        self.deferred.append(seq)
+        super().append(seq)
 
 
 def _steersim_classes() -> list:

@@ -41,12 +41,13 @@ def logs(monkeypatch):
 
 @pytest.fixture
 def entered(monkeypatch):
-    """(pid, time) of every receive call the test's host enters, in order."""
+    """(socket position, time) of every receive call the test's host
+    enters, in order; a socket's position is its place in `host.sockets`."""
     calls = []
     enter = Host._syscall_enter
 
     def recorded(host, sock):
-        calls.append((sock.pid, host.sim.now))
+        calls.append((list(host.sockets).index(sock.key), host.sim.now))
         enter(host, sock)
 
     monkeypatch.setattr(Host, "_syscall_enter", recorded)
@@ -61,9 +62,9 @@ class Harness:
                  processors=((0, 1), (2, 3))):
         self.sim = Simulator()
         proc_of = {}
-        for pid, group in enumerate(processors):
+        for proc_id, group in enumerate(processors):
             for c in group:
-                proc_of[c] = pid
+                proc_of[c] = proc_id
         cores = [Core(c, proc_of.get(c, 0), SERVICE_NS) for c in range(num_cores)]
         engine = RssEngine(num_queues=num_cores)
         self.acks = []
@@ -83,7 +84,7 @@ class Harness:
         return self.host.add_flow(k, core, tuple(allowed) if allowed else (core,), cadence_ns)
 
     def threads(self):
-        """The host's sockets, one per thread, in pid order."""
+        """The host's sockets, one per thread, in socket order."""
         return list(self.host.sockets.values())
 
     def first_call(self, sock, at):
@@ -120,7 +121,7 @@ class TestInterruptContext:
             h.inject(k, seq, at=0, queue=0)
         h.sim.run_until(5_000)
         assert k not in logs
-        assert [seq for _, _, seq, _ in sock.backlog] == [0, 1, 2]
+        assert sock.backlog == [0, 1, 2]  # the deferred frames' seqs
         assert h.host.stats.deferrals == 3
 
     def test_empty_queue_handler_exits(self):
@@ -353,10 +354,10 @@ class TestLockConflicts:
 
 
 class TestWiring:
-    def test_pids_are_dense_and_in_socket_order(self):
+    def test_sockets_are_in_wiring_order(self):
         h = Harness()
         socks = [h.flow(key(sport=1)), h.flow(key(sport=2), core=2), h.flow(key(sport=3))]
-        assert [s.pid for s in socks] == [0, 1, 2]
+        assert list(h.host.sockets) == [key(sport=1), key(sport=2), key(sport=3)]
         assert h.threads() == socks
         assert socks[1].core == 2
 
@@ -378,7 +379,7 @@ class TestScheduler:
         h.flow(key(sport=2), core=0, allowed=(0, 1), cadence_ns=50_000)
         h.host.scheduler_tick()
         assert h.host.migrations == 1
-        # The lowest pid moves first.
+        # The first in socket order moves first.
         assert [p.core for p in h.threads()] == [1, 0]
 
     def test_power_saving_converges_to_processor_zero(self):
@@ -444,12 +445,12 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
                allowed=allowed, cadence_ns=cadence)
         for i, (allowed, start, cadence) in enumerate(specs)
     ]
-    called = set()  # pids whose first receive call has been issued
+    called = set()  # sockets whose first receive call has been issued
     moves = []
     migrate = host._migrate
 
     def recorded(sock, to_core):
-        moves.append((sock.pid, to_core))
+        moves.append((sock.key, to_core))
         migrate(sock, to_core)
 
     host._migrate = recorded
@@ -462,8 +463,8 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
             # As in an engine run: a thread with a cadence gets its first
             # call once, from outside; it issues every later one itself.
             sock = socks[step[1] % len(socks)]
-            if sock.cadence_ns is not None and sock.pid not in called:
-                called.add(sock.pid)
+            if sock.cadence_ns is not None and sock not in called:
+                called.add(sock)
                 host.submit_syscall(sock)
                 h.sim.run_until(h.sim.now)
         elif kind == "packet":

@@ -1,5 +1,6 @@
 import ast
 import json
+from array import array
 import math
 import re
 import struct
@@ -65,9 +66,26 @@ def worst_case():
 WORST_CASE_UNREAD = {condition: paths for condition, _, paths in UNREAD}["kind 'worst_case'"]
 
 
+def ack_at(plan) -> int:
+    """When a plan's ACK arrives: the third arrival of its handshake run."""
+    syn_at, _, gap = plan.block[:3]
+    return syn_at + 2 * gap
+
+
+def data_runs(plan) -> list:
+    """A plan's data runs: the runs of its block after the handshake's that
+    hold its `data_count` packets."""
+    runs, left = [], plan.data_count
+    while left:
+        first, count, spacing = plan.block[len(runs) + 3:len(runs) + 6]
+        runs += (first, count, spacing)
+        left -= count
+    return runs
+
+
 def data_times(plan) -> list:
     """A plan's data arrival times, its runs expanded packet by packet."""
-    runs = iter(plan.data_runs)
+    runs = iter(data_runs(plan))
     return [t + k * spacing for t, count, spacing in zip(runs, runs, runs) for k in range(count)]
 
 
@@ -77,7 +95,8 @@ class TestSpawnStreams:
         assert len(plans) == 40
         assert len({p.key for p in plans}) == 40
         for p in plans:
-            assert p.syn_at < p.synack_at < p.ack_at
+            _, count, gap = p.block[:3]
+            assert count == 3 and gap > 0
 
     def test_two_streams_distinct_keys(self):
         plans = spawn_streams(scenario(2), make_rng(1))
@@ -90,14 +109,16 @@ class TestSpawnStreams:
 
     def test_zero_data_scenario_is_handshakes_only(self):
         plans = spawn_streams(scenario(4, data_packets_per_stream=0), make_rng(1))
-        assert all(p.data_runs == [] and p.data_count == 0 for p in plans)
+        # The handshake run, then the first receive call 1 ns after the ACK.
+        assert all(list(p.block[3:]) == [ack_at(p) + 1, 1, 0] and p.data_count == 0
+                   for p in plans)
 
     def test_zero_duration_scenario_is_handshakes_only(self):
         s = scenario(4)
         s.duration_us = 0.0
         plans = spawn_streams(s.validate(), make_rng(1))
         assert len(plans) == 4
-        assert all(p.data_runs == [] and p.data_count == 0 for p in plans)
+        assert all(data_runs(p) == [] and p.data_count == 0 for p in plans)
 
     def test_data_times_past_64_bits_stay_exact(self):
         # Stream 1 starts at 1e19 ns, past 2**63: its times are exact ints.
@@ -107,7 +128,8 @@ class TestSpawnStreams:
         assert max(data_times(first)) < 2**63
         times = data_times(second)
         assert len(times) == second.data_count == 3 and min(times) >= 10**19
-        assert times[0] == second.ack_at + int(s.traffic.handshake_gap_us * 1000)
+        assert times[0] == ack_at(second) + int(s.traffic.handshake_gap_us * 1000)
+        assert type(first.block) is list and type(second.block) is list
 
     @given(st.integers(1, 64), st.integers(0, 200_000))
     @settings(max_examples=30, deadline=None)
@@ -143,7 +165,7 @@ class TestSpawnStreams:
         inter_burst = max(1, int(round(burst * 1e9 / 200_000)))
         for plan in plans:
             times = []
-            t = plan.ack_at + 1_000
+            t = ack_at(plan) + 1_000
             while len(times) < wanted and t < duration:
                 burst_t = t + (ref_rng.randrange(0, jitter + 1) if jitter else 0)
                 if times:
@@ -156,9 +178,32 @@ class TestSpawnStreams:
                 t += inter_burst
             assert data_times(plan) == times
             assert plan.data_count == len(times)
-            runs = plan.data_runs
+            runs = data_runs(plan)
             assert set(runs[2::3]) <= {spacing} and all(runs[1::3])
         assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("path", [p for p in sorted(SCENARIO_DIR.glob("*.json"))
+                                      if Scenario.load(p).kind == "streams"],
+                             ids=lambda p: p.stem)
+    def test_bundled_blocks_are_machine_ints(self, path):
+        s = Scenario.load(path)
+        calls = s.host.syscall_cadence_us is not None
+        plans = spawn_streams(s, make_rng(1))
+        for plan in plans:
+            block = plan.block
+            assert type(block) is array and block.typecode == "q"
+            assert len(block) == 3 + len(data_runs(plan)) + 3 * calls
+        assert sum(p.data_count for p in plans) > 0
+
+    @pytest.mark.parametrize("spacing, kind", [(2**63 - 1, array), (2**63, list)])
+    def test_blocks_turn_to_lists_at_2_63(self, spacing, kind):
+        # A spacing of 2**63 ns or more, or any time that may reach 2**63,
+        # makes every block a list of exact Python ints.
+        s = scenario(2, data_packets_per_stream=3, burst_spacing_ns=spacing)
+        plans = spawn_streams(s.validate(), make_rng(1))
+        assert all(type(p.block) is kind for p in plans)
+        assert [p.data_count for p in plans] == [1, 1]
+        assert all(data_runs(p)[2] == spacing for p in plans)
 
     def test_random_ports_unique(self):
         s = scenario(2000, ephemeral_ports="random")
