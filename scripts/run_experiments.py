@@ -22,6 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from steersim.metrics import occupancy_oracle  # noqa: E402
 from steersim.runner import report_rows  # noqa: E402
+from steersim.simkernel import US  # noqa: E402
+from steersim.workload import nanoseconds  # noqa: E402
 from write_golden_digests import bundled, overlay  # noqa: E402
 
 # Each table function returns (runs, show): the (scenario, seed) runs it
@@ -115,7 +117,11 @@ def worstcase_and_memory():
     timers = (0.0, 85.0, 100.0)
     runs = [(bundled("worstcase", {"flow_table": {"t_timer_us": t_timer}}), 1)
             for t_timer in timers]
-    runs.append((bundled("memory10g"), 1))
+    memory = bundled("memory10g")
+    runs.append((memory, 1))
+    # The held-byte bound: line rate x t_timer, in bytes.
+    gbps, t_timer_ns = memory.traffic.link_gbps, nanoseconds(memory)["t_timer"]
+    bound = gbps * t_timer_ns / 8
 
     def show(rows):
         print("== worst-case migration schedule ==")
@@ -123,8 +129,9 @@ def worstcase_and_memory():
             print(f"t_timer={t_timer:>6.1f}us reordering={r['reordering_ratio']:.3e} "
                   f"held={r['held_packets']} max_hold={r['held_delay_max_ns']}ns")
         r = rows[-1]
-        print(f"10 Gbps, t_timer=200us: peak held bytes {r['peak_held_bytes']} "
-              f"(bound 250000), table memory peak {r['table_memory_peak_bytes']} bytes")
+        print(f"{gbps:g} Gbps, t_timer={t_timer_ns / US:g}us: peak held bytes "
+              f"{r['peak_held_bytes']} (bound {bound:.0f}), table memory peak "
+              f"{r['table_memory_peak_bytes']} bytes")
         print()
 
     return runs, show

@@ -12,7 +12,6 @@ from functools import lru_cache
 
 from .flows import ACK, SYN, PROTO_TCP, FlowKey, Record
 from .rss import _packed_addr
-from .simkernel import MS, US
 from .workload import TableSpec
 
 
@@ -117,7 +116,10 @@ class FlowTable:
     with that bucket stay out (steered by plain RSS) until aging frees a
     slot and a later handshake retries.
 
-    `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks.
+    `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks;
+    the table reads its sizes and `pressure_threshold`, not its times.
+    `t_delete_ns` and `t_delete_pressure_ns` are the idle timeouts, the
+    second when running hot, in ns as `workload.nanoseconds` gives them.
     `schedule_timer(key)` is injected by the owner and must arrange a call
     to `on_timer_expire` t_timer later.
     `fallback_core(key)` names the core the hash fallback would pick; new
@@ -125,12 +127,11 @@ class FlowTable:
     first outgoing core id.
     """
 
-    def __init__(self, spec: TableSpec, schedule_timer, fallback_core):
+    def __init__(self, spec: TableSpec, t_delete_ns: int, t_delete_pressure_ns: int,
+                 schedule_timer, fallback_core):
         self.spec = spec
-        # The spec's durations in ns, converted once.
-        self.t_timer_ns = int(spec.t_timer_us * US)  # hold duration on core change
-        self.t_delete_ns = int(spec.t_delete_ms * MS)  # idle eviction timeout
-        self.t_delete_pressure_ns = int(spec.t_delete_pressure_ms * MS)  # when running hot
+        self.t_delete_ns = t_delete_ns
+        self.t_delete_pressure_ns = t_delete_pressure_ns
         self.schedule_timer = schedule_timer
         self._fallback_core = fallback_core
         self._buckets: dict[int, list[FlowEntry]] = {}

@@ -302,7 +302,6 @@ class Host:
                 # Deferral is an enqueue, too cheap to charge the service
                 # rate, so the drain continues at this same instant.
                 self.stats.deferrals += 1
-                sock.backlog.append(packet[2])
                 if sock.state == STATE_SLEEPING:
                     # The deferral hands the sleeper the socket at once; a
                     # gap between sleeping and draining would let a later
@@ -312,16 +311,20 @@ class Host:
                     sock.state = STATE_DRAINING
                     lane = self.proc_lanes[app_core]
                     if lane.busy or lane.core.irq_free > now:
+                        sock.backlog.append(packet[2])
                         lane.submit(sock)
                         continue
                     # An idle lane delivers the packet now, as `_dispatch`'s
-                    # backlog branch does; the two copies must agree.
+                    # backlog branch does; the two copies must agree. A
+                    # sleeper's backlog is empty, so the packet is its head.
                     lane.busy = True
                     self.stats.delivered_process += 1
-                    self._deliver(sock.backlog.pop(0), sock, app_core, now)
+                    self._deliver(packet[2], sock, app_core, now)
                     lane.queue.append(sock)
                     self.sim.schedule(now + lane.core.service_ns, lane._resume)
-                elif sock.state == STATE_DRAINING and sock.core != core.core_id:
+                    continue
+                sock.backlog.append(packet[2])
+                if sock.state == STATE_DRAINING and sock.core != core.core_id:
                     self.stats.lock_conflicts += 1
                 continue
             if sock is not None:

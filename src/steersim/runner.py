@@ -15,17 +15,18 @@ from .flows import ACK, DATA, SYN, FlowKey
 from .host import Core, Host, SocketModel
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
-from .simkernel import MS, US, Simulator, make_rng
+from .simkernel import Simulator, make_rng
 from .workload import (
     WORST_CASE_EPSILON_NS,
     WORST_CASE_FIRE_NS,
     Scenario,
     build_rss_engine,
+    nanoseconds,
     spawn_streams,
     worst_case_keys,
 )
 
-AGE_SWEEP_INTERVAL_NS = 10 * MS
+AGE_SWEEP_INTERVAL_NS = 10_000_000  # 10 ms
 CONTROL_BYTES = 64  # SYN, SYN-ACK and pure ACK frames
 
 
@@ -48,26 +49,24 @@ class Engine:
         self.seed = scenario.seed if seed is None else seed
         self.rng = make_rng(self.seed)
         self.sim = Simulator()
-        self.duration_ns = int(scenario.duration_us * US)
+        # Every time setting in ns; a period that is off is None, and
+        # Scenario.validate ensures each other period is at least 1 ns.
+        self._ns = ns = nanoseconds(scenario)
 
         num_cores = scenario.num_cores()
-        service_ns = max(1, round(1e9 / scenario.host.service_rate_pps))
         processor_of = {}
         for proc_id, group in enumerate(scenario.host.processors):
             for core in group:
                 processor_of[core] = proc_id
-        self.cores = [Core(c, processor_of[c], service_ns) for c in range(num_cores)]
+        self.cores = [Core(c, processor_of[c], ns["service"]) for c in range(num_cores)]
 
         self.rss = build_rss_engine(scenario)
         self.table = None
         if scenario.nic.mode == MODE_FLOWSTEER:
-            self.table = FlowTable(
-                scenario.flow_table, schedule_timer=None, fallback_core=self.rss.queue_for
-            )
             # Every hold lasts t_timer, so the hold timers form one line.
-            self.table.schedule_timer = self.sim.line(
-                self.table.t_timer_ns, self._hold_timer_fired
-            ).add
+            hold_timer = self.sim.line(ns["t_timer"], self._hold_timer_fired).add
+            self.table = FlowTable(scenario.flow_table, ns["t_delete"],
+                                   ns["t_delete_pressure"], hold_timer, self.rss.queue_for)
         self.nic = Nic(scenario.nic, num_cores, self.rss, self.table, self.sim)
         self.host = Host(
             self.cores,
@@ -75,14 +74,6 @@ class Engine:
             self.nic,
             scheduler_mode=scenario.scheduler.mode,
             ack_every=scenario.host.ack_every,
-        )
-        sched = scenario.scheduler
-        # Periods of the periodic events, None for an event that is off;
-        # Scenario.validate ensures each is at least 1 ns.
-        self._tick_ns = None if sched.mode == "pinned" else int(sched.tick_us * US)
-        self._alternate_ns = (
-            None if sched.forced_migration_period_us is None
-            else int(sched.forced_migration_period_us * US)
         )
         self.generated_data = 0
         self._ran = False
@@ -110,8 +101,7 @@ class Engine:
         """
         scenario = self.scenario
         plans = spawn_streams(scenario, self.rng)
-        cadence = scenario.host.syscall_cadence_us
-        cadence_ns = None if cadence is None else int(cadence * US)
+        cadence_ns = self._ns["cadence"]
         data_counts = [plan.data_count for plan in plans]
         self.generated_data += sum(data_counts)
         socks = []  # each stream's socket, filled in by the wiring below
@@ -181,7 +171,7 @@ class Engine:
         victim = self.host.add_flow(victim_key, 0, (0,), None)
         self.host.add_flow(filler_key, 0, (0,), None)
 
-        gap = int(scenario.traffic.handshake_gap_us * US)
+        gap = self._ns["handshake_gap"]
         self._schedule_rx(0, (victim_key, SYN, -1, CONTROL_BYTES))
         self.sim.schedule(gap, lambda: self._tx_synack(victim))
         self._schedule_rx(2 * gap, (victim_key, ACK, -1, CONTROL_BYTES))
@@ -205,10 +195,11 @@ class Engine:
     # -- periodic machinery ---------------------------------------------------------
 
     def _schedule_periodics(self):
-        if self._tick_ns is not None:
-            self.sim.schedule(self._tick_ns, self._tick)
-        if self._alternate_ns is not None:
-            self.sim.schedule(self._alternate_ns, self._alternate)
+        ns = self._ns
+        if ns["tick"] is not None:
+            self.sim.schedule(ns["tick"], self._tick)
+        if ns["alternate"] is not None:
+            self.sim.schedule(ns["alternate"], self._alternate)
         if self.table is not None:
             self.sim.schedule(AGE_SWEEP_INTERVAL_NS, self._sweep)
 
@@ -217,11 +208,11 @@ class Engine:
 
     def _tick(self):
         self.host.scheduler_tick()
-        self.sim.schedule_after(self._tick_ns, self._tick)
+        self.sim.schedule_after(self._ns["tick"], self._tick)
 
     def _alternate(self):
         self.host.force_alternate()
-        self.sim.schedule_after(self._alternate_ns, self._alternate)
+        self.sim.schedule_after(self._ns["alternate"], self._alternate)
 
     def _sweep(self):
         self.table.age(self.sim.now)
@@ -251,7 +242,7 @@ class Engine:
             else:
                 self._schedule_streams()
             self._schedule_periodics()
-            self.sim.run_until(self.duration_ns)
+            self.sim.run_until(self._ns["duration"])
             return self._collect()
         finally:
             self._release()

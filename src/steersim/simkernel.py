@@ -169,13 +169,15 @@ class Simulator:
     def schedule_arrivals(self, blocks, action):
         """Hand over all arrivals of the run at once; callable once.
 
-        `blocks` is a sequence of blocks. A block is a flat list of runs,
-        three ints each, `first_time, count, spacing`: `count` arrivals at
-        `first_time`, `first_time + spacing`, and so on. The runs of a block
-        number its arrivals in turn, from position 0, and position k of
-        block b runs `action(b, k)`. At an equal fire time arrivals fire by
-        block and then by position, ahead of every runtime event. Neither
-        runs nor blocks need be sorted by time, and times may be any ints.
+        `blocks` is a sequence of blocks. A block is a flat sequence of
+        ints, an `array('q')` or a list (`spawn_streams` gives a list only
+        when a value could reach 2^63), holding runs of three ints each,
+        `first_time, count, spacing`: `count` arrivals at `first_time`,
+        `first_time + spacing`, and so on. The runs of a block number its
+        arrivals in turn, from position 0, and position k of block b runs
+        `action(b, k)`. At an equal fire time arrivals fire by block and
+        then by position, ahead of every runtime event. Neither runs nor
+        blocks need be sorted by time, and times may be any ints.
         The runs wait packed in 64-bit words, or in a list of Python ints
         when one does not fit, such as a time past 2^63 ns.
         Raises ValueError for a second call, a block cut inside a run or a

@@ -353,12 +353,12 @@ class Scenario(Record):
             )
         # The victim's final ACK must not follow the migration, and the run
         # must reach the last scripted packet, or the report measures nothing.
-        gap, last = self.traffic.handshake_gap_us, WORST_CASE_FIRE_NS + WORST_CASE_EPSILON_NS
-        if 2 * int(gap * US) > WORST_CASE_FIRE_NS:
+        ns, last = nanoseconds(self), WORST_CASE_FIRE_NS + WORST_CASE_EPSILON_NS
+        if 2 * ns["handshake_gap"] > WORST_CASE_FIRE_NS:
             raise ScenarioError("traffic.handshake_gap_us must be at most "
                                 f"{WORST_CASE_FIRE_NS / 2 / US} under kind 'worst_case', "
-                                f"not {gap}")
-        if int(self.duration_us * US) < last:
+                                f"not {self.traffic.handshake_gap_us}")
+        if ns["duration"] < last:
             raise ScenarioError(f"duration_us must be at least {last / US} under kind "
                                 f"'worst_case', not {self.duration_us}")
         worst_case_keys(self, build_rss_engine(self))  # last: it hashes with the settings above
@@ -428,6 +428,28 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
     """The RSS engine of a validated scenario."""
     cfg = scenario.rss
     return RssEngine(_rss_key(cfg), cfg.fields, scenario.num_cores(), cfg.table)
+
+
+def nanoseconds(scenario: Scenario) -> dict:
+    """Every time setting a run reads, in whole ns, by name; None for a
+    period that is off. Each `_us` and `_ms` value truncates toward zero.
+    `service`, the time a core takes to process one packet,
+    1e9 / `host.service_rate_pps`, rounds to the nearest ns and is at
+    least 1. This is the one place that converts units."""
+    traffic, table, sched = scenario.traffic, scenario.flow_table, scenario.scheduler
+    cadence, period = scenario.host.syscall_cadence_us, sched.forced_migration_period_us
+    return {
+        "duration": int(scenario.duration_us * US),
+        "handshake_gap": int(traffic.handshake_gap_us * US),
+        "start_spread": int(traffic.start_spread_us * US),
+        "cadence": None if cadence is None else int(cadence * US),
+        "tick": None if sched.mode == "pinned" else int(sched.tick_us * US),
+        "alternate": None if period is None else int(period * US),
+        "t_timer": int(table.t_timer_us * US),
+        "t_delete": int(table.t_delete_ms * MS),
+        "t_delete_pressure": int(table.t_delete_pressure_ms * MS),
+        "service": max(1, round(1e9 / scenario.host.service_rate_pps)),
+    }
 
 
 def worst_case_keys(scenario: Scenario, rss: RssEngine) -> tuple:
@@ -571,9 +593,8 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     """
     traffic = scenario.traffic
     ports = assign_ports(traffic, rng)
-    gap = int(traffic.handshake_gap_us * US)
-    spread = int(traffic.start_spread_us * US)
-    duration = int(scenario.duration_us * US)
+    ns = nanoseconds(scenario)
+    gap, spread, duration = ns["handshake_gap"], ns["start_spread"], ns["duration"]
 
     burst = traffic.burst
     inter_burst = max(1, int(round(inter_burst_ns(traffic))))

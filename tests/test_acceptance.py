@@ -15,7 +15,6 @@ from steersim.flowtable import memory_estimate, search_time
 from steersim.metrics import occupancy_oracle
 from steersim.rss import DEFAULT_RSS_KEY, queue_of, toeplitz_hash
 from steersim.runner import run_scenario
-from steersim.simkernel import US
 
 from bundled import bundled, migrating
 from delivery_oracle import record_deliveries
@@ -200,7 +199,7 @@ def test_criterion_7_affinity_benefit(paired_affinity_runs):
 def test_criterion_8_property_suite(inorder_batch):
     from steersim.flowtable import FlowTable
     from steersim.flows import reverse_key
-    from steersim.workload import TableSpec
+    from steersim.workload import Scenario, TableSpec, nanoseconds
 
     # Toeplitz agreement with the independent bit-level oracle.
     rng = random.Random(0xACCE)
@@ -220,8 +219,10 @@ def test_criterion_8_property_suite(inorder_batch):
         involution_ok = involution_ok and reverse_key(reverse_key(k)) == k
 
     # FIFO hold-flush order at the table level.
+    ns = nanoseconds(Scenario())
     table = FlowTable(
-        TableSpec(), schedule_timer=lambda k: None, fallback_core=lambda k: 0
+        TableSpec(), ns["t_delete"], ns["t_delete_pressure"],
+        schedule_timer=lambda k: None, fallback_core=lambda k: 0,
     )
     k = FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, 40000, 5001)
     from steersim.flows import ACK, SYN
@@ -233,7 +234,7 @@ def test_criterion_8_property_suite(inorder_batch):
     seqs = [rng.randrange(1000) for _ in range(64)]
     for i, seq in enumerate(seqs):
         table.steer((k, DATA, seq, 100), i)
-    _, flushed = table.on_timer_expire(k, table.t_timer_ns)
+    _, flushed = table.on_timer_expire(k, ns["t_timer"])
     fifo_ok = [seq for (_, _, seq, _), _ in flushed] == seqs
 
     # Claims over the shared in-order batch: chain caps, occupancy bound,
@@ -242,7 +243,7 @@ def test_criterion_8_property_suite(inorder_batch):
     held_ok = True
     once_ok = True
     for scenario, _, result, _, logs in inorder_batch:
-        t_timer_ns = int(scenario.flow_table.t_timer_us * US)
+        t_timer_ns = nanoseconds(scenario)["t_timer"]
         if result.hold_delays:
             held_ok = held_ok and max(result.hold_delays) <= t_timer_ns
         caps_ok = caps_ok and result.report.peak_entries <= 10_000

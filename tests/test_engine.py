@@ -20,7 +20,7 @@ from steersim.host import STATE_COMPUTING, SocketModel
 from steersim.nic import Nic
 from steersim.runner import Engine, run_scenario
 from steersim.simkernel import US, Simulator
-from steersim.workload import WORST_CASE_FIRE_NS
+from steersim.workload import WORST_CASE_FIRE_NS, nanoseconds
 
 from bundled import bundled, migrating, pinned_same
 from delivery_oracle import DeliveryLog, DeliveryRecord, in_socket_order, record_deliveries
@@ -60,8 +60,7 @@ class TestWorstCaseSchedule:
     def test_worst_case_timer_preserves_order(self):
         s = bundled("worstcase")
         d = s.nic.ring_capacity
-        service_ns = round(1e9 / s.host.service_rate_pps)
-        s.flow_table.t_timer_us = (d - 1) * service_ns / 1000
+        s.flow_table.t_timer_us = (d - 1) * nanoseconds(s)["service"] / 1000
         result = run_scenario(s, seed=1)
         assert result.report.reordering_ratio == 0.0
         assert result.report.held_packets >= 1

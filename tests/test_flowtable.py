@@ -19,7 +19,7 @@ from steersim.flowtable import (
     memory_estimate,
     search_time,
 )
-from steersim.workload import TableSpec
+from steersim.workload import Scenario, TableSpec, nanoseconds
 
 
 def key(sport=40000, dport=5001, src="10.0.0.1", dst="10.0.0.2", proto=PROTO_TCP):
@@ -40,11 +40,12 @@ class Timers:
         self.scheduled.append(flow_key)
 
 
-def make_table(fallback=0, **spec):
+def make_table(fallback=0, **fields):
     timers = Timers()
-    table = FlowTable(
-        TableSpec(**spec), schedule_timer=timers, fallback_core=lambda k: fallback
-    )
+    spec = TableSpec(**fields)
+    ns = nanoseconds(Scenario(flow_table=spec))
+    table = FlowTable(spec, ns["t_delete"], ns["t_delete_pressure"],
+                      schedule_timer=timers, fallback_core=lambda k: fallback)
     return table, timers
 
 
@@ -385,7 +386,7 @@ class TestInvariants:
         table.observe_tx(reverse_key(k), 1, 0)
         for i, seq in enumerate(seqs):
             table.steer(rx_pkt(k, seq=seq), i)
-        _, flushed = table.on_timer_expire(k, table.t_timer_ns)
+        _, flushed = table.on_timer_expire(k, nanoseconds(Scenario())["t_timer"])
         assert [seq for (_, _, seq, _), _ in flushed] == seqs
 
     def test_direct_after_observe_until_next_change(self):

@@ -3,7 +3,7 @@ from steersim.flowtable import FlowTable
 from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
-from steersim.workload import NicSpec, TableSpec
+from steersim.workload import NicSpec, Scenario, TableSpec, nanoseconds
 
 
 def key(sport=40000, dport=5001):
@@ -25,12 +25,13 @@ class Harness:
         self.interrupts = []
         engine = RssEngine(num_queues=num_queues)
         table = None
+        spec = TableSpec(t_timer_us=t_timer_us)
+        self.ns = ns = nanoseconds(Scenario(flow_table=spec))
         if mode == MODE_FLOWSTEER:
-            table = FlowTable(
-                TableSpec(t_timer_us=t_timer_us),
-                schedule_timer=None,
-                fallback_core=lambda k: fallback,
-            )
+            # Hold timers as the engine runs them: each fires t_timer later.
+            hold_timer = self.sim.line(ns["t_timer"], lambda k: self.nic.on_hold_timer(k)).add
+            table = FlowTable(spec, ns["t_delete"], ns["t_delete_pressure"],
+                              hold_timer, fallback_core=lambda k: fallback)
         self.nic = Nic(
             NicSpec(mode=mode, ring_capacity=ring_capacity,
                     latency_accounting=latency_accounting),
@@ -39,9 +40,6 @@ class Harness:
         self.nic.interrupts = [
             lambda q=q: self.interrupts.append(q) for q in range(num_queues)
         ]
-        if table is not None:
-            # Hold timers as the engine runs them: each fires t_timer later.
-            table.schedule_timer = self.sim.line(table.t_timer_ns, self.nic.on_hold_timer).add
         self.table = table
 
     def edges(self):
@@ -56,7 +54,7 @@ class Harness:
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
             self.nic.tx_ack(reverse_key(k), core, now)
-            self.sim.run_until(now + self.table.t_timer_ns)  # past any flush
+            self.sim.run_until(now + self.ns["t_timer"])  # past any flush
         self.clear_rings()
 
     def clear_rings(self):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from steersim.flows import DATA
 from steersim.runner import run_scenario
-from steersim.simkernel import US
-from steersim.workload import AppRule, Scenario
+from steersim.workload import AppRule, Scenario, nanoseconds
 
 from delivery_oracle import record_deliveries
 
@@ -54,8 +53,8 @@ def migration_scenarios(draw):
 @settings(max_examples=25, deadline=None)
 def test_adequate_hold_timer_keeps_every_flow_in_order(scenario):
     d = scenario.nic.ring_capacity
-    service_ns = round(1e9 / scenario.host.service_rate_pps)
-    assert scenario.flow_table.t_timer_us * US >= d * service_ns
+    ns = nanoseconds(scenario)
+    assert ns["t_timer"] >= d * ns["service"]
     with pytest.MonkeyPatch.context() as mp:
         logs = record_deliveries(mp)
         result = run_scenario(scenario)
@@ -86,7 +85,7 @@ def test_run_invariants_hold_under_any_schedule(scenario):
 
     # Hold bound and chain caps.
     if result.hold_delays:
-        assert max(result.hold_delays) <= int(scenario.flow_table.t_timer_us * US)
+        assert max(result.hold_delays) <= nanoseconds(scenario)["t_timer"]
     assert r.peak_entries <= scenario.flow_table.max_entries
 
     # Context split is exhaustive.

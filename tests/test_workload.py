@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import steersim
 from steersim.cli import main
 from steersim.flows import is_record
-from steersim.runner import run_scenario
+from steersim.runner import Engine, run_scenario
 from steersim.simkernel import make_rng
 from steersim.workload import (
     RULES,
@@ -28,6 +28,7 @@ from steersim.workload import (
     field_type,
     field_value,
     inter_burst_ns,
+    nanoseconds,
     spawn_streams,
 )
 
@@ -908,3 +909,101 @@ def test_only_the_loader_raises_scenario_error():
                     raises.append((path.name, node.lineno))
     assert raises, "the walk finds no raise at all"
     assert [r for r in raises if r[0] != "workload.py"] == []
+
+
+class TestNanoseconds:
+    """`nanoseconds` gives every time setting a run reads in whole ns."""
+
+    def test_names_every_time_setting(self):
+        assert list(nanoseconds(Scenario())) == [
+            "duration", "handshake_gap", "start_spread", "cadence", "tick", "alternate",
+            "t_timer", "t_delete", "t_delete_pressure", "service"]
+
+    @pytest.mark.parametrize("path, value, name, ns", [
+        ("duration_us", 0.0019, "duration", 1),
+        ("traffic.handshake_gap_us", 0.0019, "handshake_gap", 1),
+        ("traffic.start_spread_us", 2.5009, "start_spread", 2500),
+        ("host.syscall_cadence_us", 0.0019, "cadence", 1),
+        ("scheduler.tick_us", 0.0019, "tick", 1),
+        ("scheduler.forced_migration_period_us", 0.0019, "alternate", 1),
+        ("flow_table.t_timer_us", 84.9159, "t_timer", 84915),
+        ("flow_table.t_delete_ms", 0.0000019, "t_delete", 1),
+        ("flow_table.t_delete_pressure_ms", 0.0000019, "t_delete_pressure", 1),
+    ])
+    def test_each_time_setting_truncates(self, path, value, name, ns):
+        s = Scenario()
+        s.scheduler.mode = "peak_performance"  # a pinned scenario has no tick
+        section, _, field = path.rpartition(".")
+        setattr(field_value(s, section) if section else s, field, value)
+        assert nanoseconds(s)[name] == ns
+
+    @pytest.mark.parametrize("pps, ns", [
+        (1.5e6, 667),  # 666.67 ns; truncation would give 666
+        (3e6, 333),
+        (2.5e9, 1),  # 0.4 ns rounds to 0; a packet costs at least 1 ns
+    ])
+    def test_service_rounds_to_at_least_1(self, pps, ns):
+        s = Scenario()
+        s.host.service_rate_pps = pps
+        assert nanoseconds(s)["service"] == ns
+
+    def test_a_period_that_is_off_is_none(self):
+        s = Scenario()
+        s.host.syscall_cadence_us = None
+        assert s.scheduler.mode == "pinned" and s.scheduler.forced_migration_period_us is None
+        ns = nanoseconds(s)
+        assert (ns["tick"], ns["alternate"], ns["cadence"]) == (None, None, None)
+
+    def test_the_engine_is_built_with_these_values(self):
+        s = bundled("memory10g")
+        ns = nanoseconds(s)
+        engine = Engine(s, 1)
+        assert {core.service_ns for core in engine.cores} == {ns["service"]}
+        assert (engine.table.t_delete_ns, engine.table.t_delete_pressure_ns) == (
+            ns["t_delete"], ns["t_delete_pressure"])
+
+
+def unit_conversions(source: str) -> list:
+    """(line, enclosing function) of each unit conversion in `source`: an
+    `int` or `round` call whose argument multiplies or divides by US, MS or
+    SEC, or divides 1e9 by something."""
+    found = []
+
+    def converts(arg) -> bool:
+        for node in ast.walk(arg):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+                names = [n.id for n in (node.left, node.right) if isinstance(n, ast.Name)]
+                if {"US", "MS", "SEC"} & set(names):
+                    return True
+                if (isinstance(node.op, ast.Div) and isinstance(node.left, ast.Constant)
+                        and node.left.value == 1e9):
+                    return True
+        return False
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in ("int", "round") and any(map(converts, child.args))):
+                found.append((child.lineno, function))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_unit_conversions_are_found():
+    source = ("X = int(2 * US)\n"
+              "def f(a, b):\n"
+              "    return int((a + b) * MS), round(1e9 / a), round(SEC / b), int(round(a))\n")
+    assert unit_conversions(source) == [(1, None), (3, "f"), (3, "f"), (3, "f")]
+
+
+def test_only_nanoseconds_converts_units():
+    # Every time setting turns into ns in one function, so a run, its checks
+    # and its tests all round alike.
+    found = {}
+    for path in sorted(Path(steersim.__file__).parent.glob("*.py")):
+        for line, function in unit_conversions(path.read_text()):
+            found.setdefault((path.name, function), []).append(line)
+    assert len(found.pop(("workload.py", "nanoseconds"), ())) == 10
+    assert found == {}
