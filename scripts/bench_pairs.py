@@ -3,8 +3,9 @@
 
     python3 scripts/bench_pairs.py BASE [--workload W ...] [--pairs N] [--seconds S]
 
-Checks BASE and HEAD out into git worktrees in a temporary directory, so
-each side runs its committed files from a fresh tree. For k in 0..N-1 and
+Extracts the files committed at BASE and at HEAD with `git archive` into a
+temporary directory, so each side runs its committed files from a fresh
+tree and nothing under .git changes. For k in 0..N-1 and
 each workload (default: every workload of BENCHMARK.json) it runs
 `perfbench/run.py --workload W --seed k --seconds S --trace 0` in both
 trees, BASE first at even k and HEAD first at odd k, so drift in the
@@ -28,6 +29,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -46,6 +48,15 @@ def git(*args, cwd=ROOT) -> str:
     if proc.returncode != 0:
         raise PairsError(f"git {' '.join(args)}: {proc.stderr.strip()}")
     return proc.stdout.strip()
+
+
+def extract(rev: str, tree: Path):
+    """Write the files committed at `rev` into the new directory `tree`."""
+    archive = tree.with_name(tree.name + ".tar")
+    git("archive", "--format=tar", "-o", str(archive), rev)
+    with tarfile.open(archive) as tar:
+        tar.extractall(tree, filter="data")
+    archive.unlink()
 
 
 def quartiles(values):
@@ -145,21 +156,15 @@ def main(argv=None) -> int:
         (out / side).mkdir(parents=True)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in sides}
-        try:
-            for side, tree in trees.items():
-                git("worktree", "add", "--detach", str(tree), side)
-            for k in range(args.pairs):
-                order = sides if k % 2 == 0 else sides[::-1]
-                for workload in workloads:
-                    for side in order:
-                        print(f"pair {k}: {workload} at {side}", file=sys.stderr, flush=True)
-                        bench(trees[side], workload, k, args.seconds,
-                              out / side / f"{workload}-seed{k}.json")
-        finally:
-            for tree in trees.values():
-                if tree.exists():
-                    git("worktree", "remove", "--force", str(tree))
-            git("worktree", "prune")
+        for side, tree in trees.items():
+            extract(side, tree)
+        for k in range(args.pairs):
+            order = sides if k % 2 == 0 else sides[::-1]
+            for workload in workloads:
+                for side in order:
+                    print(f"pair {k}: {workload} at {side}", file=sys.stderr, flush=True)
+                    bench(trees[side], workload, k, args.seconds,
+                          out / side / f"{workload}-seed{k}.json")
 
     base_body, head_body, table = summarize(load_runs(out / sides[0]), load_runs(out / sides[1]),
                                             bench_spec["end_to_end"])

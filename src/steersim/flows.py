@@ -17,11 +17,9 @@ PROTO_UDP = 17
 
 # Packet kinds.
 SYN = "SYN"
-SYNACK = "SYNACK"
 ACK = "ACK"
 DATA = "DATA"
-FIN = "FIN"
-KINDS = (SYN, SYNACK, ACK, DATA, FIN)
+KINDS = (SYN, ACK, DATA)
 
 
 class FlowKey(NamedTuple):

@@ -12,7 +12,6 @@ and makes the hold-timer bound effective.
 
 from collections import deque
 from functools import partial
-from operator import add
 
 from .flows import Record, reverse_key
 
@@ -32,7 +31,6 @@ RUNNABLE = (STATE_COMPUTING, STATE_DRAINING)
 class Core(Record):
     core_id: int
     processor_id: int
-    service_ns: int  # 1/R_service, virtual cost to process one packet
     irq_free: int = 0
 
 
@@ -42,11 +40,12 @@ class SocketModel:
     and `tx_key` the same flow's transmit-direction key, which its ACKs
     carry.
 
-    The thread runs on `core`, one of its `allowed_cores`, and is counted
-    in `core_set`, the `_CoreSet` of those cores. It makes a receive call
-    every `cadence_ns` of compute, or never when that is None; one that
-    calls starts out computing until its first call, one that never calls
-    starts idle. In a receive call its `state` is draining, when the thread
+    The thread runs on `core`, one of its `allowed_cores`; `next_core` is
+    the rotation map `force_alternate` moves it by, shared by every thread
+    with the same allowed cores. It makes a receive call every
+    `cadence_ns` of compute, or never when that is None; one that calls
+    starts out computing until its first call, one that never calls starts
+    idle. In a receive call its `state` is draining, when the thread
     owns the socket, or sleeping until data arrives. A packet found during
     a call, or with the backlog non-empty, must defer to the backlog;
     processing anything ahead of a non-empty backlog would reorder the
@@ -72,20 +71,20 @@ class SocketModel:
     The cutoff is the time of the flow's last hold-timer flush, or else of
     its first delivery (`restart_warm_up`); -1 until either happens."""
 
-    __slots__ = ("key", "tx_key", "core", "allowed_cores", "cadence_ns", "state",
-                 "core_set", "backlog", "delivered_since_ack", "data", "high", "inversions",
+    __slots__ = ("key", "tx_key", "core", "allowed_cores", "next_core", "cadence_ns", "state",
+                 "backlog", "delivered_since_ack", "data", "high", "inversions",
                  "last_core", "alternations", "cutoff", "cross_core", "cross_processor",
                  "core_data", "on_app_core")
 
-    def __init__(self, key, core: int, allowed_cores: tuple,
-                 cadence_ns: int | None, core_set: "_CoreSet", num_cores: int):
+    def __init__(self, key, core: int, allowed_cores: tuple, next_core: dict,
+                 cadence_ns: int | None, num_cores: int):
         self.key = key
         self.tx_key = reverse_key(key)
         self.core = core
         self.allowed_cores = allowed_cores
+        self.next_core = next_core
         self.cadence_ns = cadence_ns
         self.state = STATE_IDLE if cadence_ns is None else STATE_COMPUTING
-        self.core_set = core_set
         self.backlog = []
         self.delivered_since_ack = 0
         self.data = self.inversions = self.alternations = 0
@@ -99,23 +98,6 @@ class SocketModel:
         self.cutoff = now
         self.cross_core = self.cross_processor = self.on_app_core = 0
         self.core_data = [0] * len(self.core_data)
-
-
-class _CoreSet:
-    """The threads that share one allowed-core set: the sockets of those on
-    each allowed core, and how many of them are runnable, per core of the
-    host."""
-
-    __slots__ = ("runnable", "next_core", "on_core")
-
-    def __init__(self, allowed: tuple, num_cores: int):
-        self.runnable = [0] * num_cores
-        # force_alternate's rotation: each allowed core to the next one,
-        # the last back to the first. Allowed cores are distinct, so this
-        # is a permutation of them.
-        self.next_core = {core: allowed[(i + 1) % len(allowed)]
-                          for i, core in enumerate(allowed)}
-        self.on_core = {core: {} for core in allowed}  # sockets as dict keys
 
 
 class HostStats(Record):
@@ -193,7 +175,7 @@ class _ProcLane:
                     lane.queue.append(sock)
                 else:
                     lane.submit(sock)
-                sim.schedule(now + host.cores[app_core].service_ns, self._resume)
+                sim.schedule(now + host.service_ns, self._resume)
                 return
             # Backlog empty: the call returns, releasing the socket. Anything
             # delivered since the last ACK is acknowledged from this core
@@ -214,14 +196,16 @@ class Host:
     `sockets` lists the threads in the order `add_flow` wired them, which
     is socket order.
 
-    The scheduler reads runnable threads per core from one count vector
-    per allowed-core set (`_CoreSet`), kept up to date wherever a thread
-    changes state or core. A tick then costs O(cores) unless it has a
-    thread to move."""
+    Every core takes `service_ns` to process one packet, 1/R_service.
 
-    def __init__(self, cores, sim, nic, scheduler_mode=MODE_PINNED,
+    The scheduler reads runnable threads per core from one count vector,
+    kept up to date wherever a thread changes state or core. A tick then
+    costs O(cores) unless it has a thread to move."""
+
+    def __init__(self, cores, sim, nic, service_ns: int, scheduler_mode=MODE_PINNED,
                  ack_every: int = 2):
         self.cores = cores
+        self.service_ns = service_ns
         self._processor_of = [core.processor_id for core in cores]  # by core id
         self.sim = sim
         self.scheduler_mode = scheduler_mode
@@ -241,7 +225,8 @@ class Host:
         # Per cadence: schedules a socket's next receive call that far
         # ahead, on a timer line of `submit_syscall`.
         self._call_after = {}
-        self._core_sets: dict[tuple, _CoreSet] = {}  # by allowed cores
+        self._runnable = [0] * len(cores)  # runnable threads per core
+        self._rotations: dict[tuple, dict] = {}  # sockets' next_core, by allowed cores
         self._free = []  # sockets of Free threads, in socket order
 
     # -- wiring -----------------------------------------------------------------
@@ -251,14 +236,16 @@ class Host:
         a thread that starts on `core` and makes a receive call every
         `cadence_ns` (None: never). `core` is one of the distinct
         `allowed_cores`, and the scheduler moves the thread only among them."""
-        core_set = self._core_sets.get(allowed_cores)
-        if core_set is None:
-            core_set = self._core_sets[allowed_cores] = _CoreSet(allowed_cores, len(self.cores))
-        sock = SocketModel(key, core, allowed_cores, cadence_ns, core_set, len(self.cores))
+        next_core = self._rotations.get(allowed_cores)
+        if next_core is None:
+            # Each allowed core to the next one, the last back to the first.
+            # Allowed cores are distinct, so this is a permutation of them.
+            rotated = allowed_cores[1:] + allowed_cores[:1]
+            next_core = self._rotations[allowed_cores] = dict(zip(allowed_cores, rotated))
+        sock = SocketModel(key, core, allowed_cores, next_core, cadence_ns, len(self.cores))
         self.sockets[key] = sock
-        core_set.on_core[core][sock] = None
         if sock.state in RUNNABLE:
-            core_set.runnable[core] += 1
+            self._runnable[core] += 1
         if len(allowed_cores) > 1:
             self._free.append(sock)
         if cadence_ns is not None and cadence_ns not in self._call_after:
@@ -307,7 +294,7 @@ class Host:
                     # gap between sleeping and draining would let a later
                     # packet slip past the backlog in interrupt context.
                     app_core = sock.core
-                    sock.core_set.runnable[app_core] += 1
+                    self._runnable[app_core] += 1
                     sock.state = STATE_DRAINING
                     lane = self.proc_lanes[app_core]
                     if lane.busy or lane.core.irq_free > now:
@@ -321,7 +308,7 @@ class Host:
                     self.stats.delivered_process += 1
                     self._deliver(packet[2], sock, app_core, now)
                     lane.queue.append(sock)
-                    self.sim.schedule(now + lane.core.service_ns, lane._resume)
+                    self.sim.schedule(now + self.service_ns, lane._resume)
                     continue
                 sock.backlog.append(packet[2])
                 if sock.state == STATE_DRAINING and sock.core != core.core_id:
@@ -330,7 +317,7 @@ class Host:
             if sock is not None:
                 self.stats.delivered_interrupt += 1
                 self._deliver(packet[2], sock, core.core_id, now)
-            core.irq_free = now + core.service_ns
+            core.irq_free = now + self.service_ns
             self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
             return
 
@@ -352,7 +339,7 @@ class Host:
     def _syscall_enter(self, sock: SocketModel):
         # From a computing thread, whose backlog is empty: sleep until data.
         self.stats.syscalls += 1
-        sock.core_set.runnable[sock.core] -= 1
+        self._runnable[sock.core] -= 1
         sock.state = STATE_SLEEPING
 
     # -- delivery ----------------------------------------------------------------
@@ -393,11 +380,8 @@ class Host:
     # -- scheduling ----------------------------------------------------------------
 
     def runnable_counts(self) -> list[int]:
-        """Runnable threads per core: the sum of the count vectors."""
-        counts = [0] * len(self.cores)
-        for core_set in self._core_sets.values():
-            counts = list(map(add, counts, core_set.runnable))
-        return counts
+        """Runnable threads per core, a copy of the count vector."""
+        return self._runnable.copy()
 
     def scheduler_tick(self):
         """One balancing pass; `migrations` counts the threads it moves."""
@@ -407,12 +391,9 @@ class Host:
             self._converge_power()
 
     def _migrate(self, sock: SocketModel, to_core: int):
-        core_set = sock.core_set
-        del core_set.on_core[sock.core][sock]
-        core_set.on_core[to_core][sock] = None
         if sock.state in RUNNABLE:
-            core_set.runnable[sock.core] -= 1
-            core_set.runnable[to_core] += 1
+            self._runnable[sock.core] -= 1
+            self._runnable[to_core] += 1
         sock.core = to_core
         self.migrations += 1
 
@@ -430,9 +411,9 @@ class Host:
             busiest = counts.index(high)
             idlest = counts.index(low)
             if movable is None:
-                # Walk the threads only when one of them can move.
-                if not any(c.runnable[busiest] for c in self._core_sets.values()
-                           if idlest in c.next_core):
+                # Walk the threads only when one of them may move: one
+                # whose allowed cores hold both.
+                if not any(busiest in nxt and idlest in nxt for nxt in self._rotations.values()):
                     return
                 movable = [[] for _ in counts]
                 for sock in self._free:
@@ -466,20 +447,14 @@ class Host:
     def force_alternate(self):
         """Deterministically rotate every Free thread to the next core in
         its allowed set. Models aggressive migration pressure so transition
-        behaviour is exercised reproducibly. All of a set's threads on one
-        core go to the same next core, and the set's counts go with them."""
-        for core_set in self._core_sets.values():
-            nxt = core_set.next_core
-            if len(nxt) < 2:
-                continue  # pinned
-            on_core = core_set.on_core
-            for core, socks in on_core.items():
-                dest = nxt[core]
-                for sock in socks:
-                    sock.core = dest
-            core_set.on_core = {nxt[core]: socks for core, socks in on_core.items()}
-            rotated = [0] * len(core_set.runnable)
-            for core, dest in nxt.items():
-                rotated[dest] = core_set.runnable[core]
-            core_set.runnable = rotated
+        behaviour is exercised reproducibly. A runnable thread's count moves
+        with it."""
+        runnable = self._runnable
+        for sock in self._free:
+            core = sock.core
+            dest = sock.next_core[core]
+            sock.core = dest
+            if sock.state in RUNNABLE:
+                runnable[core] -= 1
+                runnable[dest] += 1
         self.migrations += len(self._free)

@@ -58,7 +58,7 @@ class Engine:
         for proc_id, group in enumerate(scenario.host.processors):
             for core in group:
                 processor_of[core] = proc_id
-        self.cores = [Core(c, processor_of[c], ns["service"]) for c in range(num_cores)]
+        self.cores = [Core(c, processor_of[c]) for c in range(num_cores)]
 
         self.rss = build_rss_engine(scenario)
         self.table = None
@@ -72,6 +72,7 @@ class Engine:
             self.cores,
             self.sim,
             self.nic,
+            ns["service"],
             scheduler_mode=scenario.scheduler.mode,
             ack_every=scenario.host.ack_every,
         )

@@ -40,7 +40,6 @@ from functools import partial
 from heapq import heappop, heappush, heapreplace
 
 # Unit multipliers for converting configuration values into nanoseconds.
-NS = 1
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000

@@ -434,8 +434,9 @@ def nanoseconds(scenario: Scenario) -> dict:
     """Every time setting a run reads, in whole ns, by name; None for a
     period that is off. Each `_us` and `_ms` value truncates toward zero.
     `service`, the time a core takes to process one packet,
-    1e9 / `host.service_rate_pps`, rounds to the nearest ns and is at
-    least 1. This is the one place that converts units."""
+    1e9 / `host.service_rate_pps`, and `inter_burst`, a stream's burst
+    period (`inter_burst_ns`), round to the nearest ns and are at least 1.
+    This is the one place that converts units."""
     traffic, table, sched = scenario.traffic, scenario.flow_table, scenario.scheduler
     cadence, period = scenario.host.syscall_cadence_us, sched.forced_migration_period_us
     return {
@@ -449,6 +450,7 @@ def nanoseconds(scenario: Scenario) -> dict:
         "t_delete": int(table.t_delete_ms * MS),
         "t_delete_pressure": int(table.t_delete_pressure_ms * MS),
         "service": max(1, round(1e9 / scenario.host.service_rate_pps)),
+        "inter_burst": max(1, round(inter_burst_ns(traffic))),
     }
 
 
@@ -595,9 +597,9 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     ports = assign_ports(traffic, rng)
     ns = nanoseconds(scenario)
     gap, spread, duration = ns["handshake_gap"], ns["start_spread"], ns["duration"]
+    inter_burst = ns["inter_burst"]
 
     burst = traffic.burst
-    inter_burst = max(1, int(round(inter_burst_ns(traffic))))
     wanted = traffic.data_packets_per_stream
     spacing = traffic.burst_spacing_ns
     jitter_ns = traffic.jitter_ns

@@ -1,4 +1,5 @@
-"""The summary step of scripts/bench_pairs.py, on synthetic result files."""
+"""The summary step of scripts/bench_pairs.py, on synthetic result files,
+and the extraction of a commit's files."""
 
 import json
 import statistics
@@ -87,3 +88,11 @@ def test_results_from_two_hosts_are_refused(tmp_path):
     with pytest.raises(bench_pairs.PairsError, match="different hosts"):
         bench_pairs.summarize(bench_pairs.load_runs(tmp_path / "base"),
                               bench_pairs.load_runs(tmp_path / "head"), END_TO_END)
+
+
+def test_extract_writes_the_committed_tree(tmp_path):
+    tree = tmp_path / "head"
+    bench_pairs.extract("HEAD", tree)
+    assert (tree / "perfbench" / "run.py").is_file()
+    assert not (tree / ".git").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["head"]

@@ -128,9 +128,9 @@ FIGURES = ("delivered_data", "reordering_ratio", "flow_affinity", "data_affinity
 def _host(num_cores=4):
     """A host over a plain-RSS NIC; processors hold two cores each."""
     sim = Simulator()
-    cores = [Core(c, c // 2, 333) for c in range(num_cores)]
+    cores = [Core(c, c // 2) for c in range(num_cores)]
     nic = Nic(NicSpec(mode="rss"), num_cores, RssEngine(num_queues=num_cores), None, sim)
-    return Host(cores, sim, nic)
+    return Host(cores, sim, nic, 333)
 
 
 deliveries_and_flushes = st.lists(

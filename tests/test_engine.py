@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import steersim
-from steersim.flows import DATA, FIN, SYN, FlowKey
+from steersim.flows import ACK, DATA, SYN, FlowKey
 from steersim.flowtable import FlowTable
 from steersim.host import STATE_COMPUTING, SocketModel
 from steersim.nic import Nic
@@ -721,7 +721,7 @@ class TestColumnarDeliveryLog:
         records = [
             DeliveryRecord(-1, 0, 0, 0, SYN),
             DeliveryRecord(7, 2**40, 255, 3, DATA),
-            DeliveryRecord(-1, 2**40 + 5, 1, 255, FIN),
+            DeliveryRecord(-1, 2**40 + 5, 1, 255, ACK),
         ]
         log = DeliveryLog()
         for r in records:

@@ -65,7 +65,7 @@ class Harness:
         for proc_id, group in enumerate(processors):
             for c in group:
                 proc_of[c] = proc_id
-        cores = [Core(c, proc_of.get(c, 0), SERVICE_NS) for c in range(num_cores)]
+        cores = [Core(c, proc_of.get(c, 0)) for c in range(num_cores)]
         engine = RssEngine(num_queues=num_cores)
         self.acks = []
         # The host installs its interrupt actions on the NIC it attaches to.
@@ -76,7 +76,7 @@ class Harness:
         # Record the ACKs the host sends; set before the host binds tx_ack.
         self.nic.tx_ack = lambda tx_key, core, now: self.acks.append((tx_key, core, now))
         self.host = Host(
-            cores, self.sim, self.nic, scheduler_mode=scheduler,
+            cores, self.sim, self.nic, SERVICE_NS, scheduler_mode=scheduler,
             ack_every=ack_every,
         )
 

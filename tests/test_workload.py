@@ -163,7 +163,7 @@ class TestSpawnStreams:
         plans = spawn_streams(s, rng)
         assign_ports(s.traffic, ref_rng)
         duration = int(duration_us * 1000)
-        inter_burst = max(1, int(round(burst * 1e9 / 200_000)))
+        inter_burst = nanoseconds(s)["inter_burst"]
         for plan in plans:
             times = []
             t = ack_at(plan) + 1_000
@@ -917,7 +917,7 @@ class TestNanoseconds:
     def test_names_every_time_setting(self):
         assert list(nanoseconds(Scenario())) == [
             "duration", "handshake_gap", "start_spread", "cadence", "tick", "alternate",
-            "t_timer", "t_delete", "t_delete_pressure", "service"]
+            "t_timer", "t_delete", "t_delete_pressure", "service", "inter_burst"]
 
     @pytest.mark.parametrize("path, value, name, ns", [
         ("duration_us", 0.0019, "duration", 1),
@@ -947,6 +947,17 @@ class TestNanoseconds:
         s.host.service_rate_pps = pps
         assert nanoseconds(s)["service"] == ns
 
+    @pytest.mark.parametrize("gbps, ns", [
+        (7.2, 10_000),  # 3 streams share 7.2 Gbps: 200,000 pps each, bursts of 2
+        (5.4, 13_333),  # 13,333.33 ns
+        (2.7, 26_667),  # 26,666.67 ns; truncation would give 26,666
+        (1e5, 1),  # 0.72 ns rounds to 1
+        (1e7, 1),  # 0.0072 ns rounds to 0; a period is at least 1 ns
+    ])
+    def test_inter_burst_rounds_to_at_least_1(self, gbps, ns):
+        s = scenario(3, burst=2, link_gbps=gbps)
+        assert nanoseconds(s)["inter_burst"] == ns
+
     def test_a_period_that_is_off_is_none(self):
         s = Scenario()
         s.host.syscall_cadence_us = None
@@ -958,15 +969,16 @@ class TestNanoseconds:
         s = bundled("memory10g")
         ns = nanoseconds(s)
         engine = Engine(s, 1)
-        assert {core.service_ns for core in engine.cores} == {ns["service"]}
+        assert engine.host.service_ns == ns["service"]
         assert (engine.table.t_delete_ns, engine.table.t_delete_pressure_ns) == (
             ns["t_delete"], ns["t_delete_pressure"])
 
 
 def unit_conversions(source: str) -> list:
-    """(line, enclosing function) of each unit conversion in `source`: an
-    `int` or `round` call whose argument multiplies or divides by US, MS or
-    SEC, or divides 1e9 by something."""
+    """(line, enclosing function) of each unit conversion in `source`: a
+    `round` call, which turns a rate or a period into whole ns, or an `int`
+    call whose argument multiplies or divides by US, MS or SEC, or divides
+    1e9 by something."""
     found = []
 
     def converts(arg) -> bool:
@@ -983,7 +995,8 @@ def unit_conversions(source: str) -> list:
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id in ("int", "round") and any(map(converts, child.args))):
+                    and (child.func.id == "round"
+                         or child.func.id == "int" and any(map(converts, child.args)))):
                 found.append((child.lineno, function))
             visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
 
@@ -994,8 +1007,10 @@ def unit_conversions(source: str) -> list:
 def test_unit_conversions_are_found():
     source = ("X = int(2 * US)\n"
               "def f(a, b):\n"
-              "    return int((a + b) * MS), round(1e9 / a), round(SEC / b), int(round(a))\n")
-    assert unit_conversions(source) == [(1, None), (3, "f"), (3, "f"), (3, "f")]
+              "    return int((a + b) * MS), round(1e9 / a), round(SEC / b), int(a)\n"
+              "def g(x):\n"
+              "    return int(round(f(x)))\n")
+    assert unit_conversions(source) == [(1, None), (3, "f"), (3, "f"), (3, "f"), (5, "g")]
 
 
 def test_only_nanoseconds_converts_units():
@@ -1005,5 +1020,5 @@ def test_only_nanoseconds_converts_units():
     for path in sorted(Path(steersim.__file__).parent.glob("*.py")):
         for line, function in unit_conversions(path.read_text()):
             found.setdefault((path.name, function), []).append(line)
-    assert len(found.pop(("workload.py", "nanoseconds"), ())) == 10
+    assert len(found.pop(("workload.py", "nanoseconds"), ())) == 11
     assert found == {}
