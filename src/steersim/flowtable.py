@@ -26,22 +26,17 @@ class TimerBugError(RuntimeError):
 
 
 class FlowEntry:
-    """One admitted flow. Compares by identity: a key has one entry, so a
-    chain finds an entry by `is` alone. While the entry is in transition,
-    `held` lists its held packets as `(packet, held_at)` pairs, in arrival
-    order. `tx_key` is the transmit-direction key the flow was admitted
-    with, the one its SYN-ACK carried."""
+    """One admitted flow, stored under its receive-direction key. Compares
+    by identity: a key has one entry, so a chain finds an entry by `is`
+    alone. The entry is in transition exactly while `held` is a list, of
+    its held packets as `(packet, held_at)` pairs in arrival order; it is
+    None otherwise."""
 
-    __slots__ = ("key", "tx_key", "core_id", "transition", "held", "held_bytes",
-                 "last_activity", "bucket")
+    __slots__ = ("core_id", "held", "held_bytes", "last_activity", "bucket")
 
-    def __init__(self, key: FlowKey, tx_key: FlowKey, core_id: int, last_activity: int = 0,
-                 bucket: int = 0):
-        self.key = key
-        self.tx_key = tx_key
+    def __init__(self, core_id: int, last_activity: int = 0, bucket: int = 0):
         self.core_id = core_id
-        self.transition = False
-        self.held = []
+        self.held = None
         self.held_bytes = 0  # sum of the packet sizes in `held`
         self.last_activity = last_activity
         self.bucket = bucket
@@ -116,6 +111,9 @@ class FlowTable:
     with that bucket stay out (steered by plain RSS) until aging frees a
     slot and a later handshake retries.
 
+    Entries are indexed once, by receive-direction key, the key by which
+    the transmit path names a flow too (see `Nic`).
+
     `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks;
     the table reads its sizes and `pressure_threshold`, not its times.
     `t_delete_ns` and `t_delete_pressure_ns` are the idle timeouts, the
@@ -136,13 +134,9 @@ class FlowTable:
         self._fallback_core = fallback_core
         self._buckets: dict[int, list[FlowEntry]] = {}
         self._entries: dict[FlowKey, FlowEntry] = {}
-        # The same entries under their transmit-direction keys, so an
-        # outgoing core id finds its entry without reversing the key. The key
-        # is the one the flow's SYN-ACK carried, not a copy.
-        self._by_tx_key: dict[FlowKey, FlowEntry] = {}
-        # Receive key -> (time, the SYN-ACK's key once it is seen, else None).
+        # Receive key -> (time, whether the SYN-ACK has been seen).
         # Completion deletes the entry.
-        self._tracker: dict[FlowKey, tuple[int, FlowKey | None]] = {}
+        self._tracker: dict[FlowKey, tuple[int, bool]] = {}
         self.stats = FlowTableStats()
 
     def __len__(self):
@@ -161,26 +155,25 @@ class FlowTable:
         if key.protocol != PROTO_TCP:
             return None
         if kind == SYN:
-            self._tracker[key] = (now, None)
+            self._tracker[key] = (now, False)
             return None
         if kind == ACK:
             state = self._tracker.get(key)
-            if state is not None and state[1] is not None:
+            if state is not None and state[1]:
                 del self._tracker[key]
                 self.stats.handshakes_completed += 1
-                return self._try_admit(key, state[1], now)
+                return self._try_admit(key, now)
         return None
 
-    def note_tx_packet(self, key: FlowKey, tx_key: FlowKey, now: int):
+    def note_tx_packet(self, key: FlowKey, now: int):
         """Outgoing half of handshake monitoring: the SYN-ACK of the flow
-        whose receive-direction key is `key` and transmit-direction key
-        `tx_key`. Only a TCP SYN opens a tracker entry, so other protocols
-        find none here."""
+        whose receive-direction key is `key`. Only a TCP SYN opens a tracker
+        entry, so other protocols find none here."""
         state = self._tracker.get(key)
-        if state is not None and state[1] is None:
-            self._tracker[key] = (now, tx_key)
+        if state is not None and not state[1]:
+            self._tracker[key] = (now, True)
 
-    def _try_admit(self, key: FlowKey, tx_key: FlowKey, now: int) -> FlowEntry | None:
+    def _try_admit(self, key: FlowKey, now: int) -> FlowEntry | None:
         spec = self.spec
         if len(self._entries) >= spec.max_entries:
             self.stats.rejected_table_full += 1
@@ -190,12 +183,9 @@ class FlowTable:
         if len(bucket) >= spec.max_list_size:
             self.stats.rejected_bucket_full += 1
             return None
-        entry = FlowEntry(
-            key, tx_key, core_id=self._fallback_core(key), last_activity=now, bucket=index
-        )
+        entry = FlowEntry(core_id=self._fallback_core(key), last_activity=now, bucket=index)
         bucket.append(entry)
         self._entries[key] = entry
-        self._by_tx_key[tx_key] = entry
         self.stats.admitted += 1
         self.stats.peak_entries = max(self.stats.peak_entries, len(self._entries))
         return entry
@@ -225,8 +215,9 @@ class FlowTable:
             return FALLBACK, None, position
         position = self._position_of(entry) if want_position else 1
         entry.last_activity = now
-        if entry.transition:
-            entry.held.append((packet, now))
+        held = entry.held
+        if held is not None:
+            held.append((packet, now))
             entry.held_bytes += size
             stats = self.stats
             stats.held_packets_total += 1
@@ -241,38 +232,37 @@ class FlowTable:
 
     # -- updates from the transmit path ---------------------------------------
 
-    def observe_tx(self, tx_key: FlowKey, core_id: int, now: int):
-        """Apply an outgoing packet's core id to the entry of the flow whose
-        transmit-direction key is `tx_key`.
+    def observe_tx(self, key: FlowKey, core_id: int, now: int):
+        """Apply an outgoing packet's core id to the entry of its flow, named
+        by the flow's receive-direction key `key`.
 
-        A differing core id starts a transition and a hold timer. A further
-        change while already in transition retargets the entry but starts no
-        timer: the running one already covers draining the queue the flow
-        left first, and a later one would let held packets wait longer than
-        one timer period.
+        A differing core id starts a transition, with an empty held list,
+        and a hold timer. A further change while already in transition
+        retargets the entry but starts no timer: the running one already
+        covers draining the queue the flow left first, and a later one would
+        let held packets wait longer than one timer period.
         """
-        entry = self._by_tx_key.get(tx_key)
+        entry = self._entries.get(key)
         if entry is None:
             return
         entry.last_activity = now
         if core_id == entry.core_id:
             return
         entry.core_id = core_id
-        if not entry.transition:
-            entry.transition = True
+        if entry.held is None:
+            entry.held = []
             self.stats.transitions_started += 1
-            self.schedule_timer(entry.key)
+            self.schedule_timer(key)
 
     def on_timer_expire(self, key: FlowKey, now: int):
         """Leave the transition state; returns the core id and the held
         `(packet, held_at)` pairs, in arrival order, for enqueueing to the
         new core."""
         entry = self._entries.get(key)
-        if entry is None or not entry.transition:
+        if entry is None or entry.held is None:
             raise TimerBugError(f"hold timer fired for non-transition flow {key}")
         flushed = entry.held
-        entry.held = []
-        entry.transition = False
+        entry.held = None
         entry.last_activity = now
         self.stats.held_bytes -= entry.held_bytes
         entry.held_bytes = 0
@@ -290,11 +280,10 @@ class FlowTable:
         evicted = [
             key
             for key, entry in self._entries.items()
-            if not entry.transition and now - entry.last_activity >= limit
+            if entry.held is None and now - entry.last_activity >= limit
         ]
         for key in evicted:
             entry = self._entries.pop(key)
-            del self._by_tx_key[entry.tx_key]
             self._buckets[entry.bucket].remove(entry)
         self.stats.evictions += len(evicted)
 

@@ -13,7 +13,7 @@ and makes the hold-timer bound effective.
 from collections import deque
 from functools import partial
 
-from .flows import Record, reverse_key
+from .flows import Record
 
 MODE_PINNED = "pinned"
 MODE_PEAK_PERFORMANCE = "peak_performance"
@@ -36,20 +36,19 @@ class Core(Record):
 
 class SocketModel:
     """Per-flow receive socket and the application thread that reads it;
-    each thread reads one socket. `key` is the flow's receive-direction key
-    and `tx_key` the same flow's transmit-direction key, which its ACKs
-    carry.
+    each thread reads one socket. `key` is the flow's receive-direction key,
+    which also names the flow on its outgoing ACKs.
 
-    The thread runs on `core`, one of its `allowed_cores`; `next_core` is
-    the rotation map `force_alternate` moves it by, shared by every thread
-    with the same allowed cores. It makes a receive call every
-    `cadence_ns` of compute, or never when that is None; one that calls
-    starts out computing until its first call, one that never calls starts
-    idle. In a receive call its `state` is draining, when the thread
-    owns the socket, or sleeping until data arrives. A packet found during
-    a call, or with the backlog non-empty, must defer to the backlog;
-    processing anything ahead of a non-empty backlog would reorder the
-    flow.
+    The thread runs on `core`, one of its allowed cores, which are the keys
+    of `next_core`, in allowed order. That is the rotation map
+    `force_alternate` moves it by, shared by every thread with the same
+    allowed cores. It makes a receive call every `cadence_ns` of compute,
+    or never when that is None; one that calls starts out computing until
+    its first call, one that never calls starts idle. In a receive call its
+    `state` is draining, when the thread owns the socket, or sleeping until
+    data arrives. A packet found during a call, or with the backlog
+    non-empty, must defer to the backlog; processing anything ahead of a
+    non-empty backlog would reorder the flow.
 
     The backlog keeps of each deferred frame its `seq` alone, -1 for a
     control frame, which is all `Host._deliver` reads; the frame tuple is
@@ -71,17 +70,15 @@ class SocketModel:
     The cutoff is the time of the flow's last hold-timer flush, or else of
     its first delivery (`restart_warm_up`); -1 until either happens."""
 
-    __slots__ = ("key", "tx_key", "core", "allowed_cores", "next_core", "cadence_ns", "state",
+    __slots__ = ("key", "core", "next_core", "cadence_ns", "state",
                  "backlog", "delivered_since_ack", "data", "high", "inversions",
                  "last_core", "alternations", "cutoff", "cross_core", "cross_processor",
                  "core_data", "on_app_core")
 
-    def __init__(self, key, core: int, allowed_cores: tuple, next_core: dict,
-                 cadence_ns: int | None, num_cores: int):
+    def __init__(self, key, core: int, next_core: dict, cadence_ns: int | None,
+                 num_cores: int):
         self.key = key
-        self.tx_key = reverse_key(key)
         self.core = core
-        self.allowed_cores = allowed_cores
         self.next_core = next_core
         self.cadence_ns = cadence_ns
         self.state = STATE_IDLE if cadence_ns is None else STATE_COMPUTING
@@ -182,7 +179,7 @@ class _ProcLane:
             # now, which is how the NIC learns where the application runs.
             if sock.delivered_since_ack:
                 sock.delivered_since_ack = 0
-                host._tx_ack(sock.tx_key, app_core, now)
+                host._tx_ack(sock.key, app_core, now)
             sock.state = STATE_COMPUTING
             if sock.cadence_ns is not None:
                 host._call_after[sock.cadence_ns](sock)
@@ -211,7 +208,7 @@ class Host:
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
         self._nic = nic
-        self._tx_ack = nic.tx_ack  # (tx_key, core_id, now)
+        self._tx_ack = nic.tx_ack  # (sock.key, core_id, now)
         self.sockets: dict = {}  # by flow key, in socket order
         self.proc_lanes = [_ProcLane(self, core) for core in cores]
         self.migrations = 0  # migrations performed so far
@@ -242,7 +239,7 @@ class Host:
             # Allowed cores are distinct, so this is a permutation of them.
             rotated = allowed_cores[1:] + allowed_cores[:1]
             next_core = self._rotations[allowed_cores] = dict(zip(allowed_cores, rotated))
-        sock = SocketModel(key, core, allowed_cores, next_core, cadence_ns, len(self.cores))
+        sock = SocketModel(key, core, next_core, cadence_ns, len(self.cores))
         self.sockets[key] = sock
         if sock.state in RUNNABLE:
             self._runnable[core] += 1
@@ -375,7 +372,7 @@ class Host:
             sock.delivered_since_ack += 1
             if sock.delivered_since_ack >= self.ack_every:
                 sock.delivered_since_ack = 0
-                self._tx_ack(sock.tx_key, core_id, now)
+                self._tx_ack(sock.key, core_id, now)
 
     # -- scheduling ----------------------------------------------------------------
 
@@ -421,7 +418,7 @@ class Host:
                         movable[sock.core].append(sock)
             queue = movable[busiest]
             for i, sock in enumerate(queue):
-                if idlest in sock.allowed_cores:
+                if idlest in sock.next_core:
                     break
             else:
                 return
@@ -437,7 +434,7 @@ class Host:
         for sock in self._free:
             if self.cores[sock.core].processor_id == 0:
                 continue
-            options = [c for c in sock.allowed_cores if c in target_cores]
+            options = [c for c in sock.next_core if c in target_cores]
             if not options:
                 continue
             dest = min(options, key=lambda c: (counts[c], c))

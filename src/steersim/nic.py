@@ -35,8 +35,10 @@ class RingBuffer:
 
 class Nic:
     """Receive pipeline plus observation of outgoing packets: each one's
-    transmit-direction key and the core id it carries, the two fields that
-    A-TFN reads from a transmit descriptor.
+    flow and the core id it carries, the two fields that A-TFN reads from a
+    transmit descriptor. The host names the flow by its receive-direction
+    key; the swap of the header back to that direction is left out of the
+    model.
 
     On a ring's empty->non-empty edge the NIC queues `interrupts[queue]`,
     a zero-argument action, in the simulator's same-instant lane
@@ -109,23 +111,22 @@ class Nic:
 
     # -- transmit path ----------------------------------------------------------
 
-    def tx(self, key: FlowKey, tx_key: FlowKey, core_id: int, now: int):
-        """Observe a flow's outgoing SYN-ACK, sent from core `core_id`: its
-        handshake half, then the core id through `tx_ack`. `key` and
-        `tx_key` are the flow's receive- and transmit-direction keys. The
-        peer model is open-loop, so only the table side effects matter
-        here."""
+    def tx(self, key: FlowKey, core_id: int, now: int):
+        """Observe the outgoing SYN-ACK of the flow whose receive-direction
+        key is `key`, sent from core `core_id`: its handshake half, then the
+        core id through `tx_ack`. The peer model is open-loop, so only the
+        table side effects matter here."""
         if self._steers:
-            self.table.note_tx_packet(key, tx_key, now)
-        self.tx_ack(tx_key, core_id, now)
+            self.table.note_tx_packet(key, now)
+        self.tx_ack(key, core_id, now)
 
-    def tx_ack(self, tx_key: FlowKey, core_id: int, now: int):
-        """Observe an outgoing ACK: its transmit-direction key and the core
-        that processed it. `Scenario.validate` caps a host at 256 cores, so
-        every core id fits a descriptor's byte."""
+    def tx_ack(self, key: FlowKey, core_id: int, now: int):
+        """Observe an outgoing ACK of the flow whose receive-direction key
+        is `key`, and the core that processed it. `Scenario.validate` caps a
+        host at 256 cores, so every core id fits a descriptor's byte."""
         self.acks_sent += 1
         if self._steers:
-            self.table.observe_tx(tx_key, core_id, now)
+            self.table.observe_tx(key, core_id, now)
 
     def on_hold_timer(self, key: FlowKey):
         """Flush a flow's held packets to its (new) core's ring, FIFO."""

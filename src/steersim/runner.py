@@ -3,7 +3,7 @@
 The receiver under test is a multi-queue NIC feeding per-core rings on a
 multicore host. Incoming traffic is scripted by the workload. Each flow's
 SYN-ACK is sent from here and its data ACKs from the host; each hands the
-NIC the flow's transmit-direction key and the core that processed it.
+NIC the flow's key and the core that processed it.
 """
 
 import gc
@@ -149,7 +149,7 @@ class Engine:
         # The kernel answers the SYN from whichever core the handshake was
         # processed on; before any steering entry exists that is the hash
         # fallback core.
-        self.nic.tx(sock.key, sock.tx_key, self.rss.queue_for(sock.key), self.sim.now)
+        self.nic.tx(sock.key, self.rss.queue_for(sock.key), self.sim.now)
 
     def _schedule_worst_case(self):
         """Worst-case migration schedule for in-order analysis.
@@ -185,7 +185,7 @@ class Engine:
             self._schedule_rx(t - 2 * eps, (filler_key, DATA, seq, size))
         self._schedule_rx(t - eps, (victim_key, DATA, 0, size))
         # The victim's app ACKs from its new core, core 1.
-        self.sim.schedule(t, lambda: self.nic.tx_ack(victim.tx_key, 1, self.sim.now))
+        self.sim.schedule(t, lambda: self.nic.tx_ack(victim.key, 1, self.sim.now))
         self._schedule_rx(t + eps, (victim_key, DATA, 1, size))
         self.generated_data += fillers + 2
 

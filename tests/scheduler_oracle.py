@@ -20,7 +20,7 @@ def runnable_counts(socks, num_cores: int, movable: list | None = None) -> list[
     for sock in socks:
         if sock.state in RUNNABLE:
             counts[sock.core] += 1
-            if len(sock.allowed_cores) > 1 and movable is not None:
+            if len(sock.next_core) > 1 and movable is not None:
                 movable[sock.core].append(sock)
     return counts
 
@@ -40,7 +40,7 @@ def peak_moves(socks, num_cores: int) -> list[tuple[int, int]]:
             return moves
         queue = movable[busiest]
         for i, sock in enumerate(queue):
-            if idlest in sock.allowed_cores:
+            if idlest in sock.next_core:
                 break
         else:
             return moves
@@ -59,9 +59,9 @@ def power_moves(socks, cores) -> list[tuple[int, int]]:
     counts = runnable_counts(socks, len(cores))
     moves = []
     for sock in socks:
-        if len(sock.allowed_cores) == 1 or cores[sock.core].processor_id == 0:
+        if len(sock.next_core) == 1 or cores[sock.core].processor_id == 0:
             continue
-        options = [c for c in sock.allowed_cores if c in target_cores]
+        options = [c for c in sock.next_core if c in target_cores]
         if not options:
             continue
         dest = min(options, key=lambda c: (counts[c], c))

@@ -81,9 +81,9 @@ class TestWorstCaseSchedule:
                 data.append((now, k, seq))
             rx(packet, now)
 
-        def record_ack(tx_key, core, now):  # the SYN-ACK and the migration
+        def record_ack(key, core, now):  # the SYN-ACK and the migration
             acks.append((now, core))
-            tx_ack(tx_key, core, now)
+            tx_ack(key, core, now)
 
         nic.rx, nic.tx_ack = record_rx, record_ack
         engine.run()
@@ -239,10 +239,10 @@ class TestHoldBounds:
         def recorded(table, key, now):
             out = expire(table, key, now)
             entries = [e for e in map(table.get, engine.host.sockets) if e is not None]
-            assert all(e.held_bytes == sum(size for (_, _, _, size), _ in e.held)
+            assert all(e.held_bytes == sum(size for (_, _, _, size), _ in e.held or ())
                        for e in entries)
             after.append((table.stats.held_bytes, sum(e.held_bytes for e in entries),
-                          sum(e.transition for e in entries)))
+                          sum(e.held is not None for e in entries)))
             return out
 
         monkeypatch.setattr(FlowTable, "on_timer_expire", recorded)
@@ -521,7 +521,11 @@ class TestPerFlowState:
         assert len(sockets) == self.STREAMS
         assert not any(isinstance(sock.backlog, deque) for sock in sockets)
         assert alive["handshake packet"] == 0
-        assert alive[FlowKey] <= 2 * self.STREAMS  # receive and transmit key
+        assert alive[FlowKey] <= self.STREAMS  # one key per flow
+        # Every hold has flushed by the end of the run, so no entry is in
+        # transition and none keeps a held list.
+        entries = engine.table._entries.values()
+        assert entries and all(e.held is None for e in entries)
 
     def test_backlogs_hold_seqs_in_deferral_order(self):
         # Cut short while threads still drain, so backlogs hold packets:

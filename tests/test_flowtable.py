@@ -51,7 +51,7 @@ def make_table(fallback=0, **fields):
 
 def admit(table, k, now=0):
     table.on_rx_connection_tracking(rx_pkt(k, SYN), now)
-    table.note_tx_packet(k, reverse_key(k), now)
+    table.note_tx_packet(k, now)
     entry = table.on_rx_connection_tracking(rx_pkt(k, ACK), now)
     return entry
 
@@ -138,7 +138,7 @@ class TestConnectionTracking:
         entry = admit(table, key())
         assert entry is not None
         assert entry.core_id == 2
-        assert not entry.transition
+        assert entry.held is None
         assert table.stats.admitted == 1
 
     def test_syn_then_data_is_not_enough(self):
@@ -181,9 +181,9 @@ class TestObserveTx:
         table, timers = make_table(fallback=0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 0, 50)
+        table.observe_tx(k, 0, 50)
         entry = table.get(k)
-        assert entry.last_activity == 50 and not entry.transition and entry.core_id == 0
+        assert entry.last_activity == 50 and entry.held is None and entry.core_id == 0
         assert table.stats.transitions_started == 0
         assert timers.scheduled == []
 
@@ -191,15 +191,15 @@ class TestObserveTx:
         table, timers = make_table(fallback=0, t_timer_us=100.0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 70)
+        table.observe_tx(k, 1, 70)
         entry = table.get(k)
-        assert entry.transition and entry.core_id == 1
+        assert entry.held == [] and entry.core_id == 1
         assert table.stats.transitions_started == 1
         assert timers.scheduled == [k]
 
     def test_unknown_flow(self):
         table, timers = make_table()
-        table.observe_tx(reverse_key(key()), 1, 0)
+        table.observe_tx(key(), 1, 0)
         assert table.get(key()) is None and len(table) == 0
         assert table.stats.transitions_started == 0 and timers.scheduled == []
 
@@ -209,10 +209,10 @@ class TestObserveTx:
         table, timers = make_table(fallback=0, t_timer_us=100.0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 0)
-        table.observe_tx(reverse_key(k), 2, 40_000)
+        table.observe_tx(k, 1, 0)
+        table.observe_tx(k, 2, 40_000)
         entry = table.get(k)
-        assert entry.transition and entry.core_id == 2
+        assert entry.held == [] and entry.core_id == 2
         assert table.stats.transitions_started == 1
         assert timers.scheduled == [k]
 
@@ -238,7 +238,7 @@ class TestSteer:
         table, _ = make_table(fallback=0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(k, 1, 0)
         for seq in (5, 6, 7):
             decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
             assert decision is HELD
@@ -257,29 +257,28 @@ class TestTimerExpiry:
         table, timers = make_table(fallback=0, t_timer_us=1.0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(k, 1, 0)
         for seq in (5, 6, 7):
             table.steer(rx_pkt(k, seq=seq), 10)
         core, flushed = table.on_timer_expire(k, 1000)
         assert core == 1
         assert [seq for (_, _, seq, _), _ in flushed] == [5, 6, 7]
         entry = table.get(k)
-        assert not entry.transition
-        assert entry.held == [] and table.stats.held_bytes == 0
+        assert entry.held is None and table.stats.held_bytes == 0
 
     def test_empty_flush_still_clears(self):
         table, _ = make_table(fallback=0, t_timer_us=1.0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(k, 1, 0)
         core, flushed = table.on_timer_expire(k, 1000)
-        assert flushed == [] and not table.get(k).transition
+        assert flushed == [] and table.get(k).held is None
 
     def test_post_flush_steer_goes_direct_to_new_core(self):
         table, _ = make_table(fallback=0, t_timer_us=1.0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(k, 1, 0)
         table.on_timer_expire(k, 1000)
         decision, core, _ = table.steer(rx_pkt(k), 2000)
         assert decision is DIRECT and core == 1
@@ -317,7 +316,7 @@ class TestAging:
         table, _ = make_table(t_delete_ms=0.00001, t_delete_pressure_ms=0.00001)
         k = key()
         admit(table, k, now=0)
-        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(k, 1, 0)
         table.steer(rx_pkt(k, seq=1), 0)
         assert table.age(10_000) == []
         assert table.get(k) is not None
@@ -328,7 +327,7 @@ class TestAging:
         table.on_rx_connection_tracking(rx_pkt(k, SYN), 0)
         table.age(2000)
         # Handshake must restart from SYN after expiry.
-        table.note_tx_packet(k, reverse_key(k), 2100)
+        table.note_tx_packet(k, 2100)
         assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 2200) is None
 
     def test_rejected_flow_can_retry_after_eviction_frees_the_chain(self):
@@ -341,6 +340,21 @@ class TestAging:
         assert admit(table, late, now=0) is None  # chain full, steered by hash
         table.age(5000)  # blocker idles out
         assert admit(table, late, now=5001) is not None
+
+    def test_the_one_index_follows_a_flow_through_aging_and_readmission(self):
+        table, timers = make_table(fallback=0, t_delete_ms=0.001, t_delete_pressure_ms=0.001)
+        k = key()
+        old = admit(table, k, now=0)
+        assert table.age(1000) == [k]
+        table.observe_tx(k, 1, 1001)  # an ACK of the aged-out flow
+        assert table.get(k) is None and len(table) == 0
+        assert old.core_id == 0 and old.held is None and old.last_activity == 0
+        assert table.stats.transitions_started == 0 and timers.scheduled == []
+        new = admit(table, k, now=2000)
+        assert new is not None and new is not old and table.get(k) is new
+        table.observe_tx(k, 1, 2001)
+        assert new.core_id == 1 and new.held == [] and new.last_activity == 2001
+        assert table.stats.transitions_started == 1 and timers.scheduled == [k]
 
 
 class TestCostModels:
@@ -383,7 +397,7 @@ class TestInvariants:
         table, _ = make_table(fallback=0)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 1, 0)
+        table.observe_tx(k, 1, 0)
         for i, seq in enumerate(seqs):
             table.steer(rx_pkt(k, seq=seq), i)
         _, flushed = table.on_timer_expire(k, nanoseconds(Scenario())["t_timer"])
@@ -395,11 +409,11 @@ class TestInvariants:
         table, _ = make_table(fallback=0, t_timer_us=0.01)
         k = key()
         admit(table, k)
-        table.observe_tx(reverse_key(k), 3, 0)
+        table.observe_tx(k, 3, 0)
         table.on_timer_expire(k, 10)
         for t in range(20, 400, 17):
             decision, core, _ = table.steer(rx_pkt(k), t)
             assert (decision, core) == (DIRECT, 3)
-            table.observe_tx(reverse_key(k), 3, t)
-            assert not table.get(k).transition
+            table.observe_tx(k, 3, t)
+            assert table.get(k).held is None
         assert table.stats.transitions_started == 1

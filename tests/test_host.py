@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import DATA, PROTO_TCP, FlowKey, reverse_key
+from steersim.flows import DATA, PROTO_TCP, FlowKey
 from steersim.host import (
     MODE_PEAK_PERFORMANCE,
     MODE_PINNED,
@@ -74,7 +74,7 @@ class Harness:
             engine, None, self.sim,
         )
         # Record the ACKs the host sends; set before the host binds tx_ack.
-        self.nic.tx_ack = lambda tx_key, core, now: self.acks.append((tx_key, core, now))
+        self.nic.tx_ack = lambda flow, core, now: self.acks.append((flow, core, now))
         self.host = Host(
             cores, self.sim, self.nic, SERVICE_NS, scheduler_mode=scheduler,
             ack_every=ack_every,
@@ -183,8 +183,8 @@ class TestProcessContext:
         # Two ACKs: the per-2-packets one mid-drain, the residue at return.
         assert len(h.acks) == 2
         assert all(core == 1 for _, core, _ in h.acks)
-        # Each ACK carries the flow's transmit-direction key.
-        assert all(tx_key == reverse_key(k) for tx_key, _, _ in h.acks)
+        # Each ACK names the flow by its receive-direction key.
+        assert all(flow is k for flow, _, _ in h.acks)
 
     def test_empty_backlog_syscall_blocks_without_ack(self):
         h = Harness()
@@ -481,13 +481,16 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
             expected = scheduler_oracle.power_moves(host.sockets.values(), host.cores)
             host._converge_power()
         elif kind == "alternate":
-            rotated = [p.allowed_cores[(p.allowed_cores.index(p.core) + 1)
-                                       % len(p.allowed_cores)] for p in host.sockets.values()]
+            rotated = []
+            for p in host.sockets.values():
+                allowed = list(p.next_core)
+                rotated.append(allowed[(allowed.index(p.core) + 1) % len(allowed)])
             host.force_alternate()
             assert [p.core for p in host.sockets.values()] == rotated
         else:
             sock = socks[step[1] % len(socks)]
-            host._migrate(sock, sock.allowed_cores[step[2] % len(sock.allowed_cores)])
+            allowed = list(sock.next_core)
+            host._migrate(sock, allowed[step[2] % len(allowed)])
         if expected is not None:
             assert moves == expected, step
         walked = scheduler_oracle.runnable_counts(host.sockets.values(), len(host.cores))

@@ -1,4 +1,4 @@
-from steersim.flows import ACK, DATA, SYN, PROTO_TCP, FlowKey, reverse_key
+from steersim.flows import ACK, DATA, SYN, PROTO_TCP, FlowKey
 from steersim.flowtable import FlowTable
 from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic
 from steersim.rss import RssEngine
@@ -50,10 +50,10 @@ class Harness:
 
     def admit(self, k, core=None, now=0):
         self.nic.rx(rx_pkt(k, SYN), now)
-        self.nic.tx(k, reverse_key(k), 0, now)  # the SYN-ACK
+        self.nic.tx(k, 0, now)  # the SYN-ACK
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
-            self.nic.tx_ack(reverse_key(k), core, now)
+            self.nic.tx_ack(k, core, now)
             self.sim.run_until(now + self.ns["t_timer"])  # past any flush
         self.clear_rings()
 
@@ -112,13 +112,13 @@ class TestRx:
         h.admit(k, core=1)
         h.nic.rx(rx_pkt(k, seq=5), h.sim.now)
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 1, 0, 0]
-        assert h.table.get(k).held == []
+        assert h.table.get(k).held is None
 
     def test_transition_holds(self):
         h = Harness(fallback=0, t_timer_us=10.0)
         k = key()
         h.admit(k)
-        h.nic.tx_ack(reverse_key(k), 2, 0)
+        h.nic.tx_ack(k, 2, 0)
         h.nic.rx(rx_pkt(k, seq=0), 0)
         assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [0]
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 0, 0]
@@ -158,19 +158,19 @@ class TestTx:
         h = Harness(fallback=0)
         k = key()
         h.admit(k)
-        h.nic.tx_ack(reverse_key(k), 1, 0)
+        h.nic.tx_ack(k, 1, 0)
         entry = h.table.get(k)
-        assert entry.transition and entry.core_id == 1
+        assert entry.held == [] and entry.core_id == 1
         assert h.table.stats.transitions_started == 1
 
     def test_rss_mode_has_no_table_effect(self):
         h = Harness(mode=MODE_RSS)
-        h.nic.tx_ack(reverse_key(key()), 1, 0)
+        h.nic.tx_ack(key(), 1, 0)
         assert h.nic.table is None and h.nic.acks_sent == 1
 
     def test_unknown_flow_descriptor(self):
         h = Harness()
-        h.nic.tx_ack(reverse_key(key()), 1, 0)
+        h.nic.tx_ack(key(), 1, 0)
         assert h.table.get(key()) is None and len(h.table) == 0
         assert h.table.stats.transitions_started == 0 and h.sim.pending() == 0
 
@@ -192,13 +192,13 @@ class TestDrainAndFlush:
         h = Harness(fallback=0, t_timer_us=5.0)
         k = key()
         h.admit(k)
-        h.nic.tx_ack(reverse_key(k), 1, 0)
+        h.nic.tx_ack(k, 1, 0)
         for seq in (5, 6, 7):
             h.nic.rx(rx_pkt(k, seq=seq), h.sim.now)
         assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [5, 6, 7]
         assert len(h.nic.rings[1].slots) == 0
         h.sim.run_until(5_000)  # timer fires, flush to queue 1
-        assert h.table.get(k).held == []
+        assert h.table.get(k).held is None
         h.nic.rx(rx_pkt(k, seq=8), h.sim.now)
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 4, 0, 0]
         seqs = [h.nic.rings[1].slots.popleft()[2] for _ in range(4)]
@@ -210,14 +210,14 @@ class TestDrainAndFlush:
         h = Harness(fallback=0, t_timer_us=5.0)
         k = key()
         h.admit(k)
-        h.nic.tx_ack(reverse_key(k), 1, 0)
+        h.nic.tx_ack(k, 1, 0)
         h.sim.run_until(1_000)
-        h.nic.tx_ack(reverse_key(k), 2, h.sim.now)
+        h.nic.tx_ack(k, 2, h.sim.now)
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(4_999)
         assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [0]
         h.sim.run_until(5_000)
-        assert h.table.get(k).held == [] and h.sim.pending() == 0
+        assert h.table.get(k).held is None and h.sim.pending() == 0
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 1, 0]
         assert h.nic.hold_delays.tolist() == [4_000]
 
@@ -225,7 +225,7 @@ class TestDrainAndFlush:
         h = Harness(fallback=0, t_timer_us=5.0)
         k = key()
         h.admit(k)
-        h.nic.tx_ack(reverse_key(k), 1, 0)
+        h.nic.tx_ack(k, 1, 0)
         h.sim.run_until(1_000)
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(5_000)
