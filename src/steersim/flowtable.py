@@ -34,7 +34,7 @@ class FlowEntry:
 
     __slots__ = ("core_id", "held", "held_bytes", "last_activity", "bucket")
 
-    def __init__(self, core_id: int, last_activity: int = 0, bucket: int = 0):
+    def __init__(self, core_id: int, last_activity: int, bucket: int):
         self.core_id = core_id
         self.held = None
         self.held_bytes = 0  # sum of the packet sizes in `held`
