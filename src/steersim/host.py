@@ -28,12 +28,6 @@ STATE_SLEEPING = 3
 RUNNABLE = (STATE_COMPUTING, STATE_DRAINING)
 
 
-class Core(Record):
-    core_id: int
-    processor_id: int
-    irq_free: int = 0
-
-
 class SocketModel:
     """Per-flow receive socket and the application thread that reads it;
     each thread reads one socket. `key` is the flow's receive-direction key,
@@ -42,13 +36,12 @@ class SocketModel:
     The thread runs on `core`, one of its allowed cores, which are the keys
     of `next_core`, in allowed order. That is the rotation map
     `force_alternate` moves it by, shared by every thread with the same
-    allowed cores. It makes a receive call every `cadence_ns` of compute,
-    or never when that is None; one that calls starts out computing until
-    its first call, one that never calls starts idle. In a receive call its
-    `state` is draining, when the thread owns the socket, or sleeping until
-    data arrives. A packet found during a call, or with the backlog
-    non-empty, must defer to the backlog; processing anything ahead of a
-    non-empty backlog would reorder the flow.
+    allowed cores. `state` starts computing until the first receive call,
+    or idle on a host whose threads make none. In a receive call it is
+    draining, when the thread owns the socket, or sleeping until data
+    arrives. A packet found during a call, or with the backlog non-empty,
+    must defer to the backlog; processing anything ahead of a non-empty
+    backlog would reorder the flow.
 
     The backlog keeps of each deferred frame its `seq` alone, -1 for a
     control frame, which is all `Host._deliver` reads; the frame tuple is
@@ -70,18 +63,16 @@ class SocketModel:
     The cutoff is the time of the flow's last hold-timer flush, or else of
     its first delivery (`restart_warm_up`); -1 until either happens."""
 
-    __slots__ = ("key", "core", "next_core", "cadence_ns", "state",
+    __slots__ = ("key", "core", "next_core", "state",
                  "backlog", "delivered_since_ack", "data", "high", "inversions",
                  "last_core", "alternations", "cutoff", "cross_core", "cross_processor",
                  "core_data", "on_app_core")
 
-    def __init__(self, key, core: int, next_core: dict, cadence_ns: int | None,
-                 num_cores: int):
+    def __init__(self, key, core: int, next_core: dict, state: int, num_cores: int):
         self.key = key
         self.core = core
         self.next_core = next_core
-        self.cadence_ns = cadence_ns
-        self.state = STATE_IDLE if cadence_ns is None else STATE_COMPUTING
+        self.state = state
         self.backlog = []
         self.delivered_since_ack = 0
         self.data = self.inversions = self.alternations = 0
@@ -107,7 +98,7 @@ class HostStats(Record):
 
 
 class _ProcLane:
-    """Serial process-context execution on one core.
+    """Serial process-context execution on core `core_id`.
 
     The queue holds sockets, FIFO. A thread enters receive calls only while
     computing (`Host.submit_syscall`), so it has at most one socket queued
@@ -120,8 +111,8 @@ class _ProcLane:
       due one cadence later;
     - computing: enter the receive call.
     The last two charge nothing. Units run one at a time; dispatch waits for
-    the core's interrupt lane to go idle first. Contending sockets
-    interleave packet by packet, which is timesharing.
+    the core's interrupt lane to go idle first (`Host.irq_free`).
+    Contending sockets interleave packet by packet, which is timesharing.
 
     The two hot ways in, `Host.submit_syscall` and the softirq's wake-up of
     a sleeping thread, skip `submit` when the lane is idle and its core's
@@ -129,9 +120,9 @@ class _ProcLane:
     from an empty queue, so events and their order stay the same.
     """
 
-    def __init__(self, host: "Host", core: Core):
+    def __init__(self, host: "Host", core_id: int):
         self.host = host
-        self.core = core
+        self.core_id = core_id
         self.queue = deque()  # sockets waiting, FIFO
         self.busy = False
         self._resume = self._dispatch  # one bound method for every reschedule
@@ -145,12 +136,13 @@ class _ProcLane:
     def _dispatch(self):
         host = self.host
         sim = host.sim
-        core = self.core
+        irq_free = host.irq_free
+        core_id = self.core_id
         queue = self.queue
         while True:
             now = sim.now
-            if core.irq_free > now:
-                sim.schedule(core.irq_free, self._resume)
+            if irq_free[core_id] > now:
+                sim.schedule(irq_free[core_id], self._resume)
                 return
             if not queue:
                 self.busy = False
@@ -181,8 +173,8 @@ class _ProcLane:
                 sock.delivered_since_ack = 0
                 host._tx_ack(sock.key, app_core, now)
             sock.state = STATE_COMPUTING
-            if sock.cadence_ns is not None:
-                host._call_after[sock.cadence_ns](sock)
+            # Only a host with a cadence has threads in receive calls.
+            host._next_call(sock)
 
 
 class Host:
@@ -190,48 +182,56 @@ class Host:
     simulated run. It drains `nic`'s rings and sends each flow's ACKs
     through `nic.tx_ack`.
 
+    `processors` lists each processor's cores, 0..n-1 in all, as the
+    scenario's `host.processors` does.
+
     `sockets` lists the threads in the order `add_flow` wired them, which
     is socket order.
 
     Every core takes `service_ns` to process one packet, 1/R_service.
+    Every thread makes a receive call `cadence_ns` after its last one
+    returns, or never when that is None.
 
     The scheduler reads runnable threads per core from one count vector,
     kept up to date wherever a thread changes state or core. A tick then
     costs O(cores) unless it has a thread to move."""
 
-    def __init__(self, cores, sim, nic, service_ns: int, scheduler_mode=MODE_PINNED,
-                 ack_every: int = 2):
-        self.cores = cores
+    def __init__(self, processors, sim, nic, service_ns: int, cadence_ns: int | None,
+                 scheduler_mode=MODE_PINNED, ack_every: int = 2):
+        processor_of = {core: proc for proc, group in enumerate(processors) for core in group}
+        num_cores = len(processor_of)
+        self._processor_of = [processor_of[core] for core in range(num_cores)]  # by core id
+        self.irq_free = [0] * num_cores  # by core id, when its interrupt lane is next free
         self.service_ns = service_ns
-        self._processor_of = [core.processor_id for core in cores]  # by core id
         self.sim = sim
         self.scheduler_mode = scheduler_mode
         self.ack_every = ack_every
         self._nic = nic
         self._tx_ack = nic.tx_ack  # (sock.key, core_id, now)
         self.sockets: dict = {}  # by flow key, in socket order
-        self.proc_lanes = [_ProcLane(self, core) for core in cores]
+        self.proc_lanes = [_ProcLane(self, core) for core in range(num_cores)]
         self.migrations = 0  # migrations performed so far
         self.stats = HostStats()
         self._rx_slots = [ring.slots for ring in nic.rings]  # per queue, for the softirq drain
         # Event callables built once instead of once per event. The NIC
         # queues the per-queue interrupt action on a ring's empty edge; it
         # never passes through `Simulator.schedule`, so it may be a partial.
-        nic.interrupts = [partial(self.on_interrupt, q) for q in range(len(cores))]
-        self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(len(cores))]
-        # Per cadence: schedules a socket's next receive call that far
-        # ahead, on a timer line of `submit_syscall`.
-        self._call_after = {}
-        self._runnable = [0] * len(cores)  # runnable threads per core
+        nic.interrupts = [partial(self.on_interrupt, q) for q in range(num_cores)]
+        self._softirq_next = [lambda q=q: self._softirq_step(q) for q in range(num_cores)]
+        # Schedules a socket's next receive call one cadence ahead, on the
+        # timer line of `submit_syscall`; None when threads never call.
+        self._next_call = None
+        if cadence_ns is not None:
+            self._next_call = sim.line(cadence_ns, self.submit_syscall).add
+        self._runnable = [0] * num_cores  # runnable threads per core
         self._rotations: dict[tuple, dict] = {}  # sockets' next_core, by allowed cores
         self._free = []  # sockets of Free threads, in socket order
 
     # -- wiring -----------------------------------------------------------------
 
-    def add_flow(self, key, core: int, allowed_cores: tuple, cadence_ns: int | None):
+    def add_flow(self, key, core: int, allowed_cores: tuple):
         """Give the flow `key` its socket, the last in socket order, read by
-        a thread that starts on `core` and makes a receive call every
-        `cadence_ns` (None: never). `core` is one of the distinct
+        a thread that starts on `core`. `core` is one of the distinct
         `allowed_cores`, and the scheduler moves the thread only among them."""
         next_core = self._rotations.get(allowed_cores)
         if next_core is None:
@@ -239,14 +239,13 @@ class Host:
             # Allowed cores are distinct, so this is a permutation of them.
             rotated = allowed_cores[1:] + allowed_cores[:1]
             next_core = self._rotations[allowed_cores] = dict(zip(allowed_cores, rotated))
-        sock = SocketModel(key, core, next_core, cadence_ns, len(self.cores))
+        state = STATE_IDLE if self._next_call is None else STATE_COMPUTING
+        sock = SocketModel(key, core, next_core, state, len(self.irq_free))
         self.sockets[key] = sock
         if sock.state in RUNNABLE:
             self._runnable[core] += 1
         if len(allowed_cores) > 1:
             self._free.append(sock)
-        if cadence_ns is not None and cadence_ns not in self._call_after:
-            self._call_after[cadence_ns] = self.sim.line(cadence_ns, self.submit_syscall).add
         return sock
 
     def release(self):
@@ -257,7 +256,7 @@ class Host:
         Counters and sockets stay readable; the host takes no events
         afterwards."""
         self._nic.interrupts = None
-        self._softirq_next = self._call_after = None
+        self._softirq_next = self._next_call = None
         for lane in self.proc_lanes:
             lane.host = lane._resume = None
 
@@ -266,7 +265,7 @@ class Host:
     def on_interrupt(self, queue_id: int):
         """Activate the softirq drain loop for a queue. Spurious interrupts
         while it is already active, until its core's `irq_free`, are ignored."""
-        if self.cores[queue_id].irq_free > self.sim.now:
+        if self.irq_free[queue_id] > self.sim.now:
             return
         self.stats.interrupts_serviced += 1
         self._softirq_step(queue_id)
@@ -275,9 +274,9 @@ class Host:
         # The drain is active while a continuation is pending, which is
         # until `irq_free`: only this loop sets it, and always schedules the
         # continuation there. An interrupt fires from the lane, after every
-        # heap event of its instant, the continuation included.
+        # heap event of its instant, the continuation included. Queue i is
+        # core i.
         now = self.sim.now
-        core = self.cores[queue_id]
         slots = self._rx_slots[queue_id]
         while slots:
             packet = slots.popleft()
@@ -294,7 +293,7 @@ class Host:
                     self._runnable[app_core] += 1
                     sock.state = STATE_DRAINING
                     lane = self.proc_lanes[app_core]
-                    if lane.busy or lane.core.irq_free > now:
+                    if lane.busy or self.irq_free[app_core] > now:
                         sock.backlog.append(packet[2])
                         lane.submit(sock)
                         continue
@@ -308,14 +307,15 @@ class Host:
                     self.sim.schedule(now + self.service_ns, lane._resume)
                     continue
                 sock.backlog.append(packet[2])
-                if sock.state == STATE_DRAINING and sock.core != core.core_id:
+                if sock.state == STATE_DRAINING and sock.core != queue_id:
                     self.stats.lock_conflicts += 1
                 continue
             if sock is not None:
                 self.stats.delivered_interrupt += 1
-                self._deliver(packet[2], sock, core.core_id, now)
-            core.irq_free = now + self.service_ns
-            self.sim.schedule(core.irq_free, self._softirq_next[queue_id])
+                self._deliver(packet[2], sock, queue_id, now)
+            free = now + self.service_ns
+            self.irq_free[queue_id] = free
+            self.sim.schedule(free, self._softirq_next[queue_id])
             return
 
     # -- process context ------------------------------------------------------------
@@ -328,7 +328,7 @@ class Host:
         core's interrupt lane is free the call is entered at once; otherwise
         it queues on the lane."""
         lane = self.proc_lanes[sock.core]
-        if lane.busy or lane.core.irq_free > self.sim.now:
+        if lane.busy or self.irq_free[sock.core] > self.sim.now:
             lane.submit(sock)
         else:
             self._syscall_enter(sock)
@@ -429,10 +429,11 @@ class Host:
             self._migrate(sock, idlest)
 
     def _converge_power(self):
-        target_cores = [c.core_id for c in self.cores if c.processor_id == 0]
+        processor_of = self._processor_of
+        target_cores = [c for c, proc_id in enumerate(processor_of) if proc_id == 0]
         counts = self.runnable_counts()
         for sock in self._free:
-            if self.cores[sock.core].processor_id == 0:
+            if processor_of[sock.core] == 0:
                 continue
             options = [c for c in sock.next_core if c in target_cores]
             if not options:

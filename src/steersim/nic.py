@@ -21,11 +21,9 @@ MODE_FLOWSTEER = "flowsteer"
 class RingBuffer:
     """One receive queue: the packets in FIFO order and its counters. The
     NIC appends at the tail (`Nic._enqueue`), the host's softirq drain pops
-    from the head of `slots`."""
+    from the head of `slots`. Ring i is queue i."""
 
-    def __init__(self, queue_id: int, capacity: int):
-        self.queue_id = queue_id
-        self.capacity = capacity
+    def __init__(self):
         self.slots = deque()
         self.enqueued = 0
         self.dropped = 0
@@ -57,7 +55,8 @@ class Nic:
         self._steers = spec.mode == MODE_FLOWSTEER
         self._latency = spec.latency_accounting
         self.interrupts = None  # per-queue interrupt actions, set by the host
-        self.rings = [RingBuffer(q, spec.ring_capacity) for q in range(num_queues)]
+        self.ring_capacity = spec.ring_capacity  # packets per ring
+        self.rings = [RingBuffer() for _ in range(num_queues)]
         self.acks_sent = 0
         self.hold_delays = array("q")  # flush time minus arrival, per held packet
         # The serial lookup pipeline, latency accounting only: when it is
@@ -98,7 +97,7 @@ class Nic:
         ring = self.rings[queue]
         slots = ring.slots
         depth = len(slots)
-        if depth >= ring.capacity:
+        if depth >= self.ring_capacity:
             ring.dropped += 1
             return
         slots.append(packet)

@@ -12,7 +12,7 @@ import os
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, SYN, FlowKey
-from .host import Core, Host, SocketModel
+from .host import Host, SocketModel
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
 from .simkernel import Simulator, make_rng
@@ -53,13 +53,6 @@ class Engine:
         # Scenario.validate ensures each other period is at least 1 ns.
         self._ns = ns = nanoseconds(scenario)
 
-        num_cores = scenario.num_cores()
-        processor_of = {}
-        for proc_id, group in enumerate(scenario.host.processors):
-            for core in group:
-                processor_of[core] = proc_id
-        self.cores = [Core(c, processor_of[c]) for c in range(num_cores)]
-
         self.rss = build_rss_engine(scenario)
         self.table = None
         if scenario.nic.mode == MODE_FLOWSTEER:
@@ -67,15 +60,10 @@ class Engine:
             hold_timer = self.sim.line(ns["t_timer"], self._hold_timer_fired).add
             self.table = FlowTable(scenario.flow_table, ns["t_delete"],
                                    ns["t_delete_pressure"], hold_timer, self.rss.queue_for)
-        self.nic = Nic(scenario.nic, num_cores, self.rss, self.table, self.sim)
-        self.host = Host(
-            self.cores,
-            self.sim,
-            self.nic,
-            ns["service"],
-            scheduler_mode=scenario.scheduler.mode,
-            ack_every=scenario.host.ack_every,
-        )
+        self.nic = Nic(scenario.nic, scenario.num_cores(), self.rss, self.table, self.sim)
+        self.host = Host(scenario.host.processors, self.sim, self.nic, ns["service"],
+                         ns["cadence"], scheduler_mode=scenario.scheduler.mode,
+                         ack_every=scenario.host.ack_every)
         self.generated_data = 0
         self._ran = False
 
@@ -96,28 +84,21 @@ class Engine:
         them: SYN, SYN-ACK, ACK, data in sequence order, then its app's
         first receive call, if the apps make receive calls. Block i is
         stream i, and a data packet is built only when it arrives. The
-        plans let go of their blocks at the hand-over. Wiring draws no
-        randomness and schedules nothing, so it follows the hand-over, and
-        the simulator's sort is done before the sockets exist.
+        blocks are handed over and let go of before the sockets are wired.
+        Wiring draws no randomness and schedules nothing, so it follows the
+        hand-over, and the simulator's sort is done before the sockets exist.
         """
         scenario = self.scenario
-        plans = spawn_streams(scenario, self.rng)
-        cadence_ns = self._ns["cadence"]
-        data_counts = [plan.data_count for plan in plans]
+        keys, blocks, data_counts = spawn_streams(scenario, self.rng)
         self.generated_data += sum(data_counts)
         socks = []  # each stream's socket, filled in by the wiring below
-        blocks = [plan.block for plan in plans]
-        for plan in plans:
-            plan.block = None
         self.sim.schedule_arrivals(blocks, self._arrival_action(socks, data_counts))
-        del blocks  # freed before the sockets are wired
+        del blocks
         cores_of = {port: tuple(rule.cores) for rule in scenario.apps for port in rule.ports}
-        for plan in plans:
-            # Plan i is socket i; its thread starts on the i-th of its cores.
-            cores = cores_of[plan.port]
-            socks.append(self.host.add_flow(
-                plan.key, cores[plan.index % len(cores)], cores, cadence_ns
-            ))
+        for i, key in enumerate(keys):
+            # Stream i is socket i; its thread starts on the i-th of its cores.
+            cores = cores_of[key.dst_port]
+            socks.append(self.host.add_flow(key, cores[i % len(cores)], cores))
 
     def _arrival_action(self, socks: list, data_counts: list):
         """The action for every stream arrival, called with the stream and
@@ -169,8 +150,8 @@ class Engine:
         # migration; its app never calls receive so everything stays in
         # interrupt context and the schedule is exact. The filler flow is
         # never admitted and rides the hash fallback onto the same queue.
-        victim = self.host.add_flow(victim_key, 0, (0,), None)
-        self.host.add_flow(filler_key, 0, (0,), None)
+        victim = self.host.add_flow(victim_key, 0, (0,))
+        self.host.add_flow(filler_key, 0, (0,))
 
         gap = self._ns["handshake_gap"]
         self._schedule_rx(0, (victim_key, SYN, -1, CONTROL_BYTES))
@@ -287,8 +268,8 @@ class Engine:
         queue_stats = {}
         drops = 0
         interrupts = 0
-        for ring in self.nic.rings:
-            queue_stats[ring.queue_id] = {
+        for queue_id, ring in enumerate(self.nic.rings):
+            queue_stats[queue_id] = {
                 "queued": ring.enqueued,
                 "dropped": ring.dropped,
                 "interrupts": ring.interrupts,

@@ -432,13 +432,17 @@ def build_rss_engine(scenario: Scenario) -> RssEngine:
 
 def nanoseconds(scenario: Scenario) -> dict:
     """Every time setting a run reads, in whole ns, by name; None for a
-    period that is off. Each `_us` and `_ms` value truncates toward zero.
+    period that is off, as `cadence` is under kind "worst_case", whose
+    threads make no receive calls, and `tick` under scheduler mode
+    "pinned". Each `_us` and `_ms` value truncates toward zero.
     `service`, the time a core takes to process one packet,
     1e9 / `host.service_rate_pps`, and `inter_burst`, a stream's burst
     period (`inter_burst_ns`), round to the nearest ns and are at least 1.
     This is the one place that converts units."""
     traffic, table, sched = scenario.traffic, scenario.flow_table, scenario.scheduler
     cadence, period = scenario.host.syscall_cadence_us, sched.forced_migration_period_us
+    if scenario.kind == "worst_case":
+        cadence = None
     return {
         "duration": int(scenario.duration_us * US),
         "handshake_gap": int(traffic.handshake_gap_us * US),
@@ -546,26 +550,6 @@ def _shown(value) -> str:
 # ---- stream generation ----------------------------------------------------------
 
 
-class StreamPlan:
-    """One flow's full arrival schedule at the receiver NIC.
-
-    `block` is the flow's arrival block for `Simulator.schedule_arrivals`:
-    runs of three ints each, first_time, count, spacing, for `count`
-    arrivals `spacing` ns apart. Its first run is the SYN, SYN-ACK and ACK,
-    one handshake gap apart; one run per data burst follows, in sequence
-    order, `data_count` data packets in all; when the apps make receive
-    calls, a last run of one is the first call, 1 ns after the ACK."""
-
-    __slots__ = ("index", "key", "port", "block", "data_count")
-
-    def __init__(self, index: int, key: FlowKey, port: int, block, data_count: int):
-        self.index = index
-        self.key = key  # receive direction
-        self.port = port
-        self.block = block
-        self.data_count = data_count
-
-
 def inter_burst_ns(traffic: TrafficSpec) -> float:
     """The time from the start of one burst of a stream to its next, in ns,
     with `link_gbps` shared evenly by the streams; inf when a stream's share
@@ -583,15 +567,24 @@ def assign_ports(traffic: TrafficSpec, rng) -> list:
     return list(range(traffic.ephemeral_start, traffic.ephemeral_start + traffic.streams))
 
 
-def spawn_streams(scenario: Scenario, rng) -> list:
-    """Build every stream's handshake and data arrival schedule.
+def spawn_streams(scenario: Scenario, rng) -> tuple:
+    """Build every stream's handshake and data arrival schedule:
+    `(keys, blocks, data_counts)`, three lists indexed by stream.
 
     Streams split evenly across the destination ports; each gets a unique
     source port, a staggered start, a SYN / SYN-ACK / ACK exchange and then
     bursts of data packets with gapless per-flow sequence numbers. A burst
     is kept as one run of evenly spaced packets, not packet by packet.
-    Each block is an `array('q')` of machine ints, or a list of Python ints
-    when some value of the scenario's blocks could reach 2^63.
+
+    `keys[i]` is stream i's receive-direction key. `blocks[i]` is its
+    arrival block for `Simulator.schedule_arrivals`: runs of three ints
+    each, first_time, count, spacing, for `count` arrivals `spacing` ns
+    apart. Its first run is the SYN, SYN-ACK and ACK, one handshake gap
+    apart; one run per data burst follows, in sequence order,
+    `data_counts[i]` data packets in all; when the apps make receive calls,
+    a last run of one is the first call, 1 ns after the ACK. Each block is
+    an `array('q')` of machine ints, or a list of Python ints when some
+    value of the scenario's blocks could reach 2^63.
     """
     traffic = scenario.traffic
     ports = assign_ports(traffic, rng)
@@ -610,18 +603,16 @@ def spawn_streams(scenario: Scenario, rng) -> list:
     getrandbits = rng.getrandbits
     bound = jitter_ns + 1
     bits = bound.bit_length()
-    calls = scenario.host.syscall_cadence_us is not None
+    calls = ns["cadence"] is not None
     # Data times stay below the horizon and counts within `wanted`.
     last_ack = (traffic.streams - 1) * spread // traffic.streams + 2 * gap
     top = max(duration, last_ack + 1, spacing, wanted)
     new_block = partial(array, "q") if top < 2**63 else list
 
-    plans = []
+    keys, blocks, data_counts = [], [], []
     for i in range(traffic.streams):
         dst_port = traffic.ports[i % len(traffic.ports)]
-        key = FlowKey(
-            traffic.src_addr, traffic.dst_addr, PROTO_TCP, ports[i], dst_port
-        )
+        keys.append(FlowKey(traffic.src_addr, traffic.dst_addr, PROTO_TCP, ports[i], dst_port))
         start = (i * spread) // traffic.streams
         block = new_block((start, 3, gap))
         extend = block.extend
@@ -652,5 +643,6 @@ def spawn_streams(scenario: Scenario, rng) -> list:
             t += inter_burst
         if calls:
             extend((start + 2 * gap + 1, 1, 0))
-        plans.append(StreamPlan(i, key, dst_port, block, wanted - left))
-    return plans
+        blocks.append(block)
+        data_counts.append(wanted - left)
+    return keys, blocks, data_counts

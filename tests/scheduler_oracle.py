@@ -51,15 +51,16 @@ def peak_moves(socks, num_cores: int) -> list[tuple[int, int]]:
         moves.append((sock.key, idlest))
 
 
-def power_moves(socks, cores) -> list[tuple[int, int]]:
+def power_moves(socks, processors) -> list[tuple[int, int]]:
     """The (key, core) moves of one power-saving tick, in socket order: each
     Free thread off processor 0 goes to the least counted of its allowed
-    cores on processor 0, if it has one."""
-    target_cores = [c.core_id for c in cores if c.processor_id == 0]
-    counts = runnable_counts(socks, len(cores))
+    cores on processor 0, if it has one. `processors` lists each
+    processor's cores, as `host.processors` does."""
+    target_cores = processors[0]
+    counts = runnable_counts(socks, sum(len(group) for group in processors))
     moves = []
     for sock in socks:
-        if len(sock.next_core) == 1 or cores[sock.core].processor_id == 0:
+        if len(sock.next_core) == 1 or sock.core in target_cores:
             continue
         options = [c for c in sock.next_core if c in target_cores]
         if not options:

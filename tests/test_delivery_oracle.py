@@ -20,7 +20,7 @@ from delivery_oracle import (
     warm_up_end,
 )
 from steersim.flows import DATA, PROTO_TCP, FlowKey
-from steersim.host import Core, Host
+from steersim.host import Host
 from steersim.nic import Nic
 from steersim.rss import RssEngine
 from steersim.runner import Engine
@@ -125,12 +125,12 @@ FIGURES = ("delivered_data", "reordering_ratio", "flow_affinity", "data_affinity
            "cross_core_packets", "cross_processor_packets", "alternations")
 
 
-def _host(num_cores=4):
-    """A host over a plain-RSS NIC; processors hold two cores each."""
+def _host():
+    """A four-core host over a plain-RSS NIC; processors hold two cores
+    each, and threads make no receive calls."""
     sim = Simulator()
-    cores = [Core(c, c // 2) for c in range(num_cores)]
-    nic = Nic(NicSpec(mode="rss"), num_cores, RssEngine(num_queues=num_cores), None, sim)
-    return Host(cores, sim, nic, 333)
+    nic = Nic(NicSpec(mode="rss"), 4, RssEngine(num_queues=4), None, sim)
+    return Host(((0, 1), (2, 3)), sim, nic, 333, None)
 
 
 deliveries_and_flushes = st.lists(
@@ -151,7 +151,7 @@ def test_socket_tallies_match_the_oracle(events):
     # One flow's deliveries and flushes, fed straight to the host in time
     # order, some at one instant; its tallies against the oracle's scans.
     host = _host()
-    sock = host.add_flow(key(), 0, (0, 1, 2, 3), None)
+    sock = host.add_flow(key(), 0, (0, 1, 2, 3))
     now = 0
     flushes = {}
     with pytest.MonkeyPatch.context() as mp:

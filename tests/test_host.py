@@ -11,7 +11,6 @@ from steersim.host import (
     STATE_DRAINING,
     STATE_IDLE,
     STATE_SLEEPING,
-    Core,
     Host,
 )
 from steersim.nic import MODE_RSS, Nic
@@ -56,16 +55,14 @@ def entered(monkeypatch):
 
 class Harness:
     """Host over a real NIC in plain RSS mode so steering is hash-only and
-    the host behaviour is isolated."""
+    the host behaviour is isolated. Its threads make a receive call every
+    `cadence_ns`, or never when that is None."""
 
-    def __init__(self, num_cores=4, scheduler=MODE_PINNED, ack_every=2,
-                 processors=((0, 1), (2, 3))):
+    def __init__(self, scheduler=MODE_PINNED, ack_every=2, processors=((0, 1), (2, 3)),
+                 cadence_ns=None):
         self.sim = Simulator()
-        proc_of = {}
-        for proc_id, group in enumerate(processors):
-            for c in group:
-                proc_of[c] = proc_id
-        cores = [Core(c, proc_of.get(c, 0)) for c in range(num_cores)]
+        self.processors = processors
+        self.num_cores = num_cores = sum(len(group) for group in processors)
         engine = RssEngine(num_queues=num_cores)
         self.acks = []
         # The host installs its interrupt actions on the NIC it attaches to.
@@ -76,12 +73,12 @@ class Harness:
         # Record the ACKs the host sends; set before the host binds tx_ack.
         self.nic.tx_ack = lambda flow, core, now: self.acks.append((flow, core, now))
         self.host = Host(
-            cores, self.sim, self.nic, SERVICE_NS, scheduler_mode=scheduler,
+            processors, self.sim, self.nic, SERVICE_NS, cadence_ns, scheduler_mode=scheduler,
             ack_every=ack_every,
         )
 
-    def flow(self, k, core=0, allowed=None, cadence_ns=None):
-        return self.host.add_flow(k, core, tuple(allowed) if allowed else (core,), cadence_ns)
+    def flow(self, k, core=0, allowed=None):
+        return self.host.add_flow(k, core, tuple(allowed) if allowed else (core,))
 
     def threads(self):
         """The host's sockets, one per thread, in socket order."""
@@ -136,18 +133,19 @@ class TestInterruptContext:
 
 class TestProcessContext:
     def test_process_starts_idle_only_without_cadence(self):
-        h = Harness()
-        idle = h.flow(key(sport=1))
-        calling = h.flow(key(sport=2), cadence_ns=100_000)
+        idle_host, calling_host = Harness(), Harness(cadence_ns=100_000)
+        idle = idle_host.flow(key(sport=1))
+        calling = calling_host.flow(key(sport=2))
         assert (idle.state, calling.state) == (STATE_IDLE, STATE_COMPUTING)
-        assert h.host.runnable_counts() == [1, 0, 0, 0]
+        assert idle_host.host.runnable_counts() == [0, 0, 0, 0]
+        assert calling_host.host.runnable_counts() == [1, 0, 0, 0]
 
     def test_backlog_drained_on_app_core(self, logs):
         # The app sleeps in its receive call on core 1 when four packets
         # reach queue 0 at once; each defers to the backlog, the first wakes it.
-        h = Harness()
+        h = Harness(cadence_ns=100_000)
         k = key()
-        sock = h.flow(k, core=1, cadence_ns=100_000)
+        sock = h.flow(k, core=1)
         h.first_call(sock, at=10)
         for seq in range(4):
             h.inject(k, seq, at=500, queue=0)
@@ -158,9 +156,9 @@ class TestProcessContext:
         assert (h.host.stats.delivered_interrupt, h.host.stats.delivered_process) == (0, 4)
 
     def test_sleeping_receiver_woken_by_arrival(self, logs):
-        h = Harness()
+        h = Harness(cadence_ns=100_000)
         k = key()
-        sock = h.flow(k, core=1, cadence_ns=100_000)
+        sock = h.flow(k, core=1)
         h.first_call(sock, at=0)
         h.sim.run_until(10)
         assert sock.state == STATE_SLEEPING
@@ -172,9 +170,9 @@ class TestProcessContext:
         assert logs[k][0].core == 1
 
     def test_ack_emitted_every_k_and_at_syscall_return(self):
-        h = Harness(ack_every=2)
+        h = Harness(ack_every=2, cadence_ns=100_000)
         k = key()
-        sock = h.flow(k, core=1, cadence_ns=100_000)
+        sock = h.flow(k, core=1)
         h.first_call(sock, at=0)
         for seq in range(3):
             h.inject(k, seq, at=500, queue=0)
@@ -187,8 +185,8 @@ class TestProcessContext:
         assert all(flow is k for flow, _, _ in h.acks)
 
     def test_empty_backlog_syscall_blocks_without_ack(self):
-        h = Harness()
-        sock = h.flow(key(), core=1, cadence_ns=100_000)
+        h = Harness(cadence_ns=100_000)
+        sock = h.flow(key(), core=1)
         h.first_call(sock, at=0)
         h.sim.run_until(1_000)
         assert h.acks == []
@@ -196,9 +194,9 @@ class TestProcessContext:
 
     def test_deferred_then_drained_exactly_once(self, logs):
         # Packets arriving while owned are delivered once, in process context.
-        h = Harness()
+        h = Harness(cadence_ns=50_000)
         k = key()
-        sock = h.flow(k, core=0, cadence_ns=50_000)
+        sock = h.flow(k, core=0)
         h.first_call(sock, at=0)
         for seq in range(6):
             h.inject(k, seq, at=100 + seq * 100, queue=0)
@@ -208,9 +206,9 @@ class TestProcessContext:
 
     def test_alternation_under_rss_split_placement(self, logs):
         # Interrupts on core 0, app on core 1: deliveries use both cores.
-        h = Harness()
+        h = Harness(cadence_ns=3_000)
         k = key()
-        sock = h.flow(k, core=1, cadence_ns=3_000)
+        sock = h.flow(k, core=1)
         h.first_call(sock, at=0)
         for seq in range(40):
             h.inject(k, seq, at=1_000 + seq * 2_000, queue=0)
@@ -228,8 +226,8 @@ class TestProcessContext:
     # wake-up at once; in every other case the socket queues on the lane.
 
     def test_call_on_idle_lane_sleeps_at_once(self, entered):
-        h = Harness()
-        sock = h.flow(key(), core=1, cadence_ns=100_000)
+        h = Harness(cadence_ns=100_000)
+        sock = h.flow(key(), core=1)
         h.first_call(sock, at=1_000)
         h.sim.run_until(1_000)
         assert entered == [(0, 1_000)]
@@ -239,18 +237,19 @@ class TestProcessContext:
         assert h.host.runnable_counts() == [0, 0, 0, 0]
 
     def test_call_waits_for_the_cores_softirq(self, entered):
-        # Three packets of an idle app keep core 1's softirq busy until
-        # 3 x SERVICE_NS; a call made meanwhile on core 1 waits for it.
-        h = Harness()
+        # Three packets of an app that never enters a call keep core 1's
+        # softirq busy until 3 x SERVICE_NS; a call made meanwhile on core 1
+        # waits for it.
+        h = Harness(cadence_ns=100_000)
         other = key(sport=1)
         h.flow(other, core=1)
-        sock = h.flow(key(sport=2), core=1, cadence_ns=100_000)
+        sock = h.flow(key(sport=2), core=1)
         for seq in range(3):
             h.inject(other, seq, at=0, queue=1)
         h.first_call(sock, at=100)
         h.sim.run_until(3 * SERVICE_NS - 1)
         lane = h.host.proc_lanes[1]
-        assert h.host.cores[1].irq_free == 3 * SERVICE_NS
+        assert h.host.irq_free[1] == 3 * SERVICE_NS
         assert sock.state == STATE_COMPUTING
         assert lane.busy and list(lane.queue) == [sock]
         h.sim.run_until(10_000)
@@ -262,10 +261,10 @@ class TestProcessContext:
         # A drains three packets on core 1 from t=100; B's call at t=200
         # queues behind A and is entered when the lane reaches B, at A's
         # second service slot. A's last packet follows it at once.
-        h = Harness()
+        h = Harness(cadence_ns=100_000)
         ka = key(sport=1)
-        a = h.flow(ka, core=1, cadence_ns=100_000)
-        b = h.flow(key(sport=2), core=1, cadence_ns=100_000)
+        a = h.flow(ka, core=1)
+        b = h.flow(key(sport=2), core=1)
         h.first_call(a, at=0)
         for seq in range(3):
             h.inject(ka, seq, at=100, queue=0)
@@ -279,9 +278,9 @@ class TestProcessContext:
         assert (a.state, b.state) == (STATE_COMPUTING, STATE_SLEEPING)
 
     def test_wake_up_on_idle_lane_delivers_at_arrival(self, logs):
-        h = Harness()
+        h = Harness(cadence_ns=100_000)
         k = key()
-        sock = h.flow(k, core=1, cadence_ns=100_000)
+        sock = h.flow(k, core=1)
         h.first_call(sock, at=0)
         for seq in range(2):
             h.inject(k, seq, at=500, queue=0)
@@ -295,13 +294,13 @@ class TestProcessContext:
         assert sock.state == STATE_COMPUTING
 
     def test_wake_up_waits_for_the_cores_softirq(self, logs):
-        # Core 1's softirq serves an idle app's three packets until
-        # 3 x SERVICE_NS; a sleeper on core 1 woken at t=100 from queue 0
+        # Core 1's softirq serves three packets of an app that never enters
+        # a call until 3 x SERVICE_NS; a sleeper on core 1 woken at t=100 from queue 0
         # gets its packet when the softirq is done.
-        h = Harness()
+        h = Harness(cadence_ns=100_000)
         other, k = key(sport=1), key(sport=2)
         h.flow(other, core=1)
-        sock = h.flow(k, core=1, cadence_ns=100_000)
+        sock = h.flow(k, core=1)
         h.first_call(sock, at=0)
         for seq in range(3):
             h.inject(other, seq, at=0, queue=1)
@@ -314,10 +313,10 @@ class TestProcessContext:
         # A drains three packets on core 1 from t=100; B, asleep on core 1,
         # is woken at t=200 and waits behind A: its packet goes at A's
         # second service slot, ahead of A's last packet.
-        h = Harness()
+        h = Harness(cadence_ns=100_000)
         ka, kb = key(sport=1), key(sport=2)
-        a = h.flow(ka, core=1, cadence_ns=100_000)
-        b = h.flow(kb, core=1, cadence_ns=100_000)
+        a = h.flow(ka, core=1)
+        b = h.flow(kb, core=1)
         h.first_call(a, at=0)
         h.first_call(b, at=0)
         for seq in range(3):
@@ -372,11 +371,10 @@ class TestScheduler:
         assert [p.core for p in h.threads()] == [0, 0]
 
     def test_peak_performance_balances(self):
-        h = Harness(scheduler=MODE_PEAK_PERFORMANCE, num_cores=2,
-                    processors=((0, 1),))
+        h = Harness(scheduler=MODE_PEAK_PERFORMANCE, processors=((0, 1),), cadence_ns=50_000)
         # Only a process that makes receive calls is runnable.
-        h.flow(key(sport=1), core=0, allowed=(0, 1), cadence_ns=50_000)
-        h.flow(key(sport=2), core=0, allowed=(0, 1), cadence_ns=50_000)
+        h.flow(key(sport=1), core=0, allowed=(0, 1))
+        h.flow(key(sport=2), core=0, allowed=(0, 1))
         h.host.scheduler_tick()
         assert h.host.migrations == 1
         # The first in socket order moves first.
@@ -410,9 +408,8 @@ class TestScheduler:
 ALLOWED_SETS = ((0,), (2,), (0, 1), (1, 2, 3), (3, 0, 2), (0, 1, 2, 3))
 
 threads = st.lists(
-    # (allowed cores, which of them to start on, receive-call cadence)
-    st.tuples(st.sampled_from(ALLOWED_SETS), st.integers(0, 3),
-              st.sampled_from([None, 700, 2_000])),
+    # (allowed cores, which of them to start on)
+    st.tuples(st.sampled_from(ALLOWED_SETS), st.integers(0, 3)),
     min_size=1, max_size=8,
 )
 host_steps = st.lists(
@@ -429,21 +426,21 @@ host_steps = st.lists(
 )
 
 
-@given(threads, host_steps)
+@given(st.sampled_from([None, 700, 2_000]), threads, host_steps)
 @settings(max_examples=200, deadline=None)
-def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
-    # One host driven through first receive calls (which sleep), packet
-    # arrivals (which wake sleepers and fill backlogs), time passing (drains
-    # and later calls), peak and power ticks, forced rotations and direct
+def test_scheduler_counts_and_moves_match_the_walk(cadence, specs, steps):
+    # One host, whose threads make receive calls at one cadence or never,
+    # driven through first receive calls (which sleep), packet arrivals
+    # (which wake sleepers and fill backlogs), time passing (drains and
+    # later calls), peak and power ticks, forced rotations and direct
     # migrations. After every step the host's runnable counts equal a walk
     # over its sockets' threads, a tick moves what the walk would, in order,
     # and a rotation moves every thread to the next of its allowed cores.
-    h = Harness()
+    h = Harness(cadence_ns=cadence)
     host = h.host
     socks = [
-        h.flow(key(sport=1000 + i), core=allowed[start % len(allowed)],
-               allowed=allowed, cadence_ns=cadence)
-        for i, (allowed, start, cadence) in enumerate(specs)
+        h.flow(key(sport=1000 + i), core=allowed[start % len(allowed)], allowed=allowed)
+        for i, (allowed, start) in enumerate(specs)
     ]
     called = set()  # sockets whose first receive call has been issued
     moves = []
@@ -463,7 +460,7 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
             # As in an engine run: a thread with a cadence gets its first
             # call once, from outside; it issues every later one itself.
             sock = socks[step[1] % len(socks)]
-            if sock.cadence_ns is not None and sock not in called:
+            if cadence is not None and sock not in called:
                 called.add(sock)
                 host.submit_syscall(sock)
                 h.sim.run_until(h.sim.now)
@@ -475,10 +472,10 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
         elif kind == "advance":
             h.sim.run_until(h.sim.now + step[1])
         elif kind == "peak":
-            expected = scheduler_oracle.peak_moves(host.sockets.values(), len(host.cores))
+            expected = scheduler_oracle.peak_moves(host.sockets.values(), h.num_cores)
             host._balance_peak()
         elif kind == "power":
-            expected = scheduler_oracle.power_moves(host.sockets.values(), host.cores)
+            expected = scheduler_oracle.power_moves(host.sockets.values(), h.processors)
             host._converge_power()
         elif kind == "alternate":
             rotated = []
@@ -493,5 +490,5 @@ def test_scheduler_counts_and_moves_match_the_walk(specs, steps):
             host._migrate(sock, allowed[step[2] % len(allowed)])
         if expected is not None:
             assert moves == expected, step
-        walked = scheduler_oracle.runnable_counts(host.sockets.values(), len(host.cores))
+        walked = scheduler_oracle.runnable_counts(host.sockets.values(), h.num_cores)
         assert host.runnable_counts() == walked, step

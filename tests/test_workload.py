@@ -67,78 +67,81 @@ def worst_case():
 WORST_CASE_UNREAD = {condition: paths for condition, _, paths in UNREAD}["kind 'worst_case'"]
 
 
-def ack_at(plan) -> int:
-    """When a plan's ACK arrives: the third arrival of its handshake run."""
-    syn_at, _, gap = plan.block[:3]
+def ack_at(block) -> int:
+    """When a stream's ACK arrives: the third arrival of its handshake run."""
+    syn_at, _, gap = block[:3]
     return syn_at + 2 * gap
 
 
-def data_runs(plan) -> list:
-    """A plan's data runs: the runs of its block after the handshake's that
-    hold its `data_count` packets."""
-    runs, left = [], plan.data_count
+def data_runs(block, data_count: int) -> list:
+    """A stream's data runs: the runs of its block after the handshake's
+    that hold its `data_count` packets."""
+    runs, left = [], data_count
     while left:
-        first, count, spacing = plan.block[len(runs) + 3:len(runs) + 6]
+        first, count, spacing = block[len(runs) + 3:len(runs) + 6]
         runs += (first, count, spacing)
         left -= count
     return runs
 
 
-def data_times(plan) -> list:
-    """A plan's data arrival times, its runs expanded packet by packet."""
-    runs = iter(data_runs(plan))
+def data_times(block, data_count: int) -> list:
+    """A stream's data arrival times, its runs expanded packet by packet."""
+    runs = iter(data_runs(block, data_count))
     return [t + k * spacing for t, count, spacing in zip(runs, runs, runs) for k in range(count)]
 
 
 class TestSpawnStreams:
     def test_forty_streams_forty_handshakes(self):
-        plans = spawn_streams(scenario(40), make_rng(1))
-        assert len(plans) == 40
-        assert len({p.key for p in plans}) == 40
-        for p in plans:
-            _, count, gap = p.block[:3]
+        keys, blocks, data_counts = spawn_streams(scenario(40), make_rng(1))
+        assert len(keys) == len(blocks) == len(data_counts) == 40
+        assert len(set(keys)) == 40
+        for block in blocks:
+            _, count, gap = block[:3]
             assert count == 3 and gap > 0
 
     def test_two_streams_distinct_keys(self):
-        plans = spawn_streams(scenario(2), make_rng(1))
-        assert plans[0].key != plans[1].key
-        assert plans[0].key.src_port != plans[1].key.src_port
+        keys, _, _ = spawn_streams(scenario(2), make_rng(1))
+        assert keys[0] != keys[1]
+        assert keys[0].src_port != keys[1].src_port
 
     def test_streams_split_across_ports(self):
-        plans = spawn_streams(scenario(10), make_rng(1))
-        assert {p.port for p in plans} == {5001, 6001}
+        keys, _, _ = spawn_streams(scenario(10), make_rng(1))
+        assert [k.dst_port for k in keys] == [5001, 6001] * 5
 
     def test_zero_data_scenario_is_handshakes_only(self):
-        plans = spawn_streams(scenario(4, data_packets_per_stream=0), make_rng(1))
+        _, blocks, data_counts = spawn_streams(scenario(4, data_packets_per_stream=0),
+                                               make_rng(1))
         # The handshake run, then the first receive call 1 ns after the ACK.
-        assert all(list(p.block[3:]) == [ack_at(p) + 1, 1, 0] and p.data_count == 0
-                   for p in plans)
+        assert all(list(b[3:]) == [ack_at(b) + 1, 1, 0] for b in blocks)
+        assert data_counts == [0] * 4
 
     def test_zero_duration_scenario_is_handshakes_only(self):
         s = scenario(4)
         s.duration_us = 0.0
-        plans = spawn_streams(s.validate(), make_rng(1))
-        assert len(plans) == 4
-        assert all(data_runs(p) == [] and p.data_count == 0 for p in plans)
+        keys, blocks, data_counts = spawn_streams(s.validate(), make_rng(1))
+        assert len(keys) == 4
+        assert all(data_runs(b, n) == [] and n == 0 for b, n in zip(blocks, data_counts))
 
     def test_data_times_past_64_bits_stay_exact(self):
         # Stream 1 starts at 1e19 ns, past 2**63: its times are exact ints.
         s = scenario(2, data_packets_per_stream=3, start_spread_us=2e16)
         s.duration_us = 3e16
-        first, second = spawn_streams(s.validate(), make_rng(1))
-        assert max(data_times(first)) < 2**63
-        times = data_times(second)
-        assert len(times) == second.data_count == 3 and min(times) >= 10**19
+        _, (first, second), (first_count, second_count) = spawn_streams(s.validate(),
+                                                                        make_rng(1))
+        assert max(data_times(first, first_count)) < 2**63
+        times = data_times(second, second_count)
+        assert len(times) == second_count == 3 and min(times) >= 10**19
         assert times[0] == ack_at(second) + int(s.traffic.handshake_gap_us * 1000)
-        assert type(first.block) is list and type(second.block) is list
+        assert type(first) is list and type(second) is list
 
     @given(st.integers(1, 64), st.integers(0, 200_000))
     @settings(max_examples=30, deadline=None)
     def test_sequence_times_strictly_increasing(self, streams, jitter):
         s = scenario(streams, data_packets_per_stream=20, jitter_ns=jitter,
                      link_gbps=0.6 * streams, burst=4)  # 50k pps per stream
-        for plan in spawn_streams(s, make_rng(7)):
-            times = data_times(plan)
+        _, blocks, data_counts = spawn_streams(s, make_rng(7))
+        for block, data_count in zip(blocks, data_counts):
+            times = data_times(block, data_count)
             assert all(b > a for a, b in zip(times, times[1:]))
 
     # At 200k packets/s per stream a burst gets 5 us per packet: wider spacing makes
@@ -160,13 +163,13 @@ class TestSpawnStreams:
                      start_spread_us=10.0)
         s.duration_us = duration_us
         rng, ref_rng = make_rng(5), make_rng(5)
-        plans = spawn_streams(s, rng)
+        _, blocks, data_counts = spawn_streams(s, rng)
         assign_ports(s.traffic, ref_rng)
         duration = int(duration_us * 1000)
         inter_burst = nanoseconds(s)["inter_burst"]
-        for plan in plans:
+        for block, data_count in zip(blocks, data_counts):
             times = []
-            t = ack_at(plan) + 1_000
+            t = ack_at(block) + 1_000
             while len(times) < wanted and t < duration:
                 burst_t = t + (ref_rng.randrange(0, jitter + 1) if jitter else 0)
                 if times:
@@ -177,9 +180,9 @@ class TestSpawnStreams:
                     if burst_t + b * spacing < duration:
                         times.append(burst_t + b * spacing)
                 t += inter_burst
-            assert data_times(plan) == times
-            assert plan.data_count == len(times)
-            runs = data_runs(plan)
+            assert data_times(block, data_count) == times
+            assert data_count == len(times)
+            runs = data_runs(block, data_count)
             assert set(runs[2::3]) <= {spacing} and all(runs[1::3])
         assert rng.getstate() == ref_rng.getstate()
 
@@ -189,22 +192,21 @@ class TestSpawnStreams:
     def test_bundled_blocks_are_machine_ints(self, path):
         s = Scenario.load(path)
         calls = s.host.syscall_cadence_us is not None
-        plans = spawn_streams(s, make_rng(1))
-        for plan in plans:
-            block = plan.block
+        _, blocks, data_counts = spawn_streams(s, make_rng(1))
+        for block, data_count in zip(blocks, data_counts):
             assert type(block) is array and block.typecode == "q"
-            assert len(block) == 3 + len(data_runs(plan)) + 3 * calls
-        assert sum(p.data_count for p in plans) > 0
+            assert len(block) == 3 + len(data_runs(block, data_count)) + 3 * calls
+        assert sum(data_counts) > 0
 
     @pytest.mark.parametrize("spacing, kind", [(2**63 - 1, array), (2**63, list)])
     def test_blocks_turn_to_lists_at_2_63(self, spacing, kind):
         # A spacing of 2**63 ns or more, or any time that may reach 2**63,
         # makes every block a list of exact Python ints.
         s = scenario(2, data_packets_per_stream=3, burst_spacing_ns=spacing)
-        plans = spawn_streams(s.validate(), make_rng(1))
-        assert all(type(p.block) is kind for p in plans)
-        assert [p.data_count for p in plans] == [1, 1]
-        assert all(data_runs(p)[2] == spacing for p in plans)
+        _, blocks, data_counts = spawn_streams(s.validate(), make_rng(1))
+        assert all(type(b) is kind for b in blocks)
+        assert data_counts == [1, 1]
+        assert all(data_runs(b, n)[2] == spacing for b, n in zip(blocks, data_counts))
 
     def test_random_ports_unique(self):
         s = scenario(2000, ephemeral_ports="random")
@@ -964,6 +966,16 @@ class TestNanoseconds:
         assert s.scheduler.mode == "pinned" and s.scheduler.forced_migration_period_us is None
         ns = nanoseconds(s)
         assert (ns["tick"], ns["alternate"], ns["cadence"]) == (None, None, None)
+
+    def test_the_worst_case_has_no_receive_call_line(self):
+        # Its threads make no receive calls, so its host gets no timer line
+        # for them, though `host.syscall_cadence_us` keeps its default.
+        s = bundled("worstcase")
+        assert s.host.syscall_cadence_us is not None
+        assert nanoseconds(s)["cadence"] is None
+        engine = Engine(s, 1)
+        assert engine.host._next_call is None
+        assert all(line.handler != engine.host.submit_syscall for line in engine.sim._lines)
 
     def test_the_engine_is_built_with_these_values(self):
         s = bundled("memory10g")
