@@ -50,10 +50,11 @@ def git(*args, cwd=ROOT) -> str:
     return proc.stdout.strip()
 
 
-def extract(rev: str, tree: Path):
-    """Write the files committed at `rev` into the new directory `tree`."""
+def extract(rev: str, tree: Path, repo: Path = ROOT):
+    """Write the files committed at `rev` in the repository `repo` into the
+    new directory `tree`."""
     archive = tree.with_name(tree.name + ".tar")
-    git("archive", "--format=tar", "-o", str(archive), rev)
+    git("archive", "--format=tar", "-o", str(archive), rev, cwd=repo)
     with tarfile.open(archive) as tar:
         tar.extractall(tree, filter="data")
     archive.unlink()

@@ -6,7 +6,7 @@ application runs from the core id on its outgoing packets and holds packets
 briefly across core changes to keep delivery in order.
 """
 
-from .flows import FlowKey, reverse_key
+from .flows import FlowKey
 from .runner import Engine, RunResult, run_scenario
 from .workload import Scenario
 
@@ -15,7 +15,6 @@ __all__ = [
     "FlowKey",
     "RunResult",
     "Scenario",
-    "reverse_key",
     "run_scenario",
 ]
 

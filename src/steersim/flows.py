@@ -1,19 +1,20 @@
 """Flow identity, simulated frames and the record base class.
 
-A received frame is the plain tuple `(key, kind, seq, size)`: `key` is its
-flow's receive-direction `FlowKey`, `kind` one of `KINDS`, `seq` a gapless
-per-flow sequence number for DATA and -1 for control frames, and `size`
-its length in bytes. The engine builds one as the frame arrives; the model
-unpacks it and keeps no state on it, so a frame held by the steering table
-sits there beside the time it was held at (`FlowEntry.held`). A socket
-backlog keeps of a deferred frame only its `seq`, which tells data from
-control, and the tuple is freed as it is deferred.
+A received frame is the plain tuple `(key, kind, seq)`: `key` is its
+flow's receive-direction `FlowKey`, `kind` one of `KINDS`, and `seq` a
+gapless per-flow sequence number for DATA and -1 for control frames. Every
+data frame is `traffic.packet_bytes` long, so a frame does not carry its
+size. The engine builds one as the frame arrives; the model unpacks it and
+keeps no state on it, so a frame held by the steering table sits there
+beside the time it was held at (`FlowEntry.held`). A socket backlog keeps
+of a deferred frame only its `seq`, which tells data from control, and the
+tuple is freed as it is deferred.
 """
 
 from typing import NamedTuple
 
+# The protocol byte RSS hashes when `rss.fields` names "protocol".
 PROTO_TCP = 6
-PROTO_UDP = 17
 
 # Packet kinds.
 SYN = "SYN"
@@ -23,26 +24,13 @@ KINDS = (SYN, ACK, DATA)
 
 
 class FlowKey(NamedTuple):
-    """Transport 5-tuple, always expressed in the receive direction.
+    """A flow's receive-direction port pair. Every flow of a run is TCP
+    between one address pair, which the RSS engine and the flow table take
+    at wiring. A tuple, so hashing and equality run in C on every table
+    and socket lookup."""
 
-    A tuple, so hashing and equality run in C on every table and socket
-    lookup.
-    """
-
-    src_addr: str
-    dst_addr: str
-    protocol: int
     src_port: int
     dst_port: int
-
-
-def reverse_key(key: FlowKey) -> FlowKey:
-    """Map an outgoing packet's 5-tuple to its receive-direction flow key.
-
-    Swaps addresses and ports, keeps the protocol; applying it twice is the
-    identity.
-    """
-    return FlowKey(key.dst_addr, key.src_addr, key.protocol, key.dst_port, key.src_port)
 
 
 class Record:

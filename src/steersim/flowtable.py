@@ -1,6 +1,6 @@
 """NIC-resident flow-to-core steering table.
 
-Maps receive-direction 5-tuples to the core that should consume them.
+Maps receive-direction flow keys to the core that should consume them.
 Entries are created when a three-way handshake completes, updated by the
 core id carried on outgoing packets, and aged out on idle timeout. A core
 change puts the entry into a transition state that holds arriving packets
@@ -8,9 +8,7 @@ until a timer expires, which is what preserves in-order delivery across
 migrations.
 """
 
-from functools import lru_cache
-
-from .flows import ACK, SYN, PROTO_TCP, FlowKey, Record
+from .flows import ACK, SYN, FlowKey, Record
 from .rss import _packed_addr
 from .workload import TableSpec
 
@@ -32,12 +30,11 @@ class FlowEntry:
     its held packets as `(packet, held_at)` pairs in arrival order; it is
     None otherwise."""
 
-    __slots__ = ("core_id", "held", "held_bytes", "last_activity", "bucket")
+    __slots__ = ("core_id", "held", "last_activity", "bucket")
 
     def __init__(self, core_id: int, last_activity: int, bucket: int):
         self.core_id = core_id
         self.held = None
-        self.held_bytes = 0  # sum of the packet sizes in `held`
         self.last_activity = last_activity
         self.bucket = bucket
 
@@ -51,8 +48,8 @@ class FlowTableStats(Record):
     peak_entries: int = 0
     transitions_started: int = 0
     held_packets_total: int = 0
-    held_bytes: int = 0
-    peak_held_bytes: int = 0
+    held_now: int = 0  # packets in the held lists
+    peak_held: int = 0
 
 
 def _fmix32(h: int) -> int:
@@ -66,10 +63,8 @@ def _fmix32(h: int) -> int:
     return h
 
 
-@lru_cache(maxsize=64)
 def _fold_addr(addr: str) -> int:
-    """The address XOR-folded to 32 bits. Cached: a run hashes the same
-    few addresses on every table miss."""
+    """The address XOR-folded to 32 bits."""
     packed = _packed_addr(addr)
     folded = 0
     for i in range(0, len(packed), 4):
@@ -77,22 +72,24 @@ def _fold_addr(addr: str) -> int:
     return folded
 
 
-def bucket_index(key: FlowKey, num_buckets: int) -> int:
-    """Deterministic bucket for a flow key.
+def address_word(src_addr: str, dst_addr: str) -> int:
+    """The 32-bit word that `bucket_index` XORs into every port pair of a
+    run: the source address folded, XOR the destination folded with its
+    halves swapped. A table computes it once."""
+    dst = _fold_addr(dst_addr)
+    return _fold_addr(src_addr) ^ ((dst << 16) | (dst >> 16)) & 0xFFFFFFFF
 
-    The input is the port pair XOR-folded with the addresses, so when every
-    flow shares one address pair the ports alone spread the table.
-    """
-    v = (key.src_port << 16) | key.dst_port
-    v ^= _fold_addr(key.src_addr)
-    dst = _fold_addr(key.dst_addr)
-    v ^= ((dst << 16) | (dst >> 16)) & 0xFFFFFFFF
-    return _fmix32(v) % num_buckets
+
+def bucket_index(key: FlowKey, num_buckets: int, addr_word: int) -> int:
+    """Deterministic bucket for a flow key: its port pair XORed with
+    `addr_word`, the run's `address_word`, so when every flow shares one
+    address pair the ports alone spread the table."""
+    return _fmix32(((key.src_port << 16) | key.dst_port) ^ addr_word) % num_buckets
 
 
 def memory_estimate(n_entries: int, ip_version: int, held_bytes: int) -> int:
-    """Table memory in bytes: 20 per IPv4 entry, 24 more for IPv6, plus the
-    bytes currently held for flows in transition."""
+    """Table memory in bytes: 20 per IPv4 entry and 44 per IPv6 one, each
+    storing the full 5-tuple as the NIC does, plus the bytes held."""
     per_entry = 20 if ip_version == 4 else 44
     return n_entries * per_entry + held_bytes
 
@@ -112,7 +109,9 @@ class FlowTable:
     slot and a later handshake retries.
 
     Entries are indexed once, by receive-direction key, the key by which
-    the transmit path names a flow too (see `Nic`).
+    the transmit path names a flow too (see `Nic`). The table folds the
+    run's address pair into its bucket hash once. Only data is ever held,
+    so `stats` counts held packets, not bytes.
 
     `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks;
     the table reads its sizes and `pressure_threshold`, not its times.
@@ -125,9 +124,10 @@ class FlowTable:
     first outgoing core id.
     """
 
-    def __init__(self, spec: TableSpec, t_delete_ns: int, t_delete_pressure_ns: int,
-                 schedule_timer, fallback_core):
+    def __init__(self, spec: TableSpec, src_addr: str, dst_addr: str, t_delete_ns: int,
+                 t_delete_pressure_ns: int, schedule_timer, fallback_core):
         self.spec = spec
+        self._addr_word = address_word(src_addr, dst_addr)
         self.t_delete_ns = t_delete_ns
         self.t_delete_pressure_ns = t_delete_pressure_ns
         self.schedule_timer = schedule_timer
@@ -151,9 +151,7 @@ class FlowTable:
         """Advance handshake state from an incoming packet whose flow has no
         entry (`steer` calls this only after a miss); admit on the final ACK.
         Rejection (chain or table full) is a counted outcome, not an error."""
-        key, kind, _, _ = packet
-        if key.protocol != PROTO_TCP:
-            return None
+        key, kind, _ = packet
         if kind == SYN:
             self._tracker[key] = (now, False)
             return None
@@ -167,8 +165,7 @@ class FlowTable:
 
     def note_tx_packet(self, key: FlowKey, now: int):
         """Outgoing half of handshake monitoring: the SYN-ACK of the flow
-        whose receive-direction key is `key`. Only a TCP SYN opens a tracker
-        entry, so other protocols find none here."""
+        whose receive-direction key is `key`."""
         state = self._tracker.get(key)
         if state is not None and not state[1]:
             self._tracker[key] = (now, True)
@@ -178,7 +175,7 @@ class FlowTable:
         if len(self._entries) >= spec.max_entries:
             self.stats.rejected_table_full += 1
             return None
-        index = bucket_index(key, spec.num_buckets)
+        index = bucket_index(key, spec.num_buckets, self._addr_word)
         bucket = self._buckets.setdefault(index, [])
         if len(bucket) >= spec.max_list_size:
             self.stats.rejected_bucket_full += 1
@@ -203,14 +200,15 @@ class FlowTable:
         1-based and only computed when the caller charges lookup latency;
         on a miss it is the full chain length walked.
         """
-        key, _, _, size = packet
+        key = packet[0]
         entry = self._entries.get(key)
         if entry is None:
             entry = self.on_rx_connection_tracking(packet, now)
         if entry is None:
             position = 1
             if want_position:
-                bucket = self._buckets.get(bucket_index(key, self.spec.num_buckets), ())
+                index = bucket_index(key, self.spec.num_buckets, self._addr_word)
+                bucket = self._buckets.get(index, ())
                 position = max(1, len(bucket))
             return FALLBACK, None, position
         position = self._position_of(entry) if want_position else 1
@@ -218,12 +216,11 @@ class FlowTable:
         held = entry.held
         if held is not None:
             held.append((packet, now))
-            entry.held_bytes += size
             stats = self.stats
             stats.held_packets_total += 1
-            stats.held_bytes += size
-            if stats.held_bytes > stats.peak_held_bytes:
-                stats.peak_held_bytes = stats.held_bytes
+            stats.held_now += 1
+            if stats.held_now > stats.peak_held:
+                stats.peak_held = stats.held_now
             return HELD, None, position
         return DIRECT, entry.core_id, position
 
@@ -264,8 +261,7 @@ class FlowTable:
         flushed = entry.held
         entry.held = None
         entry.last_activity = now
-        self.stats.held_bytes -= entry.held_bytes
-        entry.held_bytes = 0
+        self.stats.held_now -= len(flushed)
         return entry.core_id, flushed
 
     # -- aging ----------------------------------------------------------------

@@ -9,6 +9,8 @@ that `Scenario.validate` has checked.
 import ipaddress
 from functools import lru_cache
 
+from .flows import PROTO_TCP
+
 # Well-known 40-byte verification key from the public RSS specification.
 # Scenarios may override it with any hex string of sufficient length.
 DEFAULT_RSS_KEY = bytes.fromhex(
@@ -30,8 +32,9 @@ def _packed_addr(addr: str) -> bytes:
     return ipaddress.ip_address(addr).packed
 
 
-def select_fields(key, fields) -> bytes:
-    """Concatenate the named fields of a flow key in canonical order.
+def select_fields(key, fields, src_addr: str, dst_addr: str) -> bytes:
+    """Concatenate the named fields of a TCP flow, its addresses and the
+    ports of `key`, in canonical order.
 
     Order is FIELD_NAMES whatever the order of `fields`, all in network
     byte order, so two packets of one flow always produce the same byte
@@ -39,15 +42,15 @@ def select_fields(key, fields) -> bytes:
     """
     parts = []
     if "src_addr" in fields:
-        parts.append(_packed_addr(key.src_addr))
+        parts.append(_packed_addr(src_addr))
     if "dst_addr" in fields:
-        parts.append(_packed_addr(key.dst_addr))
+        parts.append(_packed_addr(dst_addr))
     if "src_port" in fields:
         parts.append(key.src_port.to_bytes(2, "big"))
     if "dst_port" in fields:
         parts.append(key.dst_port.to_bytes(2, "big"))
     if "protocol" in fields:
-        parts.append(key.protocol.to_bytes(1, "big"))
+        parts.append(PROTO_TCP.to_bytes(1, "big"))
     return b"".join(parts)
 
 
@@ -97,14 +100,18 @@ def queue_of(hash_value: int, num_queues: int, table) -> int:
 
 
 class RssEngine:
-    """Bundles key, field names and lookup style; caches per-flow results.
+    """Bundles the run's address pair, key, field names and lookup style;
+    caches per-flow results.
 
     The indirection table is static during a run; rebalancing policy is an
     OS concern outside this model.
     """
 
-    def __init__(self, key: bytes = DEFAULT_RSS_KEY, fields: tuple = FIELD_NAMES[:4],
-                 num_queues: int = 4, table: tuple | None = None):
+    def __init__(self, src_addr: str, dst_addr: str, key: bytes = DEFAULT_RSS_KEY,
+                 fields: tuple = FIELD_NAMES[:4], num_queues: int = 4,
+                 table: tuple | None = None):
+        self.src_addr = src_addr
+        self.dst_addr = dst_addr
         self.key = key
         self.fields = fields
         self.num_queues = num_queues
@@ -112,7 +119,8 @@ class RssEngine:
         self._cache = {}
 
     def hash_of(self, flow_key) -> int:
-        return toeplitz_hash(self.key, select_fields(flow_key, self.fields))
+        data = select_fields(flow_key, self.fields, self.src_addr, self.dst_addr)
+        return toeplitz_hash(self.key, data)
 
     def queue_for(self, flow_key) -> int:
         queue = self._cache.get(flow_key)

@@ -27,7 +27,6 @@ from .workload import (
 )
 
 AGE_SWEEP_INTERVAL_NS = 10_000_000  # 10 ms
-CONTROL_BYTES = 64  # SYN, SYN-ACK and pure ACK frames
 
 
 class RunResult:
@@ -58,8 +57,9 @@ class Engine:
         if scenario.nic.mode == MODE_FLOWSTEER:
             # Every hold lasts t_timer, so the hold timers form one line.
             hold_timer = self.sim.line(ns["t_timer"], self._hold_timer_fired).add
-            self.table = FlowTable(scenario.flow_table, ns["t_delete"],
-                                   ns["t_delete_pressure"], hold_timer, self.rss.queue_for)
+            self.table = FlowTable(scenario.flow_table, self.rss.src_addr, self.rss.dst_addr,
+                                   ns["t_delete"], ns["t_delete_pressure"], hold_timer,
+                                   self.rss.queue_for)
         self.nic = Nic(scenario.nic, scenario.num_cores(), self.rss, self.table, self.sim)
         self.host = Host(scenario.host.processors, self.sim, self.nic, ns["service"],
                          ns["cadence"], scheduler_mode=scenario.scheduler.mode,
@@ -89,7 +89,7 @@ class Engine:
         hand-over, and the simulator's sort is done before the sockets exist.
         """
         scenario = self.scenario
-        keys, blocks, data_counts = spawn_streams(scenario, self.rng)
+        keys, blocks, data_counts = spawn_streams(scenario, self._ns, self.rng)
         self.generated_data += sum(data_counts)
         socks = []  # each stream's socket, filled in by the wiring below
         self.sim.schedule_arrivals(blocks, self._arrival_action(socks, data_counts))
@@ -105,7 +105,6 @@ class Engine:
         the arrival's position in its block: send the SYN-ACK, build the
         SYN, ACK or data packet as it arrives, or issue the app's first
         receive call. No packet exists before its arrival."""
-        size = self.scenario.traffic.packet_bytes
         rx = self.nic.rx
         sim = self.sim
         tx_synack = self._tx_synack
@@ -115,13 +114,13 @@ class Engine:
             if k >= 3:
                 seq = k - 3
                 if seq < data_counts[i]:
-                    rx((socks[i].key, DATA, seq, size), sim.now)
+                    rx((socks[i].key, DATA, seq), sim.now)
                 else:
                     submit_syscall(socks[i])
             elif k == 1:
                 tx_synack(socks[i])
             else:
-                rx((socks[i].key, ACK if k else SYN, -1, CONTROL_BYTES), sim.now)
+                rx((socks[i].key, ACK if k else SYN, -1), sim.now)
 
         return arrive
 
@@ -154,20 +153,19 @@ class Engine:
         self.host.add_flow(filler_key, 0, (0,))
 
         gap = self._ns["handshake_gap"]
-        self._schedule_rx(0, (victim_key, SYN, -1, CONTROL_BYTES))
+        self._schedule_rx(0, (victim_key, SYN, -1))
         self.sim.schedule(gap, lambda: self._tx_synack(victim))
-        self._schedule_rx(2 * gap, (victim_key, ACK, -1, CONTROL_BYTES))
+        self._schedule_rx(2 * gap, (victim_key, ACK, -1))
 
-        size = scenario.traffic.packet_bytes
         t = WORST_CASE_FIRE_NS
         eps = WORST_CASE_EPSILON_NS
         fillers = scenario.nic.ring_capacity - 1
         for seq in range(fillers):
-            self._schedule_rx(t - 2 * eps, (filler_key, DATA, seq, size))
-        self._schedule_rx(t - eps, (victim_key, DATA, 0, size))
+            self._schedule_rx(t - 2 * eps, (filler_key, DATA, seq))
+        self._schedule_rx(t - eps, (victim_key, DATA, 0))
         # The victim's app ACKs from its new core, core 1.
         self.sim.schedule(t, lambda: self.nic.tx_ack(victim.key, 1, self.sim.now))
-        self._schedule_rx(t + eps, (victim_key, DATA, 1, size))
+        self._schedule_rx(t + eps, (victim_key, DATA, 1))
         self.generated_data += fillers + 2
 
     def _schedule_rx(self, at: int, packet: tuple):
@@ -280,9 +278,12 @@ class Engine:
 
         # Plain RSS has no table: every table figure reads 0.
         ts = self.table.stats if self.table is not None else FlowTableStats()
+        # Only data frames, traffic.packet_bytes each, are held: an entry exists
+        # only after its handshake's last ACK, and only data follows that ACK.
+        peak_held_bytes = ts.peak_held * self.scenario.traffic.packet_bytes
         # Scenario.validate puts both addresses in one family.
         ip_version = ipaddress.ip_address(self.scenario.traffic.src_addr).version
-        memory = memory_estimate(ts.peak_entries, ip_version, ts.peak_held_bytes)
+        memory = memory_estimate(ts.peak_entries, ip_version, peak_held_bytes)
         report = RunReport(
             scenario=self.scenario.name,
             seed=self.seed,
@@ -305,7 +306,7 @@ class Engine:
             peak_entries=ts.peak_entries,
             transitions=ts.transitions_started,
             held_packets=ts.held_packets_total,
-            peak_held_bytes=ts.peak_held_bytes,
+            peak_held_bytes=peak_held_bytes,
             held_delay_max_ns=max(hold_delays, default=0),
             held_delay_mean_ns=sum(hold_delays) / len(hold_delays) if hold_delays else 0.0,
             table_memory_peak_bytes=memory,

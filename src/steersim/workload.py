@@ -15,7 +15,7 @@ from functools import partial
 from types import UnionType
 from typing import get_args, get_origin
 
-from .flows import PROTO_TCP, FlowKey, Record, is_record
+from .flows import FlowKey, Record, is_record
 from .rss import DEFAULT_RSS_KEY, FIELD_NAMES, RssEngine, select_fields
 from .simkernel import MS, SEC, US
 
@@ -297,10 +297,10 @@ class Scenario(Record):
             raise ScenarioError(
                 f"rss.fields must name some of {list(FIELD_NAMES)}, not {list(fields)}"
             )
-        # Every flow has these addresses, so this key's hash input is as long
-        # as any flow's.
-        probe = FlowKey(self.traffic.src_addr, self.traffic.dst_addr, PROTO_TCP, 0, 0)
-        key, length = _rss_key(self.rss), len(select_fields(probe, fields))
+        # Every flow has these addresses, so its hash input is this long.
+        probe = select_fields(FlowKey(0, 0), fields, self.traffic.src_addr,
+                              self.traffic.dst_addr)
+        key, length = _rss_key(self.rss), len(probe)
         if len(key) < length + 4:
             raise ScenarioError(
                 f"rss.key_hex: key of {len(key)} bytes cannot cover {length} input bytes"
@@ -426,8 +426,9 @@ def _rss_key(rss: RssSpec) -> bytes:
 
 def build_rss_engine(scenario: Scenario) -> RssEngine:
     """The RSS engine of a validated scenario."""
-    cfg = scenario.rss
-    return RssEngine(_rss_key(cfg), cfg.fields, scenario.num_cores(), cfg.table)
+    cfg, traffic = scenario.rss, scenario.traffic
+    return RssEngine(traffic.src_addr, traffic.dst_addr, _rss_key(cfg), cfg.fields,
+                     scenario.num_cores(), cfg.table)
 
 
 def nanoseconds(scenario: Scenario) -> dict:
@@ -468,7 +469,7 @@ def worst_case_keys(scenario: Scenario, rss: RssEngine) -> tuple:
     traffic = scenario.traffic
     keys = []
     for port in range(EPHEMERAL_START, EPHEMERAL_END):
-        key = FlowKey(traffic.src_addr, traffic.dst_addr, PROTO_TCP, port, traffic.ports[0])
+        key = FlowKey(port, traffic.ports[0])
         if rss.queue_for(key) == 0:
             keys.append(key)
             if len(keys) == 2:
@@ -567,9 +568,10 @@ def assign_ports(traffic: TrafficSpec, rng) -> list:
     return list(range(traffic.ephemeral_start, traffic.ephemeral_start + traffic.streams))
 
 
-def spawn_streams(scenario: Scenario, rng) -> tuple:
-    """Build every stream's handshake and data arrival schedule:
-    `(keys, blocks, data_counts)`, three lists indexed by stream.
+def spawn_streams(scenario: Scenario, ns: dict, rng) -> tuple:
+    """Build every stream's handshake and data arrival schedule from the
+    times `ns` that `nanoseconds(scenario)` gives: `(keys, blocks,
+    data_counts)`, three lists indexed by stream.
 
     Streams split evenly across the destination ports; each gets a unique
     source port, a staggered start, a SYN / SYN-ACK / ACK exchange and then
@@ -588,7 +590,6 @@ def spawn_streams(scenario: Scenario, rng) -> tuple:
     """
     traffic = scenario.traffic
     ports = assign_ports(traffic, rng)
-    ns = nanoseconds(scenario)
     gap, spread, duration = ns["handshake_gap"], ns["start_spread"], ns["duration"]
     inter_burst = ns["inter_burst"]
 
@@ -612,7 +613,7 @@ def spawn_streams(scenario: Scenario, rng) -> tuple:
     keys, blocks, data_counts = [], [], []
     for i in range(traffic.streams):
         dst_port = traffic.ports[i % len(traffic.ports)]
-        keys.append(FlowKey(traffic.src_addr, traffic.dst_addr, PROTO_TCP, ports[i], dst_port))
+        keys.append(FlowKey(ports[i], dst_port))
         start = (i * spread) // traffic.streams
         block = new_block((start, 3, gap))
         extend = block.extend

@@ -91,8 +91,21 @@ def test_results_from_two_hosts_are_refused(tmp_path):
 
 
 def test_extract_writes_the_committed_tree(tmp_path):
-    tree = tmp_path / "head"
-    bench_pairs.extract("HEAD", tree)
+    # A repository made here, so that the test needs no checkout around it:
+    # a copy of the files without .git runs it too.
+    repo, out = tmp_path / "repo", tmp_path / "out"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text("")
+    (repo / "untracked.txt").write_text("")
+    identity = ("-c", "user.name=steersim", "-c", "user.email=steersim@example.invalid",
+                "-c", "commit.gpgsign=false")
+    bench_pairs.git("init", "-q", cwd=repo)
+    bench_pairs.git("add", "perfbench", cwd=repo)
+    bench_pairs.git(*identity, "commit", "-q", "-m", "tree", cwd=repo)
+    out.mkdir()
+    tree = out / "head"
+    bench_pairs.extract("HEAD", tree, repo)
     assert (tree / "perfbench" / "run.py").is_file()
     assert not (tree / ".git").exists()
-    assert [p.name for p in tmp_path.iterdir()] == ["head"]
+    assert not (tree / "untracked.txt").exists()
+    assert [p.name for p in out.iterdir()] == ["head"]

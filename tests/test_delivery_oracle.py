@@ -19,7 +19,7 @@ from delivery_oracle import (
     reordering_ratio,
     warm_up_end,
 )
-from steersim.flows import DATA, PROTO_TCP, FlowKey
+from steersim.flows import DATA, FlowKey
 from steersim.host import Host
 from steersim.nic import Nic
 from steersim.rss import RssEngine
@@ -33,7 +33,7 @@ import write_golden_digests as golden  # noqa: E402
 
 
 def key(sport=1):
-    return FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, sport, 5001)
+    return FlowKey(sport, 5001)
 
 
 def rec(seq, t=0, core=0, app_core=0, kind=DATA):
@@ -129,7 +129,7 @@ def _host():
     """A four-core host over a plain-RSS NIC; processors hold two cores
     each, and threads make no receive calls."""
     sim = Simulator()
-    nic = Nic(NicSpec(mode="rss"), 4, RssEngine(num_queues=4), None, sim)
+    nic = Nic(NicSpec(mode="rss"), 4, RssEngine("10.0.0.1", "10.0.0.2", num_queues=4), None, sim)
     return Host(((0, 1), (2, 3)), sim, nic, 333, None)
 
 

@@ -25,6 +25,8 @@ from steersim.workload import WORST_CASE_FIRE_NS, nanoseconds
 from bundled import bundled, migrating, pinned_same
 from delivery_oracle import DeliveryLog, DeliveryRecord, in_socket_order, record_deliveries
 
+import write_golden_digests as golden  # noqa: E402  (on the path that bundled sets)
+
 
 def small_migrate(t_timer_us=100.0, seed=1):
     s = bundled("migrate_same")
@@ -76,7 +78,7 @@ class TestWorstCaseSchedule:
         data, acks = [], []
 
         def record_rx(packet, now):
-            k, kind, seq, _ = packet
+            k, kind, seq = packet
             if kind == DATA:
                 data.append((now, k, seq))
             rx(packet, now)
@@ -229,8 +231,8 @@ class TestHoldBounds:
         assert result.report.held_delay_max_ns == max(delays)
         assert result.report.held_delay_mean_ns == sum(delays) / len(delays)
 
-    def test_held_bytes_return_to_zero_after_the_last_flush(self, monkeypatch):
-        # After every flush the table's held bytes are what the entries
+    def test_held_count_returns_to_zero_after_the_last_flush(self, monkeypatch):
+        # After every flush the table's held count is what the entries
         # still hold; the run's last flush leaves no entry in transition.
         engine = Engine(bundled("migrate_same"), seed=1)
         expire = FlowTable.on_timer_expire
@@ -239,9 +241,7 @@ class TestHoldBounds:
         def recorded(table, key, now):
             out = expire(table, key, now)
             entries = [e for e in map(table.get, engine.host.sockets) if e is not None]
-            assert all(e.held_bytes == sum(size for (_, _, _, size), _ in e.held or ())
-                       for e in entries)
-            after.append((table.stats.held_bytes, sum(e.held_bytes for e in entries),
+            after.append((table.stats.held_now, sum(len(e.held or ()) for e in entries),
                           sum(e.held is not None for e in entries)))
             return out
 
@@ -250,6 +250,31 @@ class TestHoldBounds:
         assert report.held_packets > 0 and len(after) > 1
         assert all(total == per_entry for total, per_entry, _ in after)
         assert after[-1] == (0, 0, 0)
+        assert report.peak_held_bytes == engine.table.stats.peak_held * 1500
+
+    # The golden scenarios that hold the most frames, and the worst case and
+    # tie stress, whose schedules are scripted rather than generated.
+    @pytest.mark.parametrize("name", ["memory10g", "memory10g+age", "migrate_same+latency",
+                                      "migrate_cross", "worstcase", "tie_stress"])
+    def test_only_data_frames_are_held(self, name):
+        # The report counts held packets and converts the peak to bytes at
+        # traffic.packet_bytes each, the size of a data frame: that is right
+        # only while no control frame is ever held.
+        engine = Engine(golden.scenarios()[name], seed=1)
+        expire = engine.table.on_timer_expire
+        kinds = Counter()
+
+        def checked(key, now):
+            core, flushed = expire(key, now)
+            for frame, _ in flushed:
+                assert len(frame) == 3 and frame[0] == key
+                kinds[frame[1]] += 1
+            return core, flushed
+
+        engine.table.on_timer_expire = checked
+        report = engine.run().report
+        assert set(kinds) == {DATA}
+        assert 0 < kinds[DATA] <= report.held_packets
 
     def test_held_bytes_bounded_by_line_rate_times_timer(self):
         result = run_scenario(bundled("memory10g"), seed=1)
@@ -486,9 +511,9 @@ class TestGarbageCollectionPause:
 
 
 def _is_handshake_packet(o) -> bool:
-    """Whether `o` is a received packet, a `(key, kind, seq, size)` tuple,
-    of a kind other than data."""
-    return type(o) is tuple and len(o) == 4 and type(o[0]) is FlowKey and o[1] != DATA
+    """Whether `o` is a received packet, a `(key, kind, seq)` tuple, of a
+    kind other than data."""
+    return type(o) is tuple and len(o) == 3 and type(o[0]) is FlowKey and o[1] != DATA
 
 
 def _census() -> Counter:

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import ACK, DATA, SYN, PROTO_TCP, PROTO_UDP, FlowKey, reverse_key
+from steersim.flows import ACK, DATA, SYN, FlowKey
 from steersim.flowtable import (
     DIRECT,
     FALLBACK,
     HELD,
     FlowTable,
     TimerBugError,
+    address_word,
     bucket_index,
     memory_estimate,
     search_time,
@@ -22,12 +23,12 @@ from steersim.flowtable import (
 from steersim.workload import Scenario, TableSpec, nanoseconds
 
 
-def key(sport=40000, dport=5001, src="10.0.0.1", dst="10.0.0.2", proto=PROTO_TCP):
-    return FlowKey(src, dst, proto, sport, dport)
+def key(sport=40000, dport=5001):
+    return FlowKey(sport, dport)
 
 
-def rx_pkt(k, kind=DATA, seq=0, size=1500):
-    return (k, kind, seq, size)
+def rx_pkt(k, kind=DATA, seq=0):
+    return (k, kind, seq)
 
 
 class Timers:
@@ -40,11 +41,11 @@ class Timers:
         self.scheduled.append(flow_key)
 
 
-def make_table(fallback=0, **fields):
+def make_table(fallback=0, src="10.0.0.1", dst="10.0.0.2", **fields):
     timers = Timers()
     spec = TableSpec(**fields)
     ns = nanoseconds(Scenario(flow_table=spec))
-    table = FlowTable(spec, ns["t_delete"], ns["t_delete_pressure"],
+    table = FlowTable(spec, src, dst, ns["t_delete"], ns["t_delete_pressure"],
                       schedule_timer=timers, fallback_core=lambda k: fallback)
     return table, timers
 
@@ -56,58 +57,55 @@ def admit(table, k, now=0):
     return entry
 
 
-class TestFlowKey:
-    def test_outgoing_key_maps_to_receive_key(self):
-        out = FlowKey("x", "y", 7, 112, 113)
-        assert reverse_key(out) == FlowKey("y", "x", 7, 113, 112)
-
-    @given(
-        st.integers(0, 65535), st.integers(0, 65535),
-        st.integers(0, 255), st.integers(0, 255), st.integers(0, 255),
-    )
-    def test_involution(self, sport, dport, a, b, proto):
-        k = FlowKey(f"10.0.0.{a}", f"10.0.1.{b}", proto, sport, dport)
-        assert reverse_key(reverse_key(k)) == k
-
-    def test_symmetric_key_is_fixed_point(self):
-        k = FlowKey("10.0.0.1", "10.0.0.1", PROTO_TCP, 5001, 5001)
-        assert reverse_key(k) == k
-
-
-def reference_bucket_index(k, num_buckets):
-    """bucket_index with every address parsed afresh: the port pair XORed
-    with both addresses folded to 32 bits, the destination's halves
-    swapped, through the murmur3 finalizer."""
+def reference_bucket_index(k, num_buckets, src="10.0.0.1", dst="10.0.0.2"):
+    """bucket_index of the run between `src` and `dst`, with every address
+    parsed afresh: the port pair XORed with both addresses folded to 32
+    bits, the destination's halves swapped, through the murmur3 finalizer."""
     def fold(addr):
         packed = ipaddress.ip_address(addr).packed
         return reduce(xor, (int.from_bytes(packed[i:i + 4], "big")
                             for i in range(0, len(packed), 4)))
 
-    dst = fold(k.dst_addr)
-    h = (k.src_port << 16 | k.dst_port) ^ fold(k.src_addr) ^ (dst << 16 | dst >> 16) & 0xFFFFFFFF
+    dst = fold(dst)
+    h = (k.src_port << 16 | k.dst_port) ^ fold(src) ^ (dst << 16 | dst >> 16) & 0xFFFFFFFF
     for shift, mult in ((16, 0x85EBCA6B), (13, 0xC2B2AE35)):
         h = (h ^ h >> shift) * mult & 0xFFFFFFFF
     return (h ^ h >> 16) % num_buckets
 
 
+ADDRESS_PAIRS = [
+    ("10.0.0.1", "10.0.0.2"),
+    ("192.168.7.200", "172.16.254.3"),
+    ("2001:db8::1", "2001:db8::2"),
+    ("fe80::1:2:3:4", "2001:db8:ffff::9"),
+]
+
+# The address word of the default address pair, 10.0.0.1 -> 10.0.0.2.
+WORD = address_word("10.0.0.1", "10.0.0.2")
+
+
 class TestBucketIndex:
-    @pytest.mark.parametrize("src, dst", [
-        ("10.0.0.1", "10.0.0.2"),
-        ("192.168.7.200", "172.16.254.3"),
-        ("2001:db8::1", "2001:db8::2"),
-        ("fe80::1:2:3:4", "2001:db8:ffff::9"),
-    ])
+    @pytest.mark.parametrize("src, dst", ADDRESS_PAIRS)
     def test_matches_an_uncached_reference(self, src, dst):
+        word = address_word(src, dst)
         for sport in range(32768, 32768 + 300, 7):
             for num_buckets in (1, 3, 256, 4096):
-                k = key(sport=sport, src=src, dst=dst)
-                assert bucket_index(k, num_buckets) == reference_bucket_index(k, num_buckets)
+                k = key(sport=sport)
+                assert bucket_index(k, num_buckets, word) == \
+                    reference_bucket_index(k, num_buckets, src, dst)
+
+    @pytest.mark.parametrize("src, dst", ADDRESS_PAIRS)
+    def test_table_buckets_by_its_address_pair(self, src, dst):
+        table, _ = make_table(src=src, dst=dst, num_buckets=4096, max_entries=64)
+        for sport in range(32768, 32768 + 300, 7):
+            entry = admit(table, key(sport=sport))
+            assert entry.bucket == reference_bucket_index(key(sport=sport), 4096, src, dst)
 
     def test_single_bucket(self):
-        assert bucket_index(key(), 1) == 0
+        assert bucket_index(key(), 1, WORD) == 0
 
     def test_deterministic(self):
-        assert bucket_index(key(), 256) == bucket_index(key(), 256)
+        assert bucket_index(key(), 256, WORD) == bucket_index(key(), 256, WORD)
 
     def test_occupancy_matches_uniform_formula(self):
         # 2000 distinct port pairs sharing one address pair into 256 buckets:
@@ -116,7 +114,7 @@ class TestBucketIndex:
         rng = random.Random(11)
         ports = rng.sample(range(32768, 65536), 2000)
         occupied = {
-            bucket_index(key(sport=p, dport=5001 if p % 2 else 6001), 256)
+            bucket_index(key(sport=p, dport=5001 if p % 2 else 6001), 256, WORD)
             for p in ports
         }
         expected = 256 * (1 - (1 - 1 / 256) ** 2000)
@@ -127,7 +125,7 @@ class TestBucketIndex:
         # Sequential ephemeral assignment must still spread across buckets.
         counts = {}
         for p in range(32768, 32768 + 2000):
-            b = bucket_index(key(sport=p), 256)
+            b = bucket_index(key(sport=p), 256, WORD)
             counts[b] = counts.get(b, 0) + 1
         assert max(counts.values()) <= 20
 
@@ -167,13 +165,6 @@ class TestConnectionTracking:
         assert admit(table, key(sport=2)) is not None
         assert admit(table, key(sport=3)) is None
         assert table.stats.rejected_table_full == 1
-
-    def test_non_tcp_ignored(self):
-        table, _ = make_table()
-        k = key(proto=PROTO_UDP)
-        assert table.on_rx_connection_tracking(rx_pkt(k, SYN), 0) is None
-        assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 1) is None
-        assert table.get(k) is None
 
 
 class TestObserveTx:
@@ -243,12 +234,12 @@ class TestSteer:
             decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
             assert decision is HELD
         entry = table.get(k)
-        assert [seq for (_, _, seq, _), _ in entry.held] == [5, 6, 7]
-        assert table.stats.held_bytes == 3 * 1500
+        assert [seq for (_, _, seq), _ in entry.held] == [5, 6, 7]
+        assert table.stats.held_now == table.stats.peak_held == 3
 
-    def test_unknown_udp_falls_back(self):
+    def test_unknown_flow_falls_back(self):
         table, _ = make_table()
-        decision, core, _ = table.steer(rx_pkt(key(proto=PROTO_UDP)), 0)
+        decision, core, _ = table.steer(rx_pkt(key()), 0)
         assert decision is FALLBACK and core is None
 
 
@@ -262,9 +253,10 @@ class TestTimerExpiry:
             table.steer(rx_pkt(k, seq=seq), 10)
         core, flushed = table.on_timer_expire(k, 1000)
         assert core == 1
-        assert [seq for (_, _, seq, _), _ in flushed] == [5, 6, 7]
+        assert [seq for (_, _, seq), _ in flushed] == [5, 6, 7]
         entry = table.get(k)
-        assert entry.held is None and table.stats.held_bytes == 0
+        assert entry.held is None and table.stats.held_now == 0
+        assert table.stats.peak_held == 3
 
     def test_empty_flush_still_clears(self):
         table, _ = make_table(fallback=0, t_timer_us=1.0)
@@ -401,7 +393,7 @@ class TestInvariants:
         for i, seq in enumerate(seqs):
             table.steer(rx_pkt(k, seq=seq), i)
         _, flushed = table.on_timer_expire(k, nanoseconds(Scenario())["t_timer"])
-        assert [seq for (_, _, seq, _), _ in flushed] == seqs
+        assert [seq for (_, _, seq), _ in flushed] == seqs
 
     def test_direct_after_observe_until_next_change(self):
         # Once a transition to core c flushes, every steer is Direct(c) until

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steersim.flows import DATA, PROTO_TCP, FlowKey
+from steersim.flows import DATA, FlowKey
 from steersim.host import (
     MODE_PEAK_PERFORMANCE,
     MODE_PINNED,
@@ -25,11 +25,11 @@ SERVICE_NS = 333
 
 
 def key(sport=40000, dport=5001):
-    return FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, sport, dport)
+    return FlowKey(sport, dport)
 
 
 def rx_pkt(k, seq=0, kind=DATA):
-    return (k, kind, seq, 1500)
+    return (k, kind, seq)
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ class Harness:
         self.sim = Simulator()
         self.processors = processors
         self.num_cores = num_cores = sum(len(group) for group in processors)
-        engine = RssEngine(num_queues=num_cores)
+        engine = RssEngine("10.0.0.1", "10.0.0.2", num_queues=num_cores)
         self.acks = []
         # The host installs its interrupt actions on the NIC it attaches to.
         self.nic = Nic(

@@ -1,4 +1,4 @@
-from steersim.flows import ACK, DATA, SYN, PROTO_TCP, FlowKey
+from steersim.flows import ACK, DATA, SYN, FlowKey
 from steersim.flowtable import FlowTable
 from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic
 from steersim.rss import RssEngine
@@ -7,11 +7,11 @@ from steersim.workload import NicSpec, Scenario, TableSpec, nanoseconds
 
 
 def key(sport=40000, dport=5001):
-    return FlowKey("10.0.0.1", "10.0.0.2", PROTO_TCP, sport, dport)
+    return FlowKey(sport, dport)
 
 
-def rx_pkt(k, kind=DATA, seq=0, size=1500):
-    return (k, kind, seq, size)
+def rx_pkt(k, kind=DATA, seq=0):
+    return (k, kind, seq)
 
 
 class Harness:
@@ -23,15 +23,16 @@ class Harness:
                  t_timer_us=1.0, latency_accounting=False, num_queues=4):
         self.sim = Simulator()
         self.interrupts = []
-        engine = RssEngine(num_queues=num_queues)
+        engine = RssEngine("10.0.0.1", "10.0.0.2", num_queues=num_queues)
         table = None
         spec = TableSpec(t_timer_us=t_timer_us)
         self.ns = ns = nanoseconds(Scenario(flow_table=spec))
         if mode == MODE_FLOWSTEER:
             # Hold timers as the engine runs them: each fires t_timer later.
             hold_timer = self.sim.line(ns["t_timer"], lambda k: self.nic.on_hold_timer(k)).add
-            table = FlowTable(spec, ns["t_delete"], ns["t_delete_pressure"],
-                              hold_timer, fallback_core=lambda k: fallback)
+            table = FlowTable(spec, engine.src_addr, engine.dst_addr, ns["t_delete"],
+                              ns["t_delete_pressure"], hold_timer,
+                              fallback_core=lambda k: fallback)
         self.nic = Nic(
             NicSpec(mode=mode, ring_capacity=ring_capacity,
                     latency_accounting=latency_accounting),
@@ -79,7 +80,7 @@ class TestRingBuffer:
             nic._enqueue(0, rx_pkt(key(), seq=seq))
         ring = nic.rings[0]
         assert ring.dropped == 1 and ring.enqueued == 2
-        assert [seq for _, _, seq, _ in ring.slots] == [0, 1]
+        assert [seq for _, _, seq in ring.slots] == [0, 1]
 
     def test_pop_empty(self):
         h = Harness()
@@ -120,7 +121,7 @@ class TestRx:
         h.admit(k)
         h.nic.tx_ack(k, 2, 0)
         h.nic.rx(rx_pkt(k, seq=0), 0)
-        assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [0]
+        assert [seq for (_, _, seq), _ in h.table.get(k).held] == [0]
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 0, 0]
 
     def test_ring_overflow_drops(self):
@@ -195,7 +196,7 @@ class TestDrainAndFlush:
         h.nic.tx_ack(k, 1, 0)
         for seq in (5, 6, 7):
             h.nic.rx(rx_pkt(k, seq=seq), h.sim.now)
-        assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [5, 6, 7]
+        assert [seq for (_, _, seq), _ in h.table.get(k).held] == [5, 6, 7]
         assert len(h.nic.rings[1].slots) == 0
         h.sim.run_until(5_000)  # timer fires, flush to queue 1
         assert h.table.get(k).held is None
@@ -215,7 +216,7 @@ class TestDrainAndFlush:
         h.nic.tx_ack(k, 2, h.sim.now)
         h.nic.rx(rx_pkt(k, seq=0), h.sim.now)
         h.sim.run_until(4_999)
-        assert [seq for (_, _, seq, _), _ in h.table.get(k).held] == [0]
+        assert [seq for (_, _, seq), _ in h.table.get(k).held] == [0]
         h.sim.run_until(5_000)
         assert h.table.get(k).held is None and h.sim.pending() == 0
         assert [len(ring.slots) for ring in h.nic.rings] == [0, 0, 1, 0]

@@ -41,28 +41,33 @@ def _load_rss(**rss):
     return Scenario.from_dict(d)
 
 
-def _key(src="10.0.0.1", dst="10.0.0.2", sport=32768, dport=5001, proto=PROTO_TCP):
-    return FlowKey(src, dst, proto, sport, dport)
+SRC, DST = "10.0.0.1", "10.0.0.2"
+
+
+def _key(sport=32768, dport=5001):
+    return FlowKey(sport, dport)
 
 
 class TestSelectFields:
     def test_all_fields_ipv4_is_13_bytes(self):
-        data = select_fields(_key(), FIELD_NAMES)
+        data = select_fields(_key(), FIELD_NAMES, SRC, DST)
         assert len(data) == 13
+        assert data[-1] == PROTO_TCP
 
     def test_addresses_only_is_8_bytes(self):
-        assert len(select_fields(_key(), ADDRESSES)) == 8
+        assert len(select_fields(_key(), ADDRESSES, SRC, DST)) == 8
 
     def test_same_flow_same_bytes(self):
-        assert select_fields(_key(), FOUR_TUPLE) == select_fields(_key(), FOUR_TUPLE)
+        assert select_fields(_key(), FOUR_TUPLE, SRC, DST) == \
+            select_fields(_key(), FOUR_TUPLE, SRC, DST)
 
     def test_canonical_order(self):
-        data = select_fields(_key(), FOUR_TUPLE)
+        data = select_fields(_key(), FOUR_TUPLE, SRC, DST)
         assert data == bytes([10, 0, 0, 1, 10, 0, 0, 2]) + (32768).to_bytes(
             2, "big"
         ) + (5001).to_bytes(2, "big")
         # The names may come in any order; the input keeps the canonical one.
-        assert select_fields(_key(), FOUR_TUPLE[::-1]) == data
+        assert select_fields(_key(), FOUR_TUPLE[::-1], SRC, DST) == data
 
     def test_no_fields_rejected(self):
         # An empty selection would hash every flow to one queue; the
@@ -98,18 +103,21 @@ class TestToeplitz:
         # The oracle itself must reproduce the published suite before it is
         # trusted as a cross-check.
         for dst, dport, src, sport, h_addr, h_tcp in VERIFICATION_VECTORS:
-            data_addr = select_fields(_key(src, dst, sport, dport), ADDRESSES)
-            data_tcp = select_fields(_key(src, dst, sport, dport), FOUR_TUPLE)
+            data_addr = select_fields(_key(sport, dport), ADDRESSES, src, dst)
+            data_tcp = select_fields(_key(sport, dport), FOUR_TUPLE, src, dst)
             assert toeplitz_reference(DEFAULT_RSS_KEY, data_addr) == h_addr
             assert toeplitz_reference(DEFAULT_RSS_KEY, data_tcp) == h_tcp
 
     def test_matches_published_vectors(self):
         for dst, dport, src, sport, h_addr, h_tcp in VERIFICATION_VECTORS:
-            key = _key(src, dst, sport, dport)
-            data_addr = select_fields(key, ADDRESSES)
-            data_tcp = select_fields(key, FOUR_TUPLE)
+            key = _key(sport, dport)
+            data_addr = select_fields(key, ADDRESSES, src, dst)
+            data_tcp = select_fields(key, FOUR_TUPLE, src, dst)
             assert toeplitz_hash(DEFAULT_RSS_KEY, data_addr) == h_addr
             assert toeplitz_hash(DEFAULT_RSS_KEY, data_tcp) == h_tcp
+            # The engine hashes its flows between the address pair it holds.
+            assert RssEngine(src, dst, fields=ADDRESSES).hash_of(key) == h_addr
+            assert RssEngine(src, dst, fields=FOUR_TUPLE).hash_of(key) == h_tcp
 
     def test_agrees_with_oracle_on_random_inputs(self):
         rng = random.Random(0xBEEF)
@@ -202,14 +210,14 @@ class TestEngine:
     @settings(max_examples=100)
     def test_flow_affinity(self, a, b, sport, dport):
         # Same fields + same key + same selection -> same queue, always.
-        engine = RssEngine(num_queues=4)
-        key = FlowKey(f"10.0.{a}.1", f"10.1.{b}.2", PROTO_TCP, sport, dport)
+        engine = RssEngine(f"10.0.{a}.1", f"10.1.{b}.2", num_queues=4)
+        key = FlowKey(sport, dport)
         assert engine.queue_for(key) == engine.queue_for(key)
 
     def test_indirection_vs_direct_styles(self):
         key = _key()
-        direct = RssEngine(num_queues=4)
-        indirect = RssEngine(num_queues=4, table=(0, 1, 2, 3) * 2)
+        direct = RssEngine(SRC, DST, num_queues=4)
+        indirect = RssEngine(SRC, DST, num_queues=4, table=(0, 1, 2, 3) * 2)
         h = direct.hash_of(key)
         assert direct.queue_for(key) == h % 4
         assert indirect.queue_for(key) == [0, 1, 2, 3, 0, 1, 2, 3][h & 7]

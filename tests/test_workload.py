@@ -90,9 +90,14 @@ def data_times(block, data_count: int) -> list:
     return [t + k * spacing for t, count, spacing in zip(runs, runs, runs) for k in range(count)]
 
 
+def spawn(s: Scenario, rng) -> tuple:
+    """`spawn_streams` with the time settings the engine passes it."""
+    return spawn_streams(s, nanoseconds(s), rng)
+
+
 class TestSpawnStreams:
     def test_forty_streams_forty_handshakes(self):
-        keys, blocks, data_counts = spawn_streams(scenario(40), make_rng(1))
+        keys, blocks, data_counts = spawn(scenario(40), make_rng(1))
         assert len(keys) == len(blocks) == len(data_counts) == 40
         assert len(set(keys)) == 40
         for block in blocks:
@@ -100,17 +105,16 @@ class TestSpawnStreams:
             assert count == 3 and gap > 0
 
     def test_two_streams_distinct_keys(self):
-        keys, _, _ = spawn_streams(scenario(2), make_rng(1))
+        keys, _, _ = spawn(scenario(2), make_rng(1))
         assert keys[0] != keys[1]
         assert keys[0].src_port != keys[1].src_port
 
     def test_streams_split_across_ports(self):
-        keys, _, _ = spawn_streams(scenario(10), make_rng(1))
+        keys, _, _ = spawn(scenario(10), make_rng(1))
         assert [k.dst_port for k in keys] == [5001, 6001] * 5
 
     def test_zero_data_scenario_is_handshakes_only(self):
-        _, blocks, data_counts = spawn_streams(scenario(4, data_packets_per_stream=0),
-                                               make_rng(1))
+        _, blocks, data_counts = spawn(scenario(4, data_packets_per_stream=0), make_rng(1))
         # The handshake run, then the first receive call 1 ns after the ACK.
         assert all(list(b[3:]) == [ack_at(b) + 1, 1, 0] for b in blocks)
         assert data_counts == [0] * 4
@@ -118,7 +122,7 @@ class TestSpawnStreams:
     def test_zero_duration_scenario_is_handshakes_only(self):
         s = scenario(4)
         s.duration_us = 0.0
-        keys, blocks, data_counts = spawn_streams(s.validate(), make_rng(1))
+        keys, blocks, data_counts = spawn(s.validate(), make_rng(1))
         assert len(keys) == 4
         assert all(data_runs(b, n) == [] and n == 0 for b, n in zip(blocks, data_counts))
 
@@ -126,8 +130,7 @@ class TestSpawnStreams:
         # Stream 1 starts at 1e19 ns, past 2**63: its times are exact ints.
         s = scenario(2, data_packets_per_stream=3, start_spread_us=2e16)
         s.duration_us = 3e16
-        _, (first, second), (first_count, second_count) = spawn_streams(s.validate(),
-                                                                        make_rng(1))
+        _, (first, second), (first_count, second_count) = spawn(s.validate(), make_rng(1))
         assert max(data_times(first, first_count)) < 2**63
         times = data_times(second, second_count)
         assert len(times) == second_count == 3 and min(times) >= 10**19
@@ -139,7 +142,7 @@ class TestSpawnStreams:
     def test_sequence_times_strictly_increasing(self, streams, jitter):
         s = scenario(streams, data_packets_per_stream=20, jitter_ns=jitter,
                      link_gbps=0.6 * streams, burst=4)  # 50k pps per stream
-        _, blocks, data_counts = spawn_streams(s, make_rng(7))
+        _, blocks, data_counts = spawn(s, make_rng(7))
         for block, data_count in zip(blocks, data_counts):
             times = data_times(block, data_count)
             assert all(b > a for a, b in zip(times, times[1:]))
@@ -163,7 +166,7 @@ class TestSpawnStreams:
                      start_spread_us=10.0)
         s.duration_us = duration_us
         rng, ref_rng = make_rng(5), make_rng(5)
-        _, blocks, data_counts = spawn_streams(s, rng)
+        _, blocks, data_counts = spawn(s, rng)
         assign_ports(s.traffic, ref_rng)
         duration = int(duration_us * 1000)
         inter_burst = nanoseconds(s)["inter_burst"]
@@ -192,7 +195,7 @@ class TestSpawnStreams:
     def test_bundled_blocks_are_machine_ints(self, path):
         s = Scenario.load(path)
         calls = s.host.syscall_cadence_us is not None
-        _, blocks, data_counts = spawn_streams(s, make_rng(1))
+        _, blocks, data_counts = spawn(s, make_rng(1))
         for block, data_count in zip(blocks, data_counts):
             assert type(block) is array and block.typecode == "q"
             assert len(block) == 3 + len(data_runs(block, data_count)) + 3 * calls
@@ -203,7 +206,7 @@ class TestSpawnStreams:
         # A spacing of 2**63 ns or more, or any time that may reach 2**63,
         # makes every block a list of exact Python ints.
         s = scenario(2, data_packets_per_stream=3, burst_spacing_ns=spacing)
-        _, blocks, data_counts = spawn_streams(s.validate(), make_rng(1))
+        _, blocks, data_counts = spawn(s.validate(), make_rng(1))
         assert all(type(b) is kind for b in blocks)
         assert data_counts == [1, 1]
         assert all(data_runs(b, n)[2] == spacing for b, n in zip(blocks, data_counts))
