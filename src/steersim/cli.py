@@ -83,6 +83,10 @@ def cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # in this process or sent back by a --jobs worker
+        print(f"error: {scenario.name} ran out of memory at seed {seeds[len(rows)]}",
+              file=sys.stderr)
+        return 2
 
     aggregates = aggregate_rows(rows)
     manifest = {

@@ -9,7 +9,6 @@ migrations.
 """
 
 from .flows import ACK, SYN, FlowKey, Record
-from .rss import _packed_addr
 from .workload import TableSpec
 
 
@@ -63,19 +62,18 @@ def _fmix32(h: int) -> int:
     return h
 
 
-def _fold_addr(addr: str) -> int:
-    """The address XOR-folded to 32 bits."""
-    packed = _packed_addr(addr)
+def _fold_addr(packed: bytes) -> int:
+    """A packed address XOR-folded to 32 bits."""
     folded = 0
     for i in range(0, len(packed), 4):
         folded ^= int.from_bytes(packed[i : i + 4], "big")
     return folded
 
 
-def address_word(src_addr: str, dst_addr: str) -> int:
+def address_word(src_addr: bytes, dst_addr: bytes) -> int:
     """The 32-bit word that `bucket_index` XORs into every port pair of a
-    run: the source address folded, XOR the destination folded with its
-    halves swapped. A table computes it once."""
+    run, from its packed address pair: the source address folded, XOR the
+    destination folded with its halves swapped. A table computes it once."""
     dst = _fold_addr(dst_addr)
     return _fold_addr(src_addr) ^ ((dst << 16) | (dst >> 16)) & 0xFFFFFFFF
 
@@ -110,8 +108,8 @@ class FlowTable:
 
     Entries are indexed once, by receive-direction key, the key by which
     the transmit path names a flow too (see `Nic`). The table folds the
-    run's address pair into its bucket hash once. Only data is ever held,
-    so `stats` counts held packets, not bytes.
+    address pair the RSS engine packed into its bucket hash once. Only
+    data is ever held, so `stats` counts held packets, not bytes.
 
     `spec` is the scenario's `TableSpec`, which `Scenario.validate` checks;
     the table reads its sizes and `pressure_threshold`, not its times.
@@ -124,7 +122,7 @@ class FlowTable:
     first outgoing core id.
     """
 
-    def __init__(self, spec: TableSpec, src_addr: str, dst_addr: str, t_delete_ns: int,
+    def __init__(self, spec: TableSpec, src_addr: bytes, dst_addr: bytes, t_delete_ns: int,
                  t_delete_pressure_ns: int, schedule_timer, fallback_core):
         self.spec = spec
         self._addr_word = address_word(src_addr, dst_addr)

@@ -280,8 +280,8 @@ class Host:
         slots = self._rx_slots[queue_id]
         while slots:
             packet = slots.popleft()
-            sock = self.sockets.get(packet[0])
-            if sock is not None and (sock.state >= STATE_DRAINING or sock.backlog):
+            sock = self.sockets[packet[0]]  # the engine wires every flow first
+            if sock.state >= STATE_DRAINING or sock.backlog:
                 # Deferral is an enqueue, too cheap to charge the service
                 # rate, so the drain continues at this same instant.
                 self.stats.deferrals += 1
@@ -310,9 +310,8 @@ class Host:
                 if sock.state == STATE_DRAINING and sock.core != queue_id:
                     self.stats.lock_conflicts += 1
                 continue
-            if sock is not None:
-                self.stats.delivered_interrupt += 1
-                self._deliver(packet[2], sock, queue_id, now)
+            self.stats.delivered_interrupt += 1
+            self._deliver(packet[2], sock, queue_id, now)
             free = now + self.service_ns
             self.irq_free[queue_id] = free
             self.sim.schedule(free, self._softirq_next[queue_id])

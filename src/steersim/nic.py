@@ -14,7 +14,6 @@ from .flows import FlowKey
 from .rss import RssEngine
 from .workload import NicSpec
 
-MODE_RSS = "rss"
 MODE_FLOWSTEER = "flowsteer"
 
 
@@ -42,7 +41,8 @@ class Nic:
     a zero-argument action, in the simulator's same-instant lane
     (`Simulator.soon`). The host installs its per-queue interrupt actions
     there when it attaches (`Host.__init__`).
-    In flow-steering mode a FlowTable must be attached; RSS mode ignores it.
+    The NIC steers exactly when a FlowTable is attached; with none, every
+    packet goes to the queue RSS hashes it to.
     """
 
     def __init__(self, spec: NicSpec, num_queues: int, engine: RssEngine,
@@ -51,8 +51,8 @@ class Nic:
         self.table = table
         self.sim = sim
         self._soon = sim.soon
-        # Whether the table steers and whether lookups cost time: fixed per run.
-        self._steers = spec.mode == MODE_FLOWSTEER
+        # Whether a table steers and whether lookups cost time: fixed per run.
+        self._steers = table is not None
         self._latency = spec.latency_accounting
         self.interrupts = None  # per-queue interrupt actions, set by the host
         self.ring_capacity = spec.ring_capacity  # packets per ring
@@ -110,14 +110,13 @@ class Nic:
 
     # -- transmit path ----------------------------------------------------------
 
-    def tx(self, key: FlowKey, core_id: int, now: int):
+    def tx(self, key: FlowKey, now: int):
         """Observe the outgoing SYN-ACK of the flow whose receive-direction
-        key is `key`, sent from core `core_id`: its handshake half, then the
-        core id through `tx_ack`. The peer model is open-loop, so only the
-        table side effects matter here."""
+        key is `key`: its handshake half. Its core id has no reader, since
+        no entry exists before the handshake's last ACK admits the flow."""
+        self.acks_sent += 1
         if self._steers:
             self.table.note_tx_packet(key, now)
-        self.tx_ack(key, core_id, now)
 
     def tx_ack(self, key: FlowKey, core_id: int, now: int):
         """Observe an outgoing ACK of the flow whose receive-direction key

@@ -27,14 +27,10 @@ class KeyTooShortError(ValueError):
     """The key must cover the hash input plus the 32-bit sliding window."""
 
 
-@lru_cache(maxsize=None)
-def _packed_addr(addr: str) -> bytes:
-    return ipaddress.ip_address(addr).packed
-
-
-def select_fields(key, fields, src_addr: str, dst_addr: str) -> bytes:
-    """Concatenate the named fields of a TCP flow, its addresses and the
-    ports of `key`, in canonical order.
+def select_fields(key, fields, src_addr: bytes, dst_addr: bytes) -> bytes:
+    """Concatenate the named fields of a TCP flow, its packed addresses
+    (4 bytes each for IPv4, 16 for IPv6) and the ports of `key`, in
+    canonical order.
 
     Order is FIELD_NAMES whatever the order of `fields`, all in network
     byte order, so two packets of one flow always produce the same byte
@@ -42,9 +38,9 @@ def select_fields(key, fields, src_addr: str, dst_addr: str) -> bytes:
     """
     parts = []
     if "src_addr" in fields:
-        parts.append(_packed_addr(src_addr))
+        parts.append(src_addr)
     if "dst_addr" in fields:
-        parts.append(_packed_addr(dst_addr))
+        parts.append(dst_addr)
     if "src_port" in fields:
         parts.append(key.src_port.to_bytes(2, "big"))
     if "dst_port" in fields:
@@ -101,7 +97,8 @@ def queue_of(hash_value: int, num_queues: int, table) -> int:
 
 class RssEngine:
     """Bundles the run's address pair, key, field names and lookup style;
-    caches per-flow results.
+    caches per-flow results. The addresses are packed once, here; the
+    flow table folds the same packed pair (`FlowTable`).
 
     The indirection table is static during a run; rebalancing policy is an
     OS concern outside this model.
@@ -110,8 +107,8 @@ class RssEngine:
     def __init__(self, src_addr: str, dst_addr: str, key: bytes = DEFAULT_RSS_KEY,
                  fields: tuple = FIELD_NAMES[:4], num_queues: int = 4,
                  table: tuple | None = None):
-        self.src_addr = src_addr
-        self.dst_addr = dst_addr
+        self.src_addr = ipaddress.ip_address(src_addr).packed
+        self.dst_addr = ipaddress.ip_address(dst_addr).packed
         self.key = key
         self.fields = fields
         self.num_queues = num_queues

@@ -2,8 +2,8 @@
 
 The receiver under test is a multi-queue NIC feeding per-core rings on a
 multicore host. Incoming traffic is scripted by the workload. Each flow's
-SYN-ACK is sent from here and its data ACKs from the host; each hands the
-NIC the flow's key and the core that processed it.
+SYN-ACK is sent from here, naming the flow by its key; its data ACKs come
+from the host, naming the flow and the core that processed it.
 """
 
 import gc
@@ -12,7 +12,7 @@ import os
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, SYN, FlowKey
-from .host import Host, SocketModel
+from .host import Host
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
 from .simkernel import Simulator, make_rng
@@ -107,7 +107,7 @@ class Engine:
         receive call. No packet exists before its arrival."""
         rx = self.nic.rx
         sim = self.sim
-        tx_synack = self._tx_synack
+        tx = self.nic.tx
         submit_syscall = self.host.submit_syscall
 
         def arrive(i: int, k: int):
@@ -118,18 +118,11 @@ class Engine:
                 else:
                     submit_syscall(socks[i])
             elif k == 1:
-                tx_synack(socks[i])
+                tx(socks[i].key, sim.now)
             else:
                 rx((socks[i].key, ACK if k else SYN, -1), sim.now)
 
         return arrive
-
-    def _tx_synack(self, sock: SocketModel):
-        """Send the SYN-ACK of the flow of socket `sock`."""
-        # The kernel answers the SYN from whichever core the handshake was
-        # processed on; before any steering entry exists that is the hash
-        # fallback core.
-        self.nic.tx(sock.key, self.rss.queue_for(sock.key), self.sim.now)
 
     def _schedule_worst_case(self):
         """Worst-case migration schedule for in-order analysis.
@@ -149,12 +142,12 @@ class Engine:
         # migration; its app never calls receive so everything stays in
         # interrupt context and the schedule is exact. The filler flow is
         # never admitted and rides the hash fallback onto the same queue.
-        victim = self.host.add_flow(victim_key, 0, (0,))
+        self.host.add_flow(victim_key, 0, (0,))
         self.host.add_flow(filler_key, 0, (0,))
 
         gap = self._ns["handshake_gap"]
         self._schedule_rx(0, (victim_key, SYN, -1))
-        self.sim.schedule(gap, lambda: self._tx_synack(victim))
+        self.sim.schedule(gap, lambda: self.nic.tx(victim_key, self.sim.now))
         self._schedule_rx(2 * gap, (victim_key, ACK, -1))
 
         t = WORST_CASE_FIRE_NS
@@ -164,7 +157,7 @@ class Engine:
             self._schedule_rx(t - 2 * eps, (filler_key, DATA, seq))
         self._schedule_rx(t - eps, (victim_key, DATA, 0))
         # The victim's app ACKs from its new core, core 1.
-        self.sim.schedule(t, lambda: self.nic.tx_ack(victim.key, 1, self.sim.now))
+        self.sim.schedule(t, lambda: self.nic.tx_ack(victim_key, 1, self.sim.now))
         self._schedule_rx(t + eps, (victim_key, DATA, 1))
         self.generated_data += fillers + 2
 
@@ -188,15 +181,15 @@ class Engine:
 
     def _tick(self):
         self.host.scheduler_tick()
-        self.sim.schedule_after(self._ns["tick"], self._tick)
+        self.sim.schedule(self.sim.now + self._ns["tick"], self._tick)
 
     def _alternate(self):
         self.host.force_alternate()
-        self.sim.schedule_after(self._ns["alternate"], self._alternate)
+        self.sim.schedule(self.sim.now + self._ns["alternate"], self._alternate)
 
     def _sweep(self):
         self.table.age(self.sim.now)
-        self.sim.schedule_after(AGE_SWEEP_INTERVAL_NS, self._sweep)
+        self.sim.schedule(self.sim.now + AGE_SWEEP_INTERVAL_NS, self._sweep)
 
     # -- run ---------------------------------------------------------------------
 

@@ -152,9 +152,6 @@ class Simulator:
             raise SchedulingError(f"event scheduled at {fire_time} ns, before now ({now} ns)")
         return event_id
 
-    def schedule_after(self, delay: int, action) -> int:
-        return self.schedule(self.now + delay, action)
-
     def line(self, delay: int, handler) -> TimerLine:
         """A new timer line whose events fire `delay` ns after they are
         scheduled, each as `handler(arg)`. Raises SchedulingError for a

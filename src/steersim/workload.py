@@ -280,15 +280,15 @@ class Scenario(Record):
             raise ScenarioError(f"host.processors lists {len(cores)} cores; at most 256 fit")
         # Every flow carries both addresses, so both must parse, and in one
         # address family: a flow is IPv4 or IPv6 end to end.
-        versions = []
+        addrs = []
         for name in ("src_addr", "dst_addr"):
             try:
-                versions.append(ipaddress.ip_address(getattr(self.traffic, name)).version)
+                addrs.append(ipaddress.ip_address(getattr(self.traffic, name)))
             except ValueError as exc:
                 raise ScenarioError(f"traffic.{name}: {exc}") from None
-        if versions[0] != versions[1]:
+        if addrs[0].version != addrs[1].version:
             raise ScenarioError(
-                f"traffic.dst_addr {self.traffic.dst_addr!r} is not IPv{versions[0]} like "
+                f"traffic.dst_addr {self.traffic.dst_addr!r} is not IPv{addrs[0].version} like "
                 f"traffic.src_addr {self.traffic.src_addr!r}"
             )
         # Flows the table does not steer go where these settings hash them.
@@ -298,8 +298,7 @@ class Scenario(Record):
                 f"rss.fields must name some of {list(FIELD_NAMES)}, not {list(fields)}"
             )
         # Every flow has these addresses, so its hash input is this long.
-        probe = select_fields(FlowKey(0, 0), fields, self.traffic.src_addr,
-                              self.traffic.dst_addr)
+        probe = select_fields(FlowKey(0, 0), fields, addrs[0].packed, addrs[1].packed)
         key, length = _rss_key(self.rss), len(probe)
         if len(key) < length + 4:
             raise ScenarioError(

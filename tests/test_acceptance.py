@@ -210,7 +210,8 @@ def test_criterion_8_property_suite(inorder_batch):
     # FIFO hold-flush order at the table level.
     ns = nanoseconds(Scenario())
     table = FlowTable(
-        TableSpec(), "10.0.0.1", "10.0.0.2", ns["t_delete"], ns["t_delete_pressure"],
+        TableSpec(), bytes([10, 0, 0, 1]), bytes([10, 0, 0, 2]),  # packed addresses
+        ns["t_delete"], ns["t_delete_pressure"],
         schedule_timer=lambda k: None, fallback_core=lambda k: 0,
     )
     k = FlowKey(40000, 5001)

@@ -3,6 +3,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,16 @@ from steersim.workload import UNREAD, Scenario, ScenarioError
 from bundled import bundled, pinned_same
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SRC = SCENARIOS.parent / "src"
+
+# `steersim` in a fresh interpreter whose address space is limited to
+# argv[1] bytes, with the rest of argv as its arguments.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+from steersim.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 @pytest.fixture
@@ -201,6 +213,35 @@ class TestCompare:
         monkeypatch.setattr(runner, "run_scenario", fail)
         assert run_cli("run", small_scenario, "--out", tmp_path / "out", "--quiet") == 2
         assert capsys.readouterr().err == "error: traffic.streams must be at least 1, not 0\n"
+
+    def test_run_out_of_memory_exits_2_with_one_line(self, tmp_path):
+        # A valid scenario far too large for the child, which limits its own
+        # address space to 100 MiB: 2,000 streams of 10 million arrivals.
+        s = bundled("migrate_same_2000", {"duration_us": 10_000_000.0, "traffic": {
+            "data_packets_per_stream": 10_000_000, "burst": 1}})
+        path = tmp_path / "huge.json"
+        s.save(path)
+        child = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, str(100 << 20),
+             "run", str(path), "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.splitlines() == [f"error: {s.name} ran out of memory at seed {s.seed}"]
+
+    def test_out_of_memory_names_the_failing_seed(self, small_scenario, tmp_path, capsys,
+                                                  monkeypatch):
+        def report_row(scenario, seed):
+            if seed == 3:
+                raise MemoryError
+            return row(scenario, seed)
+
+        row = runner.report_row
+        monkeypatch.setattr(runner, "report_row", report_row)
+        assert run_cli("run", small_scenario, "--repeat", 4, "--out", tmp_path / "out",
+                       "--quiet") == 2
+        assert capsys.readouterr().err == "error: pinned_same ran out of memory at seed 3\n"
 
     def test_worst_case_without_queue_0_exits_2_at_load(self, tmp_path, capsys):
         # The table sends every flow past queue 0, where the worst case

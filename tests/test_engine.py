@@ -83,7 +83,7 @@ class TestWorstCaseSchedule:
                 data.append((now, k, seq))
             rx(packet, now)
 
-        def record_ack(key, core, now):  # the SYN-ACK and the migration
+        def record_ack(key, core, now):  # the migration; the SYN-ACK goes through tx
             acks.append((now, core))
             tx_ack(key, core, now)
 
@@ -349,6 +349,24 @@ class TestLearningEdgeCases:
         result = run_scenario(s, seed=1)
         assert result.report.transitions == 0
         assert result.report.admitted == 0
+
+    @pytest.mark.parametrize("name", golden.GRID_BASES)
+    def test_no_entry_exists_when_a_synack_goes_out(self, name):
+        # A flow is admitted on its handshake's last ACK, after its one
+        # SYN-ACK, so no entry could read a core id on a SYN-ACK: `Nic.tx`
+        # takes none.
+        engine = Engine(bundled(name), seed=1)
+        table = engine.table
+        note, synacks = table.note_tx_packet, []
+
+        def checked(key, now):
+            assert table.get(key) is None
+            synacks.append(key)
+            note(key, now)
+
+        table.note_tx_packet = checked
+        engine.run()
+        assert synacks
 
 
 class TestScenarioShape:
@@ -655,9 +673,8 @@ class TestPerPacketPath:
             assert built == Counter()
 
     def test_synack_builds_no_flow_key(self, monkeypatch):
-        # The engine hands `Nic.tx` the flow's receive key beside its
-        # transmit key, so the handshake tracker is looked up without
-        # reversing the transmit key into a new one.
+        # The engine hands `Nic.tx` the key its socket holds, so the
+        # handshake tracker is looked up without building a key.
         built, counting = Counter(), [False]
         monkeypatch.setattr(FlowKey, "__init__", _counted_init(FlowKey, built, counting))
         tx, synacks = Nic.tx, []

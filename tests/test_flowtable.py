@@ -41,11 +41,16 @@ class Timers:
         self.scheduled.append(flow_key)
 
 
+def packed(addr: str) -> bytes:
+    return ipaddress.ip_address(addr).packed
+
+
 def make_table(fallback=0, src="10.0.0.1", dst="10.0.0.2", **fields):
+    """A table between `src` and `dst`, packed as the RSS engine packs them."""
     timers = Timers()
     spec = TableSpec(**fields)
     ns = nanoseconds(Scenario(flow_table=spec))
-    table = FlowTable(spec, src, dst, ns["t_delete"], ns["t_delete_pressure"],
+    table = FlowTable(spec, packed(src), packed(dst), ns["t_delete"], ns["t_delete_pressure"],
                       schedule_timer=timers, fallback_core=lambda k: fallback)
     return table, timers
 
@@ -57,14 +62,14 @@ def admit(table, k, now=0):
     return entry
 
 
-def reference_bucket_index(k, num_buckets, src="10.0.0.1", dst="10.0.0.2"):
-    """bucket_index of the run between `src` and `dst`, with every address
-    parsed afresh: the port pair XORed with both addresses folded to 32
-    bits, the destination's halves swapped, through the murmur3 finalizer."""
+def reference_bucket_index(k, num_buckets, src, dst):
+    """bucket_index of the run between the packed addresses `src` and
+    `dst`, with no word computed ahead: the port pair XORed with both
+    addresses folded to 32 bits, the destination's halves swapped, through
+    the murmur3 finalizer."""
     def fold(addr):
-        packed = ipaddress.ip_address(addr).packed
-        return reduce(xor, (int.from_bytes(packed[i:i + 4], "big")
-                            for i in range(0, len(packed), 4)))
+        return reduce(xor, (int.from_bytes(addr[i:i + 4], "big")
+                            for i in range(0, len(addr), 4)))
 
     dst = fold(dst)
     h = (k.src_port << 16 | k.dst_port) ^ fold(src) ^ (dst << 16 | dst >> 16) & 0xFFFFFFFF
@@ -81,12 +86,13 @@ ADDRESS_PAIRS = [
 ]
 
 # The address word of the default address pair, 10.0.0.1 -> 10.0.0.2.
-WORD = address_word("10.0.0.1", "10.0.0.2")
+WORD = address_word(packed("10.0.0.1"), packed("10.0.0.2"))
 
 
 class TestBucketIndex:
     @pytest.mark.parametrize("src, dst", ADDRESS_PAIRS)
     def test_matches_an_uncached_reference(self, src, dst):
+        src, dst = packed(src), packed(dst)
         word = address_word(src, dst)
         for sport in range(32768, 32768 + 300, 7):
             for num_buckets in (1, 3, 256, 4096):
@@ -99,7 +105,8 @@ class TestBucketIndex:
         table, _ = make_table(src=src, dst=dst, num_buckets=4096, max_entries=64)
         for sport in range(32768, 32768 + 300, 7):
             entry = admit(table, key(sport=sport))
-            assert entry.bucket == reference_bucket_index(key(sport=sport), 4096, src, dst)
+            assert entry.bucket == reference_bucket_index(key(sport=sport), 4096,
+                                                          packed(src), packed(dst))
 
     def test_single_bucket(self):
         assert bucket_index(key(), 1, WORD) == 0

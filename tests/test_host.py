@@ -13,7 +13,7 @@ from steersim.host import (
     STATE_SLEEPING,
     Host,
 )
-from steersim.nic import MODE_RSS, Nic
+from steersim.nic import Nic
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
 from steersim.workload import NicSpec
@@ -67,7 +67,7 @@ class Harness:
         self.acks = []
         # The host installs its interrupt actions on the NIC it attaches to.
         self.nic = Nic(
-            NicSpec(mode=MODE_RSS, ring_capacity=256), num_cores,
+            NicSpec(mode="rss", ring_capacity=256), num_cores,
             engine, None, self.sim,
         )
         # Record the ACKs the host sends; set before the host binds tx_ack.

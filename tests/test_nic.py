@@ -1,6 +1,6 @@
 from steersim.flows import ACK, DATA, SYN, FlowKey
 from steersim.flowtable import FlowTable
-from steersim.nic import MODE_FLOWSTEER, MODE_RSS, Nic
+from steersim.nic import MODE_FLOWSTEER, Nic
 from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
 from steersim.workload import NicSpec, Scenario, TableSpec, nanoseconds
@@ -51,7 +51,7 @@ class Harness:
 
     def admit(self, k, core=None, now=0):
         self.nic.rx(rx_pkt(k, SYN), now)
-        self.nic.tx(k, 0, now)  # the SYN-ACK
+        self.nic.tx(k, now)  # the SYN-ACK
         self.nic.rx(rx_pkt(k, ACK), now)
         if core is not None:
             self.nic.tx_ack(k, core, now)
@@ -145,7 +145,7 @@ class TestRx:
         assert h.edges()[start:] == [0]
 
     def test_rss_mode_uses_hash(self):
-        h = Harness(mode=MODE_RSS)
+        h = Harness(mode="rss")
         k = key()
         expected = h.nic.engine.queue_for(k)
         h.nic.rx(rx_pkt(k, seq=0), 0)
@@ -165,9 +165,19 @@ class TestTx:
         assert h.table.stats.transitions_started == 1
 
     def test_rss_mode_has_no_table_effect(self):
-        h = Harness(mode=MODE_RSS)
+        h = Harness(mode="rss")
+        h.nic.tx(key(), 0)  # the SYN-ACK
         h.nic.tx_ack(key(), 1, 0)
-        assert h.nic.table is None and h.nic.acks_sent == 1
+        assert h.nic.table is None and h.nic.acks_sent == 2
+
+    def test_synack_notes_the_handshake_and_counts(self):
+        h = Harness()
+        k = key()
+        h.nic.rx(rx_pkt(k, SYN), 0)
+        h.nic.tx(k, 0)
+        assert h.nic.acks_sent == 1 and h.table.get(k) is None
+        h.nic.rx(rx_pkt(k, ACK), 0)  # the handshake completes: admitted
+        assert h.table.get(k) is not None and h.table.stats.handshakes_completed == 1
 
     def test_unknown_flow_descriptor(self):
         h = Harness()

@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import pytest
@@ -41,7 +42,12 @@ def _load_rss(**rss):
     return Scenario.from_dict(d)
 
 
+def _packed(addr: str) -> bytes:
+    return ipaddress.ip_address(addr).packed
+
+
 SRC, DST = "10.0.0.1", "10.0.0.2"
+PSRC, PDST = _packed(SRC), _packed(DST)  # as the engine holds them
 
 
 def _key(sport=32768, dport=5001):
@@ -50,24 +56,24 @@ def _key(sport=32768, dport=5001):
 
 class TestSelectFields:
     def test_all_fields_ipv4_is_13_bytes(self):
-        data = select_fields(_key(), FIELD_NAMES, SRC, DST)
+        data = select_fields(_key(), FIELD_NAMES, PSRC, PDST)
         assert len(data) == 13
         assert data[-1] == PROTO_TCP
 
     def test_addresses_only_is_8_bytes(self):
-        assert len(select_fields(_key(), ADDRESSES, SRC, DST)) == 8
+        assert len(select_fields(_key(), ADDRESSES, PSRC, PDST)) == 8
 
     def test_same_flow_same_bytes(self):
-        assert select_fields(_key(), FOUR_TUPLE, SRC, DST) == \
-            select_fields(_key(), FOUR_TUPLE, SRC, DST)
+        assert select_fields(_key(), FOUR_TUPLE, PSRC, PDST) == \
+            select_fields(_key(), FOUR_TUPLE, PSRC, PDST)
 
     def test_canonical_order(self):
-        data = select_fields(_key(), FOUR_TUPLE, SRC, DST)
+        data = select_fields(_key(), FOUR_TUPLE, PSRC, PDST)
         assert data == bytes([10, 0, 0, 1, 10, 0, 0, 2]) + (32768).to_bytes(
             2, "big"
         ) + (5001).to_bytes(2, "big")
         # The names may come in any order; the input keeps the canonical one.
-        assert select_fields(_key(), FOUR_TUPLE[::-1], SRC, DST) == data
+        assert select_fields(_key(), FOUR_TUPLE[::-1], PSRC, PDST) == data
 
     def test_no_fields_rejected(self):
         # An empty selection would hash every flow to one queue; the
@@ -103,6 +109,7 @@ class TestToeplitz:
         # The oracle itself must reproduce the published suite before it is
         # trusted as a cross-check.
         for dst, dport, src, sport, h_addr, h_tcp in VERIFICATION_VECTORS:
+            src, dst = _packed(src), _packed(dst)
             data_addr = select_fields(_key(sport, dport), ADDRESSES, src, dst)
             data_tcp = select_fields(_key(sport, dport), FOUR_TUPLE, src, dst)
             assert toeplitz_reference(DEFAULT_RSS_KEY, data_addr) == h_addr
@@ -111,8 +118,8 @@ class TestToeplitz:
     def test_matches_published_vectors(self):
         for dst, dport, src, sport, h_addr, h_tcp in VERIFICATION_VECTORS:
             key = _key(sport, dport)
-            data_addr = select_fields(key, ADDRESSES, src, dst)
-            data_tcp = select_fields(key, FOUR_TUPLE, src, dst)
+            data_addr = select_fields(key, ADDRESSES, _packed(src), _packed(dst))
+            data_tcp = select_fields(key, FOUR_TUPLE, _packed(src), _packed(dst))
             assert toeplitz_hash(DEFAULT_RSS_KEY, data_addr) == h_addr
             assert toeplitz_hash(DEFAULT_RSS_KEY, data_tcp) == h_tcp
             # The engine hashes its flows between the address pair it holds.
