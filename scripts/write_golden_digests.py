@@ -9,7 +9,7 @@ every bundled scenario, a tie-stress scenario built here, and a grid of
 named overlays on bundled scenarios that reaches the settings no bundled
 file uses: the `rss` NIC mode, lookup-latency accounting, an RSS indirection
 table, random ports, IPv6 addresses, the power-saving scheduler, flow-table
-aging under both delete limits, and settings that schedule events for the
+aging under both delete limits, a full flow table, and settings that schedule events for the
 current instant (a zero hold timer or receive cadence). A base skips each
 overlay that sets a setting it leaves unread by `workload.UNREAD`, such as
 the receive cadence of a worst case: the load would refuse it. Run this
@@ -81,6 +81,8 @@ OVERLAYS = {
     "age": {"flow_table": {
         "t_delete_ms": 5.0, "t_delete_pressure_ms": 0.5, "pressure_threshold": 0.01,
     }},
+    # Fewer entries than flows: later handshakes find the table full.
+    "table_full": {"flow_table": {"max_entries": 30}},
 }
 GRID_BASES = ("pinned_same", "migrate_same", "migrate_cross", "memory10g", "worstcase")
 
