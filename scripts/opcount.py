@@ -9,7 +9,8 @@ the scenario's seed. The script builds one `Engine` and traces its `run`
 (workload hand-over, event loop and report collection) with `sys.settrace`
 opcode events, then prints, for every steersim function that ran, the
 bytecodes it executed in its own frames and their number per generated
-data packet, followed by the totals for steersim and for all Python code.
+data packet, then the same counts summed per steersim module, then the
+totals for steersim and for all Python code.
 Last it prints the event heap's peak length, taken in an untraced run of
 an equal `Engine` with `heappush` wrapped, so that the counts above stay
 comparable, and the `tracemalloc` peaks, in KiB, of the arrival hand-over
@@ -38,7 +39,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import steersim  # noqa: E402
 from steersim import simkernel  # noqa: E402
 from steersim.runner import Engine  # noqa: E402
-from steersim.workload import Scenario  # noqa: E402
+from steersim.workload import RULES, Scenario  # noqa: E402
 
 PACKAGE_DIR = str(Path(steersim.__file__).resolve().parent)
 
@@ -126,7 +127,7 @@ def function_name(code) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario")
-    parser.add_argument("--mode", choices=("flowsteer", "rss"))
+    parser.add_argument("--mode", choices=RULES["nic.mode"])
     parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
 
@@ -150,6 +151,10 @@ def main(argv=None) -> int:
             name = function_name(code)
             per_function[name] = per_function.get(name, 0) + n
     own = sum(per_function.values())
+    per_module = {}
+    for name, n in per_function.items():
+        module = name.partition(":")[0]
+        per_module[module] = per_module.get(module, 0) + n
 
     def line(n: int, label: str) -> str:
         per_packet = n / packets if packets else 0.0
@@ -157,8 +162,9 @@ def main(argv=None) -> int:
 
     print(f"{path.stem}  mode={scenario.nic.mode}  seed={seed}  data packets={packets:,}")
     print(f"{'bytecodes':>12} {'per packet':>10}  function")
-    for name, n in sorted(per_function.items(), key=lambda item: (-item[1], item[0])):
-        print(line(n, name))
+    for counts_by_name in (per_function, per_module):
+        for name, n in sorted(counts_by_name.items(), key=lambda item: (-item[1], item[0])):
+            print(line(n, name))
     print(line(own, "steersim total"))
     print(line(total, "total, all Python code"))
     print(f"{heap_peak:>12,} {'':>10}  event heap's peak length, untraced run")

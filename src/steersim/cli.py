@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .metrics import aggregate_rows, format_value, rows_to_csv, summary_text
 from .runner import report_rows
-from .workload import Scenario, ScenarioError
+from .workload import RULES, Scenario, ScenarioError
 
 def scenario_hash(scenario: Scenario) -> str:
     # The CLI override axes (mode, hold timer, chain cap, seed) are excluded
@@ -99,10 +99,7 @@ def cmd_run(args) -> int:
     }
     outputs = {
         "runs.csv": rows_to_csv(rows),
-        "aggregate.csv": rows_to_csv([
-            {k: a[k] for k in ("metric", "mean", "stddev", "min", "max", "n")}
-            for a in aggregates
-        ]),
+        "aggregate.csv": rows_to_csv(aggregates),
         "summary.txt": summary_text(scenario.name, scenario.nic.mode, aggregates),
         "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     }
@@ -173,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a scenario file")
     run_p.add_argument("scenario", help="path to a scenario JSON file")
-    run_p.add_argument("--mode", choices=["rss", "flowsteer"],
+    run_p.add_argument("--mode", choices=RULES["nic.mode"],
                        help="override the NIC steering mode")
     run_p.add_argument("--t-timer", type=float, dest="t_timer", metavar="US",
                        help="override the transition hold timer (microseconds)")

@@ -1,7 +1,7 @@
 """Flow identity, simulated frames and the record base class.
 
 A received frame is the plain tuple `(key, kind, seq)`: `key` is its
-flow's receive-direction `FlowKey`, `kind` one of `KINDS`, and `seq` a
+flow's receive-direction `FlowKey`, `kind` SYN, ACK or DATA, and `seq` a
 gapless per-flow sequence number for DATA and -1 for control frames. Every
 data frame is `traffic.packet_bytes` long, so a frame does not carry its
 size. The engine builds one as the frame arrives; the model unpacks it and
@@ -13,14 +13,10 @@ tuple is freed as it is deferred.
 
 from typing import NamedTuple
 
-# The protocol byte RSS hashes when `rss.fields` names "protocol".
-PROTO_TCP = 6
-
 # Packet kinds.
 SYN = "SYN"
 ACK = "ACK"
 DATA = "DATA"
-KINDS = (SYN, ACK, DATA)
 
 
 class FlowKey(NamedTuple):

@@ -187,7 +187,7 @@ class FlowTable:
 
     # -- steering ------------------------------------------------------------
 
-    def steer(self, packet: tuple, now: int, want_position: bool = False):
+    def steer(self, packet: tuple, now: int, want_position: bool):
         """Look a received packet up once; returns (decision, core_id,
         chain_position).
 

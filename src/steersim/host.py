@@ -15,10 +15,6 @@ from functools import partial
 
 from .flows import Record
 
-MODE_PINNED = "pinned"
-MODE_PEAK_PERFORMANCE = "peak_performance"
-MODE_POWER_SAVING = "power_saving"
-
 # A thread's states, ordered: the softirq drain tests every packet's socket
 # for a thread in a receive call, draining or sleeping, with one comparison.
 STATE_IDLE = 0  # never calls receive; everything stays in interrupt context
@@ -190,14 +186,16 @@ class Host:
 
     Every core takes `service_ns` to process one packet, 1/R_service.
     Every thread makes a receive call `cadence_ns` after its last one
-    returns, or never when that is None.
+    returns, or never when that is None, and ACKs every `ack_every` data
+    packets. The engine ticks the scheduler (`scheduler_mode`) unless it
+    is "pinned"; the scenario holds every default.
 
     The scheduler reads runnable threads per core from one count vector,
     kept up to date wherever a thread changes state or core. A tick then
     costs O(cores) unless it has a thread to move."""
 
     def __init__(self, processors, sim, nic, service_ns: int, cadence_ns: int | None,
-                 scheduler_mode=MODE_PINNED, ack_every: int = 2):
+                 scheduler_mode: str, ack_every: int):
         processor_of = {core: proc for proc, group in enumerate(processors) for core in group}
         num_cores = len(processor_of)
         self._processor_of = [processor_of[core] for core in range(num_cores)]  # by core id
@@ -380,10 +378,11 @@ class Host:
         return self._runnable.copy()
 
     def scheduler_tick(self):
-        """One balancing pass; `migrations` counts the threads it moves."""
-        if self.scheduler_mode == MODE_PEAK_PERFORMANCE:
+        """One balancing pass, by "peak_performance" or else "power_saving"
+        (a pinned host is never ticked); `migrations` counts its moves."""
+        if self.scheduler_mode == "peak_performance":
             self._balance_peak()
-        elif self.scheduler_mode == MODE_POWER_SAVING:
+        else:
             self._converge_power()
 
     def _migrate(self, sock: SocketModel, to_core: int):

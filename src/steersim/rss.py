@@ -6,10 +6,7 @@ plain hash-mod-queues direct map. The functions are pure over settings
 that `Scenario.validate` has checked.
 """
 
-import ipaddress
 from functools import lru_cache
-
-from .flows import PROTO_TCP
 
 # Well-known 40-byte verification key from the public RSS specification.
 # Scenarios may override it with any hex string of sufficient length.
@@ -22,9 +19,8 @@ DEFAULT_RSS_KEY = bytes.fromhex(
 # The hashable header fields, in the order they enter the hash input.
 FIELD_NAMES = ("src_addr", "dst_addr", "src_port", "dst_port", "protocol")
 
-
-class KeyTooShortError(ValueError):
-    """The key must cover the hash input plus the 32-bit sliding window."""
+# The protocol byte hashed when the fields name "protocol": every flow is TCP.
+PROTO_TCP = 6
 
 
 def select_fields(key, fields, src_addr: bytes, dst_addr: bytes) -> bytes:
@@ -74,12 +70,10 @@ def toeplitz_hash(key: bytes, data: bytes) -> int:
     window of the key starting at that bit position (big-endian bit order).
 
     The windows are folded into 16-entry tables per input nibble, built
-    once per key and input length.
+    once per key and input length. The key must cover the input plus the
+    32-bit window, `len(data) + 4` bytes; `Scenario.validate` checks this
+    for every run's key and input, and nothing checks it here.
     """
-    if len(key) < len(data) + 4:
-        raise KeyTooShortError(
-            f"key of {len(key)} bytes cannot cover {len(data)} input bytes"
-        )
     result = 0
     for (high, low), byte in zip(_nibble_tables(key, len(data)), data):
         result ^= high[byte >> 4] ^ low[byte & 15]
@@ -96,23 +90,24 @@ def queue_of(hash_value: int, num_queues: int, table) -> int:
 
 
 class RssEngine:
-    """Bundles the run's address pair, key, field names and lookup style;
-    caches per-flow results. The addresses are packed once, here; the
-    flow table folds the same packed pair (`FlowTable`).
+    """Bundles the run's packed address pair, key, field names and lookup
+    style; caches per-flow results. A `table` of None selects direct
+    mapping. A run's engine comes from `workload.build_rss_engine`, which
+    packs the scenario's addresses once; the flow table folds the same
+    packed pair (`FlowTable`). The scenario holds every default.
 
     The indirection table is static during a run; rebalancing policy is an
     OS concern outside this model.
     """
 
-    def __init__(self, src_addr: str, dst_addr: str, key: bytes = DEFAULT_RSS_KEY,
-                 fields: tuple = FIELD_NAMES[:4], num_queues: int = 4,
-                 table: tuple | None = None):
-        self.src_addr = ipaddress.ip_address(src_addr).packed
-        self.dst_addr = ipaddress.ip_address(dst_addr).packed
+    def __init__(self, src_addr: bytes, dst_addr: bytes, key: bytes, fields: tuple,
+                 num_queues: int, table: tuple | None):
+        self.src_addr = src_addr
+        self.dst_addr = dst_addr
         self.key = key
         self.fields = fields
         self.num_queues = num_queues
-        self.table = table  # None selects direct mapping
+        self.table = table
         self._cache = {}
 
     def hash_of(self, flow_key) -> int:

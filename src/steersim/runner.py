@@ -7,15 +7,15 @@ from the host, naming the flow and the core that processed it.
 """
 
 import gc
-import ipaddress
 import os
+import random
 
 from .flowtable import FlowTable, FlowTableStats, memory_estimate
 from .flows import ACK, DATA, SYN, FlowKey
 from .host import Host
 from .metrics import RunReport, admitted_fraction
 from .nic import MODE_FLOWSTEER, Nic
-from .simkernel import Simulator, make_rng
+from .simkernel import Simulator
 from .workload import (
     WORST_CASE_EPSILON_NS,
     WORST_CASE_FIRE_NS,
@@ -33,7 +33,7 @@ class RunResult:
     """A run's report and its hold delays (flush time minus arrival, one
     per flushed packet)."""
 
-    def __init__(self, report: RunReport, hold_delays=()):
+    def __init__(self, report: RunReport, hold_delays):
         self.report = report
         self.hold_delays = hold_delays
 
@@ -46,7 +46,7 @@ class Engine:
         scenario.validate()
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.rng = make_rng(self.seed)
+        self.rng = random.Random(self.seed)  # Mersenne Twister: stable per seed
         self.sim = Simulator()
         # Every time setting in ns; a period that is off is None, and
         # Scenario.validate ensures each other period is at least 1 ns.
@@ -274,8 +274,8 @@ class Engine:
         # Only data frames, traffic.packet_bytes each, are held: an entry exists
         # only after its handshake's last ACK, and only data follows that ACK.
         peak_held_bytes = ts.peak_held * self.scenario.traffic.packet_bytes
-        # Scenario.validate puts both addresses in one family.
-        ip_version = ipaddress.ip_address(self.scenario.traffic.src_addr).version
+        # Scenario.validate puts both addresses in one family, packed in 4 or 16 bytes.
+        ip_version = 4 if len(self.rss.src_addr) == 4 else 6
         memory = memory_estimate(ts.peak_entries, ip_version, peak_held_bytes)
         report = RunReport(
             scenario=self.scenario.name,

@@ -33,7 +33,6 @@ The clock moves on only when all four are done with the instant. A run
 with a fixed seed therefore replays identically event for event.
 """
 
-import random
 from array import array
 from collections import deque
 from functools import partial
@@ -383,11 +382,3 @@ class Simulator:
         (`perfbench/tracer.py`) reads it for `simkernel.heap_at_start`."""
         behind_heads = sum(len(line._queue) - 1 for line in self._lines if line._queue)
         return len(self._heap) + len(self._lane) + behind_heads
-
-
-def make_rng(seed: int) -> random.Random:
-    """Seeded generator for a run (Mersenne Twister; stable per CPython docs).
-
-    Identical seed + identical scenario gives a bit-identical event trace.
-    """
-    return random.Random(seed)

@@ -424,10 +424,11 @@ def _rss_key(rss: RssSpec) -> bytes:
 
 
 def build_rss_engine(scenario: Scenario) -> RssEngine:
-    """The RSS engine of a validated scenario."""
+    """The RSS engine of a validated scenario, over its packed address pair."""
     cfg, traffic = scenario.rss, scenario.traffic
-    return RssEngine(traffic.src_addr, traffic.dst_addr, _rss_key(cfg), cfg.fields,
-                     scenario.num_cores(), cfg.table)
+    return RssEngine(ipaddress.ip_address(traffic.src_addr).packed,
+                     ipaddress.ip_address(traffic.dst_addr).packed,
+                     _rss_key(cfg), cfg.fields, scenario.num_cores(), cfg.table)
 
 
 def nanoseconds(scenario: Scenario) -> dict:

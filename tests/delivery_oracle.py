@@ -12,10 +12,11 @@ from array import array
 from operator import ne
 from typing import NamedTuple
 
-from steersim.flows import ACK, DATA, KINDS
+from steersim.flows import ACK, DATA, SYN
 from steersim.host import Host
 
 # DeliveryLog keeps the kind as a one-byte code: an index into KINDS.
+KINDS = (SYN, ACK, DATA)
 KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
 _DATA = KIND_CODE[DATA]
 
@@ -33,7 +34,7 @@ class DeliveryLog:
 
     `seq` and `t` are `array('q')`. The one-byte fields are `bytearray`s:
     `core` and `app_core` (`Scenario.validate` caps a host at 256 cores),
-    and `kind` as a code into `flows.KINDS`. The scans below read the
+    and `kind` as a code into `KINDS`. The scans below read the
     columns. Indexing or iterating builds a `DeliveryRecord` per record on
     demand.
     """

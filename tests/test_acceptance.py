@@ -223,7 +223,7 @@ def test_criterion_8_property_suite(inorder_batch):
     table.observe_tx(k, 1, 0)
     seqs = [rng.randrange(1000) for _ in range(64)]
     for i, seq in enumerate(seqs):
-        table.steer((k, DATA, seq), i)
+        table.steer((k, DATA, seq), i, False)
     _, flushed = table.on_timer_expire(k, ns["t_timer"])
     fifo_ok = [seq for (_, _, seq), _ in flushed] == seqs
 

@@ -216,19 +216,23 @@ class TestCompare:
 
     def test_run_out_of_memory_exits_2_with_one_line(self, tmp_path):
         # A valid scenario far too large for the child, which limits its own
-        # address space to 100 MiB: 2,000 streams of 10 million arrivals.
+        # address space: 2,000 streams of 10 million arrivals.
         s = bundled("migrate_same_2000", {"duration_us": 10_000_000.0, "traffic": {
             "data_packets_per_stream": 10_000_000, "burst": 1}})
         path = tmp_path / "huge.json"
         s.save(path)
-        child = subprocess.run(
-            [sys.executable, "-c", LIMITED_MAIN, str(100 << 20),
-             "run", str(path), "--out", str(tmp_path / "out"), "--quiet"],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
-            timeout=60,
-        )
-        assert child.returncode == 2, child.stderr
-        assert child.stderr.splitlines() == [f"error: {s.name} ran out of memory at seed {s.seed}"]
+        # With 2 CPUs or more, the second child runs its seeds in two worker
+        # processes, which inherit the limit and send their MemoryError back.
+        for limit_mib, flags in ((100, []), (200, ["--repeat", "2", "--jobs", "2"])):
+            child = subprocess.run(
+                [sys.executable, "-c", LIMITED_MAIN, str(limit_mib << 20),
+                 "run", str(path), "--out", str(tmp_path / "out"), "--quiet", *flags],
+                capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                timeout=60,
+            )
+            assert child.returncode == 2, child.stderr
+            assert child.stderr.splitlines() == [
+                f"error: {s.name} ran out of memory at seed {s.seed}"]
 
     def test_out_of_memory_names_the_failing_seed(self, small_scenario, tmp_path, capsys,
                                                   monkeypatch):

@@ -22,10 +22,9 @@ from delivery_oracle import (
 from steersim.flows import DATA, FlowKey
 from steersim.host import Host
 from steersim.nic import Nic
-from steersim.rss import RssEngine
 from steersim.runner import Engine
 from steersim.simkernel import Simulator
-from steersim.workload import NicSpec
+from steersim.workload import NicSpec, Scenario, build_rss_engine
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
@@ -129,8 +128,8 @@ def _host():
     """A four-core host over a plain-RSS NIC; processors hold two cores
     each, and threads make no receive calls."""
     sim = Simulator()
-    nic = Nic(NicSpec(mode="rss"), 4, RssEngine("10.0.0.1", "10.0.0.2", num_queues=4), None, sim)
-    return Host(((0, 1), (2, 3)), sim, nic, 333, None)
+    nic = Nic(NicSpec(mode="rss"), 4, build_rss_engine(Scenario()), None, sim)
+    return Host(((0, 1), (2, 3)), sim, nic, 333, None, "pinned", 2)
 
 
 deliveries_and_flushes = st.lists(

@@ -238,7 +238,7 @@ class TestSteer:
         admit(table, k)
         table.observe_tx(k, 1, 0)
         for seq in (5, 6, 7):
-            decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq)
+            decision, _, _ = table.steer(rx_pkt(k, seq=seq), seq, False)
             assert decision is HELD
         entry = table.get(k)
         assert [seq for (_, _, seq), _ in entry.held] == [5, 6, 7]
@@ -246,7 +246,7 @@ class TestSteer:
 
     def test_unknown_flow_falls_back(self):
         table, _ = make_table()
-        decision, core, _ = table.steer(rx_pkt(key()), 0)
+        decision, core, _ = table.steer(rx_pkt(key()), 0, False)
         assert decision is FALLBACK and core is None
 
 
@@ -257,7 +257,7 @@ class TestTimerExpiry:
         admit(table, k)
         table.observe_tx(k, 1, 0)
         for seq in (5, 6, 7):
-            table.steer(rx_pkt(k, seq=seq), 10)
+            table.steer(rx_pkt(k, seq=seq), 10, False)
         core, flushed = table.on_timer_expire(k, 1000)
         assert core == 1
         assert [seq for (_, _, seq), _ in flushed] == [5, 6, 7]
@@ -279,7 +279,7 @@ class TestTimerExpiry:
         admit(table, k)
         table.observe_tx(k, 1, 0)
         table.on_timer_expire(k, 1000)
-        decision, core, _ = table.steer(rx_pkt(k), 2000)
+        decision, core, _ = table.steer(rx_pkt(k), 2000, False)
         assert decision is DIRECT and core == 1
 
     def test_expiry_without_transition_is_a_bug(self):
@@ -296,7 +296,7 @@ class TestAging:
         idle, active = key(sport=1), key(sport=2)
         admit(table, idle, now=0)
         admit(table, active, now=0)
-        table.steer(rx_pkt(active), 900)
+        table.steer(rx_pkt(active), 900, False)
         evicted = table.age(1000)
         assert evicted == [idle]
         assert table.get(idle) is None and table.get(active) is not None
@@ -316,7 +316,7 @@ class TestAging:
         k = key()
         admit(table, k, now=0)
         table.observe_tx(k, 1, 0)
-        table.steer(rx_pkt(k, seq=1), 0)
+        table.steer(rx_pkt(k, seq=1), 0, False)
         assert table.age(10_000) == []
         assert table.get(k) is not None
 
@@ -328,6 +328,14 @@ class TestAging:
         # Handshake must restart from SYN after expiry.
         table.note_tx_packet(k, 2100)
         assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 2200) is None
+
+    def test_young_partial_handshake_survives_a_sweep(self):
+        table, _ = make_table(t_delete_ms=0.001, t_delete_pressure_ms=0.001)
+        k = key()
+        table.on_rx_connection_tracking(rx_pkt(k, SYN), 1500)
+        table.note_tx_packet(k, 1500)
+        table.age(2000)  # 500 ns after the SYN-ACK, under t_delete's 1,000 ns
+        assert table.on_rx_connection_tracking(rx_pkt(k, ACK), 2100) is not None
 
     def test_rejected_flow_can_retry_after_eviction_frees_the_chain(self):
         table, _ = make_table(
@@ -398,7 +406,7 @@ class TestInvariants:
         admit(table, k)
         table.observe_tx(k, 1, 0)
         for i, seq in enumerate(seqs):
-            table.steer(rx_pkt(k, seq=seq), i)
+            table.steer(rx_pkt(k, seq=seq), i, False)
         _, flushed = table.on_timer_expire(k, nanoseconds(Scenario())["t_timer"])
         assert [seq for (_, _, seq), _ in flushed] == seqs
 
@@ -411,7 +419,7 @@ class TestInvariants:
         table.observe_tx(k, 3, 0)
         table.on_timer_expire(k, 10)
         for t in range(20, 400, 17):
-            decision, core, _ = table.steer(rx_pkt(k), t)
+            decision, core, _ = table.steer(rx_pkt(k), t, False)
             assert (decision, core) == (DIRECT, 3)
             table.observe_tx(k, 3, t)
             assert table.get(k).held is None

@@ -4,9 +4,6 @@ from hypothesis import strategies as st
 
 from steersim.flows import DATA, FlowKey
 from steersim.host import (
-    MODE_PEAK_PERFORMANCE,
-    MODE_PINNED,
-    MODE_POWER_SAVING,
     STATE_COMPUTING,
     STATE_DRAINING,
     STATE_IDLE,
@@ -14,9 +11,9 @@ from steersim.host import (
     Host,
 )
 from steersim.nic import Nic
-from steersim.rss import RssEngine
+from steersim.runner import Engine
 from steersim.simkernel import Simulator
-from steersim.workload import NicSpec
+from steersim.workload import AppRule, HostSpec, NicSpec, Scenario, build_rss_engine
 
 import scheduler_oracle
 from delivery_oracle import record_deliveries
@@ -58,12 +55,12 @@ class Harness:
     the host behaviour is isolated. Its threads make a receive call every
     `cadence_ns`, or never when that is None."""
 
-    def __init__(self, scheduler=MODE_PINNED, ack_every=2, processors=((0, 1), (2, 3)),
+    def __init__(self, scheduler="pinned", ack_every=2, processors=((0, 1), (2, 3)),
                  cadence_ns=None):
         self.sim = Simulator()
         self.processors = processors
         self.num_cores = num_cores = sum(len(group) for group in processors)
-        engine = RssEngine("10.0.0.1", "10.0.0.2", num_queues=num_cores)
+        engine = build_rss_engine(Scenario(host=HostSpec(processors=processors)))
         self.acks = []
         # The host installs its interrupt actions on the NIC it attaches to.
         self.nic = Nic(
@@ -362,16 +359,18 @@ class TestWiring:
 
 
 class TestScheduler:
-    def test_pinned_never_migrates(self):
-        h = Harness(scheduler=MODE_PINNED)
-        h.flow(key(sport=1), core=0)
-        h.flow(key(sport=2), core=0)
-        h.host.scheduler_tick()
-        assert h.host.migrations == 0
-        assert [p.core for p in h.threads()] == [0, 0]
+    def test_pinned_never_migrates(self, monkeypatch):
+        # The engine never ticks a pinned host, even one with threads that
+        # a tick could move.
+        ticks = []
+        monkeypatch.setattr(Host, "scheduler_tick", lambda host: ticks.append(host.sim.now))
+        s = Scenario(apps=(AppRule((5001, 6001), (0, 1)),))
+        assert s.scheduler.mode == "pinned"
+        assert Engine(s, 1).run().report.migrations == 0
+        assert ticks == []
 
     def test_peak_performance_balances(self):
-        h = Harness(scheduler=MODE_PEAK_PERFORMANCE, processors=((0, 1),), cadence_ns=50_000)
+        h = Harness(scheduler="peak_performance", processors=((0, 1),), cadence_ns=50_000)
         # Only a process that makes receive calls is runnable.
         h.flow(key(sport=1), core=0, allowed=(0, 1))
         h.flow(key(sport=2), core=0, allowed=(0, 1))
@@ -381,7 +380,7 @@ class TestScheduler:
         assert [p.core for p in h.threads()] == [1, 0]
 
     def test_power_saving_converges_to_processor_zero(self):
-        h = Harness(scheduler=MODE_POWER_SAVING)
+        h = Harness(scheduler="power_saving")
         h.flow(key(sport=1), core=0, allowed=(0, 2))
         h.flow(key(sport=2), core=2, allowed=(0, 2))
         h.host.scheduler_tick()

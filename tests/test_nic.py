@@ -1,9 +1,8 @@
 from steersim.flows import ACK, DATA, SYN, FlowKey
 from steersim.flowtable import FlowTable
 from steersim.nic import MODE_FLOWSTEER, Nic
-from steersim.rss import RssEngine
 from steersim.simkernel import Simulator
-from steersim.workload import NicSpec, Scenario, TableSpec, nanoseconds
+from steersim.workload import HostSpec, NicSpec, Scenario, TableSpec, build_rss_engine, nanoseconds
 
 
 def key(sport=40000, dport=5001):
@@ -23,10 +22,11 @@ class Harness:
                  t_timer_us=1.0, latency_accounting=False, num_queues=4):
         self.sim = Simulator()
         self.interrupts = []
-        engine = RssEngine("10.0.0.1", "10.0.0.2", num_queues=num_queues)
         table = None
         spec = TableSpec(t_timer_us=t_timer_us)
-        self.ns = ns = nanoseconds(Scenario(flow_table=spec))
+        scenario = Scenario(flow_table=spec, host=HostSpec(processors=(tuple(range(num_queues)),)))
+        engine = build_rss_engine(scenario)
+        self.ns = ns = nanoseconds(scenario)
         if mode == MODE_FLOWSTEER:
             # Hold timers as the engine runs them: each fires t_timer later.
             hold_timer = self.sim.line(ns["t_timer"], lambda k: self.nic.on_hold_timer(k)).add

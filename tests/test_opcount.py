@@ -37,3 +37,21 @@ def test_prints_counts_heap_peak_and_phase_peaks(tmp_path):
         peaks[match[2]] = float(match[1].replace(",", ""))
     assert peaks.keys() == {"arrival hand-over", "event loop"}
     assert all(0 < kib < 10_000 for kib in peaks.values())
+
+
+def test_module_lines_sum_to_the_steersim_total(tmp_path):
+    s = bundled("pinned_same", {"traffic": {"streams": 4}})
+    s.duration_us = 500.0
+    path = tmp_path / "small.json"
+    s.save(path)
+    counts = {}  # label -> bytecodes, for every count line
+    for line in opcount(path)[2:]:
+        match = re.fullmatch(r" +([\d,]+) +[\d.]+  (.+)", line)
+        if match:
+            counts[match[2]] = int(match[1].replace(",", ""))
+    functions = {k: n for k, n in counts.items() if k.startswith("steersim.") and ":" in k}
+    modules = {k: n for k, n in counts.items() if k.startswith("steersim.") and ":" not in k}
+    assert {"steersim.runner", "steersim.simkernel", "steersim.host"} <= modules.keys()
+    for module, n in modules.items():
+        assert n == sum(v for k, v in functions.items() if k.startswith(module + ":"))
+    assert sum(modules.values()) == counts["steersim total"]

@@ -17,7 +17,6 @@ from steersim.simkernel import (
     US,
     SchedulingError,
     Simulator,
-    make_rng,
 )
 
 
@@ -711,9 +710,8 @@ def test_heap_holds_one_entry_per_line_lane_and_periodic(monkeypatch, latency_ac
 
 
 def test_rng_reproducibility():
-    a = [make_rng(99).random() for _ in range(5)]
-    b = [make_rng(99).random() for _ in range(5)]
-    assert a == b
+    a, b = (Engine(Scenario(), 99).rng for _ in range(2))
+    assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
 
 def test_unit_constants():

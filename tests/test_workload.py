@@ -2,6 +2,7 @@ import ast
 import json
 from array import array
 import math
+import random
 import re
 import struct
 from pathlib import Path
@@ -15,7 +16,6 @@ import steersim
 from steersim.cli import main
 from steersim.flows import is_record
 from steersim.runner import Engine, run_scenario
-from steersim.simkernel import make_rng
 from steersim.workload import (
     RULES,
     UNREAD,
@@ -97,7 +97,7 @@ def spawn(s: Scenario, rng) -> tuple:
 
 class TestSpawnStreams:
     def test_forty_streams_forty_handshakes(self):
-        keys, blocks, data_counts = spawn(scenario(40), make_rng(1))
+        keys, blocks, data_counts = spawn(scenario(40), random.Random(1))
         assert len(keys) == len(blocks) == len(data_counts) == 40
         assert len(set(keys)) == 40
         for block in blocks:
@@ -105,16 +105,16 @@ class TestSpawnStreams:
             assert count == 3 and gap > 0
 
     def test_two_streams_distinct_keys(self):
-        keys, _, _ = spawn(scenario(2), make_rng(1))
+        keys, _, _ = spawn(scenario(2), random.Random(1))
         assert keys[0] != keys[1]
         assert keys[0].src_port != keys[1].src_port
 
     def test_streams_split_across_ports(self):
-        keys, _, _ = spawn(scenario(10), make_rng(1))
+        keys, _, _ = spawn(scenario(10), random.Random(1))
         assert [k.dst_port for k in keys] == [5001, 6001] * 5
 
     def test_zero_data_scenario_is_handshakes_only(self):
-        _, blocks, data_counts = spawn(scenario(4, data_packets_per_stream=0), make_rng(1))
+        _, blocks, data_counts = spawn(scenario(4, data_packets_per_stream=0), random.Random(1))
         # The handshake run, then the first receive call 1 ns after the ACK.
         assert all(list(b[3:]) == [ack_at(b) + 1, 1, 0] for b in blocks)
         assert data_counts == [0] * 4
@@ -122,7 +122,7 @@ class TestSpawnStreams:
     def test_zero_duration_scenario_is_handshakes_only(self):
         s = scenario(4)
         s.duration_us = 0.0
-        keys, blocks, data_counts = spawn(s.validate(), make_rng(1))
+        keys, blocks, data_counts = spawn(s.validate(), random.Random(1))
         assert len(keys) == 4
         assert all(data_runs(b, n) == [] and n == 0 for b, n in zip(blocks, data_counts))
 
@@ -130,7 +130,7 @@ class TestSpawnStreams:
         # Stream 1 starts at 1e19 ns, past 2**63: its times are exact ints.
         s = scenario(2, data_packets_per_stream=3, start_spread_us=2e16)
         s.duration_us = 3e16
-        _, (first, second), (first_count, second_count) = spawn(s.validate(), make_rng(1))
+        _, (first, second), (first_count, second_count) = spawn(s.validate(), random.Random(1))
         assert max(data_times(first, first_count)) < 2**63
         times = data_times(second, second_count)
         assert len(times) == second_count == 3 and min(times) >= 10**19
@@ -142,7 +142,7 @@ class TestSpawnStreams:
     def test_sequence_times_strictly_increasing(self, streams, jitter):
         s = scenario(streams, data_packets_per_stream=20, jitter_ns=jitter,
                      link_gbps=0.6 * streams, burst=4)  # 50k pps per stream
-        _, blocks, data_counts = spawn(s, make_rng(7))
+        _, blocks, data_counts = spawn(s, random.Random(7))
         for block, data_count in zip(blocks, data_counts):
             times = data_times(block, data_count)
             assert all(b > a for a, b in zip(times, times[1:]))
@@ -165,7 +165,7 @@ class TestSpawnStreams:
                      jitter_ns=jitter, link_gbps=7.2, handshake_gap_us=1.0,
                      start_spread_us=10.0)
         s.duration_us = duration_us
-        rng, ref_rng = make_rng(5), make_rng(5)
+        rng, ref_rng = random.Random(5), random.Random(5)
         _, blocks, data_counts = spawn(s, rng)
         assign_ports(s.traffic, ref_rng)
         duration = int(duration_us * 1000)
@@ -195,7 +195,7 @@ class TestSpawnStreams:
     def test_bundled_blocks_are_machine_ints(self, path):
         s = Scenario.load(path)
         calls = s.host.syscall_cadence_us is not None
-        _, blocks, data_counts = spawn(s, make_rng(1))
+        _, blocks, data_counts = spawn(s, random.Random(1))
         for block, data_count in zip(blocks, data_counts):
             assert type(block) is array and block.typecode == "q"
             assert len(block) == 3 + len(data_runs(block, data_count)) + 3 * calls
@@ -206,14 +206,14 @@ class TestSpawnStreams:
         # A spacing of 2**63 ns or more, or any time that may reach 2**63,
         # makes every block a list of exact Python ints.
         s = scenario(2, data_packets_per_stream=3, burst_spacing_ns=spacing)
-        _, blocks, data_counts = spawn(s.validate(), make_rng(1))
+        _, blocks, data_counts = spawn(s.validate(), random.Random(1))
         assert all(type(b) is kind for b in blocks)
         assert data_counts == [1, 1]
         assert all(data_runs(b, n)[2] == spacing for b, n in zip(blocks, data_counts))
 
     def test_random_ports_unique(self):
         s = scenario(2000, ephemeral_ports="random")
-        ports = assign_ports(s.traffic, make_rng(3))
+        ports = assign_ports(s.traffic, random.Random(3))
         assert len(set(ports)) == 2000
         assert all(32768 <= p < 65536 for p in ports)
 
